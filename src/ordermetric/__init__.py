@@ -90,12 +90,14 @@ from .contraction import (
 )
 from .solver import (
     BanachReport,
+    Hypotheses,
     IffReport,
     SelectionRule,
     SolverConfig,
     SolverOutcome,
     SolverReport,
     banach_iterate,
+    check_hypotheses,
     endpoint_iff_report,
     iterate_endpoint,
     single_valued_fixed_point_report,

@@ -10,7 +10,9 @@
 <instance> is a description file path or a built-in name (r1-banach,
 three-point, cone2-shrink). Exit status contract: 0 all checks pass or the
 solver certifies; 1 check failures or exhausted budgets; 2 violated
-hypotheses or order errors; 3 parse errors.
+hypotheses or order errors; 3 parse errors, usage errors and bad argument
+values (a budget below 1, a tolerance that does not strictly dominate the
+identity).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import sys
 
 from .order_core import DomainError, IncomparableError, format_element
 from .cone_metric import hausdorff
-from .contraction import validate_witness
+from .contraction import c_condition_status, is_global_weak_contraction, validate_witness
 from .harness import ALL_CHECKS, Budgets, SuiteSpec, run_suite
 from .instance_files import (
     InstanceFileError,
@@ -30,7 +32,15 @@ from .instance_files import (
     parse_element,
     parse_element_list,
 )
-from .solver import SelectionRule, SolverConfig, SolverOutcome, banach_iterate, iterate_endpoint
+from .solver import (
+    Hypotheses,
+    SelectionRule,
+    SolverConfig,
+    SolverOutcome,
+    banach_iterate,
+    iterate_endpoint,
+    walk_tolerance,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURES = 1
@@ -38,8 +48,26 @@ EXIT_HYPOTHESIS_VIOLATION = 2
 EXIT_PARSE_ERROR = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with the parse-error code, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ordermetric",
         description="exact checks and solvers for ordered-group-valued metrics")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -47,8 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the law suite on one instance")
     p_verify.add_argument("instance")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--samples", type=int, default=1000)
-    p_verify.add_argument("--n-max", type=int, default=200)
+    p_verify.add_argument("--samples", type=_positive_int, default=1000)
+    p_verify.add_argument("--n-max", type=_positive_int, default=200)
     p_verify.add_argument("--checks", default="",
                           help="comma-separated check ids or prefixes (default: all)")
     p_verify.add_argument("--format", choices=("text", "machine-rows"), default="text")
@@ -111,8 +139,14 @@ def cmd_solve(args) -> int:
         else parse_element(args.seed_point)
     eps = bundle.solver_eps if args.eps is None else parse_element(args.eps)
     rule = SelectionRule.LEX_FIRST if args.rule == "lex" else SelectionRule.MIN_DISTANCE
-    cfg = SolverConfig(eps=eps, seed_point=seed_point, max_iter=args.max_iter,
-                       selection_rule=rule)
+    try:
+        cfg = SolverConfig(eps=eps, seed_point=seed_point, max_iter=args.max_iter,
+                           selection_rule=rule)
+        walk_tolerance(bundle.space, cfg.eps)
+    except ValueError as exc:
+        print(f"bad argument: {exc}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
+    bundle.space.require_member(cfg.seed_point)
 
     wit_report = validate_witness(bundle.map_, bundle.witness)
     if not wit_report.passed:
@@ -125,7 +159,9 @@ def cmd_solve(args) -> int:
     if bundle.banach_map is not None and bundle.banach_alpha is not None:
         report = banach_iterate(bundle.space, bundle.banach_map, bundle.banach_alpha, cfg)
     else:
-        report = iterate_endpoint(bundle.map_, bundle.witness, cfg)
+        hyps = Hypotheses(is_global_weak_contraction(bundle.map_, bundle.witness),
+                          wit_report, c_condition_status(bundle.witness))
+        report = iterate_endpoint(bundle.map_, bundle.witness, cfg, hypotheses=hyps)
     sys.stdout.write(report.render() + "\n")
     if report.outcome in (SolverOutcome.ENDPOINT_FOUND,
                           SolverOutcome.APPROX_ENDPOINT_SEQUENCE):

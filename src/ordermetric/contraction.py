@@ -37,32 +37,41 @@ from .topo import PositiveSequence, is_certificate, verify_convergence
 Point = object
 
 
+def _distinct(points) -> tuple:
+    """The points without repeats, in first-occurrence order; a tuple that
+    has none is returned as the same object."""
+    out = tuple(points)
+    if len(set(out)) == len(out):
+        return out
+    return tuple(dict.fromkeys(out))
+
+
 @dataclass(frozen=True, eq=False)
 class SetValuedMap:
-    """x -> finite nonempty subset of the space, table- or rule-backed."""
+    """x -> finite nonempty subset of the space, table- or rule-backed.
+
+    ``distinct_images`` records that ``images_fn`` already returns tuples
+    without repeats (tables are normalized when built), so ``images`` need
+    not deduplicate on every call.
+    """
 
     space: ConeMetricSpace
     images_fn: Callable[[Point], tuple]
     name: str = "T"
+    distinct_images: bool = False
 
     def images(self, x: Point) -> tuple:
         out = self.images_fn(x)
         if not out:
             raise DomainError(f"map {self.name!r} has an empty image at {format_point(x)}")
-        seen: set = set()
-        uniq = []
-        for p in out:
-            if p not in seen:
-                seen.add(p)
-                uniq.append(p)
-        return tuple(uniq)
+        return out if self.distinct_images else _distinct(out)
 
     def is_endpoint(self, x: Point) -> bool:
         return self.images(x) == (x,)
 
     @staticmethod
     def from_table(space: ConeMetricSpace, table: Mapping, name: str = "T") -> "SetValuedMap":
-        frozen = {k: tuple(v) for k, v in table.items()}
+        frozen = {k: _distinct(v) for k, v in table.items()}
         for x, img in frozen.items():
             space.require_member(x)
             for y in img:
@@ -78,7 +87,7 @@ class SetValuedMap:
             except KeyError:
                 raise DomainError(f"no image recorded for {format_point(x)}") from None
 
-        return SetValuedMap(space, images_fn, name)
+        return SetValuedMap(space, images_fn, name, distinct_images=True)
 
     @staticmethod
     def from_rule(space: ConeMetricSpace, rule: Callable[[Point], Sequence],

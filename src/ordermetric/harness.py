@@ -76,6 +76,7 @@ from .contraction import (
 )
 from .solver import (
     BanachReport,
+    Hypotheses,
     SelectionRule,
     SolverConfig,
     SolverOutcome,
@@ -657,19 +658,40 @@ def _check_finite_completeness(b: InstanceBundle, ctx: _Ctx):
     return "pass", "certified-at-scale sequences are eventually constant, hence convergent"
 
 
+def _witness_report(b: InstanceBundle, ctx: _Ctx):
+    return ctx.memo(("witness", b.name),
+                    lambda: validate_witness(b.map_, b.witness, ctx.plan))
+
+
+def _weak_report(b: InstanceBundle, ctx: _Ctx):
+    return ctx.memo(("weak", b.name),
+                    lambda: is_weak_contraction(b.map_, b.witness, ctx.plan))
+
+
+def _global_report(b: InstanceBundle, ctx: _Ctx):
+    return ctx.memo(("global", b.name),
+                    lambda: is_global_weak_contraction(b.map_, b.witness, ctx.plan))
+
+
+def _hypotheses(b: InstanceBundle, ctx: _Ctx) -> Hypotheses:
+    """The walk hypotheses of the bundle's map and witness, built from the
+    memoized global and witness reports: they use the same plan as the
+    walk, so they are the reports the walk would compute itself."""
+    return ctx.memo(("hypotheses", b.name),
+                    lambda: Hypotheses(_global_report(b, ctx), _witness_report(b, ctx),
+                                       c_condition_status(b.witness)))
+
+
 def _check_witness_validity(b: InstanceBundle, ctx: _Ctx):
     if b.map_ is None or b.witness is None:
         return "skip", "bundle has no map/witness"
-    rep = ctx.memo(("witness", b.name),
-                   lambda: validate_witness(b.map_, b.witness, ctx.plan))
-    return _law_row(rep, "phi-strictly-below")
+    return _law_row(_witness_report(b, ctx), "phi-strictly-below")
 
 
 def _check_weak(b: InstanceBundle, ctx: _Ctx):
     if b.map_ is None or b.witness is None:
         return "skip", "bundle has no map/witness"
-    rep = ctx.memo(("weak", b.name),
-                   lambda: is_weak_contraction(b.map_, b.witness, ctx.plan))
+    rep = _weak_report(b, ctx)
     if rep.passed:
         scope = "exhaustive" if rep.exhaustive else f"{rep.checked_pairs} sampled pairs"
         return "pass", scope
@@ -679,8 +701,7 @@ def _check_weak(b: InstanceBundle, ctx: _Ctx):
 def _check_global(b: InstanceBundle, ctx: _Ctx):
     if b.map_ is None or b.witness is None:
         return "skip", "bundle has no map/witness"
-    rep = ctx.memo(("global", b.name),
-                   lambda: is_global_weak_contraction(b.map_, b.witness, ctx.plan))
+    rep = _global_report(b, ctx)
     if rep.passed:
         scope = "exhaustive" if rep.exhaustive else f"{rep.checked_pairs} sampled pairs"
         return "pass", scope
@@ -690,12 +711,9 @@ def _check_global(b: InstanceBundle, ctx: _Ctx):
 def _check_global_implies_weak(b: InstanceBundle, ctx: _Ctx):
     if b.map_ is None or b.witness is None:
         return "skip", "bundle has no map/witness"
-    glob = ctx.memo(("global", b.name),
-                    lambda: is_global_weak_contraction(b.map_, b.witness, ctx.plan))
-    if not glob.passed:
+    if not _global_report(b, ctx).passed:
         return "skip", "all-pairs bound does not hold; implication is vacuous"
-    weak = ctx.memo(("weak", b.name),
-                    lambda: is_weak_contraction(b.map_, b.witness, ctx.plan))
+    weak = _weak_report(b, ctx)
     if weak.passed:
         return "pass", "all-pairs bound entails the one-sided bound on the same samples"
     return "fail", f"one-sided check failed despite all-pairs: {weak.counterexample}"
@@ -715,9 +733,7 @@ def _check_c_status(b: InstanceBundle, ctx: _Ctx):
 def _check_at_most_one(b: InstanceBundle, ctx: _Ctx):
     if b.map_ is None or b.space is None or not b.space.finite:
         return "skip", "needs a finite mapped space"
-    weak = ctx.memo(("weak", b.name),
-                    lambda: is_weak_contraction(b.map_, b.witness, ctx.plan))
-    if not weak.passed:
+    if not _weak_report(b, ctx).passed:
         return "skip", "one-sided bound fails; uniqueness not implied"
     ends = endpoints_bruteforce(b.map_)
     if len(ends) <= 1:
@@ -751,7 +767,7 @@ def _check_approx_equivalence(b: InstanceBundle, ctx: _Ctx):
 def _check_iff(b: InstanceBundle, ctx: _Ctx):
     if b.map_ is None or b.witness is None:
         return "skip", "bundle has no map/witness"
-    rep = endpoint_iff_report(b.map_, b.witness, ctx.plan)
+    rep = endpoint_iff_report(b.map_, b.witness, ctx.plan, weak=_weak_report(b, ctx))
     if rep.status == "skipped":
         return "skip", rep.reason
     if rep.equivalent:
@@ -768,9 +784,7 @@ def _solver_cfg(b: InstanceBundle, rule=SelectionRule.MIN_DISTANCE) -> SolverCon
 def _check_oracle_agreement(b: InstanceBundle, ctx: _Ctx):
     if b.map_ is None or b.space is None or not b.space.finite:
         return "skip", "needs a finite mapped space"
-    glob = ctx.memo(("global", b.name),
-                    lambda: is_global_weak_contraction(b.map_, b.witness, ctx.plan))
-    if not glob.passed:
+    if not _global_report(b, ctx).passed:
         return "skip", "all-pairs bound fails; walk not governed"
     ends = endpoints_bruteforce(b.map_)
     if len(ends) != 1:
@@ -778,10 +792,11 @@ def _check_oracle_agreement(b: InstanceBundle, ctx: _Ctx):
     target = ends.members[0]
     module = b.module
     eps = module.scale(Fraction(1, 2), min_positive_distance(b.space))
+    hyps = _hypotheses(b, ctx)
     for seed in b.space.points:
         for rule in SelectionRule:
             cfg = SolverConfig(eps=eps, seed_point=seed, max_iter=400, selection_rule=rule)
-            rep = iterate_endpoint(b.map_, b.witness, cfg, ctx.plan)
+            rep = iterate_endpoint(b.map_, b.witness, cfg, ctx.plan, hyps)
             if rep.outcome is not SolverOutcome.ENDPOINT_FOUND or rep.endpoint != target:
                 return "fail", (f"seed {format_point(seed)} rule {rule.value}: "
                                 f"{rep.outcome.value} at {format_point(rep.endpoint)}")
@@ -792,7 +807,7 @@ def _check_trace_monotone(b: InstanceBundle, ctx: _Ctx):
     if b.map_ is None or b.witness is None:
         return "skip", "bundle has no map/witness"
     g = b.space.group
-    rep = iterate_endpoint(b.map_, b.witness, _solver_cfg(b), ctx.plan)
+    rep = iterate_endpoint(b.map_, b.witness, _solver_cfg(b), ctx.plan, _hypotheses(b, ctx))
     if rep.outcome is SolverOutcome.HYPOTHESIS_VIOLATION:
         return "fail", rep.message
     steps = [s for s in rep.trace]

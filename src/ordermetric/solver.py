@@ -23,6 +23,7 @@ from .order_core import (
     DomainError,
     Element,
     IncomparableError,
+    LawReport,
     Order,
     SamplePlan,
     _law_rng,
@@ -32,7 +33,9 @@ from .order_core import (
 from .cone_metric import ConeMetricSpace, format_point
 from .contraction import (
     ApproxEndpointValue,
+    CConditionStatus,
     CStatus,
+    ContractionReport,
     ContractionWitness,
     EndpointSet,
     SetValuedMap,
@@ -147,8 +150,56 @@ def _select_next(m: ConeMetricSpace, candidates: Sequence, current: Point,
     return ordered[0]
 
 
+@dataclass(frozen=True)
+class Hypotheses:
+    """The verdicts a walk's verified mode rests on, computed once for a
+    (map, witness, plan) and shareable by every walk over that triple."""
+
+    global_report: ContractionReport
+    witness_report: LawReport
+    c_status: CConditionStatus
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        """One line per hypothesis that failed or stays unknown."""
+        notes = []
+        if not self.global_report.passed:
+            notes.append(f"global bound check failed: {self.global_report.counterexample}")
+        if not self.witness_report.passed:
+            notes.append("witness obligations failed: "
+                         + "; ".join(r.witness or r.law
+                                     for r in self.witness_report.failures()))
+        if self.c_status.status is not CStatus.HOLDS_BY_THEOREM:
+            notes.append(f"convergence condition unknown: {self.c_status.justification}")
+        return tuple(notes)
+
+    @property
+    def verified(self) -> bool:
+        return not self.notes
+
+
+def check_hypotheses(T: SetValuedMap, w: ContractionWitness,
+                     plan: SamplePlan | None = None) -> Hypotheses:
+    """Run the global bound check and the witness obligations on ``plan``,
+    and take the class-level convergence-condition verdict."""
+    plan = plan or SamplePlan()
+    return Hypotheses(is_global_weak_contraction(T, w, plan),
+                      validate_witness(T, w, plan),
+                      c_condition_status(w))
+
+
+def walk_tolerance(m: ConeMetricSpace, eps) -> Element:
+    """The tolerance as a group element; raises ValueError unless it
+    strictly dominates the identity."""
+    eps = m.group.coerce(eps)
+    if not m.structure.gg_zero(eps):
+        raise ValueError("tolerance must strictly dominate the identity")
+    return eps
+
+
 def iterate_endpoint(T: SetValuedMap, w: ContractionWitness, cfg: SolverConfig,
-                     plan: SamplePlan | None = None) -> SolverReport:
+                     plan: SamplePlan | None = None,
+                     hypotheses: Hypotheses | None = None) -> SolverReport:
     """Walk y_{n+1} in the image of y_n until an endpoint or the tolerance.
 
     Verified mode holds when the global bound check passes, the witness
@@ -156,25 +207,19 @@ def iterate_endpoint(T: SetValuedMap, w: ContractionWitness, cfg: SolverConfig,
     witness class; each consumed bound is then enforced against the next
     step and any breach aborts as a hypothesis violation. In best-effort
     mode only gross monotonicity breaches (a strictly growing step) abort.
+
+    ``hypotheses`` is the value ``check_hypotheses(T, w, plan)`` returns;
+    a caller that walks the same map and witness many times computes it
+    once and passes it to each walk. When it is None the walk computes it
+    itself, after validating the tolerance and the seed point.
     """
     plan = plan or SamplePlan()
     m, g, t = T.space, T.space.group, T.space.structure
-    eps = g.coerce(cfg.eps)
-    if not t.gg_zero(eps):
-        raise ValueError("tolerance must strictly dominate the identity")
+    eps = walk_tolerance(m, cfg.eps)
     y = m.require_member(cfg.seed_point)
 
-    notes = []
-    global_report = is_global_weak_contraction(T, w, plan)
-    witness_report = validate_witness(T, w, plan)
-    cstat = c_condition_status(w)
-    if not global_report.passed:
-        notes.append(f"global bound check failed: {global_report.counterexample}")
-    if not witness_report.passed:
-        notes.append("witness obligations failed: "
-                     + "; ".join(r.witness or r.law for r in witness_report.failures()))
-    if cstat.status is not CStatus.HOLDS_BY_THEOREM:
-        notes.append(f"convergence condition unknown: {cstat.justification}")
+    hyps = hypotheses if hypotheses is not None else check_hypotheses(T, w, plan)
+    notes = hyps.notes
     verified = not notes
 
     trace: list[TraceStep] = []
@@ -184,14 +229,14 @@ def iterate_endpoint(T: SetValuedMap, w: ContractionWitness, cfg: SolverConfig,
         images = T.images(y)
         if images == (y,):
             return SolverReport(SolverOutcome.ENDPOINT_FOUND, tuple(trace), endpoint=y,
-                                best_effort=not verified, notes=tuple(notes),
+                                best_effort=not verified, notes=notes,
                                 message=f"image collapsed at iteration {n}")
         if all(t.ll(m.distance(y, xp), eps) for xp in images):
             points = tuple(s.chosen for s in trace)
             bounds = tuple(s.bound for s in trace)
             return SolverReport(SolverOutcome.APPROX_ENDPOINT_SEQUENCE, tuple(trace),
                                 witness_points=points, witness_bounds=bounds,
-                                best_effort=not verified, notes=tuple(notes),
+                                best_effort=not verified, notes=notes,
                                 message=(f"image spread strictly within tolerance at "
                                          f"{format_point(y)} after {n} steps"))
         if n == cfg.max_iter:
@@ -201,13 +246,13 @@ def iterate_endpoint(T: SetValuedMap, w: ContractionWitness, cfg: SolverConfig,
         step = m.distance(y, chosen)
         if prev_bound is not None and verified and not g.leq(step, prev_bound):
             return SolverReport(SolverOutcome.HYPOTHESIS_VIOLATION, tuple(trace),
-                                best_effort=False, notes=tuple(notes),
+                                best_effort=False, notes=notes,
                                 message=(f"step {n}: d={format_element(step)} exceeds the "
                                          f"consumed bound {format_element(prev_bound)}"))
         if prev_step is not None and not verified \
                 and g.cmp(step, prev_step) is Order.GREATER:
             return SolverReport(SolverOutcome.HYPOTHESIS_VIOLATION, tuple(trace),
-                                best_effort=True, notes=tuple(notes),
+                                best_effort=True, notes=notes,
                                 message=(f"step {n}: distance grew from "
                                          f"{format_element(prev_step)} to {format_element(step)}"))
         bound = w.phi(m, y, chosen)
@@ -215,7 +260,7 @@ def iterate_endpoint(T: SetValuedMap, w: ContractionWitness, cfg: SolverConfig,
         prev_bound, prev_step = bound, step
         y = chosen
     return SolverReport(SolverOutcome.BUDGET_EXHAUSTED, tuple(trace),
-                        best_effort=not verified, notes=tuple(notes),
+                        best_effort=not verified, notes=notes,
                         message=f"no certificate within {cfg.max_iter} iterations")
 
 
@@ -282,9 +327,7 @@ def banach_iterate(m: ConeMetricSpace, f: Callable[[Point], Point], alpha,
     alpha = Fraction(alpha)
     if not (0 <= alpha < 1):
         raise ValueError("ratio must lie in [0, 1)")
-    eps = g.coerce(cfg.eps)
-    if not t.gg_zero(eps):
-        raise ValueError("tolerance must strictly dominate the identity")
+    eps = walk_tolerance(m, cfg.eps)
     x = m.require_member(cfg.seed_point)
 
     # sampled contraction pre-check
@@ -363,17 +406,20 @@ class IffReport:
 
 
 def endpoint_iff_report(T: SetValuedMap, w: ContractionWitness,
-                        plan: SamplePlan | None = None) -> IffReport:
+                        plan: SamplePlan | None = None,
+                        weak: ContractionReport | None = None) -> IffReport:
     """Compute both sides of the endpoint equivalence independently.
 
     One side scans the finite space for exact endpoints; the other decides
     whether the inf-sup image distance is the identity. On a finite space
     the two are logically forced to agree, so a disagreement is a defect in
-    this package, not in the instance.
+    this package, not in the instance. ``weak`` is a precomputed
+    ``is_weak_contraction(T, w, plan)``; when None it is computed here.
     """
     if not T.space.finite:
         return IffReport("skipped", "space is not finite")
-    weak = is_weak_contraction(T, w, plan)
+    if weak is None:
+        weak = is_weak_contraction(T, w, plan)
     if not weak.passed:
         return IffReport("skipped", f"one-sided bound check failed: {weak.counterexample}")
     cstat = c_condition_status(w)
@@ -404,16 +450,21 @@ class SingleValuedReport:
 
 def single_valued_fixed_point_report(m: ConeMetricSpace, f: Callable[[Point], Point],
                                      w: ContractionWitness, cfg: SolverConfig,
-                                     plan: SamplePlan | None = None) -> SingleValuedReport:
+                                     plan: SamplePlan | None = None,
+                                     weak: ContractionReport | None = None
+                                     ) -> SingleValuedReport:
     """Run the endpoint walk on the singleton lift of a single-valued map
     and, on finite spaces, compare against the brute-force fixed points.
 
     For singleton images an endpoint is exactly a fixed point, so a passing
-    one-sided bound check already forces uniqueness of the target."""
+    one-sided bound check already forces uniqueness of the target.
+    ``weak`` is a precomputed one-sided check of the singleton lift of
+    ``f`` against ``w`` on ``plan``; when None it is computed here."""
     if not m.structure.regular:
         return SingleValuedReport("skipped", "instance is not declared regular")
     T = singleton_lift(m, f)
-    weak = is_weak_contraction(T, w, plan)
+    if weak is None:
+        weak = is_weak_contraction(T, w, plan)
     if not weak.passed:
         return SingleValuedReport("skipped",
                                   f"one-sided bound check failed: {weak.counterexample}")

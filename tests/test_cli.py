@@ -1,3 +1,5 @@
+import pytest
+
 from ordermetric.cli import main
 from ordermetric.instance_files import BUILTIN_INSTANCE_TEXTS
 
@@ -204,3 +206,39 @@ def test_export_stdout(capsys):
 def test_unknown_builtin_exits_three(capsys):
     rc = main(["verify", "definitely-not-here"])
     assert rc == 3
+
+
+@pytest.mark.parametrize("flag, value", [("--eps", "0"), ("--max-iter", "0")])
+def test_solve_bad_argument_exits_three(flag, value, capsys):
+    rc = main(["solve", "three-point", flag, value])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "three-point", "--samples", "0"],
+    ["verify", "three-point", "--n-max", "0"],
+    ["verify", "three-point", "--samples", "many"],
+    ["verify"],
+    ["frobnicate"],
+])
+def test_usage_errors_exit_three(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--samples" in capsys.readouterr().out
+
+
+def test_solve_seed_outside_carrier_exits_two(capsys):
+    rc = main(["solve", "three-point", "--seed-point", "7"])
+    assert rc == 2
+    assert "domain error" in capsys.readouterr().err
