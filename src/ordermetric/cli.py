@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="starting point, e.g. 1 or (1, 1)")
     p_solve.add_argument("--eps", default=None,
                          help="target scale, e.g. 1/1024 or (1/1024, 1/1024)")
-    p_solve.add_argument("--max-iter", type=int, default=400)
+    p_solve.add_argument("--max-iter", type=_positive_int, default=400)
     p_solve.add_argument("--rule", choices=("min-dist", "lex"), default="min-dist")
     p_solve.add_argument("--seed", type=int, default=0)
 
@@ -137,16 +137,19 @@ def cmd_solve(args) -> int:
         return EXIT_PARSE_ERROR
     seed_point = bundle.solver_seed if args.seed_point is None \
         else parse_element(args.seed_point)
-    eps = bundle.solver_eps if args.eps is None else parse_element(args.eps)
-    rule = SelectionRule.LEX_FIRST if args.rule == "lex" else SelectionRule.MIN_DISTANCE
+    # A tolerance outside the carrier is a domain error (exit 2); one inside
+    # it that does not strictly dominate the identity is a bad value (exit 3).
+    eps = bundle.space.group.coerce(
+        bundle.solver_eps if args.eps is None else parse_element(args.eps))
     try:
-        cfg = SolverConfig(eps=eps, seed_point=seed_point, max_iter=args.max_iter,
-                           selection_rule=rule)
-        walk_tolerance(bundle.space, cfg.eps)
+        walk_tolerance(bundle.space, eps)
     except ValueError as exc:
         print(f"bad argument: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    bundle.space.require_member(cfg.seed_point)
+    bundle.space.require_member(seed_point)
+    rule = SelectionRule.LEX_FIRST if args.rule == "lex" else SelectionRule.MIN_DISTANCE
+    cfg = SolverConfig(eps=eps, seed_point=seed_point, max_iter=args.max_iter,
+                       selection_rule=rule)
 
     wit_report = validate_witness(bundle.map_, bundle.witness)
     if not wit_report.passed:

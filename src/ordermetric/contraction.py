@@ -50,21 +50,19 @@ def _distinct(points) -> tuple:
 class SetValuedMap:
     """x -> finite nonempty subset of the space, table- or rule-backed.
 
-    ``distinct_images`` records that ``images_fn`` already returns tuples
-    without repeats (tables are normalized when built), so ``images`` need
-    not deduplicate on every call.
+    ``images_fn`` returns tuples without repeats: tables are normalized when
+    built and rule images when computed.
     """
 
     space: ConeMetricSpace
     images_fn: Callable[[Point], tuple]
     name: str = "T"
-    distinct_images: bool = False
 
     def images(self, x: Point) -> tuple:
         out = self.images_fn(x)
         if not out:
             raise DomainError(f"map {self.name!r} has an empty image at {format_point(x)}")
-        return out if self.distinct_images else _distinct(out)
+        return out
 
     def is_endpoint(self, x: Point) -> bool:
         return self.images(x) == (x,)
@@ -87,12 +85,12 @@ class SetValuedMap:
             except KeyError:
                 raise DomainError(f"no image recorded for {format_point(x)}") from None
 
-        return SetValuedMap(space, images_fn, name, distinct_images=True)
+        return SetValuedMap(space, images_fn, name)
 
     @staticmethod
     def from_rule(space: ConeMetricSpace, rule: Callable[[Point], Sequence],
                   name: str = "T") -> "SetValuedMap":
-        return SetValuedMap(space, lambda x: tuple(rule(x)), name)
+        return SetValuedMap(space, lambda x: _distinct(rule(x)), name)
 
 
 def singleton_lift(space: ConeMetricSpace, f: Callable[[Point], Point],

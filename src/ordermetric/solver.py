@@ -450,21 +450,16 @@ class SingleValuedReport:
 
 def single_valued_fixed_point_report(m: ConeMetricSpace, f: Callable[[Point], Point],
                                      w: ContractionWitness, cfg: SolverConfig,
-                                     plan: SamplePlan | None = None,
-                                     weak: ContractionReport | None = None
-                                     ) -> SingleValuedReport:
+                                     plan: SamplePlan | None = None) -> SingleValuedReport:
     """Run the endpoint walk on the singleton lift of a single-valued map
     and, on finite spaces, compare against the brute-force fixed points.
 
     For singleton images an endpoint is exactly a fixed point, so a passing
-    one-sided bound check already forces uniqueness of the target.
-    ``weak`` is a precomputed one-sided check of the singleton lift of
-    ``f`` against ``w`` on ``plan``; when None it is computed here."""
+    one-sided bound check already forces uniqueness of the target."""
     if not m.structure.regular:
         return SingleValuedReport("skipped", "instance is not declared regular")
     T = singleton_lift(m, f)
-    if weak is None:
-        weak = is_weak_contraction(T, w, plan)
+    weak = is_weak_contraction(T, w, plan)
     if not weak.passed:
         return SingleValuedReport("skipped",
                                   f"one-sided bound check failed: {weak.counterexample}")

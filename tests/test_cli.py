@@ -208,9 +208,8 @@ def test_unknown_builtin_exits_three(capsys):
     assert rc == 3
 
 
-@pytest.mark.parametrize("flag, value", [("--eps", "0"), ("--max-iter", "0")])
-def test_solve_bad_argument_exits_three(flag, value, capsys):
-    rc = main(["solve", "three-point", flag, value])
+def test_solve_bad_tolerance_exits_three(capsys):
+    rc = main(["solve", "three-point", "--eps", "0"])
     captured = capsys.readouterr()
     assert rc == 3
     assert captured.out == ""
@@ -221,6 +220,7 @@ def test_solve_bad_argument_exits_three(flag, value, capsys):
     ["verify", "three-point", "--samples", "0"],
     ["verify", "three-point", "--n-max", "0"],
     ["verify", "three-point", "--samples", "many"],
+    ["solve", "three-point", "--max-iter", "0"],
     ["verify"],
     ["frobnicate"],
 ])
@@ -240,5 +240,11 @@ def test_help_exits_zero(capsys):
 
 def test_solve_seed_outside_carrier_exits_two(capsys):
     rc = main(["solve", "three-point", "--seed-point", "7"])
+    assert rc == 2
+    assert "domain error" in capsys.readouterr().err
+
+
+def test_solve_tolerance_outside_carrier_exits_two(capsys):
+    rc = main(["solve", "r1-banach", "--eps", "(1, 1)"])
     assert rc == 2
     assert "domain error" in capsys.readouterr().err

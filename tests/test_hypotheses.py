@@ -19,8 +19,6 @@ from ordermetric import (
     endpoint_iff_report,
     is_weak_contraction,
     iterate_endpoint,
-    single_valued_fixed_point_report,
-    singleton_lift,
 )
 from ordermetric import cli, contraction, harness, solver
 from ordermetric.cli import main
@@ -109,23 +107,12 @@ def test_tolerance_is_checked_before_the_hypotheses(dilation):
 
 
 def test_reports_use_a_precomputed_weak_report(dilation):
-    space, T = dilation
+    _, T = dilation
     weak = is_weak_contraction(T, HALF)
     failed = dataclasses.replace(weak, passed=False, counterexample="given")
     assert endpoint_iff_report(T, HALF, weak=weak) == endpoint_iff_report(T, HALF)
     assert endpoint_iff_report(T, HALF, weak=failed).reason \
         == "one-sided bound check failed: given"
-
-    def to_zero(x):
-        return Fraction(0)
-
-    cfg = SolverConfig(eps=Fraction(1, 16), seed_point=Fraction(1))
-    lifted = is_weak_contraction(singleton_lift(space, to_zero), HALF)
-    fresh = single_valued_fixed_point_report(space, to_zero, HALF, cfg)
-    assert fresh.status == "checked" and fresh.agrees
-    assert single_valued_fixed_point_report(space, to_zero, HALF, cfg, weak=lifted) == fresh
-    assert single_valued_fixed_point_report(space, to_zero, HALF, cfg,
-                                            weak=failed).status == "skipped"
 
 
 @pytest.mark.parametrize("seed", [0, 42])
