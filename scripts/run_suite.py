@@ -23,10 +23,13 @@ def main() -> int:
     parser.add_argument("--instances", default="",
                         help="comma-separated instance names (default: all built-ins)")
     args = parser.parse_args()
+    try:
+        budgets = Budgets(samples=args.samples, n_max=args.n_max)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     instances = [s for s in args.instances.split(",") if s.strip()] or None
-    spec = default_suite(instances=instances, sample_seed=args.seed,
-                         budgets=Budgets(samples=args.samples, n_max=args.n_max))
+    spec = default_suite(instances=instances, sample_seed=args.seed, budgets=budgets)
     started = time.monotonic()
     report = run_suite(spec)
     sys.stdout.write(report.to_text(args.format))

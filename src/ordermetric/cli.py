@@ -158,8 +158,13 @@ def cmd_solve(args) -> int:
               "at every pair of distinct points", file=sys.stderr)
         print(f"witness: {bad.witness}", file=sys.stderr)
         return EXIT_HYPOTHESIS_VIOLATION
+    banach = bundle.banach_map is not None and bundle.banach_alpha is not None
+    if banach and bundle.banach_alpha >= 1:
+        print(f"hypothesis violated: the single-valued map scales by ratio "
+              f"{bundle.banach_alpha}, which must lie in [0, 1)", file=sys.stderr)
+        return EXIT_HYPOTHESIS_VIOLATION
 
-    if bundle.banach_map is not None and bundle.banach_alpha is not None:
+    if banach:
         report = banach_iterate(bundle.space, bundle.banach_map, bundle.banach_alpha, cfg)
     else:
         hyps = Hypotheses(is_global_weak_contraction(bundle.map_, bundle.witness),

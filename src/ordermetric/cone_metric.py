@@ -22,6 +22,7 @@ from .order_core import (
     LawResult,
     SamplePlan,
     _law_rng,
+    _run_law,
     format_element,
     order_max,
     order_min,
@@ -36,14 +37,6 @@ from .topo import (
 )
 
 Point = object
-
-
-def format_point(p) -> str:
-    if isinstance(p, (Fraction, int)):
-        return str(p)
-    if isinstance(p, tuple):
-        return "(" + ", ".join(format_point(c) for c in p) + ")"
-    return str(p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +76,7 @@ class ConeMetricSpace:
 
     def require_member(self, p) -> Point:
         if not self.member(p):
-            raise DomainError(f"point {format_point(p)} is not in space {self.name!r}")
+            raise DomainError(f"point {format_element(p)} is not in space {self.name!r}")
         return p
 
     def distance(self, x, y) -> Element:
@@ -117,7 +110,7 @@ def check_metric_laws(m: ConeMetricSpace, plan: SamplePlan) -> LawReport:
     results = []
 
     def w(*pts):
-        return ", ".join(format_point(p) for p in pts)
+        return ", ".join(format_element(p) for p in pts)
 
     pts1 = m.sample_points(plan, "d1")
     pts2 = m.sample_points(plan, "d1-b")
@@ -141,7 +134,7 @@ def check_metric_laws(m: ConeMetricSpace, plan: SamplePlan) -> LawReport:
         return g.eq(m.distance(x, y), m.distance(y, x)), w(x, y)
 
     pairs = list(zip(m.sample_points(plan, "d2"), m.sample_points(plan, "d2-b")))
-    results.append(_scan("d2", pairs, d2))
+    results.append(_run_law("d2", pairs, d2))
 
     def d3(x, y, z):
         lhs = m.distance(x, y)
@@ -150,19 +143,9 @@ def check_metric_laws(m: ConeMetricSpace, plan: SamplePlan) -> LawReport:
 
     triples = list(zip(m.sample_points(plan, "d3"), m.sample_points(plan, "d3-b"),
                        m.sample_points(plan, "d3-c")))
-    results.append(_scan("d3", triples, d3))
+    results.append(_run_law("d3", triples, d3))
 
     return LawReport(subject=f"metric laws on {m.name}", results=tuple(results))
-
-
-def _scan(law, stream, predicate) -> LawResult:
-    checked = 0
-    for args in stream:
-        checked += 1
-        ok, witness = predicate(*args)
-        if not ok:
-            return LawResult(law, False, checked, witness)
-    return LawResult(law, True, checked)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +194,7 @@ def distance_profile(m: ConeMetricSpace, s: PointSequence, x: Point, n_max: int)
         raise ValueError("distance profiles need a module-backed structure")
     cap = s.cap(n_max)
     return from_terms(module, [m.distance(s.term(n), x) for n in range(1, cap + 1)],
-                      name=f"d({s.name}, {format_point(x)})")
+                      name=f"d({s.name}, {format_element(x)})")
 
 
 def point_convergence(m: ConeMetricSpace, s: PointSequence, x: Point,

@@ -24,14 +24,14 @@ from .order_core import (
     DomainError,
     Element,
     LawReport,
-    LawResult,
     SamplePlan,
     _law_rng,
+    _run_law,
     format_element,
     order_max,
     order_min,
 )
-from .cone_metric import ConeMetricSpace, PointSequence, format_point
+from .cone_metric import ConeMetricSpace, PointSequence
 from .topo import PositiveSequence, is_certificate, verify_convergence
 
 Point = object
@@ -61,7 +61,7 @@ class SetValuedMap:
     def images(self, x: Point) -> tuple:
         out = self.images_fn(x)
         if not out:
-            raise DomainError(f"map {self.name!r} has an empty image at {format_point(x)}")
+            raise DomainError(f"map {self.name!r} has an empty image at {format_element(x)}")
         return out
 
     def is_endpoint(self, x: Point) -> bool:
@@ -77,13 +77,13 @@ class SetValuedMap:
         if space.points is not None:
             missing = [p for p in space.points if p not in frozen]
             if missing:
-                raise DomainError(f"map table misses point {format_point(missing[0])}")
+                raise DomainError(f"map table misses point {format_element(missing[0])}")
 
         def images_fn(x):
             try:
                 return frozen[x]
             except KeyError:
-                raise DomainError(f"no image recorded for {format_point(x)}") from None
+                raise DomainError(f"no image recorded for {format_element(x)}") from None
 
         return SetValuedMap(space, images_fn, name)
 
@@ -178,7 +178,7 @@ class ContractionWitness:
                 return self.phi_table[(x, y)]
             except KeyError:
                 raise DomainError(
-                    f"bound table has no entry for ({format_point(x)}, {format_point(y)})"
+                    f"bound table has no entry for ({format_element(x)}, {format_element(y)})"
                 ) from None
         d = space.distance(x, y)
         if self.klass in (WitnessClass.ALPHA_CONSTANT, WitnessClass.ALPHA_FUNCTION):
@@ -248,8 +248,9 @@ def c_condition_status(w: ContractionWitness) -> CConditionStatus:
 # pair streams
 
 
-def _distinct_pairs(T: SetValuedMap, plan: SamplePlan, label: str) -> list[tuple]:
-    space = T.space
+def _distinct_pairs(space: ConeMetricSpace, plan: SamplePlan, label: str) -> list[tuple]:
+    """Every ordered pair of distinct points of a finite space, or
+    ``plan.count`` seeded distinct pairs drawn from the stream ``label``."""
     if space.finite:
         return [(x, y) for x in space.points for y in space.points if x != y]
     rng = _law_rng(plan, label)
@@ -272,46 +273,55 @@ class ContractionReport:
     exhaustive: bool = False
 
 
-def is_weak_contraction(T: SetValuedMap, w: ContractionWitness,
-                        plan: SamplePlan | None = None) -> ContractionReport:
-    """For each pair and each image point of the first, some image point of
-    the second must land within the bound."""
+def _pair_scan(T: SetValuedMap, w: ContractionWitness, plan: SamplePlan | None,
+               kind: str, violation) -> ContractionReport:
+    """The pair loop of both checks: ``violation(x', images of y, bound)``
+    returns None or the tail of the counterexample text."""
     plan = plan or SamplePlan()
-    space, g = T.space, T.space.group
-    pairs = _distinct_pairs(T, plan, "weak")
+    space = T.space
+    pairs = _distinct_pairs(space, plan, kind)
     for x, y in pairs:
         bound = w.phi(space, x, y)
         ty = T.images(y)
         for xp in T.images(x):
-            if not any(g.leq(space.distance(xp, yp), bound) for yp in ty):
+            tail = violation(xp, ty, bound)
+            if tail is not None:
                 return ContractionReport(
-                    "weak", False, len(pairs),
-                    f"x={format_point(x)}, y={format_point(y)}, x'={format_point(xp)}: "
-                    f"no image point of y within {format_element(bound)}",
+                    kind, False, len(pairs),
+                    f"x={format_element(x)}, y={format_element(y)}, "
+                    f"x'={format_element(xp)}{tail}",
                     exhaustive=space.finite)
-    return ContractionReport("weak", True, len(pairs), exhaustive=space.finite)
+    return ContractionReport(kind, True, len(pairs), exhaustive=space.finite)
+
+
+def is_weak_contraction(T: SetValuedMap, w: ContractionWitness,
+                        plan: SamplePlan | None = None) -> ContractionReport:
+    """For each pair and each image point of the first, some image point of
+    the second must land within the bound."""
+    space, g = T.space, T.space.group
+
+    def violation(xp, ty, bound):
+        if any(g.leq(space.distance(xp, yp), bound) for yp in ty):
+            return None
+        return f": no image point of y within {format_element(bound)}"
+
+    return _pair_scan(T, w, plan, "weak", violation)
 
 
 def is_global_weak_contraction(T: SetValuedMap, w: ContractionWitness,
                                plan: SamplePlan | None = None) -> ContractionReport:
     """Every image pair must satisfy the bound."""
-    plan = plan or SamplePlan()
     space, g = T.space, T.space.group
-    pairs = _distinct_pairs(T, plan, "global")
-    for x, y in pairs:
-        bound = w.phi(space, x, y)
-        ty = T.images(y)
-        for xp in T.images(x):
-            for yp in ty:
-                if not g.leq(space.distance(xp, yp), bound):
-                    return ContractionReport(
-                        "global", False, len(pairs),
-                        f"x={format_point(x)}, y={format_point(y)}, "
-                        f"x'={format_point(xp)}, y'={format_point(yp)}: "
-                        f"d={format_element(space.distance(xp, yp))} exceeds "
-                        f"{format_element(bound)}",
-                        exhaustive=space.finite)
-    return ContractionReport("global", True, len(pairs), exhaustive=space.finite)
+
+    def violation(xp, ty, bound):
+        for yp in ty:
+            d = space.distance(xp, yp)
+            if not g.leq(d, bound):
+                return (f", y'={format_element(yp)}: d={format_element(d)} exceeds "
+                        f"{format_element(bound)}")
+        return None
+
+    return _pair_scan(T, w, plan, "global", violation)
 
 
 def validate_witness(T: SetValuedMap, w: ContractionWitness,
@@ -321,35 +331,30 @@ def validate_witness(T: SetValuedMap, w: ContractionWitness,
     [0, 1). Only distinct pairs are ever consulted."""
     plan = plan or SamplePlan()
     space, g = T.space, T.space.group
-    pairs = _distinct_pairs(T, plan, "phi-valid")
-    results = []
-    checked = 0
-    failure = None
-    for x, y in pairs:
-        checked += 1
+    pairs = _distinct_pairs(space, plan, "phi-valid")
+
+    def phi_strictly_below(x, y):
         d = space.distance(x, y)
         if not g.is_positive(d):
-            continue
-        if not g.lt(w.phi(space, x, y), d):
-            failure = (f"x={format_point(x)}, y={format_point(y)}: bound "
-                       f"{format_element(w.phi(space, x, y))} not strictly below "
-                       f"{format_element(d)}")
-            break
-    results.append(LawResult("phi-strictly-below", failure is None, checked, failure))
+            return True, None
+        bound = w.phi(space, x, y)
+        if g.lt(bound, d):
+            return True, None
+        return False, (f"x={format_element(x)}, y={format_element(y)}: bound "
+                       f"{format_element(bound)} not strictly below {format_element(d)}")
+
+    results = [_run_law("phi-strictly-below", pairs, phi_strictly_below)]
 
     if w.klass in (WitnessClass.ALPHA_CONSTANT, WitnessClass.ALPHA_FUNCTION):
-        checked = 0
-        failure = None
-        for x, y in pairs:
-            checked += 1
+        def alpha_in_range(x, y):
             a = w.alpha(x, y)
             if not (0 <= a < 1):
-                failure = f"ratio {a} at ({format_point(x)}, {format_point(y)})"
-                break
+                return False, f"ratio {a} at ({format_element(x)}, {format_element(y)})"
             if w.klass is WitnessClass.ALPHA_FUNCTION and a > w.alpha_bound:
-                failure = f"ratio {a} exceeds declared bound {w.alpha_bound}"
-                break
-        results.append(LawResult("alpha-range", failure is None, checked, failure))
+                return False, f"ratio {a} exceeds declared bound {w.alpha_bound}"
+            return True, None
+
+        results.append(_run_law("alpha-range", pairs, alpha_in_range))
 
     return LawReport(subject=f"witness {w.describe()} against {T.name}",
                      results=tuple(results))
@@ -395,7 +400,7 @@ def approximate_endpoint_property_finite(T: SetValuedMap) -> ApproxEndpointValue
     sups = []
     for x in T.space.points:
         sup = order_max(g, [T.space.distance(x, y) for y in T.images(x)],
-                        f"image spread at {format_point(x)}")
+                        f"image spread at {format_element(x)}")
         sups.append((x, sup))
     value = order_min(g, [s for _, s in sups], "inf over points")
     for x, sup in sups:
@@ -430,7 +435,7 @@ def approximate_endpoint_sequence(T: SetValuedMap, seq: PointSequence,
             if not g.leq(space.distance(x, xp), a_n):
                 return ApproxSequenceReport(
                     False,
-                    f"n={n}, x'={format_point(xp)}: d={format_element(space.distance(x, xp))} "
+                    f"n={n}, x'={format_element(xp)}: d={format_element(space.distance(x, xp))} "
                     f"exceeds bound {format_element(a_n)}",
                     tuple(bound_out))
     return ApproxSequenceReport(True, None, tuple(bound_out))

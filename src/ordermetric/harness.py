@@ -38,10 +38,9 @@ from .topo import (
     check_regularity,
     check_topo_laws,
     constant,
-    geometric,
+    default_sequences,
     harmonic,
     interior_cone_structure,
-    inverse_square,
     is_certificate,
     strict_order_structure,
     sum_of,
@@ -55,7 +54,6 @@ from .cone_metric import (
     cauchy_check,
     check_metric_laws,
     constant_tail_start,
-    format_point,
     hausdorff,
     min_positive_distance,
     point_convergence,
@@ -113,6 +111,11 @@ class InstanceBundle:
 class Budgets:
     samples: int = 1000
     n_max: int = 200
+
+    def __post_init__(self):
+        # a zero budget would make sampled and windowed checks pass on nothing
+        if self.samples < 1 or self.n_max < 1:
+            raise ValueError(f"budgets must be at least 1, got {self}")
 
 
 @dataclass(frozen=True)
@@ -200,28 +203,6 @@ def _interval_contains(dim: int):
     return contains
 
 
-def _scalar_sequences(module) -> tuple:
-    return (
-        harmonic(module, 1),
-        inverse_square(module, 1),
-        geometric(module, 1, Fraction(1, 2)),
-        geometric(module, 2, Fraction(2, 3)),
-        sum_of(harmonic(module, 1), inverse_square(module, 1)),
-    )
-
-
-def _vector_sequences(module, dim: int) -> tuple:
-    ones = tuple(Fraction(1) for _ in range(dim))
-    ramp = tuple(Fraction(i + 1) for i in range(dim))
-    return (
-        harmonic(module, ones),
-        inverse_square(module, ramp),
-        geometric(module, ones, Fraction(1, 2)),
-        geometric(module, ramp, Fraction(2, 3)),
-        sum_of(harmonic(module, ones), inverse_square(module, ones)),
-    )
-
-
 def _real_line_bundle() -> InstanceBundle:
     module = real_module()
     structure = strict_order_structure(module)
@@ -237,7 +218,7 @@ def _real_line_bundle() -> InstanceBundle:
         space=space,
         map_=halve,
         witness=witness,
-        sequences=_scalar_sequences(module),
+        sequences=default_sequences(module),
         eps_family=(Fraction(1, 2), Fraction(1, 10), Fraction(1, 100)),
         solver_seed=Fraction(1),
         solver_eps=Fraction(1, 100),
@@ -268,7 +249,7 @@ def _three_point_bundle() -> InstanceBundle:
         space=space,
         map_=map_,
         witness=witness,
-        sequences=_scalar_sequences(module),
+        sequences=default_sequences(module),
         eps_family=(Fraction(1, 2), Fraction(1, 10), Fraction(1, 100)),
         solver_seed=Fraction(1),
         solver_eps=Fraction(1, 8),
@@ -301,7 +282,7 @@ def _cone_bundle(dim: int) -> InstanceBundle:
         space=space,
         map_=halve,
         witness=witness,
-        sequences=_vector_sequences(module, dim),
+        sequences=default_sequences(module),
         eps_family=(half, tenth, skew),
         alt_structure=strict_order_structure(module),
         solver_seed=tuple(Fraction(1) for _ in range(dim)),
@@ -321,13 +302,6 @@ DEFAULT_INSTANCES = ("real-line", "three-point", "cone-2", "cone-3")
 
 # ---------------------------------------------------------------------------
 # check implementations
-
-_GROUP_LAWS = ("assoc", "comm", "identity", "inverse", "order-reflexive",
-               "order-antisymmetric", "order-transitive", "g1", "g1-prime")
-_MODULE_LAWS = ("r1", "m1", "m1-prime", "m2", "m2-prime")
-_TOPO_LAWS = ("t1", "t2", "t3", "t4-shrinking", "t5", "t6", "strictness-gap")
-_METRIC_LAWS = ("d1", "d2", "d3")
-
 
 class _Ctx:
     """Per-run scratch: the sampling plan and memoized law reports."""
@@ -353,36 +327,30 @@ def _law_row(report, law: str):
     return "fail", r.witness or r.note or "violated"
 
 
-def _check_group_law(law):
+# law family -> (its laws, its checker applied to the bundle part it checks,
+# or None when the bundle has no such part)
+_LAW_FAMILIES = {
+    "group": (("assoc", "comm", "identity", "inverse", "order-reflexive",
+               "order-antisymmetric", "order-transitive", "g1", "g1-prime"),
+              lambda b, plan: check_group_laws(b.module.group, plan)),
+    "module": (("r1", "m1", "m1-prime", "m2", "m2-prime"),
+               lambda b, plan: check_module_laws(b.module, plan)),
+    "topo": (("t1", "t2", "t3", "t4-shrinking", "t5", "t6", "strictness-gap"),
+             lambda b, plan: check_topo_laws(b.structure, plan)),
+    "metric": (("d1", "d2", "d3"),
+               lambda b, plan: None if b.space is None else check_metric_laws(b.space, plan)),
+}
+
+
+def _check_law(family: str, law: str):
+    """Row of one law: the family's report on the bundle is computed once
+    per run and shared by the family's rows."""
+    _, report = _LAW_FAMILIES[family]
+
     def run(b: InstanceBundle, ctx: _Ctx):
-        rep = ctx.memo(("group", b.name),
-                       lambda: check_group_laws(b.module.group, ctx.plan))
-        return _law_row(rep, law)
-    return run
-
-
-def _check_module_law(law):
-    def run(b: InstanceBundle, ctx: _Ctx):
-        rep = ctx.memo(("module", b.name),
-                       lambda: check_module_laws(b.module, ctx.plan))
-        return _law_row(rep, law)
-    return run
-
-
-def _check_topo_law(law):
-    def run(b: InstanceBundle, ctx: _Ctx):
-        rep = ctx.memo(("topo", b.name),
-                       lambda: check_topo_laws(b.structure, ctx.plan))
-        return _law_row(rep, law)
-    return run
-
-
-def _check_metric_law(law):
-    def run(b: InstanceBundle, ctx: _Ctx):
-        if b.space is None:
+        rep = ctx.memo((family, b.name), lambda: report(b, ctx.plan))
+        if rep is None:  # only the metric space is optional
             return "skip", "bundle has no metric space"
-        rep = ctx.memo(("metric", b.name),
-                       lambda: check_metric_laws(b.space, ctx.plan))
         return _law_row(rep, law)
     return run
 
@@ -573,7 +541,7 @@ def _check_hausdorff_singleton(b: InstanceBundle, ctx: _Ctx):
         else:
             x, y = b.space.sampler(rng), b.space.sampler(rng)
         if not g.eq(hausdorff(b.space, [x], [y]), b.space.distance(x, y)):
-            return "fail", f"H({{x}}, {{y}}) != d(x, y) at x={format_point(x)}, y={format_point(y)}"
+            return "fail", f"H({{x}}, {{y}}) != d(x, y) at x={format_element(x)}, y={format_element(y)}"
     return "pass", "singleton sets reduce to the point distance"
 
 
@@ -688,24 +656,17 @@ def _check_witness_validity(b: InstanceBundle, ctx: _Ctx):
     return _law_row(_witness_report(b, ctx), "phi-strictly-below")
 
 
-def _check_weak(b: InstanceBundle, ctx: _Ctx):
-    if b.map_ is None or b.witness is None:
-        return "skip", "bundle has no map/witness"
-    rep = _weak_report(b, ctx)
-    if rep.passed:
-        scope = "exhaustive" if rep.exhaustive else f"{rep.checked_pairs} sampled pairs"
-        return "pass", scope
-    return "fail", rep.counterexample
-
-
-def _check_global(b: InstanceBundle, ctx: _Ctx):
-    if b.map_ is None or b.witness is None:
-        return "skip", "bundle has no map/witness"
-    rep = _global_report(b, ctx)
-    if rep.passed:
-        scope = "exhaustive" if rep.exhaustive else f"{rep.checked_pairs} sampled pairs"
-        return "pass", scope
-    return "fail", rep.counterexample
+def _contraction_row(report):
+    """Row of a contraction check, from its memoized report."""
+    def run(b: InstanceBundle, ctx: _Ctx):
+        if b.map_ is None or b.witness is None:
+            return "skip", "bundle has no map/witness"
+        rep = report(b, ctx)
+        if rep.passed:
+            scope = "exhaustive" if rep.exhaustive else f"{rep.checked_pairs} sampled pairs"
+            return "pass", scope
+        return "fail", rep.counterexample
+    return run
 
 
 def _check_global_implies_weak(b: InstanceBundle, ctx: _Ctx):
@@ -737,8 +698,8 @@ def _check_at_most_one(b: InstanceBundle, ctx: _Ctx):
         return "skip", "one-sided bound fails; uniqueness not implied"
     ends = endpoints_bruteforce(b.map_)
     if len(ends) <= 1:
-        return "pass", f"endpoints: {[format_point(p) for p in ends.members]}"
-    return "fail", f"two endpoints: {format_point(ends.members[0])}, {format_point(ends.members[1])}"
+        return "pass", f"endpoints: {[format_element(p) for p in ends.members]}"
+    return "fail", f"two endpoints: {format_element(ends.members[0])}, {format_element(ends.members[1])}"
 
 
 def _check_approx_equivalence(b: InstanceBundle, ctx: _Ctx):
@@ -798,9 +759,9 @@ def _check_oracle_agreement(b: InstanceBundle, ctx: _Ctx):
             cfg = SolverConfig(eps=eps, seed_point=seed, max_iter=400, selection_rule=rule)
             rep = iterate_endpoint(b.map_, b.witness, cfg, ctx.plan, hyps)
             if rep.outcome is not SolverOutcome.ENDPOINT_FOUND or rep.endpoint != target:
-                return "fail", (f"seed {format_point(seed)} rule {rule.value}: "
-                                f"{rep.outcome.value} at {format_point(rep.endpoint)}")
-    return "pass", f"every seed and rule reaches {format_point(target)}"
+                return "fail", (f"seed {format_element(seed)} rule {rule.value}: "
+                                f"{rep.outcome.value} at {format_element(rep.endpoint)}")
+    return "pass", f"every seed and rule reaches {format_element(target)}"
 
 
 def _check_trace_monotone(b: InstanceBundle, ctx: _Ctx):
@@ -835,11 +796,10 @@ def _check_banach_rate(b: InstanceBundle, ctx: _Ctx):
     return "pass", f"{rep.outcome.value} in {rep.iterations} steps, a-priori bound dominates"
 
 
-CHECKS: dict[str, Callable[[InstanceBundle, _Ctx], tuple[str, str]]] = {}
-CHECKS.update({f"group/{law}": _check_group_law(law) for law in _GROUP_LAWS})
-CHECKS.update({f"module/{law}": _check_module_law(law) for law in _MODULE_LAWS})
-CHECKS.update({f"topo/{law}": _check_topo_law(law) for law in _TOPO_LAWS})
-CHECKS.update({f"metric/{law}": _check_metric_law(law) for law in _METRIC_LAWS})
+CHECKS: dict[str, Callable[[InstanceBundle, _Ctx], tuple[str, str]]] = {
+    f"{family}/{law}": _check_law(family, law)
+    for family, (laws, _) in _LAW_FAMILIES.items() for law in laws
+}
 CHECKS.update({
     "metric/point-convergence": _check_point_convergence,
     "metric/cauchy": _check_point_cauchy,
@@ -856,8 +816,8 @@ CHECKS.update({
     "hausdorff/singleton": _check_hausdorff_singleton,
     "hausdorff/triangle": _check_hausdorff_triangle,
     "map/phi-strictly-below": _check_witness_validity,
-    "map/weak-contraction": _check_weak,
-    "map/global-contraction": _check_global,
+    "map/weak-contraction": _contraction_row(_weak_report),
+    "map/global-contraction": _contraction_row(_global_report),
     "map/global-implies-weak": _check_global_implies_weak,
     "map/c-status": _check_c_status,
     "endpoint/at-most-one": _check_at_most_one,
@@ -914,36 +874,6 @@ def run_suite(spec: SuiteSpec, bundles: dict[str, InstanceBundle] | None = None)
 
 # ---------------------------------------------------------------------------
 # fault injection
-
-FAULT_NAMES = ("identity", "break-g1", "break-t3", "break-d2",
-               "break-phi-bound", "add-second-endpoint")
-
-# each fault is engineered to flip this check on a suitable bundle
-FAULT_TARGETS = {
-    "break-g1": "group/g1",
-    "break-t3": "topo/t3",
-    "break-d2": "metric/d2",
-    "break-phi-bound": "map/phi-strictly-below",
-    "add-second-endpoint": "map/weak-contraction",
-}
-
-
-def fault_inject(bundle: InstanceBundle, mutation: str) -> InstanceBundle:
-    """Return a mutated copy whose targeted check must fail."""
-    if mutation == "identity":
-        return bundle
-    if mutation == "break-g1":
-        return _break_g1(bundle)
-    if mutation == "break-t3":
-        return _break_t3(bundle)
-    if mutation == "break-d2":
-        return _break_d2(bundle)
-    if mutation == "break-phi-bound":
-        return _break_phi_bound(bundle)
-    if mutation == "add-second-endpoint":
-        return _add_second_endpoint(bundle)
-    raise ValueError(f"unknown mutation {mutation!r}")
-
 
 def _break_g1(bundle: InstanceBundle) -> InstanceBundle:
     g = bundle.module.group
@@ -1036,6 +966,30 @@ def _add_second_endpoint(bundle: InstanceBundle) -> InstanceBundle:
     return bundle.replace(map_=corrupt)
 
 
+# fault -> (the check it is engineered to flip, the built-in bundle it flips
+# that check on, the mutation)
+_FAULTS = {
+    "identity": (None, None, lambda bundle: bundle),
+    "break-g1": ("group/g1", "cone-2", _break_g1),
+    "break-t3": ("topo/t3", "cone-2", _break_t3),
+    "break-d2": ("metric/d2", "three-point", _break_d2),
+    "break-phi-bound": ("map/phi-strictly-below", "three-point", _break_phi_bound),
+    "add-second-endpoint": ("map/weak-contraction", "three-point", _add_second_endpoint),
+}
+
+FAULT_NAMES = tuple(_FAULTS)
+FAULT_TARGETS = {name: target for name, (target, _, _) in _FAULTS.items()
+                 if target is not None}
+
+
+def fault_inject(bundle: InstanceBundle, mutation: str) -> InstanceBundle:
+    """Return a mutated copy whose targeted check must fail."""
+    if mutation not in _FAULTS:
+        raise ValueError(f"unknown mutation {mutation!r}")
+    _, _, mutate = _FAULTS[mutation]
+    return mutate(bundle)
+
+
 @dataclass(frozen=True)
 class SensitivityResult:
     mutation: str
@@ -1055,16 +1009,9 @@ def run_fault_sensitivity(sample_seed: int = 0,
     whether its targeted check flipped from pass to fail."""
     budgets = budgets or Budgets(samples=300, n_max=100)
     bundles = builtin_bundles()
-    assignments = {
-        "break-g1": "cone-2",
-        "break-t3": "cone-2",
-        "break-d2": "three-point",
-        "break-phi-bound": "three-point",
-        "add-second-endpoint": "three-point",
-    }
     results = []
-    for mutation, inst in assignments.items():
-        target = FAULT_TARGETS[mutation]
+    for mutation, target in FAULT_TARGETS.items():
+        _, inst, _ = _FAULTS[mutation]
         spec = SuiteSpec(instances=(inst,), checks=(target,),
                          sample_seed=sample_seed, budgets=budgets)
         before = run_suite(spec, bundles).row(target, inst).outcome

@@ -38,17 +38,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
-from .order_core import coord_cone_module, real_module
+from .order_core import coord_cone_module, format_element, real_module
 from .topo import (
     PositiveSequence,
     SeqAtom,
+    default_sequences,
     interior_cone_structure,
     strict_order_structure,
 )
 from .cone_metric import ConeMetricSpace
 from .contraction import ContractionWitness, PsiProperties, SetValuedMap, WitnessClass
-from .harness import InstanceBundle, _scalar_sequences, _vector_sequences
+from .harness import InstanceBundle
 
 
 class InstanceFileError(ValueError):
@@ -91,14 +93,8 @@ def parse_element_list(text: str, line: int | None = None) -> tuple:
     return tuple(parse_element(p, line) for p in parts)
 
 
-def render_element(value) -> str:
-    if isinstance(value, tuple):
-        return "(" + ", ".join(render_element(v) for v in value) + ")"
-    return str(value)
-
-
 def render_element_list(values) -> str:
-    return "; ".join(render_element(v) for v in values)
+    return "; ".join(format_element(v) for v in values)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +267,9 @@ def _parse_space_carrier(entries, dim):
     lo_t, hi_t = value.split("..", 1)
     lo = _expect_dim(parse_element(lo_t, ln), dim, ln, "interval corner")
     hi = _expect_dim(parse_element(hi_t, ln), dim, ln, "interval corner")
+    corners = zip(lo, hi) if isinstance(lo, tuple) else [(lo, hi)]
+    if any(b < a for a, b in corners):
+        raise InstanceFileError("interval corner order reversed", ln)
     return "interval", None, None, (lo, hi)
 
 
@@ -314,12 +313,12 @@ def _parse_metric_rows(entries, points, dim) -> tuple:
     for i, (ln_i, row_i) in enumerate(matrix):
         if row_i[i] != zero:
             raise InstanceFileError(
-                f"table diagonal cell ({i}, {i}) must be {render_element(zero)}", ln_i)
+                f"table diagonal cell ({i}, {i}) must be {format_element(zero)}", ln_i)
         for j, (ln_j, row_j) in enumerate(matrix):
             if row_i[j] != row_j[i]:
                 raise InstanceFileError(
-                    f"table asymmetric at cell ({i}, {j}): {render_element(row_i[j])} "
-                    f"vs {render_element(row_j[i])}", ln_j)
+                    f"table asymmetric at cell ({i}, {j}): {format_element(row_i[j])} "
+                    f"vs {format_element(row_j[i])}", ln_j)
     return tuple(row for _, row in matrix)
 
 
@@ -349,18 +348,18 @@ def _parse_map(entries, space_kind, points, dim):
     for ln, point_text, v in images:
         p = parse_element(point_text, ln)
         if p not in points:
-            raise InstanceFileError(f"image key {render_element(p)} is not a declared point", ln)
+            raise InstanceFileError(f"image key {format_element(p)} is not a declared point", ln)
         if p in table:
-            raise InstanceFileError(f"duplicate image entry for {render_element(p)}", ln)
+            raise InstanceFileError(f"duplicate image entry for {format_element(p)}", ln)
         img = parse_element_list(v, ln)
         for q in img:
             if q not in points:
                 raise InstanceFileError(
-                    f"image point {render_element(q)} is not a declared point", ln)
+                    f"image point {format_element(q)} is not a declared point", ln)
         table[p] = img
     missing = [p for p in points if p not in table]
     if missing:
-        raise InstanceFileError(f"map table misses point {render_element(missing[0])}")
+        raise InstanceFileError(f"map table misses point {format_element(missing[0])}")
     ordered = tuple((p, table[p]) for p in points)
     return "table", ordered, None, None
 
@@ -439,7 +438,7 @@ def _parse_witness(entries, points, dim):
             for y in points:
                 if x != y and (x, y) not in table:
                     raise InstanceFileError(
-                        f"phi table misses pair ({render_element(x)}, {render_element(y)})")
+                        f"phi table misses pair ({format_element(x)}, {format_element(y)})")
         ordered = tuple(((x, y), table[(x, y)]) for x in points for y in points if x != y)
         return klass, None, None, None, ordered, None
     if klass == "psi":
@@ -465,10 +464,10 @@ def export_instance_text(desc: InstanceDescription) -> str:
         lines.append(f"points = {render_element_list(desc.points)}")
     elif desc.space_kind == "grid":
         lo, hi, step = desc.grid
-        lines.append(f"grid = {render_element(lo)} .. {render_element(hi)} step {step}")
+        lines.append(f"grid = {format_element(lo)} .. {format_element(hi)} step {step}")
     else:
         lo, hi = desc.interval
-        lines.append(f"interval = {render_element(lo)} .. {render_element(hi)}")
+        lines.append(f"interval = {format_element(lo)} .. {format_element(hi)}")
     lines.append(f"metric = {desc.metric}")
     if desc.metric_rows is not None:
         for row in desc.metric_rows:
@@ -477,7 +476,7 @@ def export_instance_text(desc: InstanceDescription) -> str:
         lines += ["", "[map]"]
         if desc.map_kind == "table":
             for p, img in desc.map_table:
-                lines.append(f"image {render_element(p)} = {render_element_list(img)}")
+                lines.append(f"image {format_element(p)} = {render_element_list(img)}")
         else:
             lines.append(f"rule = {desc.map_rule}")
             lines.append(f"factors = {render_element_list(desc.map_factors)}")
@@ -490,7 +489,7 @@ def export_instance_text(desc: InstanceDescription) -> str:
             lines.append(f"bound = {desc.alpha_bound}")
         elif desc.witness_class == "phi-table":
             for (x, y), v in desc.phi_entries:
-                lines.append(f"phi {render_element(x)} | {render_element(y)} = {render_element(v)}")
+                lines.append(f"phi {format_element(x)} | {format_element(y)} = {format_element(v)}")
         elif desc.witness_class == "psi":
             lines.append(f"psi = {desc.psi_name}")
     if desc.sequences is not None:
@@ -498,7 +497,7 @@ def export_instance_text(desc: InstanceDescription) -> str:
         for atoms in desc.sequences:
             parts = []
             for kind, coeff, ratio in atoms:
-                text = f"{kind} {render_element(coeff)}"
+                text = f"{kind} {format_element(coeff)}"
                 if ratio is not None:
                     text += f" ratio {ratio}"
                 parts.append(text)
@@ -508,6 +507,15 @@ def export_instance_text(desc: InstanceDescription) -> str:
 
 # ---------------------------------------------------------------------------
 # bundle construction
+
+
+def _scale_by(x, f):
+    """x scaled by f, coordinate by coordinate when f is a tuple."""
+    if isinstance(f, tuple):
+        return tuple(c * fc for c, fc in zip(x, f))
+    if isinstance(x, tuple):
+        return tuple(c * f for c in x)
+    return x * f
 
 
 def _distance_magnitude(d) -> Fraction:
@@ -589,38 +597,34 @@ def build_bundle(desc: InstanceDescription) -> InstanceBundle:
         space = ConeMetricSpace(desc.name, structure, metric, points=desc.points)
         default_seed = desc.points[-1]
 
-    map_ = None
+    map_ = banach_map = banach_alpha = None
     if desc.map_kind == "table":
         map_ = SetValuedMap.from_table(space, dict(desc.map_table))
     elif desc.map_kind == "rule":
         factors = desc.map_factors
-
-        def apply_factor(x, f):
-            if isinstance(f, tuple):
-                return tuple(c * fc for c, fc in zip(x, f))
-            if isinstance(x, tuple):
-                return tuple(c * f for c in x)
-            return x * f
-
         map_ = SetValuedMap.from_rule(
-            space, lambda x: tuple(apply_factor(x, f) for f in factors), name="scale")
+            space, lambda x: tuple(_scale_by(x, f) for f in factors), name="scale")
         if space.finite:
             # rule images must stay inside a finite carrier
             for p in space.points:
                 for q in map_.images(p):
                     if not space.member(q):
                         raise InstanceFileError(
-                            f"rule image {render_element(q)} of point "
-                            f"{render_element(p)} is not a declared point")
+                            f"rule image {format_element(q)} of point "
+                            f"{format_element(p)} is not a declared point")
+        if len(factors) == 1:  # also a single-valued map with this ratio
+            f = factors[0]
+            banach_map = partial(_scale_by, f=f)
+            mags = f if isinstance(f, tuple) else (f,)
+            banach_alpha = max(abs(v) for v in mags)
 
     witness = _make_witness(desc, space)
 
+    sequences = default_sequences(module)
     if dim == 1:
-        sequences = _scalar_sequences(module)
         eps_family = (Fraction(1, 2), Fraction(1, 10), Fraction(1, 100))
         solver_eps = Fraction(1, 1024)
     else:
-        sequences = _vector_sequences(module, dim)
         half = tuple(Fraction(1, 2) for _ in range(dim))
         tenth = tuple(Fraction(1, 10) for _ in range(dim))
         eps_family = (half, tenth)
@@ -631,28 +635,13 @@ def build_bundle(desc: InstanceDescription) -> InstanceBundle:
             seq_atoms = tuple(SeqAtom(kind, module.group.coerce(coeff), ratio)
                               for kind, coeff, ratio in atoms)
             label = " + ".join(
-                f"{k} {render_element(c)}" + (f" ratio {r}" if r is not None else "")
+                f"{k} {format_element(c)}" + (f" ratio {r}" if r is not None else "")
                 for k, c, r in atoms)
             try:
                 built.append(PositiveSequence(module, label, atoms=seq_atoms))
             except ValueError as exc:
                 raise InstanceFileError(f"sequence {label!r}: {exc}") from exc
         sequences = tuple(built)
-
-    banach_map = None
-    banach_alpha = None
-    if desc.map_kind == "rule" and desc.map_factors and len(desc.map_factors) == 1:
-        f = desc.map_factors[0]
-
-        def banach_map(x, _f=f):
-            if isinstance(_f, tuple):
-                return tuple(c * fc for c, fc in zip(x, _f))
-            if isinstance(x, tuple):
-                return tuple(c * _f for c in x)
-            return x * _f
-
-        mags = f if isinstance(f, tuple) else (f,)
-        banach_alpha = max(abs(v) for v in mags)
 
     return InstanceBundle(
         name=desc.name,

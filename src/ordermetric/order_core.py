@@ -66,13 +66,18 @@ def format_element(value: Element) -> str:
 class SamplePlan:
     """Deterministic quantification plan for universally quantified laws.
 
-    ``count`` is the number of sampled tuples per law; ``extra`` holds
-    user-supplied edge elements that every stream must include.
+    ``count`` is the number of sampled tuples per law, at least one so
+    that no law passes on nothing; ``extra`` holds user-supplied edge
+    elements that every stream must include.
     """
 
     seed: int = 0
     count: int = 200
     extra: tuple = ()
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValueError(f"sample count must be at least 1, got {self.count}")
 
 
 @dataclass(frozen=True)
@@ -297,6 +302,8 @@ def _order_extreme(g, items, keep: Order, context: str) -> Element:
 
 
 def _run_law(law: str, stream: Sequence, predicate) -> LawResult:
+    """The law runner: ``predicate(*args) -> (ok, witness)`` on each tuple
+    of the stream in order, up to the first failure."""
     checked = 0
     for args in stream:
         checked += 1

@@ -26,11 +26,10 @@ from .order_core import (
     LawReport,
     Order,
     SamplePlan,
-    _law_rng,
     format_element,
     order_min,
 )
-from .cone_metric import ConeMetricSpace, format_point
+from .cone_metric import ConeMetricSpace
 from .contraction import (
     ApproxEndpointValue,
     CConditionStatus,
@@ -39,6 +38,7 @@ from .contraction import (
     ContractionWitness,
     EndpointSet,
     SetValuedMap,
+    _distinct_pairs,
     approximate_endpoint_property_finite,
     c_condition_status,
     endpoints_bruteforce,
@@ -109,15 +109,15 @@ class SolverReport:
         if self.message:
             lines.append(self.message)
         if self.endpoint is not None:
-            lines.append(f"endpoint: {format_point(self.endpoint)}")
+            lines.append(f"endpoint: {format_element(self.endpoint)}")
         if self.witness_points:
-            pts = ", ".join(format_point(p) for p in self.witness_points)
+            pts = ", ".join(format_element(p) for p in self.witness_points)
             bnds = ", ".join(format_element(b) for b in self.witness_bounds)
             lines.append(f"witness points: {pts}")
             lines.append(f"witness bounds: {bnds}")
         lines.append("trace:")
         for s in self.trace:
-            row = (f"  n={s.n}  y={format_point(s.point)}  ->  {format_point(s.chosen)}"
+            row = (f"  n={s.n}  y={format_element(s.point)}  ->  {format_element(s.chosen)}"
                    f"  d={format_element(s.step_distance)}")
             if s.bound is not None:
                 row += f"  bound={format_element(s.bound)}"
@@ -238,7 +238,7 @@ def iterate_endpoint(T: SetValuedMap, w: ContractionWitness, cfg: SolverConfig,
                                 witness_points=points, witness_bounds=bounds,
                                 best_effort=not verified, notes=notes,
                                 message=(f"image spread strictly within tolerance at "
-                                         f"{format_point(y)} after {n} steps"))
+                                         f"{format_element(y)} after {n} steps"))
         if n == cfg.max_iter:
             break
         candidates = [p for p in images if p != y]
@@ -296,15 +296,15 @@ class BanachReport:
         if self.message:
             lines.append(self.message)
         if self.fixed_point is not None:
-            lines.append(f"fixed point: {format_point(self.fixed_point)}")
+            lines.append(f"fixed point: {format_element(self.fixed_point)}")
         if self.final_point is not None:
-            lines.append(f"final point: {format_point(self.final_point)}")
+            lines.append(f"final point: {format_element(self.final_point)}")
         if self.error_bound is not None:
             lines.append(f"guaranteed error bound: {format_element(self.error_bound)}")
         lines.append("trace:")
         for s in self.trace:
-            lines.append(f"  n={s.n}  x={format_point(s.point)}  ->  "
-                         f"{format_point(s.next_point)}  d={format_element(s.step_distance)}"
+            lines.append(f"  n={s.n}  x={format_element(s.point)}  ->  "
+                         f"{format_element(s.next_point)}  d={format_element(s.step_distance)}"
                          f"  apriori={format_element(s.apriori_bound)}")
         return "\n".join(lines)
 
@@ -331,25 +331,14 @@ def banach_iterate(m: ConeMetricSpace, f: Callable[[Point], Point], alpha,
     x = m.require_member(cfg.seed_point)
 
     # sampled contraction pre-check
-    pairs = []
-    if m.finite:
-        pairs = [(a, b) for a in m.points for b in m.points if a != b]
-    else:
-        rng = _law_rng(plan, "banach-precheck")
-        attempts = 0
-        while len(pairs) < plan.count and attempts < plan.count * 64:
-            attempts += 1
-            a, b = m.sampler(rng), m.sampler(rng)
-            if a != b:
-                pairs.append((a, b))
-    for a, b in pairs:
+    for a, b in _distinct_pairs(m, plan, "banach-precheck"):
         lhs = m.distance(f(a), f(b))
         rhs = module.scale(alpha, m.distance(a, b))
         if not g.leq(lhs, rhs):
             return BanachReport(
                 SolverOutcome.HYPOTHESIS_VIOLATION, (), alpha,
-                message=(f"contraction bound fails at x={format_point(a)}, "
-                         f"y={format_point(b)}: d(fx, fy)={format_element(lhs)} exceeds "
+                message=(f"contraction bound fails at x={format_element(a)}, "
+                         f"y={format_element(b)}: d(fx, fy)={format_element(lhs)} exceeds "
                          f"{format_element(rhs)}"))
 
     stop_scale = module.scale(1 - alpha, eps)
@@ -359,7 +348,7 @@ def banach_iterate(m: ConeMetricSpace, f: Callable[[Point], Point], alpha,
     for n in range(cfg.max_iter + 1):
         x_next = f(x)
         if not m.member(x_next):
-            raise DomainError(f"iterate {format_point(x_next)} left the space")
+            raise DomainError(f"iterate {format_element(x_next)} left the space")
         step = m.distance(x, x_next)
         if first_step is None:
             first_step = step

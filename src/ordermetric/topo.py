@@ -28,6 +28,7 @@ from .order_core import (
     OrderedModuleInstance,
     SamplePlan,
     _law_rng,
+    _run_law,
     format_element,
 )
 
@@ -277,6 +278,25 @@ def from_function(module, fn: Callable[[int], Element], n_max: int,
     return from_terms(module, [fn(n) for n in range(1, n_max + 1)], name)
 
 
+def default_sequences(module: OrderedModuleInstance) -> tuple:
+    """The closed forms an instance checks unless it lists its own, all
+    tending to the identity, with coefficients sized by the group."""
+    identity = module.group.identity
+    if isinstance(identity, tuple):
+        one = tuple(Fraction(1) for _ in identity)
+        ramp = tuple(Fraction(i + 1) for i in range(len(identity)))
+        square_c, geometric_c = ramp, ramp
+    else:
+        one, square_c, geometric_c = Fraction(1), Fraction(1), Fraction(2)
+    return (
+        harmonic(module, one),
+        inverse_square(module, square_c),
+        geometric(module, one, Fraction(1, 2)),
+        geometric(module, geometric_c, Fraction(2, 3)),
+        sum_of(harmonic(module, one), inverse_square(module, one)),
+    )
+
+
 # ---------------------------------------------------------------------------
 # convergence certificates
 
@@ -357,14 +377,10 @@ def _empirical_scan(t: TopoStructure, predicate, n_max: int, eps: Element):
                               reason="sandwich still failing at the end of the window")
 
 
-def verify_convergence(t: TopoStructure, s: PositiveSequence, limit,
-                       eps_family: Sequence[Element], n_max: int) -> list:
-    """Certify the sandwich identity <= a_n - a << eps beyond a threshold.
-
-    One outcome per tolerance, in order: an exact certificate for closed
-    forms, a windowed certificate for explicit prefixes, or a failure
-    carrying the first and last violating index inside the window.
-    """
+def _converge(t: TopoStructure, s: PositiveSequence, limit,
+              eps_family: Sequence[Element], n_max: int, predicate_at) -> list:
+    """The loop of both phrasings; ``predicate_at(limit, eps)`` returns
+    the test n -> bool that term n is within eps of the limit."""
     g = t.group
     limit = g.coerce(limit)
     if not g.is_nonneg(limit):
@@ -372,49 +388,11 @@ def verify_convergence(t: TopoStructure, s: PositiveSequence, limit,
     family = _validate_eps(t, eps_family)
     outcomes = []
     for eps in family:
-        analytic_n = exact_threshold(t, s, limit, eps)
+        pred = predicate_at(limit, eps)
+        analytic_n = exact_threshold(t, s, limit, eps, predicate=pred)
         if analytic_n is not None:
             # the threshold is provably valid for every index; still verify
             # the whole declared window term by term
-            window_end = max(n_max, analytic_n + _SPOT_WINDOW)
-            bad = next((n for n in range(analytic_n + 1, window_end + 1)
-                        if not t.sandwich(g.sub(s.term(n), limit), eps)), None)
-            if bad is not None:
-                outcomes.append(ConvergenceFailure(eps, bad, bad,
-                                                   reason="window check failed"))
-            else:
-                outcomes.append(ConvergenceCertificate(eps, analytic_n, window_end,
-                                                       analytic=True))
-            continue
-        cap = s.cap(n_max)
-        outcomes.append(_empirical_scan(
-            t, lambda n: t.sandwich(g.sub(s.term(n), limit), eps), cap, eps))
-    return outcomes
-
-
-def verify_convergence_twosided(t: TopoStructure, s: PositiveSequence, limit,
-                                eps_family: Sequence[Element], n_max: int) -> list:
-    """Same convergence, phrased as a <= a_n << a + eps without subtraction.
-
-    Exists so the two phrasings can be compared: on every instance here
-    they must produce identical thresholds, since dominance is translation
-    invariant.
-    """
-    g = t.group
-    limit = g.coerce(limit)
-    if not g.is_nonneg(limit):
-        raise DomainError(f"limit {format_element(limit)} is not in the nonnegative part")
-    family = _validate_eps(t, eps_family)
-    outcomes = []
-    for eps in family:
-        bound = g.add(limit, eps)
-
-        def pred(n, _b=bound):
-            term = s.term(n)
-            return g.leq(limit, term) and t.ll(term, _b)
-
-        analytic_n = exact_threshold(t, s, limit, eps, predicate=pred)
-        if analytic_n is not None:
             window_end = max(n_max, analytic_n + _SPOT_WINDOW)
             bad = next((n for n in range(analytic_n + 1, window_end + 1)
                         if not pred(n)), None)
@@ -427,6 +405,43 @@ def verify_convergence_twosided(t: TopoStructure, s: PositiveSequence, limit,
             continue
         outcomes.append(_empirical_scan(t, pred, s.cap(n_max), eps))
     return outcomes
+
+
+def verify_convergence(t: TopoStructure, s: PositiveSequence, limit,
+                       eps_family: Sequence[Element], n_max: int) -> list:
+    """Certify the sandwich identity <= a_n - a << eps beyond a threshold.
+
+    One outcome per tolerance, in order: an exact certificate for closed
+    forms, a windowed certificate for explicit prefixes, or a failure
+    carrying the first and last violating index inside the window.
+    """
+    g = t.group
+
+    def sandwich_at(limit, eps):
+        return lambda n: t.sandwich(g.sub(s.term(n), limit), eps)
+
+    return _converge(t, s, limit, eps_family, n_max, sandwich_at)
+
+
+def verify_convergence_twosided(t: TopoStructure, s: PositiveSequence, limit,
+                                eps_family: Sequence[Element], n_max: int) -> list:
+    """Same convergence, phrased as a <= a_n << a + eps without subtraction.
+
+    Exists so the two phrasings can be compared: on every instance here
+    they must produce identical thresholds, since dominance is translation
+    invariant.
+    """
+    g = t.group
+
+    def between_at(limit, eps):
+        bound = g.add(limit, eps)
+
+        def pred(n):
+            term = s.term(n)
+            return g.leq(limit, term) and t.ll(term, bound)
+        return pred
+
+    return _converge(t, s, limit, eps_family, n_max, between_at)
 
 
 @dataclass(frozen=True)
@@ -682,7 +697,7 @@ def check_topo_laws(t: TopoStructure, plan: SamplePlan) -> LawReport:
             return True, ""
         return g.lt(a, b), f"a={fmt(a)}, b={fmt(b)}"
 
-    results.append(_run_law_local("t1", t1_stream, t1))
+    results.append(_run_law("t1", t1_stream, t1))
 
     rng2 = _law_rng(plan, "t2")
     t2_stream = []
@@ -697,7 +712,7 @@ def check_topo_laws(t: TopoStructure, plan: SamplePlan) -> LawReport:
             return True, ""
         return t.ll(a, c), f"a={fmt(a)}, b={fmt(b)}, c={fmt(c)}"
 
-    results.append(_run_law_local("t2", t2_stream, t2))
+    results.append(_run_law("t2", t2_stream, t2))
 
     rng3 = _law_rng(plan, "t3")
     t3_stream = [(a, g.add(a, interior(rng3)), g.sampler(rng3))
@@ -710,7 +725,7 @@ def check_topo_laws(t: TopoStructure, plan: SamplePlan) -> LawReport:
             return True, ""
         return t.ll(g.add(a, c), g.add(b, c)), f"a={fmt(a)}, b={fmt(b)}, c={fmt(c)}"
 
-    results.append(_run_law_local("t3", t3_stream, t3))
+    results.append(_run_law("t3", t3_stream, t3))
 
     rng4 = _law_rng(plan, "t4")
     t4_samples = [g.identity] + [g.positive_sampler(rng4) for _ in range(plan.count)]
@@ -725,7 +740,7 @@ def check_topo_laws(t: TopoStructure, plan: SamplePlan) -> LawReport:
         escaped = any(not t.ll(a, e) for e in family)
         return escaped, f"a={fmt(a)} survived the whole shrinking family"
 
-    results.append(_run_law_local("t4-shrinking", [(a,) for a in t4_samples], t4))
+    results.append(_run_law("t4-shrinking", [(a,) for a in t4_samples], t4))
 
     rng5 = _law_rng(plan, "t5")
     t5_stream = [(interior(rng5),) for _ in range(plan.count)] + \
@@ -737,7 +752,7 @@ def check_topo_laws(t: TopoStructure, plan: SamplePlan) -> LawReport:
         eta = t.shrink(eps)
         return t.gg_zero(eta) and t.ll(eta, eps), f"eps={fmt(eps)}, eta={fmt(eta)}"
 
-    results.append(_run_law_local("t5", t5_stream, t5))
+    results.append(_run_law("t5", t5_stream, t5))
 
     if t.module is not None:
         ring = t.module.ring
@@ -755,7 +770,7 @@ def check_topo_laws(t: TopoStructure, plan: SamplePlan) -> LawReport:
             return t.ll(t.module.scale(r, a), t.module.scale(r, b)), \
                 f"a={fmt(a)}, b={fmt(b)}, r={r}"
 
-        results.append(_run_law_local("t6", t6_stream, t6))
+        results.append(_run_law("t6", t6_stream, t6))
 
     gap = _strictness_gap_result(t)
     if gap is not None:
@@ -785,13 +800,3 @@ def _strictness_gap_result(t: TopoStructure) -> LawResult | None:
         return None
     return LawResult("strictness-gap", True, 1, None,
                      note="pair ordered strictly but not dominated")
-
-
-def _run_law_local(law: str, stream, predicate) -> LawResult:
-    checked = 0
-    for args in stream:
-        checked += 1
-        ok, witness = predicate(*args)
-        if not ok:
-            return LawResult(law, False, checked, witness)
-    return LawResult(law, True, checked)

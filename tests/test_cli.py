@@ -142,6 +142,33 @@ def test_solve_broken_witness_exits_two(tmp_path, capsys):
     assert "strictly below" in err
 
 
+@pytest.mark.parametrize("factor", ["2", "1", "-1"])
+def test_solve_scale_ratio_not_below_one_exits_two(tmp_path, capsys, factor):
+    path = tmp_path / "expanding.ini"
+    path.write_text(BUILTIN_INSTANCE_TEXTS["r1-banach"].replace(
+        "factors = 1/2", f"factors = {factor}"))
+    rc = main(["solve", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("hypothesis violated: ")
+
+
+@pytest.mark.parametrize("interval", ["1 .. 0", "(0, 1) .. (1, 0)"])
+def test_verify_reversed_interval_exits_three(tmp_path, capsys, interval):
+    builtin = "r1-banach" if "(" not in interval else "cone2-shrink"
+    text = BUILTIN_INSTANCE_TEXTS[builtin]
+    old = "interval = 0 .. 1" if builtin == "r1-banach" else "interval = (0, 0) .. (1, 1)"
+    path = tmp_path / "reversed.ini"
+    path.write_text(text.replace(old, f"interval = {interval}"))
+    rc = main(["verify", str(path), "--checks", "metric"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert "parse error" in captured.err and "reversed" in captured.err
+
+
 def test_solve_lex_rule(capsys):
     rc = main(["solve", "three-point", "--seed-point", "1", "--rule", "lex",
                "--eps", "1/16"])

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from ordermetric import (
@@ -13,6 +18,7 @@ from ordermetric import (
 from ordermetric.harness import DEFAULT_INSTANCES, FAULT_TARGETS
 
 FAST = Budgets(samples=150, n_max=120)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +28,11 @@ def fast_report():
 
 def test_default_suite_is_green(fast_report):
     assert fast_report.ok, fast_report.to_text()
+
+
+def test_fast_suite_machine_rows_match_golden(fast_report):
+    golden = (ROOT / "tests" / "data" / "suite-fast-seed0.rows").read_text(encoding="utf-8")
+    assert fast_report.to_text("machine-rows") == golden
 
 
 def test_coverage_every_check_on_every_instance(fast_report):
@@ -91,3 +102,20 @@ def test_fault_rows_carry_witnesses():
     row = run_suite(spec, {"three-point": mutated}).row("metric/d2", "three-point")
     assert row.outcome == "fail"
     assert row.witness
+
+
+@pytest.mark.parametrize("samples, n_max", [(0, 10), (10, 0), (-1, 10)])
+def test_zero_budgets_rejected(samples, n_max):
+    with pytest.raises(ValueError):
+        Budgets(samples=samples, n_max=n_max)
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--n-max"])
+def test_run_suite_script_rejects_zero_budget(flag):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_suite.py"), flag, "0"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage:") and "error: budgets must be at least 1" in proc.stderr

@@ -121,6 +121,27 @@ def test_bad_rational_reports_line():
     assert "line" in str(exc.value)
 
 
+@pytest.mark.parametrize("builtin, interval", [
+    ("r1-banach", "1 .. 0"),
+    ("cone2-shrink", "(0, 1) .. (1, 0)"),
+    ("cone2-shrink", "(1, 1) .. (0, 0)"),
+])
+def test_reversed_interval_rejected(builtin, interval):
+    text = BUILTIN_INSTANCE_TEXTS[builtin]
+    start = text.index("interval = ")
+    end = text.index("\n", start)
+    with pytest.raises(InstanceFileError) as exc:
+        parse_instance_text(text[:start] + f"interval = {interval}" + text[end:])
+    line = text[:start].count("\n") + 1
+    assert str(exc.value) == f"line {line}: interval corner order reversed"
+
+
+def test_degenerate_interval_accepted():
+    text = BUILTIN_INSTANCE_TEXTS["r1-banach"].replace("interval = 0 .. 1",
+                                                       "interval = 1/2 .. 1/2")
+    assert parse_instance_text(text).interval == (Fraction(1, 2), Fraction(1, 2))
+
+
 def test_missing_section_rejected():
     with pytest.raises(InstanceFileError) as exc:
         parse_instance_text("[group]\nfamily = real\n")

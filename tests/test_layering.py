@@ -1,0 +1,44 @@
+"""Imports inside the package point strictly down the module stack, and no
+module reaches into the harness's private helpers."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ordermetric"
+STACK = ("order_core", "topo", "cone_metric", "contraction", "solver", "corpus",
+         "harness", "instance_files", "cli")
+
+
+def _relative_imports(module: str):
+    """(imported module, imported names) for every ``from .x import`` in the
+    module, function-level imports included."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module is None:  # from . import x
+                for alias in node.names:
+                    yield alias.name, ()
+            else:
+                yield node.module, tuple(alias.name for alias in node.names)
+
+
+def test_stack_lists_every_module():
+    found = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    assert found == set(STACK)
+
+
+@pytest.mark.parametrize("module", STACK)
+def test_imports_point_down_the_stack(module):
+    below = STACK[:STACK.index(module)]
+    for target, _ in _relative_imports(module):
+        assert target in below, f"{module} imports {target}, which is not below it"
+
+
+@pytest.mark.parametrize("module", STACK)
+def test_no_private_harness_imports(module):
+    for target, names in _relative_imports(module):
+        if target == "harness":
+            private = [n for n in names if n.startswith("_")]
+            assert not private, f"{module} imports private harness names {private}"

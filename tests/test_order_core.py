@@ -26,6 +26,12 @@ from ordermetric import (
 fractions_st = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_sample_plan_needs_a_sample(count):
+    with pytest.raises(ValueError):
+        SamplePlan(count=count)
+
+
 def test_compare_total_order_on_reals():
     g = real_group()
     assert compare(g, 1, 2) is Order.LESS
