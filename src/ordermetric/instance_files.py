@@ -27,7 +27,8 @@ continuum boxes use ``interval = lo .. hi``. Table metrics add one
 ``row = ...`` per point, in point order; the matrix must be symmetric with
 a zero diagonal and every violation is reported with its cell and line.
 Rule maps use ``rule = scale`` with ``factors = f1; f2; ...`` where each
-factor (a scalar or a per-coordinate tuple) contributes one image point.
+factor (a scalar or a per-coordinate tuple) contributes one image point;
+every image must lie in the carrier (on an interval, the corners' images).
 
 Parsing produces an InstanceDescription, a plain value: the canonical
 export of a description reparses to an equal description, which is the
@@ -604,14 +605,16 @@ def build_bundle(desc: InstanceDescription) -> InstanceBundle:
         factors = desc.map_factors
         map_ = SetValuedMap.from_rule(
             space, lambda x: tuple(_scale_by(x, f) for f in factors), name="scale")
-        if space.finite:
-            # rule images must stay inside a finite carrier
-            for p in space.points:
-                for q in map_.images(p):
-                    if not space.member(q):
-                        raise InstanceFileError(
-                            f"rule image {format_element(q)} of point "
-                            f"{format_element(p)} is not a declared point")
+        # rule images must stay inside the carrier; a scale map is monotone
+        # in each coordinate, so on an interval the two corners decide it
+        probes = space.points if space.finite else desc.interval
+        where = "a declared point" if space.finite else "inside the interval"
+        for p in probes:
+            for q in map_.images(p):
+                if not space.member(q):
+                    raise InstanceFileError(
+                        f"rule image {format_element(q)} of point "
+                        f"{format_element(p)} is not {where}")
         if len(factors) == 1:  # also a single-valued map with this ratio
             f = factors[0]
             banach_map = partial(_scale_by, f=f)

@@ -8,12 +8,19 @@ over which the sandwich was actually evaluated. For registered closed-form
 sequences (c/n, c/n^2, geometric, constants and finite sums of these) the
 threshold is computed analytically with rational arithmetic and is valid
 for every index, not just the checked window.
+
+Each sequence object does its exact work once: it memoizes its closed-form
+terms by index and its convergence outcomes by (phrasing, structure, limit,
+tolerance, window). Both are pure functions of their key; the structure is
+keyed by identity, so a replaced copy is evaluated afresh, and limit and
+tolerances are validated on every call. An outcome computed from an
+analytic threshold still carries the term-by-term re-check of its window.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -83,11 +90,12 @@ class TopoStructure:
         return fam
 
 
-def _interior_below(g: OrderedGroupInstance, a: Element, b: Element) -> bool:
-    diff = g.sub(b, a)
-    if isinstance(diff, tuple):
-        return all(c > 0 for c in diff)
-    return diff > 0
+def _interior_below(a: Element, b: Element) -> bool:
+    """b - a interior to the cone, compared coordinate by coordinate: the
+    difference is positive in every coordinate exactly when a_i < b_i."""
+    if isinstance(a, tuple):
+        return all(x < y for x, y in zip(a, b))
+    return a < b
 
 
 def strict_order_structure(module: OrderedModuleInstance, regular: bool = True) -> TopoStructure:
@@ -129,7 +137,7 @@ def interior_cone_structure(module: OrderedModuleInstance, regular: bool = True)
     return TopoStructure(
         name=f"interior-cone({g.name})",
         group=g,
-        strictly_below=lambda a, b: _interior_below(g, a, b),
+        strictly_below=_interior_below,
         positivity_witness=witness,
         shrink=lambda e: module.scale(Fraction(1, 2), e),
         interior_sampler=interior_sampler,
@@ -176,6 +184,10 @@ class PositiveSequence:
     name: str
     atoms: tuple[SeqAtom, ...] | None = None
     explicit: tuple | None = None
+    # memos: closed-form terms by index, convergence outcomes by the key
+    # _converge builds
+    _terms: dict = field(default_factory=dict, init=False, repr=False)
+    _outcomes: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         g = self.module.group
@@ -209,10 +221,13 @@ class PositiveSequence:
             if n > len(self.explicit):
                 raise IndexError(f"explicit sequence has only {len(self.explicit)} terms")
             return self.explicit[n - 1]
-        g = self.module.group
-        total = g.identity
-        for atom in self.atoms:
-            total = g.add(total, atom.value(self.module, n))
+        total = self._terms.get(n)
+        if total is None:
+            g = self.module.group
+            total = g.identity
+            for atom in self.atoms:
+                total = g.add(total, atom.value(self.module, n))
+            self._terms[n] = total
         return total
 
     @property
@@ -378,33 +393,40 @@ def _empirical_scan(t: TopoStructure, predicate, n_max: int, eps: Element):
 
 
 def _converge(t: TopoStructure, s: PositiveSequence, limit,
-              eps_family: Sequence[Element], n_max: int, predicate_at) -> list:
+              eps_family: Sequence[Element], n_max: int, phrasing: str, predicate_at) -> list:
     """The loop of both phrasings; ``predicate_at(limit, eps)`` returns
-    the test n -> bool that term n is within eps of the limit."""
+    the test n -> bool that term n is within eps of the limit.
+
+    Limit and tolerances are validated on every call; each outcome is
+    computed once per (phrasing, structure, limit, eps, n_max) and kept on
+    the sequence. Structures hash by identity.
+    """
     g = t.group
     limit = g.coerce(limit)
     if not g.is_nonneg(limit):
         raise DomainError(f"limit {format_element(limit)} is not in the nonnegative part")
-    family = _validate_eps(t, eps_family)
     outcomes = []
-    for eps in family:
-        pred = predicate_at(limit, eps)
-        analytic_n = exact_threshold(t, s, limit, eps, predicate=pred)
-        if analytic_n is not None:
-            # the threshold is provably valid for every index; still verify
-            # the whole declared window term by term
-            window_end = max(n_max, analytic_n + _SPOT_WINDOW)
-            bad = next((n for n in range(analytic_n + 1, window_end + 1)
-                        if not pred(n)), None)
-            if bad is not None:
-                outcomes.append(ConvergenceFailure(eps, bad, bad,
-                                                   reason="window check failed"))
-            else:
-                outcomes.append(ConvergenceCertificate(eps, analytic_n, window_end,
-                                                       analytic=True))
-            continue
-        outcomes.append(_empirical_scan(t, pred, s.cap(n_max), eps))
+    for eps in _validate_eps(t, eps_family):
+        key = (phrasing, t, limit, eps, n_max)
+        out = s._outcomes.get(key)
+        if out is None:
+            out = s._outcomes[key] = _converge_one(t, s, limit, eps, n_max,
+                                                   predicate_at(limit, eps))
+        outcomes.append(out)
     return outcomes
+
+
+def _converge_one(t: TopoStructure, s: PositiveSequence, limit, eps, n_max: int, pred):
+    analytic_n = exact_threshold(t, s, limit, eps, predicate=pred)
+    if analytic_n is None:
+        return _empirical_scan(t, pred, s.cap(n_max), eps)
+    # the threshold is provably valid for every index; still verify the
+    # whole declared window term by term
+    window_end = max(n_max, analytic_n + _SPOT_WINDOW)
+    bad = next((n for n in range(analytic_n + 1, window_end + 1) if not pred(n)), None)
+    if bad is not None:
+        return ConvergenceFailure(eps, bad, bad, reason="window check failed")
+    return ConvergenceCertificate(eps, analytic_n, window_end, analytic=True)
 
 
 def verify_convergence(t: TopoStructure, s: PositiveSequence, limit,
@@ -420,7 +442,7 @@ def verify_convergence(t: TopoStructure, s: PositiveSequence, limit,
     def sandwich_at(limit, eps):
         return lambda n: t.sandwich(g.sub(s.term(n), limit), eps)
 
-    return _converge(t, s, limit, eps_family, n_max, sandwich_at)
+    return _converge(t, s, limit, eps_family, n_max, "one-sided", sandwich_at)
 
 
 def verify_convergence_twosided(t: TopoStructure, s: PositiveSequence, limit,
@@ -441,7 +463,7 @@ def verify_convergence_twosided(t: TopoStructure, s: PositiveSequence, limit,
             return g.leq(limit, term) and t.ll(term, bound)
         return pred
 
-    return _converge(t, s, limit, eps_family, n_max, between_at)
+    return _converge(t, s, limit, eps_family, n_max, "two-sided", between_at)
 
 
 @dataclass(frozen=True)

@@ -142,17 +142,35 @@ def test_solve_broken_witness_exits_two(tmp_path, capsys):
     assert "strictly below" in err
 
 
+# a carrier each factor maps into itself, so the ratio is what stops solve
+_CARRIER_KEPT = {"2": "0 .. 0", "1": "0 .. 1", "-1": "-1 .. 1"}
+
+
 @pytest.mark.parametrize("factor", ["2", "1", "-1"])
 def test_solve_scale_ratio_not_below_one_exits_two(tmp_path, capsys, factor):
     path = tmp_path / "expanding.ini"
     path.write_text(BUILTIN_INSTANCE_TEXTS["r1-banach"].replace(
-        "factors = 1/2", f"factors = {factor}"))
+        "factors = 1/2", f"factors = {factor}").replace(
+        "interval = 0 .. 1", f"interval = {_CARRIER_KEPT[factor]}"))
     rc = main(["solve", str(path)])
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("hypothesis violated: ")
+
+
+@pytest.mark.parametrize("command", ["verify", "solve"])
+@pytest.mark.parametrize("factors", ["2; 1/2", "-1"])
+def test_rule_escaping_an_interval_exits_three(tmp_path, capsys, command, factors):
+    path = tmp_path / "escaping.ini"
+    path.write_text(BUILTIN_INSTANCE_TEXTS["r1-banach"].replace(
+        "factors = 1/2", f"factors = {factors}"))
+    rc = main([command, str(path)] + (["--checks", "map"] if command == "verify" else []))
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: ") and "not inside the interval" in captured.err
 
 
 @pytest.mark.parametrize("interval", ["1 .. 0", "(0, 1) .. (1, 0)"])

@@ -9,12 +9,14 @@ from ordermetric import (
     CauchyFailure,
     ConeMetricSpace,
     ConvergenceFailure,
+    IncomparableError,
     SetDistanceUndefined,
     cauchy_check,
     check_metric_laws,
     hausdorff,
     is_certificate,
     min_positive_distance,
+    order_min,
     point_convergence,
     point_seq,
 )
@@ -200,3 +202,34 @@ def test_finite_completeness_at_minimum_scale(line_points):
     assert all(p == tail[0] for p in tail)
     conv = point_convergence(line_points, s, tail[0], [minpos], 20)
     assert all(is_certificate(o) for o in conv)
+
+
+def test_min_positive_distance_equals_the_full_chain_check(rstruct):
+    pts = tuple(Fraction(k, 4) for k in range(9))
+    grid = ConeMetricSpace("grid", rstruct, lambda x, y: abs(x - y), points=pts)
+    every = [grid.distance(x, y) for i, x in enumerate(pts) for y in pts[i + 1:]]
+    assert len(set(every)) < len(every)
+    assert min_positive_distance(grid) == order_min(grid.group, every) == Fraction(1, 4)
+
+
+def test_min_positive_distance_keeps_the_incomparable_pair(cstruct2):
+    one, zero = Fraction(1), Fraction(0)
+    pts = ((zero, zero), (one, zero), (zero, one), (one, one))
+    space = ConeMetricSpace("square", cstruct2,
+                            lambda x, y: tuple(abs(a - b) for a, b in zip(x, y)), points=pts)
+    every = [space.distance(x, y) for i, x in enumerate(pts) for y in pts[i + 1:]]
+    assert (one, zero) in every and (zero, one) in every
+    with pytest.raises(IncomparableError) as full:
+        order_min(space.group, every, "minimum positive distance")
+    with pytest.raises(IncomparableError) as exc:
+        min_positive_distance(space)
+    assert str(exc.value) == str(full.value)
+
+
+def test_cauchy_check_validates_tolerances_first(real_line_space):
+    s = point_seq(real_line_space, [Fraction(0), Fraction(1)] * 5)
+    # the declared step profile fails at n=1 too; the tolerance is reported
+    with pytest.raises(ValueError) as exc:
+        cauchy_check(real_line_space, s, [Fraction(1, 2), Fraction(0)], 10,
+                     step_profile=(Fraction(1, 100), Fraction(1, 2)))
+    assert str(exc.value) == "tolerance 0 does not strictly dominate the identity"

@@ -263,6 +263,29 @@ factors = 1/2
     assert "not a declared point" in str(exc.value)
 
 
+@pytest.mark.parametrize("builtin,factors,message", [
+    ("r1-banach", "2; 1/2", "rule image 2 of point 1 is not inside the interval"),
+    ("r1-banach", "-1/2", "rule image -1/2 of point 1 is not inside the interval"),
+    ("cone2-shrink", "(1/2, 3/2)",
+     "rule image (1/2, 3/2) of point (1, 1) is not inside the interval"),
+], ids=["two-factors", "negative", "cone-2"])
+def test_rule_map_escaping_an_interval_rejected(builtin, factors, message):
+    text = BUILTIN_INSTANCE_TEXTS[builtin]
+    start = text.index("factors = ")
+    text = text[:start] + f"factors = {factors}" + text[text.index("\n", start):]
+    with pytest.raises(InstanceFileError) as exc:
+        build_bundle(parse_instance_text(text))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("builtin", ["r1-banach", "cone2-shrink"])
+def test_interval_builtins_keep_their_rule_images_inside(builtin):
+    bundle = build_bundle(load_instance(builtin))
+    assert bundle.space.member(bundle.solver_seed)
+    for corner in load_instance(builtin).interval:
+        assert all(bundle.space.member(q) for q in bundle.map_.images(corner))
+
+
 def test_sequences_section_rejects_bad_atoms():
     with pytest.raises(InstanceFileError):
         parse_instance_text(PHI_FILE + "\n[sequences]\nseq = cubic 1\n")

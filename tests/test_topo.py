@@ -1,30 +1,39 @@
+import dataclasses
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordermetric import (
+    ALL_CHECKS,
+    Budgets,
     ConvergenceCertificate,
     ConvergenceFailure,
+    DomainError,
     SamplePlan,
+    SuiteSpec,
+    builtin_bundles,
     check_limit_uniqueness,
     check_regularity,
     check_topo_laws,
     constant,
+    default_suite,
     finite_infimum,
     from_function,
     geometric,
     harmonic,
     inverse_square,
     is_certificate,
+    run_suite,
     sum_convergence,
     sum_of,
     sandwich_convergence,
     verify_convergence,
     verify_convergence_twosided,
 )
-from ordermetric.topo import PreconditionViolation
+from ordermetric.topo import PreconditionViolation, SeqAtom, _interior_below
 
 
 def brute_threshold(t, seq, limit, eps, horizon=4000):
@@ -241,3 +250,132 @@ def test_geometric_threshold_matches_brute_scan(rstruct, rmod, num, den):
     out = verify_convergence(rstruct, s, 0, [eps], 200)[0]
     assert is_certificate(out)
     assert out.threshold == brute_threshold(rstruct, s, Fraction(0), eps, horizon=300)
+
+
+# -- sequence-layer kernel ---------------------------------------------------
+
+
+def test_interior_below_matches_subtraction_form(rstruct, cstruct2, cstruct3):
+    for t in (rstruct, cstruct2, cstruct3):
+        g = t.group
+        for a in g.edge_elements:
+            for b in g.edge_elements:
+                diff = g.sub(b, a)
+                coords = diff if isinstance(diff, tuple) else (diff,)
+                assert _interior_below(a, b) == all(c > 0 for c in coords), (a, b)
+
+
+def _kernel_sequences(module, coefficient):
+    return {
+        "constant": lambda: constant(module, coefficient),
+        "harmonic": lambda: harmonic(module, coefficient),
+        "inverse-square": lambda: inverse_square(module, coefficient),
+        "geometric": lambda: geometric(module, coefficient, Fraction(2, 3)),
+        "sum": lambda: sum_of(harmonic(module, coefficient),
+                              geometric(module, coefficient, Fraction(1, 2))),
+    }
+
+
+@pytest.mark.parametrize("kind", ["constant", "harmonic", "inverse-square", "geometric", "sum"])
+def test_memoized_terms_match_a_fresh_sequence(cmod2, kind):
+    make = _kernel_sequences(cmod2, (1, 3))[kind]
+    s = make()
+    indices = list(range(1, 251)) + [1 << 20]
+    for n in indices:
+        s.term(n)
+    for n in indices:  # served from the memo now
+        assert s.term(n) == make().term(n), n
+
+
+def _count_atom_values(monkeypatch):
+    calls = [0]
+    value = SeqAtom.value
+
+    def counting(self, module, n):
+        calls[0] += 1
+        return value(self, module, n)
+
+    monkeypatch.setattr(SeqAtom, "value", counting)
+    return calls
+
+
+def _counting_structure(t):
+    calls = [0]
+
+    def strictly_below(a, b):
+        calls[0] += 1
+        return t.strictly_below(a, b)
+
+    return dataclasses.replace(t, strictly_below=strictly_below), calls
+
+
+def test_repeated_convergence_evaluates_no_atom(cstruct2, cmod2, monkeypatch):
+    atoms = _count_atom_values(monkeypatch)
+    s = sum_of(harmonic(cmod2, (1, 1)), inverse_square(cmod2, (2, 1)))
+    fam = [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 10), Fraction(1, 10))]
+    first = verify_convergence(cstruct2, s, (0, 0), fam, 150)
+    assert atoms[0] > 0
+    atoms[0] = 0
+    again = verify_convergence(cstruct2, s, (0, 0), fam, 150)
+    assert atoms[0] == 0
+    assert again == first
+
+
+def test_replaced_structure_and_two_sided_are_evaluated_afresh(cstruct2, cmod2):
+    t, calls = _counting_structure(cstruct2)
+    s = harmonic(cmod2, (1, 2))
+    fam = [(Fraction(1, 10), Fraction(1, 10))]
+    first = verify_convergence(t, s, (0, 0), fam, 100)
+    assert calls[0] > 0
+    calls[0] = 0
+    verify_convergence(t, s, (0, 0), fam, 100)
+    assert calls[0] == len(fam)  # the tolerance check only: memoized outcome
+    calls[0] = 0
+    two = verify_convergence_twosided(t, s, (0, 0), fam, 100)
+    assert calls[0] > len(fam)  # the other phrasing has its own key
+    assert two[0].threshold == first[0].threshold
+    copy, copy_calls = _counting_structure(t)
+    assert verify_convergence(copy, s, (0, 0), fam, 100) == first
+    assert copy_calls[0] > len(fam)  # a replaced structure is a new key
+
+
+def test_bad_limit_and_tolerance_raise_on_every_call(rstruct, rmod):
+    s = harmonic(rmod, 1)
+    verify_convergence(rstruct, s, 0, [Fraction(1, 2)], 50)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="strictly dominate"):
+            verify_convergence(rstruct, s, 0, [Fraction(1, 2), 0], 50)
+        with pytest.raises(DomainError):
+            verify_convergence(rstruct, s, -1, [Fraction(1, 2)], 50)
+
+
+SEQ_CHECKS = tuple(c for c in ALL_CHECKS if c.startswith("seq/"))
+
+
+def test_seq_machine_rows_match_golden():
+    golden = (Path(__file__).parent / "data" / "suite-seq-default-seed0.rows").read_text(
+        encoding="utf-8")
+    assert run_suite(default_suite(checks=SEQ_CHECKS)).to_text("machine-rows") == golden
+
+
+# Fraction constructions of the spec below before the kernel memoized
+# terms and outcomes; the count is deterministic, unlike wall clock
+SEQ_FRACTIONS_BEFORE_KERNEL = 536_815
+
+
+def test_seq_rows_construct_at_most_55_percent_of_the_fractions(monkeypatch):
+    spec = SuiteSpec(instances=("real-line", "cone-2"), checks=SEQ_CHECKS,
+                     budgets=Budgets(samples=150, n_max=120))
+    bundles = builtin_bundles()
+    count = [0]
+    raw_new = Fraction.__dict__["__new__"].__func__
+
+    def counting_new(cls, *args, **kwargs):
+        count[0] += 1
+        return raw_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    report = run_suite(spec, bundles)
+    monkeypatch.undo()
+    assert report.ok
+    assert count[0] <= 0.55 * SEQ_FRACTIONS_BEFORE_KERNEL, count[0]
