@@ -1,16 +1,22 @@
 """Metric spaces whose distances land in an ordered group.
 
 Point sets are either finite enumerations or sampled rational boxes; the
-distance map is exact. The set distance is restricted to finite subsets:
-in a genuinely partial order the inner min/max may simply not exist, so
-every fold checks pairwise comparability and fails loudly with the
-offending pair instead of inventing an answer.
+distance map is exact. A finite space tabulates its N x N distances on
+first use and keeps the table, N² entries, for its lifetime: the
+exhaustive pair scans of ``contraction`` visit that many pairs anyway, and
+read each distance from the table by position instead of recomputing it.
+Sampled spaces tabulate nothing.
+
+The set distance is restricted to finite subsets: in a genuinely partial
+order the inner min/max may simply not exist, so every fold checks
+pairwise comparability and fails loudly with the offending pair instead of
+inventing an answer.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -51,6 +57,10 @@ class ConeMetricSpace:
     finite spaces are complete because certified Cauchy sequences are
     eventually constant, rational boxes inherit the declaration from their
     ambient coordinate space.
+
+    A finite space keeps its distance table as a private memo, ``_table``,
+    filled through ``distance`` on first use; ``dataclasses.replace``
+    starts it empty.
     """
 
     name: str
@@ -61,6 +71,7 @@ class ConeMetricSpace:
     sampler: Callable[[random.Random], Point] | None = None
     key: Callable[[Point], object] = lambda p: p
     complete: bool = True
+    _table: list = field(default_factory=list, init=False, repr=False)
 
     @property
     def group(self):
@@ -83,6 +94,18 @@ class ConeMetricSpace:
     def distance(self, x, y) -> Element:
         return self.metric(x, y)
 
+    def _distance_by_position(self) -> Callable[[int, int], Element]:
+        """``dist(i, j)`` = d(points[i], points[j]) on a finite space, read
+        from the table. The table is one list, row by row, filled on first
+        use; equal distances share one object, so it holds each value once."""
+        table, pts = self._table, self.points
+        if not table:
+            values: dict = {}
+            table.extend(values.setdefault(d, d)
+                         for d in (self.distance(x, y) for x in pts for y in pts))
+        n = len(pts)
+        return lambda i, j: table[i * n + j]
+
     def sample_points(self, plan: SamplePlan, label: str) -> list:
         if self.points is not None:
             rng = _law_rng(plan, label)
@@ -98,8 +121,8 @@ def min_positive_distance(m: ConeMetricSpace) -> Element:
     """Least nonzero distance of a finite space: the canonical tolerance scale."""
     if not m.finite:
         raise ValueError("minimum positive distance needs a finite space")
-    vals = [m.distance(x, y) for i, x in enumerate(m.points)
-            for y in m.points[i + 1:]]
+    dist, n = m._distance_by_position(), len(m.points)
+    vals = [dist(i, j) for i in range(n) for j in range(i + 1, n)]
     if not vals:
         raise ValueError("space has fewer than two points")
     # equal distances are comparable, so the chain check needs each value once

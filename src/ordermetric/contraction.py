@@ -7,6 +7,12 @@ second within the bound; the global variant bounds every image pair.
 Both are decided exhaustively on finite spaces and on seeded samples
 otherwise, always with a concrete counterexample on failure.
 
+On a finite space the scans work on positions: the pair stream yields
+position pairs, a map records its images as positions once, and every
+distance is read from the space's table (see ``cone_metric``). An image
+point outside a finite space is a ``DomainError`` naming it. Sampled
+spaces keep working on points, with the same seeded streams.
+
 Convergence conditions that quantify over all sequences are not decidable
 from tables, so witnesses carry them as class-level certificates: the
 ratio-bounded classes earn "holds-by-theorem", bare bound tables stay
@@ -15,7 +21,7 @@ ratio-bounded classes earn "holds-by-theorem", bare bound tables stay
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -51,12 +57,14 @@ class SetValuedMap:
     """x -> finite nonempty subset of the space, table- or rule-backed.
 
     ``images_fn`` returns tuples without repeats: tables are normalized when
-    built and rule images when computed.
+    built and rule images when computed. On a finite space the private memo
+    ``_positions`` holds every image as positions, built once per map.
     """
 
     space: ConeMetricSpace
     images_fn: Callable[[Point], tuple]
     name: str = "T"
+    _positions: list = field(default_factory=list, init=False, repr=False)
 
     def images(self, x: Point) -> tuple:
         out = self.images_fn(x)
@@ -66,6 +74,27 @@ class SetValuedMap:
 
     def is_endpoint(self, x: Point) -> bool:
         return self.images(x) == (x,)
+
+    def _image_positions(self) -> list:
+        """``positions[i]`` is the image of ``space.points[i]`` as positions;
+        raises DomainError at the first image point outside the space."""
+        if not self._positions:
+            space = self.space
+            where: dict = {}
+            for i, p in enumerate(space.points):
+                where.setdefault(p, i)
+            built = []
+            for x in space.points:
+                row = []
+                for y in self.images(x):
+                    if y not in where:
+                        raise DomainError(
+                            f"map {self.name!r} sends {format_element(x)} to "
+                            f"{format_element(y)}, which is not in space {space.name!r}")
+                    row.append(where[y])
+                built.append(tuple(row))
+            self._positions.extend(built)
+        return self._positions
 
     @staticmethod
     def from_table(space: ConeMetricSpace, table: Mapping, name: str = "T") -> "SetValuedMap":
@@ -171,8 +200,9 @@ class ContractionWitness:
             return self.alpha_fn(x, y)
         raise ValueError("witness has no ratio payload")
 
-    def phi(self, space: ConeMetricSpace, x: Point, y: Point) -> Element:
-        """Evaluate the bound at an ordered pair of distinct points."""
+    def phi(self, space: ConeMetricSpace, x: Point, y: Point, d: Element) -> Element:
+        """Evaluate the bound at an ordered pair of distinct points whose
+        distance ``d`` the caller already holds."""
         if self.klass is WitnessClass.PHI_TABLE:
             try:
                 return self.phi_table[(x, y)]
@@ -180,7 +210,6 @@ class ContractionWitness:
                 raise DomainError(
                     f"bound table has no entry for ({format_element(x)}, {format_element(y)})"
                 ) from None
-        d = space.distance(x, y)
         if self.klass in (WitnessClass.ALPHA_CONSTANT, WitnessClass.ALPHA_FUNCTION):
             module = space.structure.module
             if module is None:
@@ -249,10 +278,12 @@ def c_condition_status(w: ContractionWitness) -> CConditionStatus:
 
 
 def _distinct_pairs(space: ConeMetricSpace, plan: SamplePlan, label: str) -> list[tuple]:
-    """Every ordered pair of distinct points of a finite space, or
-    ``plan.count`` seeded distinct pairs drawn from the stream ``label``."""
+    """Every ordered pair of distinct points of a finite space, as positions
+    in ``space.points``, or ``plan.count`` seeded distinct pairs of points
+    drawn from the stream ``label``. ``_pair_reader`` reads either kind."""
     if space.finite:
-        return [(x, y) for x in space.points for y in space.points if x != y]
+        pts = space.points
+        return [(i, j) for i, x in enumerate(pts) for j, y in enumerate(pts) if x != y]
     rng = _law_rng(plan, label)
     out = []
     attempts = 0
@@ -262,6 +293,19 @@ def _distinct_pairs(space: ConeMetricSpace, plan: SamplePlan, label: str) -> lis
         if x != y:
             out.append((x, y))
     return out
+
+
+def _itself(p):
+    return p
+
+
+def _pair_reader(space: ConeMetricSpace) -> tuple:
+    """``(point, dist)`` for the entries of ``_distinct_pairs(space, ...)``:
+    the point an entry stands for, and the distance between two entries,
+    read from the table on a finite space."""
+    if space.finite:
+        return space.points.__getitem__, space._distance_by_position()
+    return _itself, space.distance
 
 
 @dataclass(frozen=True)
@@ -275,21 +319,25 @@ class ContractionReport:
 
 def _pair_scan(T: SetValuedMap, w: ContractionWitness, plan: SamplePlan | None,
                kind: str, violation) -> ContractionReport:
-    """The pair loop of both checks: ``violation(x', images of y, bound)``
-    returns None or the tail of the counterexample text."""
+    """The pair loop of both checks: ``violation(x', images of y, bound,
+    point, dist)`` returns None or the tail of the counterexample text;
+    images are entries, read by ``point`` and ``dist`` of ``_pair_reader``."""
     plan = plan or SamplePlan()
     space = T.space
     pairs = _distinct_pairs(space, plan, kind)
-    for x, y in pairs:
-        bound = w.phi(space, x, y)
-        ty = T.images(y)
-        for xp in T.images(x):
-            tail = violation(xp, ty, bound)
+    point, dist = _pair_reader(space)
+    images = T._image_positions().__getitem__ if space.finite else T.images
+    for a, b in pairs:
+        x, y = point(a), point(b)
+        bound = w.phi(space, x, y, dist(a, b))
+        ty = images(b)
+        for xp in images(a):
+            tail = violation(xp, ty, bound, point, dist)
             if tail is not None:
                 return ContractionReport(
                     kind, False, len(pairs),
                     f"x={format_element(x)}, y={format_element(y)}, "
-                    f"x'={format_element(xp)}{tail}",
+                    f"x'={format_element(point(xp))}{tail}",
                     exhaustive=space.finite)
     return ContractionReport(kind, True, len(pairs), exhaustive=space.finite)
 
@@ -298,10 +346,10 @@ def is_weak_contraction(T: SetValuedMap, w: ContractionWitness,
                         plan: SamplePlan | None = None) -> ContractionReport:
     """For each pair and each image point of the first, some image point of
     the second must land within the bound."""
-    space, g = T.space, T.space.group
+    g = T.space.group
 
-    def violation(xp, ty, bound):
-        if any(g.leq(space.distance(xp, yp), bound) for yp in ty):
+    def violation(xp, ty, bound, point, dist):
+        if any(g.leq(dist(xp, yp), bound) for yp in ty):
             return None
         return f": no image point of y within {format_element(bound)}"
 
@@ -311,13 +359,13 @@ def is_weak_contraction(T: SetValuedMap, w: ContractionWitness,
 def is_global_weak_contraction(T: SetValuedMap, w: ContractionWitness,
                                plan: SamplePlan | None = None) -> ContractionReport:
     """Every image pair must satisfy the bound."""
-    space, g = T.space, T.space.group
+    g = T.space.group
 
-    def violation(xp, ty, bound):
+    def violation(xp, ty, bound, point, dist):
         for yp in ty:
-            d = space.distance(xp, yp)
+            d = dist(xp, yp)
             if not g.leq(d, bound):
-                return (f", y'={format_element(yp)}: d={format_element(d)} exceeds "
+                return (f", y'={format_element(point(yp))}: d={format_element(d)} exceeds "
                         f"{format_element(bound)}")
         return None
 
@@ -332,12 +380,14 @@ def validate_witness(T: SetValuedMap, w: ContractionWitness,
     plan = plan or SamplePlan()
     space, g = T.space, T.space.group
     pairs = _distinct_pairs(space, plan, "phi-valid")
+    point, dist = _pair_reader(space)
 
-    def phi_strictly_below(x, y):
-        d = space.distance(x, y)
+    def phi_strictly_below(a, b):
+        d = dist(a, b)
         if not g.is_positive(d):
             return True, None
-        bound = w.phi(space, x, y)
+        x, y = point(a), point(b)
+        bound = w.phi(space, x, y, d)
         if g.lt(bound, d):
             return True, None
         return False, (f"x={format_element(x)}, y={format_element(y)}: bound "
@@ -346,12 +396,13 @@ def validate_witness(T: SetValuedMap, w: ContractionWitness,
     results = [_run_law("phi-strictly-below", pairs, phi_strictly_below)]
 
     if w.klass in (WitnessClass.ALPHA_CONSTANT, WitnessClass.ALPHA_FUNCTION):
-        def alpha_in_range(x, y):
-            a = w.alpha(x, y)
-            if not (0 <= a < 1):
-                return False, f"ratio {a} at ({format_element(x)}, {format_element(y)})"
-            if w.klass is WitnessClass.ALPHA_FUNCTION and a > w.alpha_bound:
-                return False, f"ratio {a} exceeds declared bound {w.alpha_bound}"
+        def alpha_in_range(a, b):
+            x, y = point(a), point(b)
+            r = w.alpha(x, y)
+            if not (0 <= r < 1):
+                return False, f"ratio {r} at ({format_element(x)}, {format_element(y)})"
+            if w.klass is WitnessClass.ALPHA_FUNCTION and r > w.alpha_bound:
+                return False, f"ratio {r} exceeds declared bound {w.alpha_bound}"
             return True, None
 
         results.append(_run_law("alpha-range", pairs, alpha_in_range))
@@ -395,12 +446,12 @@ def approximate_endpoint_property_finite(T: SetValuedMap) -> ApproxEndpointValue
     if not T.space.finite:
         raise ValueError("the inf-sup computation needs a finite space")
     g = T.space.group
+    dist = T.space._distance_by_position()
     best_value = None
     best_point = None
     sups = []
-    for x in T.space.points:
-        sup = order_max(g, [T.space.distance(x, y) for y in T.images(x)],
-                        f"image spread at {format_element(x)}")
+    for i, (x, img) in enumerate(zip(T.space.points, T._image_positions())):
+        sup = order_max(g, [dist(i, j) for j in img], f"image spread at {format_element(x)}")
         sups.append((x, sup))
     value = order_min(g, [s for _, s in sups], "inf over points")
     for x, sup in sups:

@@ -945,7 +945,7 @@ def _break_phi_bound(bundle: InstanceBundle) -> InstanceBundle:
         for y in pts:
             if x == y:
                 continue
-            table[(x, y)] = w.phi(space, x, y)
+            table[(x, y)] = w.phi(space, x, y, space.distance(x, y))
     table[(x0, y0)] = space.distance(x0, y0)  # no longer strictly below
     corrupt = ContractionWitness(WitnessClass.PHI_TABLE, phi_table=table,
                                  label=(w.describe() + " with one saturated entry"))

@@ -13,6 +13,7 @@ with strict reversal, and downstream min/max code needs to fail loudly.
 
 from __future__ import annotations
 
+import functools
 import random
 import zlib
 from dataclasses import dataclass
@@ -286,10 +287,53 @@ def order_max(g: OrderedGroupInstance, items: Iterable[Element], context: str = 
     return _order_extreme(g, items, Order.GREATER, context)
 
 
+class _Unranked(Exception):
+    """The sort met a pair it cannot rank."""
+
+
 def _order_extreme(g, items, keep: Order, context: str) -> Element:
+    """The extreme of a chain, or IncomparableError naming the first
+    incomparable pair in scan order.
+
+    Sorts with ``g.cmp`` and confirms that each adjacent pair is LESS or
+    EQUAL, which by transitivity makes the items a chain; the extreme is
+    then the first occurrence of its value, because the sort is stable.
+    Any other outcome falls back to the quadratic scan, which names the
+    first incomparable pair over all pairs.
+    """
     vals = list(items)
     if not vals:
         raise ValueError(f"{context} of empty collection")
+    cmp = g.cmp
+
+    def three_way(a, b):
+        rel = cmp(a, b)
+        if rel is Order.LESS:
+            return -1
+        if rel is Order.GREATER:
+            return 1
+        if rel is Order.EQUAL:
+            return 0
+        raise _Unranked
+
+    try:
+        ranked = sorted(vals, key=functools.cmp_to_key(three_way))
+    except _Unranked:
+        return _order_extreme_scan(g, vals, keep, context)
+    steps = [cmp(a, b) for a, b in zip(ranked, ranked[1:])]
+    if any(rel is not Order.LESS and rel is not Order.EQUAL for rel in steps):
+        return _order_extreme_scan(g, vals, keep, context)
+    if keep is Order.LESS:
+        return ranked[0]
+    top = len(ranked) - 1
+    while top and steps[top - 1] is Order.EQUAL:
+        top -= 1
+    return ranked[top]
+
+
+def _order_extreme_scan(g, vals: list, keep: Order, context: str) -> Element:
+    """Check every pair for comparability, then keep the first strictly
+    better element."""
     for i, a in enumerate(vals):
         for b in vals[i + 1:]:
             if g.cmp(a, b) is Order.INCOMPARABLE:
@@ -475,17 +519,20 @@ def _rand_positive_fraction(rng: random.Random, span: int = 48, max_den: int = 8
 
 
 def _scalar_cmp(a: Fraction, b: Fraction) -> Order:
-    if a == b:
+    # one cross-multiplication: exact, since denominators are positive
+    lhs, rhs = a.numerator * b.denominator, b.numerator * a.denominator
+    if lhs == rhs:
         return Order.EQUAL
-    return Order.LESS if a < b else Order.GREATER
+    return Order.LESS if lhs < rhs else Order.GREATER
 
 
 def _cone_cmp(a: tuple, b: tuple) -> Order:
     below = above = False
     for x, y in zip(a, b):
-        if x < y:
+        lhs, rhs = x.numerator * y.denominator, y.numerator * x.denominator
+        if lhs < rhs:
             below = True
-        elif x > y:
+        elif lhs > rhs:
             above = True
     if below and above:
         return Order.INCOMPARABLE

@@ -39,6 +39,7 @@ from .contraction import (
     EndpointSet,
     SetValuedMap,
     _distinct_pairs,
+    _pair_reader,
     approximate_endpoint_property_finite,
     c_condition_status,
     endpoints_bruteforce,
@@ -255,7 +256,7 @@ def iterate_endpoint(T: SetValuedMap, w: ContractionWitness, cfg: SolverConfig,
                                 best_effort=True, notes=notes,
                                 message=(f"step {n}: distance grew from "
                                          f"{format_element(prev_step)} to {format_element(step)}"))
-        bound = w.phi(m, y, chosen)
+        bound = w.phi(m, y, chosen, step)
         trace.append(TraceStep(n, y, chosen, step, bound))
         prev_bound, prev_step = bound, step
         y = chosen
@@ -331,14 +332,16 @@ def banach_iterate(m: ConeMetricSpace, f: Callable[[Point], Point], alpha,
     x = m.require_member(cfg.seed_point)
 
     # sampled contraction pre-check
+    point, dist = _pair_reader(m)
     for a, b in _distinct_pairs(m, plan, "banach-precheck"):
-        lhs = m.distance(f(a), f(b))
-        rhs = module.scale(alpha, m.distance(a, b))
+        x_a, x_b = point(a), point(b)
+        lhs = m.distance(f(x_a), f(x_b))
+        rhs = module.scale(alpha, dist(a, b))
         if not g.leq(lhs, rhs):
             return BanachReport(
                 SolverOutcome.HYPOTHESIS_VIOLATION, (), alpha,
-                message=(f"contraction bound fails at x={format_element(a)}, "
-                         f"y={format_element(b)}: d(fx, fy)={format_element(lhs)} exceeds "
+                message=(f"contraction bound fails at x={format_element(x_a)}, "
+                         f"y={format_element(x_b)}: d(fx, fy)={format_element(lhs)} exceeds "
                          f"{format_element(rhs)}"))
 
     stop_scale = module.scale(1 - alpha, eps)

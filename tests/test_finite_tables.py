@@ -1,0 +1,523 @@
+"""Finite spaces tabulate their distances once and rationals compare by one
+cross-multiplication: equivalence with the point-by-point scans, the exact
+comparison kernels, the sorted chain check, work counters on a 31-point
+ladder, and the ladder's verify and solve outputs against committed goldens."""
+
+import dataclasses
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ordermetric import (
+    ConeMetricSpace,
+    ContractionWitness,
+    DomainError,
+    IncomparableError,
+    Order,
+    SamplePlan,
+    SetValuedMap,
+    SolverConfig,
+    WitnessClass,
+    approximate_endpoint_property_finite,
+    coord_cone_group,
+    coord_cone_module,
+    interior_cone_structure,
+    is_global_weak_contraction,
+    is_weak_contraction,
+    iterate_endpoint,
+    min_positive_distance,
+    order_max,
+    order_min,
+    real_group,
+    validate_witness,
+)
+from ordermetric import cli, cone_metric, harness, order_core
+from ordermetric.cli import main
+from ordermetric.contraction import ContractionReport
+from ordermetric.instance_files import build_bundle, load_instance
+from ordermetric.order_core import LawReport, _cone_cmp, _run_law, _scalar_cmp, format_element
+
+DATA = Path(__file__).parent / "data"
+LADDER = DATA / "ladder-31.ini"
+LADDER_EPS = "1/576460752303423488"  # (1/4)^29 / 2, below the least distance
+HALF = ContractionWitness(WitnessClass.ALPHA_CONSTANT, alpha_const=Fraction(1, 2))
+F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# the point-by-point scans the tabulated ones replace
+
+
+def _ref_pairs(space):
+    return [(x, y) for x in space.points for y in space.points if x != y]
+
+
+def _ref_scan(T, w, kind, violation):
+    space = T.space
+    pairs = _ref_pairs(space)
+    for x, y in pairs:
+        bound = w.phi(space, x, y, space.distance(x, y))
+        ty = T.images(y)
+        for xp in T.images(x):
+            tail = violation(xp, ty, bound)
+            if tail is not None:
+                return ContractionReport(
+                    kind, False, len(pairs),
+                    f"x={format_element(x)}, y={format_element(y)}, "
+                    f"x'={format_element(xp)}{tail}", exhaustive=True)
+    return ContractionReport(kind, True, len(pairs), exhaustive=True)
+
+
+def _ref_weak(T, w):
+    space, g = T.space, T.space.group
+
+    def violation(xp, ty, bound):
+        if any(g.leq(space.distance(xp, yp), bound) for yp in ty):
+            return None
+        return f": no image point of y within {format_element(bound)}"
+
+    return _ref_scan(T, w, "weak", violation)
+
+
+def _ref_global(T, w):
+    space, g = T.space, T.space.group
+
+    def violation(xp, ty, bound):
+        for yp in ty:
+            d = space.distance(xp, yp)
+            if not g.leq(d, bound):
+                return (f", y'={format_element(yp)}: d={format_element(d)} exceeds "
+                        f"{format_element(bound)}")
+        return None
+
+    return _ref_scan(T, w, "global", violation)
+
+
+def _ref_validate(T, w):
+    space, g = T.space, T.space.group
+    pairs = _ref_pairs(space)
+
+    def phi_strictly_below(x, y):
+        d = space.distance(x, y)
+        if not g.is_positive(d):
+            return True, None
+        bound = w.phi(space, x, y, d)
+        if g.lt(bound, d):
+            return True, None
+        return False, (f"x={format_element(x)}, y={format_element(y)}: bound "
+                       f"{format_element(bound)} not strictly below {format_element(d)}")
+
+    results = [_run_law("phi-strictly-below", pairs, phi_strictly_below)]
+    if w.klass in (WitnessClass.ALPHA_CONSTANT, WitnessClass.ALPHA_FUNCTION):
+        def alpha_in_range(x, y):
+            a = w.alpha(x, y)
+            if not (0 <= a < 1):
+                return False, f"ratio {a} at ({format_element(x)}, {format_element(y)})"
+            if w.klass is WitnessClass.ALPHA_FUNCTION and a > w.alpha_bound:
+                return False, f"ratio {a} exceeds declared bound {w.alpha_bound}"
+            return True, None
+
+        results.append(_run_law("alpha-range", pairs, alpha_in_range))
+    return LawReport(subject=f"witness {w.describe()} against {T.name}",
+                     results=tuple(results))
+
+
+def _quadratic_extreme(g, items, keep, context):
+    vals = list(items)
+    for i, a in enumerate(vals):
+        for b in vals[i + 1:]:
+            if g.cmp(a, b) is Order.INCOMPARABLE:
+                raise IncomparableError(a, b, context)
+    best = vals[0]
+    for v in vals[1:]:
+        if g.cmp(v, best) is keep:
+            best = v
+    return best
+
+
+def _ref_infsup(T):
+    g, space = T.space.group, T.space
+    sups = [(x, _quadratic_extreme(g, [space.distance(x, y) for y in T.images(x)],
+                                   Order.GREATER, f"image spread at {format_element(x)}"))
+            for x in space.points]
+    value = _quadratic_extreme(g, [s for _, s in sups], Order.LESS, "inf over points")
+    return next((s, x) for x, s in sups if g.eq(s, value))
+
+
+# ---------------------------------------------------------------------------
+# finite fixtures
+
+
+def _three_point():
+    return harness.builtin_bundles()["three-point"]
+
+
+def _fixtures():
+    """(label, map, witness) on finite spaces, passing and failing."""
+    b = _three_point()
+    space, T = b.space, b.map_
+    two_ends = harness.fault_inject(b, "add-second-endpoint")
+    broken_phi = harness.fault_inject(b, "break-phi-bound")
+    pts = space.points
+    phi = ContractionWitness(
+        WitnessClass.PHI_TABLE,
+        phi_table={(x, y): space.distance(x, y) / 2 for x in pts for y in pts if x != y})
+    not_weak = SetValuedMap.from_table(space, {F(0): (F(0),), F(1, 4): (F(1),),
+                                               F(1): (F(0),)}, name="swap")
+    ladder = build_bundle(load_instance(LADDER))
+    cone = _square()
+    shrink = SetValuedMap.from_table(cone, {p: (cone.points[0],) for p in cone.points},
+                                     name="collapse")
+    spread = SetValuedMap.from_table(cone, {p: cone.points[1:3] for p in cone.points},
+                                     name="spread")
+    return [
+        ("three-point", T, b.witness),
+        ("two-endpoint map", two_ends.map_, two_ends.witness),
+        ("break-phi-bound", T, broken_phi.witness),
+        ("phi table", T, phi),
+        ("weak-contraction failure", not_weak, HALF),
+        ("ladder", ladder.map_, ladder.witness),
+        ("cone collapse", shrink, HALF),
+        ("cone spread", spread, HALF),
+    ]
+
+
+def _square():
+    one, zero = F(1), F(0)
+    pts = ((zero, zero), (one, zero), (zero, one), (one, one))
+    structure = interior_cone_structure(coord_cone_module(2))
+    return ConeMetricSpace("square", structure,
+                           lambda x, y: tuple(abs(a - b) for a, b in zip(x, y)), points=pts)
+
+
+FIXTURES = _fixtures()
+FIXTURE_IDS = [label for label, _, _ in FIXTURES]
+
+
+@pytest.mark.parametrize("label,T,w", FIXTURES, ids=FIXTURE_IDS)
+def test_contraction_reports_match_the_point_by_point_scans(label, T, w):
+    assert is_weak_contraction(T, w) == _ref_weak(T, w)
+    assert is_global_weak_contraction(T, w) == _ref_global(T, w)
+    assert validate_witness(T, w) == _ref_validate(T, w)
+
+
+def test_fixtures_cover_passing_and_failing_reports():
+    outcomes = {label: (is_weak_contraction(T, w).passed,
+                        is_global_weak_contraction(T, w).passed,
+                        validate_witness(T, w).passed)
+                for label, T, w in FIXTURES}
+    assert outcomes["three-point"] == (True, True, True)
+    assert outcomes["ladder"] == (True, True, True)
+    assert not outcomes["two-endpoint map"][0]
+    assert not outcomes["break-phi-bound"][2]
+    assert outcomes["weak-contraction failure"][:2] == (False, False)
+    assert not outcomes["cone spread"][1]
+
+
+@pytest.mark.parametrize("label,T,w", FIXTURES, ids=FIXTURE_IDS)
+def test_infsup_matches_the_point_by_point_value(label, T, w):
+    try:
+        expected = _ref_infsup(T)
+    except IncomparableError as ref:
+        with pytest.raises(IncomparableError) as exc:
+            approximate_endpoint_property_finite(T)
+        assert str(exc.value) == str(ref)
+        return
+    value = approximate_endpoint_property_finite(T)
+    assert (value.value, value.achieving_point) == expected
+
+
+def test_min_positive_distance_matches_the_point_by_point_chain():
+    for space in (_three_point().space, build_bundle(load_instance(LADDER)).space):
+        pts = space.points
+        every = [space.distance(x, y) for i, x in enumerate(pts) for y in pts[i + 1:]]
+        expected = _quadratic_extreme(space.group, every, Order.LESS, "min")
+        assert min_positive_distance(space) == expected
+
+
+# ---------------------------------------------------------------------------
+# the table itself
+
+
+def _counting(space):
+    calls = []
+    orig = space.metric
+
+    def metric(x, y):
+        calls.append((x, y))
+        return orig(x, y)
+
+    return dataclasses.replace(space, metric=metric), calls
+
+
+def test_table_is_filled_once_through_distance():
+    b = _three_point()
+    space, calls = _counting(b.space)
+    T = SetValuedMap.from_table(space, {p: b.map_.images(p) for p in space.points})
+    is_global_weak_contraction(T, HALF)
+    assert len(calls) == len(space.points) ** 2
+    validate_witness(T, HALF)
+    is_weak_contraction(T, HALF)
+    approximate_endpoint_property_finite(T)
+    min_positive_distance(space)
+    assert len(calls) == len(space.points) ** 2
+
+
+def test_replaced_space_starts_with_an_empty_table():
+    b = _three_point()
+    T = b.map_
+    assert is_global_weak_contraction(T, HALF).passed
+    # the d2 fault replaces the metric; its table must hold the new distances
+    corrupt = harness.fault_inject(b, "break-d2").space
+    assert corrupt._table == []
+    pts = corrupt.points
+    expected = [corrupt.metric(x, y) for x in pts for y in pts]
+    corrupt._distance_by_position()
+    assert corrupt._table == expected
+    assert b.space._table != expected
+
+
+def test_sampled_spaces_tabulate_nothing(real_line_space):
+    T = SetValuedMap.from_rule(real_line_space, lambda x: (x / 2,))
+    assert is_global_weak_contraction(T, HALF, SamplePlan(seed=3, count=50)).passed
+    assert real_line_space._table == []
+    assert T._positions == []
+
+
+# ---------------------------------------------------------------------------
+# images outside a finite carrier
+
+
+def _escaping_map():
+    space = _three_point().space
+    return SetValuedMap.from_rule(space, lambda x: (x * 2,), name="double")
+
+
+@pytest.mark.parametrize("check", [is_weak_contraction, is_global_weak_contraction])
+def test_image_outside_the_carrier_names_the_point(check):
+    with pytest.raises(DomainError, match=r"map 'double' sends 1/4 to 1/2, which is "
+                                          r"not in space 'three-point'"):
+        check(_escaping_map(), HALF)
+
+
+def test_image_outside_the_carrier_stops_the_walk_and_the_infsup():
+    T = _escaping_map()
+    with pytest.raises(DomainError, match="sends 1/4 to 1/2"):
+        approximate_endpoint_property_finite(T)
+    cfg = SolverConfig(eps=F(1, 16), seed_point=F(1))
+    with pytest.raises(DomainError, match="sends 1/4 to 1/2"):
+        iterate_endpoint(T, HALF, cfg)
+
+
+def test_image_outside_the_carrier_exits_two_from_solve(monkeypatch, capsys):
+    def escaping_bundle(desc):
+        bundle = build_bundle(desc)
+        return bundle.replace(map_=SetValuedMap.from_rule(bundle.space, lambda x: (x * 2,),
+                                                          name="double"),
+                              banach_map=None)
+
+    monkeypatch.setattr(cli, "build_bundle", escaping_bundle)
+    rc = main(["solve", "three-point", "--seed-point", "1", "--eps", "1/16"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == ("domain error: map 'double' sends 1/4 to 1/2, "
+                   "which is not in space 'three-point'\n")
+
+
+# ---------------------------------------------------------------------------
+# exact comparison kernels
+
+_huge = st.integers(min_value=1, max_value=10 ** 40)
+_rationals = st.one_of(
+    st.integers(min_value=-10 ** 30, max_value=10 ** 30),
+    st.fractions(),
+    st.builds(Fraction, st.integers(min_value=-10 ** 40, max_value=10 ** 40), _huge),
+    st.sampled_from([F(0), 0, F(-1, 3), F(1, 10 ** 40), F(-1, 10 ** 40)]),
+)
+
+
+def _python_order(a, b):
+    if a == b:
+        return Order.EQUAL
+    return Order.LESS if a < b else Order.GREATER
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rationals, _rationals)
+def test_scalar_cmp_agrees_with_python_comparisons(a, b):
+    assert _scalar_cmp(a, b) is _python_order(a, b)
+    assert _scalar_cmp(b, a) is _python_order(b, a)
+    assert _scalar_cmp(a, a) is Order.EQUAL
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: st.tuples(st.lists(_rationals, min_size=n, max_size=n),
+                        st.lists(_rationals, min_size=n, max_size=n))))
+def test_cone_cmp_agrees_with_python_comparisons(pair):
+    a, b = (tuple(v) for v in pair)
+    below = any(x < y for x, y in zip(a, b))
+    above = any(x > y for x, y in zip(a, b))
+    expected = (Order.INCOMPARABLE if below and above else Order.LESS if below
+                else Order.GREATER if above else Order.EQUAL)
+    assert _cone_cmp(a, b) is expected
+
+
+# ---------------------------------------------------------------------------
+# the sorted chain check
+
+
+def _vector(ints):
+    return tuple(F(v) for v in ints)
+
+
+_steps = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=14)
+
+
+@st.composite
+def _cone_chains(draw):
+    """A shuffled chain of cone-2 vectors, repeats included as new objects."""
+    total, chain = (0, 0), []
+    for step in draw(_steps):
+        total = (total[0] + step[0], total[1] + step[1])
+        chain.append(_vector(total))
+    return draw(st.permutations(chain))
+
+
+@st.composite
+def _cone_antichains(draw):
+    xs = draw(st.lists(st.integers(-5, 5), min_size=2, max_size=10, unique=True))
+    return [_vector((x, 3 - x)) for x in xs]
+
+
+_cone_lists = st.one_of(
+    _cone_chains(),
+    _cone_antichains(),
+    st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(_vector),
+             min_size=1, max_size=10),
+)
+
+
+def _same_outcome(g, vals, keep, fn):
+    try:
+        expected = _quadratic_extreme(g, vals, keep, "ctx")
+    except IncomparableError as ref:
+        with pytest.raises(IncomparableError) as exc:
+            fn(g, vals, "ctx")
+        assert str(exc.value) == str(ref)
+        assert exc.value.pair[0] is ref.pair[0] and exc.value.pair[1] is ref.pair[1]
+        return "raised"
+    assert fn(g, vals, "ctx") is expected
+    return "returned"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cone_lists)
+def test_order_extreme_matches_the_quadratic_scan_on_cone_2(vals):
+    g = coord_cone_group(2)
+    _same_outcome(g, vals, Order.LESS, order_min)
+    _same_outcome(g, vals, Order.GREATER, order_max)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cone_chains())
+def test_order_extreme_on_a_chain_returns_the_first_equal_extreme(vals):
+    g = coord_cone_group(2)
+    assert _same_outcome(g, vals, Order.LESS, order_min) == "returned"
+    assert _same_outcome(g, vals, Order.GREATER, order_max) == "returned"
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cone_antichains())
+def test_order_extreme_on_an_antichain_raises_on_the_first_pair(vals):
+    g = coord_cone_group(2)
+    assert _same_outcome(g, vals, Order.LESS, order_min) == "raised"
+
+
+def test_order_extreme_on_the_line_returns_the_first_occurrence():
+    g = real_group()
+    rng = random.Random(5)
+    for _ in range(50):
+        vals = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, 12))]
+        _same_outcome(g, vals, Order.LESS, order_min)
+        _same_outcome(g, vals, Order.GREATER, order_max)
+
+
+def test_order_extreme_confirms_the_sorted_neighbours():
+    # a comparison that ranks (1, 0) above (0, 1) but calls the pair the
+    # other way round incomparable: the sort asks only the first question,
+    # the chain check asks the second and hands over to the full scan
+    g = real_group()
+
+    def one_sided(a, b):
+        if (a, b) == (F(0), F(1)):
+            return Order.INCOMPARABLE
+        return _scalar_cmp(a, b)
+
+    lopsided = dataclasses.replace(g, cmp=one_sided)
+    for fn, keep in ((order_min, Order.LESS), (order_max, Order.GREATER)):
+        assert _same_outcome(lopsided, [F(0), F(1)], keep, fn) == "raised"
+
+
+# ---------------------------------------------------------------------------
+# work counters on the 31-point ladder
+
+
+@pytest.mark.parametrize("rule", ["min-dist", "lex"])
+def test_ladder_solve_computes_each_distance_about_once(monkeypatch, capsys, rule):
+    # the point-by-point scans made 6,272 to 6,421 distance calls per solve
+    # here, about 6.6 per ordered pair; the table makes 961 and the walk the rest
+    calls = [0]
+    orig = cone_metric.ConeMetricSpace.distance
+
+    def counted(self, x, y):
+        calls[0] += 1
+        return orig(self, x, y)
+
+    monkeypatch.setattr(cone_metric.ConeMetricSpace, "distance", counted)
+    rc = main(["solve", str(LADDER), "--seed-point", "1", "--eps", LADDER_EPS,
+               "--rule", rule])
+    assert rc == 0
+    assert "endpoint: 0" in capsys.readouterr().out
+    assert 961 <= calls[0] <= 1100
+
+
+def test_ladder_min_positive_distance_sorts_its_chain(monkeypatch):
+    # the all-pairs chain check made 108,344 comparisons on 465 distinct values
+    calls = [0]
+    orig = order_core._scalar_cmp
+
+    def counted(a, b):
+        calls[0] += 1
+        return orig(a, b)
+
+    monkeypatch.setattr(order_core, "_scalar_cmp", counted)
+    space = build_bundle(load_instance(LADDER)).space
+    assert min_positive_distance(space) == Fraction(1, 4) ** 29
+    assert calls[0] <= 5000
+
+
+# ---------------------------------------------------------------------------
+# ladder goldens, generated by the point-by-point implementation
+
+
+def test_ladder_verify_matches_golden(capsys):
+    rc = main(["verify", str(LADDER), "--checks", "map,endpoint,solver",
+               "--format", "machine-rows", "--seed", "0"])
+    assert rc == 0
+    golden = (DATA / "verify-ladder-31-seed0.rows").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+
+
+@pytest.mark.parametrize("rule", ["min-dist", "lex"])
+@pytest.mark.parametrize("point,tag", [("1", "1"), ("1/1024", "1_1024"), ("0", "0")])
+def test_ladder_solve_matches_golden(capsys, point, tag, rule):
+    rc = main(["solve", str(LADDER), "--seed-point", point, "--eps", LADDER_EPS,
+               "--rule", rule])
+    assert rc == 0
+    golden = (DATA / f"solve-ladder-31-{tag}-{rule}.out").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden

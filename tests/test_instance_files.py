@@ -186,7 +186,8 @@ def test_bundle_from_phi_file_has_table_witness():
     desc = parse_instance_text(PHI_FILE)
     bundle = build_bundle(desc)
     assert bundle.witness is not None
-    assert bundle.witness.phi(bundle.space, Fraction(0), Fraction(1)) == Fraction(1, 4)
+    d = bundle.space.distance(Fraction(0), Fraction(1))
+    assert bundle.witness.phi(bundle.space, Fraction(0), Fraction(1), d) == Fraction(1, 4)
 
 
 def test_bundle_interval_sampler_stays_inside(rstruct):
@@ -207,7 +208,7 @@ def test_psi_witness_file():
     desc = parse_instance_text(text)
     bundle = build_bundle(desc)
     d = bundle.space.distance(Fraction(0), Fraction(1))
-    assert bundle.witness.phi(bundle.space, Fraction(0), Fraction(1)) == d / (1 + d)
+    assert bundle.witness.phi(bundle.space, Fraction(0), Fraction(1), d) == d / (1 + d)
 
 
 def test_alpha_fn_witness_file():

@@ -260,7 +260,7 @@ def test_iff_report_skips_unknown_convergence_class(dilation):
     for x in T.space.points:
         for y in T.space.points:
             if x != y:
-                table[(x, y)] = HALF.phi(T.space, x, y)
+                table[(x, y)] = HALF.phi(T.space, x, y, T.space.distance(x, y))
     w = ContractionWitness(WitnessClass.PHI_TABLE, phi_table=table)
     rep = endpoint_iff_report(T, w)
     assert rep.status == "skipped"
