@@ -105,7 +105,6 @@ from .solver import (
 from .harness import (
     ALL_CHECKS,
     Budgets,
-    InstanceBundle,
     SuiteSpec,
     TraceabilityReport,
     builtin_bundles,
@@ -122,6 +121,7 @@ from .corpus import (
 )
 from .instance_files import (
     BUILTIN_INSTANCE_TEXTS,
+    InstanceBundle,
     InstanceDescription,
     InstanceFileError,
     build_bundle,

@@ -116,8 +116,7 @@ def _select_checks(spec_text: str) -> tuple[str, ...]:
 
 
 def cmd_verify(args) -> int:
-    desc = load_instance(args.instance)
-    bundle = build_bundle(desc)
+    bundle = build_bundle(load_instance(args.instance))
     spec = SuiteSpec(
         instances=(bundle.name,),
         checks=_select_checks(args.checks),
@@ -130,8 +129,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    desc = load_instance(args.instance)
-    bundle = build_bundle(desc)
+    bundle = build_bundle(load_instance(args.instance))
     if bundle.map_ is None or bundle.witness is None:
         print("instance has no [map] / [witness] section to solve", file=sys.stderr)
         return EXIT_PARSE_ERROR
@@ -180,8 +178,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_hausdorff(args) -> int:
-    desc = load_instance(args.instance)
-    bundle = build_bundle(desc)
+    bundle = build_bundle(load_instance(args.instance))
     set_a = parse_element_list(args.set_a)
     set_b = parse_element_list(args.set_b)
     value = hausdorff(bundle.space, set_a, set_b)
@@ -190,11 +187,15 @@ def cmd_hausdorff(args) -> int:
 
 
 def cmd_export(args) -> int:
-    desc = load_instance(args.instance)
-    text = export_instance_text(desc)
+    text = export_instance_text(load_instance(args.instance))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"bad argument: cannot write --out {args.out!r}: {exc.strerror}",
+                  file=sys.stderr)
+            return EXIT_PARSE_ERROR
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -6,6 +6,9 @@ Checks are identified by stable descriptive ids ("group/g1", "seq/sum",
 serialized report (which omits wall-clock timings) is byte-identical
 across runs. Skips are first-class outcomes and always carry a reason.
 
+The built-in instances are instance texts built by the layer below,
+``instance_files.build_bundle``, plus the settings no file carries.
+
 Fault injection produces mutated copies of a bundle, each engineered to
 flip one targeted check; the sensitivity helper asserts the flip, which is
 the meta-test that the harness can actually see violations.
@@ -23,33 +26,24 @@ from typing import Callable
 from .order_core import (
     IncomparableError,
     Order,
-    OrderedModuleInstance,
     SamplePlan,
     _law_rng,
     check_group_laws,
     check_module_laws,
-    coord_cone_module,
     format_element,
-    real_module,
 )
 from .topo import (
-    PositiveSequence,
-    TopoStructure,
     check_regularity,
     check_topo_laws,
     constant,
-    default_sequences,
     harmonic,
-    interior_cone_structure,
     is_certificate,
-    strict_order_structure,
     sum_of,
     verify_convergence,
     verify_convergence_twosided,
 )
 from .cone_metric import (
     CauchyCertificate,
-    ConeMetricSpace,
     SetDistanceUndefined,
     cauchy_check,
     check_metric_laws,
@@ -82,29 +76,13 @@ from .solver import (
     endpoint_iff_report,
     iterate_endpoint,
 )
+from .instance_files import (
+    BUILTIN_INSTANCE_TEXTS,
+    InstanceBundle,
+    build_bundle,
+    parse_instance_text,
+)
 from . import topo as _topo
-
-
-@dataclass(frozen=True, eq=False)
-class InstanceBundle:
-    """Everything the suite needs about one registered instance."""
-
-    name: str
-    module: OrderedModuleInstance
-    structure: TopoStructure
-    space: ConeMetricSpace | None = None
-    map_: SetValuedMap | None = None
-    witness: ContractionWitness | None = None
-    sequences: tuple[PositiveSequence, ...] = ()
-    eps_family: tuple = ()
-    alt_structure: TopoStructure | None = None
-    solver_seed: object = None
-    solver_eps: object = None
-    banach_map: Callable | None = None
-    banach_alpha: Fraction | None = None
-
-    def replace(self, **kw) -> "InstanceBundle":
-        return dataclasses.replace(self, **kw)
 
 
 @dataclass(frozen=True)
@@ -174,126 +152,49 @@ class TraceabilityReport:
 # ---------------------------------------------------------------------------
 # built-in instance bundles
 
-
-def _abs_metric(x, y):
-    return abs(x - y)
-
-
-def _coord_metric(x, y):
-    return tuple(abs(a - b) for a, b in zip(x, y))
-
-
-def _interval_sampler(dim: int):
-    def sampler(rng):
-        def coord():
-            den = rng.randint(1, 16)
-            return Fraction(rng.randint(0, den), den)
-        if dim == 1:
-            return coord()
-        return tuple(coord() for _ in range(dim))
-    return sampler
-
-
-def _interval_contains(dim: int):
-    def contains(p):
-        if dim == 1:
-            return isinstance(p, Fraction) and 0 <= p <= 1
-        return (isinstance(p, tuple) and len(p) == dim
-                and all(isinstance(c, Fraction) and 0 <= c <= 1 for c in p))
-    return contains
-
-
-def _real_line_bundle() -> InstanceBundle:
-    module = real_module()
-    structure = strict_order_structure(module)
-    space = ConeMetricSpace(
-        "unit-interval", structure, _abs_metric,
-        contains=_interval_contains(1), sampler=_interval_sampler(1))
-    halve = SetValuedMap.from_rule(space, lambda x: (x / 2,), name="halve")
-    witness = ContractionWitness(WitnessClass.ALPHA_CONSTANT, alpha_const=Fraction(1, 2))
-    return InstanceBundle(
-        name="real-line",
-        module=module,
-        structure=structure,
-        space=space,
-        map_=halve,
-        witness=witness,
-        sequences=default_sequences(module),
-        eps_family=(Fraction(1, 2), Fraction(1, 10), Fraction(1, 100)),
-        solver_seed=Fraction(1),
-        solver_eps=Fraction(1, 100),
-        banach_map=lambda x: x / 2,
-        banach_alpha=Fraction(1, 2),
-    )
-
-
-def _three_point_bundle() -> InstanceBundle:
-    module = real_module()
-    structure = strict_order_structure(module)
-    pts = (Fraction(0), Fraction(1, 4), Fraction(1))
-    space = ConeMetricSpace("three-point", structure, _abs_metric, points=pts)
-    table = {Fraction(0): (Fraction(0),),
-             Fraction(1, 4): (Fraction(0),),
-             Fraction(1): (Fraction(0), Fraction(1, 4))}
-    map_ = SetValuedMap.from_table(space, table, name="dilation")
-    witness = ContractionWitness(WitnessClass.ALPHA_CONSTANT, alpha_const=Fraction(1, 2))
-
-    def banach_f(x):
-        return {Fraction(0): Fraction(0), Fraction(1, 4): Fraction(0),
-                Fraction(1): Fraction(1, 4)}[x]
-
-    return InstanceBundle(
-        name="three-point",
-        module=module,
-        structure=structure,
-        space=space,
-        map_=map_,
-        witness=witness,
-        sequences=default_sequences(module),
-        eps_family=(Fraction(1, 2), Fraction(1, 10), Fraction(1, 100)),
-        solver_seed=Fraction(1),
-        solver_eps=Fraction(1, 8),
-        banach_map=banach_f,
-        banach_alpha=Fraction(1, 2),
-    )
-
-
-def _cone_bundle(dim: int) -> InstanceBundle:
-    module = coord_cone_module(dim)
-    structure = interior_cone_structure(module)
-    space = ConeMetricSpace(
-        f"unit-box-{dim}", structure, _coord_metric,
-        contains=_interval_contains(dim), sampler=_interval_sampler(dim))
-    halve = SetValuedMap.from_rule(
-        space, lambda x: (tuple(c / 2 for c in x),), name="halve")
-    witness = ContractionWitness(WitnessClass.ALPHA_CONSTANT, alpha_const=Fraction(1, 2))
-    factors = tuple(Fraction(1, k + 2) for k in range(dim))  # 1/2, 1/3, ...
-
-    def banach_f(x):
-        return tuple(c * f for c, f in zip(x, factors))
-
-    half = tuple(Fraction(1, 2) for _ in range(dim))
-    tenth = tuple(Fraction(1, 10) for _ in range(dim))
-    skew = tuple(Fraction(1, 10) if i == 0 else Fraction(1, 2) for i in range(dim))
-    return InstanceBundle(
-        name=f"cone-{dim}",
-        module=module,
-        structure=structure,
-        space=space,
-        map_=halve,
-        witness=witness,
-        sequences=default_sequences(module),
-        eps_family=(half, tenth, skew),
-        alt_structure=strict_order_structure(module),
-        solver_seed=tuple(Fraction(1) for _ in range(dim)),
-        solver_eps=tuple(Fraction(1, 100) for _ in range(dim)),
-        banach_map=banach_f,
-        banach_alpha=Fraction(1, 2),
-    )
+# Huang & Zhang's coordinate cone on the unit box, halved by the map
+_COORD_CONE_TEXT = """\
+[group]
+family = coord-cone
+dimension = {dim}
+[structure]
+kind = interior-cone
+[space]
+interval = {zero} .. {one}
+metric = coordinatewise
+[map]
+rule = scale
+factors = 1/2
+[witness]
+class = alpha-const
+alpha = 1/2
+"""
 
 
 def builtin_bundles() -> dict[str, InstanceBundle]:
-    bundles = [_real_line_bundle(), _three_point_bundle(), _cone_bundle(2), _cone_bundle(3)]
+    """The suite's instances, each built from an instance text. The suite
+    adds what no instance file carries: its solver scales, the single-valued
+    maps of three-point and cone-n, and a skewed tolerance on cone-n."""
+    def build(text, name):
+        return build_bundle(parse_instance_text(text, name=name))
+
+    step = {Fraction(0): Fraction(0), Fraction(1, 4): Fraction(0), Fraction(1): Fraction(1, 4)}
+    bundles = [
+        build(BUILTIN_INSTANCE_TEXTS["r1-banach"], "real-line").replace(solver_eps=Fraction(1, 100)),
+        # banach_alpha stays 1/2, not the ratio 1/3 of this map: it sets the
+        # stop scale of the single-valued walk
+        build(BUILTIN_INSTANCE_TEXTS["three-point"], "three-point").replace(
+            solver_eps=Fraction(1, 8), banach_map=step.__getitem__, banach_alpha=Fraction(1, 2)),
+    ]
+    for dim in (2, 3):
+        zero, one = (f"({', '.join([v] * dim)})" for v in "01")
+        cone = build(_COORD_CONE_TEXT.format(dim=dim, zero=zero, one=one), f"cone-{dim}")
+        factors = tuple(Fraction(1, k + 2) for k in range(dim))  # 1/2, 1/3, ...
+        skew = tuple(Fraction(1, 10) if i == 0 else Fraction(1, 2) for i in range(dim))
+        bundles.append(cone.replace(
+            eps_family=cone.eps_family + (skew,),
+            solver_eps=tuple(Fraction(1, 100) for _ in range(dim)),
+            banach_map=lambda x, f=factors: tuple(c * fc for c, fc in zip(x, f))))
     return {b.name: b for b in bundles}
 
 
@@ -327,8 +228,7 @@ def _law_row(report, law: str):
     return "fail", r.witness or r.note or "violated"
 
 
-# law family -> (its laws, its checker applied to the bundle part it checks,
-# or None when the bundle has no such part)
+# law family -> (its laws, its checker applied to the bundle part it checks)
 _LAW_FAMILIES = {
     "group": (("assoc", "comm", "identity", "inverse", "order-reflexive",
                "order-antisymmetric", "order-transitive", "g1", "g1-prime"),
@@ -337,8 +237,7 @@ _LAW_FAMILIES = {
                lambda b, plan: check_module_laws(b.module, plan)),
     "topo": (("t1", "t2", "t3", "t4-shrinking", "t5", "t6", "strictness-gap"),
              lambda b, plan: check_topo_laws(b.structure, plan)),
-    "metric": (("d1", "d2", "d3"),
-               lambda b, plan: None if b.space is None else check_metric_laws(b.space, plan)),
+    "metric": (("d1", "d2", "d3"), lambda b, plan: check_metric_laws(b.space, plan)),
 }
 
 
@@ -349,8 +248,6 @@ def _check_law(family: str, law: str):
 
     def run(b: InstanceBundle, ctx: _Ctx):
         rep = ctx.memo((family, b.name), lambda: report(b, ctx.plan))
-        if rep is None:  # only the metric space is optional
-            return "skip", "bundle has no metric space"
         return _law_row(rep, law)
     return run
 
@@ -499,8 +396,6 @@ def _sample_subsets(b: InstanceBundle, ctx: _Ctx, pairs: int = 30):
 
 
 def _check_hausdorff_identity(b: InstanceBundle, ctx: _Ctx):
-    if b.space is None:
-        return "skip", "bundle has no metric space"
     g = b.space.group
     defined = 0
     for a, _ in _sample_subsets(b, ctx):
@@ -515,8 +410,6 @@ def _check_hausdorff_identity(b: InstanceBundle, ctx: _Ctx):
 
 
 def _check_hausdorff_symmetry(b: InstanceBundle, ctx: _Ctx):
-    if b.space is None:
-        return "skip", "bundle has no metric space"
     g = b.space.group
     defined = 0
     for a, c in _sample_subsets(b, ctx):
@@ -531,8 +424,6 @@ def _check_hausdorff_symmetry(b: InstanceBundle, ctx: _Ctx):
 
 
 def _check_hausdorff_singleton(b: InstanceBundle, ctx: _Ctx):
-    if b.space is None:
-        return "skip", "bundle has no metric space"
     g = b.space.group
     rng = _law_rng(ctx.plan, f"hausdorff-singleton:{b.name}")
     for _ in range(40):
@@ -546,8 +437,6 @@ def _check_hausdorff_singleton(b: InstanceBundle, ctx: _Ctx):
 
 
 def _check_hausdorff_triangle(b: InstanceBundle, ctx: _Ctx):
-    if b.space is None:
-        return "skip", "bundle has no metric space"
     g = b.space.group
     if isinstance(g.identity, tuple):
         return "skip", "triangle check restricted to totally ordered targets"
@@ -572,7 +461,7 @@ def _geometric_approach(b: InstanceBundle):
 
 
 def _check_point_convergence(b: InstanceBundle, ctx: _Ctx):
-    if b.space is None or b.space.finite:
+    if b.space.finite:
         return "skip", "continuum row; finite spaces are covered by eventual constancy"
     s, corner = _geometric_approach(b)
     outs = point_convergence(b.space, s, corner, b.eps_family, 64)
@@ -583,7 +472,7 @@ def _check_point_convergence(b: InstanceBundle, ctx: _Ctx):
 
 
 def _check_point_cauchy(b: InstanceBundle, ctx: _Ctx):
-    if b.space is None or b.space.finite:
+    if b.space.finite:
         return "skip", "continuum row; finite spaces are covered by eventual constancy"
     module = b.module
     s, corner = _geometric_approach(b)
@@ -599,7 +488,7 @@ def _check_point_cauchy(b: InstanceBundle, ctx: _Ctx):
 
 
 def _check_finite_completeness(b: InstanceBundle, ctx: _Ctx):
-    if b.space is None or not b.space.finite:
+    if not b.space.finite:
         return "skip", "eventual constancy applies to finite spaces"
     space, g, t = b.space, b.space.group, b.structure
     minpos = min_positive_distance(space)
@@ -692,7 +581,7 @@ def _check_c_status(b: InstanceBundle, ctx: _Ctx):
 
 
 def _check_at_most_one(b: InstanceBundle, ctx: _Ctx):
-    if b.map_ is None or b.space is None or not b.space.finite:
+    if b.map_ is None or not b.space.finite:
         return "skip", "needs a finite mapped space"
     if not _weak_report(b, ctx).passed:
         return "skip", "one-sided bound fails; uniqueness not implied"
@@ -703,7 +592,7 @@ def _check_at_most_one(b: InstanceBundle, ctx: _Ctx):
 
 
 def _check_approx_equivalence(b: InstanceBundle, ctx: _Ctx):
-    if b.map_ is None or b.space is None or not b.space.finite:
+    if b.map_ is None or not b.space.finite:
         return "skip", "needs a finite mapped space"
     g = b.space.group
     try:
@@ -743,7 +632,7 @@ def _solver_cfg(b: InstanceBundle, rule=SelectionRule.MIN_DISTANCE) -> SolverCon
 
 
 def _check_oracle_agreement(b: InstanceBundle, ctx: _Ctx):
-    if b.map_ is None or b.space is None or not b.space.finite:
+    if b.map_ is None or not b.space.finite:
         return "skip", "needs a finite mapped space"
     if not _global_report(b, ctx).passed:
         return "skip", "all-pairs bound fails; walk not governed"
@@ -782,7 +671,7 @@ def _check_trace_monotone(b: InstanceBundle, ctx: _Ctx):
 
 
 def _check_banach_rate(b: InstanceBundle, ctx: _Ctx):
-    if b.banach_map is None or b.space is None:
+    if b.banach_map is None:
         return "skip", "bundle has no single-valued contraction"
     g = b.space.group
     cfg = SolverConfig(eps=b.solver_eps, seed_point=b.solver_seed, max_iter=400)
@@ -914,8 +803,6 @@ def _break_t3(bundle: InstanceBundle) -> InstanceBundle:
 
 
 def _break_d2(bundle: InstanceBundle) -> InstanceBundle:
-    if bundle.space is None:
-        raise ValueError("break-d2 needs a metric space")
     space = bundle.space
     g = space.group
     if isinstance(g.identity, tuple):
@@ -935,7 +822,7 @@ def _break_d2(bundle: InstanceBundle) -> InstanceBundle:
 
 
 def _break_phi_bound(bundle: InstanceBundle) -> InstanceBundle:
-    if bundle.space is None or not bundle.space.finite or bundle.witness is None:
+    if not bundle.space.finite or bundle.witness is None:
         raise ValueError("break-phi-bound needs a finite mapped space with a witness")
     space, w = bundle.space, bundle.witness
     pts = space.points
@@ -953,7 +840,7 @@ def _break_phi_bound(bundle: InstanceBundle) -> InstanceBundle:
 
 
 def _add_second_endpoint(bundle: InstanceBundle) -> InstanceBundle:
-    if bundle.space is None or not bundle.space.finite or bundle.map_ is None:
+    if not bundle.space.finite or bundle.map_ is None:
         raise ValueError("add-second-endpoint needs a finite mapped space")
     space, T = bundle.space, bundle.map_
     ends = endpoints_bruteforce(T)

@@ -33,25 +33,32 @@ every image must lie in the carrier (on an interval, the corners' images).
 Parsing produces an InstanceDescription, a plain value: the canonical
 export of a description reparses to an equal description, which is the
 round-trip contract the command-line tool relies on.
+
+``build_bundle`` turns a description into an InstanceBundle. It is the one
+place that makes carriers, metrics, samplers, maps and witnesses: the
+command-line tool and the suite's built-ins (in the harness, above this
+module) both build their instances through it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from typing import Callable
 
-from .order_core import coord_cone_module, format_element, real_module
+from .order_core import OrderedModuleInstance, coord_cone_module, format_element, real_module
 from .topo import (
     PositiveSequence,
     SeqAtom,
+    TopoStructure,
     default_sequences,
     interior_cone_structure,
     strict_order_structure,
 )
 from .cone_metric import ConeMetricSpace
 from .contraction import ContractionWitness, PsiProperties, SetValuedMap, WitnessClass
-from .harness import InstanceBundle
 
 
 class InstanceFileError(ValueError):
@@ -510,6 +517,30 @@ def export_instance_text(desc: InstanceDescription) -> str:
 # bundle construction
 
 
+@dataclass(frozen=True, eq=False)
+class InstanceBundle:
+    """Everything the suite needs about one instance. ``build_bundle`` makes
+    every bundle; the suite's built-ins then ``replace`` the settings no
+    instance file carries."""
+
+    name: str
+    module: OrderedModuleInstance
+    structure: TopoStructure
+    space: ConeMetricSpace
+    map_: SetValuedMap | None = None
+    witness: ContractionWitness | None = None
+    sequences: tuple[PositiveSequence, ...] = ()
+    eps_family: tuple = ()
+    alt_structure: TopoStructure | None = None
+    solver_seed: object = None
+    solver_eps: object = None
+    banach_map: Callable | None = None
+    banach_alpha: Fraction | None = None
+
+    def replace(self, **kw) -> "InstanceBundle":
+        return dataclasses.replace(self, **kw)
+
+
 def _scale_by(x, f):
     """x scaled by f, coordinate by coordinate when f is a tuple."""
     if isinstance(f, tuple):
@@ -554,6 +585,29 @@ def _make_witness(desc: InstanceDescription, space: ConeMetricSpace) -> Contract
     raise InstanceFileError(f"unknown witness class {desc.witness_class!r}")
 
 
+def _interval_carrier(lo, hi):
+    """Membership in the box lo .. hi, and a sampler that draws lo + (hi - lo)
+    * k/den per coordinate (den uniform in 1..16, then k in 0..den). Each axis
+    tabulates its 152 values once, so a draw is two randint calls and a lookup."""
+    scalar = not isinstance(lo, tuple)
+    box = [(lo, hi)] if scalar else list(zip(lo, hi))
+    axes = [[[a + (b - a) * Fraction(k, den) for k in range(den + 1)]
+             for den in range(1, 17)] for a, b in box]
+
+    def contains(p):
+        coords = (p,) if scalar else p
+        return (isinstance(coords, tuple) and len(coords) == len(box) and all(
+            isinstance(c, Fraction) and a <= c <= b for (a, b), c in zip(box, coords)))
+
+    def sampler(rng):
+        out = []
+        for values in axes:
+            den = rng.randint(1, 16)
+            out.append(values[den - 1][rng.randint(0, den)])
+        return out[0] if scalar else tuple(out)
+    return contains, sampler
+
+
 def build_bundle(desc: InstanceDescription) -> InstanceBundle:
     dim = desc.dimension
     module = real_module() if desc.family == "real" else coord_cone_module(dim)
@@ -574,26 +628,10 @@ def build_bundle(desc: InstanceDescription) -> InstanceBundle:
             return _rows[_index[x]][_index[y]]
 
     if desc.space_kind == "interval":
-        lo, hi = desc.interval
-        if dim == 1:
-            contains = lambda p: isinstance(p, Fraction) and lo <= p <= hi  # noqa: E731
-
-            def sampler(rng, _lo=lo, _hi=hi):
-                den = rng.randint(1, 16)
-                return _lo + (_hi - _lo) * Fraction(rng.randint(0, den), den)
-        else:
-            contains = lambda p: (isinstance(p, tuple) and len(p) == dim  # noqa: E731
-                                  and all(a <= c <= b for a, c, b in zip(lo, p, hi)))
-
-            def sampler(rng, _lo=lo, _hi=hi):
-                out = []
-                for a, b in zip(_lo, _hi):
-                    den = rng.randint(1, 16)
-                    out.append(a + (b - a) * Fraction(rng.randint(0, den), den))
-                return tuple(out)
+        contains, sampler = _interval_carrier(*desc.interval)
         space = ConeMetricSpace(desc.name, structure, metric,
                                 contains=contains, sampler=sampler)
-        default_seed = hi
+        default_seed = desc.interval[1]
     else:
         space = ConeMetricSpace(desc.name, structure, metric, points=desc.points)
         default_seed = desc.points[-1]
@@ -624,14 +662,11 @@ def build_bundle(desc: InstanceDescription) -> InstanceBundle:
     witness = _make_witness(desc, space)
 
     sequences = default_sequences(module)
-    if dim == 1:
-        eps_family = (Fraction(1, 2), Fraction(1, 10), Fraction(1, 100))
-        solver_eps = Fraction(1, 1024)
-    else:
-        half = tuple(Fraction(1, 2) for _ in range(dim))
-        tenth = tuple(Fraction(1, 10) for _ in range(dim))
-        eps_family = (half, tenth)
-        solver_eps = tuple(Fraction(1, 1024) for _ in range(dim))
+    def unit(q):  # q in every coordinate
+        return q if dim == 1 else tuple(q for _ in range(dim))
+
+    eps_family = tuple(unit(Fraction(1, k)) for k in ((2, 10, 100) if dim == 1 else (2, 10)))
+    solver_eps = unit(Fraction(1, 1024))
     if desc.sequences is not None:
         built = []
         for atoms in desc.sequences:
@@ -735,8 +770,12 @@ def load_instance(path_or_name: str) -> InstanceDescription:
     import os
 
     if os.path.exists(path_or_name):
-        with open(path_or_name, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path_or_name, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+            raise InstanceFileError(f"cannot read {path_or_name!r}: {reason}") from None
         stem = os.path.splitext(os.path.basename(path_or_name))[0]
         return parse_instance_text(text, name=stem)
     if path_or_name in BUILTIN_INSTANCE_TEXTS:

@@ -29,6 +29,7 @@ from .order_core import (
     format_element,
     order_min,
 )
+from .topo import _validate_eps
 from .cone_metric import ConeMetricSpace
 from .contraction import (
     ApproxEndpointValue,
@@ -192,10 +193,7 @@ def check_hypotheses(T: SetValuedMap, w: ContractionWitness,
 def walk_tolerance(m: ConeMetricSpace, eps) -> Element:
     """The tolerance as a group element; raises ValueError unless it
     strictly dominates the identity."""
-    eps = m.group.coerce(eps)
-    if not m.structure.gg_zero(eps):
-        raise ValueError("tolerance must strictly dominate the identity")
-    return eps
+    return _validate_eps(m.structure, [eps])[0]
 
 
 def iterate_endpoint(T: SetValuedMap, w: ContractionWitness, cfg: SolverConfig,

@@ -258,7 +258,32 @@ def test_solve_bad_tolerance_exits_three(capsys):
     captured = capsys.readouterr()
     assert rc == 3
     assert captured.out == ""
+    assert captured.err == "bad argument: tolerance 0 does not strictly dominate the identity\n"
+
+
+def _assert_one_line_exit_three(rc, capsys, expected):
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
+    assert expected in captured.err
+
+
+def test_verify_directory_exits_three(tmp_path, capsys):
+    rc = main(["verify", str(tmp_path)])
+    _assert_one_line_exit_three(rc, capsys, "parse error: cannot read")
+
+
+def test_verify_non_utf8_file_exits_three(tmp_path, capsys):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(BUILTIN_INSTANCE_TEXTS["three-point"].encode() + b"# caf\xe9\n")
+    rc = main(["verify", str(path)])
+    _assert_one_line_exit_three(rc, capsys, "parse error: cannot read")
+
+
+def test_export_into_missing_directory_exits_three(tmp_path, capsys):
+    rc = main(["export", "three-point", "--out", str(tmp_path / "no-such-dir" / "x.ini")])
+    _assert_one_line_exit_three(rc, capsys, "bad argument: cannot write --out")
 
 
 @pytest.mark.parametrize("argv", [

@@ -30,9 +30,12 @@ def test_default_suite_is_green(fast_report):
     assert fast_report.ok, fast_report.to_text()
 
 
-def test_fast_suite_machine_rows_match_golden(fast_report):
-    golden = (ROOT / "tests" / "data" / "suite-fast-seed0.rows").read_text(encoding="utf-8")
-    assert fast_report.to_text("machine-rows") == golden
+@pytest.mark.parametrize("seed", [0, 42])
+def test_fast_suite_machine_rows_match_golden(seed, fast_report):
+    # another seed draws other interval samples, so both guard the samplers
+    report = fast_report if seed == 0 else run_suite(default_suite(budgets=FAST, sample_seed=seed))
+    golden = (ROOT / "tests" / "data" / f"suite-fast-seed{seed}.rows").read_text(encoding="utf-8")
+    assert report.to_text("machine-rows") == golden
 
 
 def test_coverage_every_check_on_every_instance(fast_report):

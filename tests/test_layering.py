@@ -8,7 +8,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ordermetric"
 STACK = ("order_core", "topo", "cone_metric", "contraction", "solver", "corpus",
-         "harness", "instance_files", "cli")
+         "instance_files", "harness", "cli")
 
 
 def _relative_imports(module: str):
