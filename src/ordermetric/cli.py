@@ -22,7 +22,7 @@ import sys
 
 from .order_core import DomainError, IncomparableError, format_element
 from .cone_metric import hausdorff
-from .contraction import c_condition_status, is_global_weak_contraction, validate_witness
+from .contraction import validate_witness
 from .harness import ALL_CHECKS, Budgets, SuiteSpec, run_suite
 from .instance_files import (
     InstanceFileError,
@@ -33,11 +33,11 @@ from .instance_files import (
     parse_element_list,
 )
 from .solver import (
-    Hypotheses,
     SelectionRule,
     SolverConfig,
     SolverOutcome,
     banach_iterate,
+    check_hypotheses,
     iterate_endpoint,
     walk_tolerance,
 )
@@ -149,14 +149,15 @@ def cmd_solve(args) -> int:
     cfg = SolverConfig(eps=eps, seed_point=seed_point, max_iter=args.max_iter,
                        selection_rule=rule)
 
-    wit_report = validate_witness(bundle.map_, bundle.witness)
+    banach = bundle.banach_map is not None and bundle.banach_alpha is not None
+    hyps = None if banach else check_hypotheses(bundle.map_, bundle.witness)
+    wit_report = validate_witness(bundle.map_, bundle.witness) if banach else hyps.witness_report
     if not wit_report.passed:
         bad = wit_report.failures()[0]
         print("hypothesis violated: the bound must sit strictly below the distance "
               "at every pair of distinct points", file=sys.stderr)
         print(f"witness: {bad.witness}", file=sys.stderr)
         return EXIT_HYPOTHESIS_VIOLATION
-    banach = bundle.banach_map is not None and bundle.banach_alpha is not None
     if banach and bundle.banach_alpha >= 1:
         print(f"hypothesis violated: the single-valued map scales by ratio "
               f"{bundle.banach_alpha}, which must lie in [0, 1)", file=sys.stderr)
@@ -165,8 +166,6 @@ def cmd_solve(args) -> int:
     if banach:
         report = banach_iterate(bundle.space, bundle.banach_map, bundle.banach_alpha, cfg)
     else:
-        hyps = Hypotheses(is_global_weak_contraction(bundle.map_, bundle.witness),
-                          wit_report, c_condition_status(bundle.witness))
         report = iterate_endpoint(bundle.map_, bundle.witness, cfg, hypotheses=hyps)
     sys.stdout.write(report.render() + "\n")
     if report.outcome in (SolverOutcome.ENDPOINT_FOUND,

@@ -99,10 +99,10 @@ class ConeMetricSpace:
         from the table. The table is one list, row by row, filled on first
         use; equal distances share one object, so it holds each value once."""
         table, pts = self._table, self.points
-        if not table:
+        if not table:  # filled whole or not at all, so an error leaves it empty
             values: dict = {}
-            table.extend(values.setdefault(d, d)
-                         for d in (self.distance(x, y) for x in pts for y in pts))
+            table.extend([values.setdefault(d, d)
+                          for d in (self.distance(x, y) for x in pts for y in pts)])
         n = len(pts)
         return lambda i, j: table[i * n + j]
 

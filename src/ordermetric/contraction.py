@@ -13,6 +13,10 @@ distance is read from the space's table (see ``cone_metric``). An image
 point outside a finite space is a ``DomainError`` naming it. Sampled
 spaces keep working on points, with the same seeded streams.
 
+Each check runs its pair laws in one pass over a pair stream that reads
+each distance and bound once; on a finite space the walk hypotheses (the
+global bound and the witness obligations) share one pass.
+
 Convergence conditions that quantify over all sequences are not decidable
 from tables, so witnesses carry them as class-level certificates: the
 ratio-bounded classes earn "holds-by-theorem", bare bound tables stay
@@ -32,7 +36,7 @@ from .order_core import (
     LawReport,
     SamplePlan,
     _law_rng,
-    _run_law,
+    _run_laws,
     format_element,
     order_max,
     order_min,
@@ -99,10 +103,11 @@ class SetValuedMap:
     @staticmethod
     def from_table(space: ConeMetricSpace, table: Mapping, name: str = "T") -> "SetValuedMap":
         frozen = {k: _distinct(v) for k, v in table.items()}
+        member = set(space.points).__contains__ if space.finite else space.member
         for x, img in frozen.items():
-            space.require_member(x)
-            for y in img:
-                space.require_member(y)
+            for p in (x, *img):
+                if not member(p):
+                    space.require_member(p)  # raises, naming the point
         if space.points is not None:
             missing = [p for p in space.points if p not in frozen]
             if missing:
@@ -274,7 +279,7 @@ def c_condition_status(w: ContractionWitness) -> CConditionStatus:
 
 
 # ---------------------------------------------------------------------------
-# pair streams
+# pair streams and pair laws
 
 
 def _distinct_pairs(space: ConeMetricSpace, plan: SamplePlan, label: str) -> list[tuple]:
@@ -317,59 +322,107 @@ class ContractionReport:
     exhaustive: bool = False
 
 
-def _pair_scan(T: SetValuedMap, w: ContractionWitness, plan: SamplePlan | None,
-               kind: str, violation) -> ContractionReport:
-    """The pair loop of both checks: ``violation(x', images of y, bound,
-    point, dist)`` returns None or the tail of the counterexample text;
-    images are entries, read by ``point`` and ``dist`` of ``_pair_reader``."""
-    plan = plan or SamplePlan()
+def _scan(T: SetValuedMap, w: ContractionWitness, plan: SamplePlan | None, label: str,
+          laws: list) -> tuple:
+    """The pair stream ``label`` and each law's result over it. A law takes
+    ``(a, b, d, bound)``: entries, distance and witness bound, each read once
+    for all laws, and a bound of the distance alone once per distinct value."""
     space = T.space
-    pairs = _distinct_pairs(space, plan, kind)
+    pairs = _distinct_pairs(space, plan or SamplePlan(), label)
+    point, dist = _pair_reader(space)
+    by_distance = w.klass in (WitnessClass.ALPHA_CONSTANT, WitnessClass.PSI_ON_DISTANCE)
+    memo: dict = {}  # id -> (distance, bound): holding the distance keeps its id unique
+
+    def stream():
+        for a, b in pairs:
+            d = dist(a, b)
+            if not by_distance:
+                yield a, b, d, w.phi(space, point(a), point(b), d)
+                continue
+            if id(d) not in memo:
+                memo[id(d)] = (d, w.phi(space, point(a), point(b), d))
+            yield a, b, d, memo[id(d)][1]
+
+    return pairs, _run_laws(stream(), laws)
+
+
+def _image_law(T: SetValuedMap, kind: str) -> tuple:
+    """The one-sided (``weak``) or ``global`` bound on the images of a pair:
+    some, or every, image point of y within the bound of each one of x."""
+    space, g = T.space, T.space.group
     point, dist = _pair_reader(space)
     images = T._image_positions().__getitem__ if space.finite else T.images
-    for a, b in pairs:
-        x, y = point(a), point(b)
-        bound = w.phi(space, x, y, dist(a, b))
+
+    def law(a, b, d, bound):
         ty = images(b)
         for xp in images(a):
-            tail = violation(xp, ty, bound, point, dist)
-            if tail is not None:
-                return ContractionReport(
-                    kind, False, len(pairs),
-                    f"x={format_element(x)}, y={format_element(y)}, "
-                    f"x'={format_element(point(xp))}{tail}",
-                    exhaustive=space.finite)
-    return ContractionReport(kind, True, len(pairs), exhaustive=space.finite)
+            if kind == "weak":
+                if any(g.leq(dist(xp, yp), bound) for yp in ty):
+                    continue
+                tail = f": no image point of y within {format_element(bound)}"
+            else:
+                beyond = [yp for yp in ty if not g.leq(dist(xp, yp), bound)]
+                if not beyond:
+                    continue
+                tail = (f", y'={format_element(point(beyond[0]))}: d="
+                        f"{format_element(dist(xp, beyond[0]))} exceeds {format_element(bound)}")
+            return False, (f"x={format_element(point(a))}, y={format_element(point(b))}, "
+                           f"x'={format_element(point(xp))}{tail}")
+        return True, None
+
+    return kind, law
+
+
+def _contraction_report(T: SetValuedMap, pairs: list, results: list) -> ContractionReport:
+    r = results[0]
+    return ContractionReport(r.law, r.passed, len(pairs), r.witness, exhaustive=T.space.finite)
 
 
 def is_weak_contraction(T: SetValuedMap, w: ContractionWitness,
                         plan: SamplePlan | None = None) -> ContractionReport:
     """For each pair and each image point of the first, some image point of
     the second must land within the bound."""
-    g = T.space.group
-
-    def violation(xp, ty, bound, point, dist):
-        if any(g.leq(dist(xp, yp), bound) for yp in ty):
-            return None
-        return f": no image point of y within {format_element(bound)}"
-
-    return _pair_scan(T, w, plan, "weak", violation)
+    return _contraction_report(T, *_scan(T, w, plan, "weak", [_image_law(T, "weak")]))
 
 
 def is_global_weak_contraction(T: SetValuedMap, w: ContractionWitness,
                                plan: SamplePlan | None = None) -> ContractionReport:
     """Every image pair must satisfy the bound."""
-    g = T.space.group
+    return _contraction_report(T, *_scan(T, w, plan, "global", [_image_law(T, "global")]))
 
-    def violation(xp, ty, bound, point, dist):
-        for yp in ty:
-            d = dist(xp, yp)
-            if not g.leq(d, bound):
-                return (f", y'={format_element(point(yp))}: d={format_element(d)} exceeds "
-                        f"{format_element(bound)}")
-        return None
 
-    return _pair_scan(T, w, plan, "global", violation)
+def _witness_laws(T: SetValuedMap, w: ContractionWitness) -> list:
+    g, point = T.space.group, _pair_reader(T.space)[0]
+
+    def phi_strictly_below(a, b, d, bound):
+        if not g.is_positive(d) or g.lt(bound, d):
+            return True, None
+        return False, (f"x={format_element(point(a))}, y={format_element(point(b))}: bound "
+                       f"{format_element(bound)} not strictly below {format_element(d)}")
+
+    laws = [("phi-strictly-below", phi_strictly_below)]
+    if w.klass in (WitnessClass.ALPHA_CONSTANT, WitnessClass.ALPHA_FUNCTION):
+        verdict = None  # a constant ratio is the same at every pair: checked at the first
+
+        def alpha_range(a, b, d, bound):
+            nonlocal verdict
+            if verdict is None or w.klass is WitnessClass.ALPHA_FUNCTION:
+                x, y = point(a), point(b)
+                r = w.alpha(x, y)
+                if not (0 <= r < 1):
+                    verdict = False, f"ratio {r} at ({format_element(x)}, {format_element(y)})"
+                elif w.klass is WitnessClass.ALPHA_FUNCTION and r > w.alpha_bound:
+                    verdict = False, f"ratio {r} exceeds declared bound {w.alpha_bound}"
+                else:
+                    verdict = True, None
+            return verdict
+
+        laws.append(("alpha-range", alpha_range))
+    return laws
+
+
+def _witness_report(T: SetValuedMap, w: ContractionWitness, results: list) -> LawReport:
+    return LawReport(subject=f"witness {w.describe()} against {T.name}", results=tuple(results))
 
 
 def validate_witness(T: SetValuedMap, w: ContractionWitness,
@@ -377,38 +430,29 @@ def validate_witness(T: SetValuedMap, w: ContractionWitness,
     """Check the witness obligations: the bound sits strictly below the
     distance wherever the distance is positive, and ratio payloads stay in
     [0, 1). Only distinct pairs are ever consulted."""
-    plan = plan or SamplePlan()
-    space, g = T.space, T.space.group
-    pairs = _distinct_pairs(space, plan, "phi-valid")
-    point, dist = _pair_reader(space)
+    return _witness_report(T, w, _scan(T, w, plan, "phi-valid", _witness_laws(T, w))[1])
 
-    def phi_strictly_below(a, b):
-        d = dist(a, b)
-        if not g.is_positive(d):
-            return True, None
-        x, y = point(a), point(b)
-        bound = w.phi(space, x, y, d)
-        if g.lt(bound, d):
-            return True, None
-        return False, (f"x={format_element(x)}, y={format_element(y)}: bound "
-                       f"{format_element(bound)} not strictly below {format_element(d)}")
 
-    results = [_run_law("phi-strictly-below", pairs, phi_strictly_below)]
-
-    if w.klass in (WitnessClass.ALPHA_CONSTANT, WitnessClass.ALPHA_FUNCTION):
-        def alpha_in_range(a, b):
-            x, y = point(a), point(b)
-            r = w.alpha(x, y)
-            if not (0 <= r < 1):
-                return False, f"ratio {r} at ({format_element(x)}, {format_element(y)})"
-            if w.klass is WitnessClass.ALPHA_FUNCTION and r > w.alpha_bound:
-                return False, f"ratio {r} exceeds declared bound {w.alpha_bound}"
-            return True, None
-
-        results.append(_run_law("alpha-range", pairs, alpha_in_range))
-
-    return LawReport(subject=f"witness {w.describe()} against {T.name}",
-                     results=tuple(results))
+def hypothesis_reports(T: SetValuedMap, w: ContractionWitness,
+                       plan: SamplePlan | None = None) -> tuple:
+    """The global bound report and the witness report on ``plan``; a check
+    that raised gives its error in place of its report. A finite space's pair
+    stream ignores its label, so one pass serves both; a sampled space, or a
+    pass that raised, runs each check alone, so each keeps its own error."""
+    if T.space.finite:
+        try:
+            laws = [_image_law(T, "global")] + _witness_laws(T, w)
+            pairs, results = _scan(T, w, plan, "global", laws)
+            return _contraction_report(T, pairs, results), _witness_report(T, w, results[1:])
+        except Exception:  # noqa: BLE001 - rerun below, where each check keeps its own error
+            pass
+    outcomes = []
+    for check in (is_global_weak_contraction, validate_witness):
+        try:
+            outcomes.append(check(T, w, plan))
+        except Exception as exc:  # noqa: BLE001 - held, raised when its report is read
+            outcomes.append(exc)
+    return tuple(outcomes)
 
 
 # ---------------------------------------------------------------------------

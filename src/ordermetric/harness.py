@@ -62,9 +62,7 @@ from .contraction import (
     approximate_endpoint_sequence,
     c_condition_status,
     endpoints_bruteforce,
-    is_global_weak_contraction,
     is_weak_contraction,
-    validate_witness,
 )
 from .solver import (
     BanachReport,
@@ -73,6 +71,7 @@ from .solver import (
     SolverConfig,
     SolverOutcome,
     banach_iterate,
+    check_hypotheses,
     endpoint_iff_report,
     iterate_endpoint,
 )
@@ -515,28 +514,24 @@ def _check_finite_completeness(b: InstanceBundle, ctx: _Ctx):
     return "pass", "certified-at-scale sequences are eventually constant, hence convergent"
 
 
+def _hypotheses(b: InstanceBundle, ctx: _Ctx) -> Hypotheses:
+    """The walk hypotheses of the bundle's map and witness, on the same plan
+    as the walks, so they are the value each walk would compute itself."""
+    return ctx.memo(("hypotheses", b.name),
+                    lambda: check_hypotheses(b.map_, b.witness, ctx.plan))
+
+
 def _witness_report(b: InstanceBundle, ctx: _Ctx):
-    return ctx.memo(("witness", b.name),
-                    lambda: validate_witness(b.map_, b.witness, ctx.plan))
+    return _hypotheses(b, ctx).witness_report
+
+
+def _global_report(b: InstanceBundle, ctx: _Ctx):
+    return _hypotheses(b, ctx).global_report
 
 
 def _weak_report(b: InstanceBundle, ctx: _Ctx):
     return ctx.memo(("weak", b.name),
                     lambda: is_weak_contraction(b.map_, b.witness, ctx.plan))
-
-
-def _global_report(b: InstanceBundle, ctx: _Ctx):
-    return ctx.memo(("global", b.name),
-                    lambda: is_global_weak_contraction(b.map_, b.witness, ctx.plan))
-
-
-def _hypotheses(b: InstanceBundle, ctx: _Ctx) -> Hypotheses:
-    """The walk hypotheses of the bundle's map and witness, built from the
-    memoized global and witness reports: they use the same plan as the
-    walk, so they are the reports the walk would compute itself."""
-    return ctx.memo(("hypotheses", b.name),
-                    lambda: Hypotheses(_global_report(b, ctx), _witness_report(b, ctx),
-                                       c_condition_status(b.witness)))
 
 
 def _check_witness_validity(b: InstanceBundle, ctx: _Ctx):
@@ -583,6 +578,8 @@ def _check_c_status(b: InstanceBundle, ctx: _Ctx):
 def _check_at_most_one(b: InstanceBundle, ctx: _Ctx):
     if b.map_ is None or not b.space.finite:
         return "skip", "needs a finite mapped space"
+    if b.witness is None:
+        return "skip", "bundle has no witness"
     if not _weak_report(b, ctx).passed:
         return "skip", "one-sided bound fails; uniqueness not implied"
     ends = endpoints_bruteforce(b.map_)
@@ -634,6 +631,8 @@ def _solver_cfg(b: InstanceBundle, rule=SelectionRule.MIN_DISTANCE) -> SolverCon
 def _check_oracle_agreement(b: InstanceBundle, ctx: _Ctx):
     if b.map_ is None or not b.space.finite:
         return "skip", "needs a finite mapped space"
+    if b.witness is None:
+        return "skip", "bundle has no witness"
     if not _global_report(b, ctx).passed:
         return "skip", "all-pairs bound fails; walk not governed"
     ends = endpoints_bruteforce(b.map_)

@@ -353,15 +353,16 @@ def _parse_map(entries, space_kind, points, dim):
     if space_kind == "interval":
         raise InstanceFileError("image tables need a finite carrier", images[0][0])
     table = {}
+    declared = set(points)
     for ln, point_text, v in images:
         p = parse_element(point_text, ln)
-        if p not in points:
+        if p not in declared:
             raise InstanceFileError(f"image key {format_element(p)} is not a declared point", ln)
         if p in table:
             raise InstanceFileError(f"duplicate image entry for {format_element(p)}", ln)
         img = parse_element_list(v, ln)
         for q in img:
-            if q not in points:
+            if q not in declared:
                 raise InstanceFileError(
                     f"image point {format_element(q)} is not a declared point", ln)
         table[p] = img
@@ -434,12 +435,13 @@ def _parse_witness(entries, points, dim):
         if not rows:
             raise InstanceFileError("phi-table witness needs phi entries", ln)
         table = {}
+        declared = set(points)
         for l, key_text, v in rows:
             if "|" not in key_text:
                 raise InstanceFileError("phi entries look like: phi x | y = value", l)
             x_t, y_t = key_text.split("|", 1)
             x, y = parse_element(x_t, l), parse_element(y_t, l)
-            if x not in points or y not in points:
+            if x not in declared or y not in declared:
                 raise InstanceFileError("phi entry names an undeclared point", l)
             table[(x, y)] = parse_element(v, l)
         for x in points:
@@ -647,9 +649,10 @@ def build_bundle(desc: InstanceDescription) -> InstanceBundle:
         # in each coordinate, so on an interval the two corners decide it
         probes = space.points if space.finite else desc.interval
         where = "a declared point" if space.finite else "inside the interval"
+        member = set(space.points).__contains__ if space.finite else space.member
         for p in probes:
             for q in map_.images(p):
-                if not space.member(q):
+                if not member(q):
                     raise InstanceFileError(
                         f"rule image {format_element(q)} of point "
                         f"{format_element(p)} is not {where}")

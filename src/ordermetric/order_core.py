@@ -345,16 +345,26 @@ def _order_extreme_scan(g, vals: list, keep: Order, context: str) -> Element:
     return best
 
 
-def _run_law(law: str, stream: Sequence, predicate) -> LawResult:
-    """The law runner: ``predicate(*args) -> (ok, witness)`` on each tuple
-    of the stream in order, up to the first failure."""
-    checked = 0
+def _run_laws(stream: Iterable, laws: Sequence[tuple]) -> list[LawResult]:
+    """The law runner: each ``(law, predicate)`` runs ``predicate(*args) ->
+    (ok, witness)`` on the tuples of the stream in order, up to its own
+    first failure, so one pass over the stream serves every law."""
+    failed: dict = {}
+    live, checked = list(laws), 0
     for args in stream:
         checked += 1
-        ok, witness = predicate(*args)
-        if not ok:
-            return LawResult(law, False, checked, witness)
-    return LawResult(law, True, checked)
+        for law, predicate in live:
+            ok, witness = predicate(*args)
+            if not ok:
+                failed[law] = LawResult(law, False, checked, witness)
+                live = [entry for entry in live if entry[0] not in failed]
+        if not live:
+            break
+    return [failed.get(law) or LawResult(law, True, checked) for law, _ in laws]
+
+
+def _run_law(law: str, stream: Sequence, predicate) -> LawResult:
+    return _run_laws(stream, [(law, predicate)])[0]
 
 
 def check_group_laws(g: OrderedGroupInstance, plan: SamplePlan) -> LawReport:

@@ -45,10 +45,9 @@ from .contraction import (
     c_condition_status,
     endpoints_bruteforce,
     fixed_points_bruteforce,
-    is_global_weak_contraction,
+    hypothesis_reports,
     is_weak_contraction,
     singleton_lift,
-    validate_witness,
 )
 
 Point = object
@@ -155,11 +154,24 @@ def _select_next(m: ConeMetricSpace, candidates: Sequence, current: Point,
 @dataclass(frozen=True)
 class Hypotheses:
     """The verdicts a walk's verified mode rests on, computed once for a
-    (map, witness, plan) and shareable by every walk over that triple."""
+    (map, witness, plan) and shared by its walks; a raised error is held and
+    raised when its report is read."""
 
-    global_report: ContractionReport
-    witness_report: LawReport
+    global_outcome: ContractionReport | Exception
+    witness_outcome: LawReport | Exception
     c_status: CConditionStatus
+
+    @property
+    def global_report(self) -> ContractionReport:
+        if isinstance(self.global_outcome, Exception):
+            raise self.global_outcome
+        return self.global_outcome
+
+    @property
+    def witness_report(self) -> LawReport:
+        if isinstance(self.witness_outcome, Exception):
+            raise self.witness_outcome
+        return self.witness_outcome
 
     @property
     def notes(self) -> tuple[str, ...]:
@@ -183,11 +195,9 @@ class Hypotheses:
 def check_hypotheses(T: SetValuedMap, w: ContractionWitness,
                      plan: SamplePlan | None = None) -> Hypotheses:
     """Run the global bound check and the witness obligations on ``plan``,
-    and take the class-level convergence-condition verdict."""
-    plan = plan or SamplePlan()
-    return Hypotheses(is_global_weak_contraction(T, w, plan),
-                      validate_witness(T, w, plan),
-                      c_condition_status(w))
+    in one pass over the pairs of a finite space, and take the class-level
+    convergence-condition verdict."""
+    return Hypotheses(*hypothesis_reports(T, w, plan), c_condition_status(w))
 
 
 def walk_tolerance(m: ConeMetricSpace, eps) -> Element:

@@ -1,7 +1,9 @@
-"""Finite spaces tabulate their distances once and rationals compare by one
-cross-multiplication: equivalence with the point-by-point scans, the exact
-comparison kernels, the sorted chain check, work counters on a 31-point
-ladder, and the ladder's verify and solve outputs against committed goldens."""
+"""Finite spaces tabulate their distances once, rationals compare by one
+cross-multiplication and the walk hypotheses take one pass over the pairs:
+equivalence with the point-by-point scans, the exact comparison kernels,
+the sorted chain check, the one-pass hypotheses against the two scans (and
+their errors), work counters on a 31-point ladder, and the ladder's verify
+and solve outputs against committed goldens."""
 
 import dataclasses
 import random
@@ -9,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from ordermetric import (
@@ -17,12 +19,14 @@ from ordermetric import (
     ContractionWitness,
     DomainError,
     IncomparableError,
+    LawResult,
     Order,
     SamplePlan,
     SetValuedMap,
     SolverConfig,
     WitnessClass,
     approximate_endpoint_property_finite,
+    check_hypotheses,
     coord_cone_group,
     coord_cone_module,
     interior_cone_structure,
@@ -33,12 +37,14 @@ from ordermetric import (
     order_max,
     order_min,
     real_group,
+    real_module,
+    strict_order_structure,
     validate_witness,
 )
-from ordermetric import cli, cone_metric, harness, order_core
+from ordermetric import cli, cone_metric, contraction, harness, order_core
 from ordermetric.cli import main
 from ordermetric.contraction import ContractionReport
-from ordermetric.instance_files import build_bundle, load_instance
+from ordermetric.instance_files import BUILTIN_INSTANCE_TEXTS, build_bundle, load_instance
 from ordermetric.order_core import LawReport, _cone_cmp, _run_law, _scalar_cmp, format_element
 
 DATA = Path(__file__).parent / "data"
@@ -281,6 +287,22 @@ def test_replaced_space_starts_with_an_empty_table():
     assert b.space._table != expected
 
 
+def test_a_metric_error_leaves_the_table_empty():
+    def metric(x, y):
+        metric.calls += 1
+        if metric.calls == 5:
+            raise ValueError("metric failed once")
+        return abs(x - y)
+
+    metric.calls = 0
+    space = ConeMetricSpace("flaky", strict_order_structure(real_module()), metric,
+                            points=(F(0), F(1), F(3)))
+    with pytest.raises(ValueError, match="metric failed once"):
+        min_positive_distance(space)
+    assert space._table == []
+    assert min_positive_distance(space) == 1
+
+
 def test_sampled_spaces_tabulate_nothing(real_line_space):
     T = SetValuedMap.from_rule(real_line_space, lambda x: (x / 2,))
     assert is_global_weak_contraction(T, HALF, SamplePlan(seed=3, count=50)).passed
@@ -464,6 +486,211 @@ def test_order_extreme_confirms_the_sorted_neighbours():
 
 
 # ---------------------------------------------------------------------------
+# the walk hypotheses in one pass
+
+
+def _read(get):
+    """A report, or the text of the domain error reading it raised."""
+    try:
+        return get()
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+_ratios = st.sampled_from([F(0), F(1, 4), F(1, 2), F(3, 4), F(1), F(5, 4)])
+
+
+@st.composite
+def _hypothesis_cases(draw):
+    """A random finite space on the line or on the cone-2 grid, a random
+    map table, and a witness of any class, passing or failing: phi tables
+    with scaled, skewed (so possibly incomparable) or missing entries,
+    constant ratios in range or forced out of it, ratio functions that
+    break their range or declared bound, and psi functions on the line."""
+    if draw(st.booleans()):
+        coords = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                               min_size=1, max_size=5, unique=True))
+        space = ConeMetricSpace("cone", interior_cone_structure(coord_cone_module(2)),
+                                lambda x, y: tuple(abs(a - b) for a, b in zip(x, y)),
+                                points=tuple(_vector(c) for c in coords))
+    else:
+        nums = draw(st.lists(st.integers(0, 12), min_size=1, max_size=5, unique=True))
+        space = ConeMetricSpace("line", strict_order_structure(real_module()),
+                                lambda x, y: abs(x - y), points=tuple(F(k, 4) for k in nums))
+    pts, cone = space.points, isinstance(space.points[0], tuple)
+    T = SetValuedMap.from_table(
+        space, {p: draw(st.lists(st.sampled_from(pts), min_size=1, max_size=3)) for p in pts},
+        name="random")
+    pairs = _ref_pairs(space)
+    klass = draw(st.sampled_from([k for k in WitnessClass
+                                  if not (cone and k is WitnessClass.PSI_ON_DISTANCE)]))
+    if klass is WitnessClass.PHI_TABLE:
+        table = {}
+        for x, y in pairs:
+            d = space.distance(x, y)
+            skew = cone and draw(st.booleans())
+            table[(x, y)] = (draw(_ratios) * d[0], draw(_ratios) * d[1]) if skew \
+                else space.structure.module.scale(draw(_ratios), d)
+        for key in draw(st.lists(st.sampled_from(pairs), max_size=2)) if pairs else ():
+            table.pop(key, None)
+        return T, ContractionWitness(klass, phi_table=table)
+    if klass is WitnessClass.ALPHA_CONSTANT:
+        w = ContractionWitness(klass, alpha_const=draw(st.sampled_from(
+            [F(0), F(1, 4), F(1, 2), F(3, 4)])))
+        if draw(st.integers(0, 4)) == 0:  # past the constructor's range check
+            object.__setattr__(w, "alpha_const", draw(st.sampled_from([F(1), F(3, 2)])))
+        return T, w
+    if klass is WitnessClass.ALPHA_FUNCTION:
+        ratios = {pair: draw(_ratios) for pair in pairs}
+        return T, ContractionWitness(klass, alpha_fn=lambda x, y: ratios[(x, y)],
+                                     alpha_bound=draw(st.sampled_from([F(1, 2), F(3, 4)])))
+    r = draw(_ratios)
+    psi = draw(st.sampled_from([lambda d: r * d, lambda d: d / (1 + d),
+                                lambda d: min(d, F(1, 2))]))
+    return T, ContractionWitness(klass, psi=psi)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_hypothesis_cases())
+def test_one_pass_hypotheses_equal_the_two_scans(case):
+    T, w = case
+    hyps = check_hypotheses(T, w)
+    expected_global = _read(lambda: _ref_global(T, w))
+    expected_witness = _read(lambda: _ref_validate(T, w))
+    assert _read(lambda: hyps.global_report) == expected_global
+    assert _read(lambda: hyps.witness_report) == expected_witness
+    assert _read(lambda: is_global_weak_contraction(T, w)) == expected_global
+    assert _read(lambda: validate_witness(T, w)) == expected_witness
+
+
+def _verdict(get):
+    out = _read(get)
+    return "raises" if isinstance(out, str) else out.passed
+
+
+@pytest.mark.parametrize("klass", list(WitnessClass), ids=[k.value for k in WitnessClass])
+def test_hypothesis_cases_pass_and_fail_for_every_witness_class(klass):
+    wanted = [(True, True), (False, False), (True, False)]
+    if klass is WitnessClass.PHI_TABLE:
+        wanted.append(("raises", "raises"))
+    for verdicts in wanted:
+        find(_hypothesis_cases(),
+             lambda c: c[1].klass is klass and (_verdict(lambda: _ref_global(*c)),
+                                                _verdict(lambda: _ref_validate(*c))) == verdicts,
+             settings=settings(max_examples=2000, database=None, derandomize=True,
+                               phases=[Phase.generate]))
+
+
+class _CountedRatio(Fraction):
+    """A ratio that counts the comparisons made with it."""
+
+    compared = 0
+
+    def __ge__(self, other):
+        _CountedRatio.compared += 1
+        return super().__ge__(other)
+
+    def __lt__(self, other):
+        _CountedRatio.compared += 1
+        return super().__lt__(other)
+
+
+@pytest.mark.parametrize("alpha", [F(1, 2), F(3, 2)])
+def test_constant_ratio_range_is_checked_once_per_report(real_line_space, alpha):
+    T = SetValuedMap.from_rule(real_line_space, lambda x: (x / 2,))
+    plan = SamplePlan(seed=3, count=50)
+    w = ContractionWitness(WitnessClass.ALPHA_CONSTANT, alpha_const=F(0))
+    object.__setattr__(w, "alpha_const", _CountedRatio(alpha))  # past the range check
+    _CountedRatio.compared = 0
+    result = validate_witness(T, w, plan).result("alpha-range")
+    assert _CountedRatio.compared == 2  # 0 <= alpha < 1, once for all 50 pairs
+    if alpha < 1:
+        assert result == LawResult("alpha-range", True, 50)
+    else:
+        x, y = contraction._distinct_pairs(real_line_space, plan, "phi-valid")[0]
+        assert result == LawResult("alpha-range", False, 1,
+                                   f"ratio 3/2 at ({format_element(x)}, {format_element(y)})")
+
+
+# a phi table missing the entry at (1, 1/4), the last pair of three-point,
+# with the two reports failing before it or not at all; rows and solve
+# stderr as the two separate scans gave them
+_MISSING = "error: bound table has no entry for (1, 1/4)"
+_PHI_CASES = {
+    "missing": ({}, _MISSING, _MISSING,
+                "domain error: bound table has no entry for (1, 1/4)\n"),
+    "witness fails first": (
+        {(F(0), F(1, 4)): F(1, 4)}, "x=0, y=1/4: bound 1/4 not strictly below 1/4", _MISSING,
+        "hypothesis violated: the bound must sit strictly below the distance at every "
+        "pair of distinct points\nwitness: x=0, y=1/4: bound 1/4 not strictly below 1/4\n"),
+    "global fails first": (
+        {(F(0), F(1)): F(1, 8)}, _MISSING, "x=0, y=1, x'=0, y'=1/4: d=1/4 exceeds 1/8",
+        "domain error: bound table has no entry for (1, 1/4)\n"),
+}
+
+
+def _gappy_phi(space, overrides):
+    table = {(x, y): space.distance(x, y) / 2 for x, y in _ref_pairs(space)}
+    table.update(overrides)
+    del table[(F(1), F(1, 4))]
+    return ContractionWitness(WitnessClass.PHI_TABLE, phi_table=table)
+
+
+def _map_rows(bundle):
+    checks = ("map/phi-strictly-below", "map/weak-contraction", "map/global-contraction")
+    report = harness.run_suite(harness.SuiteSpec((bundle.name,), checks),
+                               {bundle.name: bundle})
+    return [report.row(check, bundle.name).witness for check in checks]
+
+
+@pytest.mark.parametrize("case", list(_PHI_CASES))
+def test_missing_phi_entry_keeps_each_report_and_solve_error(case, monkeypatch, capsys):
+    overrides, witness_row, global_row, stderr = _PHI_CASES[case]
+    b = _three_point()
+    w = _gappy_phi(b.space, overrides)
+    assert _map_rows(b.replace(witness=w)) == [witness_row, _MISSING, global_row]
+    monkeypatch.setattr(cli, "build_bundle",
+                        lambda desc: build_bundle(desc).replace(witness=w, banach_map=None))
+    rc = main(["solve", "three-point", "--seed-point", "1", "--eps", "1/16"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (2, "", stderr)
+
+
+def test_a_phi_file_missing_an_entry_is_a_parse_error(tmp_path, capsys):
+    text = BUILTIN_INSTANCE_TEXTS["three-point"]
+    path = tmp_path / "gappy.ini"
+    pairs = [("0", "1/4"), ("0", "1"), ("1/4", "0"), ("1/4", "1"), ("1", "0")]  # no (1, 1/4)
+    path.write_text(text[:text.index("[witness]")] + "[witness]\nclass = phi-table\n"
+                    + "".join(f"phi {x} | {y} = 1/8\n" for x, y in pairs), encoding="utf-8")
+    rc = main(["solve", str(path), "--seed-point", "1", "--eps", "1/16"])
+    assert (rc, capsys.readouterr().err) == (3, "parse error: phi table misses pair (1, 1/4)\n")
+
+
+def test_raising_images_leave_the_witness_row_its_own():
+    b = _three_point()
+
+    def images(x):
+        if x == F(1):
+            raise ValueError("no image at 1")
+        return (F(0),)
+
+    raising = b.replace(map_=SetValuedMap.from_rule(b.space, images, name="raising"))
+    assert _map_rows(raising) == ["checked 6", "error: no image at 1", "error: no image at 1"]
+
+
+def test_a_map_without_a_witness_skips_the_rows_that_need_one(tmp_path, capsys):
+    text = LADDER.read_text(encoding="utf-8")
+    path = tmp_path / "no-witness.ini"
+    path.write_text(text[:text.index("[witness]")], encoding="utf-8")
+    rc = main(["verify", str(path), "--checks", "endpoint/at-most-one,solver/oracle-agreement",
+               "--format", "machine-rows"])
+    assert capsys.readouterr().out == (
+        "endpoint/at-most-one\tno-witness\tskip\tbundle has no witness\n"
+        "solver/oracle-agreement\tno-witness\tskip\tbundle has no witness\n")
+    assert rc == 0
+
+
+# ---------------------------------------------------------------------------
 # work counters on the 31-point ladder
 
 
@@ -499,6 +726,39 @@ def test_ladder_min_positive_distance_sorts_its_chain(monkeypatch):
     space = build_bundle(load_instance(LADDER)).space
     assert min_positive_distance(space) == Fraction(1, 4) ** 29
     assert calls[0] <= 5000
+
+
+def test_ladder_solve_checks_its_hypotheses_in_one_pass(monkeypatch, capsys):
+    # the two separate scans listed the 930 pairs twice and evaluated phi
+    # 1,860 times; one pass lists them once and evaluates the constant-ratio
+    # bound once per distinct distance
+    listed, phi_calls, in_check = [], [0], {}
+    pairs, phi, check = (contraction._distinct_pairs, ContractionWitness.phi,
+                         cli.check_hypotheses)
+
+    def counted_pairs(*args):
+        out = pairs(*args)
+        listed.append(len(out))
+        return out
+
+    def counted_phi(self, *args):
+        phi_calls[0] += 1
+        return phi(self, *args)
+
+    def counted_check(*args):
+        before = phi_calls[0]
+        out = check(*args)
+        in_check["phi"] = phi_calls[0] - before
+        return out
+
+    monkeypatch.setattr(contraction, "_distinct_pairs", counted_pairs)
+    monkeypatch.setattr(ContractionWitness, "phi", counted_phi)
+    monkeypatch.setattr(cli, "check_hypotheses", counted_check)
+    rc = main(["solve", str(LADDER), "--seed-point", "1", "--eps", LADDER_EPS])
+    assert rc == 0
+    assert "endpoint: 0" in capsys.readouterr().out
+    assert listed == [930]
+    assert in_check["phi"] == 465 <= 930
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Walk hypotheses are verified once and shared: call counts across the
-CLI, equality of walks with and without a precomputed value, and the
-verify report against committed golden rows."""
+"""Walk hypotheses are verified once, in one pass on a finite space, and
+shared: call counts across the CLI, equality of walks with and without a
+precomputed value, and the verify report against committed golden rows."""
 
 import dataclasses
 from fractions import Fraction
@@ -25,12 +25,15 @@ from ordermetric.cli import main
 
 DATA = Path(__file__).parent / "data"
 HALF = ContractionWitness(WitnessClass.ALPHA_CONSTANT, alpha_const=Fraction(1, 2))
-COUNTED = ("is_global_weak_contraction", "validate_witness")
+# the one-pass scan behind check_hypotheses, and the two checks it replaces
+# on finite spaces
+COUNTED = ("hypothesis_reports", "is_global_weak_contraction", "validate_witness")
+ONE_PASS = {"hypothesis_reports": 1, "is_global_weak_contraction": 0, "validate_witness": 0}
 
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count the hypothesis checks through every module that binds them."""
+    """Count the hypothesis scans through every module that binds them."""
     counts = dict.fromkeys(COUNTED, 0)
     for name in COUNTED:
         original = getattr(contraction, name)
@@ -50,14 +53,14 @@ def test_verify_runs_each_hypothesis_check_once(calls, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "every seed and rule reaches 0" in out
-    assert calls == {"is_global_weak_contraction": 1, "validate_witness": 1}
+    assert calls == ONE_PASS
 
 
 def test_solve_validates_the_witness_once(calls, capsys):
     rc = main(["solve", "three-point", "--seed-point", "1", "--eps", "1/16"])
     assert rc == 0
     assert "endpoint: 0" in capsys.readouterr().out
-    assert calls == {"is_global_weak_contraction": 1, "validate_witness": 1}
+    assert calls == ONE_PASS
 
 
 @pytest.fixture
