@@ -81,7 +81,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="comma-separated check ids or prefixes (default: all)")
     p_verify.add_argument("--format", choices=("text", "machine-rows"), default="text")
 
-    p_solve = sub.add_parser("solve", help="run the endpoint solver on one instance")
+    # no abbreviations, or verify's --seed would read as --seed-point here
+    p_solve = sub.add_parser("solve", help="run the endpoint solver on one instance",
+                             allow_abbrev=False)
     p_solve.add_argument("instance")
     p_solve.add_argument("--seed-point", default=None,
                          help="starting point, e.g. 1 or (1, 1)")
@@ -89,7 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="target scale, e.g. 1/1024 or (1/1024, 1/1024)")
     p_solve.add_argument("--max-iter", type=_positive_int, default=400)
     p_solve.add_argument("--rule", choices=("min-dist", "lex"), default="min-dist")
-    p_solve.add_argument("--seed", type=int, default=0)
 
     p_h = sub.add_parser("hausdorff", help="exact set distance between finite subsets")
     p_h.add_argument("instance")

@@ -25,7 +25,6 @@ from .order_core import (
     Element,
     IncomparableError,
     LawReport,
-    LawResult,
     SamplePlan,
     _law_rng,
     _run_law,
@@ -51,12 +50,9 @@ class ConeMetricSpace:
     """A point set with a group-valued distance.
 
     ``points`` enumerates finite carriers; continuum carriers leave it None
-    and provide ``sampler`` plus a membership test. ``key`` induces the
-    canonical (lexicographic-style) enumeration order used by solvers that
-    need a deterministic tie-break. ``complete`` is declared metadata:
-    finite spaces are complete because certified Cauchy sequences are
-    eventually constant, rational boxes inherit the declaration from their
-    ambient coordinate space.
+    and provide ``sampler`` plus a membership test. Points are rationals or
+    tuples of them, so their natural order is the canonical enumeration
+    order that solvers use as a deterministic tie-break.
 
     A finite space keeps its distance table as a private memo, ``_table``,
     filled through ``distance`` on first use; ``dataclasses.replace``
@@ -69,8 +65,6 @@ class ConeMetricSpace:
     points: tuple | None = None
     contains: Callable[[Point], bool] | None = None
     sampler: Callable[[random.Random], Point] | None = None
-    key: Callable[[Point], object] = lambda p: p
-    complete: bool = True
     _table: list = field(default_factory=list, init=False, repr=False)
 
     @property
@@ -137,23 +131,13 @@ def check_metric_laws(m: ConeMetricSpace, plan: SamplePlan) -> LawReport:
     def w(*pts):
         return ", ".join(format_element(p) for p in pts)
 
-    pts1 = m.sample_points(plan, "d1")
-    pts2 = m.sample_points(plan, "d1-b")
-    checked = 0
-    failure = None
-    for x, y in zip(pts1, pts2):
-        checked += 1
+    def d1(x, y):
+        # nonnegative, and the identity exactly on equal points
         d = m.distance(x, y)
-        if not g.is_nonneg(d):
-            failure = (w(x, y), "distance below the identity")
-            break
-        same = x == y
-        if same != g.eq(d, g.identity):
-            failure = (w(x, y), "zero distance must characterize equal points")
-            break
-    results.append(LawResult("d1", failure is None, checked,
-                             failure[0] if failure else None,
-                             failure[1] if failure else ""))
+        return g.is_nonneg(d) and (x == y) == g.eq(d, g.identity), w(x, y)
+
+    pairs = list(zip(m.sample_points(plan, "d1"), m.sample_points(plan, "d1-b")))
+    results.append(_run_law("d1", pairs, d1))
 
     def d2(x, y):
         return g.eq(m.distance(x, y), m.distance(y, x)), w(x, y)
@@ -214,11 +198,9 @@ def point_seq(space: ConeMetricSpace, terms=None, rule=None, name: str = "points
 
 def distance_profile(m: ConeMetricSpace, s: PointSequence, x: Point, n_max: int) -> PositiveSequence:
     """Materialize n -> d(x_n, x) as a positive sequence over the target group."""
-    module = m.structure.module
-    if module is None:
-        raise ValueError("distance profiles need a module-backed structure")
     cap = s.cap(n_max)
-    return from_terms(module, [m.distance(s.term(n), x) for n in range(1, cap + 1)],
+    return from_terms(m.structure.module,
+                      [m.distance(s.term(n), x) for n in range(1, cap + 1)],
                       name=f"d({s.name}, {format_element(x)})")
 
 

@@ -216,10 +216,7 @@ class ContractionWitness:
                     f"bound table has no entry for ({format_element(x)}, {format_element(y)})"
                 ) from None
         if self.klass in (WitnessClass.ALPHA_CONSTANT, WitnessClass.ALPHA_FUNCTION):
-            module = space.structure.module
-            if module is None:
-                raise ValueError("ratio witnesses need a module-backed structure")
-            return module.scale(self.alpha(x, y), d)
+            return space.structure.module.scale(self.alpha(x, y), d)
         return self.psi(d)
 
     def describe(self) -> str:

@@ -27,6 +27,7 @@ from .cone_metric import ConeMetricSpace
 from .contraction import ContractionWitness, SetValuedMap, WitnessClass
 
 _POINT_POOL = tuple(Fraction(k, 4) for k in range(0, 17))  # 0, 1/4, ..., 4
+_MAX_ATTEMPTS = 200000
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,14 +137,13 @@ def _random_table(rng: random.Random, points: tuple) -> dict:
     return table
 
 
-def weak_contraction_corpus(seed: int = 20260809, count: int = 120,
-                            max_attempts: int = 200000) -> list[CorpusInstance]:
+def weak_contraction_corpus(seed: int = 20260809, count: int = 120) -> list[CorpusInstance]:
     """At least ``count`` instances passing the exhaustive one-sided check.
 
     Sizes cycle through 2..5 points drawn from a small rational pool; the
     generator is fully deterministic in the seed. Raises if the attempt
-    budget is exhausted, which would indicate a generator regression rather
-    than bad luck.
+    budget ``_MAX_ATTEMPTS`` is exhausted, which would indicate a generator
+    regression rather than bad luck.
     """
     structure = _shared_structure()
     out = _special_instances(structure)
@@ -151,7 +151,7 @@ def weak_contraction_corpus(seed: int = 20260809, count: int = 120,
     attempts = 0
     while len(out) < count:
         attempts += 1
-        if attempts > max_attempts:
+        if attempts > _MAX_ATTEMPTS:
             raise RuntimeError("corpus generation budget exhausted")
         size = rng.randint(2, 5)
         points = tuple(sorted(rng.sample(_POINT_POOL, size)))

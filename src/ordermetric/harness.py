@@ -80,6 +80,7 @@ from .instance_files import (
     InstanceBundle,
     build_bundle,
     parse_instance_text,
+    render_element_list,
 )
 from . import topo as _topo
 
@@ -224,7 +225,7 @@ def _law_row(report, law: str):
         return "skip", "law not applicable to this instance"
     if r.passed:
         return "pass", f"checked {r.checked}"
-    return "fail", r.witness or r.note or "violated"
+    return "fail", r.witness or "violated"
 
 
 # law family -> (its laws, its checker applied to the bundle part it checks)
@@ -394,6 +395,11 @@ def _sample_subsets(b: InstanceBundle, ctx: _Ctx, pairs: int = 30):
     return out
 
 
+def _set_text(points) -> str:
+    """A sampled subset in the ``--set-a`` syntax, braced."""
+    return "{" + render_element_list(points) + "}"
+
+
 def _check_hausdorff_identity(b: InstanceBundle, ctx: _Ctx):
     g = b.space.group
     defined = 0
@@ -404,7 +410,7 @@ def _check_hausdorff_identity(b: InstanceBundle, ctx: _Ctx):
             continue
         defined += 1
         if not g.eq(h, g.identity):
-            return "fail", f"H(A, A) = {format_element(h)} for A = {a}"
+            return "fail", f"H(A, A) = {format_element(h)} for A = {_set_text(a)}"
     return "pass", f"H(A, A) is the identity on {defined} defined samples"
 
 
@@ -418,7 +424,7 @@ def _check_hausdorff_symmetry(b: InstanceBundle, ctx: _Ctx):
             continue
         defined += 1
         if not g.eq(h1, h2):
-            return "fail", f"H asymmetric on {a} vs {c}"
+            return "fail", f"H asymmetric on {_set_text(a)} vs {_set_text(c)}"
     return "pass", f"symmetric on {defined} defined samples"
 
 
@@ -444,7 +450,7 @@ def _check_hausdorff_triangle(b: InstanceBundle, ctx: _Ctx):
         lhs = hausdorff(b.space, a, c)
         rhs = g.add(hausdorff(b.space, a, mid), hausdorff(b.space, mid, c))
         if not g.leq(lhs, rhs):
-            return "fail", f"triangle fails via {mid}"
+            return "fail", f"triangle fails via {_set_text(mid)}"
     return "pass", "triangle inequality holds on sampled set triples"
 
 
@@ -812,7 +818,7 @@ def _break_d2(bundle: InstanceBundle) -> InstanceBundle:
 
     def metric(x, y):
         d = orig(x, y)
-        if x != y and space.key(x) < space.key(y):
+        if x < y:
             return g.add(d, bump)
         return d
 
@@ -846,7 +852,7 @@ def _add_second_endpoint(bundle: InstanceBundle) -> InstanceBundle:
     candidates = [p for p in space.points if p not in ends.members]
     if not candidates:
         raise ValueError("no non-endpoint available to pin")
-    pinned = max(candidates, key=space.key)
+    pinned = max(candidates)
     table = {p: ((p,) if p == pinned else T.images(p)) for p in space.points}
     corrupt = SetValuedMap.from_table(space, table, name=T.name + "!second-endpoint")
     return bundle.replace(map_=corrupt)
@@ -863,7 +869,6 @@ _FAULTS = {
     "add-second-endpoint": ("map/weak-contraction", "three-point", _add_second_endpoint),
 }
 
-FAULT_NAMES = tuple(_FAULTS)
 FAULT_TARGETS = {name: target for name, (target, _, _) in _FAULTS.items()
                  if target is not None}
 

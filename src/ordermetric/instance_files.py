@@ -43,6 +43,8 @@ module) both build their instances through it.
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -282,25 +284,24 @@ def _parse_space_carrier(entries, dim):
 
 
 def _expand_grid(lo, hi, step, ln) -> tuple:
-    def axis(a, b):
+    """Every grid point, or a parse error; the size is checked from the
+    per-axis counts before any point is built."""
+    def axis_count(a, b) -> int:
         if b < a:
             raise InstanceFileError("grid corner order reversed", ln)
         count = (b - a) / step
         if count.denominator != 1:
             raise InstanceFileError("grid span is not a multiple of the step", ln)
-        return [a + k * step for k in range(int(count) + 1)]
+        return int(count) + 1
 
-    if not isinstance(lo, tuple):
-        pts = tuple(axis(lo, hi))
-    else:
-        axes = [axis(a, b) for a, b in zip(lo, hi)]
-        pts = [()]
-        for ax in axes:
-            pts = [p + (c,) for p in pts for c in ax]
-        pts = tuple(pts)
-    if len(pts) > 10000:
+    corners = list(zip(lo, hi)) if isinstance(lo, tuple) else [(lo, hi)]
+    counts = [axis_count(a, b) for a, b in corners]
+    if math.prod(counts) > 10000:
         raise InstanceFileError("grid too large (over 10000 points)", ln)
-    return pts
+    axes = [[a + k * step for k in range(n)] for (a, _), n in zip(corners, counts)]
+    if not isinstance(lo, tuple):
+        return tuple(axes[0])
+    return tuple(itertools.product(*axes))
 
 
 def _parse_metric_rows(entries, points, dim) -> tuple:

@@ -67,14 +67,13 @@ def format_element(value: Element) -> str:
 class SamplePlan:
     """Deterministic quantification plan for universally quantified laws.
 
-    ``count`` is the number of sampled tuples per law, at least one so
-    that no law passes on nothing; ``extra`` holds user-supplied edge
-    elements that every stream must include.
+    ``seed`` fixes every stream; ``count`` is the number of sampled
+    tuples per law, at least one so that no law passes on nothing. The
+    instance's own edge elements lead every stream that includes edges.
     """
 
     seed: int = 0
     count: int = 200
-    extra: tuple = ()
 
     def __post_init__(self):
         if self.count < 1:
@@ -87,7 +86,6 @@ class LawResult:
     passed: bool
     checked: int
     witness: str | None = None
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -221,20 +219,19 @@ def _law_rng(plan: SamplePlan, label: str) -> random.Random:
 
 def sample_elements(g: OrderedGroupInstance, plan: SamplePlan, label: str) -> list[Element]:
     rng = _law_rng(plan, label)
-    out = list(g.edge_elements) + [g.coerce(e) for e in plan.extra]
+    out = list(g.edge_elements)
     while len(out) < plan.count:
         out.append(g.sampler(rng))
     return out
 
 
-def _edge_pairs(g: OrderedGroupInstance, plan: SamplePlan) -> list[tuple]:
-    edges = list(g.edge_elements) + [g.coerce(e) for e in plan.extra]
-    return [(a, b) for a in edges for b in edges]
+def _edge_pairs(g: OrderedGroupInstance) -> list[tuple]:
+    return [(a, b) for a in g.edge_elements for b in g.edge_elements]
 
 
 def sample_pairs(g, plan: SamplePlan, label: str) -> list[tuple]:
     rng = _law_rng(plan, label)
-    out = _edge_pairs(g, plan)
+    out = _edge_pairs(g)
     while len(out) < plan.count:
         out.append((g.sampler(rng), g.sampler(rng)))
     return out
@@ -258,7 +255,7 @@ def strict_pairs(g, plan: SamplePlan, label: str) -> list[tuple]:
     translation laws.
     """
     rng = _law_rng(plan, label)
-    out = [(a, b) for a, b in _edge_pairs(g, plan) if g.lt(a, b)]
+    out = [(a, b) for a, b in _edge_pairs(g) if g.lt(a, b)]
     attempts = 0
     while len(out) < plan.count and attempts < plan.count * 64:
         attempts += 1
@@ -438,7 +435,7 @@ def check_group_laws(g: OrderedGroupInstance, plan: SamplePlan) -> LawReport:
     def g1_prime(a, b, c):
         return g.cmp(g.add(a, c), g.add(b, c)) is g.cmp(a, b), w(a, b, c)
 
-    g1p_stream = [(a, b, c) for (a, b) in _edge_pairs(g, plan) for c in g.edge_elements]
+    g1p_stream = [(a, b, c) for (a, b) in _edge_pairs(g) for c in g.edge_elements]
     rng = _law_rng(plan, "g1-prime")
     while len(g1p_stream) < plan.count:
         g1p_stream.append((g.sampler(rng), g.sampler(rng), g.sampler(rng)))

@@ -133,10 +133,10 @@ def _select_next(m: ConeMetricSpace, candidates: Sequence, current: Point,
     """Deterministic choice of the next walk point among the image.
 
     Min-distance picks the candidate closest to the current point when the
-    candidate distances form a chain, with the canonical enumeration order
-    as tie-break; incomparable distances fall back to the canonical order.
+    candidate distances form a chain, with the points' natural order as
+    tie-break; incomparable distances fall back to that order.
     """
-    ordered = sorted(candidates, key=m.key)
+    ordered = sorted(candidates)
     if rule is SelectionRule.LEX_FIRST:
         return ordered[0]
     g = m.group
@@ -331,8 +331,6 @@ def banach_iterate(m: ConeMetricSpace, f: Callable[[Point], Point], alpha,
     plan = plan or SamplePlan()
     g, t = m.group, m.structure
     module = t.module
-    if module is None:
-        raise ValueError("ratio iteration needs a module-backed structure")
     alpha = Fraction(alpha)
     if not (0 <= alpha < 1):
         raise ValueError("ratio must lie in [0, 1)")

@@ -59,6 +59,8 @@ class TopoStructure:
     ``shrink`` must produce, for any element strictly dominating the
     identity, a smaller one that still does; ``positivity_witness`` is a
     designated such element used as the anchor of shrinking families.
+    ``module`` is the scalar action over ``group``, always present: law t6,
+    ratio witnesses, distance profiles and Banach steps all scale by it.
     ``regular`` is instance metadata: decreasing positive sequences of the
     built-in carriers converge, which sampling alone could never establish.
     """
@@ -69,7 +71,7 @@ class TopoStructure:
     positivity_witness: Element
     shrink: Callable[[Element], Element]
     interior_sampler: Callable[[random.Random], Element]
-    module: OrderedModuleInstance | None = None
+    module: OrderedModuleInstance
     regular: bool = True
 
     def ll(self, a: Element, b: Element) -> bool:
@@ -695,7 +697,7 @@ def check_regularity(t: TopoStructure, sequences: Sequence[PositiveSequence],
 
 
 def check_topo_laws(t: TopoStructure, plan: SamplePlan) -> LawReport:
-    """Verify t1, t2, t3, t5 (and t6 over a module) on seeded samples.
+    """Verify t1, t2, t3, t5 and t6 on seeded samples.
 
     t4 quantifies over every dominating tolerance, which sampling cannot
     exhaust; it is checked in shrinking-family form: each sampled nonzero
@@ -776,23 +778,22 @@ def check_topo_laws(t: TopoStructure, plan: SamplePlan) -> LawReport:
 
     results.append(_run_law("t5", t5_stream, t5))
 
-    if t.module is not None:
-        ring = t.module.ring
-        rng6 = _law_rng(plan, "t6")
-        t6_stream = []
-        for _ in range(plan.count):
-            a = g.sampler(rng6)
-            b = g.add(a, interior(rng6))
-            r = abs(ring.sampler(rng6)) + Fraction(1, 4)
-            t6_stream.append((a, b, r))
+    ring = t.module.ring
+    rng6 = _law_rng(plan, "t6")
+    t6_stream = []
+    for _ in range(plan.count):
+        a = g.sampler(rng6)
+        b = g.add(a, interior(rng6))
+        r = abs(ring.sampler(rng6)) + Fraction(1, 4)
+        t6_stream.append((a, b, r))
 
-        def t6(a, b, r):
-            if not (t.ll(a, b) and ring.lt(ring.zero, r)):
-                return True, ""
-            return t.ll(t.module.scale(r, a), t.module.scale(r, b)), \
-                f"a={fmt(a)}, b={fmt(b)}, r={r}"
+    def t6(a, b, r):
+        if not (t.ll(a, b) and ring.lt(ring.zero, r)):
+            return True, ""
+        return t.ll(t.module.scale(r, a), t.module.scale(r, b)), \
+            f"a={fmt(a)}, b={fmt(b)}, r={r}"
 
-        results.append(_run_law("t6", t6_stream, t6))
+    results.append(_run_law("t6", t6_stream, t6))
 
     gap = _strictness_gap_result(t)
     if gap is not None:
@@ -815,10 +816,10 @@ def _strictness_gap_result(t: TopoStructure) -> LawResult | None:
     a = tuple(Fraction(0) if i < dim - 1 else Fraction(1) for i in range(dim))
     b = tuple(Fraction(0) if i < dim - 1 else Fraction(2) for i in range(dim))
     if not g.lt(a, b):
+        # the witness pair lost its strict order
         return LawResult("strictness-gap", False, 1,
-                         f"a={format_element(a)}, b={format_element(b)}",
-                         note="witness pair lost its strict order")
+                         f"a={format_element(a)}, b={format_element(b)}")
     if t.ll(a, b):
         return None
-    return LawResult("strictness-gap", True, 1, None,
-                     note="pair ordered strictly but not dominated")
+    # the pair is ordered strictly but not dominated
+    return LawResult("strictness-gap", True, 1)

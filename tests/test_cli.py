@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from ordermetric.cli import main
@@ -293,12 +295,15 @@ def test_export_into_missing_directory_exits_three(tmp_path, capsys):
     ["solve", "three-point", "--max-iter", "0"],
     ["verify"],
     ["frobnicate"],
+    # --seed seeds verify's samples; solve samples nothing
+    ["solve", "three-point", "--seed", "0"],
 ])
 def test_usage_errors_exit_three(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 3
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "error:" in err
 
 
 def test_help_exits_zero(capsys):
@@ -318,3 +323,20 @@ def test_solve_tolerance_outside_carrier_exits_two(capsys):
     rc = main(["solve", "r1-banach", "--eps", "(1, 1)"])
     assert rc == 2
     assert "domain error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("group, grid, metric", [
+    ("family = real", "0 .. 1000000000000 step 1", "abs"),
+    ("family = coord-cone\ndimension = 2", "(0, 0) .. (1000000, 1000000) step 1",
+     "coordinatewise"),
+], ids=["1-d", "2-d"])
+def test_oversized_grid_exits_three_before_building(tmp_path, capsys, group, grid, metric):
+    # 10^12 points: counted per axis, never built
+    path = tmp_path / "huge.ini"
+    path.write_text(f"[group]\n{group}\n\n[structure]\nkind = strict-order\n\n"
+                    f"[space]\ngrid = {grid}\nmetric = {metric}\n")
+    start = time.process_time()
+    rc = main(["verify", str(path)])
+    assert time.process_time() - start < 1
+    assert rc == 3
+    assert "grid too large (over 10000 points)" in capsys.readouterr().err

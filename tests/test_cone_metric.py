@@ -73,6 +73,25 @@ def test_asymmetric_table_fails_d2(rstruct, plan):
     assert report.result("d2").witness
 
 
+_D1_POINTS = (Fraction(0), Fraction(1, 2), Fraction(1))
+
+
+@pytest.mark.parametrize("metric, expected", [
+    (lambda x, y: abs(x - y), (True, 400, None)),
+    # negative distance
+    (lambda x, y: -abs(x - y), (False, 5, "0, 1/2")),
+    # zero distance between the distinct points 0 and 1
+    (lambda x, y: Fraction(0) if {x, y} == {Fraction(0), Fraction(1)} else abs(x - y),
+     (False, 10, "1, 0")),
+    # nonzero self-distance
+    (lambda x, y: abs(x - y) + 1, (False, 1, "0, 0")),
+], ids=["sound", "negative", "zero-between-distinct", "nonzero-self"])
+def test_d1_result_is_pinned(rstruct, plan, metric, expected):
+    space = ConeMetricSpace("d1-probe", rstruct, metric, points=_D1_POINTS)
+    r = check_metric_laws(space, plan).result("d1")
+    assert (r.passed, r.checked, r.witness) == expected
+
+
 def test_point_convergence_vector(box2_space):
     s = point_seq(box2_space, rule=lambda n: (Fraction(1, n), Fraction(1, n)))
     outs = point_convergence(box2_space, s, (Fraction(0), Fraction(0)),

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from ordermetric import (
     run_fault_sensitivity,
     run_suite,
 )
+from ordermetric import cone_metric, harness
 from ordermetric.harness import DEFAULT_INSTANCES, FAULT_TARGETS
 
 FAST = Budgets(samples=150, n_max=120)
@@ -122,3 +124,42 @@ def test_run_suite_script_rejects_zero_budget(flag):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("usage:") and "error: budgets must be at least 1" in proc.stderr
+
+
+def _three_point_with_metric(metric):
+    bundle = builtin_bundles()["three-point"]
+    return bundle.replace(space=dataclasses.replace(bundle.space, metric=metric))
+
+
+def _hausdorff_row(check, bundle, seed=0):
+    spec = SuiteSpec(instances=("three-point",), checks=(check,), sample_seed=seed,
+                     budgets=FAST)
+    return run_suite(spec, {"three-point": bundle}).row(check, "three-point")
+
+
+def test_hausdorff_identity_witness_names_the_set():
+    row = _hausdorff_row("hausdorff/identity",
+                         _three_point_with_metric(lambda x, y: abs(x - y) + 1))
+    assert (row.outcome, row.witness) == ("fail", "H(A, A) = 1 for A = {0; 1}")
+
+
+def test_hausdorff_symmetry_witness_names_the_sets(monkeypatch):
+    # the two-sided distance is symmetric by construction; one direction is not
+    monkeypatch.setattr(harness, "hausdorff", cone_metric._directed)
+    row = _hausdorff_row("hausdorff/symmetry", builtin_bundles()["three-point"])
+    assert (row.outcome, row.witness) == ("fail", "H asymmetric on {0; 1} vs {0; 1/4; 1}")
+
+
+def test_hausdorff_triangle_witness_names_the_set():
+    row = _hausdorff_row("hausdorff/triangle",
+                         _three_point_with_metric(lambda x, y: (x - y) ** 2), seed=2)
+    assert (row.outcome, row.witness) == ("fail", "triangle fails via {1; 1/4}")
+
+
+def test_fault_rows_print_no_python_reprs():
+    bundles = builtin_bundles()
+    for r in run_fault_sensitivity(budgets=FAST):
+        mutated = {r.instance: fault_inject(bundles[r.instance], r.mutation)}
+        spec = default_suite(instances=[r.instance], budgets=Budgets(samples=60, n_max=40))
+        for row in run_suite(spec, mutated).rows:
+            assert "Fraction(" not in (row.witness or ""), (r.mutation, row.check, row.witness)

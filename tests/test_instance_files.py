@@ -298,3 +298,24 @@ def test_sequences_section_rejects_bad_atoms():
     desc = parse_instance_text(PHI_FILE + "\n[sequences]\nseq = harmonic -1\n")
     with pytest.raises(InstanceFileError):
         build_bundle(desc)
+
+
+_REAL = "family = real", "abs"
+_CONE2 = "family = coord-cone\ndimension = 2", "coordinatewise"
+
+
+@pytest.mark.parametrize("group, grid, size", [
+    (_REAL, "0 .. 9999 step 1", 10000),
+    (_REAL, "0 .. 10000 step 1", None),
+    (_CONE2, "(0, 0) .. (99, 99) step 1", 10000),
+    (_CONE2, "(0, 0) .. (99, 100) step 1", None),
+], ids=["1-d-at-limit", "1-d-over", "2-d-at-limit", "2-d-over"])
+def test_grid_size_limit(group, grid, size):
+    family, metric = group
+    text = (f"[group]\n{family}\n\n[structure]\nkind = strict-order\n\n"
+            f"[space]\ngrid = {grid}\nmetric = {metric}\n")
+    if size is None:
+        with pytest.raises(InstanceFileError, match=r"grid too large \(over 10000 points\)"):
+            parse_instance_text(text)
+    else:
+        assert len(parse_instance_text(text).points) == size
