@@ -13,9 +13,12 @@ distance is read from the space's table (see ``cone_metric``). An image
 point outside a finite space is a ``DomainError`` naming it. Sampled
 spaces keep working on points, with the same seeded streams.
 
-Each check runs its pair laws in one pass over a pair stream that reads
-each distance and bound once; on a finite space the walk hypotheses (the
-global bound and the witness obligations) share one pass.
+Each check runs its pair laws on the one law runner, in one pass over a
+pair stream that reads each distance and bound once, and returns the
+runner's ``LawResult`` or ``LawReport``; on a finite space the walk
+hypotheses (the global bound and the witness obligations) share one pass.
+Every step that can raise runs inside the stream or in the first call of
+its law, so the runner holds each error for the laws it reached.
 
 Convergence conditions that quantify over all sequences are not decidable
 from tables, so witnesses carry them as class-level certificates: the
@@ -34,8 +37,10 @@ from .order_core import (
     DomainError,
     Element,
     LawReport,
+    LawResult,
     SamplePlan,
     _law_rng,
+    _raise_held,
     _run_laws,
     format_element,
     order_max,
@@ -301,36 +306,33 @@ def _itself(p):
     return p
 
 
+def _point_reader(space: ConeMetricSpace):
+    """The point an entry of ``_distinct_pairs(space, ...)`` stands for."""
+    return space.points.__getitem__ if space.finite else _itself
+
+
 def _pair_reader(space: ConeMetricSpace) -> tuple:
     """``(point, dist)`` for the entries of ``_distinct_pairs(space, ...)``:
     the point an entry stands for, and the distance between two entries,
-    read from the table on a finite space."""
-    if space.finite:
-        return space.points.__getitem__, space._distance_by_position()
-    return _itself, space.distance
-
-
-@dataclass(frozen=True)
-class ContractionReport:
-    kind: str
-    passed: bool
-    checked_pairs: int
-    counterexample: str | None = None
-    exhaustive: bool = False
+    read from the table on a finite space, which is filled here."""
+    return _point_reader(space), (space._distance_by_position() if space.finite
+                                  else space.distance)
 
 
 def _scan(T: SetValuedMap, w: ContractionWitness, plan: SamplePlan | None, label: str,
-          laws: list) -> tuple:
-    """The pair stream ``label`` and each law's result over it. A law takes
+          laws: list) -> list:
+    """Each law's outcome over the pair stream ``label``. A law takes
     ``(a, b, d, bound)``: entries, distance and witness bound, each read once
-    for all laws, and a bound of the distance alone once per distinct value."""
+    for all laws, and a bound of the distance alone once per distinct value.
+    Drawing the pairs and filling the table run inside the stream, so the
+    runner holds their errors for every law."""
     space = T.space
-    pairs = _distinct_pairs(space, plan or SamplePlan(), label)
-    point, dist = _pair_reader(space)
     by_distance = w.klass in (WitnessClass.ALPHA_CONSTANT, WitnessClass.PSI_ON_DISTANCE)
     memo: dict = {}  # id -> (distance, bound): holding the distance keeps its id unique
 
     def stream():
+        pairs = _distinct_pairs(space, plan or SamplePlan(), label)
+        point, dist = _pair_reader(space)
         for a, b in pairs:
             d = dist(a, b)
             if not by_distance:
@@ -340,17 +342,22 @@ def _scan(T: SetValuedMap, w: ContractionWitness, plan: SamplePlan | None, label
                 memo[id(d)] = (d, w.phi(space, point(a), point(b), d))
             yield a, b, d, memo[id(d)][1]
 
-    return pairs, _run_laws(stream(), laws)
+    return _run_laws(stream(), laws)
 
 
 def _image_law(T: SetValuedMap, kind: str) -> tuple:
     """The one-sided (``weak``) or ``global`` bound on the images of a pair:
-    some, or every, image point of y within the bound of each one of x."""
+    some, or every, image point of y within the bound of each one of x. Its
+    first call reads the images, so the runner holds their errors for this
+    law alone."""
     space, g = T.space, T.space.group
-    point, dist = _pair_reader(space)
-    images = T._image_positions().__getitem__ if space.finite else T.images
+    point = dist = images = None
 
     def law(a, b, d, bound):
+        nonlocal point, dist, images
+        if images is None:
+            point, dist = _pair_reader(space)
+            images = T._image_positions().__getitem__ if space.finite else T.images
         ty = images(b)
         for xp in images(a):
             if kind == "weak":
@@ -363,63 +370,60 @@ def _image_law(T: SetValuedMap, kind: str) -> tuple:
                     continue
                 tail = (f", y'={format_element(point(beyond[0]))}: d="
                         f"{format_element(dist(xp, beyond[0]))} exceeds {format_element(bound)}")
-            return False, (f"x={format_element(point(a))}, y={format_element(point(b))}, "
-                           f"x'={format_element(point(xp))}{tail}")
-        return True, None
+            return (f"x={format_element(point(a))}, y={format_element(point(b))}, "
+                    f"x'={format_element(point(xp))}{tail}")
 
     return kind, law
 
 
-def _contraction_report(T: SetValuedMap, pairs: list, results: list) -> ContractionReport:
-    r = results[0]
-    return ContractionReport(r.law, r.passed, len(pairs), r.witness, exhaustive=T.space.finite)
-
-
 def is_weak_contraction(T: SetValuedMap, w: ContractionWitness,
-                        plan: SamplePlan | None = None) -> ContractionReport:
+                        plan: SamplePlan | None = None) -> LawResult:
     """For each pair and each image point of the first, some image point of
     the second must land within the bound."""
-    return _contraction_report(T, *_scan(T, w, plan, "weak", [_image_law(T, "weak")]))
+    return _raise_held(_scan(T, w, plan, "weak", [_image_law(T, "weak")])[0])
 
 
 def is_global_weak_contraction(T: SetValuedMap, w: ContractionWitness,
-                               plan: SamplePlan | None = None) -> ContractionReport:
+                               plan: SamplePlan | None = None) -> LawResult:
     """Every image pair must satisfy the bound."""
-    return _contraction_report(T, *_scan(T, w, plan, "global", [_image_law(T, "global")]))
+    return _raise_held(_scan(T, w, plan, "global", [_image_law(T, "global")])[0])
 
 
 def _witness_laws(T: SetValuedMap, w: ContractionWitness) -> list:
-    g, point = T.space.group, _pair_reader(T.space)[0]
+    g, point = T.space.group, _point_reader(T.space)
 
     def phi_strictly_below(a, b, d, bound):
-        if not g.is_positive(d) or g.lt(bound, d):
-            return True, None
-        return False, (f"x={format_element(point(a))}, y={format_element(point(b))}: bound "
-                       f"{format_element(bound)} not strictly below {format_element(d)}")
+        if g.is_positive(d) and not g.lt(bound, d):
+            return (f"x={format_element(point(a))}, y={format_element(point(b))}: bound "
+                    f"{format_element(bound)} not strictly below {format_element(d)}")
 
     laws = [("phi-strictly-below", phi_strictly_below)]
     if w.klass in (WitnessClass.ALPHA_CONSTANT, WitnessClass.ALPHA_FUNCTION):
-        verdict = None  # a constant ratio is the same at every pair: checked at the first
+        const = w.klass is WitnessClass.ALPHA_CONSTANT
+        in_range = False  # a constant ratio is the same at every pair: checked at the first
 
         def alpha_range(a, b, d, bound):
-            nonlocal verdict
-            if verdict is None or w.klass is WitnessClass.ALPHA_FUNCTION:
-                x, y = point(a), point(b)
-                r = w.alpha(x, y)
-                if not (0 <= r < 1):
-                    verdict = False, f"ratio {r} at ({format_element(x)}, {format_element(y)})"
-                elif w.klass is WitnessClass.ALPHA_FUNCTION and r > w.alpha_bound:
-                    verdict = False, f"ratio {r} exceeds declared bound {w.alpha_bound}"
-                else:
-                    verdict = True, None
-            return verdict
+            nonlocal in_range
+            if in_range:
+                return None
+            x, y = point(a), point(b)
+            r = w.alpha(x, y)
+            if not (0 <= r < 1):
+                return f"ratio {r} at ({format_element(x)}, {format_element(y)})"
+            if not const and r > w.alpha_bound:
+                return f"ratio {r} exceeds declared bound {w.alpha_bound}"
+            in_range = const
 
         laws.append(("alpha-range", alpha_range))
     return laws
 
 
-def _witness_report(T: SetValuedMap, w: ContractionWitness, results: list) -> LawReport:
-    return LawReport(subject=f"witness {w.describe()} against {T.name}", results=tuple(results))
+def _witness_report(T: SetValuedMap, w: ContractionWitness,
+                    results: list) -> LawReport | Exception:
+    """The witness report, or the first error its laws held."""
+    held = [r for r in results if isinstance(r, Exception)]
+    return held[0] if held else LawReport(subject=f"witness {w.describe()} against {T.name}",
+                                          results=tuple(results))
 
 
 def validate_witness(T: SetValuedMap, w: ContractionWitness,
@@ -427,29 +431,20 @@ def validate_witness(T: SetValuedMap, w: ContractionWitness,
     """Check the witness obligations: the bound sits strictly below the
     distance wherever the distance is positive, and ratio payloads stay in
     [0, 1). Only distinct pairs are ever consulted."""
-    return _witness_report(T, w, _scan(T, w, plan, "phi-valid", _witness_laws(T, w))[1])
+    return _raise_held(_witness_report(T, w, _scan(T, w, plan, "phi-valid", _witness_laws(T, w))))
 
 
 def hypothesis_reports(T: SetValuedMap, w: ContractionWitness,
                        plan: SamplePlan | None = None) -> tuple:
-    """The global bound report and the witness report on ``plan``; a check
-    that raised gives its error in place of its report. A finite space's pair
-    stream ignores its label, so one pass serves both; a sampled space, or a
-    pass that raised, runs each check alone, so each keeps its own error."""
+    """The global bound result and the witness report on ``plan``, each
+    replaced by the error its own laws held, if any. A finite space's pair
+    stream ignores its label, so one pass serves both; a sampled space scans
+    each on its own labelled stream."""
     if T.space.finite:
-        try:
-            laws = [_image_law(T, "global")] + _witness_laws(T, w)
-            pairs, results = _scan(T, w, plan, "global", laws)
-            return _contraction_report(T, pairs, results), _witness_report(T, w, results[1:])
-        except Exception:  # noqa: BLE001 - rerun below, where each check keeps its own error
-            pass
-    outcomes = []
-    for check in (is_global_weak_contraction, validate_witness):
-        try:
-            outcomes.append(check(T, w, plan))
-        except Exception as exc:  # noqa: BLE001 - held, raised when its report is read
-            outcomes.append(exc)
-    return tuple(outcomes)
+        results = _scan(T, w, plan, "global", [_image_law(T, "global")] + _witness_laws(T, w))
+        return results[0], _witness_report(T, w, results[1:])
+    return (_scan(T, w, plan, "global", [_image_law(T, "global")])[0],
+            _witness_report(T, w, _scan(T, w, plan, "phi-valid", _witness_laws(T, w))))
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from .topo import (
     constant,
     harmonic,
     is_certificate,
+    strict_order_structure,
     sum_of,
     verify_convergence,
     verify_convergence_twosided,
@@ -329,10 +330,10 @@ def _check_two_sided(b: InstanceBundle, ctx: _Ctx):
 
 
 def _check_weak_vs_strong(b: InstanceBundle, ctx: _Ctx):
-    if b.alt_structure is None:
-        return "skip", "no strict-order twin registered (relations coincide)"
     g = b.module.group
-    t_main, t_strict = b.structure, b.alt_structure
+    if not isinstance(g.identity, tuple) or len(g.identity) < 2:
+        return "skip", "no strict-order twin registered (relations coincide)"
+    t_main, t_strict = b.structure, strict_order_structure(b.module)
     for s in _theta_sequences(b):
         for eps in b.eps_family:
             eta = t_main.shrink(g.coerce(eps))
@@ -417,9 +418,13 @@ def _check_hausdorff_identity(b: InstanceBundle, ctx: _Ctx):
 def _check_hausdorff_symmetry(b: InstanceBundle, ctx: _Ctx):
     g = b.space.group
     defined = 0
+    # H(C, A) under the metric with its arguments swapped: H itself is the max
+    # of both directed values, so swapping only the sets could never differ
+    d = b.space.metric
+    swapped = dataclasses.replace(b.space, metric=lambda x, y: d(y, x))
     for a, c in _sample_subsets(b, ctx):
         try:
-            h1, h2 = hausdorff(b.space, a, c), hausdorff(b.space, c, a)
+            h1, h2 = hausdorff(b.space, a, c), hausdorff(swapped, c, a)
         except SetDistanceUndefined:
             continue
         defined += 1
@@ -553,9 +558,8 @@ def _contraction_row(report):
             return "skip", "bundle has no map/witness"
         rep = report(b, ctx)
         if rep.passed:
-            scope = "exhaustive" if rep.exhaustive else f"{rep.checked_pairs} sampled pairs"
-            return "pass", scope
-        return "fail", rep.counterexample
+            return "pass", "exhaustive" if b.space.finite else f"{rep.checked} sampled pairs"
+        return "fail", rep.witness
     return run
 
 
@@ -567,7 +571,7 @@ def _check_global_implies_weak(b: InstanceBundle, ctx: _Ctx):
     weak = _weak_report(b, ctx)
     if weak.passed:
         return "pass", "all-pairs bound entails the one-sided bound on the same samples"
-    return "fail", f"one-sided check failed despite all-pairs: {weak.counterexample}"
+    return "fail", f"one-sided check failed despite all-pairs: {weak.witness}"
 
 
 def _check_c_status(b: InstanceBundle, ctx: _Ctx):

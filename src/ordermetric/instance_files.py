@@ -534,7 +534,6 @@ class InstanceBundle:
     witness: ContractionWitness | None = None
     sequences: tuple[PositiveSequence, ...] = ()
     eps_family: tuple = ()
-    alt_structure: TopoStructure | None = None
     solver_seed: object = None
     solver_eps: object = None
     banach_map: Callable | None = None
@@ -694,7 +693,6 @@ def build_bundle(desc: InstanceDescription) -> InstanceBundle:
         witness=witness,
         sequences=sequences,
         eps_family=eps_family,
-        alt_structure=strict_order_structure(module) if dim > 1 else None,
         solver_seed=default_seed,
         solver_eps=solver_eps,
         banach_map=banach_map,

@@ -342,26 +342,43 @@ def _order_extreme_scan(g, vals: list, keep: Order, context: str) -> Element:
     return best
 
 
-def _run_laws(stream: Iterable, laws: Sequence[tuple]) -> list[LawResult]:
-    """The law runner: each ``(law, predicate)`` runs ``predicate(*args) ->
-    (ok, witness)`` on the tuples of the stream in order, up to its own
-    first failure, so one pass over the stream serves every law."""
-    failed: dict = {}
+def _run_laws(stream: Iterable, laws: Sequence[tuple]) -> list:
+    """The law runner: each ``(law, predicate)`` runs ``predicate(*args)`` on
+    the tuples of the stream in order, up to its own first failure, so one
+    pass over the stream serves every law. A predicate returns None where
+    its law holds and its witness text where it fails. Each law's entry is
+    its ``LawResult`` or a held error: the one its predicate raised, or one
+    the stream raised while the law was still running."""
+    done: dict = {}
     live, checked = list(laws), 0
-    for args in stream:
-        checked += 1
-        for law, predicate in live:
-            ok, witness = predicate(*args)
-            if not ok:
-                failed[law] = LawResult(law, False, checked, witness)
-                live = [entry for entry in live if entry[0] not in failed]
-        if not live:
-            break
-    return [failed.get(law) or LawResult(law, True, checked) for law, _ in laws]
+    try:
+        for args in stream:
+            checked += 1
+            for law, predicate in live:
+                try:
+                    witness = predicate(*args)
+                    if witness is None:
+                        continue
+                    done[law] = LawResult(law, False, checked, witness)
+                except Exception as exc:  # noqa: BLE001 - held for this law
+                    done[law] = exc
+                live = [entry for entry in live if entry[0] not in done]
+            if not live:
+                break
+    except Exception as exc:  # noqa: BLE001 - the stream's, held for every running law
+        done.update((law, exc) for law, _ in live)
+    return [done[law] if law in done else LawResult(law, True, checked) for law, _ in laws]
+
+
+def _raise_held(outcome):
+    """The outcome of a law or a report, raising it if it is a held error."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _run_law(law: str, stream: Sequence, predicate) -> LawResult:
-    return _run_laws(stream, [(law, predicate)])[0]
+    return _raise_held(_run_laws(stream, [(law, predicate)])[0])
 
 
 def check_group_laws(g: OrderedGroupInstance, plan: SamplePlan) -> LawReport:
@@ -381,40 +398,39 @@ def check_group_laws(g: OrderedGroupInstance, plan: SamplePlan) -> LawReport:
     results.append(_run_law(
         "assoc",
         sample_triples(g, plan, "assoc"),
-        lambda a, b, c: (g.eq(g.add(g.add(a, b), c), g.add(a, g.add(b, c))), w(a, b, c)),
+        lambda a, b, c: None if g.eq(g.add(g.add(a, b), c), g.add(a, g.add(b, c))) else w(a, b, c),
     ))
     results.append(_run_law(
         "comm",
         sample_pairs(g, plan, "comm"),
-        lambda a, b: (g.eq(g.add(a, b), g.add(b, a)), w(a, b)),
+        lambda a, b: None if g.eq(g.add(a, b), g.add(b, a)) else w(a, b),
     ))
     results.append(_run_law(
         "identity",
         [(a,) for a in sample_elements(g, plan, "identity")],
-        lambda a: (g.eq(g.add(a, g.identity), a), w(a)),
+        lambda a: None if g.eq(g.add(a, g.identity), a) else w(a),
     ))
     results.append(_run_law(
         "inverse",
         [(a,) for a in sample_elements(g, plan, "inverse")],
-        lambda a: (g.eq(g.add(a, g.neg(a)), g.identity), w(a)),
+        lambda a: None if g.eq(g.add(a, g.neg(a)), g.identity) else w(a),
     ))
     results.append(_run_law(
         "order-reflexive",
         [(a,) for a in sample_elements(g, plan, "order-reflexive")],
-        lambda a: (g.cmp(a, a) is Order.EQUAL, w(a)),
+        lambda a: None if g.cmp(a, a) is Order.EQUAL else w(a),
     ))
     results.append(_run_law(
         "order-antisymmetric",
         sample_pairs(g, plan, "order-antisymmetric"),
-        lambda a, b: (g.cmp(a, b) is g.cmp(b, a).flipped(), w(a, b)),
+        lambda a, b: None if g.cmp(a, b) is g.cmp(b, a).flipped() else w(a, b),
     ))
 
     def transitive(a, p, q):
         b = g.add(a, p)
         c = g.add(b, q)
-        if g.leq(a, b) and g.leq(b, c):
-            return g.leq(a, c), w(a, b, c)
-        return True, ""
+        if g.leq(a, b) and g.leq(b, c) and not g.leq(a, c):
+            return w(a, b, c)
 
     trans_stream = [(a, p, q) for (a, _, _), (p, q) in zip(
         sample_triples(g, plan, "order-transitive"),
@@ -426,14 +442,13 @@ def check_group_laws(g: OrderedGroupInstance, plan: SamplePlan) -> LawReport:
     def g1(a, b):
         rng = _law_rng(plan, f"g1c:{fmt(a)}:{fmt(b)}")
         c = g.sampler(rng)
-        if not g.lt(a, b):
-            return True, ""
-        return g.lt(g.add(a, c), g.add(b, c)), w(a, b, c)
+        if g.lt(a, b) and not g.lt(g.add(a, c), g.add(b, c)):
+            return w(a, b, c)
 
     results.append(_run_law("g1", strict_pairs(g, plan, "g1"), g1))
 
     def g1_prime(a, b, c):
-        return g.cmp(g.add(a, c), g.add(b, c)) is g.cmp(a, b), w(a, b, c)
+        return None if g.cmp(g.add(a, c), g.add(b, c)) is g.cmp(a, b) else w(a, b, c)
 
     g1p_stream = [(a, b, c) for (a, b) in _edge_pairs(g) for c in g.edge_elements]
     rng = _law_rng(plan, "g1-prime")
@@ -466,9 +481,8 @@ def check_module_laws(m: OrderedModuleInstance, plan: SamplePlan) -> LawReport:
 
     def m1(pair_and_r):
         (a, b), r = pair_and_r
-        if not (g.lt(a, b) and ring.lt(ring.zero, r)):
-            return True, ""
-        return g.lt(m.scale(r, a), m.scale(r, b)), f"a={fmt(a)}, b={fmt(b)}, r={r}"
+        if g.lt(a, b) and ring.lt(ring.zero, r) and not g.lt(m.scale(r, a), m.scale(r, b)):
+            return f"a={fmt(a)}, b={fmt(b)}, r={r}"
 
     pairs = strict_pairs(g, plan, "m1")
     rs = scalars("m1-scalars", len(pairs))
@@ -476,17 +490,15 @@ def check_module_laws(m: OrderedModuleInstance, plan: SamplePlan) -> LawReport:
 
     def m1_prime(pair_and_r):
         (a, b), r = pair_and_r
-        if not (g.leq(a, b) and ring.le(ring.zero, r)):
-            return True, ""
-        return g.leq(m.scale(r, a), m.scale(r, b)), f"a={fmt(a)}, b={fmt(b)}, r={r}"
+        if g.leq(a, b) and ring.le(ring.zero, r) and not g.leq(m.scale(r, a), m.scale(r, b)):
+            return f"a={fmt(a)}, b={fmt(b)}, r={r}"
 
     results.append(_run_law("m1-prime", [((p, abs(r)),) for p, r in zip(pairs, rs)], m1_prime))
 
     def m2(trip):
         r, s, a = trip
-        if not (ring.lt(r, s) and g.is_positive(a)):
-            return True, ""
-        return g.lt(m.scale(r, a), m.scale(s, a)), f"r={r}, s={s}, a={fmt(a)}"
+        if ring.lt(r, s) and g.is_positive(a) and not g.lt(m.scale(r, a), m.scale(s, a)):
+            return f"r={r}, s={s}, a={fmt(a)}"
 
     rng = _law_rng(plan, "m2")
     m2_stream = []
@@ -498,9 +510,8 @@ def check_module_laws(m: OrderedModuleInstance, plan: SamplePlan) -> LawReport:
 
     def m2_prime(trip):
         r, s, a = trip
-        if not (ring.le(r, s) and g.is_nonneg(a)):
-            return True, ""
-        return g.leq(m.scale(r, a), m.scale(s, a)), f"r={r}, s={s}, a={fmt(a)}"
+        if ring.le(r, s) and g.is_nonneg(a) and not g.leq(m.scale(r, a), m.scale(s, a)):
+            return f"r={r}, s={s}, a={fmt(a)}"
 
     rng = _law_rng(plan, "m2-prime")
     m2p_stream = []

@@ -24,8 +24,10 @@ from .order_core import (
     Element,
     IncomparableError,
     LawReport,
+    LawResult,
     Order,
     SamplePlan,
+    _raise_held,
     format_element,
     order_min,
 )
@@ -35,7 +37,6 @@ from .contraction import (
     ApproxEndpointValue,
     CConditionStatus,
     CStatus,
-    ContractionReport,
     ContractionWitness,
     EndpointSet,
     SetValuedMap,
@@ -154,31 +155,27 @@ def _select_next(m: ConeMetricSpace, candidates: Sequence, current: Point,
 @dataclass(frozen=True)
 class Hypotheses:
     """The verdicts a walk's verified mode rests on, computed once for a
-    (map, witness, plan) and shared by its walks; a raised error is held and
-    raised when its report is read."""
+    (map, witness, plan) and shared by its walks. An outcome is a report or
+    the error the law runner held for its laws, raised when it is read."""
 
-    global_outcome: ContractionReport | Exception
+    global_outcome: LawResult | Exception
     witness_outcome: LawReport | Exception
     c_status: CConditionStatus
 
     @property
-    def global_report(self) -> ContractionReport:
-        if isinstance(self.global_outcome, Exception):
-            raise self.global_outcome
-        return self.global_outcome
+    def global_report(self) -> LawResult:
+        return _raise_held(self.global_outcome)
 
     @property
     def witness_report(self) -> LawReport:
-        if isinstance(self.witness_outcome, Exception):
-            raise self.witness_outcome
-        return self.witness_outcome
+        return _raise_held(self.witness_outcome)
 
     @property
     def notes(self) -> tuple[str, ...]:
         """One line per hypothesis that failed or stays unknown."""
         notes = []
         if not self.global_report.passed:
-            notes.append(f"global bound check failed: {self.global_report.counterexample}")
+            notes.append(f"global bound check failed: {self.global_report.witness}")
         if not self.witness_report.passed:
             notes.append("witness obligations failed: "
                          + "; ".join(r.witness or r.law
@@ -405,7 +402,7 @@ class IffReport:
 
 def endpoint_iff_report(T: SetValuedMap, w: ContractionWitness,
                         plan: SamplePlan | None = None,
-                        weak: ContractionReport | None = None) -> IffReport:
+                        weak: LawResult | None = None) -> IffReport:
     """Compute both sides of the endpoint equivalence independently.
 
     One side scans the finite space for exact endpoints; the other decides
@@ -419,7 +416,7 @@ def endpoint_iff_report(T: SetValuedMap, w: ContractionWitness,
     if weak is None:
         weak = is_weak_contraction(T, w, plan)
     if not weak.passed:
-        return IffReport("skipped", f"one-sided bound check failed: {weak.counterexample}")
+        return IffReport("skipped", f"one-sided bound check failed: {weak.witness}")
     cstat = c_condition_status(w)
     if cstat.status is not CStatus.HOLDS_BY_THEOREM:
         return IffReport("skipped", f"convergence condition not certified: {cstat.justification}")
@@ -460,7 +457,7 @@ def single_valued_fixed_point_report(m: ConeMetricSpace, f: Callable[[Point], Po
     weak = is_weak_contraction(T, w, plan)
     if not weak.passed:
         return SingleValuedReport("skipped",
-                                  f"one-sided bound check failed: {weak.counterexample}")
+                                  f"one-sided bound check failed: {weak.witness}")
     report = iterate_endpoint(T, w, cfg, plan)
     if not m.finite:
         return SingleValuedReport("checked", "", report, (), None)

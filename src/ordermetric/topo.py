@@ -717,9 +717,8 @@ def check_topo_laws(t: TopoStructure, plan: SamplePlan) -> LawReport:
     t1_stream += [(a, b) for a in g.edge_elements for b in g.edge_elements]
 
     def t1(a, b):
-        if not t.ll(a, b):
-            return True, ""
-        return g.lt(a, b), f"a={fmt(a)}, b={fmt(b)}"
+        if t.ll(a, b) and not g.lt(a, b):
+            return f"a={fmt(a)}, b={fmt(b)}"
 
     results.append(_run_law("t1", t1_stream, t1))
 
@@ -732,9 +731,8 @@ def check_topo_laws(t: TopoStructure, plan: SamplePlan) -> LawReport:
         t2_stream.append((a, b, c))
 
     def t2(a, b, c):
-        if not (g.leq(a, b) and t.ll(b, c)):
-            return True, ""
-        return t.ll(a, c), f"a={fmt(a)}, b={fmt(b)}, c={fmt(c)}"
+        if g.leq(a, b) and t.ll(b, c) and not t.ll(a, c):
+            return f"a={fmt(a)}, b={fmt(b)}, c={fmt(c)}"
 
     results.append(_run_law("t2", t2_stream, t2))
 
@@ -745,9 +743,8 @@ def check_topo_laws(t: TopoStructure, plan: SamplePlan) -> LawReport:
                   for c in g.edge_elements[:3]]
 
     def t3(a, b, c):
-        if not t.ll(a, b):
-            return True, ""
-        return t.ll(g.add(a, c), g.add(b, c)), f"a={fmt(a)}, b={fmt(b)}, c={fmt(c)}"
+        if t.ll(a, b) and not t.ll(g.add(a, c), g.add(b, c)):
+            return f"a={fmt(a)}, b={fmt(b)}, c={fmt(c)}"
 
     results.append(_run_law("t3", t3_stream, t3))
 
@@ -757,12 +754,10 @@ def check_topo_laws(t: TopoStructure, plan: SamplePlan) -> LawReport:
 
     def t4(a):
         if g.eq(a, g.identity):
-            ok = all(t.ll(g.identity, e) for e in family[:8])
-            return ok, "identity escaped a shrinking witness"
-        if not g.is_nonneg(a):
-            return True, ""
-        escaped = any(not t.ll(a, e) for e in family)
-        return escaped, f"a={fmt(a)} survived the whole shrinking family"
+            if not all(t.ll(g.identity, e) for e in family[:8]):
+                return "identity escaped a shrinking witness"
+        elif g.is_nonneg(a) and all(t.ll(a, e) for e in family):
+            return f"a={fmt(a)} survived the whole shrinking family"
 
     results.append(_run_law("t4-shrinking", [(a,) for a in t4_samples], t4))
 
@@ -771,10 +766,10 @@ def check_topo_laws(t: TopoStructure, plan: SamplePlan) -> LawReport:
         [(e,) for e in family[:8]]
 
     def t5(eps):
-        if not t.gg_zero(eps):
-            return True, ""
-        eta = t.shrink(eps)
-        return t.gg_zero(eta) and t.ll(eta, eps), f"eps={fmt(eps)}, eta={fmt(eta)}"
+        if t.gg_zero(eps):
+            eta = t.shrink(eps)
+            if not (t.gg_zero(eta) and t.ll(eta, eps)):
+                return f"eps={fmt(eps)}, eta={fmt(eta)}"
 
     results.append(_run_law("t5", t5_stream, t5))
 
@@ -788,10 +783,9 @@ def check_topo_laws(t: TopoStructure, plan: SamplePlan) -> LawReport:
         t6_stream.append((a, b, r))
 
     def t6(a, b, r):
-        if not (t.ll(a, b) and ring.lt(ring.zero, r)):
-            return True, ""
-        return t.ll(t.module.scale(r, a), t.module.scale(r, b)), \
-            f"a={fmt(a)}, b={fmt(b)}, r={r}"
+        if t.ll(a, b) and ring.lt(ring.zero, r) \
+                and not t.ll(t.module.scale(r, a), t.module.scale(r, b)):
+            return f"a={fmt(a)}, b={fmt(b)}, r={r}"
 
     results.append(_run_law("t6", t6_stream, t6))
 

@@ -39,14 +39,14 @@ def test_weak_contraction_matched_scalings(real_line_space):
     """Each image point x/k pairs with y/k, giving distance d/k below d/2."""
     T = SetValuedMap.from_rule(real_line_space, lambda x: (x / 2, x / 3))
     report = is_weak_contraction(T, HALF, SamplePlan(seed=2, count=250))
-    assert report.passed, report.counterexample
+    assert report.passed, report.witness
 
 
 def test_weak_contraction_rejects_identity_map(real_line_space):
     T = SetValuedMap.from_rule(real_line_space, lambda x: (x,))
     report = is_weak_contraction(T, HALF, SamplePlan(seed=2, count=100))
     assert not report.passed
-    assert report.counterexample
+    assert report.witness
 
 
 def test_weak_contraction_single_valued_halving(real_line_space):
@@ -78,7 +78,7 @@ def test_global_contraction_reflected_images_fail(real_line_space):
     T = SetValuedMap.from_rule(real_line_space, lambda x: (x / 2, 1 - x / 2))
     report = is_global_weak_contraction(T, HALF, SamplePlan(seed=2, count=250))
     assert not report.passed
-    assert report.counterexample
+    assert report.witness
 
 
 def test_witness_validity(real_line_space):

@@ -43,7 +43,6 @@ from ordermetric import (
 )
 from ordermetric import cli, cone_metric, contraction, harness, order_core
 from ordermetric.cli import main
-from ordermetric.contraction import ContractionReport
 from ordermetric.instance_files import BUILTIN_INSTANCE_TEXTS, build_bundle, load_instance
 from ordermetric.order_core import LawReport, _cone_cmp, _run_law, _scalar_cmp, format_element
 
@@ -65,17 +64,16 @@ def _ref_pairs(space):
 def _ref_scan(T, w, kind, violation):
     space = T.space
     pairs = _ref_pairs(space)
-    for x, y in pairs:
+    for checked, (x, y) in enumerate(pairs, 1):
         bound = w.phi(space, x, y, space.distance(x, y))
         ty = T.images(y)
         for xp in T.images(x):
             tail = violation(xp, ty, bound)
             if tail is not None:
-                return ContractionReport(
-                    kind, False, len(pairs),
-                    f"x={format_element(x)}, y={format_element(y)}, "
-                    f"x'={format_element(xp)}{tail}", exhaustive=True)
-    return ContractionReport(kind, True, len(pairs), exhaustive=True)
+                return LawResult(kind, False, checked,
+                                 f"x={format_element(x)}, y={format_element(y)}, "
+                                 f"x'={format_element(xp)}{tail}")
+    return LawResult(kind, True, len(pairs))
 
 
 def _ref_weak(T, w):
@@ -110,22 +108,22 @@ def _ref_validate(T, w):
     def phi_strictly_below(x, y):
         d = space.distance(x, y)
         if not g.is_positive(d):
-            return True, None
+            return None
         bound = w.phi(space, x, y, d)
         if g.lt(bound, d):
-            return True, None
-        return False, (f"x={format_element(x)}, y={format_element(y)}: bound "
-                       f"{format_element(bound)} not strictly below {format_element(d)}")
+            return None
+        return (f"x={format_element(x)}, y={format_element(y)}: bound "
+                f"{format_element(bound)} not strictly below {format_element(d)}")
 
     results = [_run_law("phi-strictly-below", pairs, phi_strictly_below)]
     if w.klass in (WitnessClass.ALPHA_CONSTANT, WitnessClass.ALPHA_FUNCTION):
         def alpha_in_range(x, y):
             a = w.alpha(x, y)
             if not (0 <= a < 1):
-                return False, f"ratio {a} at ({format_element(x)}, {format_element(y)})"
+                return f"ratio {a} at ({format_element(x)}, {format_element(y)})"
             if w.klass is WitnessClass.ALPHA_FUNCTION and a > w.alpha_bound:
-                return False, f"ratio {a} exceeds declared bound {w.alpha_bound}"
-            return True, None
+                return f"ratio {a} exceeds declared bound {w.alpha_bound}"
+            return None
 
         results.append(_run_law("alpha-range", pairs, alpha_in_range))
     return LawReport(subject=f"witness {w.describe()} against {T.name}",

@@ -9,14 +9,21 @@ import pytest
 from ordermetric import (
     ALL_CHECKS,
     Budgets,
+    SamplePlan,
     SuiteSpec,
     builtin_bundles,
+    check_metric_laws,
+    check_module_laws,
+    check_topo_laws,
     default_suite,
     fault_inject,
     run_fault_sensitivity,
     run_suite,
 )
-from ordermetric import cone_metric, harness
+from ordermetric import cone_metric, contraction, harness, order_core, topo
+from ordermetric.contraction import hypothesis_reports
+from ordermetric.instance_files import build_bundle, load_instance
+from ordermetric.order_core import format_element
 from ordermetric.harness import DEFAULT_INSTANCES, FAULT_TARGETS
 
 FAST = Budgets(samples=150, n_max=120)
@@ -32,11 +39,17 @@ def test_default_suite_is_green(fast_report):
     assert fast_report.ok, fast_report.to_text()
 
 
-@pytest.mark.parametrize("seed", [0, 42])
+@pytest.mark.parametrize("seed", [0, 42, pytest.param(None, id="default-seed0")])
 def test_fast_suite_machine_rows_match_golden(seed, fast_report):
-    # another seed draws other interval samples, so both guard the samplers
-    report = fast_report if seed == 0 else run_suite(default_suite(budgets=FAST, sample_seed=seed))
-    golden = (ROOT / "tests" / "data" / f"suite-fast-seed{seed}.rows").read_text(encoding="utf-8")
+    # another seed draws other interval samples, so both guard the samplers;
+    # the full default suite (default budgets, seed 0) pins the budgets too
+    if seed is None:
+        report, name = run_suite(default_suite(sample_seed=0)), "suite-default-seed0"
+    else:
+        report = fast_report if seed == 0 else run_suite(default_suite(budgets=FAST,
+                                                                       sample_seed=seed))
+        name = f"suite-fast-seed{seed}"
+    golden = (ROOT / "tests" / "data" / f"{name}.rows").read_text(encoding="utf-8")
     assert report.to_text("machine-rows") == golden
 
 
@@ -150,6 +163,15 @@ def test_hausdorff_symmetry_witness_names_the_sets(monkeypatch):
     assert (row.outcome, row.witness) == ("fail", "H asymmetric on {0; 1} vs {0; 1/4; 1}")
 
 
+def test_hausdorff_symmetry_fails_on_an_asymmetric_metric():
+    # break-d2 adds 1 to d(x, y) when x < y; H(A, C) and H(C, A) are both
+    # symmetric in their sets, so the row swaps the metric's arguments
+    broken = fault_inject(builtin_bundles()["three-point"], "break-d2")
+    spec = SuiteSpec(instances=("three-point",), checks=("hausdorff/symmetry",))
+    row = run_suite(spec, {"three-point": broken}).row("hausdorff/symmetry", "three-point")
+    assert (row.outcome, row.witness) == ("fail", "H asymmetric on {0; 1} vs {0; 1/4; 1}")
+
+
 def test_hausdorff_triangle_witness_names_the_set():
     row = _hausdorff_row("hausdorff/triangle",
                          _three_point_with_metric(lambda x, y: (x - y) ** 2), seed=2)
@@ -163,3 +185,26 @@ def test_fault_rows_print_no_python_reprs():
         spec = default_suite(instances=[r.instance], budgets=Budgets(samples=60, n_max=40))
         for row in run_suite(spec, mutated).rows:
             assert "Fraction(" not in (row.witness or ""), (r.mutation, row.check, row.witness)
+
+
+def test_passing_laws_format_no_witness(monkeypatch):
+    # witnesses are formatted only where a law fails; the group laws are left
+    # out because g1 seeds each of its samples from the text of its pair
+    bundles = builtin_bundles()
+    bundles["ladder-31"] = build_bundle(load_instance(ROOT / "tests" / "data" / "ladder-31.ini"))
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return format_element(value)
+
+    for mod in (order_core, topo, cone_metric, contraction):
+        monkeypatch.setattr(mod, "format_element", counted)
+    plan = SamplePlan()
+    for name, b in bundles.items():
+        reports = [check_module_laws(b.module, plan), check_topo_laws(b.structure, plan),
+                   check_metric_laws(b.space, plan)]
+        if b.map_ is not None and b.witness is not None:
+            reports += hypothesis_reports(b.map_, b.witness, plan)
+        assert all(r.passed for r in reports), name
+        assert calls == [], name

@@ -112,7 +112,7 @@ def test_tolerance_is_checked_before_the_hypotheses(dilation):
 def test_reports_use_a_precomputed_weak_report(dilation):
     _, T = dilation
     weak = is_weak_contraction(T, HALF)
-    failed = dataclasses.replace(weak, passed=False, counterexample="given")
+    failed = dataclasses.replace(weak, passed=False, witness="given")
     assert endpoint_iff_report(T, HALF, weak=weak) == endpoint_iff_report(T, HALF)
     assert endpoint_iff_report(T, HALF, weak=failed).reason \
         == "one-sided bound check failed: given"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ordermetric import (
     DomainError,
     IncomparableError,
+    LawResult,
     Order,
     RingDescriptor,
     SamplePlan,
@@ -22,6 +23,7 @@ from ordermetric import (
     real_group,
     real_module,
 )
+from ordermetric.order_core import _run_law, _run_laws
 
 fractions_st = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
@@ -166,3 +168,50 @@ def test_registration_requires_non_identity_element():
     g = real_group()
     with pytest.raises(DomainError):
         dataclasses.replace(g, edge_elements=(Fraction(0),))
+
+
+# ---------------------------------------------------------------------------
+# the law runner
+
+
+def _fails_at(k):
+    return lambda n: f"fails at {n}" if n == k else None
+
+
+def _raises_at(k):
+    def predicate(n):
+        if n == k:
+            raise ValueError(f"raised at {n}")
+    return predicate
+
+
+def _stream(n, raise_at=None):
+    for i in range(1, n + 1):
+        if i == raise_at:
+            raise ValueError(f"stream raised at {i}")
+        yield (i,)
+
+
+def test_runner_gives_each_law_its_own_outcome():
+    results = _run_laws(_stream(5), [("holds", lambda n: None), ("fails", _fails_at(2))])
+    assert results == [LawResult("holds", True, 5), LawResult("fails", False, 2, "fails at 2")]
+
+
+def test_runner_holds_a_predicate_error_for_its_own_law():
+    holds, raises = _run_laws(_stream(5), [("holds", lambda n: None), ("raises", _raises_at(3))])
+    assert holds == LawResult("holds", True, 5)
+    assert isinstance(raises, ValueError) and str(raises) == "raised at 3"
+
+
+def test_runner_holds_a_stream_error_for_every_running_law():
+    done, running = _run_laws(_stream(5, raise_at=4),
+                              [("done", _fails_at(2)), ("running", lambda n: None)])
+    assert done == LawResult("done", False, 2, "fails at 2")
+    assert isinstance(running, ValueError) and str(running) == "stream raised at 4"
+
+
+def test_single_law_raises_its_held_error():
+    with pytest.raises(ValueError, match="raised at 3"):
+        _run_law("raises", list(_stream(5)), _raises_at(3))
+    with pytest.raises(ValueError, match="stream raised at 1"):
+        _run_law("holds", _stream(5, raise_at=1), lambda n: None)
