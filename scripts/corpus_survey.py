@@ -17,9 +17,16 @@ from ordermetric import (
 )
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--count", type=int, default=120)
+    parser.add_argument("--count", type=positive_int, default=120)
     parser.add_argument("--seed", type=int, default=20260809)
     args = parser.parse_args()
 

@@ -13,10 +13,18 @@ hand-tuned ones.
 Instances whose exhaustive max image-pair distance also stays strictly
 below the distance additionally carry a constant-ratio witness (the exact
 worst ratio), which is what the solver agreement corpus filters on.
+
+Both bounds are decided in integers: the points are numerators over one
+common denominator, each image is a tuple of positions among them, and
+only an attempt that passes at every pair is built into Fractions, a
+space, a map and its witnesses. The generator draws numerators from the
+pool directly; ``build_instance`` brings its rationals to their least
+common denominator first, so both take the same path.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +34,7 @@ from .topo import strict_order_structure
 from .cone_metric import ConeMetricSpace
 from .contraction import ContractionWitness, SetValuedMap, WitnessClass
 
-_POINT_POOL = tuple(Fraction(k, 4) for k in range(0, 17))  # 0, 1/4, ..., 4
+_POOL_DEN, _POOL_SIZE = 4, 17  # the points 0, 1/4, ..., 4, as numerators over 4
 _MAX_ATTEMPTS = 200000
 
 
@@ -44,51 +52,65 @@ class CorpusInstance:
         return self.alpha_witness is not None
 
 
-def directed_requirement(space: ConeMetricSpace, table: dict, x, y) -> Fraction:
-    """Smallest bound value making the one-sided condition hold at (x, y)."""
-    return max(min(space.distance(xp, yp) for yp in table[y]) for xp in table[x])
-
-
-def pairwise_requirement(space: ConeMetricSpace, table: dict, x, y) -> Fraction:
-    """Smallest bound value making the all-pairs condition hold at (x, y)."""
-    return max(space.distance(xp, yp) for xp in table[x] for yp in table[y])
-
-
 def _shared_structure():
     return strict_order_structure(real_module())
 
 
-def finite_line_space(structure, points, name: str) -> ConeMetricSpace:
-    pts = tuple(sorted(Fraction(p) for p in points))
-    return ConeMetricSpace(name, structure, lambda x, y: abs(x - y), points=pts)
+def _line_distance(x, y):
+    return abs(x - y)
 
 
-def build_instance(structure, points, table: dict, name: str) -> CorpusInstance | None:
-    """Assemble an instance if the map admits a valid bound; None otherwise."""
-    space = finite_line_space(structure, points, name)
-    table = {Fraction(k): tuple(Fraction(v) for v in vs) for k, vs in table.items()}
-    phi_table = {}
-    ratios = []
-    for x in space.points:
-        for y in space.points:
-            if x == y:
+def _admit(structure, den: int, nums, images, name: str) -> CorpusInstance | None:
+    """The instance on the points ``nums[i] / den``, ascending, where point
+    i maps to the positions ``images[i]``, if the map admits a valid bound;
+    None at the first pair where it does not.
+
+    Each ordered pair is scored in integers over ``den``: its distance, the
+    directed need (the max over x' in T(x) of the min over y' in T(y) of
+    |x' - y'|) and the span (the max over both). Nothing is built before
+    every pair is decided.
+    """
+    imgs = [[nums[k] for k in img] for img in images]
+    scored = []
+    for i, (a, img_a) in enumerate(zip(nums, imgs)):
+        for j, (b, img_b) in enumerate(zip(nums, imgs)):
+            d = abs(a - b)
+            if d == 0:
                 continue
-            d = space.distance(x, y)
-            need = directed_requirement(space, table, x, y)
+            need = max(min(abs(p - q) for q in img_b) for p in img_a)
             if need >= d:
                 return None
-            phi_table[(x, y)] = need
-            ratios.append(pairwise_requirement(space, table, x, y) / d)
+            scored.append((i, j, d, need, max(abs(p - q) for p in img_a for q in img_b)))
+    points = tuple(Fraction(k, den) for k in nums)
+    space = ConeMetricSpace(name, structure, _line_distance, points=points)
+    table = {points[i]: tuple(points[k] for k in img) for i, img in enumerate(images)}
     T = SetValuedMap.from_table(space, table, name=f"T[{name}]")
+    phi_table = {(points[i], points[j]): Fraction(need, den) for i, j, _, need, _ in scored}
     phi_w = ContractionWitness(WitnessClass.PHI_TABLE, phi_table=phi_table,
                                label=f"minimal bound table for {name}")
-    worst = max(ratios) if ratios else Fraction(0)
+    worst = max((Fraction(span, d) for _, _, d, _, span in scored), default=Fraction(0))
     alpha_w = None
     if worst < 1:
         alpha_w = ContractionWitness(WitnessClass.ALPHA_CONSTANT, alpha_const=worst,
                                      label=f"worst ratio {worst} for {name}")
     return CorpusInstance(name, space, T, phi_w, alpha_w,
                           worst if worst < 1 else None)
+
+
+def build_instance(structure, points, table: dict, name: str) -> CorpusInstance | None:
+    """Assemble an instance if the map admits a valid bound; None otherwise.
+
+    A table that misses a point or names one outside ``points`` raises
+    DomainError before any pair is scored.
+    """
+    values = tuple(sorted(Fraction(p) for p in points))
+    table = {Fraction(k): tuple(Fraction(v) for v in vs) for k, vs in table.items()}
+    SetValuedMap.from_table(ConeMetricSpace(name, structure, _line_distance, points=values),
+                            table)  # raises on a malformed table, naming the point
+    den = math.lcm(*(p.denominator for p in values))
+    at = {p: i for i, p in enumerate(values)}
+    return _admit(structure, den, [p.numerator * (den // p.denominator) for p in values],
+                  [tuple(at[v] for v in table[p]) for p in values], name)
 
 
 def _special_instances(structure) -> list[CorpusInstance]:
@@ -120,21 +142,17 @@ def _special_instances(structure) -> list[CorpusInstance]:
     return specials
 
 
-def _random_table(rng: random.Random, points: tuple) -> dict:
+def _random_table(rng: random.Random, nums: list) -> list:
+    """Each point's image, as positions in the ascending numerators ``nums``."""
     # half the attempts cluster images near a hub point, which is what a
     # contraction looks like; the rest are fully random so the filter is
     # also exercised against unlikely passes
+    at = range(len(nums))
     if rng.random() < 0.5:
-        hub = rng.choice(points)
-        ranked = sorted(points, key=lambda p: (abs(p - hub), p))
-        pool = ranked[:2]
-        return {p: tuple(sorted(rng.sample(pool, rng.randint(1, len(pool)))))
-                for p in points}
-    table = {}
-    for p in points:
-        k = rng.randint(1, min(3, len(points)))
-        table[p] = tuple(sorted(rng.sample(points, k)))
-    return table
+        hub = nums[rng.choice(at)]
+        pool = sorted(at, key=lambda k: (abs(nums[k] - hub), k))[:2]
+        return [tuple(sorted(rng.sample(pool, rng.randint(1, len(pool))))) for _ in at]
+    return [tuple(sorted(rng.sample(at, rng.randint(1, min(3, len(nums)))))) for _ in at]
 
 
 def weak_contraction_corpus(seed: int = 20260809, count: int = 120) -> list[CorpusInstance]:
@@ -154,9 +172,9 @@ def weak_contraction_corpus(seed: int = 20260809, count: int = 120) -> list[Corp
         if attempts > _MAX_ATTEMPTS:
             raise RuntimeError("corpus generation budget exhausted")
         size = rng.randint(2, 5)
-        points = tuple(sorted(rng.sample(_POINT_POOL, size)))
-        inst = build_instance(structure, points, _random_table(rng, points),
-                              f"random/{attempts}")
+        nums = sorted(rng.sample(range(_POOL_SIZE), size))
+        inst = _admit(structure, _POOL_DEN, nums, _random_table(rng, nums),
+                      f"random/{attempts}")
         if inst is not None:
             out.append(inst)
     return out

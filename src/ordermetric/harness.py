@@ -17,6 +17,7 @@ the meta-test that the harness can actually see violations.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import time
 import zlib
 from dataclasses import dataclass
@@ -38,7 +39,6 @@ from .topo import (
     constant,
     harmonic,
     is_certificate,
-    strict_order_structure,
     sum_of,
     verify_convergence,
     verify_convergence_twosided,
@@ -333,7 +333,7 @@ def _check_weak_vs_strong(b: InstanceBundle, ctx: _Ctx):
     g = b.module.group
     if not isinstance(g.identity, tuple) or len(g.identity) < 2:
         return "skip", "no strict-order twin registered (relations coincide)"
-    t_main, t_strict = b.structure, strict_order_structure(b.module)
+    t_main, t_strict = b.structure, b.strict_twin
     for s in _theta_sequences(b):
         for eps in b.eps_family:
             eta = t_main.shrink(g.coerce(eps))
@@ -451,11 +451,28 @@ def _check_hausdorff_triangle(b: InstanceBundle, ctx: _Ctx):
     if isinstance(g.identity, tuple):
         return "skip", "triangle check restricted to totally ordered targets"
     subsets = _sample_subsets(b, ctx, pairs=20)
-    for (a, c), (mid, _) in zip(subsets, subsets[1:] + subsets[:1]):
-        lhs = hausdorff(b.space, a, c)
-        rhs = g.add(hausdorff(b.space, a, mid), hausdorff(b.space, mid, c))
-        if not g.leq(lhs, rhs):
-            return "fail", f"triangle fails via {_set_text(mid)}"
+    sets = list(itertools.chain.from_iterable(subsets))  # A_t at 2t, C_t at 2t + 1
+    if b.space.finite:
+        # every ordered triple of the distinct sampled sets: 7 on three
+        # points, at most 40 on any finite carrier
+        first = {}
+        for i, s in enumerate(sets):
+            first.setdefault(frozenset(s), i)
+        triples = itertools.product(first.values(), repeat=3)
+    else:  # 20 triples, the middle set taken from the next pair
+        n = len(subsets)
+        triples = ((2 * t, 2 * ((t + 1) % n), 2 * t + 1) for t in range(n))
+    h = {}  # H once per ordered pair of sets, by position
+
+    def H(i, k):
+        if (i, k) not in h:
+            h[i, k] = hausdorff(b.space, sets[i], sets[k])
+        return h[i, k]
+
+    for i, j, k in triples:
+        if not g.leq(H(i, k), g.add(H(i, j), H(j, k))):
+            return "fail", (f"H(A, C) > H(A, B) + H(B, C) for A = {_set_text(sets[i])}, "
+                            f"B = {_set_text(sets[j])}, C = {_set_text(sets[k])}")
     return "pass", "triangle inequality holds on sampled set triples"
 
 

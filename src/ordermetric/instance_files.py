@@ -47,7 +47,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 from .order_core import OrderedModuleInstance, coord_cone_module, format_element, real_module
@@ -541,6 +541,13 @@ class InstanceBundle:
 
     def replace(self, **kw) -> "InstanceBundle":
         return dataclasses.replace(self, **kw)
+
+    @cached_property
+    def strict_twin(self) -> TopoStructure:
+        """The strict-order structure on ``module``, built once per bundle:
+        the sequences memoize outcomes by structure identity, so reruns on
+        the same bundle reuse them."""
+        return strict_order_structure(self.module)
 
 
 def _scale_by(x, f):

@@ -1,0 +1,159 @@
+"""The finite corpus: ``build_instance`` against the Fraction definitions of
+the one-sided and all-pairs bounds, the generated corpora pinned to their
+last attempt, global count and a full digest, malformed tables, and the
+survey script."""
+
+import hashlib
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ordermetric import (
+    ConeMetricSpace,
+    DomainError,
+    WitnessClass,
+    build_instance,
+    real_module,
+    strict_order_structure,
+    weak_contraction_corpus,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+STRUCTURE = strict_order_structure(real_module())
+
+
+def _reference(points, table):
+    """(phi table, worst ratio) by the Fraction definitions read through
+    ``space.distance``, or None where some pair admits no bound."""
+    space = ConeMetricSpace("ref", STRUCTURE, lambda x, y: abs(x - y),
+                            points=tuple(sorted(points)))
+    phi, ratios = {}, []
+    for x in space.points:
+        for y in space.points:
+            if x == y:
+                continue
+            d = space.distance(x, y)
+            need = max(min(space.distance(xp, yp) for yp in table[y]) for xp in table[x])
+            if need >= d:
+                return None
+            phi[(x, y)] = need
+            ratios.append(max(space.distance(xp, yp)
+                              for xp in table[x] for yp in table[y]) / d)
+    return phi, max(ratios, default=Fraction(0))
+
+
+@st.composite
+def _instances(draw):
+    points = draw(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=12),
+                           min_size=1, max_size=5, unique=True))
+    # images drawn from one or two hub points are often admissible, from all
+    # points seldom; both kinds are drawn
+    pool = draw(st.one_of(st.just(points),
+                          st.lists(st.sampled_from(points), min_size=1, max_size=2)))
+    table = {p: draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+             for p in points}
+    return points, table
+
+
+@settings(max_examples=400, deadline=None)
+@given(_instances())
+def test_build_instance_matches_the_fraction_definitions(case):
+    points, table = case
+    inst = build_instance(STRUCTURE, points, table, "case")
+    expected = _reference(points, table)
+    assert (inst is None) == (expected is None)
+    if inst is None:
+        return
+    phi, worst = expected
+    assert inst.space.points == tuple(sorted(points))
+    assert inst.phi_witness.phi_table == phi
+    assert all(inst.map_.images_fn(p) == tuple(dict.fromkeys(table[p])) for p in points)
+    if worst < 1:
+        assert inst.worst_ratio == worst
+        assert inst.alpha_witness.klass is WitnessClass.ALPHA_CONSTANT
+        assert (inst.alpha_witness.alpha_const, inst.alpha_witness.label) == \
+            (worst, f"worst ratio {worst} for case")
+    else:
+        assert inst.worst_ratio is None and inst.alpha_witness is None
+
+
+def test_build_instance_rejects_a_table_missing_a_point():
+    with pytest.raises(DomainError, match="map table misses point 1"):
+        build_instance(STRUCTURE, [0, 1], {0: [0]}, "x")
+
+
+def test_build_instance_rejects_an_image_outside_the_points():
+    with pytest.raises(DomainError, match="point 2 is not in space 'x'"):
+        build_instance(STRUCTURE, [0, 1], {0: [0], 1: [2]}, "x")
+
+
+# ---------------------------------------------------------------------------
+# generated corpora
+
+
+def _digest(insts) -> str:
+    """Every instance's names, points, images, witnesses and worst ratio."""
+    h = hashlib.sha256()
+    for inst in insts:
+        T, phi, alpha = inst.map_, inst.phi_witness, inst.alpha_witness
+        row = (inst.name, inst.space.name, inst.space.points, T.name,
+               tuple((x, T.images_fn(x)) for x in inst.space.points),
+               phi.klass.value, tuple(phi.phi_table.items()), phi.label,
+               inst.worst_ratio,
+               None if alpha is None else (alpha.klass.value, alpha.alpha_const, alpha.label))
+        h.update(repr(row).encode())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def corpus_0_3000():
+    return weak_contraction_corpus(0, 3000)
+
+
+@pytest.mark.parametrize("seed, count, last, n_global", [
+    (20260809, 120, "random/590", 43),
+    (0, 3000, "random/16079", 898),
+    (1, 3000, "random/16107", 854),
+])
+def test_corpus_pins(seed, count, last, n_global, corpus_0_3000):
+    insts = corpus_0_3000 if (seed, count) == (0, 3000) else weak_contraction_corpus(seed, count)
+    assert len(insts) == count
+    assert insts[-1].name == last
+    assert sum(i.global_contraction for i in insts) == n_global
+
+
+def test_corpus_digest(corpus_0_3000):
+    assert _digest(corpus_0_3000) == \
+        "2c3cc4fabf0b5ad4cb6f964a23d5206bf911bbb2ec5151c6be7dc4c5fd1b8473"
+
+
+# ---------------------------------------------------------------------------
+# the survey script
+
+
+def _survey(*args):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "corpus_survey.py"), *args],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+
+
+def test_corpus_survey_script_runs_clean():
+    proc = _survey("--count", "200")
+    assert proc.returncode == 0, proc.stderr
+    assert "instances: 200" in proc.stdout
+    assert "endpoint <-> zero inf-sup mismatches: 0" in proc.stdout
+
+
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_corpus_survey_script_rejects_a_nonpositive_count(count):
+    proc = _survey("--count", count)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage:") and "--count" in proc.stderr

@@ -175,7 +175,29 @@ def test_hausdorff_symmetry_fails_on_an_asymmetric_metric():
 def test_hausdorff_triangle_witness_names_the_set():
     row = _hausdorff_row("hausdorff/triangle",
                          _three_point_with_metric(lambda x, y: (x - y) ** 2), seed=2)
-    assert (row.outcome, row.witness) == ("fail", "triangle fails via {1; 1/4}")
+    assert (row.outcome, row.witness) == \
+        ("fail", "H(A, C) > H(A, B) + H(B, C) for A = {1/4; 0}, B = {1/4}, C = {1}")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hausdorff_triangle_fails_on_a_squared_metric_at_every_seed(seed):
+    # d(0, 1) = 1 > d(0, 1/4) + d(1/4, 1) = 1/16 + 9/16; a finite carrier's
+    # row tries every ordered triple of its distinct sampled sets
+    row = _hausdorff_row("hausdorff/triangle",
+                         _three_point_with_metric(lambda x, y: (x - y) ** 2), seed=seed)
+    assert row.outcome == "fail"
+
+
+def test_weak_vs_strong_reruns_keep_one_twin():
+    bundles = builtin_bundles()
+    spec = SuiteSpec(instances=("cone-2",), checks=("seq/weak-vs-strong",), sample_seed=0,
+                     budgets=Budgets(samples=50, n_max=40))
+    counts, rows = [], []
+    for _ in range(3):
+        rows.append(run_suite(spec, bundles).to_text("machine-rows"))
+        counts.append(sum(len(s._outcomes) for s in bundles["cone-2"].sequences))
+    assert counts == [30, 30, 30]
+    assert rows[0] == rows[1] == rows[2]
 
 
 def test_fault_rows_print_no_python_reprs():
