@@ -12,6 +12,7 @@ import sys
 import time
 
 from ordermetric import Budgets, default_suite, run_suite
+from ordermetric.harness import DEFAULT_INSTANCES
 
 
 def main() -> int:
@@ -28,7 +29,11 @@ def main() -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
-    instances = [s for s in args.instances.split(",") if s.strip()] or None
+    instances = [s.strip() for s in args.instances.split(",") if s.strip()] or None
+    unknown = [s for s in instances or () if s not in DEFAULT_INSTANCES]
+    if unknown:
+        parser.error(f"unknown instance {', '.join(unknown)} "
+                     f"(built-ins: {', '.join(DEFAULT_INSTANCES)})")
     spec = default_suite(instances=instances, sample_seed=args.seed, budgets=budgets)
     started = time.monotonic()
     report = run_suite(spec)

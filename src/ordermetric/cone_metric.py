@@ -283,17 +283,6 @@ def cauchy_check(m: ConeMetricSpace, s: PointSequence, eps_family: Sequence[Elem
     return outcomes
 
 
-def constant_tail_start(s: PointSequence, n_max: int) -> int:
-    """Smallest index i such that every term from i through the window end
-    equals the final term; equals the window end itself when no tail repeats."""
-    cap = s.cap(n_max)
-    last = s.term(cap)
-    start = cap
-    while start > 1 and s.term(start - 1) == last:
-        start -= 1
-    return start
-
-
 # ---------------------------------------------------------------------------
 # set distance
 

@@ -501,7 +501,6 @@ def approximate_endpoint_property_finite(T: SetValuedMap) -> ApproxEndpointValue
 class ApproxSequenceReport:
     holds: bool
     violation: str | None = None
-    bound_outcomes: tuple = ()
 
 
 def approximate_endpoint_sequence(T: SetValuedMap, seq: PointSequence,
@@ -512,8 +511,7 @@ def approximate_endpoint_sequence(T: SetValuedMap, seq: PointSequence,
     space, g = T.space, T.space.group
     bound_out = verify_convergence(space.structure, bounds, g.identity, eps_family, n_max)
     if not all(is_certificate(o) for o in bound_out):
-        return ApproxSequenceReport(False, "bound sequence failed to certify toward the identity",
-                                    tuple(bound_out))
+        return ApproxSequenceReport(False, "bound sequence failed to certify toward the identity")
     cap = min(seq.cap(n_max), bounds.cap(n_max))
     for n in range(1, cap + 1):
         x = seq.term(n)
@@ -523,6 +521,5 @@ def approximate_endpoint_sequence(T: SetValuedMap, seq: PointSequence,
                 return ApproxSequenceReport(
                     False,
                     f"n={n}, x'={format_element(xp)}: d={format_element(space.distance(x, xp))} "
-                    f"exceeds bound {format_element(a_n)}",
-                    tuple(bound_out))
-    return ApproxSequenceReport(True, None, tuple(bound_out))
+                    f"exceeds bound {format_element(a_n)}")
+    return ApproxSequenceReport(True)

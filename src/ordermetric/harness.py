@@ -34,11 +34,15 @@ from .order_core import (
     format_element,
 )
 from .topo import (
+    check_limit_uniqueness,
     check_regularity,
     check_topo_laws,
     constant,
+    constant_tail_start,
     harmonic,
     is_certificate,
+    sandwich_convergence,
+    sum_convergence,
     sum_of,
     verify_convergence,
     verify_convergence_twosided,
@@ -48,7 +52,6 @@ from .cone_metric import (
     SetDistanceUndefined,
     cauchy_check,
     check_metric_laws,
-    constant_tail_start,
     hausdorff,
     min_positive_distance,
     point_convergence,
@@ -83,7 +86,6 @@ from .instance_files import (
     parse_instance_text,
     render_element_list,
 )
-from . import topo as _topo
 
 
 @dataclass(frozen=True)
@@ -253,61 +255,70 @@ def _check_law(family: str, law: str):
     return run
 
 
-def _theta_sequences(b: InstanceBundle):
-    g = b.module.group
-    return [s for s in b.sequences if s.closed_form and g.eq(s.declared_limit, g.identity)]
+def _theta_sums(b: InstanceBundle, ctx: _Ctx) -> tuple:
+    """(s_i, s_{i+1}, s_i + s_{i+1}) over the bundle's closed forms that tend
+    to the identity, cyclically; built once per run, so every seq row
+    shares the sums' term and outcome memos. Empty when there are none."""
+    def build():
+        g = b.module.group
+        seqs = [s for s in b.sequences if s.closed_form and g.eq(s.declared_limit, g.identity)]
+        return tuple((s1, s2, sum_of(s1, s2)) for s1, s2 in zip(seqs, seqs[1:] + seqs[:1]))
+    return ctx.memo(("theta-sums", b.name), build)
 
 
-def _check_limit_uniqueness(b: InstanceBundle, ctx: _Ctx):
+def _over_theta_sums(check):
+    """The row of ``check(b, ctx, sums)``; it skips where the bundle has no
+    closed form tending to the identity, since it would check nothing."""
+    def run(b: InstanceBundle, ctx: _Ctx):
+        sums = _theta_sums(b, ctx)
+        if not sums:
+            return "skip", "no closed-form sequence tends to the identity"
+        return check(b, ctx, sums)
+    return run
+
+
+def _check_limit_uniqueness(b: InstanceBundle, ctx: _Ctx, sums):
     g, t = b.module.group, b.structure
     n_max = ctx.budgets.n_max
     fake = t.shrink(t.positivity_witness)
-    for s in _theta_sequences(b):
-        ok = _topo.check_limit_uniqueness(t, s, g.identity, g.identity,
-                                          b.eps_family, n_max)
+    for s, _, _ in sums:
+        ok = check_limit_uniqueness(t, s, g.identity, g.identity, b.eps_family, n_max)
         if ok.candidate_is_limit is not True:
             return "fail", f"{s.name}: true limit rejected ({ok.witness})"
-        alt = _topo.check_limit_uniqueness(t, s, g.identity, fake,
-                                           b.eps_family, n_max)
+        alt = check_limit_uniqueness(t, s, g.identity, fake, b.eps_family, n_max)
         if alt.candidate_is_limit is not False:
             return "fail", f"{s.name}: fake limit {format_element(fake)} not refuted"
-    return "pass", f"{len(_theta_sequences(b))} sequences, fake limit refuted each time"
+    return "pass", f"{len(sums)} sequences, fake limit refuted each time"
 
 
-def _check_sum(b: InstanceBundle, ctx: _Ctx):
+def _check_sum(b: InstanceBundle, ctx: _Ctx, sums):
     t = b.structure
-    seqs = _theta_sequences(b)
-    pairs = [(seqs[i], seqs[(i + 1) % len(seqs)]) for i in range(len(seqs))]
-    for s1, s2 in pairs:
-        outs = _topo.sum_convergence(t, s1, s2, b.eps_family, ctx.budgets.n_max)
+    for s1, s2, _ in sums:
+        outs = sum_convergence(t, s1, s2, b.eps_family, ctx.budgets.n_max)
         bad = [o for o in outs if not is_certificate(o)]
         if bad:
             return "fail", f"{s1.name} + {s2.name}: {bad[0]}"
-    return "pass", f"{len(pairs)} sums certified by tolerance splitting"
+    return "pass", f"{len(sums)} sums certified by tolerance splitting"
 
 
-def _check_sandwich(b: InstanceBundle, ctx: _Ctx):
+def _check_sandwich(b: InstanceBundle, ctx: _Ctx, sums):
     g, t = b.module.group, b.structure
-    seqs = _theta_sequences(b)
-    for i, lower in enumerate(seqs):
-        bump = seqs[(i + 1) % len(seqs)]
-        upper = sum_of(lower, bump)
-        outs = _topo.sandwich_convergence(t, lower, upper, g.identity,
-                                          b.eps_family, ctx.budgets.n_max)
+    for lower, _, upper in sums:
+        outs = sandwich_convergence(t, lower, upper, g.identity,
+                                    b.eps_family, ctx.budgets.n_max)
         bad = [o for o in outs if not is_certificate(o)]
         if bad:
             return "fail", f"{lower.name} vs {upper.name}: {bad[0]}"
-    return "pass", f"{len(seqs)} dominated pairs certified"
+    return "pass", f"{len(sums)} dominated pairs certified"
 
 
 def _check_regularity(b: InstanceBundle, ctx: _Ctx):
     t = b.structure
     if not t.regular:
         return "skip", "instance is not declared regular"
-    decreasing = list(_theta_sequences(b))
-    shifted = sum_of(constant(b.module, t.positivity_witness), harmonic(
-        b.module, t.positivity_witness))
-    decreasing.append(shifted)
+    shifted = sum_of(constant(b.module, t.positivity_witness),
+                     harmonic(b.module, t.positivity_witness))
+    decreasing = [s for s, _, _ in _theta_sums(b, ctx)] + [shifted]
     rep = check_regularity(t, decreasing, b.eps_family, ctx.budgets.n_max)
     if rep.all_convergent:
         return "pass", f"{len(rep.rows)} decreasing sequences converge"
@@ -315,9 +326,9 @@ def _check_regularity(b: InstanceBundle, ctx: _Ctx):
     return "fail", f"{bad.sequence}: {bad.status}"
 
 
-def _check_two_sided(b: InstanceBundle, ctx: _Ctx):
+def _check_two_sided(b: InstanceBundle, ctx: _Ctx, sums):
     g, t = b.module.group, b.structure
-    for s in _theta_sequences(b):
+    for s, _, _ in sums:
         one = verify_convergence(t, s, g.identity, b.eps_family, ctx.budgets.n_max)
         two = verify_convergence_twosided(t, s, g.identity, b.eps_family, ctx.budgets.n_max)
         for a, c in zip(one, two):
@@ -329,12 +340,12 @@ def _check_two_sided(b: InstanceBundle, ctx: _Ctx):
     return "pass", "both phrasings agree on every threshold"
 
 
-def _check_weak_vs_strong(b: InstanceBundle, ctx: _Ctx):
+def _check_weak_vs_strong(b: InstanceBundle, ctx: _Ctx, sums):
     g = b.module.group
     if not isinstance(g.identity, tuple) or len(g.identity) < 2:
         return "skip", "no strict-order twin registered (relations coincide)"
     t_main, t_strict = b.structure, b.strict_twin
-    for s in _theta_sequences(b):
+    for s, _, _ in sums:
         for eps in b.eps_family:
             eta = t_main.shrink(g.coerce(eps))
             strict_out = verify_convergence(t_strict, s, g.identity, [eta],
@@ -354,7 +365,7 @@ def _check_norm_to_order(b: InstanceBundle, ctx: _Ctx):
     g, t = b.module.group, b.structure
     n_max = ctx.budgets.n_max
     established = 0
-    for s in _theta_sequences(b):
+    for s, _, _ in _theta_sums(b, ctx):
         for eps in b.eps_family:
             eps = g.coerce(eps)
             eps_coords = eps if isinstance(eps, tuple) else (eps,)
@@ -531,7 +542,7 @@ def _check_finite_completeness(b: InstanceBundle, ctx: _Ctx):
     for name, s in sequences.items():
         outcome = cauchy_check(space, s, [minpos], n_max)[0]
         if isinstance(outcome, CauchyCertificate):
-            if constant_tail_start(s, n_max) > max(outcome.threshold, 1):
+            if constant_tail_start(g, s, n_max) > max(outcome.threshold, 1):
                 return "fail", f"{name}: certified at the minimum scale but not constant"
             tail_value = s.term(n_max)
             conv = point_convergence(space, s, tail_value, b.eps_family, n_max)
@@ -719,12 +730,12 @@ CHECKS.update({
     "metric/point-convergence": _check_point_convergence,
     "metric/cauchy": _check_point_cauchy,
     "metric/finite-completeness": _check_finite_completeness,
-    "seq/limit-uniqueness": _check_limit_uniqueness,
-    "seq/sum": _check_sum,
-    "seq/sandwich": _check_sandwich,
+    "seq/limit-uniqueness": _over_theta_sums(_check_limit_uniqueness),
+    "seq/sum": _over_theta_sums(_check_sum),
+    "seq/sandwich": _over_theta_sums(_check_sandwich),
     "seq/regularity": _check_regularity,
-    "seq/two-sided": _check_two_sided,
-    "seq/weak-vs-strong": _check_weak_vs_strong,
+    "seq/two-sided": _over_theta_sums(_check_two_sided),
+    "seq/weak-vs-strong": _over_theta_sums(_check_weak_vs_strong),
     "seq/norm-to-order": _check_norm_to_order,
     "hausdorff/identity": _check_hausdorff_identity,
     "hausdorff/symmetry": _check_hausdorff_symmetry,

@@ -13,8 +13,11 @@ Each sequence object does its exact work once: it memoizes its closed-form
 terms by index and its convergence outcomes by (phrasing, structure, limit,
 tolerance, window). Both are pure functions of their key; the structure is
 keyed by identity, so a replaced copy is evaluated afresh, and limit and
-tolerances are validated on every call. An outcome computed from an
-analytic threshold still carries the term-by-term re-check of its window.
+tolerances are validated on every call. One loop over the tolerances,
+``_converge``, serves all four facts: the one- and two-sided phrasings, sums
+and sandwiches. A sum is checked from its components' memoized terms, so no
+summed sequence is built for it. An outcome computed from an analytic
+threshold still carries the term-by-term re-check of its window.
 """
 
 from __future__ import annotations
@@ -384,8 +387,13 @@ def exact_threshold(t: TopoStructure, s: PositiveSequence, limit: Element,
     return lo - 1
 
 
-def _empirical_scan(t: TopoStructure, predicate, n_max: int, eps: Element):
-    violations = [n for n in range(1, n_max + 1) if not predicate(n)]
+def _violations(pred, first: int, last: int) -> list[int]:
+    """The indices first..last at which ``pred`` fails, in order."""
+    return [n for n in range(first, last + 1) if not pred(n)]
+
+
+def _empirical_scan(predicate, n_max: int, eps: Element):
+    violations = _violations(predicate, 1, n_max)
     if not violations:
         return ConvergenceCertificate(eps, 0, n_max)
     if violations[-1] < n_max:
@@ -395,13 +403,14 @@ def _empirical_scan(t: TopoStructure, predicate, n_max: int, eps: Element):
 
 
 def _converge(t: TopoStructure, s: PositiveSequence, limit,
-              eps_family: Sequence[Element], n_max: int, phrasing: str, predicate_at) -> list:
-    """The loop of both phrasings; ``predicate_at(limit, eps)`` returns
-    the test n -> bool that term n is within eps of the limit.
+              eps_family: Sequence[Element], n_max: int, phrasing, outcome_at) -> list:
+    """The one loop over the tolerances; ``outcome_at(limit, eps)`` returns
+    the fact's outcome at one tolerance.
 
     Limit and tolerances are validated on every call; each outcome is
     computed once per (phrasing, structure, limit, eps, n_max) and kept on
-    the sequence. Structures hash by identity.
+    ``s``. Structures and sequences hash by identity, so a phrasing may name
+    the other sequence of a sum or a sandwich.
     """
     g = t.group
     limit = g.coerce(limit)
@@ -412,8 +421,7 @@ def _converge(t: TopoStructure, s: PositiveSequence, limit,
         key = (phrasing, t, limit, eps, n_max)
         out = s._outcomes.get(key)
         if out is None:
-            out = s._outcomes[key] = _converge_one(t, s, limit, eps, n_max,
-                                                   predicate_at(limit, eps))
+            out = s._outcomes[key] = outcome_at(limit, eps)
         outcomes.append(out)
     return outcomes
 
@@ -421,13 +429,13 @@ def _converge(t: TopoStructure, s: PositiveSequence, limit,
 def _converge_one(t: TopoStructure, s: PositiveSequence, limit, eps, n_max: int, pred):
     analytic_n = exact_threshold(t, s, limit, eps, predicate=pred)
     if analytic_n is None:
-        return _empirical_scan(t, pred, s.cap(n_max), eps)
+        return _empirical_scan(pred, s.cap(n_max), eps)
     # the threshold is provably valid for every index; still verify the
     # whole declared window term by term
     window_end = max(n_max, analytic_n + _SPOT_WINDOW)
-    bad = next((n for n in range(analytic_n + 1, window_end + 1) if not pred(n)), None)
-    if bad is not None:
-        return ConvergenceFailure(eps, bad, bad, reason="window check failed")
+    bad = _violations(pred, analytic_n + 1, window_end)
+    if bad:
+        return ConvergenceFailure(eps, bad[0], bad[0], reason="window check failed")
     return ConvergenceCertificate(eps, analytic_n, window_end, analytic=True)
 
 
@@ -441,10 +449,11 @@ def verify_convergence(t: TopoStructure, s: PositiveSequence, limit,
     """
     g = t.group
 
-    def sandwich_at(limit, eps):
-        return lambda n: t.sandwich(g.sub(s.term(n), limit), eps)
+    def outcome_at(limit, eps):
+        return _converge_one(t, s, limit, eps, n_max,
+                             lambda n: t.sandwich(g.sub(s.term(n), limit), eps))
 
-    return _converge(t, s, limit, eps_family, n_max, "one-sided", sandwich_at)
+    return _converge(t, s, limit, eps_family, n_max, "one-sided", outcome_at)
 
 
 def verify_convergence_twosided(t: TopoStructure, s: PositiveSequence, limit,
@@ -457,22 +466,21 @@ def verify_convergence_twosided(t: TopoStructure, s: PositiveSequence, limit,
     """
     g = t.group
 
-    def between_at(limit, eps):
+    def outcome_at(limit, eps):
         bound = g.add(limit, eps)
 
-        def pred(n):
+        def between(n):
             term = s.term(n)
             return g.leq(limit, term) and t.ll(term, bound)
-        return pred
+        return _converge_one(t, s, limit, eps, n_max, between)
 
-    return _converge(t, s, limit, eps_family, n_max, "two-sided", between_at)
+    return _converge(t, s, limit, eps_family, n_max, "two-sided", outcome_at)
 
 
 @dataclass(frozen=True)
 class LimitUniquenessResult:
     candidate_is_limit: bool | None  # None = unresolved within budget
     witness: str
-    outcomes: tuple
 
 
 def check_limit_uniqueness(t: TopoStructure, s: PositiveSequence, limit, candidate,
@@ -490,9 +498,9 @@ def check_limit_uniqueness(t: TopoStructure, s: PositiveSequence, limit, candida
     if not all(is_certificate(o) for o in base):
         raise PreconditionViolation("the declared limit itself failed to certify")
     if g.eq(candidate, limit):
-        return LimitUniquenessResult(True, "candidate equals the certified limit", tuple(base))
+        return LimitUniquenessResult(True, "candidate equals the certified limit")
     cap = s.cap(n_max)
-    violations = [n for n in range(1, cap + 1) if not g.leq(candidate, s.term(n))]
+    violations = _violations(lambda n: g.leq(candidate, s.term(n)), 1, cap)
     if violations:
         n0 = violations[0]
         persistent = s.closed_form or violations[-1] == cap
@@ -500,13 +508,13 @@ def check_limit_uniqueness(t: TopoStructure, s: PositiveSequence, limit, candida
             return LimitUniquenessResult(
                 False,
                 f"a_n drops below the candidate at n={n0}: "
-                f"a_{n0}={format_element(s.term(n0))}", tuple(base))
-        return LimitUniquenessResult(None, f"transient violation at n={n0}", tuple(base))
+                f"a_{n0}={format_element(s.term(n0))}")
+        return LimitUniquenessResult(None, f"transient violation at n={n0}")
     # candidate stays below every checked term; only the identity can do that
     # when the sequence is certified toward the identity
     if g.eq(candidate, g.identity):
-        return LimitUniquenessResult(True, "candidate is the identity", tuple(base))
-    return LimitUniquenessResult(None, "candidate not excluded within the window", tuple(base))
+        return LimitUniquenessResult(True, "candidate is the identity")
+    return LimitUniquenessResult(None, "candidate not excluded within the window")
 
 
 def _split_tolerance(t: TopoStructure, eps: Element) -> Element:
@@ -524,37 +532,31 @@ def sum_convergence(t: TopoStructure, s1: PositiveSequence, s2: PositiveSequence
     """Certify the termwise sum toward the identity via tolerance splitting.
 
     The threshold for the sum at eps is max of the component thresholds at
-    eta and eps - eta, with eta a produced witness; the summed sequence is
-    then re-verified directly over the window.
+    eta and eps - eta, with eta a produced witness; the termwise sums of the
+    components' terms are then re-verified directly over the window.
     """
+    if s1.module is not s2.module:
+        raise ValueError("sequences live over different modules")
     g = t.group
-    family = _validate_eps(t, eps_family)
-    total = sum_of(s1, s2)
-    outcomes = []
-    for eps in family:
+    cap = min(s1.cap(n_max), s2.cap(n_max))
+
+    def outcome_at(limit, eps):
         eta = _split_tolerance(t, eps)
         parts = []
-        failed = None
         for s, tol in ((s1, eta), (s2, g.sub(eps, eta))):
-            out = verify_convergence(t, s, g.identity, [tol], n_max)[0]
+            out = verify_convergence(t, s, limit, [tol], n_max)[0]
             if not is_certificate(out):
-                failed = out
-                break
+                return ConvergenceFailure(eps, out.first_violation, out.last_violation,
+                                          reason="component failed on the split tolerance")
             parts.append(out)
-        if failed is not None:
-            outcomes.append(ConvergenceFailure(eps, failed.first_violation, failed.last_violation,
-                                               reason="component failed on the split tolerance"))
-            continue
         n_at = max(p.threshold for p in parts)
-        cap = total.cap(n_max)
-        bad = [n for n in range(n_at + 1, cap + 1)
-               if not t.sandwich(g.sub(total.term(n), g.identity), eps)]
+        bad = _violations(lambda n: t.sandwich(g.add(s1.term(n), s2.term(n)), eps),
+                          n_at + 1, cap)
         if bad:
-            outcomes.append(ConvergenceFailure(eps, bad[0], bad[-1], reason="sum sandwich failed"))
-        else:
-            outcomes.append(ConvergenceCertificate(eps, n_at, cap,
-                                                   analytic=all(p.analytic for p in parts)))
-    return outcomes
+            return ConvergenceFailure(eps, bad[0], bad[-1], reason="sum sandwich failed")
+        return ConvergenceCertificate(eps, n_at, cap, analytic=all(p.analytic for p in parts))
+
+    return _converge(t, s1, g.identity, eps_family, n_max, ("sum", s2), outcome_at)
 
 
 def sandwich_convergence(t: TopoStructure, lower: PositiveSequence, upper: PositiveSequence,
@@ -579,44 +581,34 @@ def sandwich_convergence(t: TopoStructure, lower: PositiveSequence, upper: Posit
             raise PreconditionViolation(f"lower term below the limit at n={n}", index=n)
     if not g.is_nonneg(limit):
         raise PreconditionViolation("limit is not in the nonnegative part")
-    family = _validate_eps(t, eps_family)
-    upper_out = verify_convergence(t, upper, limit, family, n_max)
-    outcomes = []
-    for eps, base in zip(family, upper_out):
+
+    def outcome_at(limit, eps):
+        base = verify_convergence(t, upper, limit, [eps], n_max)[0]
         if not is_certificate(base):
-            outcomes.append(base)
-            continue
+            return base
         scan = _empirical_scan(
-            t, lambda n: t.sandwich(g.sub(upper.term(n), lower.term(n)), eps), cap, eps)
-        if base.analytic:
-            # beyond the upper threshold the difference is dominated by
-            # b_n - a, already strictly below eps, so that threshold is
-            # valid for every index; the scan can only tighten it inside
-            # a long enough window
-            if isinstance(scan, ConvergenceCertificate) and base.threshold <= cap:
-                outcomes.append(ConvergenceCertificate(eps, scan.threshold, cap, analytic=True))
-            elif isinstance(scan, ConvergenceCertificate) or scan.last_violation <= base.threshold:
-                outcomes.append(ConvergenceCertificate(eps, base.threshold, cap, analytic=True))
-            else:
-                outcomes.append(ConvergenceFailure(
-                    eps, scan.first_violation, scan.last_violation,
-                    reason="difference violates the tolerance past the dominated tail"))
-            continue
-        if isinstance(scan, ConvergenceFailure):
-            outcomes.append(scan)
-        else:
-            outcomes.append(ConvergenceCertificate(eps, scan.threshold, cap))
-    return outcomes
+            lambda n: t.sandwich(g.sub(upper.term(n), lower.term(n)), eps), cap, eps)
+        if not base.analytic:
+            return scan
+        # beyond the upper threshold the difference is dominated by b_n - a,
+        # already strictly below eps, so that threshold is valid for every
+        # index; the scan can only tighten it inside a long enough window
+        if is_certificate(scan) and base.threshold <= cap:
+            return ConvergenceCertificate(eps, scan.threshold, cap, analytic=True)
+        if is_certificate(scan) or scan.last_violation <= base.threshold:
+            return ConvergenceCertificate(eps, base.threshold, cap, analytic=True)
+        return ConvergenceFailure(eps, scan.first_violation, scan.last_violation,
+                                  reason="difference violates the tolerance past the dominated tail")
+
+    return _converge(t, upper, limit, eps_family, n_max, ("sandwich", lower), outcome_at)
 
 
 @dataclass(frozen=True)
 class RegularityRow:
     sequence: str
-    decreasing: bool
     first_bad_index: int | None
     limit: Element | None
     status: str  # converges | unresolved | not-decreasing
-    outcomes: tuple
 
 
 @dataclass(frozen=True)
@@ -653,6 +645,18 @@ def finite_infimum(g: OrderedGroupInstance, items: Iterable[Element]) -> Element
     raise ValueError("no least element among candidates")
 
 
+def constant_tail_start(g: OrderedGroupInstance, s, n_max: int) -> int:
+    """Smallest index i such that every term of ``s`` from i through the
+    window end equals the final term under ``g.eq``; the window end itself
+    when no tail repeats. ``s`` is a positive sequence or a point sequence."""
+    cap = s.cap(n_max)
+    last = s.term(cap)
+    start = cap
+    while start > 1 and g.eq(s.term(start - 1), last):
+        start -= 1
+    return start
+
+
 def check_regularity(t: TopoStructure, sequences: Sequence[PositiveSequence],
                      eps_family: Sequence[Element], n_max: int) -> RegularityReport:
     """For each decreasing positive sequence, try to certify its convergence.
@@ -668,27 +672,23 @@ def check_regularity(t: TopoStructure, sequences: Sequence[PositiveSequence],
         bad = next((n for n in range(1, cap)
                     if not g.leq(s.term(n + 1), s.term(n))), None)
         if bad is not None:
-            rows.append(RegularityRow(s.name, False, bad, None, "not-decreasing", ()))
+            rows.append(RegularityRow(s.name, bad, None, "not-decreasing"))
             continue
         if s.closed_form:
             limit = s.declared_limit
         else:
-            tail = s.term(cap)
-            stable_from = cap
-            while stable_from > 1 and g.eq(s.term(stable_from - 1), tail):
-                stable_from -= 1
-            limit = tail if stable_from < cap else None
+            limit = s.term(cap) if constant_tail_start(g, s, n_max) < cap else None
             if limit is None:
                 try:
                     limit = finite_infimum(g, [s.term(n) for n in range(1, cap + 1)])
                 except (IncomparableError, ValueError):
                     limit = None
         if limit is None:
-            rows.append(RegularityRow(s.name, True, None, None, "unresolved", ()))
+            rows.append(RegularityRow(s.name, None, None, "unresolved"))
             continue
         outcomes = verify_convergence(t, s, limit, eps_family, n_max)
         status = "converges" if all(is_certificate(o) for o in outcomes) else "unresolved"
-        rows.append(RegularityRow(s.name, True, None, limit, status, tuple(outcomes)))
+        rows.append(RegularityRow(s.name, None, limit, status))
     return RegularityReport(tuple(rows))
 
 

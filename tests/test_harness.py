@@ -22,7 +22,12 @@ from ordermetric import (
 )
 from ordermetric import cone_metric, contraction, harness, order_core, topo
 from ordermetric.contraction import hypothesis_reports
-from ordermetric.instance_files import build_bundle, load_instance
+from ordermetric.instance_files import (
+    BUILTIN_INSTANCE_TEXTS,
+    build_bundle,
+    load_instance,
+    parse_instance_text,
+)
 from ordermetric.order_core import format_element
 from ordermetric.harness import DEFAULT_INSTANCES, FAULT_TARGETS
 
@@ -128,15 +133,42 @@ def test_zero_budgets_rejected(samples, n_max):
         Budgets(samples=samples, n_max=n_max)
 
 
-@pytest.mark.parametrize("flag", ["--samples", "--n-max"])
-def test_run_suite_script_rejects_zero_budget(flag):
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_suite.py"), flag, "0"],
+def _run_suite_script(*args):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_suite.py"), *args],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--n-max"])
+def test_run_suite_script_rejects_zero_budget(flag):
+    proc = _run_suite_script(flag, "0")
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("usage:") and "error: budgets must be at least 1" in proc.stderr
+
+
+def test_run_suite_script_rejects_an_unknown_instance():
+    proc = _run_suite_script("--instances", "real-line, nope")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage:") and proc.stderr.endswith(
+        "error: unknown instance nope (built-ins: real-line, three-point, cone-2, cone-3)\n")
+
+
+@pytest.mark.parametrize("base, seq", [
+    ("three-point", "constant 1/2"),
+    ("cone2-shrink", "constant (1/2, 1/2)"),
+])
+def test_seq_rows_skip_without_a_sequence_tending_to_the_identity(base, seq):
+    text = BUILTIN_INSTANCE_TEXTS[base] + f"\n[sequences]\nseq = {seq}\n"
+    bundle = build_bundle(parse_instance_text(text, name="probe"))
+    checks = tuple(c for c in ALL_CHECKS if c.startswith("seq/"))
+    report = run_suite(SuiteSpec(("probe",), checks, budgets=FAST), {"probe": bundle})
+    for check in ("limit-uniqueness", "sum", "sandwich", "two-sided", "weak-vs-strong"):
+        row = report.row(f"seq/{check}", "probe")
+        assert (row.outcome, row.witness) == ("skip", "no closed-form sequence tends to the identity")
+    assert report.row("seq/regularity", "probe").outcome == "pass"
 
 
 def _three_point_with_metric(metric):

@@ -12,6 +12,7 @@ from ordermetric import (
     ConvergenceCertificate,
     ConvergenceFailure,
     DomainError,
+    PositiveSequence,
     SamplePlan,
     SuiteSpec,
     builtin_bundles,
@@ -22,6 +23,7 @@ from ordermetric import (
     default_suite,
     finite_infimum,
     from_function,
+    from_terms,
     geometric,
     harmonic,
     inverse_square,
@@ -33,7 +35,14 @@ from ordermetric import (
     verify_convergence,
     verify_convergence_twosided,
 )
-from ordermetric.topo import PreconditionViolation, SeqAtom, _interior_below
+from ordermetric import harness, topo
+from ordermetric.topo import (
+    PreconditionViolation,
+    SeqAtom,
+    _interior_below,
+    _split_tolerance,
+    _validate_eps,
+)
 
 
 def brute_threshold(t, seq, limit, eps, horizon=4000):
@@ -194,6 +203,162 @@ def test_sandwich_precondition_violation_reports_index(rstruct, rmod):
     assert exc.value.index == 3
 
 
+# -- sums and sandwiches against direct scans -------------------------------
+
+
+def reference_sum(t, s1, s2, eps_family, n_max):
+    """Reference sum convergence: an explicit summed sequence from
+    ``sum_of``, rescanned directly over the window."""
+    g = t.group
+    family = _validate_eps(t, eps_family)
+    total = sum_of(s1, s2)
+    outcomes = []
+    for eps in family:
+        eta = _split_tolerance(t, eps)
+        parts = []
+        for s, tol in ((s1, eta), (s2, g.sub(eps, eta))):
+            out = verify_convergence(t, s, g.identity, [tol], n_max)[0]
+            if not is_certificate(out):
+                outcomes.append(ConvergenceFailure(
+                    eps, out.first_violation, out.last_violation,
+                    reason="component failed on the split tolerance"))
+                break
+            parts.append(out)
+        else:
+            n_at = max(p.threshold for p in parts)
+            cap = total.cap(n_max)
+            bad = [n for n in range(n_at + 1, cap + 1)
+                   if not t.sandwich(g.sub(total.term(n), g.identity), eps)]
+            if bad:
+                outcomes.append(ConvergenceFailure(eps, bad[0], bad[-1],
+                                                   reason="sum sandwich failed"))
+            else:
+                outcomes.append(ConvergenceCertificate(
+                    eps, n_at, cap, analytic=all(p.analytic for p in parts)))
+    return outcomes
+
+
+def reference_sandwich(t, lower, upper, limit, eps_family, n_max):
+    """Reference sandwich convergence: the upper sequence's outcomes for the
+    whole family, then a direct scan of the difference."""
+    g = t.group
+    limit = g.coerce(limit)
+    cap = min(lower.cap(n_max), upper.cap(n_max))
+    for n in range(1, cap + 1):
+        if not g.geq(upper.term(n), lower.term(n)):
+            raise PreconditionViolation(f"upper term below lower term at n={n}", index=n)
+        if not g.geq(lower.term(n), limit):
+            raise PreconditionViolation(f"lower term below the limit at n={n}", index=n)
+    if not g.is_nonneg(limit):
+        raise PreconditionViolation("limit is not in the nonnegative part")
+    family = _validate_eps(t, eps_family)
+    outcomes = []
+    for eps, base in zip(family, verify_convergence(t, upper, limit, family, n_max)):
+        if not is_certificate(base):
+            outcomes.append(base)
+            continue
+        bad = [n for n in range(1, cap + 1)
+               if not t.sandwich(g.sub(upper.term(n), lower.term(n)), eps)]
+        last = bad[-1] if bad else 0
+        if bad and last == cap:
+            scan = ConvergenceFailure(eps, bad[0], last,
+                                      reason="sandwich still failing at the end of the window")
+        else:
+            scan = ConvergenceCertificate(eps, last, cap)
+        if not base.analytic:
+            outcomes.append(scan)
+        elif is_certificate(scan) and base.threshold <= cap:
+            outcomes.append(ConvergenceCertificate(eps, scan.threshold, cap, analytic=True))
+        elif is_certificate(scan) or scan.last_violation <= base.threshold:
+            outcomes.append(ConvergenceCertificate(eps, base.threshold, cap, analytic=True))
+        else:
+            outcomes.append(ConvergenceFailure(
+                eps, scan.first_violation, scan.last_violation,
+                reason="difference violates the tolerance past the dominated tail"))
+    return outcomes
+
+
+def _element(dim):
+    frac = st.builds(Fraction, st.integers(0, 6), st.integers(1, 4))
+    return frac if dim == 1 else st.tuples(frac, frac)
+
+
+def _sequence_spec(dim):
+    """A closed form of one to three atoms (constants included, so some do
+    not tend to the identity) or an explicit prefix, often not decreasing,
+    whose run of trailing zeros lets some prefixes converge."""
+    ratio = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(2, 3)])
+    # constants are drawn rarely, so that most sums and sandwiches can converge
+    kind = st.sampled_from(["constant", "harmonic", "harmonic", "inverse-square",
+                            "inverse-square", "geometric", "geometric"])
+    atom = st.tuples(kind, _element(dim), ratio)
+    zero = Fraction(0) if dim == 1 else (Fraction(0), Fraction(0))
+    prefix = st.tuples(st.lists(_element(dim), min_size=1, max_size=20),
+                       st.lists(st.just(zero), max_size=10)).map(lambda p: p[0] + p[1])
+    return st.one_of(st.tuples(st.just("closed"), st.lists(atom, min_size=1, max_size=3)),
+                     st.tuples(st.just("explicit"), prefix))
+
+
+def _build_sequence(module, spec):
+    kind, parts = spec
+    if kind == "explicit":
+        return from_terms(module, parts)
+    return PositiveSequence(module, "closed", atoms=tuple(
+        SeqAtom(k, module.group.coerce(c), r if k == "geometric" else None)
+        for k, c, r in parts))
+
+
+def _refusing_fifths(t):
+    """``t`` with dominance refused wherever the lower side has a coordinate
+    whose denominator is a multiple of 5: an unsound structure, so the
+    analytic thresholds of c/n fail their window re-check."""
+    def strictly_below(a, b):
+        coords = a if isinstance(a, tuple) else (a,)
+        return t.strictly_below(a, b) and all(c.denominator % 5 for c in coords)
+    return dataclasses.replace(t, strictly_below=strictly_below)
+
+
+def _outcome_or_error(fn):
+    try:
+        return fn()
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "index", None)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_sum_and_sandwich_match_the_direct_scans(rstruct, cstruct2, dim, data):
+    t = rstruct if dim == 1 else cstruct2
+    if data.draw(st.booleans()):
+        t = _refusing_fifths(t)
+    module = t.module
+    scale = st.sampled_from([Fraction(3), Fraction(1, 2), Fraction(1, 10), Fraction(1, 37)])
+    eps_family = data.draw(st.lists(scale if dim == 1 else st.tuples(scale, scale),
+                                    min_size=1, max_size=3))
+    n_max = data.draw(st.integers(1, 60))
+    spec1, spec2 = data.draw(_sequence_spec(dim)), data.draw(_sequence_spec(dim))
+    dominated = data.draw(st.booleans())
+    limit = data.draw(st.one_of(st.just(module.group.identity), _element(dim)))
+
+    def inputs():
+        # fresh sequences per side, so neither reads the other's memos
+        s1, s2 = _build_sequence(module, spec1), _build_sequence(module, spec2)
+        return s1, s2, (sum_of(s1, s2) if dominated else s2)
+
+    s1, s2, _ = inputs()
+    expected = reference_sum(t, s1, s2, eps_family, n_max)
+    s1, s2, _ = inputs()
+    assert sum_convergence(t, s1, s2, eps_family, n_max) == expected
+
+    lower, _, upper = inputs()
+    expected = _outcome_or_error(
+        lambda: reference_sandwich(t, lower, upper, limit, eps_family, n_max))
+    lower, _, upper = inputs()
+    assert _outcome_or_error(
+        lambda: sandwich_convergence(t, lower, upper, limit, eps_family, n_max)) == expected
+
+
 # -- regularity and infimum -------------------------------------------------
 
 
@@ -321,6 +486,21 @@ def test_repeated_convergence_evaluates_no_atom(cstruct2, cmod2, monkeypatch):
     assert again == first
 
 
+@pytest.mark.parametrize("fact", ["sum", "sandwich"])
+def test_repeated_sum_and_sandwich_evaluate_no_atom(cstruct2, cmod2, monkeypatch, fact):
+    atoms = _count_atom_values(monkeypatch)
+    h = harmonic(cmod2, (1, 1))
+    s = sum_of(h, inverse_square(cmod2, (2, 1)))
+    fam = [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 10), Fraction(1, 10))]
+    run = {"sum": lambda: sum_convergence(cstruct2, h, s, fam, 150),
+           "sandwich": lambda: sandwich_convergence(cstruct2, h, s, (0, 0), fam, 150)}[fact]
+    first = run()
+    assert atoms[0] > 0
+    atoms[0] = 0
+    assert run() == first
+    assert atoms[0] == 0
+
+
 def test_replaced_structure_and_two_sided_are_evaluated_afresh(cstruct2, cmod2):
     t, calls = _counting_structure(cstruct2)
     s = harmonic(cmod2, (1, 2))
@@ -341,12 +521,21 @@ def test_replaced_structure_and_two_sided_are_evaluated_afresh(cstruct2, cmod2):
 
 def test_bad_limit_and_tolerance_raise_on_every_call(rstruct, rmod):
     s = harmonic(rmod, 1)
+    low = constant(rmod, Fraction(1, 2))  # s drops below it from n = 3
     verify_convergence(rstruct, s, 0, [Fraction(1, 2)], 50)
+    sum_convergence(rstruct, s, s, [Fraction(1, 2)], 50)
+    sandwich_convergence(rstruct, s, s, 0, [Fraction(1, 2)], 50)
     for _ in range(2):
         with pytest.raises(ValueError, match="strictly dominate"):
             verify_convergence(rstruct, s, 0, [Fraction(1, 2), 0], 50)
         with pytest.raises(DomainError):
             verify_convergence(rstruct, s, -1, [Fraction(1, 2)], 50)
+        with pytest.raises(ValueError, match="strictly dominate"):
+            sum_convergence(rstruct, s, s, [Fraction(1, 2), 0], 50)
+        with pytest.raises(ValueError, match="strictly dominate"):
+            sandwich_convergence(rstruct, s, s, 0, [Fraction(1, 2), 0], 50)
+        with pytest.raises(PreconditionViolation, match="n=3"):
+            sandwich_convergence(rstruct, low, s, 0, [Fraction(1, 2)], 50)
 
 
 SEQ_CHECKS = tuple(c for c in ALL_CHECKS if c.startswith("seq/"))
@@ -359,23 +548,35 @@ def test_seq_machine_rows_match_golden():
 
 
 # Fraction constructions of the spec below before the kernel memoized
-# terms and outcomes; the count is deterministic, unlike wall clock
+# terms and outcomes, and before each sum was built once per run; the
+# counts are deterministic, unlike wall clock
 SEQ_FRACTIONS_BEFORE_KERNEL = 536_815
+SEQ_FRACTIONS_BEFORE_SHARED_SUMS = 92_331
 
 
 def test_seq_rows_construct_at_most_55_percent_of_the_fractions(monkeypatch):
     spec = SuiteSpec(instances=("real-line", "cone-2"), checks=SEQ_CHECKS,
                      budgets=Budgets(samples=150, n_max=120))
     bundles = builtin_bundles()
-    count = [0]
+    count, sums = [0], [0]
     raw_new = Fraction.__dict__["__new__"].__func__
 
     def counting_new(cls, *args, **kwargs):
         count[0] += 1
         return raw_new(cls, *args, **kwargs)
 
+    def counting_sum_of(*args, **kwargs):
+        sums[0] += 1
+        return sum_of(*args, **kwargs)
+
+    for mod in (topo, harness):
+        monkeypatch.setattr(mod, "sum_of", counting_sum_of)
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
     report = run_suite(spec, bundles)
     monkeypatch.undo()
     assert report.ok
     assert count[0] <= 0.55 * SEQ_FRACTIONS_BEFORE_KERNEL, count[0]
+    assert count[0] <= 0.9 * SEQ_FRACTIONS_BEFORE_SHARED_SUMS, count[0]
+    # per instance: five sums built once and shared by seq/sum and
+    # seq/sandwich, plus the shifted sequence of seq/regularity
+    assert sums[0] == 12
