@@ -264,15 +264,17 @@ def cauchy_check(m: ConeMetricSpace, s: PointSequence, eps_family: Sequence[Elem
                 # pairs need both indices at or past the bound, hence +1
                 analytic[i] = n_at + 1
 
+    # each pair's distance once, shared by every tolerance
+    dists = [(a, b, m.distance(pts[a - 1], pts[b - 1]))
+             for a in range(1, cap + 1) for b in range(a + 1, cap + 1)] if eps_family else []
     outcomes = []
     for i, eps in enumerate(eps_family):
         worst = 0
         worst_pair = None
-        for a in range(1, cap + 1):
-            for b in range(a + 1, cap + 1):
-                if not t.ll(m.distance(pts[a - 1], pts[b - 1]), eps):
-                    if a > worst:
-                        worst, worst_pair = a, (a, b)
+        for a, b, d in dists:
+            if not t.ll(d, eps):
+                if a > worst:
+                    worst, worst_pair = a, (a, b)
         if worst_pair is None:
             outcomes.append(CauchyCertificate(eps, 0, cap, analytic.get(i)))
         elif worst + 1 < cap:

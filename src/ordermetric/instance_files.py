@@ -50,7 +50,13 @@ from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable
 
-from .order_core import OrderedModuleInstance, coord_cone_module, format_element, real_module
+from .order_core import (
+    OrderedModuleInstance,
+    _draw,
+    coord_cone_module,
+    format_element,
+    real_module,
+)
 from .topo import (
     PositiveSequence,
     SeqAtom,
@@ -597,7 +603,7 @@ def _make_witness(desc: InstanceDescription, space: ConeMetricSpace) -> Contract
 def _interval_carrier(lo, hi):
     """Membership in the box lo .. hi, and a sampler that draws lo + (hi - lo)
     * k/den per coordinate (den uniform in 1..16, then k in 0..den). Each axis
-    tabulates its 152 values once, so a draw is two randint calls and a lookup."""
+    tabulates its 152 values once, so a coordinate is two table draws."""
     scalar = not isinstance(lo, tuple)
     box = [(lo, hi)] if scalar else list(zip(lo, hi))
     axes = [[[a + (b - a) * Fraction(k, den) for k in range(den + 1)]
@@ -609,11 +615,8 @@ def _interval_carrier(lo, hi):
             isinstance(c, Fraction) and a <= c <= b for (a, b), c in zip(box, coords)))
 
     def sampler(rng):
-        out = []
-        for values in axes:
-            den = rng.randint(1, 16)
-            out.append(values[den - 1][rng.randint(0, den)])
-        return out[0] if scalar else tuple(out)
+        point = tuple(_draw(rng, _draw(rng, values)) for values in axes)
+        return point[0] if scalar else point
     return contains, sampler
 
 

@@ -9,6 +9,13 @@ back with a concrete witness instead of a silent boolean.
 The four-way comparison is deliberate: with a genuinely partial order,
 returning plain ``False`` for "not below" would conflate incomparability
 with strict reversal, and downstream min/max code needs to fail loudly.
+
+The built-in samplers return p/q with p and q uniform in small ranges, so
+the few hundred values they can return are built once, at import, in one
+table. A draw picks a row and then an entry through ``_draw``, which makes
+the one ``_randbelow`` call that ``randint``/``randrange`` make for that
+width: a seed draws the same values, in the same order and with the same
+random state after them, as ``Fraction(rng.randint(...), rng.randint(...))``.
 """
 
 from __future__ import annotations
@@ -528,12 +535,29 @@ def check_module_laws(m: OrderedModuleInstance, plan: SamplePlan) -> LawReport:
 # built-in instances
 
 
-def _rand_fraction(rng: random.Random, span: int = 48, max_den: int = 8) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, max_den))
+def _draw(rng: random.Random, table: Sequence):
+    """``table[i]`` for ``i`` uniform below ``len(table)``: the one call
+    ``rng.randrange(len(table))`` makes, without its argument checks."""
+    return table[rng._randbelow(len(table))]
 
 
-def _rand_positive_fraction(rng: random.Random, span: int = 48, max_den: int = 8) -> Fraction:
-    return Fraction(rng.randint(1, span), rng.randint(1, max_den))
+# every value a built-in sampler can return: row n + 48 holds n/1 .. n/8
+# for n in -48..48; the samplers draw a row, then a column
+_FRACTIONS = tuple(tuple(Fraction(n, d) for d in range(1, 9)) for n in range(-48, 49))
+_NONNEG_FRACTIONS = _FRACTIONS[48:]  # numerators 0..48
+_POSITIVE_FRACTIONS = _FRACTIONS[49:]  # numerators 1..48
+_RING_FRACTIONS = _FRACTIONS[32:65]  # numerators -16..16
+_UNIT_FRACTIONS = _FRACTIONS[49]  # 1/1 .. 1/8
+
+
+def _rand_fraction(rng: random.Random) -> Fraction:
+    """randint(-48, 48) / randint(1, 8)."""
+    return _draw(rng, _draw(rng, _FRACTIONS))
+
+
+def _rand_positive_fraction(rng: random.Random) -> Fraction:
+    """randint(1, 48) / randint(1, 8)."""
+    return _draw(rng, _draw(rng, _POSITIVE_FRACTIONS))
 
 
 def _scalar_cmp(a: Fraction, b: Fraction) -> Order:
@@ -590,13 +614,15 @@ def coord_cone_group(dim: int) -> OrderedGroupInstance:
     def contains(v) -> bool:
         return isinstance(v, tuple) and len(v) == dim and all(isinstance(c, Fraction) for c in v)
 
+    positions = range(dim)
+
     def sampler(rng):
-        return tuple(_rand_fraction(rng) for _ in range(dim))
+        return tuple(_rand_fraction(rng) for _ in positions)
 
     def positive_sampler(rng):
         # at least one strictly positive coordinate, none negative
-        vec = [Fraction(rng.randint(0, 48), rng.randint(1, 8)) for _ in range(dim)]
-        vec[rng.randrange(dim)] += Fraction(1, rng.randint(1, 8))
+        vec = [_draw(rng, _draw(rng, _NONNEG_FRACTIONS)) for _ in positions]
+        vec[_draw(rng, positions)] += _draw(rng, _UNIT_FRACTIONS)
         return tuple(vec)
 
     zero = tuple(Fraction(0) for _ in range(dim))
@@ -626,7 +652,7 @@ def rational_ring() -> RingDescriptor:
         zero=Fraction(0),
         one=Fraction(1),
         le=lambda a, b: a <= b,
-        sampler=lambda rng: Fraction(rng.randint(-16, 16), rng.randint(1, 8)),
+        sampler=lambda rng: _draw(rng, _draw(rng, _RING_FRACTIONS)),
         edge_scalars=(Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
                       Fraction(2), Fraction(-3, 2)),
     )

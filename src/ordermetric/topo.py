@@ -38,6 +38,7 @@ from .order_core import (
     OrderedModuleInstance,
     SamplePlan,
     _law_rng,
+    _rand_positive_fraction,
     _run_law,
     format_element,
 )
@@ -136,8 +137,8 @@ def interior_cone_structure(module: OrderedModuleInstance, regular: bool = True)
 
     def interior_sampler(rng: random.Random) -> Element:
         if scalar:
-            return Fraction(rng.randint(1, 48), rng.randint(1, 8))
-        return tuple(Fraction(rng.randint(1, 48), rng.randint(1, 8)) for _ in g.identity)
+            return _rand_positive_fraction(rng)
+        return tuple(_rand_positive_fraction(rng) for _ in g.identity)
 
     return TopoStructure(
         name=f"interior-cone({g.name})",
@@ -435,7 +436,7 @@ def _converge_one(t: TopoStructure, s: PositiveSequence, limit, eps, n_max: int,
     window_end = max(n_max, analytic_n + _SPOT_WINDOW)
     bad = _violations(pred, analytic_n + 1, window_end)
     if bad:
-        return ConvergenceFailure(eps, bad[0], bad[0], reason="window check failed")
+        return ConvergenceFailure(eps, bad[0], bad[-1], reason="window check failed")
     return ConvergenceCertificate(eps, analytic_n, window_end, analytic=True)
 
 

@@ -1,0 +1,150 @@
+"""The built-in samplers draw from precomputed tables with exactly the random
+calls of their plain definitions, so every seeded sample, and so every
+report row, stays what it was."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ordermetric import (
+    ALL_CHECKS,
+    Budgets,
+    SuiteSpec,
+    builtin_bundles,
+    coord_cone_group,
+    coord_cone_module,
+    interior_cone_structure,
+    rational_ring,
+    real_group,
+    real_module,
+    run_suite,
+)
+from ordermetric.instance_files import _interval_carrier
+
+F = Fraction
+
+
+# -- the plain definitions the tables replace -------------------------------
+
+
+def plain_fraction(rng):
+    return Fraction(rng.randint(-48, 48), rng.randint(1, 8))
+
+
+def plain_positive(rng):
+    return Fraction(rng.randint(1, 48), rng.randint(1, 8))
+
+
+def plain_ring(rng):
+    return Fraction(rng.randint(-16, 16), rng.randint(1, 8))
+
+
+def plain_cone(dim):
+    return lambda rng: tuple(plain_fraction(rng) for _ in range(dim))
+
+
+def plain_cone_positive(dim):
+    def sampler(rng):
+        vec = [Fraction(rng.randint(0, 48), rng.randint(1, 8)) for _ in range(dim)]
+        vec[rng.randrange(dim)] += Fraction(1, rng.randint(1, 8))
+        return tuple(vec)
+    return sampler
+
+
+def plain_interior(dim):
+    if dim is None:
+        return lambda rng: Fraction(rng.randint(1, 48), rng.randint(1, 8))
+    return lambda rng: tuple(Fraction(rng.randint(1, 48), rng.randint(1, 8))
+                             for _ in range(dim))
+
+
+def plain_interval(lo, hi):
+    scalar = not isinstance(lo, tuple)
+    box = [(lo, hi)] if scalar else list(zip(lo, hi))
+
+    def sampler(rng):
+        out = []
+        for a, b in box:
+            den = rng.randint(1, 16)
+            out.append(a + (b - a) * Fraction(rng.randint(0, den), den))
+        return out[0] if scalar else tuple(out)
+    return sampler
+
+
+BOXES = {
+    "unit": (F(0), F(1)),
+    "shifted": (F(-1, 2), F(7, 3)),
+    "square": ((F(0), F(0)), (F(1), F(1))),
+    "box-3": ((F(-1), F(1, 3), F(0)), (F(2), F(5, 7), F(1, 16))),
+}
+
+
+def _pairs():
+    """(name, tabulated sampler, plain sampler) for every built-in sampler."""
+    out = [("real", real_group().sampler, plain_fraction),
+           ("real+", real_group().positive_sampler, plain_positive),
+           ("ring", rational_ring().sampler, plain_ring),
+           ("interior-real", interior_cone_structure(real_module()).interior_sampler,
+            plain_interior(None))]
+    for dim in (1, 2, 3, 4):
+        g = coord_cone_group(dim)
+        out += [(f"cone-{dim}", g.sampler, plain_cone(dim)),
+                (f"cone-{dim}+", g.positive_sampler, plain_cone_positive(dim)),
+                (f"interior-cone-{dim}",
+                 interior_cone_structure(coord_cone_module(dim)).interior_sampler,
+                 plain_interior(dim))]
+    for name, (lo, hi) in BOXES.items():
+        out.append((f"interval-{name}", _interval_carrier(lo, hi)[1], plain_interval(lo, hi)))
+    return out
+
+
+SAMPLERS = _pairs()
+
+
+@pytest.mark.parametrize("name, tabulated, plain", SAMPLERS, ids=[p[0] for p in SAMPLERS])
+@given(seed=st.integers(0, 2**64), draws=st.integers(1, 40))
+@settings(max_examples=60, deadline=None)
+def test_tabulated_sampler_draws_like_its_plain_definition(name, tabulated, plain, seed, draws):
+    new, old = random.Random(seed), random.Random(seed)
+    got = [tabulated(new) for _ in range(draws)]
+    want = [plain(old) for _ in range(draws)]
+    assert [repr(v) for v in got] == [repr(v) for v in want]
+    assert new.getstate() == old.getstate()
+
+
+# -- the work the law rows do ------------------------------------------------
+
+LAW_CHECKS = tuple(c for c in ALL_CHECKS
+                   if c.split("/")[0] in ("group", "module", "topo", "metric"))
+# counted with the samplers that built a fresh Fraction per draw and with the
+# Cauchy check that computed each distance once per tolerance
+LAW_FRACTIONS_BEFORE_TABLES = 84_240
+LAW_DRAWS_BEFORE_TABLES = 38_158
+
+
+def test_law_rows_draw_the_same_and_construct_fewer_fractions(monkeypatch):
+    spec = SuiteSpec(instances=("real-line", "cone-2"), checks=LAW_CHECKS,
+                     budgets=Budgets(samples=150, n_max=120))
+    bundles = builtin_bundles()
+    fractions, draws = [0], [0]
+    raw_new = Fraction.__dict__["__new__"].__func__
+    raw_below = random.Random._randbelow
+
+    def counting_new(cls, *args, **kwargs):
+        fractions[0] += 1
+        return raw_new(cls, *args, **kwargs)
+
+    def counting_below(self, width):
+        draws[0] += 1
+        return raw_below(self, width)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    monkeypatch.setattr(random.Random, "_randbelow", counting_below)
+    report = run_suite(spec, bundles)
+    monkeypatch.undo()
+    assert report.ok
+    assert draws[0] == LAW_DRAWS_BEFORE_TABLES
+    assert fractions[0] <= 0.8 * LAW_FRACTIONS_BEFORE_TABLES, fractions[0]

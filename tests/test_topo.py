@@ -359,6 +359,44 @@ def test_sum_and_sandwich_match_the_direct_scans(rstruct, cstruct2, dim, data):
         lambda: sandwich_convergence(t, lower, upper, limit, eps_family, n_max)) == expected
 
 
+def test_window_check_failure_names_the_last_violation_in_the_window(rstruct, rmod):
+    # 1/n << 1/10 from n = 11 on, so the window is 11..43, in which the
+    # unsound structure refuses 1/15, 1/20, ..., 1/40
+    t = _refusing_fifths(rstruct)
+    out = verify_convergence(t, harmonic(rmod, 1), 0, [Fraction(1, 10)], 43)[0]
+    assert out == ConvergenceFailure(Fraction(1, 10), 15, 40, reason="window check failed")
+
+
+def _refusing_thirds_of_sums(t):
+    """Real ``t`` with dominance refused wherever the lower side is p/q with
+    p > 1 and q a multiple of 3. Unit fractions such as 1/n and 1/n^2 keep
+    their thresholds, while the sum (n+1)/n^2 and the difference (n-1)/n^2
+    of those two are refused at every n divisible by 3: the structure breaks
+    t3, so the sum and the difference fail though both parts converge."""
+    def strictly_below(a, b):
+        return t.strictly_below(a, b) and (a.numerator <= 1 or a.denominator % 3)
+    return dataclasses.replace(t, strictly_below=strictly_below)
+
+
+def test_sum_sandwich_failure_names_the_first_and_last_bad_index(rstruct, rmod):
+    # both halves of 1/10 are 1/20: 1/n certifies past 20 and 1/n^2 past 4,
+    # so the sum is re-checked over 21..50 and refused at 21, 24, ..., 48
+    t = _refusing_thirds_of_sums(rstruct)
+    out = sum_convergence(t, harmonic(rmod, 1), inverse_square(rmod, 1), [Fraction(1, 10)], 50)
+    assert out == [ConvergenceFailure(Fraction(1, 10), 21, 48, reason="sum sandwich failed")]
+
+
+def test_sandwich_failure_past_the_dominated_tail(rstruct, rmod):
+    # 1/n certifies past 10; the difference (n-1)/n^2 is at least 1/10 up to
+    # n = 8 and is refused at every multiple of 3 up to the window end 48
+    t = _refusing_thirds_of_sums(rstruct)
+    out = sandwich_convergence(t, inverse_square(rmod, 1), harmonic(rmod, 1), 0,
+                               [Fraction(1, 10)], 48)
+    assert out == [ConvergenceFailure(
+        Fraction(1, 10), 2, 48,
+        reason="difference violates the tolerance past the dominated tail")]
+
+
 # -- regularity and infimum -------------------------------------------------
 
 
