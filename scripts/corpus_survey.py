@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
 """Survey the generated finite-instance corpus.
 
-Reports how many instances pass the one-sided and all-pairs checks, the
-endpoint count distribution, and spot-checks the endpoint / inf-sup
-equivalence on every instance.
+Runs the one-sided check with each instance's bound table and the walk
+hypotheses (the all-pairs check among them) with its constant-ratio
+witness, and reports how many pass; reports the endpoint count
+distribution, and spot-checks the endpoint / inf-sup equivalence on every
+instance. Exits 1 if an instance contradicts how it was built (a failed
+one-sided check, or a ratio witness whose hypotheses fail) or if the
+equivalence fails.
 """
 
 import argparse
@@ -12,7 +16,9 @@ from fractions import Fraction
 
 from ordermetric import (
     approximate_endpoint_property_finite,
+    check_hypotheses,
     endpoints_bruteforce,
+    is_weak_contraction,
     weak_contraction_corpus,
 )
 
@@ -33,11 +39,25 @@ def main():
     insts = weak_contraction_corpus(seed=args.seed, count=args.count)
     sizes = Counter(len(i.space.points) for i in insts)
     end_counts = Counter(len(endpoints_bruteforce(i.map_)) for i in insts)
-    n_global = sum(1 for i in insts if i.global_contraction)
+    weak = {i.name: is_weak_contraction(i.map_, i.phi_witness).passed for i in insts}
+    verified = {i.name: check_hypotheses(i.map_, i.alpha_witness).verified
+                for i in insts if i.global_contraction}
 
     print(f"instances: {len(insts)}  (sizes {dict(sorted(sizes.items()))})")
-    print(f"pass all-pairs check with a constant ratio: {n_global}")
+    print(f"pass one-sided check with the bound table: {sum(weak.values())}")
+    print(f"pass all-pairs check with a constant ratio: {sum(verified.values())}  "
+          f"(built with one: {len(verified)})")
     print(f"endpoint count distribution: {dict(sorted(end_counts.items()))}")
+
+    # every instance is built to pass the one-sided check, and the walk
+    # hypotheses exactly when it is built with a ratio witness
+    contradictions = [name for checks in (weak, verified)
+                      for name, ok in checks.items() if not ok]
+    print(f"instances contradicting their construction: {len(contradictions)}")
+    if contradictions:
+        for name in contradictions:
+            print(f"  DEFECT: {name}")
+        raise SystemExit(1)
 
     mismatches = []
     for inst in insts:

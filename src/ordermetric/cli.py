@@ -151,8 +151,8 @@ def cmd_solve(args) -> int:
                        selection_rule=rule)
 
     banach = bundle.banach_map is not None and bundle.banach_alpha is not None
-    hyps = None if banach else check_hypotheses(bundle.map_, bundle.witness)
-    wit_report = validate_witness(bundle.map_, bundle.witness) if banach else hyps.witness_report
+    wit_report = (validate_witness(bundle.map_, bundle.witness) if banach
+                  else check_hypotheses(bundle.map_, bundle.witness).witness_report)
     if not wit_report.passed:
         bad = wit_report.failures()[0]
         print("hypothesis violated: the bound must sit strictly below the distance "
@@ -167,7 +167,7 @@ def cmd_solve(args) -> int:
     if banach:
         report = banach_iterate(bundle.space, bundle.banach_map, bundle.banach_alpha, cfg)
     else:
-        report = iterate_endpoint(bundle.map_, bundle.witness, cfg, hypotheses=hyps)
+        report = iterate_endpoint(bundle.map_, bundle.witness, cfg)
     sys.stdout.write(report.render() + "\n")
     if report.outcome in (SolverOutcome.ENDPOINT_FOUND,
                           SolverOutcome.APPROX_ENDPOINT_SEQUENCE):

@@ -16,7 +16,8 @@ spaces keep working on points, with the same seeded streams.
 Each check runs its pair laws on the one law runner, in one pass over a
 pair stream that reads each distance and bound once, and returns the
 runner's ``LawResult`` or ``LawReport``; on a finite space the walk
-hypotheses (the global bound and the witness obligations) share one pass.
+hypotheses (the global bound and the witness obligations) share one pass,
+kept on the map for one witness object and plan (``hypothesis_reports``).
 Every step that can raise runs inside the stream or in the first call of
 its law, so the runner holds each error for the laws it reached.
 
@@ -67,13 +68,15 @@ class SetValuedMap:
 
     ``images_fn`` returns tuples without repeats: tables are normalized when
     built and rule images when computed. On a finite space the private memo
-    ``_positions`` holds every image as positions, built once per map.
+    ``_positions`` holds every image as positions, built once per map; the
+    slot ``_verdict`` holds its walk hypotheses (see ``hypothesis_reports``).
     """
 
     space: ConeMetricSpace
     images_fn: Callable[[Point], tuple]
     name: str = "T"
     _positions: list = field(default_factory=list, init=False, repr=False)
+    _verdict: tuple = field(default=(None, None, None), init=False, repr=False)
 
     def images(self, x: Point) -> tuple:
         out = self.images_fn(x)
@@ -436,10 +439,19 @@ def validate_witness(T: SetValuedMap, w: ContractionWitness,
 
 def hypothesis_reports(T: SetValuedMap, w: ContractionWitness,
                        plan: SamplePlan | None = None) -> tuple:
-    """The global bound result and the witness report on ``plan``, each
-    replaced by the error its own laws held, if any. A finite space's pair
-    stream ignores its label, so one pass serves both; a sampled space scans
-    each on its own labelled stream."""
+    """The global bound result and the witness report on ``plan`` (None is
+    ``SamplePlan()``), each replaced by the error its own laws held, if any.
+    The map keeps them for its last witness object and plan; map, space,
+    witness and plan are frozen, so they are what a new scan would give."""
+    plan = plan or SamplePlan()
+    if T._verdict[0] is not w or T._verdict[1] != plan:
+        object.__setattr__(T, "_verdict", (w, plan, _hypothesis_pass(T, w, plan)))
+    return T._verdict[2]
+
+
+def _hypothesis_pass(T: SetValuedMap, w: ContractionWitness, plan: SamplePlan) -> tuple:
+    """A finite space's pair stream ignores its label, so one pass serves
+    both reports; a sampled space scans each on its own labelled stream."""
     if T.space.finite:
         results = _scan(T, w, plan, "global", [_image_law(T, "global")] + _witness_laws(T, w))
         return results[0], _witness_report(T, w, results[1:])

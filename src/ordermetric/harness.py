@@ -70,7 +70,6 @@ from .contraction import (
 )
 from .solver import (
     BanachReport,
-    Hypotheses,
     SelectionRule,
     SolverConfig,
     SolverOutcome,
@@ -553,19 +552,8 @@ def _check_finite_completeness(b: InstanceBundle, ctx: _Ctx):
     return "pass", "certified-at-scale sequences are eventually constant, hence convergent"
 
 
-def _hypotheses(b: InstanceBundle, ctx: _Ctx) -> Hypotheses:
-    """The walk hypotheses of the bundle's map and witness, on the same plan
-    as the walks, so they are the value each walk would compute itself."""
-    return ctx.memo(("hypotheses", b.name),
-                    lambda: check_hypotheses(b.map_, b.witness, ctx.plan))
-
-
-def _witness_report(b: InstanceBundle, ctx: _Ctx):
-    return _hypotheses(b, ctx).witness_report
-
-
 def _global_report(b: InstanceBundle, ctx: _Ctx):
-    return _hypotheses(b, ctx).global_report
+    return check_hypotheses(b.map_, b.witness, ctx.plan).global_report
 
 
 def _weak_report(b: InstanceBundle, ctx: _Ctx):
@@ -576,7 +564,8 @@ def _weak_report(b: InstanceBundle, ctx: _Ctx):
 def _check_witness_validity(b: InstanceBundle, ctx: _Ctx):
     if b.map_ is None or b.witness is None:
         return "skip", "bundle has no map/witness"
-    return _law_row(_witness_report(b, ctx), "phi-strictly-below")
+    return _law_row(check_hypotheses(b.map_, b.witness, ctx.plan).witness_report,
+                    "phi-strictly-below")
 
 
 def _contraction_row(report):
@@ -679,11 +668,10 @@ def _check_oracle_agreement(b: InstanceBundle, ctx: _Ctx):
     target = ends.members[0]
     module = b.module
     eps = module.scale(Fraction(1, 2), min_positive_distance(b.space))
-    hyps = _hypotheses(b, ctx)
     for seed in b.space.points:
         for rule in SelectionRule:
             cfg = SolverConfig(eps=eps, seed_point=seed, max_iter=400, selection_rule=rule)
-            rep = iterate_endpoint(b.map_, b.witness, cfg, ctx.plan, hyps)
+            rep = iterate_endpoint(b.map_, b.witness, cfg, ctx.plan)
             if rep.outcome is not SolverOutcome.ENDPOINT_FOUND or rep.endpoint != target:
                 return "fail", (f"seed {format_element(seed)} rule {rule.value}: "
                                 f"{rep.outcome.value} at {format_element(rep.endpoint)}")
@@ -694,7 +682,7 @@ def _check_trace_monotone(b: InstanceBundle, ctx: _Ctx):
     if b.map_ is None or b.witness is None:
         return "skip", "bundle has no map/witness"
     g = b.space.group
-    rep = iterate_endpoint(b.map_, b.witness, _solver_cfg(b), ctx.plan, _hypotheses(b, ctx))
+    rep = iterate_endpoint(b.map_, b.witness, _solver_cfg(b), ctx.plan)
     if rep.outcome is SolverOutcome.HYPOTHESIS_VIOLATION:
         return "fail", rep.message
     steps = [s for s in rep.trace]

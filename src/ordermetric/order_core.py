@@ -378,9 +378,11 @@ def _run_laws(stream: Iterable, laws: Sequence[tuple]) -> list:
 
 
 def _raise_held(outcome):
-    """The outcome of a law or a report, raising it if it is a held error."""
+    """The outcome of a law or a report, raising it if it is a held error,
+    with the traceback it was held with, so raising it again does not grow it."""
     if isinstance(outcome, Exception):
-        raise outcome
+        raise outcome.with_traceback(
+            outcome.__dict__.setdefault("_held_traceback", outcome.__traceback__))
     return outcome
 
 

@@ -9,7 +9,8 @@ contradicts the contraction bound that was supposed to govern it.
 
 Hypotheses gate the language of the report: when the global bound check or
 the convergence-condition certificate fails, the solver still runs, but in
-best-effort mode, and never claims uniqueness.
+best-effort mode, and never claims uniqueness. The map keeps their verdict,
+keyed by the witness object and the plan (``hypothesis_reports``).
 """
 
 from __future__ import annotations
@@ -154,9 +155,9 @@ def _select_next(m: ConeMetricSpace, candidates: Sequence, current: Point,
 
 @dataclass(frozen=True)
 class Hypotheses:
-    """The verdicts a walk's verified mode rests on, computed once for a
-    (map, witness, plan) and shared by its walks. An outcome is a report or
-    the error the law runner held for its laws, raised when it is read."""
+    """The verdicts a walk's verified mode rests on; the map keeps the two
+    outcomes for a witness object and a plan (``hypothesis_reports``). An
+    outcome is a report or the error the law runner held, raised when read."""
 
     global_outcome: LawResult | Exception
     witness_outcome: LawReport | Exception
@@ -191,9 +192,8 @@ class Hypotheses:
 
 def check_hypotheses(T: SetValuedMap, w: ContractionWitness,
                      plan: SamplePlan | None = None) -> Hypotheses:
-    """Run the global bound check and the witness obligations on ``plan``,
-    in one pass over the pairs of a finite space, and take the class-level
-    convergence-condition verdict."""
+    """The global bound check and the witness obligations on ``plan``, as
+    the map keeps them, and the class-level convergence-condition verdict."""
     return Hypotheses(*hypothesis_reports(T, w, plan), c_condition_status(w))
 
 
@@ -204,8 +204,7 @@ def walk_tolerance(m: ConeMetricSpace, eps) -> Element:
 
 
 def iterate_endpoint(T: SetValuedMap, w: ContractionWitness, cfg: SolverConfig,
-                     plan: SamplePlan | None = None,
-                     hypotheses: Hypotheses | None = None) -> SolverReport:
+                     plan: SamplePlan | None = None) -> SolverReport:
     """Walk y_{n+1} in the image of y_n until an endpoint or the tolerance.
 
     Verified mode holds when the global bound check passes, the witness
@@ -214,18 +213,16 @@ def iterate_endpoint(T: SetValuedMap, w: ContractionWitness, cfg: SolverConfig,
     step and any breach aborts as a hypothesis violation. In best-effort
     mode only gross monotonicity breaches (a strictly growing step) abort.
 
-    ``hypotheses`` is the value ``check_hypotheses(T, w, plan)`` returns;
-    a caller that walks the same map and witness many times computes it
-    once and passes it to each walk. When it is None the walk computes it
-    itself, after validating the tolerance and the seed point.
+    The verdict, ``check_hypotheses(T, w, plan)``, is read after the
+    tolerance and the seed point are validated, from the map after its
+    first walk with this witness object and plan.
     """
     plan = plan or SamplePlan()
     m, g, t = T.space, T.space.group, T.space.structure
     eps = walk_tolerance(m, cfg.eps)
     y = m.require_member(cfg.seed_point)
 
-    hyps = hypotheses if hypotheses is not None else check_hypotheses(T, w, plan)
-    notes = hyps.notes
+    notes = check_hypotheses(T, w, plan).notes
     verified = not notes
 
     trace: list[TraceStep] = []

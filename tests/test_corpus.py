@@ -5,6 +5,7 @@ survey script."""
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -148,6 +149,12 @@ def test_corpus_survey_script_runs_clean():
     proc = _survey("--count", "200")
     assert proc.returncode == 0, proc.stderr
     assert "instances: 200" in proc.stdout
+    assert "pass one-sided check with the bound table: 200" in proc.stdout
+    verified, built = map(int, re.search(
+        r"pass all-pairs check with a constant ratio: (\d+)  \(built with one: (\d+)\)",
+        proc.stdout).groups())
+    assert verified == built > 0
+    assert "instances contradicting their construction: 0" in proc.stdout
     assert "endpoint <-> zero inf-sup mismatches: 0" in proc.stdout
 
 

@@ -1,8 +1,10 @@
 """Walk hypotheses are verified once, in one pass on a finite space, and
-shared: call counts across the CLI, equality of walks with and without a
-precomputed value, and the verify report against committed golden rows."""
+kept on the map: scan counts across the CLI and the walks of one map,
+equality of walks on a memoized map and on a fresh copy, held errors that
+keep their traceback, and the verify report against committed golden rows."""
 
 import dataclasses
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +13,8 @@ import pytest
 from ordermetric import (
     ConeMetricSpace,
     ContractionWitness,
+    DomainError,
+    SamplePlan,
     SelectionRule,
     SetValuedMap,
     SolverConfig,
@@ -19,16 +23,18 @@ from ordermetric import (
     endpoint_iff_report,
     is_weak_contraction,
     iterate_endpoint,
+    weak_contraction_corpus,
 )
 from ordermetric import cli, contraction, harness, solver
 from ordermetric.cli import main
 
 DATA = Path(__file__).parent / "data"
 HALF = ContractionWitness(WitnessClass.ALPHA_CONSTANT, alpha_const=Fraction(1, 2))
-# the one-pass scan behind check_hypotheses, and the two checks it replaces
-# on finite spaces
-COUNTED = ("hypothesis_reports", "is_global_weak_contraction", "validate_witness")
-ONE_PASS = {"hypothesis_reports": 1, "is_global_weak_contraction": 0, "validate_witness": 0}
+# the one-pass scan behind check_hypotheses (hypothesis_reports runs it when
+# the map holds no verdict for the witness and plan), and the two checks it
+# replaces on finite spaces
+COUNTED = ("_hypothesis_pass", "is_global_weak_contraction", "validate_witness")
+ONE_PASS = {"_hypothesis_pass": 1, "is_global_weak_contraction": 0, "validate_witness": 0}
 
 
 @pytest.fixture
@@ -94,11 +100,85 @@ def test_precomputed_hypotheses_give_equal_reports(dilation, witness_kind):
         for rule in SelectionRule:
             cfg = SolverConfig(eps=Fraction(1, 16), seed_point=seed, max_iter=50,
                                selection_rule=rule)
-            fresh = iterate_endpoint(T, w, cfg)
-            shared = iterate_endpoint(T, w, cfg, hypotheses=hyps)
+            shared = iterate_endpoint(T, w, cfg)
+            fresh = iterate_endpoint(dataclasses.replace(T), w, cfg)
             assert shared == fresh
             assert fresh.notes == hyps.notes
             assert fresh.best_effort is not hyps.verified
+
+
+@pytest.fixture
+def pair_lists(monkeypatch):
+    """Count the pair lists the contraction scans build, at their binding."""
+    listed = [0]
+    original = contraction._distinct_pairs
+
+    def counted(*args):
+        listed[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(contraction, "_distinct_pairs", counted)
+    return listed
+
+
+def test_walks_of_one_map_scan_its_pairs_once(pair_lists):
+    # the first generated instance with a ratio witness and a multi-valued image
+    inst = next(i for i in weak_contraction_corpus(0, 60)
+                if i.alpha_witness is not None and i.name.startswith("random/")
+                and any(len(i.map_.images(x)) > 1 for x in i.space.points))
+    T, w, pts = inst.map_, inst.alpha_witness, inst.space.points
+    table = {x: T.images(x) for x in pts}
+    eps = min(abs(x - y) for x in pts for y in pts if x != y) / 2
+    walks = []
+    for rule in SelectionRule:
+        for seed in pts:
+            cfg = SolverConfig(eps=eps, seed_point=seed, max_iter=500, selection_rule=rule)
+            walks.append((cfg, iterate_endpoint(T, w, cfg)))
+            assert pair_lists[0] == 1
+    for cfg, rep in walks:
+        fresh = SetValuedMap.from_table(inst.space, table, name=T.name)
+        assert rep == iterate_endpoint(fresh, w, cfg)
+        assert rep.endpoint is not None and not rep.best_effort
+    assert pair_lists[0] == 1 + len(walks)
+
+
+def test_a_new_witness_plan_or_map_copy_scans_again(dilation, pair_lists):
+    _, T = dilation
+    check_hypotheses(T, HALF)
+    check_hypotheses(T, HALF, SamplePlan())  # None stands for SamplePlan()
+    assert pair_lists[0] == 1
+    twin = ContractionWitness(WitnessClass.ALPHA_CONSTANT, alpha_const=Fraction(1, 2))
+    check_hypotheses(T, twin)
+    assert pair_lists[0] == 2
+    check_hypotheses(T, twin, SamplePlan(seed=1))
+    assert pair_lists[0] == 3
+    copy = dataclasses.replace(T)
+    check_hypotheses(copy, twin, SamplePlan(seed=1))
+    assert pair_lists[0] == 4
+    assert check_hypotheses(copy, twin, SamplePlan(seed=1)) \
+        == check_hypotheses(T, twin, SamplePlan(seed=1))
+    assert pair_lists[0] == 4
+
+
+def test_a_kept_error_keeps_its_traceback_across_raises(dilation):
+    space, _ = dilation
+    # 1/4 goes to 1/2, which is not a point of the space: the images are read
+    # in the global law's first call, so the error is held for that law
+    outside = {Fraction(0): [Fraction(0)], Fraction(1, 4): [Fraction(1, 2)],
+               Fraction(1): [Fraction(0)]}
+    T = SetValuedMap.from_rule(space, outside.__getitem__)
+    cfg = SolverConfig(eps=Fraction(1, 16), seed_point=Fraction(1))
+    seen, depths = [], set()
+    for _ in range(50):
+        with pytest.raises(DomainError, match="not in space") as info:
+            iterate_endpoint(T, HALF, cfg)
+        seen.append(info.value)
+        frames = traceback.extract_tb(info.value.__traceback__)
+        depths.add(len(frames))
+        assert frames[-1].name == "_image_positions"
+        assert frames[-1].line.startswith("raise DomainError(")
+    assert all(err is seen[0] for err in seen)
+    assert len(depths) == 1
 
 
 def test_tolerance_is_checked_before_the_hypotheses(dilation):
