@@ -75,12 +75,14 @@ from .contraction import (
     CStatus,
     ContractionWitness,
     EndpointSet,
+    Hypotheses,
     PsiProperties,
     SetValuedMap,
     WitnessClass,
     approximate_endpoint_property_finite,
     approximate_endpoint_sequence,
     c_condition_status,
+    check_hypotheses,
     endpoints_bruteforce,
     fixed_points_bruteforce,
     is_global_weak_contraction,
@@ -90,14 +92,12 @@ from .contraction import (
 )
 from .solver import (
     BanachReport,
-    Hypotheses,
     IffReport,
     SelectionRule,
     SolverConfig,
     SolverOutcome,
     SolverReport,
     banach_iterate,
-    check_hypotheses,
     endpoint_iff_report,
     iterate_endpoint,
     single_valued_fixed_point_report,

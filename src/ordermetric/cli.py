@@ -22,7 +22,7 @@ import sys
 
 from .order_core import DomainError, IncomparableError, format_element
 from .cone_metric import hausdorff
-from .contraction import validate_witness
+from .contraction import check_hypotheses, validate_witness
 from .harness import ALL_CHECKS, Budgets, SuiteSpec, run_suite
 from .instance_files import (
     InstanceFileError,
@@ -37,7 +37,6 @@ from .solver import (
     SolverConfig,
     SolverOutcome,
     banach_iterate,
-    check_hypotheses,
     iterate_endpoint,
     walk_tolerance,
 )

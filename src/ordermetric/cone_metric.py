@@ -1,11 +1,12 @@
 """Metric spaces whose distances land in an ordered group.
 
 Point sets are either finite enumerations or sampled rational boxes; the
-distance map is exact. A finite space tabulates its N x N distances on
-first use and keeps the table, N² entries, for its lifetime: the
-exhaustive pair scans of ``contraction`` visit that many pairs anyway, and
-read each distance from the table by position instead of recomputing it.
-Sampled spaces tabulate nothing.
+distance map is exact. A finite space keeps two derived facts for its
+lifetime, each a ``functools.cached_property`` computed on first use: the
+index from each point to its first position, which membership reads, and
+the N x N distance table: the exhaustive pair scans of ``contraction``
+visit that many pairs anyway, and read each distance from the table by
+position instead of recomputing it. Sampled spaces keep neither.
 
 The set distance is restricted to finite subsets: in a genuinely partial
 order the inner min/max may simply not exist, so every fold checks
@@ -16,8 +17,9 @@ inventing an answer.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .order_core import (
@@ -54,9 +56,9 @@ class ConeMetricSpace:
     tuples of them, so their natural order is the canonical enumeration
     order that solvers use as a deterministic tie-break.
 
-    A finite space keeps its distance table as a private memo, ``_table``,
-    filled through ``distance`` on first use; ``dataclasses.replace``
-    starts it empty.
+    A finite space keeps its point index (``_index``) and its distance
+    table (``_distances``) as cached properties, computed whole on first use
+    (an error leaves them unset); ``dataclasses.replace`` starts without them.
     """
 
     name: str
@@ -65,7 +67,6 @@ class ConeMetricSpace:
     points: tuple | None = None
     contains: Callable[[Point], bool] | None = None
     sampler: Callable[[random.Random], Point] | None = None
-    _table: list = field(default_factory=list, init=False, repr=False)
 
     @property
     def group(self):
@@ -75,9 +76,17 @@ class ConeMetricSpace:
     def finite(self) -> bool:
         return self.points is not None
 
+    @cached_property
+    def _index(self) -> dict:
+        """Each point of a finite space to its first position."""
+        index: dict = {}
+        for i, p in enumerate(self.points):
+            index.setdefault(p, i)
+        return index
+
     def member(self, p) -> bool:
         if self.points is not None:
-            return p in self.points
+            return p in self._index
         return bool(self.contains and self.contains(p))
 
     def require_member(self, p) -> Point:
@@ -88,16 +97,19 @@ class ConeMetricSpace:
     def distance(self, x, y) -> Element:
         return self.metric(x, y)
 
+    @cached_property
+    def _distances(self) -> list:
+        """The distance table of a finite space: one list, row by row, filled
+        through ``distance``; equal distances share one object, so it holds
+        each value once."""
+        pts, values = self.points, {}
+        return [values.setdefault(d, d)
+                for d in (self.distance(x, y) for x in pts for y in pts)]
+
     def _distance_by_position(self) -> Callable[[int, int], Element]:
         """``dist(i, j)`` = d(points[i], points[j]) on a finite space, read
-        from the table. The table is one list, row by row, filled on first
-        use; equal distances share one object, so it holds each value once."""
-        table, pts = self._table, self.points
-        if not table:  # filled whole or not at all, so an error leaves it empty
-            values: dict = {}
-            table.extend([values.setdefault(d, d)
-                          for d in (self.distance(x, y) for x in pts for y in pts)])
-        n = len(pts)
+        from the table."""
+        table, n = self._distances, len(self.points)
         return lambda i, j: table[i * n + j]
 
     def sample_points(self, plan: SamplePlan, label: str) -> list:
@@ -295,12 +307,9 @@ class SetDistanceUndefined(IncomparableError):
 
 def _directed(m: ConeMetricSpace, src: Sequence, dst: Sequence) -> Element:
     g = m.group
-    try:
-        per_point = [order_min(g, [m.distance(x, y) for y in dst], "inner point-to-set min")
-                     for x in src]
-        return order_max(g, per_point, "directed max")
-    except IncomparableError as exc:
-        raise SetDistanceUndefined(*exc.pair, "set distance undefined for this order") from exc
+    per_point = [order_min(g, [m.distance(x, y) for y in dst], "inner point-to-set min")
+                 for x in src]
+    return order_max(g, per_point, "directed max")
 
 
 def hausdorff(m: ConeMetricSpace, set_a: Sequence, set_b: Sequence) -> Element:
@@ -317,7 +326,5 @@ def hausdorff(m: ConeMetricSpace, set_a: Sequence, set_b: Sequence) -> Element:
     g = m.group
     try:
         return order_max(g, [_directed(m, a, b), _directed(m, b, a)], "two-sided max")
-    except SetDistanceUndefined:
-        raise
     except IncomparableError as exc:
         raise SetDistanceUndefined(*exc.pair, "set distance undefined for this order") from exc

@@ -16,10 +16,14 @@ spaces keep working on points, with the same seeded streams.
 Each check runs its pair laws on the one law runner, in one pass over a
 pair stream that reads each distance and bound once, and returns the
 runner's ``LawResult`` or ``LawReport``; on a finite space the walk
-hypotheses (the global bound and the witness obligations) share one pass,
-kept on the map for one witness object and plan (``hypothesis_reports``).
+hypotheses (the global bound and the witness obligations) share one pass.
 Every step that can raise runs inside the stream or in the first call of
 its law, so the runner holds each error for the laws it reached.
+
+A map keeps what is derived from it: its image positions, a
+``functools.cached_property`` like every unkeyed memo here, and its whole
+walk verdict, a ``Hypotheses`` kept for one witness object and plan
+(``check_hypotheses``).
 
 Convergence conditions that quantify over all sequences are not decidable
 from tables, so witnesses carry them as class-level certificates: the
@@ -32,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from .order_core import (
@@ -67,15 +72,16 @@ class SetValuedMap:
     """x -> finite nonempty subset of the space, table- or rule-backed.
 
     ``images_fn`` returns tuples without repeats: tables are normalized when
-    built and rule images when computed. On a finite space the private memo
-    ``_positions`` holds every image as positions, built once per map; the
-    slot ``_verdict`` holds its walk hypotheses (see ``hypothesis_reports``).
+    built and rule images when computed. On a finite space the cached
+    property ``_image_positions`` holds every image as positions; the slot
+    ``_verdict`` holds the walk ``Hypotheses`` for one witness object and
+    plan (see ``check_hypotheses``). ``dataclasses.replace`` starts without
+    either.
     """
 
     space: ConeMetricSpace
     images_fn: Callable[[Point], tuple]
     name: str = "T"
-    _positions: list = field(default_factory=list, init=False, repr=False)
     _verdict: tuple = field(default=(None, None, None), init=False, repr=False)
 
     def images(self, x: Point) -> tuple:
@@ -87,35 +93,30 @@ class SetValuedMap:
     def is_endpoint(self, x: Point) -> bool:
         return self.images(x) == (x,)
 
+    @cached_property
     def _image_positions(self) -> list:
         """``positions[i]`` is the image of ``space.points[i]`` as positions;
         raises DomainError at the first image point outside the space."""
-        if not self._positions:
-            space = self.space
-            where: dict = {}
-            for i, p in enumerate(space.points):
-                where.setdefault(p, i)
-            built = []
-            for x in space.points:
-                row = []
-                for y in self.images(x):
-                    if y not in where:
-                        raise DomainError(
-                            f"map {self.name!r} sends {format_element(x)} to "
-                            f"{format_element(y)}, which is not in space {space.name!r}")
-                    row.append(where[y])
-                built.append(tuple(row))
-            self._positions.extend(built)
-        return self._positions
+        space = self.space
+        where = space._index
+        built = []
+        for x in space.points:
+            row = []
+            for y in self.images(x):
+                if y not in where:
+                    raise DomainError(
+                        f"map {self.name!r} sends {format_element(x)} to "
+                        f"{format_element(y)}, which is not in space {space.name!r}")
+                row.append(where[y])
+            built.append(tuple(row))
+        return built
 
     @staticmethod
     def from_table(space: ConeMetricSpace, table: Mapping, name: str = "T") -> "SetValuedMap":
         frozen = {k: _distinct(v) for k, v in table.items()}
-        member = set(space.points).__contains__ if space.finite else space.member
         for x, img in frozen.items():
             for p in (x, *img):
-                if not member(p):
-                    space.require_member(p)  # raises, naming the point
+                space.require_member(p)
         if space.points is not None:
             missing = [p for p in space.points if p not in frozen]
             if missing:
@@ -360,7 +361,7 @@ def _image_law(T: SetValuedMap, kind: str) -> tuple:
         nonlocal point, dist, images
         if images is None:
             point, dist = _pair_reader(space)
-            images = T._image_positions().__getitem__ if space.finite else T.images
+            images = T._image_positions.__getitem__ if space.finite else T.images
         ty = images(b)
         for xp in images(a):
             if kind == "weak":
@@ -437,15 +438,55 @@ def validate_witness(T: SetValuedMap, w: ContractionWitness,
     return _raise_held(_witness_report(T, w, _scan(T, w, plan, "phi-valid", _witness_laws(T, w))))
 
 
-def hypothesis_reports(T: SetValuedMap, w: ContractionWitness,
-                       plan: SamplePlan | None = None) -> tuple:
-    """The global bound result and the witness report on ``plan`` (None is
-    ``SamplePlan()``), each replaced by the error its own laws held, if any.
+@dataclass(frozen=True)
+class Hypotheses:
+    """The verdicts a walk's verified mode rests on: the global bound
+    result and the witness report, each an outcome the law runner gave (a
+    report, or the error it held, raised when read), and the class-level
+    convergence-condition verdict. The map keeps one for a witness object
+    and a plan (``check_hypotheses``); ``notes`` is a cached property."""
+
+    global_outcome: LawResult | Exception
+    witness_outcome: LawReport | Exception
+    c_status: CConditionStatus
+
+    @property
+    def global_report(self) -> LawResult:
+        return _raise_held(self.global_outcome)
+
+    @property
+    def witness_report(self) -> LawReport:
+        return _raise_held(self.witness_outcome)
+
+    @cached_property
+    def notes(self) -> tuple[str, ...]:
+        """One line per hypothesis that failed or stays unknown."""
+        notes = []
+        if not self.global_report.passed:
+            notes.append(f"global bound check failed: {self.global_report.witness}")
+        if not self.witness_report.passed:
+            notes.append("witness obligations failed: "
+                         + "; ".join(r.witness or r.law
+                                     for r in self.witness_report.failures()))
+        if self.c_status.status is not CStatus.HOLDS_BY_THEOREM:
+            notes.append(f"convergence condition unknown: {self.c_status.justification}")
+        return tuple(notes)
+
+    @property
+    def verified(self) -> bool:
+        return not self.notes
+
+
+def check_hypotheses(T: SetValuedMap, w: ContractionWitness,
+                     plan: SamplePlan | None = None) -> Hypotheses:
+    """The global bound check and the witness obligations on ``plan`` (None
+    is ``SamplePlan()``), and the class-level convergence-condition verdict.
     The map keeps them for its last witness object and plan; map, space,
-    witness and plan are frozen, so they are what a new scan would give."""
+    witness and plan are frozen, so they are what a new check would give."""
     plan = plan or SamplePlan()
     if T._verdict[0] is not w or T._verdict[1] != plan:
-        object.__setattr__(T, "_verdict", (w, plan, _hypothesis_pass(T, w, plan)))
+        verdict = Hypotheses(*_hypothesis_pass(T, w, plan), c_condition_status(w))
+        object.__setattr__(T, "_verdict", (w, plan, verdict))
     return T._verdict[2]
 
 
@@ -493,20 +534,12 @@ def approximate_endpoint_property_finite(T: SetValuedMap) -> ApproxEndpointValue
     """
     if not T.space.finite:
         raise ValueError("the inf-sup computation needs a finite space")
-    g = T.space.group
+    g, pts = T.space.group, T.space.points
     dist = T.space._distance_by_position()
-    best_value = None
-    best_point = None
-    sups = []
-    for i, (x, img) in enumerate(zip(T.space.points, T._image_positions())):
-        sup = order_max(g, [dist(i, j) for j in img], f"image spread at {format_element(x)}")
-        sups.append((x, sup))
-    value = order_min(g, [s for _, s in sups], "inf over points")
-    for x, sup in sups:
-        if g.eq(sup, value):
-            best_value, best_point = sup, x
-            break
-    return ApproxEndpointValue(best_value, best_point)
+    sups = [order_max(g, [dist(i, j) for j in img], f"image spread at {format_element(x)}")
+            for i, (x, img) in enumerate(zip(pts, T._image_positions))]
+    value = order_min(g, sups, "inf over points")
+    return ApproxEndpointValue(value, pts[sups.index(value)])
 
 
 @dataclass(frozen=True)

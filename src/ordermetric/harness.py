@@ -65,6 +65,7 @@ from .contraction import (
     approximate_endpoint_property_finite,
     approximate_endpoint_sequence,
     c_condition_status,
+    check_hypotheses,
     endpoints_bruteforce,
     is_weak_contraction,
 )
@@ -74,7 +75,6 @@ from .solver import (
     SolverConfig,
     SolverOutcome,
     banach_iterate,
-    check_hypotheses,
     endpoint_iff_report,
     iterate_endpoint,
 )

@@ -61,6 +61,7 @@ from .topo import (
     PositiveSequence,
     SeqAtom,
     TopoStructure,
+    _ATOM_KINDS,
     default_sequences,
     interior_cone_structure,
     strict_order_structure,
@@ -382,7 +383,6 @@ def _parse_map(entries, space_kind, points, dim):
 
 _PSI_NAMES = ("half", "damped")
 _ALPHA_FN_NAMES = ("capped-ratio",)
-_SEQ_KINDS = ("constant", "harmonic", "inverse-square", "geometric")
 
 
 def _parse_sequences(entries, dim) -> tuple:
@@ -404,7 +404,7 @@ def _parse_sequences(entries, dim) -> tuple:
                 raise InstanceFileError(
                     "sequence atoms look like: <kind> <coefficient>", ln)
             kind, coeff_text = tokens
-            if kind not in _SEQ_KINDS:
+            if kind not in _ATOM_KINDS:
                 raise InstanceFileError(f"unknown sequence kind {kind!r}", ln)
             coeff = _expect_dim(parse_element(coeff_text, ln), dim, ln,
                                 "sequence coefficient")
@@ -659,10 +659,9 @@ def build_bundle(desc: InstanceDescription) -> InstanceBundle:
         # in each coordinate, so on an interval the two corners decide it
         probes = space.points if space.finite else desc.interval
         where = "a declared point" if space.finite else "inside the interval"
-        member = set(space.points).__contains__ if space.finite else space.member
         for p in probes:
             for q in map_.images(p):
-                if not member(q):
+                if not space.member(q):
                     raise InstanceFileError(
                         f"rule image {format_element(q)} of point "
                         f"{format_element(p)} is not {where}")

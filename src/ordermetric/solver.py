@@ -9,8 +9,9 @@ contradicts the contraction bound that was supposed to govern it.
 
 Hypotheses gate the language of the report: when the global bound check or
 the convergence-condition certificate fails, the solver still runs, but in
-best-effort mode, and never claims uniqueness. The map keeps their verdict,
-keyed by the witness object and the plan (``hypothesis_reports``).
+best-effort mode, and never claims uniqueness. The walk reads the map's
+``Hypotheses`` (``contraction.check_hypotheses``), which the map keeps for
+the witness object and the plan, notes included, so no memo lives here.
 """
 
 from __future__ import annotations
@@ -24,11 +25,9 @@ from .order_core import (
     DomainError,
     Element,
     IncomparableError,
-    LawReport,
     LawResult,
     Order,
     SamplePlan,
-    _raise_held,
     format_element,
     order_min,
 )
@@ -36,7 +35,6 @@ from .topo import _validate_eps
 from .cone_metric import ConeMetricSpace
 from .contraction import (
     ApproxEndpointValue,
-    CConditionStatus,
     CStatus,
     ContractionWitness,
     EndpointSet,
@@ -45,9 +43,9 @@ from .contraction import (
     _pair_reader,
     approximate_endpoint_property_finite,
     c_condition_status,
+    check_hypotheses,
     endpoints_bruteforce,
     fixed_points_bruteforce,
-    hypothesis_reports,
     is_weak_contraction,
     singleton_lift,
 )
@@ -141,60 +139,11 @@ def _select_next(m: ConeMetricSpace, candidates: Sequence, current: Point,
     ordered = sorted(candidates)
     if rule is SelectionRule.LEX_FIRST:
         return ordered[0]
-    g = m.group
     dists = [m.distance(current, p) for p in ordered]
-    try:
-        best = order_min(g, dists, "selection")
+    try:  # order_min returns the first occurrence of the least value
+        return ordered[dists.index(order_min(m.group, dists, "selection"))]
     except IncomparableError:
         return ordered[0]
-    for p, d in zip(ordered, dists):
-        if g.eq(d, best):
-            return p
-    return ordered[0]
-
-
-@dataclass(frozen=True)
-class Hypotheses:
-    """The verdicts a walk's verified mode rests on; the map keeps the two
-    outcomes for a witness object and a plan (``hypothesis_reports``). An
-    outcome is a report or the error the law runner held, raised when read."""
-
-    global_outcome: LawResult | Exception
-    witness_outcome: LawReport | Exception
-    c_status: CConditionStatus
-
-    @property
-    def global_report(self) -> LawResult:
-        return _raise_held(self.global_outcome)
-
-    @property
-    def witness_report(self) -> LawReport:
-        return _raise_held(self.witness_outcome)
-
-    @property
-    def notes(self) -> tuple[str, ...]:
-        """One line per hypothesis that failed or stays unknown."""
-        notes = []
-        if not self.global_report.passed:
-            notes.append(f"global bound check failed: {self.global_report.witness}")
-        if not self.witness_report.passed:
-            notes.append("witness obligations failed: "
-                         + "; ".join(r.witness or r.law
-                                     for r in self.witness_report.failures()))
-        if self.c_status.status is not CStatus.HOLDS_BY_THEOREM:
-            notes.append(f"convergence condition unknown: {self.c_status.justification}")
-        return tuple(notes)
-
-    @property
-    def verified(self) -> bool:
-        return not self.notes
-
-
-def check_hypotheses(T: SetValuedMap, w: ContractionWitness,
-                     plan: SamplePlan | None = None) -> Hypotheses:
-    """The global bound check and the witness obligations on ``plan``, as
-    the map keeps them, and the class-level convergence-condition verdict."""
-    return Hypotheses(*hypothesis_reports(T, w, plan), c_condition_status(w))
 
 
 def walk_tolerance(m: ConeMetricSpace, eps) -> Element:

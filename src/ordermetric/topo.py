@@ -104,7 +104,7 @@ def _interior_below(a: Element, b: Element) -> bool:
     return a < b
 
 
-def strict_order_structure(module: OrderedModuleInstance, regular: bool = True) -> TopoStructure:
+def strict_order_structure(module: OrderedModuleInstance) -> TopoStructure:
     """Use the strict order itself as the dominance relation."""
     g = module.group
     witness = g.coerce(1) if not isinstance(g.identity, tuple) else tuple(
@@ -121,11 +121,10 @@ def strict_order_structure(module: OrderedModuleInstance, regular: bool = True) 
         shrink=lambda e: module.scale(Fraction(1, 2), e),
         interior_sampler=interior_sampler,
         module=module,
-        regular=regular,
     )
 
 
-def interior_cone_structure(module: OrderedModuleInstance, regular: bool = True) -> TopoStructure:
+def interior_cone_structure(module: OrderedModuleInstance) -> TopoStructure:
     """Dominance = difference interior to the nonnegative orthant.
 
     Interior membership is decided exactly: every coordinate strictly
@@ -148,7 +147,6 @@ def interior_cone_structure(module: OrderedModuleInstance, regular: bool = True)
         shrink=lambda e: module.scale(Fraction(1, 2), e),
         interior_sampler=interior_sampler,
         module=module,
-        regular=regular,
     )
 
 

@@ -1,9 +1,11 @@
 import time
+from fractions import Fraction
 
 import pytest
 
+from ordermetric import SetDistanceUndefined, build_bundle, cone_metric, hausdorff
 from ordermetric.cli import main
-from ordermetric.instance_files import BUILTIN_INSTANCE_TEXTS
+from ordermetric.instance_files import BUILTIN_INSTANCE_TEXTS, parse_instance_text
 
 INCOMPARABLE_FILE = """\
 [group]
@@ -40,6 +42,19 @@ image 1 = 0
 class = phi-table
 phi 0 | 1 = 1
 phi 1 | 0 = 1/4
+"""
+
+GRID3_FILE = """\
+[group]
+family = coord-cone
+dimension = 2
+
+[structure]
+kind = interior-cone
+
+[space]
+grid = (0, 0) .. (2, 2) step 1
+metric = coordinatewise
 """
 
 POINTS_FILE = """\
@@ -223,6 +238,25 @@ def test_hausdorff_incomparable_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "(1, 2)" in err and "(2, 1)" in err
+
+
+def test_hausdorff_incomparable_directed_values_exit_two(tmp_path, capsys):
+    # each directed value exists, but (0, 1) and (1, 0) are incomparable
+    space = build_bundle(parse_instance_text(GRID3_FILE)).space
+    a = [(Fraction(0), Fraction(0)), (Fraction(0), Fraction(1))]
+    b = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))]
+    assert cone_metric._directed(space, a, b) == (0, 1)
+    assert cone_metric._directed(space, b, a) == (1, 0)
+    message = "set distance undefined for this order: incomparable pair (0, 1) , (1, 0)"
+    with pytest.raises(SetDistanceUndefined) as exc:
+        hausdorff(space, a, b)
+    assert str(exc.value) == message and exc.value.pair == ((0, 1), (1, 0))
+    path = tmp_path / "grid3.ini"
+    path.write_text(GRID3_FILE)
+    rc = main(["hausdorff", str(path), "--set-a", "(0, 0); (0, 1)",
+               "--set-b", "(0, 0); (1, 0)"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (2, "", f"order error: {message}\n")
 
 
 def test_hausdorff_undeclared_point_is_domain_error(tmp_path, capsys):

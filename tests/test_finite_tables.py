@@ -277,12 +277,12 @@ def test_replaced_space_starts_with_an_empty_table():
     assert is_global_weak_contraction(T, HALF).passed
     # the d2 fault replaces the metric; its table must hold the new distances
     corrupt = harness.fault_inject(b, "break-d2").space
-    assert corrupt._table == []
+    assert "_distances" not in vars(corrupt)
     pts = corrupt.points
     expected = [corrupt.metric(x, y) for x in pts for y in pts]
     corrupt._distance_by_position()
-    assert corrupt._table == expected
-    assert b.space._table != expected
+    assert vars(corrupt)["_distances"] == expected
+    assert vars(b.space)["_distances"] != expected
 
 
 def test_a_metric_error_leaves_the_table_empty():
@@ -297,15 +297,16 @@ def test_a_metric_error_leaves_the_table_empty():
                             points=(F(0), F(1), F(3)))
     with pytest.raises(ValueError, match="metric failed once"):
         min_positive_distance(space)
-    assert space._table == []
+    assert "_distances" not in vars(space)
     assert min_positive_distance(space) == 1
 
 
 def test_sampled_spaces_tabulate_nothing(real_line_space):
     T = SetValuedMap.from_rule(real_line_space, lambda x: (x / 2,))
     assert is_global_weak_contraction(T, HALF, SamplePlan(seed=3, count=50)).passed
-    assert real_line_space._table == []
-    assert T._positions == []
+    assert "_distances" not in vars(real_line_space)
+    assert "_index" not in vars(real_line_space)
+    assert "_image_positions" not in vars(T)
 
 
 # ---------------------------------------------------------------------------

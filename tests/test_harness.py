@@ -21,7 +21,7 @@ from ordermetric import (
     run_suite,
 )
 from ordermetric import cone_metric, contraction, harness, order_core, topo
-from ordermetric.contraction import hypothesis_reports
+from ordermetric.contraction import check_hypotheses
 from ordermetric.instance_files import (
     BUILTIN_INSTANCE_TEXTS,
     build_bundle,
@@ -259,6 +259,7 @@ def test_passing_laws_format_no_witness(monkeypatch):
         reports = [check_module_laws(b.module, plan), check_topo_laws(b.structure, plan),
                    check_metric_laws(b.space, plan)]
         if b.map_ is not None and b.witness is not None:
-            reports += hypothesis_reports(b.map_, b.witness, plan)
+            hyps = check_hypotheses(b.map_, b.witness, plan)
+            reports += [hyps.global_report, hyps.witness_report]
         assert all(r.passed for r in reports), name
         assert calls == [], name

@@ -30,9 +30,9 @@ from ordermetric.cli import main
 
 DATA = Path(__file__).parent / "data"
 HALF = ContractionWitness(WitnessClass.ALPHA_CONSTANT, alpha_const=Fraction(1, 2))
-# the one-pass scan behind check_hypotheses (hypothesis_reports runs it when
-# the map holds no verdict for the witness and plan), and the two checks it
-# replaces on finite spaces
+# the one-pass scan behind check_hypotheses (which runs it when the map holds
+# no verdict for the witness and plan), and the two checks it replaces on
+# finite spaces
 COUNTED = ("_hypothesis_pass", "is_global_weak_contraction", "validate_witness")
 ONE_PASS = {"_hypothesis_pass": 1, "is_global_weak_contraction": 0, "validate_witness": 0}
 
@@ -158,6 +158,32 @@ def test_a_new_witness_plan_or_map_copy_scans_again(dilation, pair_lists):
     assert check_hypotheses(copy, twin, SamplePlan(seed=1)) \
         == check_hypotheses(T, twin, SamplePlan(seed=1))
     assert pair_lists[0] == 4
+
+
+@pytest.mark.parametrize("witness_kind", ["alpha-const", "phi-table"])
+def test_walks_of_one_map_build_one_verdict(dilation, monkeypatch, witness_kind):
+    space, T = dilation
+    w = HALF if witness_kind == "alpha-const" else _phi_table(space)
+    built = {"c_condition_status": 0, "Hypotheses": 0}
+    for name in built:
+        original = getattr(contraction, name)
+
+        def counted(*args, _name=name, _fn=original):
+            built[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(contraction, name, counted)
+    cfg = SolverConfig(eps=Fraction(1, 16), seed_point=Fraction(1), max_iter=50)
+    reports = []
+    for walk in range(10):
+        reports.append(iterate_endpoint(T, w, cfg))
+        assert built == {"c_condition_status": 1, "Hypotheses": 1}, walk
+    assert all(r.notes is check_hypotheses(T, w).notes for r in reports)
+    fresh = iterate_endpoint(dataclasses.replace(T), w, cfg)
+    assert built == {"c_condition_status": 2, "Hypotheses": 2}
+    assert all(r == fresh for r in reports)
+    # the phi table's C-status stays unknown, so its walks carry a note
+    assert bool(fresh.notes) is (witness_kind == "phi-table")
 
 
 def test_a_kept_error_keeps_its_traceback_across_raises(dilation):

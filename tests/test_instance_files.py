@@ -10,6 +10,7 @@ from ordermetric import (
     load_instance,
     parse_instance_text,
 )
+from ordermetric.cli import main
 
 TABLE_FILE = """\
 [group]
@@ -113,14 +114,6 @@ def test_nonzero_diagonal_rejected():
     assert "diagonal" in str(exc.value)
 
 
-def test_bad_rational_reports_line():
-    bad = BUILTIN_INSTANCE_TEXTS["three-point"].replace("points = 0; 1/4; 1",
-                                                        "points = 0; 0.25; 1")
-    with pytest.raises(InstanceFileError) as exc:
-        parse_instance_text(bad)
-    assert "line" in str(exc.value)
-
-
 @pytest.mark.parametrize("builtin, interval", [
     ("r1-banach", "1 .. 0"),
     ("cone2-shrink", "(0, 1) .. (1, 0)"),
@@ -142,12 +135,6 @@ def test_degenerate_interval_accepted():
     assert parse_instance_text(text).interval == (Fraction(1, 2), Fraction(1, 2))
 
 
-def test_missing_section_rejected():
-    with pytest.raises(InstanceFileError) as exc:
-        parse_instance_text("[group]\nfamily = real\n")
-    assert "[structure]" in str(exc.value)
-
-
 def test_undeclared_image_point_rejected():
     bad = BUILTIN_INSTANCE_TEXTS["three-point"].replace("image 1 = 0; 1/4",
                                                         "image 1 = 0; 7/8")
@@ -161,19 +148,6 @@ def test_map_table_must_cover_every_point():
     with pytest.raises(InstanceFileError) as exc:
         parse_instance_text(bad)
     assert "misses point" in str(exc.value)
-
-
-def test_duplicate_point_rejected():
-    bad = BUILTIN_INSTANCE_TEXTS["three-point"].replace("points = 0; 1/4; 1",
-                                                        "points = 0; 0; 1")
-    with pytest.raises(InstanceFileError):
-        parse_instance_text(bad)
-
-
-def test_unknown_section_rejected():
-    with pytest.raises(InstanceFileError) as exc:
-        parse_instance_text("[bogus]\nx = 1\n")
-    assert "unknown section" in str(exc.value)
 
 
 def test_load_missing_path_lists_builtins():
@@ -319,3 +293,151 @@ def test_grid_size_limit(group, grid, size):
             parse_instance_text(text)
     else:
         assert len(parse_instance_text(text).points) == size
+
+
+# ---------------------------------------------------------------------------
+# bad instance files: one row per error the parser or the bundle builder
+# raises, each a minimal file and its exact message
+
+_REAL = "[group]\nfamily = real\n\n[structure]\nkind = strict-order\n\n[space]\n"
+_CONE = ("[group]\nfamily = coord-cone\ndimension = 2\n\n[structure]\nkind = interior-cone\n\n"
+         "[space]\n")
+_POINTS = _REAL + "points = 0; 1/4; 1\nmetric = abs\n"
+_MAP = _POINTS + "\n[map]\n"
+_WITNESS = _POINTS + "\n[witness]\n"
+_SEQS = _POINTS + "\n[sequences]\n"
+
+BAD_FILES = [
+    # element syntax
+    ("decimal", _REAL + "points = 0; 0.25\nmetric = abs\n",
+     "line 8: rationals are written p/q, got '0.25'"),
+    ("not-rational", _REAL + "points = 0; x\nmetric = abs\n",
+     "line 8: not an exact rational: 'x'"),
+    ("unbalanced-tuple", _CONE + "points = (0, 0); (1, 1\nmetric = coordinatewise\n",
+     "line 9: unbalanced tuple: '(1, 1'"),
+    ("empty-list", _REAL + "points = ;\nmetric = abs\n", "line 8: empty element list"),
+    # sections and keys
+    ("unknown-section", "[bogus]\nx = 1\n", "line 1: unknown section [bogus]"),
+    ("before-header", "family = real\n", "line 1: content before any section header"),
+    ("no-equals", "[group]\nfamily\n", "line 2: expected key = value, got 'family'"),
+    ("missing-section", "[group]\nfamily = real\n", "missing required section [structure]"),
+    ("duplicate-key", _POINTS.replace("family = real", "family = real\nfamily = real"),
+     "line 3: duplicate key 'family' in [group]"),
+    ("missing-key", _POINTS.replace("kind = strict-order", "style = strict"),
+     "line 5: missing key 'kind' in [structure]"),
+    # group, structure, metric
+    ("unknown-family", _POINTS.replace("real", "complex"),
+     "line 2: unknown group family 'complex'"),
+    ("dimension-text", _POINTS.replace("family = real", "family = real\ndimension = one"),
+     "line 3: dimension must be an integer, got 'one'"),
+    ("real-dimension", _POINTS.replace("family = real", "family = real\ndimension = 2"),
+     "line 3: the real family is one-dimensional"),
+    ("cone-dimension", _CONE.replace("dimension = 2", "dimension = 1")
+     + "points = 0\nmetric = abs\n", "line 3: coord-cone needs dimension at least 2"),
+    ("unknown-structure", _POINTS.replace("strict-order", "lattice"),
+     "line 5: unknown structure kind 'lattice'"),
+    ("unknown-metric", _POINTS.replace("metric = abs", "metric = taxicab"),
+     "line 9: unknown metric 'taxicab'"),
+    ("abs-on-vectors", _CONE + "points = (0, 0)\nmetric = abs\n",
+     "line 10: abs metric applies to the real family"),
+    ("coordinatewise-on-scalars", _POINTS.replace("abs", "coordinatewise"),
+     "line 9: coordinatewise metric needs a vector group"),
+    ("table-on-grid", _REAL + "grid = 0 .. 1 step 1\nmetric = table\n",
+     "line 9: table metrics need an explicit point list"),
+    # carriers
+    ("point-dimension", _REAL + "points = 0; (1, 1)\nmetric = abs\n",
+     "line 8: point has dimension 2, expected 1"),
+    ("no-carrier", _REAL + "metric = abs\n",
+     "space needs exactly one of points / grid / interval"),
+    ("two-carriers", _POINTS + "interval = 0 .. 1\n",
+     "line 10: space needs exactly one of points / grid / interval"),
+    ("duplicate-point", _POINTS.replace("0; 1/4; 1", "0; 0; 1"),
+     "line 8: duplicate point in list"),
+    ("grid-without-step", _REAL + "grid = 0 .. 1\nmetric = abs\n",
+     "line 8: grid needs 'lo .. hi step s'"),
+    ("grid-without-span", _REAL + "grid = 0 step 1\nmetric = abs\n",
+     "line 8: grid needs 'lo .. hi step s'"),
+    ("grid-step", _REAL + "grid = 0 .. 1 step 0\nmetric = abs\n",
+     "line 8: grid step must be positive"),
+    ("grid-reversed", _REAL + "grid = 1 .. 0 step 1\nmetric = abs\n",
+     "line 8: grid corner order reversed"),
+    ("grid-span", _REAL + "grid = 0 .. 1 step 2/3\nmetric = abs\n",
+     "line 8: grid span is not a multiple of the step"),
+    ("grid-size", _REAL + "grid = 0 .. 10000 step 1\nmetric = abs\n",
+     "line 8: grid too large (over 10000 points)"),
+    ("interval-span", _REAL + "interval = 0\nmetric = abs\n",
+     "line 8: interval needs 'lo .. hi'"),
+    ("interval-reversed", _REAL + "interval = 1 .. 0\nmetric = abs\n",
+     "line 8: interval corner order reversed"),
+    # table metrics
+    ("row-count", _REAL + "points = 0; 1\nmetric = table\nrow = 0; 1\n",
+     "line 10: table metric needs 2 rows, found 1"),
+    ("row-length", _REAL + "points = 0; 1\nmetric = table\nrow = 0; 1\nrow = 1\n",
+     "line 11: row has 1 entries, expected 2"),
+    ("diagonal", _REAL + "points = 0; 1\nmetric = table\nrow = 1; 1\nrow = 1; 0\n",
+     "line 10: table diagonal cell (0, 0) must be 0"),
+    ("asymmetric", _REAL + "points = 0; 1\nmetric = table\nrow = 0; 1\nrow = 2; 0\n",
+     "line 11: table asymmetric at cell (0, 1): 1 vs 2"),
+    # maps
+    ("table-and-rule", _MAP + "image 0 = 0\nrule = scale\n",
+     "line 13: map cannot mix an image table with a rule"),
+    ("unknown-rule", _MAP + "rule = shift\n", "line 12: unknown map rule 'shift'"),
+    ("factor-dimension", _CONE + "interval = (0, 0) .. (1, 1)\nmetric = coordinatewise\n"
+     "\n[map]\nrule = scale\nfactors = (1/2, 1/2, 1/2)\n",
+     "line 14: tuple factor dimension mismatch"),
+    ("no-images", _MAP + "factors = 1/2\n", "map section needs image entries or a rule"),
+    ("images-on-interval", _REAL + "interval = 0 .. 1\nmetric = abs\n\n[map]\nimage 0 = 0\n",
+     "line 12: image tables need a finite carrier"),
+    ("undeclared-key", _MAP + "image 7 = 0\n", "line 12: image key 7 is not a declared point"),
+    ("duplicate-image", _MAP + "image 0 = 0\nimage 0 = 0\n",
+     "line 13: duplicate image entry for 0"),
+    ("undeclared-image", _MAP + "image 0 = 7/8\n",
+     "line 12: image point 7/8 is not a declared point"),
+    ("missing-image", _MAP + "image 0 = 0\nimage 1 = 0\n", "map table misses point 1/4"),
+    ("rule-escapes", _MAP + "rule = scale\nfactors = 2\n",
+     "rule image 1/2 of point 1/4 is not a declared point"),
+    # sequences
+    ("sequence-key", _SEQS + "sequence = harmonic 1\n",
+     "line 12: unknown key 'sequence' in [sequences]"),
+    ("sequence-atom", _SEQS + "seq = harmonic\n",
+     "line 12: sequence atoms look like: <kind> <coefficient>"),
+    ("sequence-kind", _SEQS + "seq = cubic 1\n", "line 12: unknown sequence kind 'cubic'"),
+    ("sequence-ratio-kind", _SEQS + "seq = harmonic 1 ratio 1/2\n",
+     "line 12: exactly the geometric kind takes a ratio"),
+    ("sequence-ratio", _SEQS + "seq = geometric 1 ratio 1\n",
+     "line 12: ratio must lie in [0, 1)"),
+    ("sequence-coefficient", _SEQS + "seq = harmonic -1\n",
+     "sequence 'harmonic -1': atom coefficients must sit above the identity"),
+    # witnesses
+    ("alpha-range", _WITNESS + "class = alpha-const\nalpha = 1\n",
+     "line 13: alpha must lie in [0, 1)"),
+    ("ratio-function", _WITNESS + "class = alpha-fn\nname = linear\n",
+     "line 13: unknown ratio function 'linear'"),
+    ("bound-range", _WITNESS + "class = alpha-fn\nname = capped-ratio\nbound = 0\n",
+     "line 14: bound must lie in (0, 1)"),
+    ("phi-on-interval",
+     _REAL + "interval = 0 .. 1\nmetric = abs\n\n[witness]\nclass = phi-table\n",
+     "line 12: phi tables need a finite carrier"),
+    ("phi-entries", _WITNESS + "class = phi-table\n",
+     "line 12: phi-table witness needs phi entries"),
+    ("phi-key", _WITNESS + "class = phi-table\nphi 0 = 0\n",
+     "line 13: phi entries look like: phi x | y = value"),
+    ("phi-point", _WITNESS + "class = phi-table\nphi 0 | 7 = 0\n",
+     "line 13: phi entry names an undeclared point"),
+    ("phi-pair", _WITNESS + "class = phi-table\nphi 0 | 1 = 0\n",
+     "phi table misses pair (0, 1/4)"),
+    ("psi-on-vectors",
+     _CONE + "points = (0, 0)\nmetric = coordinatewise\n\n[witness]\nclass = psi\n",
+     "line 13: scalar-function witnesses need the real family"),
+    ("psi-name", _WITNESS + "class = psi\npsi = third\n", "line 13: unknown psi name 'third'"),
+    ("witness-class", _WITNESS + "class = beta\n", "line 12: unknown witness class 'beta'"),
+]
+
+
+@pytest.mark.parametrize("text, message", [row[1:] for row in BAD_FILES],
+                         ids=[row[0] for row in BAD_FILES])
+def test_bad_instance_file_exits_three(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.ini"
+    path.write_text(text, encoding="utf-8")
+    assert main(["verify", str(path)]) == 3
+    assert capsys.readouterr() == ("", f"parse error: {message}\n")

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -152,6 +156,23 @@ def test_expanding_map_flags_hypothesis_violation(rstruct):
     rep = iterate_endpoint(T, HALF, cfg)
     assert rep.outcome is SolverOutcome.HYPOTHESIS_VIOLATION
     assert rep.best_effort
+
+
+def test_min_dist_falls_back_to_point_order_on_incomparable_distances(cstruct2):
+    """From (1, 1) the candidate distances (1, 0) and (0, 1) are incomparable
+    in the coordinate cone, so the min-distance rule takes the first
+    candidate in the points' natural order, (0, 1)."""
+    p01, p10, p11 = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)),
+                     (Fraction(1), Fraction(1)))
+    space = ConeMetricSpace("cone-2 corners", cstruct2,
+                            lambda x, y: tuple(abs(a - b) for a, b in zip(x, y)),
+                            points=(p01, p10, p11))
+    T = SetValuedMap.from_table(space, {p01: (p01,), p10: (p10,), p11: (p10, p01)})
+    cfg = SolverConfig(eps=(Fraction(1, 16), Fraction(1, 16)), seed_point=p11, max_iter=5)
+    rep = iterate_endpoint(T, HALF, cfg)
+    assert [(s.point, s.chosen, s.step_distance) for s in rep.trace] \
+        == [(p11, p01, (Fraction(1), Fraction(0)))]
+    assert rep.outcome is SolverOutcome.ENDPOINT_FOUND and rep.endpoint == p01
 
 
 # -- ratio iteration ---------------------------------------------------------
@@ -342,3 +363,25 @@ def test_solver_matches_oracle_on_global_corpus_sample():
                 rep = iterate_endpoint(inst.map_, inst.alpha_witness, cfg)
                 assert rep.outcome is SolverOutcome.ENDPOINT_FOUND, inst.name
                 assert rep.endpoint == target[0], inst.name
+
+
+def test_endpoint_walk_demo_renders_every_mode():
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "endpoint_walk_demo.py")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    banners = [lines[i + 1] for i, line in enumerate(lines) if line == "=" * 72][::2]
+    assert banners == ["finite three-point instance, verified hypotheses",
+                       "grid-rounded halving, best-effort mode",
+                       "exact halving on the rational unit interval",
+                       "ratio iteration with a-priori bounds"]
+    # the grid walk is the one best-effort walk; its note is the map's verdict
+    assert lines.count("mode: best-effort (hypotheses not verified; no uniqueness claim)") == 1
+    assert [line for line in lines if line.startswith("note: ")] \
+        == ["note: global bound check failed: x=1/64, y=1/32, x'=0, y'=1/64: "
+            "d=1/64 exceeds 1/128"]
+    assert "witness points: 1/2, 1/4, 1/8, 1/16, 1/32, 1/64, 1/128, 1/256, 1/512, 1/1024" \
+        in lines
