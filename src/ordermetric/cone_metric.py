@@ -102,9 +102,8 @@ class ConeMetricSpace:
         """The distance table of a finite space: one list, row by row, filled
         through ``distance``; equal distances share one object, so it holds
         each value once."""
-        pts, values = self.points, {}
-        return [values.setdefault(d, d)
-                for d in (self.distance(x, y) for x in pts for y in pts)]
+        pts, distance, share = self.points, self.distance, {}.setdefault
+        return [share(d, d) for x in pts for y in pts for d in [distance(x, y)]]
 
     def _distance_by_position(self) -> Callable[[int, int], Element]:
         """``dist(i, j)`` = d(points[i], points[j]) on a finite space, read

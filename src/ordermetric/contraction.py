@@ -8,15 +8,17 @@ Both are decided exhaustively on finite spaces and on seeded samples
 otherwise, always with a concrete counterexample on failure.
 
 On a finite space the scans work on positions: the pair stream yields
-position pairs, a map records its images as positions once, and every
-distance is read from the space's table (see ``cone_metric``). An image
-point outside a finite space is a ``DomainError`` naming it. Sampled
-spaces keep working on points, with the same seeded streams.
+position pairs, telling equal points apart by their first positions
+instead of comparing points, a map records its images as positions once,
+and every distance is read from the space's table (see ``cone_metric``).
+An image point outside a finite space is a ``DomainError`` naming it.
+Sampled spaces keep working on points, with the same seeded streams.
 
 Each check runs its pair laws on the one law runner, in one pass over a
-pair stream that reads each distance and bound once, and returns the
-runner's ``LawResult`` or ``LawReport``; on a finite space the walk
-hypotheses (the global bound and the witness obligations) share one pass.
+pair stream that reads each distance and bound once (one memo lookup a
+pair for a bound of the distance alone), and returns the runner's
+``LawResult`` or ``LawReport``; on a finite space the walk hypotheses
+(the global bound and the witness obligations) share one pass.
 Every step that can raise runs inside the stream or in the first call of
 its law, so the runner holds each error for the laws it reached.
 
@@ -293,8 +295,10 @@ def _distinct_pairs(space: ConeMetricSpace, plan: SamplePlan, label: str) -> lis
     in ``space.points``, or ``plan.count`` seeded distinct pairs of points
     drawn from the stream ``label``. ``_pair_reader`` reads either kind."""
     if space.finite:
-        pts = space.points
-        return [(i, j) for i, x in enumerate(pts) for j, y in enumerate(pts) if x != y]
+        # two positions hold equal points exactly when they share a first position
+        where = space._index
+        first = [where[p] for p in space.points]
+        return [(i, j) for i, fi in enumerate(first) for j, fj in enumerate(first) if fi != fj]
     rng = _law_rng(plan, label)
     out = []
     attempts = 0
@@ -330,31 +334,37 @@ def _scan(T: SetValuedMap, w: ContractionWitness, plan: SamplePlan | None, label
     for all laws, and a bound of the distance alone once per distinct value.
     Drawing the pairs and filling the table run inside the stream, so the
     runner holds their errors for every law."""
-    space = T.space
+    space, phi = T.space, w.phi
     by_distance = w.klass in (WitnessClass.ALPHA_CONSTANT, WitnessClass.PSI_ON_DISTANCE)
-    memo: dict = {}  # id -> (distance, bound): holding the distance keeps its id unique
 
     def stream():
         pairs = _distinct_pairs(space, plan or SamplePlan(), label)
         point, dist = _pair_reader(space)
+        if not by_distance:
+            for a, b in pairs:
+                d = dist(a, b)
+                yield a, b, d, phi(space, point(a), point(b), d)
+            return
+        memo: dict = {}  # id of a distance -> its bound
+        held = []  # the distances memo has seen: holding them keeps their ids unique
         for a, b in pairs:
             d = dist(a, b)
-            if not by_distance:
-                yield a, b, d, w.phi(space, point(a), point(b), d)
-                continue
-            if id(d) not in memo:
-                memo[id(d)] = (d, w.phi(space, point(a), point(b), d))
-            yield a, b, d, memo[id(d)][1]
+            bound = memo.get(id(d))
+            if bound is None:
+                bound = memo[id(d)] = phi(space, point(a), point(b), d)
+                held.append(d)
+            yield a, b, d, bound
 
     return _run_laws(stream(), laws)
 
 
 def _image_law(T: SetValuedMap, kind: str) -> tuple:
     """The one-sided (``weak``) or ``global`` bound on the images of a pair:
-    some, or every, image point of y within the bound of each one of x. Its
-    first call reads the images, so the runner holds their errors for this
-    law alone."""
-    space, g = T.space, T.space.group
+    some, or every, image point of y within the bound of each one of x; a
+    failure names the first such x' and, for ``global``, its first y' beyond
+    the bound. Its first call reads the images, so the runner holds their
+    errors for this law alone."""
+    space, leq, weak = T.space, T.space.group.leq, kind == "weak"
     point = dist = images = None
 
     def law(a, b, d, bound):
@@ -363,21 +373,27 @@ def _image_law(T: SetValuedMap, kind: str) -> tuple:
             point, dist = _pair_reader(space)
             images = T._image_positions.__getitem__ if space.finite else T.images
         ty = images(b)
-        for xp in images(a):
-            if kind == "weak":
-                if any(g.leq(dist(xp, yp), bound) for yp in ty):
-                    continue
-                tail = f": no image point of y within {format_element(bound)}"
-            else:
-                beyond = [yp for yp in ty if not g.leq(dist(xp, yp), bound)]
-                if not beyond:
-                    continue
-                tail = (f", y'={format_element(point(beyond[0]))}: d="
-                        f"{format_element(dist(xp, beyond[0]))} exceeds {format_element(bound)}")
-            return (f"x={format_element(point(a))}, y={format_element(point(b))}, "
-                    f"x'={format_element(point(xp))}{tail}")
+        if weak:
+            for xp in images(a):
+                for yp in ty:
+                    if leq(dist(xp, yp), bound):
+                        break
+                else:
+                    return (f"{_pair_text(point, a, b, xp)}: no image point of y within "
+                            f"{format_element(bound)}")
+        else:
+            for xp in images(a):
+                for yp in ty:
+                    if not leq(dist(xp, yp), bound):
+                        return (f"{_pair_text(point, a, b, xp)}, y'={format_element(point(yp))}: "
+                                f"d={format_element(dist(xp, yp))} exceeds {format_element(bound)}")
 
     return kind, law
+
+
+def _pair_text(point, a, b, xp) -> str:
+    return (f"x={format_element(point(a))}, y={format_element(point(b))}, "
+            f"x'={format_element(point(xp))}")
 
 
 def is_weak_contraction(T: SetValuedMap, w: ContractionWitness,

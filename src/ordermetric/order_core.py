@@ -9,6 +9,10 @@ back with a concrete witness instead of a silent boolean.
 The four-way comparison is deliberate: with a genuinely partial order,
 returning plain ``False`` for "not below" would conflate incomparability
 with strict reversal, and downstream min/max code needs to fail loudly.
+The four outcomes are also module constants (``_EQUAL``, ``_LESS``,
+``_GREATER``, ``_INCOMPARABLE``): the built-in comparisons return them, and
+each boolean predicate of a group makes one ``cmp`` call and tests its
+outcome against them by identity.
 
 The built-in samplers return p/q with p and q uniform in small ranges, so
 the few hundred values they can return are built once, at import, in one
@@ -46,6 +50,11 @@ class Order(Enum):
         if self is Order.GREATER:
             return Order.LESS
         return self
+
+
+# module globals are cheaper to read than enum attributes, at every comparison
+_EQUAL, _LESS, _GREATER, _INCOMPARABLE = (Order.EQUAL, Order.LESS, Order.GREATER,
+                                          Order.INCOMPARABLE)
 
 
 class DomainError(ValueError):
@@ -157,25 +166,28 @@ class OrderedGroupInstance:
         return self.add(a, self.neg(b))
 
     def eq(self, a: Element, b: Element) -> bool:
-        return self.cmp(a, b) is Order.EQUAL
+        return self.cmp(a, b) is _EQUAL
 
     def leq(self, a: Element, b: Element) -> bool:
-        return self.cmp(a, b) in (Order.EQUAL, Order.LESS)
+        rel = self.cmp(a, b)
+        return rel is _LESS or rel is _EQUAL
 
     def lt(self, a: Element, b: Element) -> bool:
-        return self.cmp(a, b) is Order.LESS
+        return self.cmp(a, b) is _LESS
 
     def geq(self, a: Element, b: Element) -> bool:
-        return self.cmp(a, b) in (Order.EQUAL, Order.GREATER)
+        rel = self.cmp(a, b)
+        return rel is _GREATER or rel is _EQUAL
 
     def gt(self, a: Element, b: Element) -> bool:
-        return self.cmp(a, b) is Order.GREATER
+        return self.cmp(a, b) is _GREATER
 
     def is_nonneg(self, a: Element) -> bool:
-        return self.geq(a, self.identity)
+        rel = self.cmp(a, self.identity)
+        return rel is _GREATER or rel is _EQUAL
 
     def is_positive(self, a: Element) -> bool:
-        return self.gt(a, self.identity)
+        return self.cmp(a, self.identity) is _GREATER
 
     def coerce(self, value) -> Element:
         """Canonicalize ints/lists into the exact carrier representation."""
@@ -312,11 +324,11 @@ def _order_extreme(g, items, keep: Order, context: str) -> Element:
 
     def three_way(a, b):
         rel = cmp(a, b)
-        if rel is Order.LESS:
+        if rel is _LESS:
             return -1
-        if rel is Order.GREATER:
+        if rel is _GREATER:
             return 1
-        if rel is Order.EQUAL:
+        if rel is _EQUAL:
             return 0
         raise _Unranked
 
@@ -325,12 +337,12 @@ def _order_extreme(g, items, keep: Order, context: str) -> Element:
     except _Unranked:
         return _order_extreme_scan(g, vals, keep, context)
     steps = [cmp(a, b) for a, b in zip(ranked, ranked[1:])]
-    if any(rel is not Order.LESS and rel is not Order.EQUAL for rel in steps):
+    if any(rel is not _LESS and rel is not _EQUAL for rel in steps):
         return _order_extreme_scan(g, vals, keep, context)
-    if keep is Order.LESS:
+    if keep is _LESS:
         return ranked[0]
     top = len(ranked) - 1
-    while top and steps[top - 1] is Order.EQUAL:
+    while top and steps[top - 1] is _EQUAL:
         top -= 1
     return ranked[top]
 
@@ -340,7 +352,7 @@ def _order_extreme_scan(g, vals: list, keep: Order, context: str) -> Element:
     better element."""
     for i, a in enumerate(vals):
         for b in vals[i + 1:]:
-            if g.cmp(a, b) is Order.INCOMPARABLE:
+            if g.cmp(a, b) is _INCOMPARABLE:
                 raise IncomparableError(a, b, context)
     best = vals[0]
     for v in vals[1:]:
@@ -566,8 +578,8 @@ def _scalar_cmp(a: Fraction, b: Fraction) -> Order:
     # one cross-multiplication: exact, since denominators are positive
     lhs, rhs = a.numerator * b.denominator, b.numerator * a.denominator
     if lhs == rhs:
-        return Order.EQUAL
-    return Order.LESS if lhs < rhs else Order.GREATER
+        return _EQUAL
+    return _LESS if lhs < rhs else _GREATER
 
 
 def _cone_cmp(a: tuple, b: tuple) -> Order:
@@ -579,12 +591,12 @@ def _cone_cmp(a: tuple, b: tuple) -> Order:
         elif lhs > rhs:
             above = True
     if below and above:
-        return Order.INCOMPARABLE
+        return _INCOMPARABLE
     if below:
-        return Order.LESS
+        return _LESS
     if above:
-        return Order.GREATER
-    return Order.EQUAL
+        return _GREATER
+    return _EQUAL
 
 
 def real_group() -> OrderedGroupInstance:

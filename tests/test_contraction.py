@@ -6,6 +6,7 @@ from ordermetric import (
     ContractionWitness,
     CStatus,
     DomainError,
+    LawResult,
     PsiProperties,
     SamplePlan,
     SetValuedMap,
@@ -24,6 +25,7 @@ from ordermetric import (
     validate_witness,
     weak_contraction_corpus,
 )
+from ordermetric.contraction import _distinct_pairs
 
 HALF = ContractionWitness(WitnessClass.ALPHA_CONSTANT, alpha_const=Fraction(1, 2))
 
@@ -95,6 +97,34 @@ def test_witness_saturated_bound_fails(rstruct):
     w = ContractionWitness(WitnessClass.PHI_TABLE, phi_table=table)
     report = validate_witness(T, w)
     assert not report.result("phi-strictly-below").passed
+
+
+def _line_map(rstruct, table):
+    space = table_space(rstruct, [0, 1, 2, 3])
+    return SetValuedMap.from_table(
+        space, {Fraction(x): tuple(Fraction(y) for y in img) for x, img in table.items()})
+
+
+def test_global_failure_names_the_first_image_point_of_y_beyond_the_bound(rstruct):
+    # at the first pair (0, 1): d(0, 0) = 0 is within 1/2, d(0, 1) = 1 is not
+    T = _line_map(rstruct, {0: [0], 1: [0, 1], 2: [0], 3: [0]})
+    assert is_global_weak_contraction(T, HALF) == LawResult(
+        "global", False, 1, "x=0, y=1, x'=0, y'=1: d=1 exceeds 1/2")
+
+
+def test_weak_failure_names_the_image_point_of_x_with_no_image_of_y_near(rstruct):
+    # at the first pair (0, 1): x' = 3 meets y' = 3; x' = 0 is 2 and 3 from {2, 3}
+    T = _line_map(rstruct, {0: [3, 0], 1: [2, 3], 2: [0], 3: [0]})
+    assert is_weak_contraction(T, HALF) == LawResult(
+        "weak", False, 1, "x=0, y=1, x'=0: no image point of y within 1/2")
+
+
+def test_pairs_of_a_space_with_a_repeated_point_are_the_unequal_ones(rstruct):
+    space = table_space(rstruct, [0, 1, 0, 2, 1])
+    pts = space.points
+    expected = [(i, j) for i, x in enumerate(pts) for j, y in enumerate(pts) if x != y]
+    assert _distinct_pairs(space, SamplePlan(), "global") == expected
+    assert len(expected) == 16
 
 
 # -- inf-sup value -----------------------------------------------------------

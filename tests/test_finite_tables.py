@@ -712,6 +712,54 @@ def test_ladder_solve_computes_each_distance_about_once(monkeypatch, capsys, rul
     assert 961 <= calls[0] <= 1100
 
 
+def test_ladder_pairs_compare_positions_not_points(monkeypatch):
+    space = build_bundle(load_instance(LADDER)).space
+    calls = [0]
+    raw_eq = Fraction.__eq__
+
+    def counted(self, other):
+        calls[0] += 1
+        return raw_eq(self, other)
+
+    monkeypatch.setattr(Fraction, "__eq__", counted)
+    pairs = contraction._distinct_pairs(space, SamplePlan(), "global")
+    monkeypatch.undo()
+    assert (len(pairs), calls[0]) == (930, 0)
+
+
+# rational comparisons, Fraction constructions and Fraction equality tests in
+# one ladder solve; the pair scan that compared points made 1,818 equality tests
+LADDER_SOLVE_BUDGET = {"cmp": 5375, "new": 2588, "eq": 857}
+
+
+def test_ladder_solve_stays_within_its_work_budget(monkeypatch, capsys):
+    counts = dict.fromkeys(LADDER_SOLVE_BUDGET, 0)
+    raw_cmp, raw_eq = order_core._scalar_cmp, Fraction.__eq__
+    raw_new = Fraction.__dict__["__new__"].__func__
+
+    def counted_cmp(a, b):
+        counts["cmp"] += 1
+        return raw_cmp(a, b)
+
+    def counted_new(cls, *args, **kwargs):
+        counts["new"] += 1
+        return raw_new(cls, *args, **kwargs)
+
+    def counted_eq(self, other):
+        counts["eq"] += 1
+        return raw_eq(self, other)
+
+    monkeypatch.setattr(order_core, "_scalar_cmp", counted_cmp)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    monkeypatch.setattr(Fraction, "__eq__", counted_eq)
+    rc = main(["solve", str(LADDER), "--seed-point", "1", "--eps", "1/1024",
+               "--rule", "min-dist"])
+    monkeypatch.undo()
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("outcome: approximate-endpoint-sequence\n")
+    assert all(counts[k] <= LADDER_SOLVE_BUDGET[k] for k in counts), counts
+
+
 def test_ladder_min_positive_distance_sorts_its_chain(monkeypatch):
     # the all-pairs chain check made 108,344 comparisons on 465 distinct values
     calls = [0]

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -193,6 +194,19 @@ def test_alpha_fn_witness_file():
     bundle = build_bundle(desc)
     a = bundle.witness.alpha(Fraction(0), Fraction(1))
     assert 0 <= a < Fraction(9, 10)
+
+
+# a description built in code, not parsed, can name what no file can
+@pytest.mark.parametrize("changes, message", [
+    ({"witness_class": "alpha-fn", "alpha_name": "doubled-ratio",
+      "alpha_bound": Fraction(9, 10)}, "unknown ratio function 'doubled-ratio'"),
+    ({"witness_class": "alpha-table"}, "unknown witness class 'alpha-table'"),
+], ids=["ratio-function", "witness-class"])
+def test_built_description_with_an_unknown_witness_is_rejected(changes, message):
+    desc = dataclasses.replace(parse_instance_text(PHI_FILE), **changes)
+    with pytest.raises(InstanceFileError) as exc:
+        build_bundle(desc)
+    assert str(exc.value) == message
 
 
 SEQ_SECTION = """

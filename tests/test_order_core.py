@@ -13,10 +13,12 @@ from ordermetric import (
     Order,
     RingDescriptor,
     SamplePlan,
+    builtin_bundles,
     check_group_laws,
     check_module_laws,
     compare,
     coord_cone_group,
+    fault_inject,
     coord_cone_module,
     order_max,
     order_min,
@@ -215,3 +217,53 @@ def test_single_law_raises_its_held_error():
         _run_law("raises", list(_stream(5)), _raises_at(3))
     with pytest.raises(ValueError, match="stream raised at 1"):
         _run_law("holds", _stream(5, raise_at=1), lambda n: None)
+
+
+# ---------------------------------------------------------------------------
+# the order predicates read one four-way comparison
+
+# outcome of cmp(a, b) -> (eq, leq, lt, geq, gt)
+_TRUTH = {
+    Order.EQUAL: (True, True, False, True, False),
+    Order.LESS: (False, True, True, False, False),
+    Order.GREATER: (False, False, False, True, True),
+    Order.INCOMPARABLE: (False, False, False, False, False),
+}
+
+
+def _predicates(g, a, b):
+    return (g.eq(a, b), g.leq(a, b), g.lt(a, b), g.geq(a, b), g.gt(a, b))
+
+
+def _assert_truth_table(g, a, b):
+    """Every predicate on (a, b), and the sign predicates of a, agree with
+    the truth table of the one outcome ``cmp`` gives."""
+    expected = _TRUTH[g.cmp(a, b)]
+    assert _predicates(g, a, b) == expected
+    if b == g.identity:
+        assert (g.is_nonneg(a), g.is_positive(a)) == expected[3:]
+
+
+@pytest.mark.parametrize("outcome", list(Order), ids=[o.value for o in Order])
+def test_predicates_give_the_truth_table_of_each_outcome(outcome):
+    base = real_group()
+    pinned = Fraction(5)
+
+    def cmp(a, b):
+        return outcome if (a, b) == (pinned, base.identity) else base.cmp(a, b)
+
+    g = dataclasses.replace(base, cmp=cmp, name="stub")
+    assert g.cmp(pinned, g.identity) is outcome
+    _assert_truth_table(g, pinned, g.identity)
+    for a, b in [(Fraction(1), Fraction(2)), (Fraction(2), Fraction(1)), (pinned, pinned)]:
+        _assert_truth_table(g, a, b)
+
+
+def test_predicates_follow_the_broken_g1_comparison():
+    g = fault_inject(builtin_bundles()["cone-2"], "break-g1").module.group
+    bad = (Fraction(1), Fraction(-1))
+    assert g.cmp(g.identity, bad) is Order.LESS
+    assert g.cmp(bad, g.identity) is Order.GREATER
+    assert g.is_nonneg(bad) and g.is_positive(bad)
+    for a, b in [(g.identity, bad), (bad, g.identity), (bad, (Fraction(0), Fraction(1)))]:
+        _assert_truth_table(g, a, b)
