@@ -12,11 +12,10 @@ equivalence fails.
 
 import argparse
 from collections import Counter
-from fractions import Fraction
 
 from ordermetric import (
-    approximate_endpoint_property_finite,
     check_hypotheses,
+    endpoint_census,
     endpoints_bruteforce,
     is_weak_contraction,
     weak_contraction_corpus,
@@ -59,12 +58,7 @@ def main():
             print(f"  DEFECT: {name}")
         raise SystemExit(1)
 
-    mismatches = []
-    for inst in insts:
-        has_endpoint = len(endpoints_bruteforce(inst.map_)) == 1
-        value = approximate_endpoint_property_finite(inst.map_)
-        if has_endpoint != (value.value == Fraction(0)):
-            mismatches.append(inst.name)
+    mismatches = [inst.name for inst in insts if not endpoint_census(inst.map_).equivalent]
     print(f"endpoint <-> zero inf-sup mismatches: {len(mismatches)}")
     if mismatches:
         for name in mismatches:

@@ -98,6 +98,7 @@ from .solver import (
     SolverOutcome,
     SolverReport,
     banach_iterate,
+    endpoint_census,
     endpoint_iff_report,
     iterate_endpoint,
     single_valued_fixed_point_report,

@@ -538,9 +538,6 @@ class ApproxEndpointValue:
     value: Element
     achieving_point: Point
 
-    def holds(self, g) -> bool:
-        return g.eq(self.value, g.identity)
-
 
 def approximate_endpoint_property_finite(T: SetValuedMap) -> ApproxEndpointValue:
     """min over points of the max image distance, with the minimizer.

@@ -25,7 +25,6 @@ from fractions import Fraction
 from typing import Callable
 
 from .order_core import (
-    IncomparableError,
     Order,
     SamplePlan,
     _law_rng,
@@ -62,7 +61,6 @@ from .contraction import (
     CStatus,
     SetValuedMap,
     WitnessClass,
-    approximate_endpoint_property_finite,
     approximate_endpoint_sequence,
     c_condition_status,
     check_hypotheses,
@@ -75,6 +73,7 @@ from .solver import (
     SolverConfig,
     SolverOutcome,
     banach_iterate,
+    endpoint_census,
     endpoint_iff_report,
     iterate_endpoint,
 )
@@ -313,8 +312,6 @@ def _check_sandwich(b: InstanceBundle, ctx: _Ctx, sums):
 
 def _check_regularity(b: InstanceBundle, ctx: _Ctx):
     t = b.structure
-    if not t.regular:
-        return "skip", "instance is not declared regular"
     shifted = sum_of(constant(b.module, t.positivity_witness),
                      harmonic(b.module, t.positivity_witness))
     decreasing = [s for s, _, _ in _theta_sums(b, ctx)] + [shifted]
@@ -618,24 +615,22 @@ def _check_at_most_one(b: InstanceBundle, ctx: _Ctx):
 def _check_approx_equivalence(b: InstanceBundle, ctx: _Ctx):
     if b.map_ is None or not b.space.finite:
         return "skip", "needs a finite mapped space"
-    g = b.space.group
-    try:
-        value = approximate_endpoint_property_finite(b.map_)
-    except IncomparableError as exc:
-        return "skip", f"inf-sup undefined: {exc}"
-    ends = endpoints_bruteforce(b.map_)
-    if (len(ends) > 0) != value.holds(g):
+    census = endpoint_census(b.map_)
+    if census.status == "skipped":
+        return "skip", census.reason
+    value = format_element(census.infsup_value)
+    if not census.equivalent:
         return "fail", (f"endpoint presence and inf-sup value disagree: "
-                        f"{len(ends)} endpoints, value {format_element(value.value)}")
-    if value.holds(g):
-        const_pts = point_seq(b.space, [value.achieving_point] * 16, name="minimizer")
-        const_bounds = constant(b.module, g.identity)
+                        f"{len(census.endpoints)} endpoints, value {value}")
+    if census.infsup_is_zero:
+        const_pts = point_seq(b.space, [census.achieving_point] * 16, name="minimizer")
+        const_bounds = constant(b.module, b.space.group.identity)
         rep = approximate_endpoint_sequence(b.map_, const_pts, const_bounds,
                                             b.eps_family, 16)
         if not rep.holds:
             return "fail", f"constant witness at the minimizer rejected: {rep.violation}"
         return "pass", "inf-sup is zero and the constant witness validates"
-    return "pass", f"no endpoint and inf-sup value {format_element(value.value)} above zero"
+    return "pass", f"no endpoint and inf-sup value {value} above zero"
 
 
 def _check_iff(b: InstanceBundle, ctx: _Ctx):

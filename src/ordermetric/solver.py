@@ -12,6 +12,9 @@ the convergence-condition certificate fails, the solver still runs, but in
 best-effort mode, and never claims uniqueness. The walk reads the map's
 ``Hypotheses`` (``contraction.check_hypotheses``), which the map keeps for
 the witness object and the plan, notes included, so no memo lives here.
+``endpoint_census`` alone decides the endpoint equivalence on a finite
+space ("has an endpoint": at least one); ``endpoint_iff_report`` gates it
+on the theorem's hypotheses.
 """
 
 from __future__ import annotations
@@ -34,10 +37,8 @@ from .order_core import (
 from .topo import _validate_eps
 from .cone_metric import ConeMetricSpace
 from .contraction import (
-    ApproxEndpointValue,
     CStatus,
     ContractionWitness,
-    EndpointSet,
     SetValuedMap,
     _distinct_pairs,
     _pair_reader,
@@ -327,6 +328,9 @@ def banach_iterate(m: ConeMetricSpace, f: Callable[[Point], Point], alpha,
 
 @dataclass(frozen=True)
 class IffReport:
+    """Both sides of the endpoint equivalence. ``endpoint_exists`` means at
+    least one endpoint; uniqueness is ``endpoint/at-most-one``'s question."""
+
     status: str  # checked | skipped
     reason: str = ""
     endpoint_exists: bool | None = None
@@ -346,17 +350,33 @@ class IffReport:
         return self.status == "checked" and not self.equivalent
 
 
+def endpoint_census(T: SetValuedMap) -> IffReport:
+    """Both sides of the endpoint equivalence on a finite space, decided
+    independently: whether the inf-sup image distance is the identity
+    (skipped, naming the pair, when the order cannot rank the candidates),
+    then whether some point is an endpoint. The two are forced to agree on a
+    finite space, so a disagreement is a defect in this package."""
+    try:
+        value = approximate_endpoint_property_finite(T)
+    except IncomparableError as exc:
+        return IffReport("skipped", f"inf-sup undefined: {exc}")
+    ends = endpoints_bruteforce(T)
+    g = T.space.group
+    return IffReport("checked", "",
+                     endpoint_exists=len(ends) > 0,
+                     infsup_is_zero=g.eq(value.value, g.identity),
+                     endpoints=ends.members,
+                     infsup_value=value.value,
+                     achieving_point=value.achieving_point)
+
+
 def endpoint_iff_report(T: SetValuedMap, w: ContractionWitness,
                         plan: SamplePlan | None = None,
                         weak: LawResult | None = None) -> IffReport:
-    """Compute both sides of the endpoint equivalence independently.
-
-    One side scans the finite space for exact endpoints; the other decides
-    whether the inf-sup image distance is the identity. On a finite space
-    the two are logically forced to agree, so a disagreement is a defect in
-    this package, not in the instance. ``weak`` is a precomputed
-    ``is_weak_contraction(T, w, plan)``; when None it is computed here.
-    """
+    """The endpoint census once the theorem's hypotheses hold (a finite
+    space, the one-sided bound, a certified convergence condition), else
+    skipped with the first one missing. ``weak`` is a precomputed
+    ``is_weak_contraction(T, w, plan)``; when None it is computed here."""
     if not T.space.finite:
         return IffReport("skipped", "space is not finite")
     if weak is None:
@@ -366,18 +386,7 @@ def endpoint_iff_report(T: SetValuedMap, w: ContractionWitness,
     cstat = c_condition_status(w)
     if cstat.status is not CStatus.HOLDS_BY_THEOREM:
         return IffReport("skipped", f"convergence condition not certified: {cstat.justification}")
-    ends: EndpointSet = endpoints_bruteforce(T)
-    try:
-        value: ApproxEndpointValue = approximate_endpoint_property_finite(T)
-    except IncomparableError as exc:
-        return IffReport("skipped", f"inf-sup undefined: {exc}")
-    g = T.space.group
-    return IffReport("checked", "",
-                     endpoint_exists=len(ends) == 1,
-                     infsup_is_zero=value.holds(g),
-                     endpoints=ends.members,
-                     infsup_value=value.value,
-                     achieving_point=value.achieving_point)
+    return endpoint_census(T)
 
 
 @dataclass(frozen=True)
@@ -397,8 +406,6 @@ def single_valued_fixed_point_report(m: ConeMetricSpace, f: Callable[[Point], Po
 
     For singleton images an endpoint is exactly a fixed point, so a passing
     one-sided bound check already forces uniqueness of the target."""
-    if not m.structure.regular:
-        return SingleValuedReport("skipped", "instance is not declared regular")
     T = singleton_lift(m, f)
     weak = is_weak_contraction(T, w, plan)
     if not weak.passed:

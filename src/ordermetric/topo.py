@@ -65,8 +65,6 @@ class TopoStructure:
     designated such element used as the anchor of shrinking families.
     ``module`` is the scalar action over ``group``, always present: law t6,
     ratio witnesses, distance profiles and Banach steps all scale by it.
-    ``regular`` is instance metadata: decreasing positive sequences of the
-    built-in carriers converge, which sampling alone could never establish.
     """
 
     name: str
@@ -76,7 +74,6 @@ class TopoStructure:
     shrink: Callable[[Element], Element]
     interior_sampler: Callable[[random.Random], Element]
     module: OrderedModuleInstance
-    regular: bool = True
 
     def ll(self, a: Element, b: Element) -> bool:
         return self.strictly_below(a, b)

@@ -150,15 +150,6 @@ def test_solve_seed_at_endpoint_single_row(capsys):
     assert "iteration 0" in out
 
 
-def test_solve_broken_witness_exits_two(tmp_path, capsys):
-    path = tmp_path / "broken.ini"
-    path.write_text(BROKEN_PHI_FILE)
-    rc = main(["solve", str(path), "--seed-point", "1"])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert "strictly below" in err
-
-
 # a carrier each factor maps into itself, so the ratio is what stops solve
 _CARRIER_KEPT = {"2": "0 .. 0", "1": "0 .. 1", "-1": "-1 .. 1"}
 
@@ -230,18 +221,9 @@ def test_hausdorff_identical_sets_prints_zero(tmp_path, capsys):
     assert out.strip() == "0"
 
 
-def test_hausdorff_incomparable_exits_two(tmp_path, capsys):
-    path = tmp_path / "vec.ini"
-    path.write_text(INCOMPARABLE_FILE)
-    rc = main(["hausdorff", str(path), "--set-a", "(0, 0)",
-               "--set-b", "(1, 0); (0, 1)"])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert "(1, 2)" in err and "(2, 1)" in err
-
-
-def test_hausdorff_incomparable_directed_values_exit_two(tmp_path, capsys):
-    # each directed value exists, but (0, 1) and (1, 0) are incomparable
+def test_hausdorff_incomparable_directed_values_exit_two():
+    # each directed value exists, but (0, 1) and (1, 0) are incomparable; the
+    # CLI exit 2 on the same sets is the EXIT_TWO row hausdorff-incomparable-directed-values
     space = build_bundle(parse_instance_text(GRID3_FILE)).space
     a = [(Fraction(0), Fraction(0)), (Fraction(0), Fraction(1))]
     b = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))]
@@ -251,20 +233,6 @@ def test_hausdorff_incomparable_directed_values_exit_two(tmp_path, capsys):
     with pytest.raises(SetDistanceUndefined) as exc:
         hausdorff(space, a, b)
     assert str(exc.value) == message and exc.value.pair == ((0, 1), (1, 0))
-    path = tmp_path / "grid3.ini"
-    path.write_text(GRID3_FILE)
-    rc = main(["hausdorff", str(path), "--set-a", "(0, 0); (0, 1)",
-               "--set-b", "(0, 0); (1, 0)"])
-    captured = capsys.readouterr()
-    assert (rc, captured.out, captured.err) == (2, "", f"order error: {message}\n")
-
-
-def test_hausdorff_undeclared_point_is_domain_error(tmp_path, capsys):
-    path = tmp_path / "points.ini"
-    path.write_text(POINTS_FILE)
-    rc = main(["hausdorff", str(path), "--set-a", "1; 3", "--set-b", "4"])
-    assert rc == 2
-    assert "domain error" in capsys.readouterr().err
 
 
 def test_export_round_trip(tmp_path, capsys):
@@ -347,16 +315,44 @@ def test_help_exits_zero(capsys):
     assert "--samples" in capsys.readouterr().out
 
 
-def test_solve_seed_outside_carrier_exits_two(capsys):
-    rc = main(["solve", "three-point", "--seed-point", "7"])
-    assert rc == 2
-    assert "domain error" in capsys.readouterr().err
+# ---------------------------------------------------------------------------
+# exit 2: violated hypotheses, order errors and domain errors, one row per
+# case: an argv, the instance text that "{path}" in it names (or None), and
+# the exact stderr
+
+EXIT_TWO = [
+    ("broken-witness", ["solve", "{path}", "--seed-point", "1"], BROKEN_PHI_FILE,
+     "hypothesis violated: the bound must sit strictly below the distance "
+     "at every pair of distinct points\nwitness: x=0, y=1: bound 1 not strictly below 1\n"),
+    ("hausdorff-incomparable-distances",
+     ["hausdorff", "{path}", "--set-a", "(0, 0)", "--set-b", "(1, 0); (0, 1)"],
+     INCOMPARABLE_FILE,
+     "order error: set distance undefined for this order: incomparable pair (1, 2) , (2, 1)\n"),
+    # each directed value exists, but (0, 1) and (1, 0) are incomparable
+    ("hausdorff-incomparable-directed-values",
+     ["hausdorff", "{path}", "--set-a", "(0, 0); (0, 1)", "--set-b", "(0, 0); (1, 0)"],
+     GRID3_FILE,
+     "order error: set distance undefined for this order: incomparable pair (0, 1) , (1, 0)\n"),
+    ("hausdorff-undeclared-point", ["hausdorff", "{path}", "--set-a", "1; 3", "--set-b", "4"],
+     POINTS_FILE, "domain error: point 3 is not in space 'instance'\n"),
+    ("seed-outside-carrier", ["solve", "three-point", "--seed-point", "7"], None,
+     "domain error: point 7 is not in space 'three-point'\n"),
+    ("tolerance-outside-carrier", ["solve", "r1-banach", "--eps", "(1, 1)"], None,
+     "domain error: (1, 1) is not in the carrier of 'real'\n"),
+    ("tolerance-of-the-wrong-dimension", ["solve", "cone2-shrink", "--eps", "(1/8, 1/8, 1/8)"],
+     None, "domain error: (1/8, 1/8, 1/8) is not in the carrier of 'cone-2'\n"),
+]
 
 
-def test_solve_tolerance_outside_carrier_exits_two(capsys):
-    rc = main(["solve", "r1-banach", "--eps", "(1, 1)"])
-    assert rc == 2
-    assert "domain error" in capsys.readouterr().err
+@pytest.mark.parametrize("argv, text, stderr", [row[1:] for row in EXIT_TWO],
+                         ids=[row[0] for row in EXIT_TWO])
+def test_cli_error_exits_two(tmp_path, capsys, argv, text, stderr):
+    if text is not None:
+        path = tmp_path / "instance.ini"
+        path.write_text(text)
+        argv = [str(path) if arg == "{path}" else arg for arg in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", stderr)
 
 
 @pytest.mark.parametrize("group, grid, metric", [

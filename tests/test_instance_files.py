@@ -383,6 +383,11 @@ BAD_FILES = [
      "line 8: interval needs 'lo .. hi'"),
     ("interval-reversed", _REAL + "interval = 1 .. 0\nmetric = abs\n",
      "line 8: interval corner order reversed"),
+    ("interval-reversed-cone", _CONE + "interval = (0, 1) .. (1, 0)\nmetric = coordinatewise\n",
+     "line 9: interval corner order reversed"),
+    ("interval-reversed-cone-corners",
+     _CONE + "interval = (1, 1) .. (0, 0)\nmetric = coordinatewise\n",
+     "line 9: interval corner order reversed"),
     # table metrics
     ("row-count", _REAL + "points = 0; 1\nmetric = table\nrow = 0; 1\n",
      "line 10: table metric needs 2 rows, found 1"),
@@ -392,6 +397,12 @@ BAD_FILES = [
      "line 10: table diagonal cell (0, 0) must be 0"),
     ("asymmetric", _REAL + "points = 0; 1\nmetric = table\nrow = 0; 1\nrow = 2; 0\n",
      "line 11: table asymmetric at cell (0, 1): 1 vs 2"),
+    ("vector-diagonal", _CONE + "points = (0, 0); (1, 0)\nmetric = table\n"
+     "row = (1, 1); (1, 2)\nrow = (1, 2); (0, 0)\n",
+     "line 11: table diagonal cell (0, 0) must be (0, 0)"),
+    ("vector-asymmetric", _CONE + "points = (0, 0); (1, 0)\nmetric = table\n"
+     "row = (0, 0); (1, 2)\nrow = (2, 1); (0, 0)\n",
+     "line 12: table asymmetric at cell (0, 1): (1, 2) vs (2, 1)"),
     # maps
     ("table-and-rule", _MAP + "image 0 = 0\nrule = scale\n",
      "line 13: map cannot mix an image table with a rule"),
@@ -410,6 +421,9 @@ BAD_FILES = [
     ("missing-image", _MAP + "image 0 = 0\nimage 1 = 0\n", "map table misses point 1/4"),
     ("rule-escapes", _MAP + "rule = scale\nfactors = 2\n",
      "rule image 1/2 of point 1/4 is not a declared point"),
+    ("rule-escapes-interval",
+     _REAL + "interval = 0 .. 1\nmetric = abs\n\n[map]\nrule = scale\nfactors = 2; 1/2\n",
+     "rule image 2 of point 1 is not inside the interval"),
     # sequences
     ("sequence-key", _SEQS + "sequence = harmonic 1\n",
      "line 12: unknown key 'sequence' in [sequences]"),
@@ -420,6 +434,8 @@ BAD_FILES = [
      "line 12: exactly the geometric kind takes a ratio"),
     ("sequence-ratio", _SEQS + "seq = geometric 1 ratio 1\n",
      "line 12: ratio must lie in [0, 1)"),
+    ("sequence-ratio-missing", _SEQS + "seq = geometric 1\n",
+     "line 12: exactly the geometric kind takes a ratio"),
     ("sequence-coefficient", _SEQS + "seq = harmonic -1\n",
      "sequence 'harmonic -1': atom coefficients must sit above the identity"),
     # witnesses

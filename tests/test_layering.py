@@ -42,3 +42,17 @@ def test_no_private_harness_imports(module):
         if target == "harness":
             private = [n for n in names if n.startswith("_")]
             assert not private, f"{module} imports private harness names {private}"
+
+
+def test_one_module_decides_the_endpoint_equivalence():
+    """Only the solver's endpoint census computes the inf-sup side; the
+    harness rows and the scripts read the census."""
+    sources = {m: PACKAGE / f"{m}.py" for m in STACK if m != "contraction"}
+    sources.update((p.name, p) for p in (PACKAGE.parent.parent / "scripts").glob("*.py"))
+    importers = set()
+    for name, path in sources.items():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and any(
+                    a.name == "approximate_endpoint_property_finite" for a in node.names):
+                importers.add(name)
+    assert importers == {"solver"}

@@ -9,17 +9,25 @@ import pytest
 from ordermetric import (
     ConeMetricSpace,
     ContractionWitness,
+    IffReport,
+    PsiProperties,
     SelectionRule,
     SetValuedMap,
     SolverConfig,
     SolverOutcome,
+    SuiteSpec,
     WitnessClass,
     banach_iterate,
+    build_bundle,
+    builtin_bundles,
+    endpoint_census,
     endpoint_iff_report,
     endpoints_bruteforce,
     global_alpha_corpus,
     iterate_endpoint,
     min_positive_distance,
+    parse_instance_text,
+    run_suite,
     single_valued_fixed_point_report,
 )
 
@@ -286,6 +294,68 @@ def test_iff_report_skips_unknown_convergence_class(dilation):
     rep = endpoint_iff_report(T, w)
     assert rep.status == "skipped"
     assert "convergence condition" in rep.reason
+
+
+def _rows(bundle, checks):
+    spec = SuiteSpec(instances=(bundle.name,), checks=checks)
+    report = run_suite(spec, {bundle.name: bundle})
+    return {r.check: (r.outcome, r.witness) for r in report.rows}
+
+
+def test_iff_report_counts_several_endpoints():
+    """The identity on three-point has three endpoints: it has an endpoint,
+    its inf-sup value is zero, and only uniqueness fails."""
+    three = builtin_bundles()["three-point"]
+    identity = SetValuedMap.from_table(three.space, {x: (x,) for x in three.space.points})
+    psi = ContractionWitness(WitnessClass.PSI_ON_DISTANCE, psi=lambda t: t,
+                             psi_properties=PsiProperties())
+    rep = endpoint_iff_report(identity, psi)
+    assert (rep.status, rep.equivalent) == ("checked", True)
+    assert rep.endpoint_exists is True and rep.infsup_is_zero is True
+    assert rep.endpoints == three.space.points
+    rows = _rows(three.replace(map_=identity, witness=psi),
+                 ("endpoint/at-most-one", "endpoint/approx-equivalence", "endpoint/iff-zero-gap"))
+    assert rows == {
+        "endpoint/at-most-one": ("fail", "two endpoints: 0, 1/4"),
+        "endpoint/approx-equivalence":
+            ("pass", "inf-sup is zero and the constant witness validates"),
+        "endpoint/iff-zero-gap": ("pass", "endpoint=True, inf-sup zero=True, value 0"),
+    }
+
+
+PROBE_B = """\
+[group]
+family = coord-cone
+dimension = 2
+
+[structure]
+kind = interior-cone
+
+[space]
+points = (0, 0); (1, 0); (0, 1)
+metric = coordinatewise
+
+[map]
+image (0, 0) = (0, 0)
+image (1, 0) = (0, 0)
+image (0, 1) = (0, 0)
+
+[witness]
+class = alpha-const
+alpha = 1/2
+"""
+
+
+def test_iff_report_skips_an_incomparable_inf_sup():
+    """On the coordinate cone the sup over (1, 0)'s image and over (0, 1)'s
+    are incomparable, so the inf-sup side, and both endpoint rows, skip."""
+    probe = build_bundle(parse_instance_text(PROBE_B, name="probe-b"))
+    reason = "inf-sup undefined: inf over points: incomparable pair (1, 0) , (0, 1)"
+    assert endpoint_census(probe.map_) == IffReport("skipped", reason)
+    assert endpoint_iff_report(probe.map_, probe.witness) == IffReport("skipped", reason)
+    rows = _rows(probe, ("endpoint/approx-equivalence", "endpoint/iff-zero-gap"))
+    assert rows == {"endpoint/approx-equivalence": ("skip", reason),
+                    "endpoint/iff-zero-gap": ("skip", reason)}
 
 
 def test_single_valued_report_agrees_with_scan(dilation):
