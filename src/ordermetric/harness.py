@@ -341,13 +341,11 @@ def _check_weak_vs_strong(b: InstanceBundle, ctx: _Ctx, sums):
     if not isinstance(g.identity, tuple) or len(g.identity) < 2:
         return "skip", "no strict-order twin registered (relations coincide)"
     t_main, t_strict = b.structure, b.strict_twin
+    etas = [t_main.shrink(g.coerce(eps)) for eps in b.eps_family]
     for s, _, _ in sums:
-        for eps in b.eps_family:
-            eta = t_main.shrink(g.coerce(eps))
-            strict_out = verify_convergence(t_strict, s, g.identity, [eta],
-                                            ctx.budgets.n_max)[0]
-            main_out = verify_convergence(t_main, s, g.identity, [eps],
-                                          ctx.budgets.n_max)[0]
+        strict_outs = verify_convergence(t_strict, s, g.identity, etas, ctx.budgets.n_max)
+        main_outs = verify_convergence(t_main, s, g.identity, b.eps_family, ctx.budgets.n_max)
+        for strict_out, main_out in zip(strict_outs, main_outs):
             if not (is_certificate(strict_out) and is_certificate(main_out)):
                 return "fail", f"{s.name}: certification failed"
             if main_out.threshold > strict_out.threshold:

@@ -408,9 +408,10 @@ def _parse_sequences(entries, dim) -> tuple:
                 raise InstanceFileError(f"unknown sequence kind {kind!r}", ln)
             coeff = _expect_dim(parse_element(coeff_text, ln), dim, ln,
                                 "sequence coefficient")
-            if (kind == "geometric") != (ratio is not None):
-                raise InstanceFileError(
-                    "exactly the geometric kind takes a ratio", ln)
+            if kind != "geometric" and ratio is not None:
+                raise InstanceFileError("only the geometric kind takes a ratio", ln)
+            if kind == "geometric" and ratio is None:
+                raise InstanceFileError("the geometric kind needs a ratio", ln)
             if ratio is not None and not 0 <= ratio < 1:
                 raise InstanceFileError("ratio must lie in [0, 1)", ln)
             atoms.append((kind, coeff, ratio))

@@ -25,6 +25,7 @@ random state after them, as ``Fraction(rng.randint(...), rng.randint(...))``.
 from __future__ import annotations
 
 import functools
+import operator
 import random
 import zlib
 from dataclasses import dataclass
@@ -604,8 +605,8 @@ def real_group() -> OrderedGroupInstance:
     return OrderedGroupInstance(
         name="real",
         identity=Fraction(0),
-        add=lambda a, b: a + b,
-        neg=lambda a: -a,
+        add=operator.add,
+        neg=operator.neg,
         cmp=_scalar_cmp,
         contains=lambda v: isinstance(v, Fraction),
         sampler=_rand_fraction,
@@ -649,8 +650,8 @@ def coord_cone_group(dim: int) -> OrderedGroupInstance:
     return OrderedGroupInstance(
         name=f"cone-{dim}",
         identity=zero,
-        add=lambda a, b: tuple(x + y for x, y in zip(a, b)),
-        neg=lambda a: tuple(-x for x in a),
+        add=lambda a, b: tuple(map(operator.add, a, b)),
+        neg=lambda a: tuple(map(operator.neg, a)),
         cmp=_cone_cmp,
         contains=contains,
         sampler=sampler,

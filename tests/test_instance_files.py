@@ -311,7 +311,8 @@ def test_grid_size_limit(group, grid, size):
 
 # ---------------------------------------------------------------------------
 # bad instance files: one row per error the parser or the bundle builder
-# raises, each a minimal file and its exact message
+# raises, each a minimal file and its exact message, the same under verify
+# and solve
 
 _REAL = "[group]\nfamily = real\n\n[structure]\nkind = strict-order\n\n[space]\n"
 _CONE = ("[group]\nfamily = coord-cone\ndimension = 2\n\n[structure]\nkind = interior-cone\n\n"
@@ -403,6 +404,9 @@ BAD_FILES = [
     ("vector-asymmetric", _CONE + "points = (0, 0); (1, 0)\nmetric = table\n"
      "row = (0, 0); (1, 2)\nrow = (2, 1); (0, 0)\n",
      "line 12: table asymmetric at cell (0, 1): (1, 2) vs (2, 1)"),
+    ("vector-asymmetric-far-cell", _CONE + "points = (0, 0); (1, 0); (0, 1)\nmetric = table\n"
+     "row = (0, 0); (1, 2); (2, 1)\nrow = (1, 2); (0, 0); (2, 2)\nrow = (9, 9); (2, 2); (0, 0)\n",
+     "line 13: table asymmetric at cell (0, 2): (2, 1) vs (9, 9)"),
     # maps
     ("table-and-rule", _MAP + "image 0 = 0\nrule = scale\n",
      "line 13: map cannot mix an image table with a rule"),
@@ -424,6 +428,9 @@ BAD_FILES = [
     ("rule-escapes-interval",
      _REAL + "interval = 0 .. 1\nmetric = abs\n\n[map]\nrule = scale\nfactors = 2; 1/2\n",
      "rule image 2 of point 1 is not inside the interval"),
+    ("rule-escapes-interval-below",
+     _REAL + "interval = 0 .. 1\nmetric = abs\n\n[map]\nrule = scale\nfactors = -1\n",
+     "rule image -1 of point 1 is not inside the interval"),
     # sequences
     ("sequence-key", _SEQS + "sequence = harmonic 1\n",
      "line 12: unknown key 'sequence' in [sequences]"),
@@ -431,11 +438,11 @@ BAD_FILES = [
      "line 12: sequence atoms look like: <kind> <coefficient>"),
     ("sequence-kind", _SEQS + "seq = cubic 1\n", "line 12: unknown sequence kind 'cubic'"),
     ("sequence-ratio-kind", _SEQS + "seq = harmonic 1 ratio 1/2\n",
-     "line 12: exactly the geometric kind takes a ratio"),
+     "line 12: only the geometric kind takes a ratio"),
     ("sequence-ratio", _SEQS + "seq = geometric 1 ratio 1\n",
      "line 12: ratio must lie in [0, 1)"),
     ("sequence-ratio-missing", _SEQS + "seq = geometric 1\n",
-     "line 12: exactly the geometric kind takes a ratio"),
+     "line 12: the geometric kind needs a ratio"),
     ("sequence-coefficient", _SEQS + "seq = harmonic -1\n",
      "sequence 'harmonic -1': atom coefficients must sit above the identity"),
     # witnesses
@@ -469,5 +476,6 @@ BAD_FILES = [
 def test_bad_instance_file_exits_three(tmp_path, capsys, text, message):
     path = tmp_path / "bad.ini"
     path.write_text(text, encoding="utf-8")
-    assert main(["verify", str(path)]) == 3
-    assert capsys.readouterr() == ("", f"parse error: {message}\n")
+    for command in ("verify", "solve"):
+        assert main([command, str(path)]) == 3, command
+        assert capsys.readouterr() == ("", f"parse error: {message}\n"), command
