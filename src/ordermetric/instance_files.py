@@ -30,9 +30,14 @@ Rule maps use ``rule = scale`` with ``factors = f1; f2; ...`` where each
 factor (a scalar or a per-coordinate tuple) contributes one image point;
 every image must lie in the carrier (on an interval, the corners' images).
 
-Parsing produces an InstanceDescription, a plain value: the canonical
-export of a description reparses to an equal description, which is the
-round-trip contract the command-line tool relies on.
+Parsing produces an InstanceDescription, a plain value that each section
+fills directly: [group] the family and dimension, [structure] the kind,
+[space] the carrier (points, grid or interval) and metric, [map] the
+image table or the scale factors, [witness] the class and its one
+parameter, [sequences] the atoms. A key, an image key or a phi pair given
+twice is an error. The canonical export of a description reparses to an
+equal description, which is the round-trip contract the command-line
+tool relies on.
 
 ``build_bundle`` turns a description into an InstanceBundle. It is the one
 place that makes carriers, metrics, samplers, maps and witnesses: the
@@ -129,14 +134,12 @@ class InstanceDescription:
     grid: tuple | None = None  # (lo, hi, step)
     interval: tuple | None = None  # (lo, hi)
     metric_rows: tuple | None = None
-    map_kind: str | None = None  # table | rule
+    map_kind: str | None = None  # table | rule (the scale rule)
     map_table: tuple | None = None  # ((point, (images...)), ...) in point order
-    map_rule: str | None = None
     map_factors: tuple | None = None
     witness_class: str | None = None
     alpha: Fraction | None = None
-    alpha_name: str | None = None
-    alpha_bound: Fraction | None = None
+    alpha_bound: Fraction | None = None  # of the capped-ratio function
     phi_entries: tuple | None = None  # (((x, y), value), ...)
     psi_name: str | None = None
     sequences: tuple | None = None  # (((kind, coefficient, ratio), ...), ...)
@@ -207,40 +210,28 @@ def _assemble(sections, name: str) -> InstanceDescription:
 
     sp = sections["space"]
     ln_m, metric = _single(sp, "metric", required=True, section="space")
-    space_kind, points, grid, interval = _parse_space_carrier(sp, dim)
+    fields = {"family": family, "dimension": dim, "structure": kind, "metric": metric,
+              **_parse_space_carrier(sp, dim)}
     if metric not in ("abs", "coordinatewise", "table"):
         raise InstanceFileError(f"unknown metric {metric!r}", ln_m)
     if metric == "abs" and dim != 1:
         raise InstanceFileError("abs metric applies to the real family", ln_m)
     if metric == "coordinatewise" and dim < 2:
         raise InstanceFileError("coordinatewise metric needs a vector group", ln_m)
-    metric_rows = None
+    points = fields.get("points")
     if metric == "table":
-        if space_kind != "points":
+        if fields["space_kind"] != "points":
             raise InstanceFileError("table metrics need an explicit point list", ln_m)
-        metric_rows = _parse_metric_rows(sp, points, dim)
+        fields.update(_parse_metric_rows(sp, points, dim))
 
-    map_kind = map_table = map_rule = map_factors = None
-    if "map" in sections and sections["map"]:
-        map_kind, map_table, map_rule, map_factors = _parse_map(
-            sections["map"], space_kind, points, dim)
-
-    witness_class = alpha = alpha_name = alpha_bound = phi_entries = psi_name = None
-    if "witness" in sections and sections["witness"]:
-        (witness_class, alpha, alpha_name, alpha_bound,
-         phi_entries, psi_name) = _parse_witness(sections["witness"], points, dim)
-
-    sequences = None
-    if "sequences" in sections and sections["sequences"]:
-        sequences = _parse_sequences(sections["sequences"], dim)
-
-    return InstanceDescription(
-        family=family, dimension=dim, structure=kind, space_kind=space_kind,
-        metric=metric, points=points, grid=grid, interval=interval,
-        metric_rows=metric_rows, map_kind=map_kind, map_table=map_table,
-        map_rule=map_rule, map_factors=map_factors, witness_class=witness_class,
-        alpha=alpha, alpha_name=alpha_name, alpha_bound=alpha_bound,
-        phi_entries=phi_entries, psi_name=psi_name, sequences=sequences, name=name)
+    # an optional section with no entries is absent
+    if sections.get("map"):
+        fields.update(_parse_map(sections["map"], fields["space_kind"], points, dim))
+    if sections.get("witness"):
+        fields.update(_parse_witness(sections["witness"], points, dim))
+    if sections.get("sequences"):
+        fields.update(_parse_sequences(sections["sequences"], dim))
+    return InstanceDescription(**fields, name=name)
 
 
 def _expect_dim(value, dim, lineno, what):
@@ -250,7 +241,19 @@ def _expect_dim(value, dim, lineno, what):
     return value
 
 
-def _parse_space_carrier(entries, dim):
+def _corners(text, dim, ln, what):
+    """The corners of ``lo .. hi``, each of dimension ``dim``, with no
+    coordinate of ``lo`` above that of ``hi``."""
+    lo_t, hi_t = text.split("..", 1)
+    lo = _expect_dim(parse_element(lo_t, ln), dim, ln, f"{what} corner")
+    hi = _expect_dim(parse_element(hi_t, ln), dim, ln, f"{what} corner")
+    axes = zip(lo, hi) if isinstance(lo, tuple) else [(lo, hi)]
+    if any(b < a for a, b in axes):
+        raise InstanceFileError(f"{what} corner order reversed", ln)
+    return lo, hi
+
+
+def _parse_space_carrier(entries, dim) -> dict:
     choices = [(k, _single(entries, k, section="space"))
                for k in ("points", "grid", "interval")]
     present = [(k, ln, v) for k, (ln, v) in choices if v is not None]
@@ -264,38 +267,26 @@ def _parse_space_carrier(entries, dim):
             _expect_dim(p, dim, ln, "point")
         if len(set(pts)) != len(pts):
             raise InstanceFileError("duplicate point in list", ln)
-        return "points", pts, None, None
+        return {"space_kind": "points", "points": pts}
     if kind == "grid":
-        if "step" not in value:
+        span, sep, step_text = value.rpartition("step")
+        if not sep or ".." not in span:
             raise InstanceFileError("grid needs 'lo .. hi step s'", ln)
-        span, step_text = value.rsplit("step", 1)
-        if ".." not in span:
-            raise InstanceFileError("grid needs 'lo .. hi step s'", ln)
-        lo_t, hi_t = span.split("..", 1)
-        lo = _expect_dim(parse_element(lo_t, ln), dim, ln, "grid corner")
-        hi = _expect_dim(parse_element(hi_t, ln), dim, ln, "grid corner")
+        lo, hi = _corners(span, dim, ln, "grid")
         step = parse_scalar(step_text, ln)
         if step <= 0:
             raise InstanceFileError("grid step must be positive", ln)
-        pts = _expand_grid(lo, hi, step, ln)
-        return "grid", pts, (lo, hi, step), None
+        return {"space_kind": "grid", "points": _expand_grid(lo, hi, step, ln),
+                "grid": (lo, hi, step)}
     if ".." not in value:
         raise InstanceFileError("interval needs 'lo .. hi'", ln)
-    lo_t, hi_t = value.split("..", 1)
-    lo = _expect_dim(parse_element(lo_t, ln), dim, ln, "interval corner")
-    hi = _expect_dim(parse_element(hi_t, ln), dim, ln, "interval corner")
-    corners = zip(lo, hi) if isinstance(lo, tuple) else [(lo, hi)]
-    if any(b < a for a, b in corners):
-        raise InstanceFileError("interval corner order reversed", ln)
-    return "interval", None, None, (lo, hi)
+    return {"space_kind": "interval", "interval": _corners(value, dim, ln, "interval")}
 
 
 def _expand_grid(lo, hi, step, ln) -> tuple:
     """Every grid point, or a parse error; the size is checked from the
     per-axis counts before any point is built."""
     def axis_count(a, b) -> int:
-        if b < a:
-            raise InstanceFileError("grid corner order reversed", ln)
         count = (b - a) / step
         if count.denominator != 1:
             raise InstanceFileError("grid span is not a multiple of the step", ln)
@@ -311,7 +302,7 @@ def _expand_grid(lo, hi, step, ln) -> tuple:
     return tuple(itertools.product(*axes))
 
 
-def _parse_metric_rows(entries, points, dim) -> tuple:
+def _parse_metric_rows(entries, points, dim) -> dict:
     rows = [(ln, v) for ln, k, v in entries if k == "row"]
     if len(rows) != len(points):
         raise InstanceFileError(
@@ -335,27 +326,24 @@ def _parse_metric_rows(entries, points, dim) -> tuple:
                 raise InstanceFileError(
                     f"table asymmetric at cell ({i}, {j}): {format_element(row_i[j])} "
                     f"vs {format_element(row_j[i])}", ln_j)
-    return tuple(row for _, row in matrix)
+    return {"metric_rows": tuple(row for _, row in matrix)}
 
 
-_MAP_RULES = ("scale",)
-
-
-def _parse_map(entries, space_kind, points, dim):
+def _parse_map(entries, space_kind, points, dim) -> dict:
     images = [(ln, k[len("image"):].strip(), v) for ln, k, v in entries
               if k.startswith("image")]
     ln_rule, rule = _single(entries, "rule", section="map")
     if images and rule:
         raise InstanceFileError("map cannot mix an image table with a rule", ln_rule)
     if rule:
-        if rule not in _MAP_RULES:
+        if rule != "scale":
             raise InstanceFileError(f"unknown map rule {rule!r}", ln_rule)
         ln_f, factors_text = _single(entries, "factors", required=True, section="map")
         factors = parse_element_list(factors_text, ln_f)
         for f in factors:
             if isinstance(f, tuple) and len(f) != dim:
                 raise InstanceFileError("tuple factor dimension mismatch", ln_f)
-        return "rule", None, rule, factors
+        return {"map_kind": "rule", "map_factors": factors}
     if not images:
         raise InstanceFileError("map section needs image entries or a rule")
     if space_kind == "interval":
@@ -377,15 +365,10 @@ def _parse_map(entries, space_kind, points, dim):
     missing = [p for p in points if p not in table]
     if missing:
         raise InstanceFileError(f"map table misses point {format_element(missing[0])}")
-    ordered = tuple((p, table[p]) for p in points)
-    return "table", ordered, None, None
+    return {"map_kind": "table", "map_table": tuple((p, table[p]) for p in points)}
 
 
-_PSI_NAMES = ("half", "damped")
-_ALPHA_FN_NAMES = ("capped-ratio",)
-
-
-def _parse_sequences(entries, dim) -> tuple:
+def _parse_sequences(entries, dim) -> dict:
     """Each line is ``seq = <kind> <coefficient> [ratio q]`` with atoms
     joined by ' + ' for finite sums, e.g. ``seq = harmonic 1 + constant 1/2``."""
     out = []
@@ -416,26 +399,26 @@ def _parse_sequences(entries, dim) -> tuple:
                 raise InstanceFileError("ratio must lie in [0, 1)", ln)
             atoms.append((kind, coeff, ratio))
         out.append(tuple(atoms))
-    return tuple(out)
+    return {"sequences": tuple(out)}
 
 
-def _parse_witness(entries, points, dim):
+def _parse_witness(entries, points, dim) -> dict:
     ln, klass = _single(entries, "class", required=True, section="witness")
     if klass == "alpha-const":
         ln_a, a_text = _single(entries, "alpha", required=True, section="witness")
         alpha = parse_scalar(a_text, ln_a)
         if not 0 <= alpha < 1:
             raise InstanceFileError("alpha must lie in [0, 1)", ln_a)
-        return klass, alpha, None, None, None, None
+        return {"witness_class": klass, "alpha": alpha}
     if klass == "alpha-fn":
         ln_n, fn_name = _single(entries, "name", required=True, section="witness")
-        if fn_name not in _ALPHA_FN_NAMES:
+        if fn_name != "capped-ratio":
             raise InstanceFileError(f"unknown ratio function {fn_name!r}", ln_n)
         ln_b, b_text = _single(entries, "bound", required=True, section="witness")
         bound = parse_scalar(b_text, ln_b)
         if not 0 < bound < 1:
             raise InstanceFileError("bound must lie in (0, 1)", ln_b)
-        return klass, None, fn_name, bound, None, None
+        return {"witness_class": klass, "alpha_bound": bound}
     if klass == "phi-table":
         if points is None:
             raise InstanceFileError("phi tables need a finite carrier", ln)
@@ -451,26 +434,36 @@ def _parse_witness(entries, points, dim):
             x, y = parse_element(x_t, l), parse_element(y_t, l)
             if x not in declared or y not in declared:
                 raise InstanceFileError("phi entry names an undeclared point", l)
+            if (x, y) in table:
+                raise InstanceFileError(
+                    f"duplicate phi entry for ({format_element(x)}, {format_element(y)})", l)
             table[(x, y)] = parse_element(v, l)
         for x in points:
             for y in points:
                 if x != y and (x, y) not in table:
                     raise InstanceFileError(
                         f"phi table misses pair ({format_element(x)}, {format_element(y)})")
-        ordered = tuple(((x, y), table[(x, y)]) for x in points for y in points if x != y)
-        return klass, None, None, None, ordered, None
+        return {"witness_class": klass, "phi_entries": tuple(
+            ((x, y), table[(x, y)]) for x in points for y in points if x != y)}
     if klass == "psi":
         if dim != 1:
             raise InstanceFileError("scalar-function witnesses need the real family", ln)
         ln_p, psi_name = _single(entries, "psi", required=True, section="witness")
-        if psi_name not in _PSI_NAMES:
+        if psi_name not in ("half", "damped"):
             raise InstanceFileError(f"unknown psi name {psi_name!r}", ln_p)
-        return klass, None, None, None, None, psi_name
+        return {"witness_class": klass, "psi_name": psi_name}
     raise InstanceFileError(f"unknown witness class {klass!r}", ln)
 
 
 # ---------------------------------------------------------------------------
 # canonical export
+
+
+def _sequence_text(atoms) -> str:
+    """A sequence's atoms as a ``seq =`` line writes them."""
+    return " + ".join(f"{kind} {format_element(coeff)}"
+                      + (f" ratio {ratio}" if ratio is not None else "")
+                      for kind, coeff, ratio in atoms)
 
 
 def export_instance_text(desc: InstanceDescription) -> str:
@@ -496,15 +489,13 @@ def export_instance_text(desc: InstanceDescription) -> str:
             for p, img in desc.map_table:
                 lines.append(f"image {format_element(p)} = {render_element_list(img)}")
         else:
-            lines.append(f"rule = {desc.map_rule}")
-            lines.append(f"factors = {render_element_list(desc.map_factors)}")
+            lines += ["rule = scale", f"factors = {render_element_list(desc.map_factors)}"]
     if desc.witness_class is not None:
         lines += ["", "[witness]", f"class = {desc.witness_class}"]
         if desc.witness_class == "alpha-const":
             lines.append(f"alpha = {desc.alpha}")
         elif desc.witness_class == "alpha-fn":
-            lines.append(f"name = {desc.alpha_name}")
-            lines.append(f"bound = {desc.alpha_bound}")
+            lines += ["name = capped-ratio", f"bound = {desc.alpha_bound}"]
         elif desc.witness_class == "phi-table":
             for (x, y), v in desc.phi_entries:
                 lines.append(f"phi {format_element(x)} | {format_element(y)} = {format_element(v)}")
@@ -512,14 +503,7 @@ def export_instance_text(desc: InstanceDescription) -> str:
             lines.append(f"psi = {desc.psi_name}")
     if desc.sequences is not None:
         lines += ["", "[sequences]"]
-        for atoms in desc.sequences:
-            parts = []
-            for kind, coeff, ratio in atoms:
-                text = f"{kind} {format_element(coeff)}"
-                if ratio is not None:
-                    text += f" ratio {ratio}"
-                parts.append(text)
-            lines.append("seq = " + " + ".join(parts))
+        lines += [f"seq = {_sequence_text(atoms)}" for atoms in desc.sequences]
     return "\n".join(lines) + "\n"
 
 
@@ -577,8 +561,6 @@ def _make_witness(desc: InstanceDescription, space: ConeMetricSpace) -> Contract
         return ContractionWitness(WitnessClass.ALPHA_CONSTANT, alpha_const=desc.alpha)
     if desc.witness_class == "alpha-fn":
         bound = desc.alpha_bound
-        if desc.alpha_name != "capped-ratio":
-            raise InstanceFileError(f"unknown ratio function {desc.alpha_name!r}")
 
         def alpha(x, y):
             s = _distance_magnitude(space.distance(x, y))
@@ -685,9 +667,7 @@ def build_bundle(desc: InstanceDescription) -> InstanceBundle:
         for atoms in desc.sequences:
             seq_atoms = tuple(SeqAtom(kind, module.group.coerce(coeff), ratio)
                               for kind, coeff, ratio in atoms)
-            label = " + ".join(
-                f"{k} {format_element(c)}" + (f" ratio {r}" if r is not None else "")
-                for k, c, r in atoms)
+            label = _sequence_text(atoms)
             try:
                 built.append(PositiveSequence(module, label, atoms=seq_atoms))
             except ValueError as exc:

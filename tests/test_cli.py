@@ -130,33 +130,6 @@ def test_solve_seed_at_endpoint_single_row(capsys):
     assert "iteration 0" in out
 
 
-@pytest.mark.parametrize("command", ["verify", "solve"])
-@pytest.mark.parametrize("factors", ["2; 1/2", "-1"])
-def test_rule_escaping_an_interval_exits_three(tmp_path, capsys, command, factors):
-    path = tmp_path / "escaping.ini"
-    path.write_text(BUILTIN_INSTANCE_TEXTS["r1-banach"].replace(
-        "factors = 1/2", f"factors = {factors}"))
-    rc = main([command, str(path)] + (["--checks", "map"] if command == "verify" else []))
-    captured = capsys.readouterr()
-    assert rc == 3
-    assert captured.out == ""
-    assert captured.err.startswith("parse error: ") and "not inside the interval" in captured.err
-
-
-@pytest.mark.parametrize("interval", ["1 .. 0", "(0, 1) .. (1, 0)"])
-def test_verify_reversed_interval_exits_three(tmp_path, capsys, interval):
-    builtin = "r1-banach" if "(" not in interval else "cone2-shrink"
-    text = BUILTIN_INSTANCE_TEXTS[builtin]
-    old = "interval = 0 .. 1" if builtin == "r1-banach" else "interval = (0, 0) .. (1, 1)"
-    path = tmp_path / "reversed.ini"
-    path.write_text(text.replace(old, f"interval = {interval}"))
-    rc = main(["verify", str(path), "--checks", "metric"])
-    captured = capsys.readouterr()
-    assert rc == 3
-    assert captured.out == ""
-    assert "parse error" in captured.err and "reversed" in captured.err
-
-
 def test_solve_lex_rule(capsys):
     rc = main(["solve", "three-point", "--seed-point", "1", "--rule", "lex",
                "--eps", "1/16"])

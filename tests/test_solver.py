@@ -348,14 +348,20 @@ alpha = 1/2
 
 def test_iff_report_skips_an_incomparable_inf_sup():
     """On the coordinate cone the sup over (1, 0)'s image and over (0, 1)'s
-    are incomparable, so the inf-sup side, and both endpoint rows, skip."""
+    are incomparable, so the inf-sup side, and both endpoint rows, skip.
+    The distances (1, 0) and (0, 1) have no least one either, so the
+    oracle row has no walk tolerance and skips too."""
     probe = build_bundle(parse_instance_text(PROBE_B, name="probe-b"))
     reason = "inf-sup undefined: inf over points: incomparable pair (1, 0) , (0, 1)"
     assert endpoint_census(probe.map_) == IffReport("skipped", reason)
     assert endpoint_iff_report(probe.map_, probe.witness) == IffReport("skipped", reason)
-    rows = _rows(probe, ("endpoint/approx-equivalence", "endpoint/iff-zero-gap"))
+    rows = _rows(probe, ("endpoint/approx-equivalence", "endpoint/iff-zero-gap",
+                         "solver/oracle-agreement"))
     assert rows == {"endpoint/approx-equivalence": ("skip", reason),
-                    "endpoint/iff-zero-gap": ("skip", reason)}
+                    "endpoint/iff-zero-gap": ("skip", reason),
+                    "solver/oracle-agreement": (
+                        "skip", "walk tolerance undefined: minimum positive distance: "
+                                "incomparable pair (1, 0) , (0, 1)")}
 
 
 def test_single_valued_report_agrees_with_scan(dilation):
