@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .order_core import real_module
+from .order_core import _q_dist, real_module
 from .topo import strict_order_structure
 from .cone_metric import ConeMetricSpace
 from .contraction import ContractionWitness, SetValuedMap, WitnessClass
@@ -56,10 +56,6 @@ def _shared_structure():
     return strict_order_structure(real_module())
 
 
-def _line_distance(x, y):
-    return abs(x - y)
-
-
 def _admit(structure, den: int, nums, images, name: str) -> CorpusInstance | None:
     """The instance on the points ``nums[i] / den``, ascending, where point
     i maps to the positions ``images[i]``, if the map admits a valid bound;
@@ -82,7 +78,7 @@ def _admit(structure, den: int, nums, images, name: str) -> CorpusInstance | Non
                 return None
             scored.append((i, j, d, need, max(abs(p - q) for p in img_a for q in img_b)))
     points = tuple(Fraction(k, den) for k in nums)
-    space = ConeMetricSpace(name, structure, _line_distance, points=points)
+    space = ConeMetricSpace(name, structure, _q_dist, points=points)
     table = {points[i]: tuple(points[k] for k in img) for i, img in enumerate(images)}
     T = SetValuedMap.from_table(space, table, name=f"T[{name}]")
     phi_table = {(points[i], points[j]): Fraction(need, den) for i, j, _, need, _ in scored}
@@ -105,7 +101,7 @@ def build_instance(structure, points, table: dict, name: str) -> CorpusInstance 
     """
     values = tuple(sorted(Fraction(p) for p in points))
     table = {Fraction(k): tuple(Fraction(v) for v in vs) for k, vs in table.items()}
-    SetValuedMap.from_table(ConeMetricSpace(name, structure, _line_distance, points=values),
+    SetValuedMap.from_table(ConeMetricSpace(name, structure, _q_dist, points=values),
                             table)  # raises on a malformed table, naming the point
     den = math.lcm(*(p.denominator for p in values))
     at = {p: i for i, p in enumerate(values)}

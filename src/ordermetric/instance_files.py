@@ -35,7 +35,8 @@ fills directly: [group] the family and dimension, [structure] the kind,
 [space] the carrier (points, grid or interval) and metric, [map] the
 image table or the scale factors, [witness] the class and its one
 parameter, [sequences] the atoms. A key, an image key or a phi pair given
-twice is an error. The canonical export of a description reparses to an
+twice is an error, and so is a phi entry on the diagonal or one whose value
+has the wrong dimension. The canonical export of a description reparses to an
 equal description, which is the round-trip contract the command-line
 tool relies on.
 
@@ -58,6 +59,7 @@ from typing import Callable
 from .order_core import (
     OrderedModuleInstance,
     _draw,
+    _q_dist,
     coord_cone_module,
     format_element,
     real_module,
@@ -434,10 +436,12 @@ def _parse_witness(entries, points, dim) -> dict:
             x, y = parse_element(x_t, l), parse_element(y_t, l)
             if x not in declared or y not in declared:
                 raise InstanceFileError("phi entry names an undeclared point", l)
+            if x == y:
+                raise InstanceFileError(f"phi entry pairs {format_element(x)} with itself", l)
             if (x, y) in table:
                 raise InstanceFileError(
                     f"duplicate phi entry for ({format_element(x)}, {format_element(y)})", l)
-            table[(x, y)] = parse_element(v, l)
+            table[(x, y)] = _expect_dim(parse_element(v, l), dim, l, "phi value")
         for x in points:
             for y in points:
                 if x != y and (x, y) not in table:
@@ -612,9 +616,9 @@ def build_bundle(desc: InstanceDescription) -> InstanceBundle:
         structure = interior_cone_structure(module)
 
     if desc.metric == "abs":
-        metric = lambda x, y: abs(x - y)  # noqa: E731
+        metric = _q_dist
     elif desc.metric == "coordinatewise":
-        metric = lambda x, y: tuple(abs(a - b) for a, b in zip(x, y))  # noqa: E731
+        metric = lambda x, y: tuple(map(_q_dist, x, y))  # noqa: E731
     else:
         index = {p: i for i, p in enumerate(desc.points)}
         rows = desc.metric_rows

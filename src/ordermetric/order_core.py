@@ -20,12 +20,26 @@ table. A draw picks a row and then an entry through ``_draw``, which makes
 the one ``_randbelow`` call that ``randint``/``randrange`` make for that
 width: a seed draws the same values, in the same order and with the same
 random state after them, as ``Fraction(rng.randint(...), rng.randint(...))``.
+
+The built-in instances add, negate, scale and measure |a - b| through a
+small exact kernel (``_q_add``, ``_q_neg``, ``_q_mul``, ``_q_dist``), per
+coordinate on the cones. Its contract: the operands are ``Fraction``s (an
+int has no ``_numerator`` slot), and every result is the normalized
+``Fraction`` the matching operator gives, in lowest terms with a positive
+denominator, so ``==``, hashing and ``format_element`` see no difference.
+The gcd steps are those of ``Fraction._add`` and ``Fraction._mul``, and
+``_q`` fills the two slots of ``Fraction.__slots__`` (``_numerator``,
+``_denominator``) on a bare instance instead of normalizing again; a
+Python whose ``Fraction`` keeps other slots breaks the kernel, and
+``tests/test_order_core.py`` compares every part of its results with the
+operators' to make that loud. Comparisons read the public ``numerator``
+and ``denominator``, so they also accept plain ints.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
+import math
 import random
 import zlib
 from dataclasses import dataclass
@@ -575,6 +589,73 @@ def _rand_positive_fraction(rng: random.Random) -> Fraction:
     return _draw(rng, _draw(rng, _POSITIVE_FRACTIONS))
 
 
+# ---------------------------------------------------------------------------
+# exact rational kernel: the arithmetic of the built-in instances
+
+
+_new = object.__new__
+_gcd = math.gcd
+
+
+def _q(n: int, d: int) -> Fraction:
+    """The Fraction n/d, which the caller guarantees is in lowest terms with
+    d > 0: filled in through its two slots, with no normalization."""
+    q = _new(Fraction)
+    q._numerator = n
+    q._denominator = d
+    return q
+
+
+def _q_add(a: Fraction, b: Fraction) -> Fraction:
+    """a + b, reduced by the gcd steps of ``Fraction._add``."""
+    na, da = a._numerator, a._denominator
+    nb, db = b._numerator, b._denominator
+    g = _gcd(da, db)
+    if g == 1:
+        return _q(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = _gcd(t, g)
+    if g2 == 1:
+        return _q(t, s * db)
+    return _q(t // g2, s * (db // g2))
+
+
+def _q_neg(a: Fraction) -> Fraction:
+    return _q(-a._numerator, a._denominator)
+
+
+def _q_mul(a: Fraction, b: Fraction) -> Fraction:
+    """a * b, reduced by the cross gcds of ``Fraction._mul``."""
+    na, da = a._numerator, a._denominator
+    nb, db = b._numerator, b._denominator
+    g1 = _gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = _gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return _q(na * nb, db * da)
+
+
+def _q_dist(a: Fraction, b: Fraction) -> Fraction:
+    """|a - b| in one construction: the steps of ``_q_add`` on a and -b,
+    with the numerator's sign dropped before the result is built."""
+    na, da = a._numerator, a._denominator
+    nb, db = b._numerator, b._denominator
+    g = _gcd(da, db)
+    if g == 1:
+        return _q(abs(na * db - da * nb), da * db)
+    s = da // g
+    t = abs(na * (db // g) - nb * s)
+    g2 = _gcd(t, g)
+    if g2 == 1:
+        return _q(t, s * db)
+    return _q(t // g2, s * (db // g2))
+
+
 def _scalar_cmp(a: Fraction, b: Fraction) -> Order:
     # one cross-multiplication: exact, since denominators are positive
     lhs, rhs = a.numerator * b.denominator, b.numerator * a.denominator
@@ -605,8 +686,8 @@ def real_group() -> OrderedGroupInstance:
     return OrderedGroupInstance(
         name="real",
         identity=Fraction(0),
-        add=operator.add,
-        neg=operator.neg,
+        add=_q_add,
+        neg=_q_neg,
         cmp=_scalar_cmp,
         contains=lambda v: isinstance(v, Fraction),
         sampler=_rand_fraction,
@@ -637,7 +718,8 @@ def coord_cone_group(dim: int) -> OrderedGroupInstance:
     def positive_sampler(rng):
         # at least one strictly positive coordinate, none negative
         vec = [_draw(rng, _draw(rng, _NONNEG_FRACTIONS)) for _ in positions]
-        vec[_draw(rng, positions)] += _draw(rng, _UNIT_FRACTIONS)
+        at = _draw(rng, positions)
+        vec[at] = _q_add(vec[at], _draw(rng, _UNIT_FRACTIONS))
         return tuple(vec)
 
     zero = tuple(Fraction(0) for _ in range(dim))
@@ -650,8 +732,8 @@ def coord_cone_group(dim: int) -> OrderedGroupInstance:
     return OrderedGroupInstance(
         name=f"cone-{dim}",
         identity=zero,
-        add=lambda a, b: tuple(map(operator.add, a, b)),
-        neg=lambda a: tuple(map(operator.neg, a)),
+        add=lambda a, b: tuple(map(_q_add, a, b)),
+        neg=lambda a: tuple(map(_q_neg, a)),
         cmp=_cone_cmp,
         contains=contains,
         sampler=sampler,
@@ -674,13 +756,12 @@ def rational_ring() -> RingDescriptor:
 
 
 def real_module() -> OrderedModuleInstance:
-    return OrderedModuleInstance(group=real_group(), ring=rational_ring(),
-                                 scale=lambda r, a: r * a)
+    return OrderedModuleInstance(group=real_group(), ring=rational_ring(), scale=_q_mul)
 
 
 def coord_cone_module(dim: int) -> OrderedModuleInstance:
     return OrderedModuleInstance(
         group=coord_cone_group(dim),
         ring=rational_ring(),
-        scale=lambda r, a: tuple(r * x for x in a),
+        scale=lambda r, a: tuple([_q_mul(r, x) for x in a]),
     )

@@ -727,8 +727,9 @@ def test_ladder_pairs_compare_positions_not_points(monkeypatch):
     assert (len(pairs), calls[0]) == (930, 0)
 
 
-# rational comparisons, Fraction constructions and Fraction equality tests in
-# one ladder solve; the pair scan that compared points made 1,818 equality tests
+# rational comparisons, Fraction constructions (Fraction.__new__ or
+# order_core._q) and Fraction equality tests in one ladder solve; the pair
+# scan that compared points made 1,818 equality tests
 LADDER_SOLVE_BUDGET = {"cmp": 5375, "new": 2588, "eq": 857}
 
 
@@ -736,6 +737,7 @@ def test_ladder_solve_stays_within_its_work_budget(monkeypatch, capsys):
     counts = dict.fromkeys(LADDER_SOLVE_BUDGET, 0)
     raw_cmp, raw_eq = order_core._scalar_cmp, Fraction.__eq__
     raw_new = Fraction.__dict__["__new__"].__func__
+    raw_q = order_core._q
 
     def counted_cmp(a, b):
         counts["cmp"] += 1
@@ -745,12 +747,17 @@ def test_ladder_solve_stays_within_its_work_budget(monkeypatch, capsys):
         counts["new"] += 1
         return raw_new(cls, *args, **kwargs)
 
+    def counted_q(n, d):
+        counts["new"] += 1
+        return raw_q(n, d)
+
     def counted_eq(self, other):
         counts["eq"] += 1
         return raw_eq(self, other)
 
     monkeypatch.setattr(order_core, "_scalar_cmp", counted_cmp)
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    monkeypatch.setattr(order_core, "_q", counted_q)
     monkeypatch.setattr(Fraction, "__eq__", counted_eq)
     rc = main(["solve", str(LADDER), "--seed-point", "1", "--eps", "1/1024",
                "--rule", "min-dist"])

@@ -548,6 +548,10 @@ BAD_FILES = [
      "phi table misses pair (0, 1/4)"),
     ("phi-duplicate", _WITNESS + "class = phi-table\nphi 0 | 1 = 1/4\nphi 0 | 1 = 1/2\n",
      "line 14: duplicate phi entry for (0, 1)"),
+    ("phi-diagonal", _WITNESS + "class = phi-table\nphi 0 | 0 = 5\n",
+     "line 13: phi entry pairs 0 with itself"),
+    ("phi-dimension", _WITNESS + "class = phi-table\nphi 0 | 1 = (1/4, 1/4)\n",
+     "line 13: phi value has dimension 2, expected 1"),
     ("psi-on-vectors",
      _CONE + "points = (0, 0)\nmetric = coordinatewise\n\n[witness]\nclass = psi\n",
      "line 13: scalar-function witnesses need the real family"),

@@ -25,7 +25,7 @@ from ordermetric import (
     real_group,
     real_module,
 )
-from ordermetric.order_core import _run_law, _run_laws
+from ordermetric.order_core import _q_add, _q_dist, _q_mul, _q_neg, _run_law, _run_laws
 
 fractions_st = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
@@ -267,3 +267,63 @@ def test_predicates_follow_the_broken_g1_comparison():
     assert g.is_nonneg(bad) and g.is_positive(bad)
     for a, b in [(g.identity, bad), (bad, g.identity), (bad, (Fraction(0), Fraction(1)))]:
         _assert_truth_table(g, a, b)
+
+
+# -- the exact kernel ---------------------------------------------------------
+
+_BIG = 10 ** 40
+_numerators = st.one_of(st.integers(-60, 60), st.integers(-_BIG, _BIG),
+                        st.sampled_from([0, 1, -1, _BIG, -_BIG]))
+_denominators = st.one_of(st.just(1), st.integers(1, 60), st.integers(1, _BIG),
+                          st.sampled_from([_BIG, _BIG + 1]))
+
+
+@st.composite
+def _kernel_operands(draw):
+    """Two rationals: unrelated, over one written denominator, negations of
+    each other, equal, or one of them zero."""
+    d = draw(_denominators)
+    a = Fraction(draw(_numerators), d)
+    shape = draw(st.sampled_from(["free", "same-denominator", "negated", "equal", "zero"]))
+    if shape == "free":
+        b = Fraction(draw(_numerators), draw(_denominators))
+    elif shape == "same-denominator":
+        b = Fraction(draw(_numerators), d)
+    elif shape == "negated":
+        b = -a
+    elif shape == "equal":
+        b = Fraction(a.numerator, a.denominator)
+    else:
+        b = Fraction(0)
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+def _exactly(value):
+    """Everything a result shows: its type, both slots (so lowest terms and
+    the sign of the denominator), its hash and its text."""
+    if isinstance(value, tuple):
+        return tuple(_exactly(v) for v in value)
+    return type(value), value.numerator, value.denominator, hash(value), str(value)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_kernel_operands())
+def test_kernel_agrees_exactly_with_the_fraction_operators(pair):
+    a, b = pair
+    assert _exactly(_q_add(a, b)) == _exactly(a + b)
+    assert _exactly(_q_neg(a)) == _exactly(-a)
+    assert _exactly(_q_mul(a, b)) == _exactly(a * b)
+    assert _exactly(_q_dist(a, b)) == _exactly(abs(a - b))
+    assert _exactly(_q_dist(b, a)) == _exactly(abs(a - b))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_kernel_operands(), min_size=3, max_size=3))
+def test_cone_operations_agree_exactly_coordinate_by_coordinate(pairs):
+    x = tuple(a for a, _ in pairs)
+    y = tuple(b for _, b in pairs)
+    r = y[0]
+    g, m = coord_cone_group(3), coord_cone_module(3)
+    assert _exactly(g.add(x, y)) == _exactly(tuple(p + q for p, q in zip(x, y)))
+    assert _exactly(g.neg(x)) == _exactly(tuple(-p for p in x))
+    assert _exactly(m.scale(r, x)) == _exactly(tuple(r * p for p in x))

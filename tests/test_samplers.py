@@ -22,6 +22,7 @@ from ordermetric import (
     real_module,
     run_suite,
 )
+from ordermetric import order_core
 from ordermetric.instance_files import _interval_carrier
 
 F = Fraction
@@ -120,7 +121,8 @@ def test_tabulated_sampler_draws_like_its_plain_definition(name, tabulated, plai
 LAW_CHECKS = tuple(c for c in ALL_CHECKS
                    if c.split("/")[0] in ("group", "module", "topo", "metric"))
 # counted with the samplers that built a fresh Fraction per draw and with the
-# Cauchy check that computed each distance once per tolerance
+# Cauchy check that computed each distance once per tolerance; a construction
+# is a call of Fraction.__new__ or of order_core._q
 LAW_FRACTIONS_BEFORE_TABLES = 84_240
 LAW_DRAWS_BEFORE_TABLES = 38_158
 
@@ -131,17 +133,23 @@ def test_law_rows_draw_the_same_and_construct_fewer_fractions(monkeypatch):
     bundles = builtin_bundles()
     fractions, draws = [0], [0]
     raw_new = Fraction.__dict__["__new__"].__func__
+    raw_q = order_core._q
     raw_below = random.Random._randbelow
 
     def counting_new(cls, *args, **kwargs):
         fractions[0] += 1
         return raw_new(cls, *args, **kwargs)
 
+    def counting_q(n, d):
+        fractions[0] += 1
+        return raw_q(n, d)
+
     def counting_below(self, width):
         draws[0] += 1
         return raw_below(self, width)
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    monkeypatch.setattr(order_core, "_q", counting_q)
     monkeypatch.setattr(random.Random, "_randbelow", counting_below)
     report = run_suite(spec, bundles)
     monkeypatch.undo()

@@ -35,7 +35,7 @@ from ordermetric import (
     verify_convergence,
     verify_convergence_twosided,
 )
-from ordermetric import harness, topo
+from ordermetric import harness, order_core, topo
 from ordermetric.topo import (
     PreconditionViolation,
     SeqAtom,
@@ -655,7 +655,9 @@ def test_seq_machine_rows_match_golden():
 # Fraction constructions of the spec below before the kernel memoized
 # terms and outcomes, before each sum was built once per run, and before
 # each window value was computed once per tolerance family; the counts are
-# deterministic, unlike wall clock
+# deterministic, unlike wall clock. A construction is a call of
+# Fraction.__new__ or of order_core._q, which builds the built-in
+# instances' results without it
 SEQ_FRACTIONS_BEFORE_KERNEL = 536_815
 SEQ_FRACTIONS_BEFORE_SHARED_SUMS = 92_331
 SEQ_FRACTIONS_BEFORE_WINDOWS = 76_656
@@ -667,10 +669,15 @@ def test_seq_rows_construct_at_most_55_percent_of_the_fractions(monkeypatch):
     bundles = builtin_bundles()
     count, sums = [0], [0]
     raw_new = Fraction.__dict__["__new__"].__func__
+    raw_q = order_core._q
 
     def counting_new(cls, *args, **kwargs):
         count[0] += 1
         return raw_new(cls, *args, **kwargs)
+
+    def counting_q(n, d):
+        count[0] += 1
+        return raw_q(n, d)
 
     def counting_sum_of(*args, **kwargs):
         sums[0] += 1
@@ -679,6 +686,7 @@ def test_seq_rows_construct_at_most_55_percent_of_the_fractions(monkeypatch):
     for mod in (topo, harness):
         monkeypatch.setattr(mod, "sum_of", counting_sum_of)
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    monkeypatch.setattr(order_core, "_q", counting_q)
     report = run_suite(spec, bundles)
     monkeypatch.undo()
     assert report.ok
