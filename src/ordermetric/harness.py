@@ -280,13 +280,20 @@ def _check_limit_uniqueness(b: InstanceBundle, ctx: _Ctx, sums):
     g, t = b.module.group, b.structure
     n_max = ctx.budgets.n_max
     fake = t.shrink(t.positivity_witness)
+    unresolved = None
     for s, _, _ in sums:
         ok = check_limit_uniqueness(t, s, g.identity, g.identity, b.eps_family, n_max)
         if ok.candidate_is_limit is not True:
             return "fail", f"{s.name}: true limit rejected ({ok.witness})"
         alt = check_limit_uniqueness(t, s, g.identity, fake, b.eps_family, n_max)
-        if alt.candidate_is_limit is not False:
+        if alt.candidate_is_limit is True:
             return "fail", f"{s.name}: fake limit {format_element(fake)} not refuted"
+        # None: the window neither refutes nor accepts the fake limit
+        if alt.candidate_is_limit is None and unresolved is None:
+            unresolved = (f"{s.name}: fake limit {format_element(fake)} unresolved "
+                          f"for n <= {n_max} ({alt.witness})")
+    if unresolved:
+        return "skip", unresolved
     return "pass", f"{len(sums)} sequences, fake limit refuted each time"
 
 

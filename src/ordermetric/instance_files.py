@@ -58,7 +58,7 @@ from typing import Callable
 
 from .order_core import (
     OrderedModuleInstance,
-    _draw,
+    _draw_entry,
     _q_dist,
     coord_cone_module,
     format_element,
@@ -602,7 +602,7 @@ def _interval_carrier(lo, hi):
             isinstance(c, Fraction) and a <= c <= b for (a, b), c in zip(box, coords)))
 
     def sampler(rng):
-        point = tuple(_draw(rng, _draw(rng, values)) for values in axes)
+        point = tuple(_draw_entry(rng, values) for values in axes)
         return point[0] if scalar else point
     return contains, sampler
 

@@ -16,10 +16,14 @@ outcome against them by identity.
 
 The built-in samplers return p/q with p and q uniform in small ranges, so
 the few hundred values they can return are built once, at import, in one
-table. A draw picks a row and then an entry through ``_draw``, which makes
-the one ``_randbelow`` call that ``randint``/``randrange`` make for that
-width: a seed draws the same values, in the same order and with the same
-random state after them, as ``Fraction(rng.randint(...), rng.randint(...))``.
+table. A draw picks a row and then an entry of it, both in the one frame
+of ``_draw_entry``; ``_draw`` picks from a flat table. Each index is drawn
+as CPython's ``Random._randbelow_with_getrandbits`` draws it for
+``randint``/``randrange`` of that width: ``getrandbits(width.bit_length())``
+until the result is below the width. So a seed draws the same values, in
+the same order and with the same random state after them, as
+``Fraction(rng.randint(...), rng.randint(...))``, with the same
+``getrandbits`` calls.
 
 The built-in instances add, negate, scale and measure |a - b| through a
 small exact kernel (``_q_add``, ``_q_neg``, ``_q_mul``, ``_q_dist``), per
@@ -32,8 +36,11 @@ The gcd steps are those of ``Fraction._add`` and ``Fraction._mul``, and
 ``_denominator``) on a bare instance instead of normalizing again; a
 Python whose ``Fraction`` keeps other slots breaks the kernel, and
 ``tests/test_order_core.py`` compares every part of its results with the
-operators' to make that loud. Comparisons read the public ``numerator``
-and ``denominator``, so they also accept plain ints.
+operators' to make that loud. The comparisons (``_scalar_cmp``,
+``_cone_cmp``, the ring's ``le``) read the same two slots; an operand
+without them, a plain int, raises ``AttributeError`` there and is compared
+through its public ``numerator`` and ``denominator`` instead, so they
+also accept plain ints.
 """
 
 from __future__ import annotations
@@ -565,9 +572,35 @@ def check_module_laws(m: OrderedModuleInstance, plan: SamplePlan) -> LawReport:
 
 
 def _draw(rng: random.Random, table: Sequence):
-    """``table[i]`` for ``i`` uniform below ``len(table)``: the one call
-    ``rng.randrange(len(table))`` makes, without its argument checks."""
-    return table[rng._randbelow(len(table))]
+    """``table[i]`` for ``i`` uniform below ``n = len(table)``, drawn as
+    ``random.Random._randbelow_with_getrandbits`` draws it for
+    ``rng.randrange(n)``: ``getrandbits(n.bit_length())`` until the result
+    is below ``n``."""
+    getrandbits = rng.getrandbits
+    n = len(table)
+    k = n.bit_length()
+    i = getrandbits(k)
+    while i >= n:
+        i = getrandbits(k)
+    return table[i]
+
+
+def _draw_entry(rng: random.Random, rows: Sequence[Sequence]):
+    """``_draw(rng, _draw(rng, rows))`` in one frame: a row, then an entry
+    of it; the rows may differ in length."""
+    getrandbits = rng.getrandbits
+    n = len(rows)
+    k = n.bit_length()
+    i = getrandbits(k)
+    while i >= n:
+        i = getrandbits(k)
+    row = rows[i]
+    n = len(row)
+    k = n.bit_length()
+    i = getrandbits(k)
+    while i >= n:
+        i = getrandbits(k)
+    return row[i]
 
 
 # every value a built-in sampler can return: row n + 48 holds n/1 .. n/8
@@ -581,12 +614,12 @@ _UNIT_FRACTIONS = _FRACTIONS[49]  # 1/1 .. 1/8
 
 def _rand_fraction(rng: random.Random) -> Fraction:
     """randint(-48, 48) / randint(1, 8)."""
-    return _draw(rng, _draw(rng, _FRACTIONS))
+    return _draw_entry(rng, _FRACTIONS)
 
 
 def _rand_positive_fraction(rng: random.Random) -> Fraction:
     """randint(1, 48) / randint(1, 8)."""
-    return _draw(rng, _draw(rng, _POSITIVE_FRACTIONS))
+    return _draw_entry(rng, _POSITIVE_FRACTIONS)
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +691,10 @@ def _q_dist(a: Fraction, b: Fraction) -> Fraction:
 
 def _scalar_cmp(a: Fraction, b: Fraction) -> Order:
     # one cross-multiplication: exact, since denominators are positive
-    lhs, rhs = a.numerator * b.denominator, b.numerator * a.denominator
+    try:
+        lhs, rhs = a._numerator * b._denominator, b._numerator * a._denominator
+    except AttributeError:  # an int operand
+        lhs, rhs = a.numerator * b.denominator, b.numerator * a.denominator
     if lhs == rhs:
         return _EQUAL
     return _LESS if lhs < rhs else _GREATER
@@ -667,7 +703,10 @@ def _scalar_cmp(a: Fraction, b: Fraction) -> Order:
 def _cone_cmp(a: tuple, b: tuple) -> Order:
     below = above = False
     for x, y in zip(a, b):
-        lhs, rhs = x.numerator * y.denominator, y.numerator * x.denominator
+        try:
+            lhs, rhs = x._numerator * y._denominator, y._numerator * x._denominator
+        except AttributeError:  # an int coordinate
+            lhs, rhs = x.numerator * y.denominator, y.numerator * x.denominator
         if lhs < rhs:
             below = True
         elif lhs > rhs:
@@ -717,7 +756,7 @@ def coord_cone_group(dim: int) -> OrderedGroupInstance:
 
     def positive_sampler(rng):
         # at least one strictly positive coordinate, none negative
-        vec = [_draw(rng, _draw(rng, _NONNEG_FRACTIONS)) for _ in positions]
+        vec = [_draw_entry(rng, _NONNEG_FRACTIONS) for _ in positions]
         at = _draw(rng, positions)
         vec[at] = _q_add(vec[at], _draw(rng, _UNIT_FRACTIONS))
         return tuple(vec)
@@ -748,8 +787,8 @@ def rational_ring() -> RingDescriptor:
         name="Q",
         zero=Fraction(0),
         one=Fraction(1),
-        le=lambda a, b: a <= b,
-        sampler=lambda rng: _draw(rng, _draw(rng, _RING_FRACTIONS)),
+        le=lambda a, b: _scalar_cmp(a, b) is not _GREATER,
+        sampler=lambda rng: _draw_entry(rng, _RING_FRACTIONS),
         edge_scalars=(Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
                       Fraction(2), Fraction(-3, 2)),
     )

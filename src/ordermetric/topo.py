@@ -103,11 +103,21 @@ class TopoStructure:
 def _interior_below(a: Element, b: Element) -> bool:
     """b - a interior to the cone, compared coordinate by coordinate: the
     difference is positive in every coordinate exactly when a_i < b_i, each
-    decided by one cross-multiplication (denominators are positive)."""
+    decided by one cross-multiplication (denominators are positive) on the
+    ``Fraction`` slots, or on the public properties of an int."""
     if isinstance(a, tuple):
-        return all(x.numerator * y.denominator < y.numerator * x.denominator
-                   for x, y in zip(a, b))
-    return a.numerator * b.denominator < b.numerator * a.denominator
+        for x, y in zip(a, b):
+            try:
+                if x._numerator * y._denominator >= y._numerator * x._denominator:
+                    return False
+            except AttributeError:  # an int coordinate
+                if x.numerator * y.denominator >= y.numerator * x.denominator:
+                    return False
+        return True
+    try:
+        return a._numerator * b._denominator < b._numerator * a._denominator
+    except AttributeError:  # an int operand
+        return a.numerator * b.denominator < b.numerator * a.denominator
 
 
 def strict_order_structure(module: OrderedModuleInstance) -> TopoStructure:

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordermetric import SetDistanceUndefined, build_bundle, cone_metric, hausdorff
 from ordermetric.cli import main
@@ -83,6 +87,20 @@ def test_verify_restricted_to_metric_checks(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "metric/d1" in out and "group/assoc" not in out
+
+
+@pytest.mark.parametrize("instance, n_max, row", [
+    ("r1-banach", "3", "(2/3)^n*2: fake limit 1/2 unresolved for n <= 3"),
+    ("cone2-shrink", "1", "(1, 1)/n: fake limit (1/2, 1/2) unresolved for n <= 1"),
+])
+def test_verify_unrefuted_fake_limit_in_a_short_window_skips(capsys, instance, n_max, row):
+    # the window is too short to refute the fake limit, which is no failure
+    rc = main(["verify", instance, "--checks", "seq/limit-uniqueness", "--n-max", n_max,
+               "--format", "machine-rows"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out == (f"seq/limit-uniqueness\t{instance}\tskip\t{row} "
+                   "(candidate not excluded within the window)\n")
 
 
 def test_verify_without_map_skips_map_checks(tmp_path, capsys):
@@ -320,3 +338,58 @@ def test_oversized_grid_exits_three_before_building(tmp_path, capsys, group, gri
     assert time.process_time() - start < 1
     assert rc == 3
     assert "grid too large (over 10000 points)" in capsys.readouterr().err
+
+
+# -- mutation fuzz -----------------------------------------------------------
+
+# an inserted token is one of the built-in texts' own tokens; a replaced one
+# after a line's "=" is a value, many of them bad, so that some mutants get
+# past the parser and run
+_FUZZ_TOKENS = sorted({tok for text in BUILTIN_INSTANCE_TEXTS.values() for tok in text.split()})
+_FUZZ_VALUES = ("0", "1", "1/2", "3/4", "2", "(1/2, 1/2)", "(0, 1)", "0;", "1/4;",
+                "-1", "1/0", "x", "(1, 2, 3)", "..", ";", "|")
+
+
+@st.composite
+def _mutated_builtin(draw):
+    """A built-in text after 1-6 mutations of its ``key = value`` lines, each
+    dropping, inserting, swapping or replacing one whitespace-separated token."""
+    lines = BUILTIN_INSTANCE_TEXTS[draw(st.sampled_from(sorted(BUILTIN_INSTANCE_TEXTS)))].splitlines()
+    entries = [at for at, line in enumerate(lines) if " = " in line]
+    for _ in range(draw(st.integers(1, 6))):
+        at = draw(st.sampled_from(entries))
+        tokens = lines[at].split()
+        op = draw(st.sampled_from(("replace", "drop", "insert", "swap")))
+        if op == "insert" or not tokens:
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(_FUZZ_TOKENS)))
+        elif op == "replace" and "=" in tokens[:-1]:
+            value = draw(st.integers(tokens.index("=") + 1, len(tokens) - 1))
+            tokens[value] = draw(st.sampled_from(_FUZZ_VALUES))
+        else:
+            i, j = draw(st.integers(0, len(tokens) - 1)), draw(st.integers(0, len(tokens) - 1))
+            if op == "swap":
+                tokens[i], tokens[j] = tokens[j], tokens[i]
+            else:
+                del tokens[i]
+        lines[at] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz") / "mutated.ini")
+
+
+@given(text=_mutated_builtin())
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+def test_mutated_builtin_texts_exit_with_a_documented_code(fuzz_path, text):
+    with open(fuzz_path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    for argv in (["verify", fuzz_path, "--checks", "map,endpoint",
+                  "--samples", "30", "--n-max", "30"],
+                 ["solve", fuzz_path]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (0, 1, 2, 3), (argv[0], text, rc)
+        assert "Traceback" not in out.getvalue() + err.getvalue(), (argv[0], text)

@@ -188,6 +188,24 @@ def test_hausdorff_identity_witness_names_the_set():
     assert (row.outcome, row.witness) == ("fail", "H(A, A) = 1 for A = {0; 1}")
 
 
+@pytest.mark.parametrize("true_limit, fake_limit, outcome, detail", [
+    (False, False, "fail", "1/n: true limit rejected (stub)"),
+    (True, True, "fail", "1/n: fake limit 1/2 not refuted"),
+    (True, None, "skip", "1/n: fake limit 1/2 unresolved for n <= 120 (stub)"),
+])
+def test_limit_uniqueness_row_reads_each_verdict(monkeypatch, true_limit, fake_limit,
+                                                 outcome, detail):
+    def stub(t, s, limit, candidate, eps_family, n_max):
+        verdict = true_limit if candidate == limit else fake_limit
+        return topo.LimitUniquenessResult(verdict, "stub")
+
+    monkeypatch.setattr(harness, "check_limit_uniqueness", stub)
+    spec = SuiteSpec(instances=("real-line",), checks=("seq/limit-uniqueness",),
+                     budgets=FAST)
+    row = run_suite(spec, builtin_bundles()).row("seq/limit-uniqueness", "real-line")
+    assert (row.outcome, row.witness) == (outcome, detail)
+
+
 def test_hausdorff_symmetry_witness_names_the_sets(monkeypatch):
     # the two-sided distance is symmetric by construction; one direction is not
     monkeypatch.setattr(harness, "hausdorff", cone_metric._directed)

@@ -116,6 +116,43 @@ def test_tabulated_sampler_draws_like_its_plain_definition(name, tabulated, plai
     assert new.getstate() == old.getstate()
 
 
+# -- the draws themselves ----------------------------------------------------
+
+_widths = st.sampled_from((1, 2, 4, 8, 16, 64, 97, 128))
+# a rectangular table of any of those widths, or ragged rows of width 2..17
+# like an interval carrier's
+_rows = st.one_of(
+    st.tuples(_widths, _widths).map(lambda shape: [shape[1]] * shape[0]),
+    st.lists(st.integers(2, 17), min_size=1, max_size=40),
+)
+
+
+@given(seed=st.integers(0, 2**64), width=_widths, draws=st.integers(1, 30))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_draw_is_an_entry_at_randrange_of_the_width(seed, width, draws):
+    table = tuple(range(width))
+    new, old = random.Random(seed), random.Random(seed)
+    got = [order_core._draw(new, table) for _ in range(draws)]
+    want = [table[old.randrange(len(table))] for _ in range(draws)]
+    assert got == want
+    assert new.getstate() == old.getstate()
+
+
+@given(seed=st.integers(0, 2**64), widths=_rows, draws=st.integers(1, 30))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_draw_entry_is_a_row_then_an_entry_at_randrange(seed, widths, draws):
+    rows = [tuple((i, j) for j in range(w)) for i, w in enumerate(widths)]
+    new, old = random.Random(seed), random.Random(seed)
+
+    def plain():
+        row = rows[old.randrange(len(rows))]
+        return row[old.randrange(len(row))]
+
+    got = [order_core._draw_entry(new, rows) for _ in range(draws)]
+    assert got == [plain() for _ in range(draws)]
+    assert new.getstate() == old.getstate()
+
+
 # -- the work the law rows do ------------------------------------------------
 
 LAW_CHECKS = tuple(c for c in ALL_CHECKS
@@ -124,7 +161,9 @@ LAW_CHECKS = tuple(c for c in ALL_CHECKS
 # Cauchy check that computed each distance once per tolerance; a construction
 # is a call of Fraction.__new__ or of order_core._q
 LAW_FRACTIONS_BEFORE_TABLES = 84_240
-LAW_DRAWS_BEFORE_TABLES = 38_158
+# the getrandbits calls of that spec, counted while each draw still went
+# through Random._randbelow: inlining the draw must consume the same randomness
+LAW_GETRANDBITS = 65_804
 
 
 def test_law_rows_draw_the_same_and_construct_fewer_fractions(monkeypatch):
@@ -134,7 +173,7 @@ def test_law_rows_draw_the_same_and_construct_fewer_fractions(monkeypatch):
     fractions, draws = [0], [0]
     raw_new = Fraction.__dict__["__new__"].__func__
     raw_q = order_core._q
-    raw_below = random.Random._randbelow
+    raw_bits = random.Random.getrandbits
 
     def counting_new(cls, *args, **kwargs):
         fractions[0] += 1
@@ -144,15 +183,15 @@ def test_law_rows_draw_the_same_and_construct_fewer_fractions(monkeypatch):
         fractions[0] += 1
         return raw_q(n, d)
 
-    def counting_below(self, width):
+    def counting_bits(self, k):
         draws[0] += 1
-        return raw_below(self, width)
+        return raw_bits(self, k)
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
     monkeypatch.setattr(order_core, "_q", counting_q)
-    monkeypatch.setattr(random.Random, "_randbelow", counting_below)
+    monkeypatch.setattr(random.Random, "getrandbits", counting_bits)
     report = run_suite(spec, bundles)
     monkeypatch.undo()
     assert report.ok
-    assert draws[0] == LAW_DRAWS_BEFORE_TABLES
+    assert draws[0] == LAW_GETRANDBITS
     assert fractions[0] <= 0.8 * LAW_FRACTIONS_BEFORE_TABLES, fractions[0]

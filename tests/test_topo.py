@@ -43,6 +43,7 @@ from ordermetric.topo import (
     _split_tolerance,
     _validate_eps,
 )
+from test_finite_tables import _rationals
 
 
 def brute_threshold(t, seq, limit, eps, horizon=4000):
@@ -458,14 +459,16 @@ def test_geometric_threshold_matches_brute_scan(rstruct, rmod, num, den):
 # -- sequence-layer kernel ---------------------------------------------------
 
 
-def test_interior_below_matches_subtraction_form(rstruct, cstruct2, cstruct3):
-    for t in (rstruct, cstruct2, cstruct3):
-        g = t.group
-        for a in g.edge_elements:
-            for b in g.edge_elements:
-                diff = g.sub(b, a)
-                coords = diff if isinstance(diff, tuple) else (diff,)
-                assert _interior_below(a, b) == all(c > 0 for c in coords), (a, b)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(
+    st.tuples(_rationals, _rationals),
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda n: st.tuples(st.tuples(*[_rationals] * n), st.tuples(*[_rationals] * n)))))
+def test_interior_below_matches_subtraction_form(pair):
+    # ints and Fractions mixed, so the int fallback is pinned too
+    a, b = pair
+    diff = tuple(y - x for x, y in zip(a, b)) if isinstance(a, tuple) else (b - a,)
+    assert _interior_below(a, b) == all(c > 0 for c in diff)
 
 
 def _kernel_sequences(module, coefficient):
