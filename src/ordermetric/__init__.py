@@ -41,7 +41,6 @@ from .topo import (
     check_regularity,
     check_topo_laws,
     constant,
-    finite_infimum,
     from_function,
     from_terms,
     geometric,
@@ -84,10 +83,8 @@ from .contraction import (
     c_condition_status,
     check_hypotheses,
     endpoints_bruteforce,
-    fixed_points_bruteforce,
     is_global_weak_contraction,
     is_weak_contraction,
-    singleton_lift,
     validate_witness,
 )
 from .solver import (
@@ -101,7 +98,6 @@ from .solver import (
     endpoint_census,
     endpoint_iff_report,
     iterate_endpoint,
-    single_valued_fixed_point_report,
 )
 from .harness import (
     ALL_CHECKS,

@@ -138,12 +138,6 @@ class SetValuedMap:
         return SetValuedMap(space, lambda x: _distinct(rule(x)), name)
 
 
-def singleton_lift(space: ConeMetricSpace, f: Callable[[Point], Point],
-                   name: str = "f") -> SetValuedMap:
-    """View a single-valued map as a set-valued one with singleton images."""
-    return SetValuedMap(space, lambda x: (f(x),), name)
-
-
 @dataclass(frozen=True)
 class EndpointSet:
     members: tuple
@@ -525,12 +519,6 @@ def endpoints_bruteforce(T: SetValuedMap) -> EndpointSet:
     if not T.space.finite:
         raise ValueError("brute-force endpoint scan needs a finite space")
     return EndpointSet(tuple(x for x in T.space.points if T.is_endpoint(x)))
-
-
-def fixed_points_bruteforce(T: SetValuedMap) -> tuple:
-    if not T.space.finite:
-        raise ValueError("brute-force fixed-point scan needs a finite space")
-    return tuple(x for x in T.space.points if x in T.images(x))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ import time
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from .order_core import (
@@ -81,6 +82,7 @@ from .solver import (
 from .instance_files import (
     BUILTIN_INSTANCE_TEXTS,
     InstanceBundle,
+    _scale_by,
     build_bundle,
     parse_instance_text,
     render_element_list,
@@ -196,7 +198,7 @@ def builtin_bundles() -> dict[str, InstanceBundle]:
         bundles.append(cone.replace(
             eps_family=cone.eps_family + (skew,),
             solver_eps=tuple(Fraction(1, 100) for _ in range(dim)),
-            banach_map=lambda x, f=factors: tuple(c * fc for c, fc in zip(x, f))))
+            banach_map=partial(_scale_by, f=factors)))
     return {b.name: b for b in bundles}
 
 

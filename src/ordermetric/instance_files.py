@@ -60,6 +60,7 @@ from .order_core import (
     OrderedModuleInstance,
     _draw_entry,
     _q_dist,
+    _q_mul,
     coord_cone_module,
     format_element,
     real_module,
@@ -237,9 +238,14 @@ def _assemble(sections, name: str) -> InstanceDescription:
 
 
 def _expect_dim(value, dim, lineno, what):
+    """``value`` if it is a scalar on the real family (``dim`` 1) or a tuple
+    of ``dim`` coordinates on a cone; else a parse error naming the line."""
     actual = len(value) if isinstance(value, tuple) else 1
     if actual != dim:
         raise InstanceFileError(f"{what} has dimension {actual}, expected {dim}", lineno)
+    if dim == 1 and isinstance(value, tuple):
+        raise InstanceFileError(
+            f"{what} {format_element(value)} is a tuple; the real family takes scalars", lineno)
     return value
 
 
@@ -342,9 +348,9 @@ def _parse_map(entries, space_kind, points, dim) -> dict:
             raise InstanceFileError(f"unknown map rule {rule!r}", ln_rule)
         ln_f, factors_text = _single(entries, "factors", required=True, section="map")
         factors = parse_element_list(factors_text, ln_f)
-        for f in factors:
-            if isinstance(f, tuple) and len(f) != dim:
-                raise InstanceFileError("tuple factor dimension mismatch", ln_f)
+        for f in factors:  # a scalar factor scales every coordinate of a cone
+            if isinstance(f, tuple):
+                _expect_dim(f, dim, ln_f, "factor")
         return {"map_kind": "rule", "map_factors": factors}
     if not images:
         raise InstanceFileError("map section needs image entries or a rule")
@@ -546,12 +552,13 @@ class InstanceBundle:
 
 
 def _scale_by(x, f):
-    """x scaled by f, coordinate by coordinate when f is a tuple."""
+    """x scaled by f on the exact kernel, coordinate by coordinate when f is
+    a tuple; every coordinate and factor is a Fraction."""
     if isinstance(f, tuple):
-        return tuple(c * fc for c, fc in zip(x, f))
+        return tuple(map(_q_mul, x, f))
     if isinstance(x, tuple):
-        return tuple(c * f for c in x)
-    return x * f
+        return tuple([_q_mul(c, f) for c in x])
+    return _q_mul(x, f)
 
 
 def _distance_magnitude(d) -> Fraction:

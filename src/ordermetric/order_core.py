@@ -163,8 +163,7 @@ class OrderedGroupInstance:
     exactly on identical elements. ``sampler`` draws arbitrary carrier
     elements, ``positive_sampler`` draws elements strictly above the
     identity; both take an explicit ``random.Random`` so every law check is
-    reproducible. ``meet`` (greatest lower bound) is optional and only
-    present when the order has one, e.g. coordinatewise min.
+    reproducible.
     """
 
     name: str
@@ -176,7 +175,6 @@ class OrderedGroupInstance:
     sampler: Callable[[random.Random], Element]
     positive_sampler: Callable[[random.Random], Element]
     edge_elements: tuple = ()
-    meet: Callable[[Element, Element], Element] | None = None
 
     def __post_init__(self):
         # standing assumption: the carrier is not just the identity
@@ -733,7 +731,6 @@ def real_group() -> OrderedGroupInstance:
         positive_sampler=_rand_positive_fraction,
         edge_elements=(Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
                        Fraction(-1, 2), Fraction(7, 3)),
-        meet=min,
     )
 
 
@@ -778,7 +775,6 @@ def coord_cone_group(dim: int) -> OrderedGroupInstance:
         sampler=sampler,
         positive_sampler=positive_sampler,
         edge_elements=edges,
-        meet=lambda a, b: tuple(min(x, y) for x, y in zip(a, b)),
     )
 
 

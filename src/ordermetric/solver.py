@@ -31,6 +31,7 @@ from .order_core import (
     LawResult,
     Order,
     SamplePlan,
+    _run_law,
     format_element,
     order_min,
 )
@@ -46,9 +47,7 @@ from .contraction import (
     c_condition_status,
     check_hypotheses,
     endpoints_bruteforce,
-    fixed_points_bruteforce,
     is_weak_contraction,
-    singleton_lift,
 )
 
 Point = object
@@ -266,9 +265,13 @@ def banach_iterate(m: ConeMetricSpace, f: Callable[[Point], Point], alpha,
                    cfg: SolverConfig, plan: SamplePlan | None = None) -> BanachReport:
     """Successive application of a ratio contraction with exact bounds.
 
-    Stops at an exact fixed point, or as soon as the step distance is
-    strictly dominated by (1 - alpha) * eps: the geometric tail then
-    guarantees the distance to the fixed point is strictly within eps.
+    First the ratio bound d(fx, fy) <= alpha * d(x, y) runs as one law on
+    the law runner, over every pair of a finite space or the seeded pairs
+    of ``plan``; its first failing pair ends the call as a hypothesis
+    violation. Then the iteration stops at an exact fixed point, or as
+    soon as the step distance is strictly dominated by (1 - alpha) * eps:
+    the geometric tail then guarantees the distance to the fixed point is
+    strictly within eps.
     Every trace row also carries the a-priori bound
     alpha^n * (1 - alpha)^{-1} * d(x0, x1).
     """
@@ -281,18 +284,22 @@ def banach_iterate(m: ConeMetricSpace, f: Callable[[Point], Point], alpha,
     eps = walk_tolerance(m, cfg.eps)
     x = m.require_member(cfg.seed_point)
 
-    # sampled contraction pre-check
     point, dist = _pair_reader(m)
-    for a, b in _distinct_pairs(m, plan, "banach-precheck"):
+
+    def ratio_bound(a, b):
         x_a, x_b = point(a), point(b)
         lhs = m.distance(f(x_a), f(x_b))
         rhs = module.scale(alpha, dist(a, b))
         if not g.leq(lhs, rhs):
-            return BanachReport(
-                SolverOutcome.HYPOTHESIS_VIOLATION, (), alpha,
-                message=(f"contraction bound fails at x={format_element(x_a)}, "
-                         f"y={format_element(x_b)}: d(fx, fy)={format_element(lhs)} exceeds "
-                         f"{format_element(rhs)}"))
+            return (f"contraction bound fails at x={format_element(x_a)}, "
+                    f"y={format_element(x_b)}: d(fx, fy)={format_element(lhs)} exceeds "
+                    f"{format_element(rhs)}")
+
+    precheck = _run_law("banach-precheck", _distinct_pairs(m, plan, "banach-precheck"),
+                        ratio_bound)
+    if not precheck.passed:
+        return BanachReport(SolverOutcome.HYPOTHESIS_VIOLATION, (), alpha,
+                            message=precheck.witness)
 
     stop_scale = module.scale(1 - alpha, eps)
     inv_gap = 1 / (1 - alpha)
@@ -323,7 +330,7 @@ def banach_iterate(m: ConeMetricSpace, f: Callable[[Point], Point], alpha,
 
 
 # ---------------------------------------------------------------------------
-# equivalence and single-valued reports
+# equivalence reports
 
 
 @dataclass(frozen=True)
@@ -344,10 +351,6 @@ class IffReport:
         if self.status != "checked":
             return None
         return self.endpoint_exists == self.infsup_is_zero
-
-    @property
-    def solver_defect(self) -> bool:
-        return self.status == "checked" and not self.equivalent
 
 
 def endpoint_census(T: SetValuedMap) -> IffReport:
@@ -388,33 +391,3 @@ def endpoint_iff_report(T: SetValuedMap, w: ContractionWitness,
         return IffReport("skipped", f"convergence condition not certified: {cstat.justification}")
     return endpoint_census(T)
 
-
-@dataclass(frozen=True)
-class SingleValuedReport:
-    status: str  # checked | skipped
-    reason: str = ""
-    solver: SolverReport | None = None
-    brute_fixed_points: tuple = ()
-    agrees: bool | None = None
-
-
-def single_valued_fixed_point_report(m: ConeMetricSpace, f: Callable[[Point], Point],
-                                     w: ContractionWitness, cfg: SolverConfig,
-                                     plan: SamplePlan | None = None) -> SingleValuedReport:
-    """Run the endpoint walk on the singleton lift of a single-valued map
-    and, on finite spaces, compare against the brute-force fixed points.
-
-    For singleton images an endpoint is exactly a fixed point, so a passing
-    one-sided bound check already forces uniqueness of the target."""
-    T = singleton_lift(m, f)
-    weak = is_weak_contraction(T, w, plan)
-    if not weak.passed:
-        return SingleValuedReport("skipped",
-                                  f"one-sided bound check failed: {weak.witness}")
-    report = iterate_endpoint(T, w, cfg, plan)
-    if not m.finite:
-        return SingleValuedReport("checked", "", report, (), None)
-    brute = fixed_points_bruteforce(T)
-    agrees = (report.outcome is SolverOutcome.ENDPOINT_FOUND
-              and len(brute) == 1 and brute[0] == report.endpoint)
-    return SingleValuedReport("checked", "", report, brute, agrees)

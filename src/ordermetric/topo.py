@@ -32,15 +32,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .order_core import (
     Element,
     DomainError,
-    IncomparableError,
     LawReport,
     LawResult,
-    Order,
     OrderedGroupInstance,
     OrderedModuleInstance,
     SamplePlan,
@@ -674,31 +672,6 @@ class RegularityReport:
         return all(r.status == "converges" for r in self.rows)
 
 
-def finite_infimum(g: OrderedGroupInstance, items: Iterable[Element]) -> Element:
-    """Greatest lower bound of finitely many elements.
-
-    Uses the instance's meet when it has one (coordinatewise min for the
-    built-ins); otherwise falls back to selecting a least element and
-    raises if incomparability blocks that.
-    """
-    vals = [g.coerce(v) for v in items]
-    if not vals:
-        raise ValueError("infimum of empty collection")
-    if g.meet is not None:
-        out = vals[0]
-        for v in vals[1:]:
-            out = g.meet(out, v)
-        return out
-    for candidate in vals:
-        if all(g.leq(candidate, v) for v in vals):
-            return candidate
-    for i, a in enumerate(vals):
-        for b in vals[i + 1:]:
-            if g.cmp(a, b) is Order.INCOMPARABLE:
-                raise IncomparableError(a, b, "infimum")
-    raise ValueError("no least element among candidates")
-
-
 def constant_tail_start(g: OrderedGroupInstance, s, n_max: int) -> int:
     """Smallest index i such that every term of ``s`` from i through the
     window end equals the final term under ``g.eq``; the window end itself
@@ -715,9 +688,10 @@ def check_regularity(t: TopoStructure, sequences: Sequence[PositiveSequence],
                      eps_family: Sequence[Element], n_max: int) -> RegularityReport:
     """For each decreasing positive sequence, try to certify its convergence.
 
-    The limit is the declared one for closed forms, the stabilized tail for
-    explicit prefixes, or the finite infimum of the materialized terms as a
-    last resort; rows that cannot be resolved say so rather than guessing.
+    The limit is the declared one for closed forms. A decreasing explicit
+    prefix is a descending chain, so its infimum in the window is its term
+    at the window end, and that is its limit; rows that do not certify say
+    so rather than guessing.
     """
     g = t.group
     rows = []
@@ -728,18 +702,7 @@ def check_regularity(t: TopoStructure, sequences: Sequence[PositiveSequence],
         if bad is not None:
             rows.append(RegularityRow(s.name, bad, None, "not-decreasing"))
             continue
-        if s.closed_form:
-            limit = s.declared_limit
-        else:
-            limit = s.term(cap) if constant_tail_start(g, s, n_max) < cap else None
-            if limit is None:
-                try:
-                    limit = finite_infimum(g, [s.term(n) for n in range(1, cap + 1)])
-                except (IncomparableError, ValueError):
-                    limit = None
-        if limit is None:
-            rows.append(RegularityRow(s.name, None, None, "unresolved"))
-            continue
+        limit = s.declared_limit if s.closed_form else s.term(cap)
         outcomes = verify_convergence(t, s, limit, eps_family, n_max)
         status = "converges" if all(is_certificate(o) for o in outcomes) else "unresolved"
         rows.append(RegularityRow(s.name, None, limit, status))

@@ -346,7 +346,7 @@ def test_oversized_grid_exits_three_before_building(tmp_path, capsys, group, gri
 # after a line's "=" is a value, many of them bad, so that some mutants get
 # past the parser and run
 _FUZZ_TOKENS = sorted({tok for text in BUILTIN_INSTANCE_TEXTS.values() for tok in text.split()})
-_FUZZ_VALUES = ("0", "1", "1/2", "3/4", "2", "(1/2, 1/2)", "(0, 1)", "0;", "1/4;",
+_FUZZ_VALUES = ("0", "1", "1/2", "3/4", "2", "(1/2)", "(1/2, 1/2)", "(0, 1)", "0;", "1/4;",
                 "-1", "1/0", "x", "(1, 2, 3)", "..", ";", "|")
 
 

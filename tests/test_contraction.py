@@ -21,7 +21,6 @@ from ordermetric import (
     is_global_weak_contraction,
     is_weak_contraction,
     point_seq,
-    singleton_lift,
     validate_witness,
     weak_contraction_corpus,
 )
@@ -275,11 +274,6 @@ def test_two_endpoints_refute_the_bound(rstruct):
     assert len(endpoints_bruteforce(T)) == 2
     report = is_weak_contraction(T, HALF)
     assert not report.passed
-
-
-def test_singleton_lift(real_line_space):
-    T = singleton_lift(real_line_space, lambda x: x / 2)
-    assert T.images(Fraction(1, 2)) == (Fraction(1, 4),)
 
 
 def test_duplicate_image_entries_collapse(rstruct):

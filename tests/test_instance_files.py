@@ -496,7 +496,7 @@ BAD_FILES = [
     ("unknown-rule", _MAP + "rule = shift\n", "line 12: unknown map rule 'shift'"),
     ("factor-dimension", _CONE + "interval = (0, 0) .. (1, 1)\nmetric = coordinatewise\n"
      "\n[map]\nrule = scale\nfactors = (1/2, 1/2, 1/2)\n",
-     "line 14: tuple factor dimension mismatch"),
+     "line 14: factor has dimension 3, expected 2"),
     ("no-images", _MAP + "factors = 1/2\n", "map section needs image entries or a rule"),
     ("images-on-interval", _REAL + "interval = 0 .. 1\nmetric = abs\n\n[map]\nimage 0 = 0\n",
      "line 12: image tables need a finite carrier"),
@@ -557,6 +557,21 @@ BAD_FILES = [
      "line 13: scalar-function witnesses need the real family"),
     ("psi-name", _WITNESS + "class = psi\npsi = third\n", "line 13: unknown psi name 'third'"),
     ("witness-class", _WITNESS + "class = beta\n", "line 12: unknown witness class 'beta'"),
+    # a one-coordinate tuple in each element slot of the real family
+    ("real-tuple-point", _REAL + "points = (0); (1/2); (1)\nmetric = abs\n",
+     "line 8: point (0) is a tuple; the real family takes scalars"),
+    ("real-tuple-grid", _REAL + "grid = (0) .. 1 step 1/2\nmetric = abs\n",
+     "line 8: grid corner (0) is a tuple; the real family takes scalars"),
+    ("real-tuple-interval", _REAL + "interval = 0 .. (1)\nmetric = abs\n",
+     "line 8: interval corner (1) is a tuple; the real family takes scalars"),
+    ("real-tuple-table-entry", _REAL + "points = 0; 1\nmetric = table\nrow = 0; (1)\nrow = 1; 0\n",
+     "line 10: table entry (1) is a tuple; the real family takes scalars"),
+    ("real-tuple-factor", _MAP + "rule = scale\nfactors = 1/2; (1/2)\n",
+     "line 13: factor (1/2) is a tuple; the real family takes scalars"),
+    ("real-tuple-sequence", _SEQS + "seq = harmonic (1)\n",
+     "line 12: sequence coefficient (1) is a tuple; the real family takes scalars"),
+    ("real-tuple-phi", _WITNESS + "class = phi-table\nphi 0 | 1 = (1/4)\n",
+     "line 13: phi value (1/4) is a tuple; the real family takes scalars"),
 ]
 
 
@@ -568,3 +583,15 @@ def test_bad_instance_file_exits_three(tmp_path, capsys, text, message):
     for command in ("verify", "solve"):
         assert main([command, str(path)]) == 3, command
         assert capsys.readouterr() == ("", f"parse error: {message}\n"), command
+
+
+_REAL_TUPLE_FILES = [row for row in BAD_FILES if row[0].startswith("real-tuple-")]
+
+
+@pytest.mark.parametrize("text, message", [row[1:] for row in _REAL_TUPLE_FILES],
+                         ids=[row[0] for row in _REAL_TUPLE_FILES])
+def test_real_family_tuple_is_refused_by_export_too(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.ini"
+    path.write_text(text, encoding="utf-8")
+    assert main(["export", str(path)]) == 3
+    assert capsys.readouterr() == ("", f"parse error: {message}\n")

@@ -28,7 +28,6 @@ from ordermetric import (
     min_positive_distance,
     parse_instance_text,
     run_suite,
-    single_valued_fixed_point_report,
 )
 
 HALF = ContractionWitness(WitnessClass.ALPHA_CONSTANT, alpha_const=Fraction(1, 2))
@@ -243,11 +242,27 @@ def test_banach_vector_componentwise_rates(box2_space):
         assert g.leq(step.step_distance, step.apriori_bound)
 
 
-def test_banach_rejects_non_contraction(real_line_space):
-    cfg = SolverConfig(eps=Fraction(1, 64), seed_point=Fraction(1, 2), max_iter=10)
-    rep = banach_iterate(real_line_space, lambda x: 1 - x, Fraction(1, 2), cfg)
-    assert rep.outcome is SolverOutcome.HYPOTHESIS_VIOLATION
-    assert "exceeds" in rep.message
+def test_banach_rejects_non_contraction(real_line_space, box2_space, dilation):
+    """The pre-check names the first sampled pair, or on a finite space the
+    first pair of positions, whose images break the ratio bound."""
+    q = Fraction
+    three, _ = dilation
+    cases = [
+        (real_line_space, lambda x: 1 - x, q(1, 2),
+         "contraction bound fails at x=9/11, y=1/4: d(fx, fy)=25/44 exceeds 25/88"),
+        (box2_space, lambda x: (x[0] / 2, 1 - x[1]), (q(1, 2), q(1, 2)),
+         "contraction bound fails at x=(9/11, 1/4), y=(1, 0): d(fx, fy)=(1/11, 1/4) "
+         "exceeds (1/11, 1/8)"),
+        # fixes 0 and 1: the first pair in position order, (0, 1/4), holds
+        (three, {q(0): q(0), q(1, 4): q(0), q(1): q(1)}.__getitem__, q(1),
+         "contraction bound fails at x=0, y=1: d(fx, fy)=1 exceeds 1/2"),
+    ]
+    for space, f, seed, message in cases:
+        eps = tuple(q(1, 64) for _ in seed) if isinstance(seed, tuple) else q(1, 64)
+        cfg = SolverConfig(eps=eps, seed_point=seed, max_iter=10)
+        rep = banach_iterate(space, f, q(1, 2), cfg)
+        assert rep.outcome is SolverOutcome.HYPOTHESIS_VIOLATION
+        assert (rep.message, rep.trace) == (message, ())
 
 
 # -- equivalence reports ------------------------------------------------------
@@ -258,7 +273,6 @@ def test_iff_report_endpoint_instance(dilation):
     rep = endpoint_iff_report(T, HALF)
     assert rep.status == "checked"
     assert rep.endpoint_exists and rep.infsup_is_zero and rep.equivalent
-    assert not rep.solver_defect
 
 
 def test_iff_report_both_sides_false(rstruct):
@@ -362,26 +376,6 @@ def test_iff_report_skips_an_incomparable_inf_sup():
                     "solver/oracle-agreement": (
                         "skip", "walk tolerance undefined: minimum positive distance: "
                                 "incomparable pair (1, 0) , (0, 1)")}
-
-
-def test_single_valued_report_agrees_with_scan(dilation):
-    space, _ = dilation
-    f = {Fraction(0): Fraction(0), Fraction(1, 4): Fraction(0),
-         Fraction(1): Fraction(1, 4)}.get
-    cfg = SolverConfig(eps=Fraction(1, 16), seed_point=Fraction(1), max_iter=50)
-    rep = single_valued_fixed_point_report(space, f, HALF, cfg)
-    assert rep.status == "checked"
-    assert rep.brute_fixed_points == (Fraction(0),)
-    assert rep.agrees
-
-
-def test_single_valued_report_rejects_two_fixed_points(rstruct):
-    space = ConeMetricSpace("two", rstruct, lambda x, y: abs(x - y),
-                            points=(Fraction(0), Fraction(1)))
-    cfg = SolverConfig(eps=Fraction(1, 16), seed_point=Fraction(0), max_iter=10)
-    rep = single_valued_fixed_point_report(space, lambda x: x, HALF, cfg)
-    assert rep.status == "skipped"
-    assert "bound check failed" in rep.reason
 
 
 def test_point_dependent_ratio_route(dilation):

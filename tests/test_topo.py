@@ -21,7 +21,6 @@ from ordermetric import (
     check_topo_laws,
     constant,
     default_suite,
-    finite_infimum,
     from_function,
     from_terms,
     geometric,
@@ -398,7 +397,7 @@ def test_sandwich_failure_past_the_dominated_tail(rstruct, rmod):
         reason="difference violates the tolerance past the dominated tail")]
 
 
-# -- regularity and infimum -------------------------------------------------
+# -- regularity ------------------------------------------------------------
 
 
 def test_regularity_closed_forms(rstruct, rmod):
@@ -424,13 +423,28 @@ def test_regularity_flags_non_decreasing(rstruct, rmod):
     assert report.rows[0].first_bad_index is not None
 
 
-def test_finite_infimum_vector_meet(cmod2):
-    g = cmod2.group
-    inf = finite_infimum(g, [(Fraction(1), Fraction(2)), (Fraction(2), Fraction(1))])
-    assert inf == (Fraction(1), Fraction(1))
-    # below every member, above the obvious lower bound
-    assert g.leq(inf, (Fraction(1), Fraction(2)))
-    assert g.leq((Fraction(0), Fraction(0)), inf)
+def test_regularity_explicit_prefix_limit_is_its_window_end(rstruct, rmod, cstruct2, cmod2):
+    """A decreasing explicit prefix is a descending chain, so its limit is
+    its last term in the window: with a constant tail, without one, and for
+    a single term, on the line and on cone-2."""
+    q = Fraction
+    line = [from_terms(rmod, [1, q(1, 2), q(1, 4), q(1, 4), q(1, 4)], "tail"),
+            from_terms(rmod, [1, q(1, 2), q(1, 3), q(1, 4)], "strict"),
+            from_terms(rmod, [q(2, 3)], "single")]
+    report = check_regularity(rstruct, line, [q(1, 10)], 150)
+    assert [(r.limit, r.status) for r in report.rows] == [
+        (q(1, 4), "converges"), (q(1, 4), "converges"), (q(2, 3), "converges")]
+    cone = [from_terms(cmod2, [(1, 1), (q(1, 2), 1), (0, q(1, 2)), (0, q(1, 2))], "tail"),
+            from_terms(cmod2, [(1, 2), (q(1, 2), 2), (q(1, 2), 1), (q(1, 3), q(1, 2))], "strict"),
+            from_terms(cmod2, [(q(1, 2), q(3, 4))], "single")]
+    tol = [(q(1, 10), q(1, 10))]
+    report = check_regularity(cstruct2, cone, tol, 150)
+    assert [(r.limit, r.status) for r in report.rows] == [
+        ((0, q(1, 2)), "converges"), ((q(1, 3), q(1, 2)), "converges"),
+        ((q(1, 2), q(3, 4)), "converges")]
+    # a window shorter than the prefix ends at its own last term
+    report = check_regularity(cstruct2, cone[1:2], tol, 2)
+    assert [(r.limit, r.status) for r in report.rows] == [((q(1, 2), 2), "converges")]
 
 
 # -- two-sided characterization --------------------------------------------
