@@ -18,6 +18,7 @@ identity).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .order_core import DomainError, IncomparableError, format_element
@@ -65,7 +66,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process: built on first use, and only read after."""
     parser = _Parser(
         prog="ordermetric",
         description="exact checks and solvers for ordered-group-valued metrics")

@@ -6,7 +6,10 @@ lifetime, each a ``functools.cached_property`` computed on first use: the
 index from each point to its first position, which membership reads, and
 the N x N distance table: the exhaustive pair scans of ``contraction``
 visit that many pairs anyway, and read each distance from the table by
-position instead of recomputing it. Sampled spaces keep neither.
+position instead of recomputing it. The table hashes nothing: equal
+distances share an object only with their mirror or the diagonal, so an
+identity-keyed memo over it sees one object per unordered pair. Sampled
+spaces keep neither.
 
 The set distance is restricted to finite subsets: in a genuinely partial
 order the inner min/max may simply not exist, so every fold checks
@@ -100,10 +103,23 @@ class ConeMetricSpace:
     @cached_property
     def _distances(self) -> list:
         """The distance table of a finite space: one list, row by row, filled
-        through ``distance``; equal distances share one object, so it holds
-        each value once."""
-        pts, distance, share = self.points, self.distance, {}.setdefault
-        return [share(d, d) for x in pts for y in pts for d in [distance(x, y)]]
+        through ``distance`` in that order. d(y, x) is stored as the object
+        d(x, y) when the two are equal, and each diagonal entry as the first
+        one when they are equal, so a memo keyed by identity sees each
+        unordered pair once; equal values elsewhere stay separate objects,
+        and nothing is hashed."""
+        pts, distance = self.points, self.distance
+        n = len(pts)
+        table = [None] * (n * n)  # sized exactly: a space keeps its table
+        for i, x in enumerate(pts):
+            row = [distance(x, y) for y in pts]
+            for j, mirror in enumerate(table[i:i * n:n]):  # d(x_j, x) for j < i
+                if row[j] == mirror:
+                    row[j] = mirror
+            if i and row[i] == table[0]:
+                row[i] = table[0]
+            table[i * n:i * n + n] = row
+        return table
 
     def _distance_by_position(self) -> Callable[[int, int], Element]:
         """``dist(i, j)`` = d(points[i], points[j]) on a finite space, read

@@ -10,13 +10,16 @@ otherwise, always with a concrete counterexample on failure.
 On a finite space the scans work on positions: the pair stream yields
 position pairs, telling equal points apart by their first positions
 instead of comparing points, a map records its images as positions once,
-and every distance is read from the space's table (see ``cone_metric``).
+and every distance is read from the space's flat table by position (see
+``cone_metric``). The hot laws compare through the group's ``cmp`` and
+test its outcome against the ``Order`` singletons by identity.
 An image point outside a finite space is a ``DomainError`` naming it.
 Sampled spaces keep working on points, with the same seeded streams.
 
 Each check runs its pair laws on the one law runner, in one pass over a
 pair stream that reads each distance and bound once (one memo lookup a
-pair for a bound of the distance alone), and returns the runner's
+pair for a bound of the distance alone, keyed by the distance object, so
+one bound per unordered pair of a finite space), and returns the runner's
 ``LawResult`` or ``LawReport``; on a finite space the walk hypotheses
 (the global bound and the witness obligations) share one pass.
 Every step that can raise runs inside the stream or in the first call of
@@ -39,9 +42,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import starmap
 from typing import Callable, Mapping, Sequence
 
 from .order_core import (
+    _EQUAL,
+    _GREATER,
+    _LESS,
     DomainError,
     Element,
     LawReport,
@@ -325,7 +332,8 @@ def _scan(T: SetValuedMap, w: ContractionWitness, plan: SamplePlan | None, label
           laws: list) -> list:
     """Each law's outcome over the pair stream ``label``. A law takes
     ``(a, b, d, bound)``: entries, distance and witness bound, each read once
-    for all laws, and a bound of the distance alone once per distinct value.
+    for all laws, and a bound of the distance alone once per distance object
+    (on a finite space, once per unordered pair: see ``_distances``).
     Drawing the pairs and filling the table run inside the stream, so the
     runner holds their errors for every law."""
     space, phi = T.space, w.phi
@@ -333,16 +341,19 @@ def _scan(T: SetValuedMap, w: ContractionWitness, plan: SamplePlan | None, label
 
     def stream():
         pairs = _distinct_pairs(space, plan or SamplePlan(), label)
-        point, dist = _pair_reader(space)
+        point = _point_reader(space)
+        if space.finite:
+            table, n = space._distances, len(space.points)
+            dists = [table[a * n + b] for a, b in pairs]
+        else:
+            dists = starmap(space.distance, pairs)
         if not by_distance:
-            for a, b in pairs:
-                d = dist(a, b)
+            for (a, b), d in zip(pairs, dists):
                 yield a, b, d, phi(space, point(a), point(b), d)
             return
         memo: dict = {}  # id of a distance -> its bound
         held = []  # the distances memo has seen: holding them keeps their ids unique
-        for a, b in pairs:
-            d = dist(a, b)
+        for (a, b), d in zip(pairs, dists):
             bound = memo.get(id(d))
             if bound is None:
                 bound = memo[id(d)] = phi(space, point(a), point(b), d)
@@ -357,30 +368,40 @@ def _image_law(T: SetValuedMap, kind: str) -> tuple:
     some, or every, image point of y within the bound of each one of x; a
     failure names the first such x' and, for ``global``, its first y' beyond
     the bound. Its first call reads the images, so the runner holds their
-    errors for this law alone."""
-    space, leq, weak = T.space, T.space.group.leq, kind == "weak"
-    point = dist = images = None
+    errors for this law alone. On a finite space each distance is read from
+    the table by position."""
+    space, cmp, weak = T.space, T.space.group.cmp, kind == "weak"
+    distance, finite = space.distance, space.finite
+    point = images = table = None
+    n = 0
 
     def law(a, b, d, bound):
-        nonlocal point, dist, images
+        nonlocal point, images, table, n
         if images is None:
-            point, dist = _pair_reader(space)
-            images = T._image_positions.__getitem__ if space.finite else T.images
+            point = _point_reader(space)
+            if finite:
+                table, n = space._distances, len(space.points)
+                images = T._image_positions.__getitem__
+            else:
+                images = T.images
         ty = images(b)
-        if weak:
-            for xp in images(a):
+        for xp in images(a):
+            at = xp * n if finite else None
+            if weak:
                 for yp in ty:
-                    if leq(dist(xp, yp), bound):
+                    rel = cmp(table[at + yp] if finite else distance(xp, yp), bound)
+                    if rel is _LESS or rel is _EQUAL:
                         break
                 else:
                     return (f"{_pair_text(point, a, b, xp)}: no image point of y within "
                             f"{format_element(bound)}")
-        else:
-            for xp in images(a):
+            else:
                 for yp in ty:
-                    if not leq(dist(xp, yp), bound):
+                    dxy = table[at + yp] if finite else distance(xp, yp)
+                    rel = cmp(dxy, bound)
+                    if rel is not _LESS and rel is not _EQUAL:
                         return (f"{_pair_text(point, a, b, xp)}, y'={format_element(point(yp))}: "
-                                f"d={format_element(dist(xp, yp))} exceeds {format_element(bound)}")
+                                f"d={format_element(dxy)} exceeds {format_element(bound)}")
 
     return kind, law
 
@@ -405,9 +426,10 @@ def is_global_weak_contraction(T: SetValuedMap, w: ContractionWitness,
 
 def _witness_laws(T: SetValuedMap, w: ContractionWitness) -> list:
     g, point = T.space.group, _point_reader(T.space)
+    cmp, zero = g.cmp, g.identity
 
     def phi_strictly_below(a, b, d, bound):
-        if g.is_positive(d) and not g.lt(bound, d):
+        if cmp(d, zero) is _GREATER and cmp(bound, d) is not _LESS:
             return (f"x={format_element(point(a))}, y={format_element(point(b))}: bound "
                     f"{format_element(bound)} not strictly below {format_element(d)}")
 

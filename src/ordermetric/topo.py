@@ -689,9 +689,11 @@ def check_regularity(t: TopoStructure, sequences: Sequence[PositiveSequence],
     """For each decreasing positive sequence, try to certify its convergence.
 
     The limit is the declared one for closed forms. A decreasing explicit
-    prefix is a descending chain, so its infimum in the window is its term
-    at the window end, and that is its limit; rows that do not certify say
-    so rather than guessing.
+    prefix that the window covers whole is a descending chain, so its last
+    term is its infimum and its limit. A window that ends before the prefix
+    does cannot name a limit (the terms past it may still fall), so that
+    row is ``unresolved`` with none; rows that do not certify say so rather
+    than guessing.
     """
     g = t.group
     rows = []
@@ -701,6 +703,9 @@ def check_regularity(t: TopoStructure, sequences: Sequence[PositiveSequence],
                     if not g.leq(s.term(n + 1), s.term(n))), None)
         if bad is not None:
             rows.append(RegularityRow(s.name, bad, None, "not-decreasing"))
+            continue
+        if not s.closed_form and cap < s.length:
+            rows.append(RegularityRow(s.name, None, None, "unresolved"))
             continue
         limit = s.declared_limit if s.closed_form else s.term(cap)
         outcomes = verify_convergence(t, s, limit, eps_family, n_max)

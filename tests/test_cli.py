@@ -1,5 +1,7 @@
+import collections
 import contextlib
 import io
+import random
 import time
 from fractions import Fraction
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordermetric import SetDistanceUndefined, build_bundle, cone_metric, hausdorff
+from ordermetric import SetDistanceUndefined, build_bundle, cli, cone_metric, hausdorff
 from ordermetric.cli import main
 from ordermetric.instance_files import BUILTIN_INSTANCE_TEXTS, parse_instance_text
 
@@ -261,6 +263,24 @@ def test_usage_errors_exit_three(argv, capsys):
     assert err.startswith("usage:") and "error:" in err
 
 
+def test_the_parser_is_built_once_per_process(capsys):
+    bad = ["verify", "three-point", "--samples", "0"]
+    cli._build_parser.cache_clear()
+    with pytest.raises(SystemExit) as first:
+        main(bad)
+    fresh = capsys.readouterr()
+    cli._build_parser.cache_clear()
+    assert main(["export", "three-point"]) == 0
+    assert main(["verify", "three-point", "--checks", "metric"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as later:
+        main(bad)
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert first.value.code == later.value.code == 3
+    assert capsys.readouterr() == fresh
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--help"])
@@ -380,16 +400,60 @@ def fuzz_path(tmp_path_factory):
     return str(tmp_path_factory.mktemp("fuzz") / "mutated.ini")
 
 
-@given(text=_mutated_builtin())
-@settings(max_examples=250, deadline=None, derandomize=True, database=None)
-def test_mutated_builtin_texts_exit_with_a_documented_code(fuzz_path, text):
+def _run_mutant(fuzz_path, text) -> list:
+    """``(command, exit code)`` of ``verify --checks map,endpoint`` and
+    ``solve`` on ``text``, each checked to end without a traceback."""
     with open(fuzz_path, "w", encoding="utf-8") as fh:
         fh.write(text)
+    codes = []
     for argv in (["verify", fuzz_path, "--checks", "map,endpoint",
                   "--samples", "30", "--n-max", "30"],
                  ["solve", fuzz_path]):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = main(argv)
-        assert rc in (0, 1, 2, 3), (argv[0], text, rc)
         assert "Traceback" not in out.getvalue() + err.getvalue(), (argv[0], text)
+        codes.append((argv[0], rc))
+    return codes
+
+
+@given(text=_mutated_builtin())
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+def test_mutated_builtin_texts_exit_with_a_documented_code(fuzz_path, text):
+    for command, rc in _run_mutant(fuzz_path, text):
+        assert rc in (0, 1, 2, 3), (command, text, rc)
+
+
+# whole values for the value fuzz: each replaces everything after a line's
+# "=", so that ratios of 1 or 2 (``factors = 1``, ``alpha = 1``) reach the
+# hypothesis checks and the checks themselves, not only the parser
+_WHOLE_VALUES = ("0", "1", "2", "1/2", "3/4", "-1", "(1/2, 1/2)", "(1, 1)", "(0, 1)",
+                 "0 .. 2", "0; 1", "1/0", "x")
+# the keys that choose a family, a dimension, a structure, a metric or a
+# witness class rather than a quantity; the token fuzz above covers them
+_NAMING_KEYS = ("family", "dimension", "kind", "metric", "class")
+
+
+def _value_mutants(seed: int, count: int):
+    """``count`` built-in texts, each with the values of one or two of its
+    quantity lines replaced whole, drawn from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    names = sorted(BUILTIN_INSTANCE_TEXTS)
+    for _ in range(count):
+        lines = BUILTIN_INSTANCE_TEXTS[rng.choice(names)].splitlines()
+        entries = [at for at, line in enumerate(lines)
+                   if " = " in line and line.split()[0] not in _NAMING_KEYS]
+        for _ in range(rng.randint(1, 2)):
+            at = rng.choice(entries)
+            lines[at] = lines[at].split(" = ")[0] + " = " + rng.choice(_WHOLE_VALUES)
+        yield "\n".join(lines) + "\n"
+
+
+def test_value_mutants_reach_every_exit_code(fuzz_path):
+    seen = collections.Counter()
+    for text in _value_mutants(0, 300):
+        seen.update(_run_mutant(fuzz_path, text))
+    # verify reports a broken hypothesis as a failed row (1), solve as 2
+    assert dict(seen) == {("verify", 0): 8, ("verify", 1): 24, ("verify", 3): 268,
+                          ("solve", 0): 19, ("solve", 1): 2, ("solve", 2): 11,
+                          ("solve", 3): 268}

@@ -301,6 +301,85 @@ def test_a_metric_error_leaves_the_table_empty():
     assert min_positive_distance(space) == 1
 
 
+def _asymmetric(x, y):
+    # a quasi-metric: going down costs the gap, going up twice the gap
+    return x - y if x >= y else 2 * (y - x)
+
+
+def _coordinatewise(x, y):
+    return tuple(abs(a - b) for a, b in zip(x, y))
+
+
+_SMALL = st.sampled_from([F(0), F(1), F(1, 2), F(-1, 3), F(3, 4), F(2)])
+
+
+@st.composite
+def _finite_spaces(draw):
+    """A finite space of 1-6 points, repeats allowed, under a symmetric,
+    an asymmetric or a cone-valued metric."""
+    kind = draw(st.sampled_from(["abs", "asymmetric", "cone"]))
+    if kind == "cone":
+        pts = tuple(draw(st.lists(st.tuples(_SMALL, _SMALL), min_size=1, max_size=6)))
+        return ConeMetricSpace("drawn", interior_cone_structure(coord_cone_module(2)),
+                               _coordinatewise, points=pts)
+    metric = (lambda x, y: abs(x - y)) if kind == "abs" else _asymmetric
+    pts = tuple(draw(st.lists(_SMALL, min_size=1, max_size=6)))
+    return ConeMetricSpace("drawn", strict_order_structure(real_module()), metric, points=pts)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_finite_spaces())
+def test_table_equals_the_point_by_point_distances(space):
+    pts, n = space.points, len(space.points)
+    table = space._distances
+    assert table == [space.distance(x, y) for x in pts for y in pts]
+    # a mirror entry is its pair's object exactly when the two are equal,
+    # and so is a diagonal entry equal to the first one
+    for i in range(n):
+        for j in range(i):
+            assert (table[i * n + j] is table[j * n + i]) == (table[i * n + j] == table[j * n + i])
+        if table[i * n + i] == table[0]:
+            assert table[i * n + i] is table[0]
+
+
+@pytest.mark.parametrize("fail_at", [1, 2, 4, 5, 9, 16])
+def test_a_metric_error_mid_fill_is_the_first_row_major_one(fail_at):
+    pts = (F(0), F(1), F(3), F(1))
+    order = [(x, y) for x in pts for y in pts]
+    seen = []
+
+    def metric(x, y):
+        seen.append((x, y))
+        if len(seen) >= fail_at:
+            raise ValueError(f"metric failed at ({x}, {y})")
+        return abs(x - y)
+
+    space = ConeMetricSpace("flaky", strict_order_structure(real_module()), metric, points=pts)
+    x, y = order[fail_at - 1]
+    with pytest.raises(ValueError) as exc:
+        space._distances
+    assert str(exc.value) == f"metric failed at ({x}, {y})"
+    assert seen == order[:fail_at]
+    assert "_distances" not in vars(space)
+
+
+def test_filling_the_ladder_table_hashes_nothing(monkeypatch):
+    space = build_bundle(load_instance(LADDER)).space
+    calls = [0]
+    raw_hash = Fraction.__hash__
+
+    def counted(self):
+        calls[0] += 1
+        return raw_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    table = space._distances
+    monkeypatch.undo()
+    assert calls[0] == 0
+    # 465 unordered pairs and one shared zero
+    assert (len(table), len({id(d) for d in table})) == (961, 466)
+
+
 def test_sampled_spaces_tabulate_nothing(real_line_space):
     T = SetValuedMap.from_rule(real_line_space, lambda x: (x / 2,))
     assert is_global_weak_contraction(T, HALF, SamplePlan(seed=3, count=50)).passed
@@ -813,6 +892,48 @@ def test_ladder_solve_checks_its_hypotheses_in_one_pass(monkeypatch, capsys):
     assert "endpoint: 0" in capsys.readouterr().out
     assert listed == [930]
     assert in_check["phi"] == 465 <= 930
+
+
+@pytest.mark.parametrize("rule, steps", [("min-dist", 30), ("lex", 15)])
+def test_ladder_solve_evaluates_one_bound_per_unordered_pair(monkeypatch, capsys, rule, steps):
+    # the hypotheses take one bound per unordered pair, the walk one a step
+    calls, phi = [0], ContractionWitness.phi
+
+    def counted_phi(self, *args):
+        calls[0] += 1
+        return phi(self, *args)
+
+    monkeypatch.setattr(ContractionWitness, "phi", counted_phi)
+    rc = main(["solve", str(LADDER), "--seed-point", "1", "--eps", LADDER_EPS, "--rule", rule])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert sum(line.startswith("  n=") for line in out.splitlines()) == steps
+    assert calls[0] == 465 + steps
+
+
+def test_ladder_hausdorff_triangle_stays_within_its_work_budget(monkeypatch, capsys):
+    # every ordered triple of the 36 distinct sampled sets (the file's name
+    # seeds the sampler: the same text as ladder-0.ini draws 38), each H once
+    # per ordered pair of sets; the row's only order test is the triangle's
+    counts = {"triples": 0, "hausdorff": 0}
+    leq, hausdorff = order_core.OrderedGroupInstance.leq, harness.hausdorff
+
+    def counted_leq(self, a, b):
+        counts["triples"] += 1
+        return leq(self, a, b)
+
+    def counted_hausdorff(*args):
+        counts["hausdorff"] += 1
+        return hausdorff(*args)
+
+    monkeypatch.setattr(order_core.OrderedGroupInstance, "leq", counted_leq)
+    monkeypatch.setattr(harness, "hausdorff", counted_hausdorff)
+    rc = main(["verify", str(LADDER), "--checks", "hausdorff/triangle", "--seed", "0",
+               "--format", "machine-rows"])
+    monkeypatch.undo()
+    assert rc == 0
+    assert capsys.readouterr().out.split("\t")[2] == "pass"
+    assert counts == {"triples": 36 ** 3, "hausdorff": 36 ** 2}
 
 
 # ---------------------------------------------------------------------------

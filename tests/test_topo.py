@@ -424,9 +424,9 @@ def test_regularity_flags_non_decreasing(rstruct, rmod):
 
 
 def test_regularity_explicit_prefix_limit_is_its_window_end(rstruct, rmod, cstruct2, cmod2):
-    """A decreasing explicit prefix is a descending chain, so its limit is
-    its last term in the window: with a constant tail, without one, and for
-    a single term, on the line and on cone-2."""
+    """A decreasing explicit prefix that the window covers is a descending
+    chain, so its limit is its last term: with a constant tail, without one,
+    and for a single term, on the line and on cone-2."""
     q = Fraction
     line = [from_terms(rmod, [1, q(1, 2), q(1, 4), q(1, 4), q(1, 4)], "tail"),
             from_terms(rmod, [1, q(1, 2), q(1, 3), q(1, 4)], "strict"),
@@ -442,9 +442,18 @@ def test_regularity_explicit_prefix_limit_is_its_window_end(rstruct, rmod, cstru
     assert [(r.limit, r.status) for r in report.rows] == [
         ((0, q(1, 2)), "converges"), ((q(1, 3), q(1, 2)), "converges"),
         ((q(1, 2), q(3, 4)), "converges")]
-    # a window shorter than the prefix ends at its own last term
+    # a window that ends before the prefix does names no limit: the terms
+    # past it may still fall, as (1/3, 1/2) does here
     report = check_regularity(cstruct2, cone[1:2], tol, 2)
-    assert [(r.limit, r.status) for r in report.rows] == [((q(1, 2), 2), "converges")]
+    assert [(r.first_bad_index, r.limit, r.status) for r in report.rows] == [
+        (None, None, "unresolved")]
+    report = check_regularity(rstruct, line[:2], [q(1, 10)], 4)
+    assert [(r.limit, r.status) for r in report.rows] == [
+        (None, "unresolved"), (q(1, 4), "converges")]
+    # a decrease inside the window is still found first
+    rising = from_terms(rmod, [q(1, 2), 1, q(1, 4)], "rising")
+    report = check_regularity(rstruct, [rising], [q(1, 10)], 2)
+    assert [(r.first_bad_index, r.status) for r in report.rows] == [(1, "not-decreasing")]
 
 
 # -- two-sided characterization --------------------------------------------
