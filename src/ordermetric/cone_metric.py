@@ -12,9 +12,9 @@ identity-keyed memo over it sees one object per unordered pair. Sampled
 spaces keep neither.
 
 The set distance is restricted to finite subsets: in a genuinely partial
-order the inner min/max may simply not exist, so every fold checks
-pairwise comparability and fails loudly with the offending pair instead of
-inventing an answer.
+order the inner min/max may simply not exist. Every fold takes the least
+or greatest element, and where there is none it fails loudly with the
+first incomparable pair instead of inventing an answer.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ class ConeMetricSpace:
             pts = list(self.points)
             while len(pts) < plan.count:
                 pts.append(rng.choice(self.points))
-            return pts[:max(plan.count, len(self.points))]
+            return pts
         rng = _law_rng(plan, label)
         return [self.sampler(rng) for _ in range(plan.count)]
 
@@ -146,7 +146,7 @@ def min_positive_distance(m: ConeMetricSpace) -> Element:
     vals = [dist(i, j) for i in range(n) for j in range(i + 1, n)]
     if not vals:
         raise ValueError("space has fewer than two points")
-    # equal distances are comparable, so the chain check needs each value once
+    # each value once, for the quadratic pair scan when there is no least one
     return order_min(m.group, list(dict.fromkeys(vals)), "minimum positive distance")
 
 
@@ -331,8 +331,8 @@ def hausdorff(m: ConeMetricSpace, set_a: Sequence, set_b: Sequence) -> Element:
     """Exact two-sided set distance of finite nonempty subsets.
 
     Exhaustive max of the two directed values, each an exhaustive
-    max-over-min; any incomparable pair met along the way aborts with that
-    pair named, because a partial order need not admit the inner extremes.
+    max-over-min; a fold with no extreme aborts naming its first
+    incomparable pair, because a partial order need not admit them.
     """
     if not set_a or not set_b:
         raise ValueError("set distance needs nonempty sets")

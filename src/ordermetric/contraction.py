@@ -553,7 +553,7 @@ def approximate_endpoint_property_finite(T: SetValuedMap) -> ApproxEndpointValue
     """min over points of the max image distance, with the minimizer.
 
     The property holds exactly when the value is the identity. Raises with
-    the offending pair when the order cannot rank the candidates.
+    the first incomparable pair when a max or the min does not exist.
     """
     if not T.space.finite:
         raise ValueError("the inf-sup computation needs a finite space")

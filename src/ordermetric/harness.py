@@ -26,7 +26,6 @@ from functools import partial
 from typing import Callable
 
 from .order_core import (
-    IncomparableError,
     Order,
     SamplePlan,
     _law_rng,
@@ -78,6 +77,7 @@ from .solver import (
     endpoint_census,
     endpoint_iff_report,
     iterate_endpoint,
+    walk_tolerance,
 )
 from .instance_files import (
     BUILTIN_INSTANCE_TEXTS,
@@ -445,6 +445,8 @@ def _check_hausdorff_symmetry(b: InstanceBundle, ctx: _Ctx):
         defined += 1
         if not g.eq(h1, h2):
             return "fail", f"H asymmetric on {_set_text(a)} vs {_set_text(c)}"
+    if not defined:
+        return "skip", "no sampled pair of sets has a defined distance"
     return "pass", f"symmetric on {defined} defined samples"
 
 
@@ -532,8 +534,11 @@ def _check_point_cauchy(b: InstanceBundle, ctx: _Ctx):
 def _check_finite_completeness(b: InstanceBundle, ctx: _Ctx):
     if not b.space.finite:
         return "skip", "eventual constancy applies to finite spaces"
-    space, g, t = b.space, b.space.group, b.structure
-    minpos = min_positive_distance(space)
+    space, g = b.space, b.space.group
+    try:
+        minpos = walk_tolerance(space, min_positive_distance(space))
+    except ValueError as exc:  # no least positive distance, or it is no tolerance
+        return "skip", f"certification scale undefined: {exc}"
     pts = space.points
     n_max = 24
     sequences = {
@@ -670,10 +675,10 @@ def _check_oracle_agreement(b: InstanceBundle, ctx: _Ctx):
     if len(ends) != 1:
         return "fail", f"expected a unique endpoint, found {len(ends)}"
     target = ends.members[0]
-    module = b.module
     try:
-        eps = module.scale(Fraction(1, 2), min_positive_distance(b.space))
-    except IncomparableError as exc:  # the distances are not a chain
+        half = b.module.scale(Fraction(1, 2), min_positive_distance(b.space))
+        eps = walk_tolerance(b.space, half)
+    except ValueError as exc:  # no least positive distance, or half of it is no tolerance
         return "skip", f"walk tolerance undefined: {exc}"
     for seed in b.space.points:
         for rule in SelectionRule:

@@ -8,7 +8,7 @@ back with a concrete witness instead of a silent boolean.
 
 The four-way comparison is deliberate: with a genuinely partial order,
 returning plain ``False`` for "not below" would conflate incomparability
-with strict reversal, and downstream min/max code needs to fail loudly.
+with strict reversal, and min/max must name a pair when there is no extreme.
 The four outcomes are also module constants (``_EQUAL``, ``_LESS``,
 ``_GREATER``, ``_INCOMPARABLE``): the built-in comparisons return them, and
 each boolean predicate of a group makes one ``cmp`` call and tests its
@@ -45,7 +45,6 @@ also accept plain ints.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 import zlib
@@ -315,7 +314,8 @@ def compare(g: OrderedGroupInstance, a, b) -> Order:
 
 
 def order_min(g: OrderedGroupInstance, items: Iterable[Element], context: str = "min") -> Element:
-    """Least element of a finite chain; raises if any two items are incomparable."""
+    """Least element: the first occurrence of the value below or equal to
+    every item, else IncomparableError naming the first incomparable pair."""
     return _order_extreme(g, items, Order.LESS, context)
 
 
@@ -323,62 +323,30 @@ def order_max(g: OrderedGroupInstance, items: Iterable[Element], context: str = 
     return _order_extreme(g, items, Order.GREATER, context)
 
 
-class _Unranked(Exception):
-    """The sort met a pair it cannot rank."""
-
-
 def _order_extreme(g, items, keep: Order, context: str) -> Element:
-    """The extreme of a chain, or IncomparableError naming the first
-    incomparable pair in scan order.
-
-    Sorts with ``g.cmp`` and confirms that each adjacent pair is LESS or
-    EQUAL, which by transitivity makes the items a chain; the extreme is
-    then the first occurrence of its value, because the sort is stable.
-    Any other outcome falls back to the quadratic scan, which names the
-    first incomparable pair over all pairs.
-    """
+    """One pass keeps the first item strictly better (``keep``) than the one
+    kept so far and notes the items incomparable with it. By transitivity
+    only those can beat the kept item, so it is the extreme if each of them
+    loses to it; otherwise the pairs are scanned for the first incomparable
+    one. A chain of n distinct items costs n - 1 comparisons."""
     vals = list(items)
     if not vals:
         raise ValueError(f"{context} of empty collection")
-    cmp = g.cmp
-
-    def three_way(a, b):
-        rel = cmp(a, b)
-        if rel is _LESS:
-            return -1
-        if rel is _GREATER:
-            return 1
-        if rel is _EQUAL:
-            return 0
-        raise _Unranked
-
-    try:
-        ranked = sorted(vals, key=functools.cmp_to_key(three_way))
-    except _Unranked:
-        return _order_extreme_scan(g, vals, keep, context)
-    steps = [cmp(a, b) for a, b in zip(ranked, ranked[1:])]
-    if any(rel is not _LESS and rel is not _EQUAL for rel in steps):
-        return _order_extreme_scan(g, vals, keep, context)
-    if keep is _LESS:
-        return ranked[0]
-    top = len(ranked) - 1
-    while top and steps[top - 1] is _EQUAL:
-        top -= 1
-    return ranked[top]
-
-
-def _order_extreme_scan(g, vals: list, keep: Order, context: str) -> Element:
-    """Check every pair for comparability, then keep the first strictly
-    better element."""
+    cmp, lose = g.cmp, _GREATER if keep is _LESS else _LESS
+    best, noted = vals[0], []
+    for v in vals[1:]:
+        rel = cmp(v, best)
+        if rel is keep:
+            best = v
+        elif rel is _INCOMPARABLE:
+            noted.append(v)
+    if all(cmp(v, best) is lose for v in noted):
+        return best
     for i, a in enumerate(vals):
         for b in vals[i + 1:]:
-            if g.cmp(a, b) is _INCOMPARABLE:
+            if cmp(a, b) is _INCOMPARABLE:
                 raise IncomparableError(a, b, context)
-    best = vals[0]
-    for v in vals[1:]:
-        if g.cmp(v, best) is keep:
-            best = v
-    return best
+    raise RuntimeError(f"{context}: the comparison is not a partial order")
 
 
 def _run_laws(stream: Iterable, laws: Sequence[tuple]) -> list:

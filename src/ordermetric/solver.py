@@ -133,8 +133,8 @@ def _select_next(m: ConeMetricSpace, candidates: Sequence, current: Point,
     """Deterministic choice of the next walk point among the image.
 
     Min-distance picks the candidate closest to the current point when the
-    candidate distances form a chain, with the points' natural order as
-    tie-break; incomparable distances fall back to that order.
+    candidate distances have a least one, with the points' natural order as
+    tie-break; without a least distance it falls back to that order.
     """
     ordered = sorted(candidates)
     if rule is SelectionRule.LEX_FIRST:
@@ -356,7 +356,7 @@ class IffReport:
 def endpoint_census(T: SetValuedMap) -> IffReport:
     """Both sides of the endpoint equivalence on a finite space, decided
     independently: whether the inf-sup image distance is the identity
-    (skipped, naming the pair, when the order cannot rank the candidates),
+    (skipped, naming the first incomparable pair, when an extreme is missing),
     then whether some point is an endpoint. The two are forced to agree on a
     finite space, so a disagreement is a defect in this package."""
     try:

@@ -728,10 +728,8 @@ def check_topo_laws(t: TopoStructure, plan: SamplePlan) -> LawReport:
     """
     g = t.group
     fmt = format_element
+    interior = t.interior_sampler
     results = []
-
-    def interior(rng):
-        return t.interior_sampler(rng)
 
     rng1 = _law_rng(plan, "t1")
     t1_stream = [(a, g.add(a, interior(rng1))) for a in

@@ -176,6 +176,14 @@ def test_hausdorff_identical_sets_prints_zero(tmp_path, capsys):
     assert out.strip() == "0"
 
 
+def test_hausdorff_of_a_set_with_no_chain_of_distances_with_itself(capsys):
+    # (1, 0) and (0, 1) are incomparable, but each point's least distance to
+    # the set is its distance to itself
+    pts = "(0, 0); (1, 0); (0, 1)"
+    rc = main(["hausdorff", "cone2-shrink", "--set-a", pts, "--set-b", pts])
+    assert (rc, capsys.readouterr().out) == (0, "(0, 0)\n")
+
+
 def test_hausdorff_incomparable_directed_values_exit_two():
     # each directed value exists, but (0, 1) and (1, 0) are incomparable; the
     # CLI exit 2 on the same sets is the EXIT_TWO row hausdorff-incomparable-directed-values

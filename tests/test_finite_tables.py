@@ -1,7 +1,7 @@
 """Finite spaces tabulate their distances once, rationals compare by one
 cross-multiplication and the walk hypotheses take one pass over the pairs:
 equivalence with the point-by-point scans, the exact comparison kernels,
-the sorted chain check, the one-pass hypotheses against the two scans (and
+the one-pass least and greatest elements, the one-pass hypotheses against the two scans (and
 their errors), work counters on a 31-point ladder, and the ladder's verify
 and solve outputs against committed goldens."""
 
@@ -131,16 +131,17 @@ def _ref_validate(T, w):
 
 
 def _quadratic_extreme(g, items, keep, context):
+    """The first item below (``keep`` LESS) or above (GREATER) or equal to
+    every item, else IncomparableError naming the first incomparable pair."""
     vals = list(items)
+    for a in vals:
+        if all(g.cmp(a, b) in (keep, Order.EQUAL) for b in vals):
+            return a
     for i, a in enumerate(vals):
         for b in vals[i + 1:]:
             if g.cmp(a, b) is Order.INCOMPARABLE:
                 raise IncomparableError(a, b, context)
-    best = vals[0]
-    for v in vals[1:]:
-        if g.cmp(v, best) is keep:
-            best = v
-    return best
+    raise AssertionError("no extreme and no incomparable pair")
 
 
 def _ref_infsup(T):
@@ -468,7 +469,7 @@ def test_cone_cmp_agrees_with_python_comparisons(pair):
 
 
 # ---------------------------------------------------------------------------
-# the sorted chain check
+# least and greatest elements in one pass
 
 
 def _vector(ints):
@@ -547,20 +548,46 @@ def test_order_extreme_on_the_line_returns_the_first_occurrence():
         _same_outcome(g, vals, Order.GREATER, order_max)
 
 
-def test_order_extreme_confirms_the_sorted_neighbours():
-    # a comparison that ranks (1, 0) above (0, 1) but calls the pair the
-    # other way round incomparable: the sort asks only the first question,
-    # the chain check asks the second and hands over to the full scan
+def test_order_extreme_takes_a_least_element_that_is_no_chain():
+    g = coord_cone_group(2)
+    items = [_vector(v) for v in ((1, 0), (0, 0), (0, 1))]
+    assert order_min(g, items) is items[1]
+    items = [_vector(v) for v in ((0, 1), (1, 1), (1, 0))]
+    assert order_max(g, items) is items[1]
+    with pytest.raises(IncomparableError, match=r"^min: incomparable pair \(0, 1\) , \(1, 0\)$"):
+        order_min(g, items)
+
+
+def test_order_extreme_returns_the_first_of_a_repeated_extreme():
+    g = coord_cone_group(2)
+    items = [_vector(v) for v in ((1, 0), (0, 0), (0, 1), (0, 0), (2, 2), (2, 2))]
+    assert order_min(g, items) is items[1]
+    assert order_max(g, items) is items[4]
+
+
+def test_order_extreme_raises_on_a_comparison_that_is_no_partial_order():
+    # 1 is incomparable with 0, but 0 is below 1: the pass notes 1 and the
+    # pair scan finds nothing to name
     g = real_group()
 
-    def one_sided(a, b):
-        if (a, b) == (F(0), F(1)):
-            return Order.INCOMPARABLE
-        return _scalar_cmp(a, b)
+    def lopsided(a, b):
+        return Order.INCOMPARABLE if (a, b) == (F(1), F(0)) else _scalar_cmp(a, b)
 
-    lopsided = dataclasses.replace(g, cmp=one_sided)
-    for fn, keep in ((order_min, Order.LESS), (order_max, Order.GREATER)):
-        assert _same_outcome(lopsided, [F(0), F(1)], keep, fn) == "raised"
+    with pytest.raises(RuntimeError, match="^min: the comparison is not a partial order$"):
+        order_min(dataclasses.replace(g, cmp=lopsided), [F(0), F(1)])
+
+
+def test_hausdorff_of_every_subset_with_itself_is_the_identity():
+    # the grid {0, 1, 2}^2 under the coordinatewise metric: every nonempty
+    # subset A has H(A, A) = 0, although most have no chain of distances
+    pts = tuple(_vector((i, j)) for i in range(3) for j in range(3))
+    structure = interior_cone_structure(coord_cone_module(2))
+    grid = ConeMetricSpace("grid", structure,
+                           lambda x, y: tuple(abs(a - b) for a, b in zip(x, y)), points=pts)
+    zero = grid.group.identity
+    for mask in range(1, 2 ** len(pts)):
+        subset = [p for i, p in enumerate(pts) if mask >> i & 1]
+        assert cone_metric.hausdorff(grid, subset, subset) == zero, subset
 
 
 # ---------------------------------------------------------------------------
@@ -846,8 +873,9 @@ def test_ladder_solve_stays_within_its_work_budget(monkeypatch, capsys):
     assert all(counts[k] <= LADDER_SOLVE_BUDGET[k] for k in counts), counts
 
 
-def test_ladder_min_positive_distance_sorts_its_chain(monkeypatch):
-    # the all-pairs chain check made 108,344 comparisons on 465 distinct values
+def test_ladder_min_positive_distance_takes_one_pass(monkeypatch):
+    # one comparison per distinct distance after the first: the all-pairs
+    # chain check made 108,344 on its 465 values, the chain sort about 3,800
     calls = [0]
     orig = order_core._scalar_cmp
 
@@ -857,8 +885,10 @@ def test_ladder_min_positive_distance_sorts_its_chain(monkeypatch):
 
     monkeypatch.setattr(order_core, "_scalar_cmp", counted)
     space = build_bundle(load_instance(LADDER)).space
+    space._distance_by_position()
+    calls[0] = 0  # building the space compares too
     assert min_positive_distance(space) == Fraction(1, 4) ** 29
-    assert calls[0] <= 5000
+    assert calls[0] == 464
 
 
 def test_ladder_solve_checks_its_hypotheses_in_one_pass(monkeypatch, capsys):

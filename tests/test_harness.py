@@ -222,6 +222,14 @@ def test_hausdorff_symmetry_fails_on_an_asymmetric_metric():
     assert (row.outcome, row.witness) == ("fail", "H asymmetric on {0; 1} vs {0; 1/4; 1}")
 
 
+def test_hausdorff_symmetry_skips_when_no_sampled_pair_is_defined():
+    # at seed 366 every sampled pair of cone-3 sets has a fold with no extreme
+    report = run_suite(default_suite(instances=["cone-3"], checks=["hausdorff/symmetry"],
+                                     sample_seed=366))
+    assert [(r.outcome, r.witness) for r in report.rows] == [
+        ("skip", "no sampled pair of sets has a defined distance")]
+
+
 def test_hausdorff_triangle_witness_names_the_set():
     row = _hausdorff_row("hausdorff/triangle",
                          _three_point_with_metric(lambda x, y: (x - y) ** 2), seed=2)

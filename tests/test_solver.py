@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from ordermetric import cli
 from ordermetric import (
     ConeMetricSpace,
     ContractionWitness,
@@ -24,6 +25,7 @@ from ordermetric import (
     endpoint_iff_report,
     endpoints_bruteforce,
     global_alpha_corpus,
+    is_weak_contraction,
     iterate_endpoint,
     min_positive_distance,
     parse_instance_text,
@@ -360,22 +362,119 @@ alpha = 1/2
 """
 
 
-def test_iff_report_skips_an_incomparable_inf_sup():
-    """On the coordinate cone the sup over (1, 0)'s image and over (0, 1)'s
-    are incomparable, so the inf-sup side, and both endpoint rows, skip.
-    The distances (1, 0) and (0, 1) have no least one either, so the
-    oracle row has no walk tolerance and skips too."""
+def test_iff_report_checks_a_least_sup_that_is_no_chain():
+    """On the coordinate cone the sups over the images of (1, 0) and (0, 1)
+    are incomparable, yet (0, 0)'s sup is below both: the inf-sup value is
+    that least one, so the census and both endpoint rows are checked. The
+    distances (1, 0) and (0, 1) have no least one, so the oracle row has no
+    walk tolerance and skips."""
     probe = build_bundle(parse_instance_text(PROBE_B, name="probe-b"))
-    reason = "inf-sup undefined: inf over points: incomparable pair (1, 0) , (0, 1)"
-    assert endpoint_census(probe.map_) == IffReport("skipped", reason)
-    assert endpoint_iff_report(probe.map_, probe.witness) == IffReport("skipped", reason)
+    zero = (Fraction(0), Fraction(0))
+    rep = endpoint_census(probe.map_)
+    assert (rep.status, rep.infsup_value, rep.endpoints, rep.equivalent) == (
+        "checked", zero, (zero,), True)
+    assert endpoint_iff_report(probe.map_, probe.witness) == rep
     rows = _rows(probe, ("endpoint/approx-equivalence", "endpoint/iff-zero-gap",
                          "solver/oracle-agreement"))
-    assert rows == {"endpoint/approx-equivalence": ("skip", reason),
-                    "endpoint/iff-zero-gap": ("skip", reason),
+    assert rows == {"endpoint/approx-equivalence":
+                        ("pass", "inf-sup is zero and the constant witness validates"),
+                    "endpoint/iff-zero-gap":
+                        ("pass", "endpoint=True, inf-sup zero=True, value (0, 0)"),
                     "solver/oracle-agreement": (
                         "skip", "walk tolerance undefined: minimum positive distance: "
                                 "incomparable pair (1, 0) , (0, 1)")}
+
+
+PROBE_C = """\
+[group]
+family = coord-cone
+dimension = 2
+
+[structure]
+kind = interior-cone
+
+[space]
+points = (2, 0); (2, 2); (0, 1)
+metric = coordinatewise
+
+[map]
+image (2, 0) = (2, 0); (2, 2)
+image (2, 2) = (2, 2); (2, 0)
+image (0, 1) = (2, 0); (2, 2)
+
+[witness]
+class = alpha-const
+alpha = 1/2
+"""
+
+
+def test_iff_report_skips_an_incomparable_inf_sup():
+    """The sups over the images are (0, 2), (0, 2) and (2, 1), which have no
+    least one, so the inf-sup side, and both endpoint rows, skip."""
+    probe = build_bundle(parse_instance_text(PROBE_C, name="probe-c"))
+    assert is_weak_contraction(probe.map_, probe.witness).passed
+    reason = "inf-sup undefined: inf over points: incomparable pair (0, 2) , (2, 1)"
+    assert endpoint_census(probe.map_) == IffReport("skipped", reason)
+    assert endpoint_iff_report(probe.map_, probe.witness) == IffReport("skipped", reason)
+    rows = _rows(probe, ("endpoint/approx-equivalence", "endpoint/iff-zero-gap"))
+    assert rows == {"endpoint/approx-equivalence": ("skip", reason),
+                    "endpoint/iff-zero-gap": ("skip", reason)}
+
+
+# the points (0, 0); (1, 0); (2, 0), each mapped to (0, 0)
+COLLAPSE_ON_A_LINE = PROBE_B.replace("(0, 1)", "(2, 0)")
+
+
+ONE_POINT = """\
+[group]
+family = real
+
+[structure]
+kind = strict-order
+
+[space]
+points = 0
+metric = abs
+
+[map]
+image 0 = 0
+
+[witness]
+class = alpha-const
+alpha = 1/2
+"""
+
+
+@pytest.mark.parametrize("text,rows", [
+    (PROBE_B, {
+        "metric/finite-completeness": (
+            "skip", "certification scale undefined: minimum positive distance: "
+                    "incomparable pair (1, 0) , (0, 1)"),
+        "solver/oracle-agreement": (
+            "skip", "walk tolerance undefined: minimum positive distance: "
+                    "incomparable pair (1, 0) , (0, 1)")}),
+    (COLLAPSE_ON_A_LINE, {
+        "metric/finite-completeness": (
+            "skip", "certification scale undefined: tolerance (1, 0) does not strictly "
+                    "dominate the identity"),
+        "solver/oracle-agreement": (
+            "skip", "walk tolerance undefined: tolerance (1/2, 0) does not strictly "
+                    "dominate the identity")}),
+    (ONE_POINT, {
+        "metric/finite-completeness": (
+            "skip", "certification scale undefined: space has fewer than two points"),
+        "solver/oracle-agreement": (
+            "skip", "walk tolerance undefined: space has fewer than two points")}),
+], ids=["no-least-distance", "least-distance-on-the-boundary", "one-point"])
+def test_rows_without_a_distance_scale_skip(tmp_path, text, rows):
+    """Both rows take their scale from the least positive distance: where
+    there is none, or it does not strictly dominate the identity under the
+    space's structure, they skip and say why, and verify exits 0."""
+    bundle = build_bundle(parse_instance_text(text, name="scale"))
+    assert _rows(bundle, tuple(rows)) == rows
+    path = tmp_path / "scale.ini"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["verify", str(path)]) == 0
 
 
 def test_point_dependent_ratio_route(dilation):
