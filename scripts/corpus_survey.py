@@ -3,7 +3,9 @@
 
 Runs the one-sided check with each instance's bound table and the walk
 hypotheses (the all-pairs check among them) with its constant-ratio
-witness, and reports how many pass; reports the endpoint count
+witness, and reports how many pass; reports, for each witness, on how
+many instances the gated endpoint theorem check (``endpoint_iff_report``)
+runs, with its skip reasons counted; reports the endpoint count
 distribution, and spot-checks the endpoint / inf-sup equivalence on every
 instance. Exits 1 if an instance contradicts how it was built (a failed
 one-sided check, or a ratio witness whose hypotheses fail) or if the
@@ -16,6 +18,7 @@ from collections import Counter
 from ordermetric import (
     check_hypotheses,
     endpoint_census,
+    endpoint_iff_report,
     endpoints_bruteforce,
     is_weak_contraction,
     weak_contraction_corpus,
@@ -38,20 +41,31 @@ def main():
     insts = weak_contraction_corpus(seed=args.seed, count=args.count)
     sizes = Counter(len(i.space.points) for i in insts)
     end_counts = Counter(len(endpoints_bruteforce(i.map_)) for i in insts)
-    weak = {i.name: is_weak_contraction(i.map_, i.phi_witness).passed for i in insts}
+    weak = {i.name: is_weak_contraction(i.map_, i.phi_witness) for i in insts}
     verified = {i.name: check_hypotheses(i.map_, i.alpha_witness).verified
                 for i in insts if i.global_contraction}
 
     print(f"instances: {len(insts)}  (sizes {dict(sorted(sizes.items()))})")
-    print(f"pass one-sided check with the bound table: {sum(weak.values())}")
+    print(f"pass one-sided check with the bound table: "
+          f"{sum(r.passed for r in weak.values())}")
     print(f"pass all-pairs check with a constant ratio: {sum(verified.values())}  "
           f"(built with one: {len(verified)})")
+    for label, runs in (
+            ("the bound table", [endpoint_iff_report(i.map_, i.phi_witness, weak=weak[i.name])
+                                 for i in insts]),
+            ("a constant ratio", [endpoint_iff_report(i.map_, i.alpha_witness)
+                                  for i in insts if i.global_contraction])):
+        # a skip reason is its kind, then a colon and the particulars
+        skips = Counter(r.reason.split(":")[0] for r in runs if r.status == "skipped")
+        print(f"endpoint theorem checked with {label}: "
+              f"{len(runs) - skips.total()} of {len(runs)}"
+              + "".join(f"  (skipped, {why}: {n})" for why, n in sorted(skips.items())))
     print(f"endpoint count distribution: {dict(sorted(end_counts.items()))}")
 
     # every instance is built to pass the one-sided check, and the walk
     # hypotheses exactly when it is built with a ratio witness
-    contradictions = [name for checks in (weak, verified)
-                      for name, ok in checks.items() if not ok]
+    contradictions = [name for name, r in weak.items() if not r.passed]
+    contradictions += [name for name, ok in verified.items() if not ok]
     print(f"instances contradicting their construction: {len(contradictions)}")
     if contradictions:
         for name in contradictions:

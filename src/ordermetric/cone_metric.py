@@ -6,10 +6,8 @@ lifetime, each a ``functools.cached_property`` computed on first use: the
 index from each point to its first position, which membership reads, and
 the N x N distance table: the exhaustive pair scans of ``contraction``
 visit that many pairs anyway, and read each distance from the table by
-position instead of recomputing it. The table hashes nothing: equal
-distances share an object only with their mirror or the diagonal, so an
-identity-keyed memo over it sees one object per unordered pair. Sampled
-spaces keep neither.
+position instead of recomputing it. The table compares and hashes
+nothing. Sampled spaces keep neither.
 
 The set distance is restricted to finite subsets: in a genuinely partial
 order the inner min/max may simply not exist. Every fold takes the least
@@ -103,22 +101,12 @@ class ConeMetricSpace:
     @cached_property
     def _distances(self) -> list:
         """The distance table of a finite space: one list, row by row, filled
-        through ``distance`` in that order. d(y, x) is stored as the object
-        d(x, y) when the two are equal, and each diagonal entry as the first
-        one when they are equal, so a memo keyed by identity sees each
-        unordered pair once; equal values elsewhere stay separate objects,
-        and nothing is hashed."""
+        through ``distance`` in that order; it compares and hashes nothing."""
         pts, distance = self.points, self.distance
         n = len(pts)
         table = [None] * (n * n)  # sized exactly: a space keeps its table
         for i, x in enumerate(pts):
-            row = [distance(x, y) for y in pts]
-            for j, mirror in enumerate(table[i:i * n:n]):  # d(x_j, x) for j < i
-                if row[j] == mirror:
-                    row[j] = mirror
-            if i and row[i] == table[0]:
-                row[i] = table[0]
-            table[i * n:i * n + n] = row
+            table[i * n:i * n + n] = [distance(x, y) for y in pts]
         return table
 
     def _distance_by_position(self) -> Callable[[int, int], Element]:
@@ -128,13 +116,12 @@ class ConeMetricSpace:
         return lambda i, j: table[i * n + j]
 
     def sample_points(self, plan: SamplePlan, label: str) -> list:
+        rng = _law_rng(plan, label)
         if self.points is not None:
-            rng = _law_rng(plan, label)
             pts = list(self.points)
             while len(pts) < plan.count:
                 pts.append(rng.choice(self.points))
             return pts
-        rng = _law_rng(plan, label)
         return [self.sampler(rng) for _ in range(plan.count)]
 
 

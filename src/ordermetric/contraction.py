@@ -17,11 +17,11 @@ An image point outside a finite space is a ``DomainError`` naming it.
 Sampled spaces keep working on points, with the same seeded streams.
 
 Each check runs its pair laws on the one law runner, in one pass over a
-pair stream that reads each distance and bound once (one memo lookup a
-pair for a bound of the distance alone, keyed by the distance object, so
-one bound per unordered pair of a finite space), and returns the runner's
-``LawResult`` or ``LawReport``; on a finite space the walk hypotheses
-(the global bound and the witness obligations) share one pass.
+pair stream that reads each distance and bound once (on a finite space, a
+bound of the distance alone once per unordered pair: a pair reuses its
+mirror's bound by position when the two distances are equal), and returns
+the runner's ``LawResult`` or ``LawReport``; on a finite space the walk
+hypotheses (the global bound and the witness obligations) share one pass.
 Every step that can raise runs inside the stream or in the first call of
 its law, so the runner holds each error for the laws it reached.
 
@@ -332,12 +332,14 @@ def _scan(T: SetValuedMap, w: ContractionWitness, plan: SamplePlan | None, label
           laws: list) -> list:
     """Each law's outcome over the pair stream ``label``. A law takes
     ``(a, b, d, bound)``: entries, distance and witness bound, each read once
-    for all laws, and a bound of the distance alone once per distance object
-    (on a finite space, once per unordered pair: see ``_distances``).
-    Drawing the pairs and filling the table run inside the stream, so the
-    runner holds their errors for every law."""
+    for all laws. On a finite space a bound of the distance alone is taken
+    once per unordered pair: (a, b) reuses the bound of (b, a) when that
+    pair came first with an equal distance. Drawing the pairs and filling
+    the table run inside the stream, so the runner holds their errors for
+    every law."""
     space, phi = T.space, w.phi
-    by_distance = w.klass in (WitnessClass.ALPHA_CONSTANT, WitnessClass.PSI_ON_DISTANCE)
+    by_distance = space.finite and w.klass in (WitnessClass.ALPHA_CONSTANT,
+                                               WitnessClass.PSI_ON_DISTANCE)
 
     def stream():
         pairs = _distinct_pairs(space, plan or SamplePlan(), label)
@@ -351,13 +353,12 @@ def _scan(T: SetValuedMap, w: ContractionWitness, plan: SamplePlan | None, label
             for (a, b), d in zip(pairs, dists):
                 yield a, b, d, phi(space, point(a), point(b), d)
             return
-        memo: dict = {}  # id of a distance -> its bound
-        held = []  # the distances memo has seen: holding them keeps their ids unique
+        bounds = [None] * (n * n)  # the bound yielded at each position pair
         for (a, b), d in zip(pairs, dists):
-            bound = memo.get(id(d))
-            if bound is None:
-                bound = memo[id(d)] = phi(space, point(a), point(b), d)
-                held.append(d)
+            bound = bounds[b * n + a]
+            if bound is None or table[b * n + a] != d:
+                bound = phi(space, point(a), point(b), d)
+            bounds[a * n + b] = bound
             yield a, b, d, bound
 
     return _run_laws(stream(), laws)

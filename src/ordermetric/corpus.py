@@ -52,10 +52,6 @@ class CorpusInstance:
         return self.alpha_witness is not None
 
 
-def _shared_structure():
-    return strict_order_structure(real_module())
-
-
 def _admit(structure, den: int, nums, images, name: str) -> CorpusInstance | None:
     """The instance on the points ``nums[i] / den``, ascending, where point
     i maps to the positions ``images[i]``, if the map admits a valid bound;
@@ -159,7 +155,7 @@ def weak_contraction_corpus(seed: int = 20260809, count: int = 120) -> list[Corp
     budget ``_MAX_ATTEMPTS`` is exhausted, which would indicate a generator
     regression rather than bad luck.
     """
-    structure = _shared_structure()
+    structure = strict_order_structure(real_module())
     out = _special_instances(structure)
     rng = random.Random(seed)
     attempts = 0

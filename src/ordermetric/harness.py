@@ -571,29 +571,37 @@ def _weak_report(b: InstanceBundle, ctx: _Ctx):
                     lambda: is_weak_contraction(b.map_, b.witness, ctx.plan))
 
 
-def _check_witness_validity(b: InstanceBundle, ctx: _Ctx):
-    if b.map_ is None or b.witness is None:
-        return "skip", "bundle has no map/witness"
-    return _law_row(check_hypotheses(b.map_, b.witness, ctx.plan).witness_report,
-                    "phi-strictly-below")
+def _witness_result(b: InstanceBundle, ctx: _Ctx):
+    return check_hypotheses(b.map_, b.witness, ctx.plan).witness_report.result(
+        "phi-strictly-below")
 
 
-def _contraction_row(report):
-    """Row of a contraction check, from its memoized report."""
+def _map_row(result, row):
+    """Row of a map check from ``result(b, ctx)``, the memoized ``LawResult``
+    of a pair scan: a skip without a map and witness, or when the scan
+    passed without a pair of distinct points to check; else ``row``'s."""
     def run(b: InstanceBundle, ctx: _Ctx):
         if b.map_ is None or b.witness is None:
             return "skip", "bundle has no map/witness"
-        rep = report(b, ctx)
-        if rep.passed:
-            return "pass", "exhaustive" if b.space.finite else f"{rep.checked} sampled pairs"
-        return "fail", rep.witness
+        r = result(b, ctx)
+        if r.passed and r.checked == 0:
+            return "skip", "no pair of distinct points to check"
+        return row(b, ctx, r)
     return run
 
 
-def _check_global_implies_weak(b: InstanceBundle, ctx: _Ctx):
-    if b.map_ is None or b.witness is None:
-        return "skip", "bundle has no map/witness"
-    if not _global_report(b, ctx).passed:
+def _check_witness_validity(b: InstanceBundle, ctx: _Ctx, r):
+    return ("pass", f"checked {r.checked}") if r.passed else ("fail", r.witness)
+
+
+def _check_contraction(b: InstanceBundle, ctx: _Ctx, r):
+    if r.passed:
+        return "pass", "exhaustive" if b.space.finite else f"{r.checked} sampled pairs"
+    return "fail", r.witness
+
+
+def _check_global_implies_weak(b: InstanceBundle, ctx: _Ctx, glob):
+    if not glob.passed:
         return "skip", "all-pairs bound does not hold; implication is vacuous"
     weak = _weak_report(b, ctx)
     if weak.passed:
@@ -659,9 +667,8 @@ def _check_iff(b: InstanceBundle, ctx: _Ctx):
     return "fail", "sides disagree: solver defect"
 
 
-def _solver_cfg(b: InstanceBundle, rule=SelectionRule.MIN_DISTANCE) -> SolverConfig:
-    return SolverConfig(eps=b.solver_eps, seed_point=b.solver_seed,
-                        max_iter=400, selection_rule=rule)
+def _solver_cfg(b: InstanceBundle) -> SolverConfig:
+    return SolverConfig(eps=b.solver_eps, seed_point=b.solver_seed, max_iter=400)
 
 
 def _check_oracle_agreement(b: InstanceBundle, ctx: _Ctx):
@@ -697,7 +704,10 @@ def _check_trace_monotone(b: InstanceBundle, ctx: _Ctx):
     rep = iterate_endpoint(b.map_, b.witness, _solver_cfg(b), ctx.plan)
     if rep.outcome is SolverOutcome.HYPOTHESIS_VIOLATION:
         return "fail", rep.message
-    steps = [s for s in rep.trace]
+    steps = rep.trace
+    if len(steps) < 2:
+        return "skip", (f"{rep.outcome.value} with a trace of {len(steps)} steps: "
+                        f"fewer than two steps compare nothing")
     for prev, cur in zip(steps, steps[1:]):
         if not g.leq(cur.step_distance, prev.bound):
             return "fail", (f"step {cur.n}: {format_element(cur.step_distance)} exceeds the "
@@ -710,9 +720,12 @@ def _check_trace_monotone(b: InstanceBundle, ctx: _Ctx):
 def _check_banach_rate(b: InstanceBundle, ctx: _Ctx):
     if b.banach_map is None:
         return "skip", "bundle has no single-valued contraction"
+    if b.banach_alpha >= 1:
+        return "skip", (f"the single-valued map scales by ratio {b.banach_alpha}, "
+                        f"which must lie in [0, 1)")
     g = b.space.group
-    cfg = SolverConfig(eps=b.solver_eps, seed_point=b.solver_seed, max_iter=400)
-    rep: BanachReport = banach_iterate(b.space, b.banach_map, b.banach_alpha, cfg, ctx.plan)
+    rep: BanachReport = banach_iterate(b.space, b.banach_map, b.banach_alpha,
+                                       _solver_cfg(b), ctx.plan)
     if rep.outcome not in (SolverOutcome.ENDPOINT_FOUND, SolverOutcome.APPROX_ENDPOINT_SEQUENCE):
         return "fail", rep.message
     for step in rep.trace:
@@ -741,10 +754,10 @@ CHECKS.update({
     "hausdorff/symmetry": _check_hausdorff_symmetry,
     "hausdorff/singleton": _check_hausdorff_singleton,
     "hausdorff/triangle": _check_hausdorff_triangle,
-    "map/phi-strictly-below": _check_witness_validity,
-    "map/weak-contraction": _contraction_row(_weak_report),
-    "map/global-contraction": _contraction_row(_global_report),
-    "map/global-implies-weak": _check_global_implies_weak,
+    "map/phi-strictly-below": _map_row(_witness_result, _check_witness_validity),
+    "map/weak-contraction": _map_row(_weak_report, _check_contraction),
+    "map/global-contraction": _map_row(_global_report, _check_contraction),
+    "map/global-implies-weak": _map_row(_global_report, _check_global_implies_weak),
     "map/c-status": _check_c_status,
     "endpoint/at-most-one": _check_at_most_one,
     "endpoint/approx-equivalence": _check_approx_equivalence,

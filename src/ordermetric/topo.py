@@ -123,17 +123,13 @@ def strict_order_structure(module: OrderedModuleInstance) -> TopoStructure:
     g = module.group
     witness = g.coerce(1) if not isinstance(g.identity, tuple) else tuple(
         Fraction(1) for _ in g.identity)
-
-    def interior_sampler(rng: random.Random) -> Element:
-        return g.positive_sampler(rng)
-
     return TopoStructure(
         name=f"strict-order({g.name})",
         group=g,
         strictly_below=g.lt,
         positivity_witness=witness,
         shrink=lambda e: module.scale(Fraction(1, 2), e),
-        interior_sampler=interior_sampler,
+        interior_sampler=g.positive_sampler,
         module=module,
     )
 

@@ -115,6 +115,60 @@ def test_verify_without_map_skips_map_checks(tmp_path, capsys):
     assert "skip" in out and "no map" in out
 
 
+def _scale_map_file(space: str, map_: str) -> str:
+    return ("[group]\nfamily = real\n\n[structure]\nkind = strict-order\n\n"
+            f"[space]\n{space}\nmetric = abs\n\n[map]\n{map_}\n\n"
+            "[witness]\nclass = alpha-const\nalpha = 1/2\n")
+
+
+ONE_POINT_FILE = _scale_map_file("points = 0", "image 0 = 0")
+ONE_POINT_INTERVAL_FILE = _scale_map_file("interval = 1 .. 1", "rule = scale\nfactors = 1")
+FLIP_FILE = _scale_map_file("interval = -1 .. 1", "rule = scale\nfactors = -1")
+
+_NO_PAIRS = "skip\tno pair of distinct points to check"
+_C_STATUS = ("pass\tholds-by-theorem: uniform ratio 1/2 < 1: the gap dominates "
+             "(1 - 1/2) * d, and that factor is invertible and positive")
+_UNIT_RATIO = "skip\tthe single-valued map scales by ratio 1, which must lie in [0, 1)"
+
+
+@pytest.mark.parametrize("text, oracle, banach", [
+    (ONE_POINT_FILE, "walk tolerance undefined: space has fewer than two points",
+     "skip\tbundle has no single-valued contraction"),
+    (ONE_POINT_INTERVAL_FILE, "needs a finite mapped space", _UNIT_RATIO),
+], ids=["one-point", "one-point-interval"])
+def test_map_and_solver_rows_without_a_pair_skip(tmp_path, capsys, text, oracle, banach):
+    # no row passes after checking nothing: no pair of distinct points, and
+    # a walk trace too short to compare a step with the one before it
+    path = tmp_path / "one.ini"
+    path.write_text(text)
+    rc = main(["verify", str(path), "--checks", "map,solver", "--format", "machine-rows"])
+    rows = [f"{check}\t{path.stem}\t{outcome}" for check, outcome in [
+        ("map/phi-strictly-below", _NO_PAIRS),
+        ("map/weak-contraction", _NO_PAIRS),
+        ("map/global-contraction", _NO_PAIRS),
+        ("map/global-implies-weak", _NO_PAIRS),
+        ("map/c-status", _C_STATUS),
+        ("solver/oracle-agreement", f"skip\t{oracle}"),
+        ("solver/trace-monotone", "skip\tendpoint-found with a trace of 0 steps: "
+                                  "fewer than two steps compare nothing"),
+        ("solver/banach-rate", banach),
+    ]]
+    assert capsys.readouterr().out == "".join(row + "\n" for row in rows)
+    assert rc == 0
+
+
+def test_banach_rate_skips_a_scale_map_of_magnitude_one(tmp_path, capsys):
+    path = tmp_path / "flip.ini"
+    path.write_text(FLIP_FILE)
+    rc = main(["verify", str(path), "--checks", "solver/banach-rate",
+               "--format", "machine-rows"])
+    assert capsys.readouterr().out == f"solver/banach-rate\t{path.stem}\t{_UNIT_RATIO}\n"
+    assert rc == 0
+    assert main(["solve", str(path)]) == 2
+    assert capsys.readouterr().err == ("hypothesis violated: the single-valued map scales "
+                                       "by ratio 1, which must lie in [0, 1)\n")
+
+
 def test_verify_machine_rows_deterministic(capsys):
     args = ["verify", "three-point", "--format", "machine-rows",
             "--samples", "120", "--n-max", "60", "--seed", "9"]

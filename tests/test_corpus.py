@@ -154,6 +154,11 @@ def test_corpus_survey_script_runs_clean():
         r"pass all-pairs check with a constant ratio: (\d+)  \(built with one: (\d+)\)",
         proc.stdout).groups())
     assert verified == built > 0
+    # the gated theorem check: a bare bound table never certifies the
+    # convergence condition, a constant ratio always does
+    assert ("endpoint theorem checked with the bound table: 0 of 200  "
+            "(skipped, convergence condition not certified: 200)\n") in proc.stdout
+    assert "endpoint theorem checked with a constant ratio: 69 of 69\n" in proc.stdout
     assert "instances contradicting their construction: 0" in proc.stdout
     assert "endpoint <-> zero inf-sup mismatches: 0" in proc.stdout
 

@@ -331,16 +331,51 @@ def _finite_spaces(draw):
 @settings(max_examples=120, deadline=None)
 @given(_finite_spaces())
 def test_table_equals_the_point_by_point_distances(space):
+    pts = space.points
+    assert space._distances == [space.distance(x, y) for x in pts for y in pts]
+
+
+def _scan_recording_bounds(T, w, plan=None):
+    """The ``(a, b, d, bound)`` tuples of one scan of ``T`` under ``w``, and
+    the ``(x, y)`` pairs at which the scan evaluated the bound."""
+    calls, seen, phi = [], [], w.phi
+
+    def counted(space, x, y, d):
+        calls.append((x, y))
+        return phi(space, x, y, d)
+
+    object.__setattr__(w, "phi", counted)
+    contraction._scan(T, w, plan, "global", [("seen", lambda *args: seen.append(args))])
+    return seen, calls
+
+
+@settings(max_examples=120, deadline=None)
+@given(_finite_spaces(), st.booleans())
+def test_a_scan_takes_one_bound_per_unordered_pair(space, psi):
     pts, n = space.points, len(space.points)
-    table = space._distances
-    assert table == [space.distance(x, y) for x in pts for y in pts]
-    # a mirror entry is its pair's object exactly when the two are equal,
-    # and so is a diagonal entry equal to the first one
-    for i in range(n):
-        for j in range(i):
-            assert (table[i * n + j] is table[j * n + i]) == (table[i * n + j] == table[j * n + i])
-        if table[i * n + i] == table[0]:
-            assert table[i * n + i] is table[0]
+    scalar = not isinstance(pts[0], tuple)
+    w = (ContractionWitness(WitnessClass.PSI_ON_DISTANCE, psi=lambda d: d / (1 + d))
+         if psi and scalar else
+         ContractionWitness(WitnessClass.ALPHA_CONSTANT, alpha_const=F(1, 2)))
+    T = SetValuedMap.from_table(space, {p: (p,) for p in pts})
+    seen, calls = _scan_recording_bounds(T, w)
+    pairs = [(a, b) for a in range(n) for b in range(n) if pts[a] != pts[b]]
+    # a pair whose mirror came first with an equal distance takes its bound
+    reused = {(a, b) for a, b in pairs
+              if b < a and space.distance(pts[b], pts[a]) == space.distance(pts[a], pts[b])}
+    assert [(a, b) for a, b, _, _ in seen] == pairs
+    assert calls == [(pts[a], pts[b]) for a, b in pairs if (a, b) not in reused]
+    for a, b, d, bound in seen:  # the class's phi, past the counting one
+        x, y = pts[a], pts[b]
+        assert d == space.distance(x, y)
+        assert bound == ContractionWitness.phi(w, space, x, y, d)
+
+
+def test_sampled_scans_take_one_bound_a_pair(real_line_space):
+    T = SetValuedMap.from_rule(real_line_space, lambda x: (x / 2,))
+    w = ContractionWitness(WitnessClass.ALPHA_CONSTANT, alpha_const=F(1, 2))
+    seen, calls = _scan_recording_bounds(T, w, SamplePlan(seed=3, count=50))
+    assert calls == [(x, y) for x, y, _, _ in seen] and len(calls) == 50
 
 
 @pytest.mark.parametrize("fail_at", [1, 2, 4, 5, 9, 16])
@@ -366,19 +401,23 @@ def test_a_metric_error_mid_fill_is_the_first_row_major_one(fail_at):
 
 def test_filling_the_ladder_table_hashes_nothing(monkeypatch):
     space = build_bundle(load_instance(LADDER)).space
-    calls = [0]
-    raw_hash = Fraction.__hash__
+    calls = {"hash": 0, "eq": 0}
+    raw_hash, raw_eq = Fraction.__hash__, Fraction.__eq__
 
-    def counted(self):
-        calls[0] += 1
+    def counted_hash(self):
+        calls["hash"] += 1
         return raw_hash(self)
 
-    monkeypatch.setattr(Fraction, "__hash__", counted)
+    def counted_eq(self, other):
+        calls["eq"] += 1
+        return raw_eq(self, other)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted_hash)
+    monkeypatch.setattr(Fraction, "__eq__", counted_eq)
     table = space._distances
     monkeypatch.undo()
-    assert calls[0] == 0
-    # 465 unordered pairs and one shared zero
-    assert (len(table), len({id(d) for d in table})) == (961, 466)
+    # filling compares nothing: the mirror test made 495 equality tests
+    assert (calls, len(table)) == ({"hash": 0, "eq": 0}, 961)
 
 
 def test_sampled_spaces_tabulate_nothing(real_line_space):
