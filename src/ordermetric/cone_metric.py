@@ -1,13 +1,15 @@
 """Metric spaces whose distances land in an ordered group.
 
 Point sets are either finite enumerations or sampled rational boxes; the
-distance map is exact. A finite space keeps two derived facts for its
+distance map is exact. A finite space keeps three derived facts for its
 lifetime, each a ``functools.cached_property`` computed on first use: the
-index from each point to its first position, which membership reads, and
-the N x N distance table: the exhaustive pair scans of ``contraction``
-visit that many pairs anyway, and read each distance from the table by
-position instead of recomputing it. The table compares and hashes
-nothing. Sampled spaces keep neither.
+index from each point to its first position, which membership reads and
+which tells positions of equal points apart; the N x N distance table:
+the exhaustive pair scans of ``contraction`` visit that many pairs anyway,
+and read each distance from the table by position instead of recomputing
+it; and whether that table is symmetric, N(N-1)/2 ``cmp`` calls, which
+lets those scans decide a mirror pair once. The table compares and hashes
+nothing. Sampled spaces keep none of them.
 
 The set distance is restricted to finite subsets: in a genuinely partial
 order the inner min/max may simply not exist. Every fold takes the least
@@ -24,6 +26,7 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from .order_core import (
+    _EQUAL,
     DomainError,
     Element,
     IncomparableError,
@@ -57,9 +60,10 @@ class ConeMetricSpace:
     tuples of them, so their natural order is the canonical enumeration
     order that solvers use as a deterministic tie-break.
 
-    A finite space keeps its point index (``_index``) and its distance
-    table (``_distances``) as cached properties, computed whole on first use
-    (an error leaves them unset); ``dataclasses.replace`` starts without them.
+    A finite space keeps its point index (``_index``), its distance table
+    (``_distances``) and the table's symmetry (``_symmetric``) as cached
+    properties, computed whole on first use (an error leaves them unset);
+    ``dataclasses.replace`` starts without them.
     """
 
     name: str
@@ -109,6 +113,26 @@ class ConeMetricSpace:
             table[i * n:i * n + n] = [distance(x, y) for y in pts]
         return table
 
+    @cached_property
+    def _symmetric(self) -> bool:
+        """Whether every cell of the distance table equals its mirror, each
+        unordered pair of positions compared once through ``group.cmp``. A
+        table whose cells the order cannot compare is not known to be
+        symmetric, so it reads False and its scans visit every pair."""
+        table, n, cmp = self._distances, len(self.points), self.group.cmp
+        try:
+            return all(cmp(table[i * n + j], table[j * n + i]) is _EQUAL
+                       for i in range(n) for j in range(i + 1, n))
+        except Exception:  # noqa: BLE001 - an uncomparable cell proves nothing
+            return False
+
+    def _position_pairs(self) -> list[tuple]:
+        """Every ordered pair of positions holding distinct points, row by
+        row: two positions hold equal points exactly when they share a first
+        position, so no point is compared."""
+        first = [self._index[p] for p in self.points]
+        return [(i, j) for i, fi in enumerate(first) for j, fj in enumerate(first) if fi != fj]
+
     def _distance_by_position(self) -> Callable[[int, int], Element]:
         """``dist(i, j)`` = d(points[i], points[j]) on a finite space, read
         from the table."""
@@ -126,14 +150,16 @@ class ConeMetricSpace:
 
 
 def min_positive_distance(m: ConeMetricSpace) -> Element:
-    """Least nonzero distance of a finite space: the canonical tolerance scale."""
+    """Least distance between distinct points of a finite space, over every
+    ordered pair: the canonical tolerance scale."""
     if not m.finite:
         raise ValueError("minimum positive distance needs a finite space")
-    dist, n = m._distance_by_position(), len(m.points)
-    vals = [dist(i, j) for i in range(n) for j in range(i + 1, n)]
+    table, n = m._distances, len(m.points)
+    vals = [table[i * n + j] for i, j in m._position_pairs()]
     if not vals:
         raise ValueError("space has fewer than two points")
-    # each value once, for the quadratic pair scan when there is no least one
+    # each value once: a symmetric table lists it twice, and the quadratic
+    # pair scan runs when there is no least one
     return order_min(m.group, list(dict.fromkeys(vals)), "minimum positive distance")
 
 

@@ -17,11 +17,14 @@ An image point outside a finite space is a ``DomainError`` naming it.
 Sampled spaces keep working on points, with the same seeded streams.
 
 Each check runs its pair laws on the one law runner, in one pass over a
-pair stream that reads each distance and bound once (on a finite space, a
-bound of the distance alone once per unordered pair: a pair reuses its
-mirror's bound by position when the two distances are equal), and returns
-the runner's ``LawResult`` or ``LawReport``; on a finite space the walk
+pair stream that reads each distance and bound once, and returns the
+runner's ``LawResult`` or ``LawReport``; on a finite space the walk
 hypotheses (the global bound and the witness obligations) share one pass.
+On a finite space a bound of the distance alone decides each unordered
+pair once: on a symmetric table, laws that read a pair and its mirror
+alike take the mirror as an implied item and run once; otherwise the
+mirror is visited and reuses the bound by position when the two distances
+are equal (see ``_scan``).
 Every step that can raise runs inside the stream or in the first call of
 its law, so the runner holds each error for the laws it reached.
 
@@ -42,7 +45,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import starmap
 from typing import Callable, Mapping, Sequence
 
 from .order_core import (
@@ -296,10 +298,7 @@ def _distinct_pairs(space: ConeMetricSpace, plan: SamplePlan, label: str) -> lis
     in ``space.points``, or ``plan.count`` seeded distinct pairs of points
     drawn from the stream ``label``. ``_pair_reader`` reads either kind."""
     if space.finite:
-        # two positions hold equal points exactly when they share a first position
-        where = space._index
-        first = [where[p] for p in space.points]
-        return [(i, j) for i, fi in enumerate(first) for j, fj in enumerate(first) if fi != fj]
+        return space._position_pairs()
     rng = _law_rng(plan, label)
     out = []
     attempts = 0
@@ -328,33 +327,58 @@ def _pair_reader(space: ConeMetricSpace) -> tuple:
                                   else space.distance)
 
 
+# the laws whose outcome at (b, a) is their outcome at (a, b) when the table
+# is symmetric and the bound depends on the distance alone: the global law
+# compares the same image distances, phi-strictly-below the same distance,
+# and alpha-range a constant ratio (a ratio function's bound is per pair)
+_MIRROR_INVARIANT = frozenset({"global", "phi-strictly-below", "alpha-range"})
+
+
 def _scan(T: SetValuedMap, w: ContractionWitness, plan: SamplePlan | None, label: str,
           laws: list) -> list:
     """Each law's outcome over the pair stream ``label``. A law takes
     ``(a, b, d, bound)``: entries, distance and witness bound, each read once
-    for all laws. On a finite space a bound of the distance alone is taken
-    once per unordered pair: (a, b) reuses the bound of (b, a) when that
-    pair came first with an equal distance. Drawing the pairs and filling
-    the table run inside the stream, so the runner holds their errors for
-    every law."""
+    for all laws.
+
+    On a finite space whose bound depends on the distance alone
+    (``alpha-const``, ``psi``), each unordered pair is decided once. When
+    the table is symmetric and every law is mirror-invariant, the mirror
+    (b, a) of a pair with a < b is an implied item (``None``): the row-major
+    stream reaches it after (a, b), where every law still running passed on
+    the same values against the same bound, so each ``LawResult`` is the one
+    a visit would give. Otherwise (b, a) is visited and reuses the bound of
+    (a, b) when the two distances are equal. Every ordered pair is visited
+    by the one-sided (``weak``) law, whose roles of x and y differ, by any
+    law not in ``_MIRROR_INVARIANT``, under ``phi-table`` and ``alpha-fn``
+    witnesses, whose bound may differ at the mirror, on asymmetric tables
+    and on sampled spaces, whose pairs have no mirror in the stream.
+
+    Drawing the pairs, filling the table and deciding its symmetry run
+    inside the stream, so the runner holds their errors for every law."""
     space, phi = T.space, w.phi
     by_distance = space.finite and w.klass in (WitnessClass.ALPHA_CONSTANT,
                                                WitnessClass.PSI_ON_DISTANCE)
 
     def stream():
         pairs = _distinct_pairs(space, plan or SamplePlan(), label)
-        point = _point_reader(space)
-        if space.finite:
-            table, n = space._distances, len(space.points)
-            dists = [table[a * n + b] for a, b in pairs]
-        else:
-            dists = starmap(space.distance, pairs)
+        if not space.finite:
+            for x, y in pairs:
+                d = space.distance(x, y)
+                yield x, y, d, phi(space, x, y, d)
+            return
+        point, table, n = space.points.__getitem__, space._distances, len(space.points)
         if not by_distance:
-            for (a, b), d in zip(pairs, dists):
+            for a, b in pairs:
+                d = table[a * n + b]
                 yield a, b, d, phi(space, point(a), point(b), d)
             return
+        implied = all(law in _MIRROR_INVARIANT for law, _ in laws) and space._symmetric
         bounds = [None] * (n * n)  # the bound yielded at each position pair
-        for (a, b), d in zip(pairs, dists):
+        for a, b in pairs:
+            if implied and b < a:
+                yield None
+                continue
+            d = table[a * n + b]
             bound = bounds[b * n + a]
             if bound is None or table[b * n + a] != d:
                 bound = phi(space, point(a), point(b), d)

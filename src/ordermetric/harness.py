@@ -700,6 +700,8 @@ def _check_oracle_agreement(b: InstanceBundle, ctx: _Ctx):
 def _check_trace_monotone(b: InstanceBundle, ctx: _Ctx):
     if b.map_ is None or b.witness is None:
         return "skip", "bundle has no map/witness"
+    if not _global_report(b, ctx).passed:
+        return "skip", "all-pairs bound fails; walk not governed"
     g = b.space.group
     rep = iterate_endpoint(b.map_, b.witness, _solver_cfg(b), ctx.plan)
     if rep.outcome is SolverOutcome.HYPOTHESIS_VIOLATION:

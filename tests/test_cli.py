@@ -169,6 +169,21 @@ def test_banach_rate_skips_a_scale_map_of_magnitude_one(tmp_path, capsys):
                                        "by ratio 1, which must lie in [0, 1)\n")
 
 
+def test_trace_monotone_skips_a_walk_no_bound_governs(tmp_path, capsys):
+    # T(x) = -x fails the all-pairs bound, so its walk is not governed: the
+    # map row reports the defect and the solver row skips, as
+    # solver/oracle-agreement does; verify still exits 1
+    path = tmp_path / "flip.ini"
+    path.write_text(FLIP_FILE)
+    rc = main(["verify", str(path), "--checks", "map/global-contraction,solver/trace-monotone",
+               "--format", "machine-rows"])
+    assert capsys.readouterr().out == (
+        f"map/global-contraction\t{path.stem}\tfail\t"
+        "x=1/2, y=-1/9, x'=-1/2, y'=1/9: d=11/18 exceeds 11/36\n"
+        f"solver/trace-monotone\t{path.stem}\tskip\tall-pairs bound fails; walk not governed\n")
+    assert rc == 1
+
+
 def test_verify_machine_rows_deterministic(capsys):
     args = ["verify", "three-point", "--format", "machine-rows",
             "--samples", "120", "--n-max", "60", "--seed", "9"]

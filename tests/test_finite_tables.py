@@ -1,9 +1,11 @@
 """Finite spaces tabulate their distances once, rationals compare by one
-cross-multiplication and the walk hypotheses take one pass over the pairs:
-equivalence with the point-by-point scans, the exact comparison kernels,
-the one-pass least and greatest elements, the one-pass hypotheses against the two scans (and
-their errors), work counters on a 31-point ladder, and the ladder's verify
-and solve outputs against committed goldens."""
+cross-multiplication and the walk hypotheses take one pass over the pairs,
+deciding each unordered pair once: equivalence with the point-by-point
+scans, the exact comparison kernels, the one-pass least and greatest
+elements, the one-pass hypotheses against the two scans and every scan
+against an every-pair reference (and their errors), work counters on a
+31-point ladder, and the ladder's verify and solve outputs against
+committed goldens."""
 
 import dataclasses
 import random
@@ -44,7 +46,7 @@ from ordermetric import (
 from ordermetric import cli, cone_metric, contraction, harness, order_core
 from ordermetric.cli import main
 from ordermetric.instance_files import BUILTIN_INSTANCE_TEXTS, build_bundle, load_instance
-from ordermetric.order_core import LawReport, _cone_cmp, _run_law, _scalar_cmp, format_element
+from ordermetric.order_core import LawReport, _cone_cmp, _raise_held, _scalar_cmp, format_element
 
 DATA = Path(__file__).parent / "data"
 LADDER = DATA / "ladder-31.ini"
@@ -54,80 +56,79 @@ F = Fraction
 
 
 # ---------------------------------------------------------------------------
-# the point-by-point scans the tabulated ones replace
+# the point-by-point scans the tabulated ones replace: every ordered pair of
+# distinct points, no table, no positions and no mirror rule
 
 
 def _ref_pairs(space):
     return [(x, y) for x in space.points for y in space.points if x != y]
 
 
-def _ref_scan(T, w, kind, violation):
-    space = T.space
-    pairs = _ref_pairs(space)
-    for checked, (x, y) in enumerate(pairs, 1):
-        bound = w.phi(space, x, y, space.distance(x, y))
-        ty = T.images(y)
+def _every_pair(T, w, laws):
+    """Each named law's outcome over every ordered pair of distinct points,
+    on the one law runner, point by point: each distance from the metric,
+    each bound from ``phi`` at its own pair, and no table, position or
+    mirror rule; the reference the tabulated scans must equal."""
+    space, g = T.space, T.space.group
+
+    def stream():
+        for x, y in _ref_pairs(space):
+            d = space.distance(x, y)
+            yield x, y, d, w.phi(space, x, y, d)
+
+    def pair_text(x, y, xp):
+        return f"x={format_element(x)}, y={format_element(y)}, x'={format_element(xp)}"
+
+    def weak(x, y, d, bound):
         for xp in T.images(x):
-            tail = violation(xp, ty, bound)
-            if tail is not None:
-                return LawResult(kind, False, checked,
-                                 f"x={format_element(x)}, y={format_element(y)}, "
-                                 f"x'={format_element(xp)}{tail}")
-    return LawResult(kind, True, len(pairs))
+            if not any(g.leq(space.distance(xp, yp), bound) for yp in T.images(y)):
+                return f"{pair_text(x, y, xp)}: no image point of y within {format_element(bound)}"
+
+    def global_(x, y, d, bound):
+        for xp in T.images(x):
+            for yp in T.images(y):
+                dd = space.distance(xp, yp)
+                if not g.leq(dd, bound):
+                    return (f"{pair_text(x, y, xp)}, y'={format_element(yp)}: "
+                            f"d={format_element(dd)} exceeds {format_element(bound)}")
+
+    def phi_strictly_below(x, y, d, bound):
+        if g.is_positive(d) and not g.lt(bound, d):
+            return (f"x={format_element(x)}, y={format_element(y)}: bound "
+                    f"{format_element(bound)} not strictly below {format_element(d)}")
+
+    def alpha_range(x, y, d, bound):
+        r = w.alpha(x, y)
+        if not (0 <= r < 1):
+            return f"ratio {r} at ({format_element(x)}, {format_element(y)})"
+        if w.klass is WitnessClass.ALPHA_FUNCTION and r > w.alpha_bound:
+            return f"ratio {r} exceeds declared bound {w.alpha_bound}"
+
+    named = {"weak": weak, "global": global_, "phi-strictly-below": phi_strictly_below,
+             "alpha-range": alpha_range}
+    return order_core._run_laws(stream(), [(law, named[law]) for law in laws])
+
+
+def _every_pair_witness(T, w):
+    laws = ["phi-strictly-below"]
+    if w.klass in (WitnessClass.ALPHA_CONSTANT, WitnessClass.ALPHA_FUNCTION):
+        laws.append("alpha-range")
+    results = _every_pair(T, w, laws)
+    held = [r for r in results if isinstance(r, Exception)]
+    return held[0] if held else LawReport(f"witness {w.describe()} against {T.name}",
+                                          tuple(results))
 
 
 def _ref_weak(T, w):
-    space, g = T.space, T.space.group
-
-    def violation(xp, ty, bound):
-        if any(g.leq(space.distance(xp, yp), bound) for yp in ty):
-            return None
-        return f": no image point of y within {format_element(bound)}"
-
-    return _ref_scan(T, w, "weak", violation)
+    return _raise_held(_every_pair(T, w, ["weak"])[0])
 
 
 def _ref_global(T, w):
-    space, g = T.space, T.space.group
-
-    def violation(xp, ty, bound):
-        for yp in ty:
-            d = space.distance(xp, yp)
-            if not g.leq(d, bound):
-                return (f", y'={format_element(yp)}: d={format_element(d)} exceeds "
-                        f"{format_element(bound)}")
-        return None
-
-    return _ref_scan(T, w, "global", violation)
+    return _raise_held(_every_pair(T, w, ["global"])[0])
 
 
 def _ref_validate(T, w):
-    space, g = T.space, T.space.group
-    pairs = _ref_pairs(space)
-
-    def phi_strictly_below(x, y):
-        d = space.distance(x, y)
-        if not g.is_positive(d):
-            return None
-        bound = w.phi(space, x, y, d)
-        if g.lt(bound, d):
-            return None
-        return (f"x={format_element(x)}, y={format_element(y)}: bound "
-                f"{format_element(bound)} not strictly below {format_element(d)}")
-
-    results = [_run_law("phi-strictly-below", pairs, phi_strictly_below)]
-    if w.klass in (WitnessClass.ALPHA_CONSTANT, WitnessClass.ALPHA_FUNCTION):
-        def alpha_in_range(x, y):
-            a = w.alpha(x, y)
-            if not (0 <= a < 1):
-                return f"ratio {a} at ({format_element(x)}, {format_element(y)})"
-            if w.klass is WitnessClass.ALPHA_FUNCTION and a > w.alpha_bound:
-                return f"ratio {a} exceeds declared bound {w.alpha_bound}"
-            return None
-
-        results.append(_run_law("alpha-range", pairs, alpha_in_range))
-    return LawReport(subject=f"witness {w.describe()} against {T.name}",
-                     results=tuple(results))
+    return _raise_held(_every_pair_witness(T, w))
 
 
 def _quadratic_extreme(g, items, keep, context):
@@ -236,6 +237,20 @@ def test_infsup_matches_the_point_by_point_value(label, T, w):
     assert (value.value, value.achieving_point) == expected
 
 
+def _quasi(x, y):
+    # a quasi-metric: going up costs twice the gap, going down half of it
+    return 2 * (y - x) if x < y else (x - y) / 2
+
+
+def test_min_positive_distance_reads_every_ordered_pair_of_distinct_points():
+    line = strict_order_structure(real_module())
+    repeated = ConeMetricSpace("repeated", line, lambda x, y: abs(x - y),
+                               points=(F(0), F(1), F(1)))
+    assert min_positive_distance(repeated) == 1  # not d(1, 1) = 0
+    quasi = ConeMetricSpace("quasi", line, _quasi, points=(F(0), F(1)))
+    assert min_positive_distance(quasi) == F(1, 2)  # d(1, 0), below d(0, 1) = 2
+
+
 def test_min_positive_distance_matches_the_point_by_point_chain():
     for space in (_three_point().space, build_bundle(load_instance(LADDER)).space):
         pts = space.points
@@ -335,37 +350,52 @@ def test_table_equals_the_point_by_point_distances(space):
     assert space._distances == [space.distance(x, y) for x in pts for y in pts]
 
 
-def _scan_recording_bounds(T, w, plan=None):
-    """The ``(a, b, d, bound)`` tuples of one scan of ``T`` under ``w``, and
-    the ``(x, y)`` pairs at which the scan evaluated the bound."""
-    calls, seen, phi = [], [], w.phi
+def _scan_recording_bounds(T, w, laws, plan=None):
+    """The items of one scan of ``T`` under ``w`` with ``laws`` as the
+    runner receives them (``None`` for an implied item), running no law,
+    and the ``(x, y)`` pairs at which the scan evaluated the bound."""
+    calls, items, phi = [], [], w.phi
 
     def counted(space, x, y, d):
         calls.append((x, y))
         return phi(space, x, y, d)
 
     object.__setattr__(w, "phi", counted)
-    contraction._scan(T, w, plan, "global", [("seen", lambda *args: seen.append(args))])
-    return seen, calls
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(contraction, "_run_laws", lambda stream, laws: items.extend(stream))
+        contraction._scan(T, w, plan, "global", laws)
+    return items, calls
 
 
 @settings(max_examples=120, deadline=None)
-@given(_finite_spaces(), st.booleans())
-def test_a_scan_takes_one_bound_per_unordered_pair(space, psi):
+@given(_finite_spaces(), st.booleans(), st.sampled_from(["hypotheses", "weak"]))
+def test_a_scan_takes_one_bound_per_unordered_pair(space, psi, kind):
     pts, n = space.points, len(space.points)
     scalar = not isinstance(pts[0], tuple)
     w = (ContractionWitness(WitnessClass.PSI_ON_DISTANCE, psi=lambda d: d / (1 + d))
          if psi and scalar else
          ContractionWitness(WitnessClass.ALPHA_CONSTANT, alpha_const=F(1, 2)))
     T = SetValuedMap.from_table(space, {p: (p,) for p in pts})
-    seen, calls = _scan_recording_bounds(T, w)
+    laws = ([contraction._image_law(T, "global")] + contraction._witness_laws(T, w)
+            if kind == "hypotheses" else [contraction._image_law(T, "weak")])
+    items, calls = _scan_recording_bounds(T, w, laws)
     pairs = [(a, b) for a in range(n) for b in range(n) if pts[a] != pts[b]]
-    # a pair whose mirror came first with an equal distance takes its bound
-    reused = {(a, b) for a, b in pairs
-              if b < a and space.distance(pts[b], pts[a]) == space.distance(pts[a], pts[b])}
-    assert [(a, b) for a, b, _, _ in seen] == pairs
-    assert calls == [(pts[a], pts[b]) for a, b in pairs if (a, b) not in reused]
-    for a, b, d, bound in seen:  # the class's phi, past the counting one
+    symmetric = all(space.distance(x, y) == space.distance(y, x) for x in pts for y in pts)
+    assert space._symmetric is symmetric
+    if kind == "hypotheses" and symmetric:
+        # the global bound and the witness obligations read (b, a) as they
+        # read (a, b), which came first: the mirror is implied
+        assert [item and item[:2] for item in items] == [(a, b) if a < b else None
+                                                         for a, b in pairs]
+        assert calls == [(pts[a], pts[b]) for a, b in pairs if a < b]
+    else:
+        # every pair is visited; one whose mirror came first with an equal
+        # distance takes its bound
+        reused = {(a, b) for a, b in pairs
+                  if b < a and space.distance(pts[b], pts[a]) == space.distance(pts[a], pts[b])}
+        assert [item[:2] for item in items] == pairs
+        assert calls == [(pts[a], pts[b]) for a, b in pairs if (a, b) not in reused]
+    for a, b, d, bound in filter(None, items):  # the class's phi, past the counting one
         x, y = pts[a], pts[b]
         assert d == space.distance(x, y)
         assert bound == ContractionWitness.phi(w, space, x, y, d)
@@ -374,8 +404,26 @@ def test_a_scan_takes_one_bound_per_unordered_pair(space, psi):
 def test_sampled_scans_take_one_bound_a_pair(real_line_space):
     T = SetValuedMap.from_rule(real_line_space, lambda x: (x / 2,))
     w = ContractionWitness(WitnessClass.ALPHA_CONSTANT, alpha_const=F(1, 2))
-    seen, calls = _scan_recording_bounds(T, w, SamplePlan(seed=3, count=50))
-    assert calls == [(x, y) for x, y, _, _ in seen] and len(calls) == 50
+    laws = [contraction._image_law(T, "global")] + contraction._witness_laws(T, w)
+    items, calls = _scan_recording_bounds(T, w, laws, SamplePlan(seed=3, count=50))
+    assert calls == [(x, y) for x, y, _, _ in items] and len(calls) == 50
+
+
+def test_a_metric_error_is_held_for_both_walk_hypotheses():
+    def metric(x, y):
+        metric.calls += 1
+        if metric.calls == 5:
+            raise ValueError("metric failed once")
+        return abs(x - y)
+
+    metric.calls = 0
+    space = ConeMetricSpace("flaky", strict_order_structure(real_module()), metric,
+                            points=(F(0), F(1), F(3)))
+    T = SetValuedMap.from_table(space, {p: (F(0),) for p in space.points})
+    global_outcome, witness_outcome = contraction._hypothesis_pass(T, HALF, SamplePlan())
+    assert global_outcome is witness_outcome
+    assert (type(global_outcome), str(global_outcome)) == (ValueError, "metric failed once")
+    assert "_distances" not in vars(space) and "_symmetric" not in vars(space)
 
 
 @pytest.mark.parametrize("fail_at", [1, 2, 4, 5, 9, 16])
@@ -645,29 +693,18 @@ _ratios = st.sampled_from([F(0), F(1, 4), F(1, 2), F(3, 4), F(1), F(5, 4)])
 
 
 @st.composite
-def _hypothesis_cases(draw):
-    """A random finite space on the line or on the cone-2 grid, a random
-    map table, and a witness of any class, passing or failing: phi tables
-    with scaled, skewed (so possibly incomparable) or missing entries,
-    constant ratios in range or forced out of it, ratio functions that
-    break their range or declared bound, and psi functions on the line."""
-    if draw(st.booleans()):
-        coords = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
-                               min_size=1, max_size=5, unique=True))
-        space = ConeMetricSpace("cone", interior_cone_structure(coord_cone_module(2)),
-                                lambda x, y: tuple(abs(a - b) for a, b in zip(x, y)),
-                                points=tuple(_vector(c) for c in coords))
-    else:
-        nums = draw(st.lists(st.integers(0, 12), min_size=1, max_size=5, unique=True))
-        space = ConeMetricSpace("line", strict_order_structure(real_module()),
-                                lambda x, y: abs(x - y), points=tuple(F(k, 4) for k in nums))
+def _maps_and_witnesses(draw, space):
+    """A random map table on ``space`` and a witness of any class, passing
+    or failing: phi tables with scaled, skewed (so possibly incomparable on
+    a cone) or missing entries, constant ratios in range or forced out of
+    it, ratio functions that break their range or declared bound, and psi
+    functions (a scaling on a cone)."""
     pts, cone = space.points, isinstance(space.points[0], tuple)
     T = SetValuedMap.from_table(
         space, {p: draw(st.lists(st.sampled_from(pts), min_size=1, max_size=3)) for p in pts},
         name="random")
     pairs = _ref_pairs(space)
-    klass = draw(st.sampled_from([k for k in WitnessClass
-                                  if not (cone and k is WitnessClass.PSI_ON_DISTANCE)]))
+    klass = draw(st.sampled_from(list(WitnessClass)))
     if klass is WitnessClass.PHI_TABLE:
         table = {}
         for x, y in pairs:
@@ -689,9 +726,28 @@ def _hypothesis_cases(draw):
         return T, ContractionWitness(klass, alpha_fn=lambda x, y: ratios[(x, y)],
                                      alpha_bound=draw(st.sampled_from([F(1, 2), F(3, 4)])))
     r = draw(_ratios)
+    if cone:
+        return T, ContractionWitness(klass, psi=lambda d: space.structure.module.scale(r, d))
     psi = draw(st.sampled_from([lambda d: r * d, lambda d: d / (1 + d),
                                 lambda d: min(d, F(1, 2))]))
     return T, ContractionWitness(klass, psi=psi)
+
+
+@st.composite
+def _hypothesis_cases(draw):
+    """A random finite space of distinct points on the line or on the
+    cone-2 grid, with a random map table and witness."""
+    if draw(st.booleans()):
+        coords = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                               min_size=1, max_size=5, unique=True))
+        space = ConeMetricSpace("cone", interior_cone_structure(coord_cone_module(2)),
+                                lambda x, y: tuple(abs(a - b) for a, b in zip(x, y)),
+                                points=tuple(_vector(c) for c in coords))
+    else:
+        nums = draw(st.lists(st.integers(0, 12), min_size=1, max_size=5, unique=True))
+        space = ConeMetricSpace("line", strict_order_structure(real_module()),
+                                lambda x, y: abs(x - y), points=tuple(F(k, 4) for k in nums))
+    return draw(_maps_and_witnesses(space))
 
 
 @settings(max_examples=400, deadline=None)
@@ -705,6 +761,57 @@ def test_one_pass_hypotheses_equal_the_two_scans(case):
     assert _read(lambda: hyps.witness_report) == expected_witness
     assert _read(lambda: is_global_weak_contraction(T, w)) == expected_global
     assert _read(lambda: validate_witness(T, w)) == expected_witness
+
+
+def _outcome(value):
+    """A report, or a held error as its type and text."""
+    return (type(value), str(value)) if isinstance(value, Exception) else value
+
+
+def _raised(get):
+    try:
+        return get()
+    except Exception as exc:  # noqa: BLE001 - compared with the reference's held error
+        return _outcome(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_finite_spaces(), st.data())
+def test_every_scan_equals_the_every_pair_reference(space, data):
+    # repeated points, asymmetric and cone tables, multi-valued maps, every
+    # witness class, and psi bounds that raise at one distance: the mirror
+    # rule and the bound reuse change no outcome, count, text or held error
+    T, w = data.draw(_maps_and_witnesses(space))
+    pairs = _ref_pairs(space)
+    if w.klass is WitnessClass.PSI_ON_DISTANCE and pairs and data.draw(st.booleans()):
+        inner, bad = w.psi, space.distance(*data.draw(st.sampled_from(pairs)))
+
+        def psi(d):
+            if d == bad:
+                raise ValueError(f"psi undefined at {format_element(d)}")
+            return inner(d)
+
+        w = ContractionWitness(WitnessClass.PSI_ON_DISTANCE, psi=psi)
+    global_outcome, witness_outcome = contraction._hypothesis_pass(T, w, SamplePlan())
+    assert _outcome(global_outcome) == _outcome(_every_pair(T, w, ["global"])[0])
+    assert _outcome(witness_outcome) == _outcome(_every_pair_witness(T, w))
+    assert _raised(lambda: is_global_weak_contraction(T, w)) == _outcome(global_outcome)
+    assert _raised(lambda: validate_witness(T, w)) == _outcome(witness_outcome)
+    assert _raised(lambda: is_weak_contraction(T, w)) == \
+        _outcome(_every_pair(T, w, ["weak"])[0])
+
+
+def test_an_asymmetric_table_checks_both_orders_of_a_pair():
+    # d(0, 1) = 2 and d(1, 0) = 1/2, and T swaps the points: (0, 1) meets
+    # its bound 1 at image distance d(1, 0), while (1, 0) has bound 1/4 and
+    # image distance d(0, 1) = 2; a mirror taken as implied would pass
+    space = ConeMetricSpace("quasi", strict_order_structure(real_module()), _quasi,
+                            points=(F(0), F(1)))
+    T = SetValuedMap.from_table(space, {F(0): (F(1),), F(1): (F(0),)}, name="swap")
+    expected = LawResult("global", False, 2, "x=1, y=0, x'=0, y'=1: d=2 exceeds 1/4")
+    assert is_global_weak_contraction(T, HALF) == expected
+    assert check_hypotheses(T, HALF).global_report == expected
+    assert space._symmetric is False
 
 
 def _verdict(get):
@@ -874,8 +981,9 @@ def test_ladder_pairs_compare_positions_not_points(monkeypatch):
 
 # rational comparisons, Fraction constructions (Fraction.__new__ or
 # order_core._q) and Fraction equality tests in one ladder solve; the pair
-# scan that compared points made 1,818 equality tests
-LADDER_SOLVE_BUDGET = {"cmp": 5375, "new": 2588, "eq": 857}
+# scan that compared points made 1,818 equality tests, and the hypotheses
+# visiting all 930 ordered pairs 5,370 comparisons and 827 equality tests
+LADDER_SOLVE_BUDGET = {"cmp": 3164, "new": 2588, "eq": 362}
 
 
 def test_ladder_solve_stays_within_its_work_budget(monkeypatch, capsys):
@@ -978,6 +1086,30 @@ def test_ladder_solve_evaluates_one_bound_per_unordered_pair(monkeypatch, capsys
     assert rc == 0
     assert sum(line.startswith("  n=") for line in out.splitlines()) == steps
     assert calls[0] == 465 + steps
+
+
+def test_ladder_walk_hypotheses_evaluate_each_unordered_pair_once(monkeypatch, capsys):
+    # the global law runs on 465 of the 930 ordered pairs (the mirrors are
+    # implied); the one-sided law, whose roles of x and y differ, on all
+    calls = {"global": 0, "weak": 0}
+    image_law = contraction._image_law
+
+    def counted(T, kind):
+        name, law = image_law(T, kind)
+
+        def counting(*args):
+            calls[kind] += 1
+            return law(*args)
+
+        return name, counting
+
+    monkeypatch.setattr(contraction, "_image_law", counted)
+    assert main(["solve", str(LADDER), "--seed-point", "1", "--eps", LADDER_EPS]) == 0
+    assert calls == {"global": 465, "weak": 0}
+    assert main(["verify", str(LADDER), "--checks", "map/weak-contraction",
+                 "--format", "machine-rows"]) == 0
+    assert calls == {"global": 465, "weak": 930}
+    capsys.readouterr()
 
 
 def test_ladder_hausdorff_triangle_stays_within_its_work_budget(monkeypatch, capsys):
