@@ -23,7 +23,7 @@ import sys
 
 from .order_core import DomainError, IncomparableError, format_element
 from .cone_metric import hausdorff
-from .contraction import check_hypotheses, validate_witness
+from .contraction import check_hypotheses
 from .harness import ALL_CHECKS, Budgets, SuiteSpec, run_suite
 from .instance_files import (
     InstanceFileError,
@@ -153,8 +153,7 @@ def cmd_solve(args) -> int:
                        selection_rule=rule)
 
     banach = bundle.banach_map is not None and bundle.banach_alpha is not None
-    wit_report = (validate_witness(bundle.map_, bundle.witness) if banach
-                  else check_hypotheses(bundle.map_, bundle.witness).witness_report)
+    wit_report = check_hypotheses(bundle.map_, bundle.witness).witness_report
     if not wit_report.passed:
         bad = wit_report.failures()[0]
         print("hypothesis violated: the bound must sit strictly below the distance "

@@ -157,7 +157,7 @@ def min_positive_distance(m: ConeMetricSpace) -> Element:
     table, n = m._distances, len(m.points)
     vals = [table[i * n + j] for i, j in m._position_pairs()]
     if not vals:
-        raise ValueError("space has fewer than two points")
+        raise ValueError("space has fewer than two distinct points")
     # each value once: a symmetric table lists it twice, and the quadratic
     # pair scan runs when there is no least one
     return order_min(m.group, list(dict.fromkeys(vals)), "minimum positive distance")

@@ -14,17 +14,16 @@ and every distance is read from the space's flat table by position (see
 ``cone_metric``). The hot laws compare through the group's ``cmp`` and
 test its outcome against the ``Order`` singletons by identity.
 An image point outside a finite space is a ``DomainError`` naming it.
-Sampled spaces keep working on points, with the same seeded streams.
+Sampled spaces keep working on points.
 
-Each check runs its pair laws on the one law runner, in one pass over a
-pair stream that reads each distance and bound once, and returns the
-runner's ``LawResult`` or ``LawReport``; on a finite space the walk
-hypotheses (the global bound and the witness obligations) share one pass.
-On a finite space a bound of the distance alone decides each unordered
-pair once: on a symmetric table, laws that read a pair and its mirror
-alike take the mirror as an implied item and run once; otherwise the
-mirror is visited and reuses the bound by position when the two distances
-are equal (see ``_scan``).
+A space and a plan have one pair list (``_distinct_pairs``) that every
+pair check reads, so the one-sided bound, the global bound, the witness
+obligations and the Banach pre-check speak of the same pairs. Each check
+runs its pair laws on the one law runner in one pass over that list,
+reading each visited pair's distance and bound once, and returns the
+runner's ``LawResult`` or ``LawReport``; the walk hypotheses share one
+pass. On a symmetric finite table, mirror-invariant laws under a bound of
+the distance alone take each mirror pair as an implied item (``_scan``).
 Every step that can raise runs inside the stream or in the first call of
 its law, so the runner holds each error for the laws it reached.
 
@@ -293,13 +292,15 @@ def c_condition_status(w: ContractionWitness) -> CConditionStatus:
 # pair streams and pair laws
 
 
-def _distinct_pairs(space: ConeMetricSpace, plan: SamplePlan, label: str) -> list[tuple]:
+def _distinct_pairs(space: ConeMetricSpace, plan: SamplePlan) -> list[tuple]:
     """Every ordered pair of distinct points of a finite space, as positions
     in ``space.points``, or ``plan.count`` seeded distinct pairs of points
-    drawn from the stream ``label``. ``_pair_reader`` reads either kind."""
+    drawn from the plan's one pair stream. Every pair check of a space and
+    plan reads this list, so their reports speak of the same pairs.
+    ``_pair_reader`` reads either kind."""
     if space.finite:
         return space._position_pairs()
-    rng = _law_rng(plan, label)
+    rng = _law_rng(plan, "global")  # the stream the all-pairs bound always drew
     out = []
     attempts = 0
     while len(out) < plan.count and attempts < plan.count * 64:
@@ -334,56 +335,38 @@ def _pair_reader(space: ConeMetricSpace) -> tuple:
 _MIRROR_INVARIANT = frozenset({"global", "phi-strictly-below", "alpha-range"})
 
 
-def _scan(T: SetValuedMap, w: ContractionWitness, plan: SamplePlan | None, label: str,
-          laws: list) -> list:
-    """Each law's outcome over the pair stream ``label``. A law takes
-    ``(a, b, d, bound)``: entries, distance and witness bound, each read once
-    for all laws.
+def _scan(T: SetValuedMap, w: ContractionWitness, plan: SamplePlan | None, laws: list) -> list:
+    """Each law's outcome over the pairs of ``_distinct_pairs(space, plan)``.
+    A law takes ``(a, b, d, bound)``: entries, distance and witness bound,
+    each read once a pair for all laws.
 
-    On a finite space whose bound depends on the distance alone
-    (``alpha-const``, ``psi``), each unordered pair is decided once. When
-    the table is symmetric and every law is mirror-invariant, the mirror
+    On a finite space with a symmetric table, a bound of the distance alone
+    (``alpha-const``, ``psi``) and only mirror-invariant laws, the mirror
     (b, a) of a pair with a < b is an implied item (``None``): the row-major
     stream reaches it after (a, b), where every law still running passed on
     the same values against the same bound, so each ``LawResult`` is the one
-    a visit would give. Otherwise (b, a) is visited and reuses the bound of
-    (a, b) when the two distances are equal. Every ordered pair is visited
-    by the one-sided (``weak``) law, whose roles of x and y differ, by any
-    law not in ``_MIRROR_INVARIANT``, under ``phi-table`` and ``alpha-fn``
-    witnesses, whose bound may differ at the mirror, on asymmetric tables
-    and on sampled spaces, whose pairs have no mirror in the stream.
+    a visit would give. Every other pair is visited and evaluates its bound
+    there: under the one-sided (``weak``) law, whose roles of x and y differ,
+    any law not in ``_MIRROR_INVARIANT``, ``phi-table`` and ``alpha-fn``
+    witnesses, whose bound may differ at the mirror, asymmetric tables and
+    sampled spaces, whose pairs have no mirror in the list.
 
     Drawing the pairs, filling the table and deciding its symmetry run
     inside the stream, so the runner holds their errors for every law."""
     space, phi = T.space, w.phi
-    by_distance = space.finite and w.klass in (WitnessClass.ALPHA_CONSTANT,
-                                               WitnessClass.PSI_ON_DISTANCE)
 
     def stream():
-        pairs = _distinct_pairs(space, plan or SamplePlan(), label)
-        if not space.finite:
-            for x, y in pairs:
-                d = space.distance(x, y)
-                yield x, y, d, phi(space, x, y, d)
-            return
-        point, table, n = space.points.__getitem__, space._distances, len(space.points)
-        if not by_distance:
-            for a, b in pairs:
-                d = table[a * n + b]
-                yield a, b, d, phi(space, point(a), point(b), d)
-            return
-        implied = all(law in _MIRROR_INVARIANT for law, _ in laws) and space._symmetric
-        bounds = [None] * (n * n)  # the bound yielded at each position pair
+        pairs = _distinct_pairs(space, plan or SamplePlan())
+        point, dist = _pair_reader(space)
+        implied = (space.finite
+                   and w.klass in (WitnessClass.ALPHA_CONSTANT, WitnessClass.PSI_ON_DISTANCE)
+                   and all(law in _MIRROR_INVARIANT for law, _ in laws) and space._symmetric)
         for a, b in pairs:
             if implied and b < a:
                 yield None
                 continue
-            d = table[a * n + b]
-            bound = bounds[b * n + a]
-            if bound is None or table[b * n + a] != d:
-                bound = phi(space, point(a), point(b), d)
-            bounds[a * n + b] = bound
-            yield a, b, d, bound
+            d = dist(a, b)
+            yield a, b, d, phi(space, point(a), point(b), d)
 
     return _run_laws(stream(), laws)
 
@@ -440,13 +423,13 @@ def is_weak_contraction(T: SetValuedMap, w: ContractionWitness,
                         plan: SamplePlan | None = None) -> LawResult:
     """For each pair and each image point of the first, some image point of
     the second must land within the bound."""
-    return _raise_held(_scan(T, w, plan, "weak", [_image_law(T, "weak")])[0])
+    return _raise_held(_scan(T, w, plan, [_image_law(T, "weak")])[0])
 
 
 def is_global_weak_contraction(T: SetValuedMap, w: ContractionWitness,
                                plan: SamplePlan | None = None) -> LawResult:
     """Every image pair must satisfy the bound."""
-    return _raise_held(_scan(T, w, plan, "global", [_image_law(T, "global")])[0])
+    return _raise_held(_scan(T, w, plan, [_image_law(T, "global")])[0])
 
 
 def _witness_laws(T: SetValuedMap, w: ContractionWitness) -> list:
@@ -492,7 +475,7 @@ def validate_witness(T: SetValuedMap, w: ContractionWitness,
     """Check the witness obligations: the bound sits strictly below the
     distance wherever the distance is positive, and ratio payloads stay in
     [0, 1). Only distinct pairs are ever consulted."""
-    return _raise_held(_witness_report(T, w, _scan(T, w, plan, "phi-valid", _witness_laws(T, w))))
+    return _raise_held(_witness_report(T, w, _scan(T, w, plan, _witness_laws(T, w))))
 
 
 @dataclass(frozen=True)
@@ -548,13 +531,9 @@ def check_hypotheses(T: SetValuedMap, w: ContractionWitness,
 
 
 def _hypothesis_pass(T: SetValuedMap, w: ContractionWitness, plan: SamplePlan) -> tuple:
-    """A finite space's pair stream ignores its label, so one pass serves
-    both reports; a sampled space scans each on its own labelled stream."""
-    if T.space.finite:
-        results = _scan(T, w, plan, "global", [_image_law(T, "global")] + _witness_laws(T, w))
-        return results[0], _witness_report(T, w, results[1:])
-    return (_scan(T, w, plan, "global", [_image_law(T, "global")])[0],
-            _witness_report(T, w, _scan(T, w, plan, "phi-valid", _witness_laws(T, w))))
+    """The global law and the witness laws in one scan of the pair list."""
+    results = _scan(T, w, plan, [_image_law(T, "global")] + _witness_laws(T, w))
+    return results[0], _witness_report(T, w, results[1:])
 
 
 # ---------------------------------------------------------------------------

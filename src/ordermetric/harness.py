@@ -34,6 +34,7 @@ from .order_core import (
     format_element,
 )
 from .topo import (
+    _empirical_scan,
     check_limit_uniqueness,
     check_regularity,
     check_topo_laws,
@@ -375,22 +376,21 @@ def _check_norm_to_order(b: InstanceBundle, ctx: _Ctx):
             eps_coords = eps if isinstance(eps, tuple) else (eps,)
             floor = min(eps_coords)
 
-            def max_coord(n):
+            def below_floor(n):
                 v = s.term(n)
-                return max(v) if isinstance(v, tuple) else v
+                return (max(v) if isinstance(v, tuple) else v) < floor
 
-            viol = [n for n in range(1, n_max + 1) if not max_coord(n) < floor]
-            if viol and viol[-1] == n_max:
+            norm = _empirical_scan(below_floor, n_max, eps)
+            if not is_certificate(norm):
                 # sup-coordinate decay not established in the window: vacuous
                 continue
             established += 1
-            norm_n = viol[-1] if viol else 0
             out = verify_convergence(t, s, g.identity, [eps], n_max)[0]
             if not is_certificate(out):
                 return "fail", f"{s.name}: no dominance certificate at {format_element(eps)}"
-            if out.threshold > norm_n:
+            if out.threshold > norm.threshold:
                 return "fail", (f"{s.name}: dominance threshold {out.threshold} exceeds "
-                                f"sup-coordinate threshold {norm_n}")
+                                f"sup-coordinate threshold {norm.threshold}")
     if not established:
         return "skip", "no (sequence, tolerance) pair established sup-coordinate decay in the window"
     return "pass", f"sup-coordinate decay certifies dominance on {established} pairs"

@@ -266,12 +266,12 @@ def banach_iterate(m: ConeMetricSpace, f: Callable[[Point], Point], alpha,
     """Successive application of a ratio contraction with exact bounds.
 
     First the ratio bound d(fx, fy) <= alpha * d(x, y) runs as one law on
-    the law runner, over every pair of a finite space or the seeded pairs
-    of ``plan``; its first failing pair ends the call as a hypothesis
-    violation. Then the iteration stops at an exact fixed point, or as
-    soon as the step distance is strictly dominated by (1 - alpha) * eps:
-    the geometric tail then guarantees the distance to the fixed point is
-    strictly within eps.
+    the law runner, over the one pair list of ``m`` and ``plan`` that
+    every pair check reads; its first failing pair ends the call as a
+    hypothesis violation. Then the iteration stops at an exact fixed
+    point, or as soon as the step distance is strictly dominated by
+    (1 - alpha) * eps: the geometric tail then guarantees the distance to
+    the fixed point is strictly within eps.
     Every trace row also carries the a-priori bound
     alpha^n * (1 - alpha)^{-1} * d(x0, x1).
     """
@@ -295,8 +295,7 @@ def banach_iterate(m: ConeMetricSpace, f: Callable[[Point], Point], alpha,
                     f"y={format_element(x_b)}: d(fx, fy)={format_element(lhs)} exceeds "
                     f"{format_element(rhs)}")
 
-    precheck = _run_law("banach-precheck", _distinct_pairs(m, plan, "banach-precheck"),
-                        ratio_bound)
+    precheck = _run_law("banach-precheck", _distinct_pairs(m, plan), ratio_bound)
     if not precheck.passed:
         return BanachReport(SolverOutcome.HYPOTHESIS_VIOLATION, (), alpha,
                             message=precheck.witness)

@@ -132,7 +132,7 @@ _UNIT_RATIO = "skip\tthe single-valued map scales by ratio 1, which must lie in 
 
 
 @pytest.mark.parametrize("text, oracle, banach", [
-    (ONE_POINT_FILE, "walk tolerance undefined: space has fewer than two points",
+    (ONE_POINT_FILE, "walk tolerance undefined: space has fewer than two distinct points",
      "skip\tbundle has no single-valued contraction"),
     (ONE_POINT_INTERVAL_FILE, "needs a finite mapped space", _UNIT_RATIO),
 ], ids=["one-point", "one-point-interval"])

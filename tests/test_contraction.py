@@ -122,7 +122,7 @@ def test_pairs_of_a_space_with_a_repeated_point_are_the_unequal_ones(rstruct):
     space = table_space(rstruct, [0, 1, 0, 2, 1])
     pts = space.points
     expected = [(i, j) for i, x in enumerate(pts) for j, y in enumerate(pts) if x != y]
-    assert _distinct_pairs(space, SamplePlan(), "global") == expected
+    assert _distinct_pairs(space, SamplePlan()) == expected
     assert len(expected) == 16
 
 

@@ -363,7 +363,7 @@ def _scan_recording_bounds(T, w, laws, plan=None):
     object.__setattr__(w, "phi", counted)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(contraction, "_run_laws", lambda stream, laws: items.extend(stream))
-        contraction._scan(T, w, plan, "global", laws)
+        contraction._scan(T, w, plan, laws)
     return items, calls
 
 
@@ -389,12 +389,9 @@ def test_a_scan_takes_one_bound_per_unordered_pair(space, psi, kind):
                                                          for a, b in pairs]
         assert calls == [(pts[a], pts[b]) for a, b in pairs if a < b]
     else:
-        # every pair is visited; one whose mirror came first with an equal
-        # distance takes its bound
-        reused = {(a, b) for a, b in pairs
-                  if b < a and space.distance(pts[b], pts[a]) == space.distance(pts[a], pts[b])}
+        # every pair is visited and evaluates its bound there
         assert [item[:2] for item in items] == pairs
-        assert calls == [(pts[a], pts[b]) for a, b in pairs if (a, b) not in reused]
+        assert calls == [(pts[a], pts[b]) for a, b in pairs]
     for a, b, d, bound in filter(None, items):  # the class's phi, past the counting one
         x, y = pts[a], pts[b]
         assert d == space.distance(x, y)
@@ -858,7 +855,7 @@ def test_constant_ratio_range_is_checked_once_per_report(real_line_space, alpha)
     if alpha < 1:
         assert result == LawResult("alpha-range", True, 50)
     else:
-        x, y = contraction._distinct_pairs(real_line_space, plan, "phi-valid")[0]
+        x, y = contraction._distinct_pairs(real_line_space, plan)[0]
         assert result == LawResult("alpha-range", False, 1,
                                    f"ratio 3/2 at ({format_element(x)}, {format_element(y)})")
 
@@ -974,7 +971,7 @@ def test_ladder_pairs_compare_positions_not_points(monkeypatch):
         return raw_eq(self, other)
 
     monkeypatch.setattr(Fraction, "__eq__", counted)
-    pairs = contraction._distinct_pairs(space, SamplePlan(), "global")
+    pairs = contraction._distinct_pairs(space, SamplePlan())
     monkeypatch.undo()
     assert (len(pairs), calls[0]) == (930, 0)
 

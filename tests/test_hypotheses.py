@@ -1,5 +1,5 @@
-"""Walk hypotheses are verified once, in one pass on a finite space, and
-kept on the map: scan counts across the CLI and the walks of one map,
+"""Walk hypotheses are verified once, in one pass over the space's one pair
+list, and kept on the map: scan counts across the CLI and the walks of one map,
 equality of walks on a memoized map and on a fresh copy, held errors that
 keep their traceback, and the verify report against committed golden rows."""
 
@@ -19,10 +19,13 @@ from ordermetric import (
     SetValuedMap,
     SolverConfig,
     WitnessClass,
+    banach_iterate,
     check_hypotheses,
     endpoint_iff_report,
+    is_global_weak_contraction,
     is_weak_contraction,
     iterate_endpoint,
+    validate_witness,
     weak_contraction_corpus,
 )
 from ordermetric import cli, contraction, harness, solver
@@ -31,8 +34,7 @@ from ordermetric.cli import main
 DATA = Path(__file__).parent / "data"
 HALF = ContractionWitness(WitnessClass.ALPHA_CONSTANT, alpha_const=Fraction(1, 2))
 # the one-pass scan behind check_hypotheses (which runs it when the map holds
-# no verdict for the witness and plan), and the two checks it replaces on
-# finite spaces
+# no verdict for the witness and plan), and the two checks it replaces
 COUNTED = ("_hypothesis_pass", "is_global_weak_contraction", "validate_witness")
 ONE_PASS = {"_hypothesis_pass": 1, "is_global_weak_contraction": 0, "validate_witness": 0}
 
@@ -67,6 +69,40 @@ def test_solve_validates_the_witness_once(calls, capsys):
     assert rc == 0
     assert "endpoint: 0" in capsys.readouterr().out
     assert calls == ONE_PASS
+
+
+def test_a_ratio_iteration_solve_validates_the_witness_in_the_same_pass(calls, capsys):
+    rc = main(["solve", "r1-banach"])
+    assert rc == 0
+    assert "final point: 1/4096" in capsys.readouterr().out
+    assert calls == ONE_PASS
+
+
+@pytest.mark.parametrize("name", ["real-line", "cone-2"])
+def test_a_sampled_space_has_one_pair_list_for_every_pair_check(monkeypatch, name):
+    """The walk hypotheses, the one-sided bound and the Banach pre-check of
+    a sampled space read the same drawn pairs, and the hypotheses draw them
+    once, so the global bound and the one-sided bound speak of the same
+    samples."""
+    b = harness.builtin_bundles()[name]
+    T, w, plan = b.map_, b.witness, SamplePlan(seed=3, count=50)
+    lists, original = [], contraction._distinct_pairs
+
+    def recorded(*args):
+        lists.append(original(*args))
+        return lists[-1]
+
+    for mod in (contraction, solver):
+        monkeypatch.setattr(mod, "_distinct_pairs", recorded)
+    hyps = check_hypotheses(T, w, plan)
+    assert len(lists) == 1
+    is_weak_contraction(T, w, plan)
+    cfg = SolverConfig(eps=b.solver_eps, seed_point=b.solver_seed, max_iter=1)
+    banach_iterate(b.space, b.banach_map, b.banach_alpha, cfg, plan)
+    assert len(lists) == 3 and len(lists[0]) == 50
+    assert lists[1] == lists[0] and lists[2] == lists[0]
+    assert hyps.global_report == is_global_weak_contraction(T, w, plan)
+    assert hyps.witness_report == validate_witness(T, w, plan)
 
 
 @pytest.fixture

@@ -245,16 +245,17 @@ def test_banach_vector_componentwise_rates(box2_space):
 
 
 def test_banach_rejects_non_contraction(real_line_space, box2_space, dilation):
-    """The pre-check names the first sampled pair, or on a finite space the
-    first pair of positions, whose images break the ratio bound."""
+    """The pre-check names the first pair of the space's one pair list (the
+    sampled pairs every pair check reads, or on a finite space the pairs of
+    positions) whose images break the ratio bound."""
     q = Fraction
     three, _ = dilation
     cases = [
         (real_line_space, lambda x: 1 - x, q(1, 2),
-         "contraction bound fails at x=9/11, y=1/4: d(fx, fy)=25/44 exceeds 25/88"),
+         "contraction bound fails at x=2/5, y=1: d(fx, fy)=3/5 exceeds 3/10"),
         (box2_space, lambda x: (x[0] / 2, 1 - x[1]), (q(1, 2), q(1, 2)),
-         "contraction bound fails at x=(9/11, 1/4), y=(1, 0): d(fx, fy)=(1/11, 1/4) "
-         "exceeds (1/11, 1/8)"),
+         "contraction bound fails at x=(2/5, 1), y=(2/9, 1/3): d(fx, fy)=(4/45, 2/3) "
+         "exceeds (4/45, 1/3)"),
         # fixes 0 and 1: the first pair in position order, (0, 1/4), holds
         (three, {q(0): q(0), q(1, 4): q(0), q(1): q(1)}.__getitem__, q(1),
          "contraction bound fails at x=0, y=1: d(fx, fy)=1 exceeds 1/2"),
@@ -462,9 +463,9 @@ alpha = 1/2
                     "dominate the identity")}),
     (ONE_POINT, {
         "metric/finite-completeness": (
-            "skip", "certification scale undefined: space has fewer than two points"),
+            "skip", "certification scale undefined: space has fewer than two distinct points"),
         "solver/oracle-agreement": (
-            "skip", "walk tolerance undefined: space has fewer than two points")}),
+            "skip", "walk tolerance undefined: space has fewer than two distinct points")}),
 ], ids=["no-least-distance", "least-distance-on-the-boundary", "one-point"])
 def test_rows_without_a_distance_scale_skip(tmp_path, text, rows):
     """Both rows take their scale from the least positive distance: where
@@ -475,6 +476,19 @@ def test_rows_without_a_distance_scale_skip(tmp_path, text, rows):
     path = tmp_path / "scale.ini"
     path.write_text(text, encoding="utf-8")
     assert cli.main(["verify", str(path)]) == 0
+
+
+def test_a_point_listed_twice_has_no_distance_scale(rstruct):
+    """A space built through the API may list one point twice: it has two
+    points but one distinct point, and the reason says so."""
+    one = Fraction(1)
+    space = ConeMetricSpace("twice", rstruct, lambda x, y: abs(x - y), points=(one, one))
+    with pytest.raises(ValueError, match="^space has fewer than two distinct points$"):
+        min_positive_distance(space)
+    bundle = build_bundle(parse_instance_text(ONE_POINT, name="twice")).replace(space=space)
+    assert _rows(bundle, ("metric/finite-completeness",)) == {
+        "metric/finite-completeness": (
+            "skip", "certification scale undefined: space has fewer than two distinct points")}
 
 
 def test_point_dependent_ratio_route(dilation):
