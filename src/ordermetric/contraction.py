@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Mapping, Sequence
 
 from .order_core import (
@@ -75,6 +75,14 @@ def _distinct(points) -> tuple:
     if len(set(out)) == len(out):
         return out
     return tuple(dict.fromkeys(out))
+
+
+def _recorded(table: dict, x: Point) -> tuple:
+    """A table map's image of ``x``: ``images_fn`` is ``partial(_recorded, table)``."""
+    try:
+        return table[x]
+    except KeyError:
+        raise DomainError(f"no image recorded for {format_element(x)}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,14 +139,18 @@ class SetValuedMap:
             missing = [p for p in space.points if p not in frozen]
             if missing:
                 raise DomainError(f"map table misses point {format_element(missing[0])}")
+        return SetValuedMap(space, partial(_recorded, frozen), name)
 
-        def images_fn(x):
-            try:
-                return frozen[x]
-            except KeyError:
-                raise DomainError(f"no image recorded for {format_element(x)}") from None
-
-        return SetValuedMap(space, images_fn, name)
+    @staticmethod
+    def _from_positions(space: ConeMetricSpace, positions: list, name: str = "T") -> "SetValuedMap":
+        """``from_table`` unchecked, from ``positions[i]``, the image of
+        ``space.points[i]`` as first positions without repeats; it becomes
+        ``_image_positions``."""
+        pts = space.points
+        T = SetValuedMap(space, partial(
+            _recorded, {x: tuple(pts[k] for k in row) for x, row in zip(pts, positions)}), name)
+        T.__dict__["_image_positions"] = positions
+        return T
 
     @staticmethod
     def from_rule(space: ConeMetricSpace, rule: Callable[[Point], Sequence],
@@ -541,10 +553,10 @@ def _hypothesis_pass(T: SetValuedMap, w: ContractionWitness, plan: SamplePlan) -
 
 
 def endpoints_bruteforce(T: SetValuedMap) -> EndpointSet:
-    """Exhaustive scan of a finite space for points with image exactly {x}."""
+    """Exhaustive scan of a finite space for the distinct points with image exactly {x}."""
     if not T.space.finite:
         raise ValueError("brute-force endpoint scan needs a finite space")
-    return EndpointSet(tuple(x for x in T.space.points if T.is_endpoint(x)))
+    return EndpointSet(tuple(x for x in T.space._index if T.is_endpoint(x)))
 
 
 @dataclass(frozen=True)

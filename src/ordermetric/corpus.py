@@ -15,11 +15,13 @@ below the distance additionally carry a constant-ratio witness (the exact
 worst ratio), which is what the solver agreement corpus filters on.
 
 Both bounds are decided in integers: the points are numerators over one
-common denominator, each image is a tuple of positions among them, and
-only an attempt that passes at every pair is built into Fractions, a
-space, a map and its witnesses. The generator draws numerators from the
-pool directly; ``build_instance`` brings its rationals to their least
-common denominator first, so both take the same path.
+common denominator and each image is a tuple of positions among them. A
+rejected attempt computes nothing past its first failing pair; only a kept
+one gets its needs and spans and is built into Fractions, a space, a map
+(from the positions) and its witnesses. The generator draws numerators
+from the pool directly, on ``getrandbits`` as ``random.Random`` draws
+them; ``build_instance`` brings its rationals to their least common
+denominator first, so both take the same path.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .order_core import _q_dist, real_module
+from .order_core import _draw, _q_dist, real_module
 from .topo import strict_order_structure
 from .cone_metric import ConeMetricSpace
 from .contraction import ContractionWitness, SetValuedMap, WitnessClass
@@ -54,39 +56,50 @@ class CorpusInstance:
 
 def _admit(structure, den: int, nums, images, name: str) -> CorpusInstance | None:
     """The instance on the points ``nums[i] / den``, ascending, where point
-    i maps to the positions ``images[i]``, if the map admits a valid bound;
-    None at the first pair where it does not.
+    i maps to the positions ``images[i]`` (first positions, no repeats), if
+    the map admits a valid bound; None otherwise.
 
-    Each ordered pair is scored in integers over ``den``: its distance, the
-    directed need (the max over x' in T(x) of the min over y' in T(y) of
-    |x' - y'|) and the span (the max over both). Nothing is built before
-    every pair is decided.
+    A pair fails when some x' in T(x) is at least d(x, y) from every y' in
+    T(y). A kept attempt's need at a pair is the max over x' of the min over
+    y' of |x' - y'|, its span the greatest distance between the two images'
+    extremes, and its worst ratio is found by cross-multiplication before
+    one Fraction is built per point, per distinct need and for that ratio.
     """
     imgs = [[nums[k] for k in img] for img in images]
-    scored = []
+    for a, img_a in zip(nums, imgs):
+        for b, img_b in zip(nums, imgs):
+            d = abs(a - b)
+            if d == 0:
+                continue
+            for p in img_a:
+                for q in img_b:
+                    if -d < p - q < d:
+                        break
+                else:
+                    return None
+    lo, hi = [min(img) for img in imgs], [max(img) for img in imgs]
+    scored, span, over = [], 0, 1  # the worst ratio is span / over, 0 without pairs
     for i, (a, img_a) in enumerate(zip(nums, imgs)):
         for j, (b, img_b) in enumerate(zip(nums, imgs)):
             d = abs(a - b)
             if d == 0:
                 continue
-            need = max(min(abs(p - q) for q in img_b) for p in img_a)
-            if need >= d:
-                return None
-            scored.append((i, j, d, need, max(abs(p - q) for p in img_a for q in img_b)))
+            scored.append((i, j, max(min(abs(p - q) for q in img_b) for p in img_a)))
+            s = max(hi[i] - lo[j], hi[j] - lo[i])
+            if s * over > span * d:
+                span, over = s, d
     points = tuple(Fraction(k, den) for k in nums)
     space = ConeMetricSpace(name, structure, _q_dist, points=points)
-    table = {points[i]: tuple(points[k] for k in img) for i, img in enumerate(images)}
-    T = SetValuedMap.from_table(space, table, name=f"T[{name}]")
-    phi_table = {(points[i], points[j]): Fraction(need, den) for i, j, _, need, _ in scored}
-    phi_w = ContractionWitness(WitnessClass.PHI_TABLE, phi_table=phi_table,
-                               label=f"minimal bound table for {name}")
-    worst = max((Fraction(span, d) for _, _, d, _, span in scored), default=Fraction(0))
-    alpha_w = None
-    if worst < 1:
-        alpha_w = ContractionWitness(WitnessClass.ALPHA_CONSTANT, alpha_const=worst,
-                                     label=f"worst ratio {worst} for {name}")
-    return CorpusInstance(name, space, T, phi_w, alpha_w,
-                          worst if worst < 1 else None)
+    T = SetValuedMap._from_positions(space, images, name=f"T[{name}]")
+    bound = {need: Fraction(need, den) for need in {need for *_, need in scored}}
+    phi_w = ContractionWitness(WitnessClass.PHI_TABLE, label=f"minimal bound table for {name}",
+                               phi_table={(points[i], points[j]): bound[n] for i, j, n in scored})
+    if span >= over:
+        return CorpusInstance(name, space, T, phi_w, None, None)
+    worst = Fraction(span, over)
+    alpha_w = ContractionWitness(WitnessClass.ALPHA_CONSTANT, alpha_const=worst,
+                                 label=f"worst ratio {worst} for {name}")
+    return CorpusInstance(name, space, T, phi_w, alpha_w, worst)
 
 
 def build_instance(structure, points, table: dict, name: str) -> CorpusInstance | None:
@@ -97,12 +110,11 @@ def build_instance(structure, points, table: dict, name: str) -> CorpusInstance 
     """
     values = tuple(sorted(Fraction(p) for p in points))
     table = {Fraction(k): tuple(Fraction(v) for v in vs) for k, vs in table.items()}
-    SetValuedMap.from_table(ConeMetricSpace(name, structure, _q_dist, points=values),
-                            table)  # raises on a malformed table, naming the point
+    space = ConeMetricSpace(name, structure, _q_dist, points=values)
+    SetValuedMap.from_table(space, table)  # raises on a malformed table, naming the point
     den = math.lcm(*(p.denominator for p in values))
-    at = {p: i for i, p in enumerate(values)}
     return _admit(structure, den, [p.numerator * (den // p.denominator) for p in values],
-                  [tuple(at[v] for v in table[p]) for p in values], name)
+                  [tuple(dict.fromkeys(space._index[v] for v in table[p])) for p in values], name)
 
 
 def _special_instances(structure) -> list[CorpusInstance]:
@@ -134,17 +146,36 @@ def _special_instances(structure) -> list[CorpusInstance]:
     return specials
 
 
-def _random_table(rng: random.Random, nums: list) -> list:
-    """Each point's image, as positions in the ascending numerators ``nums``."""
+def _sample(getrandbits, population, k: int) -> list:
+    """``sorted(rng.sample(population, k))`` for at most 21 elements, drawn
+    as CPython draws it: the pool-swap loop of ``_randbelow(n - i)``, each
+    ``getrandbits`` of that width until the result is below it."""
+    pool, out = list(population), []
+    for m in range(len(pool), len(pool) - k, -1):
+        w = m.bit_length()
+        j = getrandbits(w)
+        while j >= m:
+            j = getrandbits(w)
+        out.append(pool[j])
+        pool[j] = pool[m - 1]
+    return sorted(out)
+
+
+def _random_attempt(rng: random.Random) -> tuple[list, list]:
+    """One attempt's numerators, ``sorted(rng.sample(range(_POOL_SIZE), rng.randint(2, 5)))``,
+    and per point a sorted ``rng.sample(near, rng.randint(1, min(3, len(near))))`` of
+    positions, each drawn on ``getrandbits`` as ``random.Random`` draws it."""
+    getrandbits = rng.getrandbits
+    nums = _sample(getrandbits, range(_POOL_SIZE), _draw(rng, range(2, 6)))
+    near = range(len(nums))
     # half the attempts cluster images near a hub point, which is what a
     # contraction looks like; the rest are fully random so the filter is
     # also exercised against unlikely passes
-    at = range(len(nums))
     if rng.random() < 0.5:
-        hub = nums[rng.choice(at)]
-        pool = sorted(at, key=lambda k: (abs(nums[k] - hub), k))[:2]
-        return [tuple(sorted(rng.sample(pool, rng.randint(1, len(pool))))) for _ in at]
-    return [tuple(sorted(rng.sample(at, rng.randint(1, min(3, len(nums)))))) for _ in at]
+        hub = nums[_draw(rng, near)]
+        near = sorted(near, key=lambda k: (abs(nums[k] - hub), k))[:2]
+    counts = range(1, min(3, len(near)) + 1)
+    return nums, [tuple(_sample(getrandbits, near, _draw(rng, counts))) for _ in nums]
 
 
 def weak_contraction_corpus(seed: int = 20260809, count: int = 120) -> list[CorpusInstance]:
@@ -163,10 +194,7 @@ def weak_contraction_corpus(seed: int = 20260809, count: int = 120) -> list[Corp
         attempts += 1
         if attempts > _MAX_ATTEMPTS:
             raise RuntimeError("corpus generation budget exhausted")
-        size = rng.randint(2, 5)
-        nums = sorted(rng.sample(range(_POOL_SIZE), size))
-        inst = _admit(structure, _POOL_DEN, nums, _random_table(rng, nums),
-                      f"random/{attempts}")
+        inst = _admit(structure, _POOL_DEN, *_random_attempt(rng), f"random/{attempts}")
         if inst is not None:
             out.append(inst)
     return out

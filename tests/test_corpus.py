@@ -1,10 +1,12 @@
 """The finite corpus: ``build_instance`` against the Fraction definitions of
 the one-sided and all-pairs bounds, the generated corpora pinned to their
-last attempt, global count and a full digest, malformed tables, and the
-survey script."""
+last attempt, global count and a full digest, malformed tables, the draws
+against ``random.Random``'s own, maps built from positions against
+``SetValuedMap.from_table``, and the survey script."""
 
 import hashlib
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,18 +14,20 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ordermetric import (
     ConeMetricSpace,
     DomainError,
+    SetValuedMap,
     WitnessClass,
     build_instance,
     real_module,
     strict_order_structure,
     weak_contraction_corpus,
 )
+from ordermetric import corpus
 
 ROOT = Path(__file__).resolve().parent.parent
 STRUCTURE = strict_order_structure(real_module())
@@ -92,6 +96,87 @@ def test_build_instance_rejects_a_table_missing_a_point():
 def test_build_instance_rejects_an_image_outside_the_points():
     with pytest.raises(DomainError, match="point 2 is not in space 'x'"):
         build_instance(STRUCTURE, [0, 1], {0: [0], 1: [2]}, "x")
+
+
+# ---------------------------------------------------------------------------
+# draws and maps by position
+
+
+def _stdlib_attempt(rng, seen):
+    """One attempt drawn through ``random.Random``'s own ``randint``,
+    ``sample`` and ``choice``; each row's (branch, size, count) goes to
+    ``seen``."""
+    size = rng.randint(2, 5)
+    nums = sorted(rng.sample(range(17), size))
+    at = range(len(nums))
+    branch, pool = "random", at
+    if rng.random() < 0.5:
+        hub = nums[rng.choice(at)]
+        branch, pool = "hub", sorted(at, key=lambda k: (abs(nums[k] - hub), k))[:2]
+    rows = []
+    for _ in at:
+        k = rng.randint(1, min(3, len(pool)))
+        seen.add((branch, size, k))
+        rows.append(tuple(sorted(rng.sample(pool, k))))
+    return nums, rows
+
+
+def test_attempts_draw_what_the_stdlib_calls_draw():
+    seen = set()
+    for seed in range(300):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            assert corpus._random_attempt(ours) == _stdlib_attempt(theirs, seen)
+            assert ours.getstate() == theirs.getstate()
+    # both branches, every size and every image count
+    assert seen == {("hub", n, k) for n in range(2, 6) for k in (1, 2)} | \
+        {("random", n, k) for n in range(2, 6) for k in range(1, min(3, n) + 1)}
+
+
+@pytest.mark.parametrize("n", range(1, 22))
+def test_sample_draws_what_random_sample_draws(n):
+    for seed in range(40):
+        for k in range(n + 1):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            population = range(100, 100 + n)
+            assert corpus._sample(ours.getrandbits, population, k) == \
+                sorted(theirs.sample(population, k))
+            assert ours.getstate() == theirs.getstate()
+
+
+def _assert_same_map(T, space, table):
+    ref = SetValuedMap.from_table(space, table)
+    assert all(T.images_fn(x) == ref.images_fn(x) for x in space.points)
+    assert T._image_positions == ref._image_positions
+
+
+def test_generated_maps_equal_their_table_builds():
+    rng, kept = random.Random(2027), 0
+    while kept < 200:
+        nums, images = corpus._random_attempt(rng)
+        inst = corpus._admit(STRUCTURE, 4, nums, images, "x")
+        if inst is not None:
+            kept += 1
+            q = [Fraction(k, 4) for k in nums]
+            _assert_same_map(inst.map_, inst.space,
+                             {q[i]: [q[k] for k in img] for i, img in enumerate(images)})
+    with pytest.raises(DomainError, match="^no image recorded for 7$"):
+        inst.map_.images_fn(Fraction(7))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_instances())
+@example(([1, 0, 1], {1: [1, 0, 1], 0: [0, 1]}))  # a point listed twice
+def test_built_maps_equal_their_table_builds(case):
+    points, table = case
+    inst = build_instance(STRUCTURE, points, table, "case")
+    if inst is not None:
+        _assert_same_map(inst.map_, inst.space, table)
+
+
+def test_a_point_listed_twice_maps_to_its_first_position():
+    inst = build_instance(STRUCTURE, [1, 0, 1], {1: [1, 0, 1], 0: [0, 1]}, "twice")
+    assert inst.map_._image_positions == [(0, 1), (1, 0), (1, 0)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ deciding each unordered pair once: equivalence with the point-by-point
 scans, the exact comparison kernels, the one-pass least and greatest
 elements, the one-pass hypotheses against the two scans and every scan
 against an every-pair reference (and their errors), work counters on a
-31-point ladder, and the ladder's verify and solve outputs against
-committed goldens."""
+31-point ladder and the finite corpus, and the ladder's verify and solve
+outputs against committed goldens."""
 
 import dataclasses
 import random
@@ -31,6 +31,7 @@ from ordermetric import (
     check_hypotheses,
     coord_cone_group,
     coord_cone_module,
+    endpoints_bruteforce,
     interior_cone_structure,
     is_global_weak_contraction,
     is_weak_contraction,
@@ -42,6 +43,7 @@ from ordermetric import (
     real_module,
     strict_order_structure,
     validate_witness,
+    weak_contraction_corpus,
 )
 from ordermetric import cli, cone_metric, contraction, harness, order_core
 from ordermetric.cli import main
@@ -1015,6 +1017,33 @@ def test_ladder_solve_stays_within_its_work_budget(monkeypatch, capsys):
     assert rc == 0
     assert capsys.readouterr().out.startswith("outcome: approximate-endpoint-sequence\n")
     assert all(counts[k] <= LADDER_SOLVE_BUDGET[k] for k in counts), counts
+
+
+# Fraction.__hash__ calls of weak_contraction_corpus(0, 3000) alone, and
+# with the one-sided check, the endpoint scan and the inf-sup value of every
+# instance; scoring every pair of every attempt and rebuilding each kept
+# one through a point-keyed table took 111,297 and 205,217
+CORPUS_HASH_BUDGET = {"generate": 47538, "total": 112222}
+
+
+def test_corpus_stays_within_its_hash_budget(monkeypatch):
+    calls = [0]
+    raw_hash = Fraction.__hash__
+
+    def counted(self):
+        calls[0] += 1
+        return raw_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    insts = weak_contraction_corpus(0, 3000)
+    counts = {"generate": calls[0]}
+    for inst in insts:
+        assert is_weak_contraction(inst.map_, inst.phi_witness).passed
+        endpoints_bruteforce(inst.map_)
+        approximate_endpoint_property_finite(inst.map_)
+    monkeypatch.undo()
+    counts["total"] = calls[0]
+    assert all(counts[k] <= CORPUS_HASH_BUDGET[k] for k in counts), counts
 
 
 def test_ladder_min_positive_distance_takes_one_pass(monkeypatch):

@@ -491,6 +491,21 @@ def test_a_point_listed_twice_has_no_distance_scale(rstruct):
             "skip", "certification scale undefined: space has fewer than two distinct points")}
 
 
+def test_a_point_listed_twice_is_one_endpoint(rstruct):
+    """The endpoint scan counts distinct points, as the pair list does: a
+    space listing 1 twice, with T(1) = {1}, has the one endpoint 1."""
+    one = Fraction(1)
+    space = ConeMetricSpace("twice", rstruct, lambda x, y: abs(x - y), points=(one, one))
+    T = SetValuedMap.from_table(space, {one: (one,)})
+    assert endpoints_bruteforce(T).members == (one,)
+    bundle = build_bundle(parse_instance_text(ONE_POINT, name="twice")).replace(
+        space=space, map_=T)
+    assert _rows(bundle, ("endpoint/at-most-one", "solver/oracle-agreement")) == {
+        "endpoint/at-most-one": ("pass", "endpoints: ['1']"),
+        "solver/oracle-agreement": (
+            "skip", "walk tolerance undefined: space has fewer than two distinct points")}
+
+
 def test_point_dependent_ratio_route(dilation):
     """A ratio that varies with the pair but is declared bounded below one
     drives the same walk and equivalence check as a constant ratio."""
