@@ -104,7 +104,6 @@ from .harness import (
     Budgets,
     SuiteSpec,
     TraceabilityReport,
-    builtin_bundles,
     default_suite,
     fault_inject,
     run_fault_sensitivity,
@@ -122,6 +121,7 @@ from .instance_files import (
     InstanceDescription,
     InstanceFileError,
     build_bundle,
+    builtin_bundles,
     export_instance_text,
     load_instance,
     parse_instance_text,

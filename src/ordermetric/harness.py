@@ -6,8 +6,9 @@ Checks are identified by stable descriptive ids ("group/g1", "seq/sum",
 serialized report (which omits wall-clock timings) is byte-identical
 across runs. Skips are first-class outcomes and always carry a reason.
 
-The built-in instances are instance texts built by the layer below,
-``instance_files.build_bundle``, plus the settings no file carries.
+The suite's instances come from the layer below: ``builtin_bundles`` and
+``DEFAULT_INSTANCES`` live in ``instance_files`` with the instance texts
+they are built from, and are re-exported here.
 
 Fault injection produces mutated copies of a bundle, each engineered to
 flip one targeted check; the sensitivity helper asserts the flip, which is
@@ -22,7 +23,6 @@ import time
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Callable
 
 from .order_core import (
@@ -81,11 +81,9 @@ from .solver import (
     walk_tolerance,
 )
 from .instance_files import (
-    BUILTIN_INSTANCE_TEXTS,
+    DEFAULT_INSTANCES,
     InstanceBundle,
-    _scale_by,
-    build_bundle,
-    parse_instance_text,
+    builtin_bundles,
     render_element_list,
 )
 
@@ -152,58 +150,6 @@ class TraceabilityReport:
         lines.append(f"-- {len(self.rows)} rows: "
                      f"{len(self.rows) - n_fail - n_skip} pass, {n_fail} fail, {n_skip} skip")
         return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# built-in instance bundles
-
-# Huang & Zhang's coordinate cone on the unit box, halved by the map
-_COORD_CONE_TEXT = """\
-[group]
-family = coord-cone
-dimension = {dim}
-[structure]
-kind = interior-cone
-[space]
-interval = {zero} .. {one}
-metric = coordinatewise
-[map]
-rule = scale
-factors = 1/2
-[witness]
-class = alpha-const
-alpha = 1/2
-"""
-
-
-def builtin_bundles() -> dict[str, InstanceBundle]:
-    """The suite's instances, each built from an instance text. The suite
-    adds what no instance file carries: its solver scales, the single-valued
-    maps of three-point and cone-n, and a skewed tolerance on cone-n."""
-    def build(text, name):
-        return build_bundle(parse_instance_text(text, name=name))
-
-    step = {Fraction(0): Fraction(0), Fraction(1, 4): Fraction(0), Fraction(1): Fraction(1, 4)}
-    bundles = [
-        build(BUILTIN_INSTANCE_TEXTS["r1-banach"], "real-line").replace(solver_eps=Fraction(1, 100)),
-        # banach_alpha stays 1/2, not the ratio 1/3 of this map: it sets the
-        # stop scale of the single-valued walk
-        build(BUILTIN_INSTANCE_TEXTS["three-point"], "three-point").replace(
-            solver_eps=Fraction(1, 8), banach_map=step.__getitem__, banach_alpha=Fraction(1, 2)),
-    ]
-    for dim in (2, 3):
-        zero, one = (f"({', '.join([v] * dim)})" for v in "01")
-        cone = build(_COORD_CONE_TEXT.format(dim=dim, zero=zero, one=one), f"cone-{dim}")
-        factors = tuple(Fraction(1, k + 2) for k in range(dim))  # 1/2, 1/3, ...
-        skew = tuple(Fraction(1, 10) if i == 0 else Fraction(1, 2) for i in range(dim))
-        bundles.append(cone.replace(
-            eps_family=cone.eps_family + (skew,),
-            solver_eps=tuple(Fraction(1, 100) for _ in range(dim)),
-            banach_map=partial(_scale_by, f=factors)))
-    return {b.name: b for b in bundles}
-
-
-DEFAULT_INSTANCES = ("real-line", "three-point", "cone-2", "cone-3")
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,12 @@ tool relies on.
 
 ``build_bundle`` turns a description into an InstanceBundle. It is the one
 place that makes carriers, metrics, samplers, maps and witnesses: the
-command-line tool and the suite's built-ins (in the harness, above this
-module) both build their instances through it.
+command-line tool and the suite's built-ins both build their instances
+through it. It is also the one registry of built-in instances: the
+command-line tool loads ``BUILTIN_INSTANCE_TEXTS`` by name, and
+``builtin_bundles`` builds the suite's ``DEFAULT_INSTANCES`` from the same
+texts, one template writing the coordinate cone of ``cone2-shrink`` and of
+the suite's cones.
 """
 
 from __future__ import annotations
@@ -705,6 +709,32 @@ def build_bundle(desc: InstanceDescription) -> InstanceBundle:
 # built-in instance files
 
 
+def _coord_cone_text(dim: int, factors: str) -> str:
+    """Huang & Zhang's coordinate cone on the unit box of dimension ``dim``,
+    mapped by the scale rule with ``factors``."""
+    zero, one = (f"({', '.join([v] * dim)})" for v in "01")
+    return f"""\
+[group]
+family = coord-cone
+dimension = {dim}
+
+[structure]
+kind = interior-cone
+
+[space]
+interval = {zero} .. {one}
+metric = coordinatewise
+
+[map]
+rule = scale
+factors = {factors}
+
+[witness]
+class = alpha-const
+alpha = 1/2
+"""
+
+
 BUILTIN_INSTANCE_TEXTS = {
     "r1-banach": """\
 [group]
@@ -745,27 +775,37 @@ image 1 = 0; 1/4
 class = alpha-const
 alpha = 1/2
 """,
-    "cone2-shrink": """\
-[group]
-family = coord-cone
-dimension = 2
-
-[structure]
-kind = interior-cone
-
-[space]
-interval = (0, 0) .. (1, 1)
-metric = coordinatewise
-
-[map]
-rule = scale
-factors = (1/2, 1/3)
-
-[witness]
-class = alpha-const
-alpha = 1/2
-""",
+    "cone2-shrink": _coord_cone_text(2, "(1/2, 1/3)"),
 }
+
+
+def builtin_bundles() -> dict[str, InstanceBundle]:
+    """The suite's instances, each built from an instance text plus what no
+    instance file carries: its solver scales, the single-valued maps of
+    three-point and cone-n, and a skewed tolerance on cone-n."""
+    def build(text, name):
+        return build_bundle(parse_instance_text(text, name=name))
+
+    step = {Fraction(0): Fraction(0), Fraction(1, 4): Fraction(0), Fraction(1): Fraction(1, 4)}
+    bundles = [
+        build(BUILTIN_INSTANCE_TEXTS["r1-banach"], "real-line").replace(solver_eps=Fraction(1, 100)),
+        # banach_alpha stays 1/2, not the ratio 1/3 of this map: it sets the
+        # stop scale of the single-valued walk
+        build(BUILTIN_INSTANCE_TEXTS["three-point"], "three-point").replace(
+            solver_eps=Fraction(1, 8), banach_map=step.__getitem__, banach_alpha=Fraction(1, 2)),
+    ]
+    for dim in (2, 3):
+        cone = build(_coord_cone_text(dim, "1/2"), f"cone-{dim}")
+        factors = tuple(Fraction(1, k + 2) for k in range(dim))  # 1/2, 1/3, ...
+        skew = tuple(Fraction(1, 10) if i == 0 else Fraction(1, 2) for i in range(dim))
+        bundles.append(cone.replace(
+            eps_family=cone.eps_family + (skew,),
+            solver_eps=tuple(Fraction(1, 100) for _ in range(dim)),
+            banach_map=partial(_scale_by, f=factors)))
+    return {b.name: b for b in bundles}
+
+
+DEFAULT_INSTANCES = ("real-line", "three-point", "cone-2", "cone-3")
 
 
 def load_instance(path_or_name: str) -> InstanceDescription:

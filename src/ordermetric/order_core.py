@@ -480,10 +480,8 @@ def check_module_laws(m: OrderedModuleInstance, plan: SamplePlan) -> LawReport:
     """
     g, ring = m.group, m.ring
     fmt = format_element
-    results = []
-
-    r1_ok = ring.lt(ring.zero, ring.one)
-    results.append(LawResult("r1", r1_ok, 1, None if r1_ok else f"1 = {ring.one}, 0 = {ring.zero}"))
+    results = [_run_law("r1", [(ring.zero, ring.one)],
+                        lambda zero, one: None if ring.lt(zero, one) else f"1 = {one}, 0 = {zero}")]
 
     def scalars(label: str, n: int) -> list[Scalar]:
         rng = _law_rng(plan, label)
@@ -492,47 +490,40 @@ def check_module_laws(m: OrderedModuleInstance, plan: SamplePlan) -> LawReport:
             out.append(ring.sampler(rng))
         return out
 
-    def m1(pair_and_r):
-        (a, b), r = pair_and_r
+    def m1(a, b, r):
         if g.lt(a, b) and ring.lt(ring.zero, r) and not g.lt(m.scale(r, a), m.scale(r, b)):
             return f"a={fmt(a)}, b={fmt(b)}, r={r}"
 
     pairs = strict_pairs(g, plan, "m1")
     rs = scalars("m1-scalars", len(pairs))
-    results.append(_run_law("m1", [((p, abs(r) + Fraction(1, 3)),) for p, r in zip(pairs, rs)], m1))
+    results.append(_run_law("m1", [(a, b, abs(r) + Fraction(1, 3)) for (a, b), r in zip(pairs, rs)], m1))
 
-    def m1_prime(pair_and_r):
-        (a, b), r = pair_and_r
+    def m1_prime(a, b, r):
         if g.leq(a, b) and ring.le(ring.zero, r) and not g.leq(m.scale(r, a), m.scale(r, b)):
             return f"a={fmt(a)}, b={fmt(b)}, r={r}"
 
-    results.append(_run_law("m1-prime", [((p, abs(r)),) for p, r in zip(pairs, rs)], m1_prime))
+    results.append(_run_law("m1-prime", [(a, b, abs(r)) for (a, b), r in zip(pairs, rs)], m1_prime))
 
-    def m2(trip):
-        r, s, a = trip
+    def ordered_triples(label: str, gap) -> list:
+        """(r, s, a) with s = r + |draw| + gap and a positive, drawn in that order."""
+        rng = _law_rng(plan, label)
+        out = []
+        while len(out) < plan.count:
+            r = ring.sampler(rng)
+            out.append((r, r + abs(ring.sampler(rng)) + gap, g.positive_sampler(rng)))
+        return out
+
+    def m2(r, s, a):
         if ring.lt(r, s) and g.is_positive(a) and not g.lt(m.scale(r, a), m.scale(s, a)):
             return f"r={r}, s={s}, a={fmt(a)}"
 
-    rng = _law_rng(plan, "m2")
-    m2_stream = []
-    while len(m2_stream) < plan.count:
-        r = ring.sampler(rng)
-        s = r + abs(ring.sampler(rng)) + Fraction(1, 5)
-        m2_stream.append(((r, s, g.positive_sampler(rng)),))
-    results.append(_run_law("m2", m2_stream, m2))
+    results.append(_run_law("m2", ordered_triples("m2", Fraction(1, 5)), m2))
 
-    def m2_prime(trip):
-        r, s, a = trip
+    def m2_prime(r, s, a):
         if ring.le(r, s) and g.is_nonneg(a) and not g.leq(m.scale(r, a), m.scale(s, a)):
             return f"r={r}, s={s}, a={fmt(a)}"
 
-    rng = _law_rng(plan, "m2-prime")
-    m2p_stream = []
-    while len(m2p_stream) < plan.count:
-        r = ring.sampler(rng)
-        s = r + abs(ring.sampler(rng))
-        m2p_stream.append(((r, s, g.positive_sampler(rng)),))
-    results.append(_run_law("m2-prime", m2p_stream, m2_prime))
+    results.append(_run_law("m2-prime", ordered_triples("m2-prime", 0), m2_prime))
 
     return LawReport(subject=f"module laws on {m.name}", results=tuple(results))
 

@@ -297,6 +297,21 @@ def test_solve_bad_tolerance_exits_three(capsys):
     assert captured.err == "bad argument: tolerance 0 does not strictly dominate the identity\n"
 
 
+@pytest.mark.parametrize("argv, text, stderr", [
+    (["verify", "three-point", "--checks", "nosuch"], None,
+     "parse error: no checks match 'nosuch'\n"),
+    (["solve", "{path}"], POINTS_FILE,
+     "instance has no [map] / [witness] section to solve\n"),
+], ids=["verify-no-checks-match", "solve-without-map"])
+def test_cli_error_exits_three(tmp_path, capsys, argv, text, stderr):
+    if text is not None:
+        path = tmp_path / "instance.ini"
+        path.write_text(text)
+        argv = [str(path) if arg == "{path}" else arg for arg in argv]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", stderr)
+
+
 def _assert_one_line_exit_three(rc, capsys, expected):
     captured = capsys.readouterr()
     assert rc == 3

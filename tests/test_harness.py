@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,8 +21,8 @@ from ordermetric import (
     run_fault_sensitivity,
     run_suite,
 )
-from ordermetric import cone_metric, contraction, harness, order_core, topo
-from ordermetric.contraction import check_hypotheses
+from ordermetric import cone_metric, contraction, harness, order_core, solver, topo
+from ordermetric.contraction import EndpointSet, check_hypotheses
 from ordermetric.instance_files import (
     BUILTIN_INSTANCE_TEXTS,
     build_bundle,
@@ -204,6 +205,22 @@ def test_limit_uniqueness_row_reads_each_verdict(monkeypatch, true_limit, fake_l
                      budgets=FAST)
     row = run_suite(spec, builtin_bundles()).row("seq/limit-uniqueness", "real-line")
     assert (row.outcome, row.witness) == (outcome, detail)
+
+
+def test_endpoint_census_rows_name_each_disagreement(monkeypatch):
+    # the census finds no endpoint where the inf-sup value is 0, and the
+    # oracle's own scan finds two
+    monkeypatch.setattr(solver, "endpoints_bruteforce", lambda T: EndpointSet(()))
+    monkeypatch.setattr(harness, "endpoints_bruteforce",
+                        lambda T: EndpointSet((Fraction(0), Fraction(1))))
+    checks = ("endpoint/approx-equivalence", "endpoint/iff-zero-gap", "solver/oracle-agreement")
+    report = run_suite(SuiteSpec(instances=("three-point",), checks=checks, budgets=FAST))
+    assert [(r.check, r.outcome, r.witness) for r in report.rows] == [
+        ("endpoint/approx-equivalence", "fail",
+         "endpoint presence and inf-sup value disagree: 0 endpoints, value 0"),
+        ("endpoint/iff-zero-gap", "fail", "sides disagree: solver defect"),
+        ("solver/oracle-agreement", "fail", "expected a unique endpoint, found 2"),
+    ]
 
 
 def test_hausdorff_symmetry_witness_names_the_sets(monkeypatch):

@@ -1,10 +1,13 @@
 """Imports inside the package point strictly down the module stack, and no
-module reaches into the harness's private helpers."""
+module reaches into the private helpers of the harness or of the instance
+registry."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from ordermetric.instance_files import DEFAULT_INSTANCES, builtin_bundles
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ordermetric"
 STACK = ("order_core", "topo", "cone_metric", "contraction", "solver", "corpus",
@@ -36,12 +39,25 @@ def test_imports_point_down_the_stack(module):
         assert target in below, f"{module} imports {target}, which is not below it"
 
 
+def _private_imports(module: str, target: str) -> list:
+    return [n for t, names in _relative_imports(module) if t == target
+            for n in names if n.startswith("_")]
+
+
 @pytest.mark.parametrize("module", STACK)
 def test_no_private_harness_imports(module):
-    for target, names in _relative_imports(module):
-        if target == "harness":
-            private = [n for n in names if n.startswith("_")]
-            assert not private, f"{module} imports private harness names {private}"
+    private = _private_imports(module, "harness")
+    assert not private, f"{module} imports private harness names {private}"
+
+
+@pytest.mark.parametrize("module", STACK)
+def test_no_private_instance_files_imports(module):
+    private = _private_imports(module, "instance_files")
+    assert not private, f"{module} imports private instance_files names {private}"
+
+
+def test_the_registry_lists_its_bundles_in_order():
+    assert tuple(builtin_bundles()) == DEFAULT_INSTANCES
 
 
 def test_one_module_decides_the_endpoint_equivalence():
