@@ -56,8 +56,6 @@ from .topo import (
     verify_convergence_twosided,
 )
 from .cone_metric import (
-    CauchyCertificate,
-    CauchyFailure,
     ConeMetricSpace,
     PointSequence,
     SetDistanceUndefined,

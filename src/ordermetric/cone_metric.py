@@ -11,6 +11,9 @@ it; and whether that table is symmetric, N(N-1)/2 ``cmp`` calls, which
 lets those scans decide a mirror pair once. The table compares and hashes
 nothing. Sampled spaces keep none of them.
 
+Point convergence and the Cauchy check return ``topo``'s outcomes, both
+decided on its one window path.
+
 The set distance is restricted to finite subsets: in a genuinely partial
 order the inner min/max may simply not exist. Every fold takes the least
 or greatest element, and where there is none it fails loudly with the
@@ -41,7 +44,9 @@ from .order_core import (
 from .topo import (
     PositiveSequence,
     TopoStructure,
+    _sandwiched,
     _validate_eps,
+    _windowed,
     exact_threshold,
     from_terms,
     geometric,
@@ -252,33 +257,18 @@ def point_convergence(m: ConeMetricSpace, s: PointSequence, x: Point,
     return verify_convergence(m.structure, profile, m.group.identity, eps_family, n_max)
 
 
-@dataclass(frozen=True)
-class CauchyCertificate:
-    epsilon: Element
-    threshold: int
-    verified_up_to: int
-    analytic_bound: int | None = None  # threshold from a declared geometric step profile
-
-
-@dataclass(frozen=True)
-class CauchyFailure:
-    epsilon: Element
-    witness_pair: tuple[int, int]
-    reason: str = ""
-
-
 def cauchy_check(m: ConeMetricSpace, s: PointSequence, eps_family: Sequence[Element],
                  n_max: int, step_profile: tuple[Element, Fraction] | None = None) -> list:
     """Windowed Cauchy check with an optional exact geometric tail bound.
 
-    For each tolerance, find the smallest N such that every pair of indices
-    in [N, n_max] has distance strictly dominated by it; the failing case
-    reports the violating pair that pushed N to the end of the window.
+    Index a passes at a tolerance when d(x_a, x_b) << eps for every later
+    b <= cap. The outcomes come from ``topo``'s window path over 1..cap - 1,
+    so a violating last pair fails.
 
     ``step_profile = (c, alpha)`` declares d(x_n, x_{n+1}) <= c * alpha^n;
-    the declaration is re-checked on the materialized prefix and converts,
-    through the geometric tail sum c * alpha^n / (1 - alpha), into an
-    analytic threshold recorded on the certificate.
+    the declaration is re-checked on the materialized prefix. The tail sum
+    c * alpha^a / (1 - alpha) bounds d(x_a, x_b) for every b > a, so the
+    threshold of its sandwich is an analytic threshold.
     """
     t = m.structure
     g = m.group
@@ -286,43 +276,25 @@ def cauchy_check(m: ConeMetricSpace, s: PointSequence, eps_family: Sequence[Elem
     cap = s.cap(n_max)
     pts = [s.term(n) for n in range(1, cap + 1)]
 
-    analytic: dict[int, int] = {}
+    tail_below = None
     if step_profile is not None:
         c, alpha = g.coerce(step_profile[0]), Fraction(step_profile[1])
-        if not (0 <= alpha < 1):
-            raise ValueError("geometric ratio must lie in [0, 1)")
-        module = t.module
+        steps = geometric(t.module, c, alpha)
         for n in range(1, cap):
-            bound = module.scale(alpha ** n, c)
-            if not g.leq(m.distance(pts[n - 1], pts[n]), bound):
+            if not g.leq(m.distance(pts[n - 1], pts[n]), steps.term(n)):
                 raise ValueError(f"declared step profile fails at n={n}")
-        tail_coeff = module.scale(1 / (1 - alpha), c)
-        tail = geometric(module, tail_coeff, alpha, name="cauchy tail bound")
-        for i, eps in enumerate(eps_family):
-            n_at = exact_threshold(t, tail, g.identity, eps)
-            if n_at is not None:
-                # pairs need both indices at or past the bound, hence +1
-                analytic[i] = n_at + 1
+        tail = geometric(t.module, t.module.scale(1 / (1 - alpha), c), alpha)
+        tail_below = _sandwiched(t, tail.term)
 
     # each pair's distance once, shared by every tolerance
-    dists = [(a, b, m.distance(pts[a - 1], pts[b - 1]))
-             for a in range(1, cap + 1) for b in range(a + 1, cap + 1)] if eps_family else []
-    outcomes = []
-    for i, eps in enumerate(eps_family):
-        worst = 0
-        worst_pair = None
-        for a, b, d in dists:
-            if not t.ll(d, eps):
-                if a > worst:
-                    worst, worst_pair = a, (a, b)
-        if worst_pair is None:
-            outcomes.append(CauchyCertificate(eps, 0, cap, analytic.get(i)))
-        elif worst + 1 < cap:
-            outcomes.append(CauchyCertificate(eps, worst + 1, cap, analytic.get(i)))
-        else:
-            outcomes.append(CauchyFailure(eps, worst_pair,
-                                          reason="violating pairs persist to the end of the window"))
-    return outcomes
+    later = {a: [m.distance(pts[a - 1], pts[b - 1]) for b in range(a + 1, cap + 1)]
+             for a in range(1, cap)} if eps_family else {}
+
+    def outcome_at(eps):
+        analytic_n = None if tail_below is None else exact_threshold(tail_below(eps))
+        return _windowed(lambda a: all(t.ll(d, eps) for d in later[a]), eps, analytic_n, cap - 1)
+
+    return [outcome_at(eps) for eps in eps_family]
 
 
 # ---------------------------------------------------------------------------

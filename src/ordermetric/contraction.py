@@ -25,7 +25,9 @@ runner's ``LawResult`` or ``LawReport``; the walk hypotheses share one
 pass. On a symmetric finite table, mirror-invariant laws under a bound of
 the distance alone take each mirror pair as an implied item (``_scan``).
 Every step that can raise runs inside the stream or in the first call of
-its law, so the runner holds each error for the laws it reached.
+its law, so the runner holds each error for the laws it reached. The
+approximate-endpoint sequence runs its per-index image bound as one law
+on the same runner.
 
 A map keeps what is derived from it: its image positions, a
 ``functools.cached_property`` like every unkeyed memo here, and its whole
@@ -57,6 +59,7 @@ from .order_core import (
     SamplePlan,
     _law_rng,
     _raise_held,
+    _run_law,
     _run_laws,
     format_element,
     order_max,
@@ -581,29 +584,25 @@ def approximate_endpoint_property_finite(T: SetValuedMap) -> ApproxEndpointValue
     return ApproxEndpointValue(value, pts[sups.index(value)])
 
 
-@dataclass(frozen=True)
-class ApproxSequenceReport:
-    holds: bool
-    violation: str | None = None
-
-
 def approximate_endpoint_sequence(T: SetValuedMap, seq: PointSequence,
-                                  bounds: PositiveSequence, eps_family, n_max: int) -> ApproxSequenceReport:
+                                  bounds: PositiveSequence, eps_family, n_max: int) -> LawResult:
     """Verify the witness-pair form of the approximate endpoint property:
     a point sequence and a vanishing bound sequence dominating every image
-    distance at each index."""
+    distance at each index of the window, once the bound sequence has
+    certified toward the identity."""
+    law = "approx-endpoint-sequence"
     space, g = T.space, T.space.group
     bound_out = verify_convergence(space.structure, bounds, g.identity, eps_family, n_max)
     if not all(is_certificate(o) for o in bound_out):
-        return ApproxSequenceReport(False, "bound sequence failed to certify toward the identity")
-    cap = min(seq.cap(n_max), bounds.cap(n_max))
-    for n in range(1, cap + 1):
-        x = seq.term(n)
-        a_n = bounds.term(n)
+        return LawResult(law, False, 0, "bound sequence failed to certify toward the identity")
+
+    def image_bound(n):
+        x, a_n = seq.term(n), bounds.term(n)
         for xp in T.images(x):
-            if not g.leq(space.distance(x, xp), a_n):
-                return ApproxSequenceReport(
-                    False,
-                    f"n={n}, x'={format_element(xp)}: d={format_element(space.distance(x, xp))} "
-                    f"exceeds bound {format_element(a_n)}")
-    return ApproxSequenceReport(True)
+            d = space.distance(x, xp)
+            if not g.leq(d, a_n):
+                return (f"n={n}, x'={format_element(xp)}: d={format_element(d)} "
+                        f"exceeds bound {format_element(a_n)}")
+
+    cap = min(seq.cap(n_max), bounds.cap(n_max))
+    return _run_law(law, [(n,) for n in range(1, cap + 1)], image_bound)

@@ -34,7 +34,7 @@ from .order_core import (
     format_element,
 )
 from .topo import (
-    _empirical_scan,
+    _windowed,
     check_limit_uniqueness,
     check_regularity,
     check_topo_laws,
@@ -49,7 +49,6 @@ from .topo import (
     verify_convergence_twosided,
 )
 from .cone_metric import (
-    CauchyCertificate,
     SetDistanceUndefined,
     cauchy_check,
     check_metric_laws,
@@ -214,6 +213,22 @@ def _theta_sums(b: InstanceBundle, ctx: _Ctx) -> tuple:
     return ctx.memo(("theta-sums", b.name), build)
 
 
+def _over_tolerances(check):
+    """The row of ``check``, which certifies over the bundle's tolerance
+    family; it skips where the family is empty, as it would certify nothing."""
+    def run(b: InstanceBundle, ctx: _Ctx):
+        if not b.eps_family:
+            return "skip", "bundle has no tolerance family"
+        return check(b, ctx)
+    return run
+
+
+def _failure_text(outcome) -> str:
+    """A failed convergence outcome in the CLI's syntax: reason, tolerance, indices."""
+    return (f"{outcome.reason} at {format_element(outcome.epsilon)}, "
+            f"n = {outcome.first_violation}..{outcome.last_violation}")
+
+
 def _over_theta_sums(check):
     """The row of ``check(b, ctx, sums)``; it skips where the bundle has no
     closed form tending to the identity, since it would check nothing."""
@@ -252,7 +267,7 @@ def _check_sum(b: InstanceBundle, ctx: _Ctx, sums):
         outs = sum_convergence(t, s1, s2, b.eps_family, ctx.budgets.n_max)
         bad = [o for o in outs if not is_certificate(o)]
         if bad:
-            return "fail", f"{s1.name} + {s2.name}: {bad[0]}"
+            return "fail", f"{s1.name} + {s2.name}: {_failure_text(bad[0])}"
     return "pass", f"{len(sums)} sums certified by tolerance splitting"
 
 
@@ -263,7 +278,7 @@ def _check_sandwich(b: InstanceBundle, ctx: _Ctx, sums):
                                     b.eps_family, ctx.budgets.n_max)
         bad = [o for o in outs if not is_certificate(o)]
         if bad:
-            return "fail", f"{lower.name} vs {upper.name}: {bad[0]}"
+            return "fail", f"{lower.name} vs {upper.name}: {_failure_text(bad[0])}"
     return "pass", f"{len(sums)} dominated pairs certified"
 
 
@@ -326,7 +341,7 @@ def _check_norm_to_order(b: InstanceBundle, ctx: _Ctx):
                 v = s.term(n)
                 return (max(v) if isinstance(v, tuple) else v) < floor
 
-            norm = _empirical_scan(below_floor, n_max, eps)
+            norm = _windowed(below_floor, eps, None, n_max)
             if not is_certificate(norm):
                 # sup-coordinate decay not established in the window: vacuous
                 continue
@@ -467,13 +482,11 @@ def _check_point_cauchy(b: InstanceBundle, ctx: _Ctx):
     module = b.module
     s, corner = _geometric_approach(b)
     profile = (module.scale(Fraction(1, 2), corner), Fraction(1, 2))
-    outs = cauchy_check(b.space, s, b.eps_family, 64, step_profile=profile)
-    for out in outs:
-        if not isinstance(out, CauchyCertificate):
-            return "fail", f"pair {out.witness_pair} violates {format_element(out.epsilon)}"
-        if out.analytic_bound is None or out.threshold > out.analytic_bound:
-            return "fail", (f"windowed threshold {out.threshold} exceeds the geometric "
-                            f"tail bound {out.analytic_bound}")
+    for out in cauchy_check(b.space, s, b.eps_family, 64, step_profile=profile):
+        if not is_certificate(out):
+            return "fail", _failure_text(out)
+        if not out.analytic:
+            return "fail", f"no geometric tail bound at {format_element(out.epsilon)}"
     return "pass", "certified with geometric tail bounds dominating the windowed thresholds"
 
 
@@ -496,8 +509,8 @@ def _check_finite_completeness(b: InstanceBundle, ctx: _Ctx):
     }
     for name, s in sequences.items():
         outcome = cauchy_check(space, s, [minpos], n_max)[0]
-        if isinstance(outcome, CauchyCertificate):
-            if constant_tail_start(g, s, n_max) > max(outcome.threshold, 1):
+        if is_certificate(outcome):
+            if constant_tail_start(g, s, n_max) > outcome.threshold + 1:
                 return "fail", f"{name}: certified at the minimum scale but not constant"
             tail_value = s.term(n_max)
             conv = point_convergence(space, s, tail_value, b.eps_family, n_max)
@@ -576,7 +589,7 @@ def _check_at_most_one(b: InstanceBundle, ctx: _Ctx):
         return "skip", "one-sided bound fails; uniqueness not implied"
     ends = endpoints_bruteforce(b.map_)
     if len(ends) <= 1:
-        return "pass", f"endpoints: {[format_element(p) for p in ends.members]}"
+        return "pass", f"endpoints: {_set_text(ends.members)}"
     return "fail", f"two endpoints: {format_element(ends.members[0])}, {format_element(ends.members[1])}"
 
 
@@ -595,8 +608,8 @@ def _check_approx_equivalence(b: InstanceBundle, ctx: _Ctx):
         const_bounds = constant(b.module, b.space.group.identity)
         rep = approximate_endpoint_sequence(b.map_, const_pts, const_bounds,
                                             b.eps_family, 16)
-        if not rep.holds:
-            return "fail", f"constant witness at the minimizer rejected: {rep.violation}"
+        if not rep.passed:
+            return "fail", f"constant witness at the minimizer rejected: {rep.witness}"
         return "pass", "inf-sup is zero and the constant witness validates"
     return "pass", f"no endpoint and inf-sup value {value} above zero"
 
@@ -688,16 +701,16 @@ CHECKS: dict[str, Callable[[InstanceBundle, _Ctx], tuple[str, str]]] = {
     for family, (laws, _) in _LAW_FAMILIES.items() for law in laws
 }
 CHECKS.update({
-    "metric/point-convergence": _check_point_convergence,
-    "metric/cauchy": _check_point_cauchy,
-    "metric/finite-completeness": _check_finite_completeness,
-    "seq/limit-uniqueness": _over_theta_sums(_check_limit_uniqueness),
-    "seq/sum": _over_theta_sums(_check_sum),
-    "seq/sandwich": _over_theta_sums(_check_sandwich),
-    "seq/regularity": _check_regularity,
-    "seq/two-sided": _over_theta_sums(_check_two_sided),
-    "seq/weak-vs-strong": _over_theta_sums(_check_weak_vs_strong),
-    "seq/norm-to-order": _check_norm_to_order,
+    "metric/point-convergence": _over_tolerances(_check_point_convergence),
+    "metric/cauchy": _over_tolerances(_check_point_cauchy),
+    "metric/finite-completeness": _over_tolerances(_check_finite_completeness),
+    "seq/limit-uniqueness": _over_tolerances(_over_theta_sums(_check_limit_uniqueness)),
+    "seq/sum": _over_tolerances(_over_theta_sums(_check_sum)),
+    "seq/sandwich": _over_tolerances(_over_theta_sums(_check_sandwich)),
+    "seq/regularity": _over_tolerances(_check_regularity),
+    "seq/two-sided": _over_tolerances(_over_theta_sums(_check_two_sided)),
+    "seq/weak-vs-strong": _over_tolerances(_over_theta_sums(_check_weak_vs_strong)),
+    "seq/norm-to-order": _over_tolerances(_check_norm_to_order),
     "hausdorff/identity": _check_hausdorff_identity,
     "hausdorff/symmetry": _check_hausdorff_symmetry,
     "hausdorff/singleton": _check_hausdorff_singleton,

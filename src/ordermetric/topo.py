@@ -3,11 +3,11 @@
 A structure pairs an ordered group with an auxiliary relation "strictly
 below" that refines the strict order (think: difference lies in the
 interior of the cone). Convergence of positive sequences is made finitely
-checkable: a certificate fixes a tolerance, a threshold N, and the window
-over which the sandwich was actually evaluated. For registered closed-form
-sequences (c/n, c/n^2, geometric, constants and finite sums of these) the
-threshold is computed analytically with rational arithmetic and is valid
-for every index, not just the checked window.
+checkable: a certificate fixes a tolerance, a threshold N (every index past
+it passes), and the window over which the test was actually evaluated. For
+registered closed-form sequences (c/n, c/n^2, geometric, constants and
+finite sums of these) the threshold is computed analytically with rational
+arithmetic and is valid for every index, not just the checked window.
 
 Each sequence object does its exact work once: it memoizes its closed-form
 terms by index and its convergence outcomes by (phrasing, structure, limit,
@@ -23,8 +23,9 @@ there they grow with every structure, limit and window, and in the suite
 benchmark two such memos raised peak RSS by 8% and 13% (to 28.9 and
 29.8 MB), against a 10% bound, for at most 3% of speed. A sum is
 checked from its components' memoized terms, so no summed sequence is built
-for it. An outcome computed from an analytic threshold still carries the
-term-by-term re-check of its window.
+for it. Every window, the Cauchy check's included, takes one path
+(``_windowed``): an analytic threshold re-checked term by term to the end
+of the window, or else the empirical scan of the whole window.
 """
 
 from __future__ import annotations
@@ -346,9 +347,6 @@ class ConvergenceFailure:
     reason: str = ""
 
 
-ConvergenceOutcome = ConvergenceCertificate | ConvergenceFailure
-
-
 def is_certificate(outcome) -> bool:
     return isinstance(outcome, ConvergenceCertificate)
 
@@ -363,24 +361,12 @@ def _validate_eps(t: TopoStructure, eps_family: Sequence[Element]) -> list[Eleme
     return out
 
 
-def exact_threshold(t: TopoStructure, s: PositiveSequence, limit: Element,
-                    eps: Element, predicate=None) -> int | None:
-    """Smallest N with the sandwich holding for every n > N, closed forms only.
-
-    Soundness rests on two facts: the non-constant part of a registered
-    closed form is termwise nonincreasing, and the dominance relation is
-    stable under going down (t2), so once a term passes the test every
-    later term does too. Returns None if the limit does not match the
-    declared one or the search cap is hit.
-    """
-    if not s.closed_form:
-        return None
-    g = t.group
-    if not g.eq(limit, s.declared_limit):
-        return None
-    if predicate is None:
-        def predicate(n):
-            return t.sandwich(g.sub(s.term(n), limit), eps)
+def exact_threshold(predicate: Callable[[int], bool]) -> int | None:
+    """Smallest N with ``predicate(n)`` for every n > N, by doubling and
+    bisection; None past the search cap. Sound for a predicate that keeps
+    holding once it holds, such as the sandwich of a registered closed form
+    toward its declared limit: the non-constant part of the form is
+    termwise nonincreasing, and dominance is stable under going down (t2)."""
     hi = 1
     while not predicate(hi):
         hi *= 2
@@ -399,16 +385,6 @@ def exact_threshold(t: TopoStructure, s: PositiveSequence, limit: Element,
 def _violations(pred, first: int, last: int) -> list[int]:
     """The indices first..last at which ``pred`` fails, in order."""
     return [n for n in range(first, last + 1) if not pred(n)]
-
-
-def _empirical_scan(predicate, n_max: int, eps: Element):
-    violations = _violations(predicate, 1, n_max)
-    if not violations:
-        return ConvergenceCertificate(eps, 0, n_max)
-    if violations[-1] < n_max:
-        return ConvergenceCertificate(eps, violations[-1], n_max)
-    return ConvergenceFailure(eps, violations[0], violations[-1],
-                              reason="sandwich still failing at the end of the window")
 
 
 def _converge(t: TopoStructure, s: PositiveSequence, limit,
@@ -460,17 +436,29 @@ def _sandwiched(t: TopoStructure, value: Callable[[int], Element]):
     return make
 
 
+def _windowed(pred, eps: Element, analytic_n: int | None, end: int):
+    """The outcome of ``pred`` at one tolerance over a window ending at
+    ``end``: re-checked from past an analytic threshold, or else scanned
+    from 1 with the last violation as the threshold, unless it is ``end``."""
+    bad = _violations(pred, 1 if analytic_n is None else analytic_n + 1, end)
+    if analytic_n is not None:
+        if bad:
+            return ConvergenceFailure(eps, bad[0], bad[-1], reason="window check failed")
+        return ConvergenceCertificate(eps, analytic_n, end, analytic=True)
+    if bad and bad[-1] == end:
+        return ConvergenceFailure(eps, bad[0], bad[-1],
+                                  reason="sandwich still failing at the end of the window")
+    return ConvergenceCertificate(eps, bad[-1] if bad else 0, end)
+
+
 def _converge_one(t: TopoStructure, s: PositiveSequence, limit, eps, n_max: int, pred):
-    analytic_n = exact_threshold(t, s, limit, eps, predicate=pred)
-    if analytic_n is None:
-        return _empirical_scan(pred, s.cap(n_max), eps)
-    # the threshold is provably valid for every index; still verify the
-    # whole declared window term by term
-    window_end = max(n_max, analytic_n + _SPOT_WINDOW)
-    bad = _violations(pred, analytic_n + 1, window_end)
-    if bad:
-        return ConvergenceFailure(eps, bad[0], bad[-1], reason="window check failed")
-    return ConvergenceCertificate(eps, analytic_n, window_end, analytic=True)
+    """A closed form toward its declared limit has an analytic threshold,
+    valid for every index; its window still runs a spot window past it."""
+    analytic_n = None
+    if s.closed_form and t.group.eq(limit, s.declared_limit):
+        analytic_n = exact_threshold(pred)
+    end = s.cap(n_max) if analytic_n is None else max(n_max, analytic_n + _SPOT_WINDOW)
+    return _windowed(pred, eps, analytic_n, end)
 
 
 def verify_convergence(t: TopoStructure, s: PositiveSequence, limit,
@@ -630,7 +618,7 @@ def sandwich_convergence(t: TopoStructure, lower: PositiveSequence, upper: Posit
         def outcome_at(eps, base):
             if not is_certificate(base):
                 return base
-            scan = _empirical_scan(make(eps), cap, eps)
+            scan = _windowed(make(eps), eps, None, cap)
             if not base.analytic:
                 return scan
             # beyond the upper threshold the difference is dominated by

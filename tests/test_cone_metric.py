@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordermetric import (
-    CauchyCertificate,
-    CauchyFailure,
     ConeMetricSpace,
+    ConvergenceCertificate,
     ConvergenceFailure,
     IncomparableError,
     SetDistanceUndefined,
@@ -114,36 +113,65 @@ def test_point_convergence_alternating_fails(real_line_space):
     assert isinstance(out, ConvergenceFailure)
 
 
+def _cauchy_violations(s, eps, cap):
+    """Brute-force oracle on a real line: the indices a < cap with some
+    later b <= cap at distance eps or more."""
+    pts = [s.term(n) for n in range(1, cap + 1)]
+    return [a for a in range(1, cap)
+            if any(not abs(pts[a - 1] - pts[b - 1]) < eps for b in range(a + 1, cap + 1))]
+
+
 def test_cauchy_geometric_partial_sums(real_line_space):
     # x_n = 1 - 2^{-n}; consecutive steps are 2^{-(n+1)}
     s = point_seq(real_line_space, rule=lambda n: 1 - Fraction(1, 2 ** n))
     eps = Fraction(1, 100)
     out = cauchy_check(real_line_space, s, [eps], 100,
                        step_profile=(Fraction(1, 2), Fraction(1, 2)))[0]
-    assert isinstance(out, CauchyCertificate)
-    assert out.analytic_bound is not None
-    # tail bound: sum of steps from n is 2^{-n} < 1/100 from n = 7
-    assert out.analytic_bound == 7
-    assert out.threshold <= out.analytic_bound
-    # oracle: the empirical window threshold computed by brute force
-    pts = [s.term(n) for n in range(1, 101)]
-    worst = max((min(a, b) for a in range(1, 101) for b in range(1, 101)
-                 if a != b and not abs(pts[a - 1] - pts[b - 1]) < eps), default=0)
-    assert out.threshold == worst + 1
+    # tail bound: the sum of the steps from n is 2^{-n} < 1/100 past n = 6,
+    # re-checked over the window 7..99
+    assert out == ConvergenceCertificate(eps, 6, 99, analytic=True)
+    # oracle: every index past the analytic threshold passes in the window
+    bad = _cauchy_violations(s, eps, 100)
+    assert bad and bad[-1] <= out.threshold
+    # without a declared profile the window's own threshold is the last bad index
+    assert cauchy_check(real_line_space, s, [eps], 100)[0] == ConvergenceCertificate(
+        eps, bad[-1], 99)
+
+
+def test_cauchy_tail_bound_is_rechecked_over_the_window(real_line_space):
+    # a step profile of c = 1/2, alpha = 1/2 allows the 1/40 jump at n = 4,
+    # but 1/40 is not within 1/64; the tail bound 2^{-n} certifies past 6
+    terms = [Fraction(0)] * 4 + [Fraction(1, 40)] * 20
+    s = point_seq(real_line_space, terms)
+    eps = Fraction(1, 64)
+    out = cauchy_check(real_line_space, s, [eps], 24,
+                       step_profile=(Fraction(1, 2), Fraction(1, 2)))[0]
+    assert out == ConvergenceCertificate(eps, 6, 23, analytic=True)
+    assert _cauchy_violations(s, eps, 24) == [1, 2, 3, 4]
 
 
 def test_cauchy_constant(real_line_space):
     s = point_seq(real_line_space, [Fraction(1, 3)] * 20)
     out = cauchy_check(real_line_space, s, [Fraction(1, 10)], 20)[0]
-    assert isinstance(out, CauchyCertificate) and out.threshold == 0
+    assert out == ConvergenceCertificate(Fraction(1, 10), 0, 19)
+    assert _cauchy_violations(s, Fraction(1, 10), 20) == []
 
 
 def test_cauchy_oscillation_fails_below_gap(real_line_space):
     s = point_seq(real_line_space, [Fraction(0), Fraction(1, 2)] * 15)
     out = cauchy_check(real_line_space, s, [Fraction(1, 4)], 30)[0]
-    assert isinstance(out, CauchyFailure)
-    n, m = out.witness_pair
-    assert abs(s.term(n) - s.term(m)) == Fraction(1, 2)
+    assert isinstance(out, ConvergenceFailure)
+    # oracle: every index up to the last pair (29, 30) violates
+    bad = _cauchy_violations(s, Fraction(1, 4), 30)
+    assert (out.first_violation, out.last_violation) == (bad[0], bad[-1]) == (1, 29)
+
+
+def test_cauchy_violating_last_pair_fails(real_line_space):
+    s = point_seq(real_line_space, [Fraction(0)] * 9 + [Fraction(1)])
+    out = cauchy_check(real_line_space, s, [Fraction(1, 2)], 10)[0]
+    assert _cauchy_violations(s, Fraction(1, 2), 10) == list(range(1, 10))
+    assert out == ConvergenceFailure(Fraction(1, 2), 1, 9,
+                                     reason="sandwich still failing at the end of the window")
 
 
 def test_min_positive_distance(line_points):
@@ -216,8 +244,9 @@ def test_finite_completeness_at_minimum_scale(line_points):
     s = point_seq(line_points, [pts[2], pts[1], pts[0]] + [pts[0]] * 17)
     minpos = min_positive_distance(line_points)
     out = cauchy_check(line_points, s, [minpos], 20)[0]
-    assert isinstance(out, CauchyCertificate)
-    tail = [s.term(n) for n in range(max(out.threshold, 1), 21)]
+    assert is_certificate(out)
+    assert out.threshold == _cauchy_violations(s, minpos, 20)[-1] == 2
+    tail = [s.term(n) for n in range(out.threshold + 1, 21)]
     assert all(p == tail[0] for p in tail)
     conv = point_convergence(line_points, s, tail[0], [minpos], 20)
     assert all(is_certificate(o) for o in conv)

@@ -168,7 +168,7 @@ def test_approx_sequence_halving(real_line_space, rmod):
     seq = point_seq(real_line_space, rule=lambda n: Fraction(1, n))
     bounds = harmonic(rmod, 1)
     rep = approximate_endpoint_sequence(T, seq, bounds, [Fraction(1, 10)], 60)
-    assert rep.holds
+    assert rep == LawResult("approx-endpoint-sequence", True, 60)
 
 
 def test_approx_sequence_constant_endpoint(rstruct, rmod):
@@ -178,7 +178,7 @@ def test_approx_sequence_constant_endpoint(rstruct, rmod):
     seq = point_seq(space, [Fraction(0)] * 20)
     bounds = constant(rmod, 0)
     rep = approximate_endpoint_sequence(T, seq, bounds, [Fraction(1, 10)], 20)
-    assert rep.holds
+    assert rep == LawResult("approx-endpoint-sequence", True, 20)
 
 
 def test_approx_sequence_too_tight_bound_fails(real_line_space, rmod):
@@ -186,9 +186,9 @@ def test_approx_sequence_too_tight_bound_fails(real_line_space, rmod):
     seq = point_seq(real_line_space, rule=lambda n: Fraction(1, n))
     bounds = from_function(rmod, lambda n: Fraction(1, n ** 3), 40, name="cubic")
     rep = approximate_endpoint_sequence(T, seq, bounds, [Fraction(1, 10)], 40)
-    assert not rep.holds
     # 1/(2n) stays within 1/n^3 only at n = 1
-    assert "n=2" in rep.violation
+    assert rep == LawResult("approx-endpoint-sequence", False, 2,
+                            "n=2, x'=1/4: d=1/4 exceeds bound 1/8")
 
 
 # -- endpoints ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -31,6 +32,7 @@ from ordermetric.instance_files import (
 )
 from ordermetric.order_core import format_element
 from ordermetric.harness import DEFAULT_INSTANCES, FAULT_TARGETS
+from test_topo import _refusing_thirds_of_sums
 
 FAST = Budgets(samples=150, n_max=120)
 ROOT = Path(__file__).resolve().parent.parent
@@ -275,13 +277,70 @@ def test_weak_vs_strong_reruns_keep_one_twin():
     assert rows[0] == rows[1] == rows[2]
 
 
+def _assert_cli_syntax(rows):
+    """No witness holds a Python repr: no ``Fraction(``, no quoted string
+    (a prime such as x' is no quote) and no list."""
+    for row in rows:
+        assert not re.search(r"Fraction\(|'[^'\s]*'|\"|\[|\]", row.witness), (
+            row.check, row.instance, row.witness)
+
+
 def test_fault_rows_print_no_python_reprs():
     bundles = builtin_bundles()
     for r in run_fault_sensitivity(budgets=FAST):
         mutated = {r.instance: fault_inject(bundles[r.instance], r.mutation)}
         spec = default_suite(instances=[r.instance], budgets=Budgets(samples=60, n_max=40))
-        for row in run_suite(spec, mutated).rows:
-            assert "Fraction(" not in (row.witness or ""), (r.mutation, row.check, row.witness)
+        _assert_cli_syntax(run_suite(spec, mutated).rows)
+
+
+def _forced_sequence_failures():
+    """The sum and sandwich rows on real-line under a structure that refuses
+    the sums of 1/n and 1/n^2 at every third index, and the Cauchy row under
+    one that refuses every distance whose numerator exceeds 1."""
+    real = builtin_bundles()["real-line"]
+    t = real.structure
+    thirds = real.replace(structure=_refusing_thirds_of_sums(t))
+    units = dataclasses.replace(
+        t, strictly_below=lambda a, b: t.strictly_below(a, b) and a.numerator <= 1)
+    units = real.replace(space=dataclasses.replace(real.space, structure=units))
+    spec = SuiteSpec(("real-line",), ("seq/sum", "seq/sandwich"), budgets=Budgets(n_max=200))
+    cauchy = SuiteSpec(("real-line",), ("metric/cauchy",))
+    return (run_suite(spec, {"real-line": thirds}).rows
+            + run_suite(cauchy, {"real-line": units}).rows)
+
+
+def test_failed_sequence_rows_name_the_tolerance_and_the_indices():
+    assert [(r.check, r.outcome, r.witness) for r in _forced_sequence_failures()] == [
+        ("seq/sum", "fail", "1/n + 1/n^2: sum sandwich failed at 1/2, n = 6..198"),
+        ("seq/sandwich", "fail",
+         "1/n vs 1/n + 1/n^2: window check failed at 1/2, n = 6..198"),
+        ("metric/cauchy", "fail", "window check failed at 1/2, n = 2..62"),
+    ]
+
+
+def test_row_witnesses_use_the_cli_syntax():
+    _assert_cli_syntax(run_suite(default_suite(sample_seed=0)).rows)
+    bundles = builtin_bundles()
+    for mutation, target in FAULT_TARGETS.items():
+        instance = harness._FAULTS[mutation][1]
+        spec = SuiteSpec((instance,), (target,), budgets=FAST)
+        rows = run_suite(spec, {instance: fault_inject(bundles[instance], mutation)}).rows
+        assert rows[0].outcome == "fail"
+        _assert_cli_syntax(rows)
+    _assert_cli_syntax(_forced_sequence_failures())
+
+
+def test_rows_over_the_tolerances_skip_without_any():
+    bundles = {name: b.replace(eps_family=()) for name, b in builtin_bundles().items()}
+    instances = ("real-line", "three-point", "cone-2")
+    report = run_suite(SuiteSpec(instances, ALL_CHECKS, budgets=FAST), bundles)
+    skipped = {(r.check, r.instance) for r in report.rows
+               if (r.outcome, r.witness) == ("skip", "bundle has no tolerance family")}
+    checks = ("metric/point-convergence", "metric/cauchy", "metric/finite-completeness",
+              "seq/limit-uniqueness", "seq/sum", "seq/sandwich", "seq/regularity",
+              "seq/two-sided", "seq/weak-vs-strong", "seq/norm-to-order")
+    assert skipped == {(c, i) for c in checks for i in instances}
+    assert report.ok
 
 
 def test_passing_laws_format_no_witness(monkeypatch):

@@ -72,3 +72,19 @@ def test_one_module_decides_the_endpoint_equivalence():
                     a.name == "approximate_endpoint_property_finite" for a in node.names):
                 importers.add(name)
     assert importers == {"solver"}
+
+
+def test_one_module_builds_the_convergence_outcomes():
+    """Every convergence fact, Cauchy included, takes its outcomes from
+    ``topo``'s window path; no other module or script constructs them."""
+    sources = {m: PACKAGE / f"{m}.py" for m in STACK}
+    sources.update((p.name, p) for p in (PACKAGE.parent.parent / "scripts").glob("*.py"))
+    builders = set()
+    for name, path in sources.items():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called in ("ConvergenceCertificate", "ConvergenceFailure"):
+                    builders.add(name)
+    assert builders == {"topo"}

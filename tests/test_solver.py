@@ -501,7 +501,7 @@ def test_a_point_listed_twice_is_one_endpoint(rstruct):
     bundle = build_bundle(parse_instance_text(ONE_POINT, name="twice")).replace(
         space=space, map_=T)
     assert _rows(bundle, ("endpoint/at-most-one", "solver/oracle-agreement")) == {
-        "endpoint/at-most-one": ("pass", "endpoints: ['1']"),
+        "endpoint/at-most-one": ("pass", "endpoints: {1}"),
         "solver/oracle-agreement": (
             "skip", "walk tolerance undefined: space has fewer than two distinct points")}
 
