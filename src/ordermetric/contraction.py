@@ -73,9 +73,10 @@ Point = object
 
 def _distinct(points) -> tuple:
     """The points without repeats, in first-occurrence order; a tuple that
-    has none is returned as the same object."""
+    has none is returned as the same object, and one of fewer than two
+    points, a scale rule's usual image, hashes nothing."""
     out = tuple(points)
-    if len(set(out)) == len(out):
+    if len(out) < 2 or len(set(out)) == len(out):
         return out
     return tuple(dict.fromkeys(out))
 
@@ -593,7 +594,7 @@ def approximate_endpoint_sequence(T: SetValuedMap, seq: PointSequence,
     law = "approx-endpoint-sequence"
     space, g = T.space, T.space.group
     bound_out = verify_convergence(space.structure, bounds, g.identity, eps_family, n_max)
-    if not all(is_certificate(o) for o in bound_out):
+    if not bound_out or not all(is_certificate(o) for o in bound_out):
         return LawResult(law, False, 0, "bound sequence failed to certify toward the identity")
 
     def image_bound(n):

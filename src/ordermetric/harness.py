@@ -604,6 +604,8 @@ def _check_approx_equivalence(b: InstanceBundle, ctx: _Ctx):
         return "fail", (f"endpoint presence and inf-sup value disagree: "
                         f"{len(census.endpoints)} endpoints, value {value}")
     if census.infsup_is_zero:
+        if not b.eps_family:
+            return "pass", "inf-sup is zero; constant witness not checked: bundle has no tolerance family"
         const_pts = point_seq(b.space, [census.achieving_point] * 16, name="minimizer")
         const_bounds = constant(b.module, b.space.group.identity)
         rep = approximate_endpoint_sequence(b.map_, const_pts, const_bounds,

@@ -62,6 +62,7 @@ from typing import Callable
 
 from .order_core import (
     OrderedModuleInstance,
+    _draw_entries,
     _draw_entry,
     _q_dist,
     _q_mul,
@@ -613,8 +614,7 @@ def _interval_carrier(lo, hi):
             isinstance(c, Fraction) and a <= c <= b for (a, b), c in zip(box, coords)))
 
     def sampler(rng):
-        point = tuple(_draw_entry(rng, values) for values in axes)
-        return point[0] if scalar else point
+        return _draw_entry(rng, axes[0]) if scalar else _draw_entries(rng, axes)
     return contains, sampler
 
 

@@ -17,7 +17,10 @@ outcome against them by identity.
 The built-in samplers return p/q with p and q uniform in small ranges, so
 the few hundred values they can return are built once, at import, in one
 table. A draw picks a row and then an entry of it, both in the one frame
-of ``_draw_entry``; ``_draw`` picks from a flat table. Each index is drawn
+of ``_draw_entry``; ``_draw`` picks from a flat table. A tuple-valued
+sampler draws its whole point in the one frame of ``_draw_entries``, a
+``_draw_entry`` per coordinate table, and a scalar one calls
+``_draw_entry`` itself, which costs less for one table. Each index is drawn
 as CPython's ``Random._randbelow_with_getrandbits`` draws it for
 ``randint``/``randrange`` of that width: ``getrandbits(width.bit_length())``
 until the result is below the width. So a seed draws the same values, in
@@ -27,8 +30,10 @@ the same order and with the same random state after them, as
 
 The built-in instances add, negate, scale and measure |a - b| through a
 small exact kernel (``_q_add``, ``_q_neg``, ``_q_mul``, ``_q_dist``), per
-coordinate on the cones. Its contract: the operands are ``Fraction``s (an
-int has no ``_numerator`` slot), and every result is the normalized
+coordinate on the cones; the law streams build their shifted scalars
+(|r| + 1/3, r + |s| + gap) and the sequence terms (1/n, r^n) on it too.
+Its contract: the operands are ``Fraction``s (an int has no
+``_numerator`` slot), and every result is the normalized
 ``Fraction`` the matching operator gives, in lowest terms with a positive
 denominator, so ``==``, hashing and ``format_element`` see no difference.
 The gcd steps are those of ``Fraction._add`` and ``Fraction._mul``, and
@@ -496,7 +501,8 @@ def check_module_laws(m: OrderedModuleInstance, plan: SamplePlan) -> LawReport:
 
     pairs = strict_pairs(g, plan, "m1")
     rs = scalars("m1-scalars", len(pairs))
-    results.append(_run_law("m1", [(a, b, abs(r) + Fraction(1, 3)) for (a, b), r in zip(pairs, rs)], m1))
+    third = Fraction(1, 3)
+    results.append(_run_law("m1", [(a, b, _q_add(abs(r), third)) for (a, b), r in zip(pairs, rs)], m1))
 
     def m1_prime(a, b, r):
         if g.leq(a, b) and ring.le(ring.zero, r) and not g.leq(m.scale(r, a), m.scale(r, b)):
@@ -510,7 +516,7 @@ def check_module_laws(m: OrderedModuleInstance, plan: SamplePlan) -> LawReport:
         out = []
         while len(out) < plan.count:
             r = ring.sampler(rng)
-            out.append((r, r + abs(ring.sampler(rng)) + gap, g.positive_sampler(rng)))
+            out.append((r, _q_add(_q_add(r, abs(ring.sampler(rng))), gap), g.positive_sampler(rng)))
         return out
 
     def m2(r, s, a):
@@ -523,7 +529,7 @@ def check_module_laws(m: OrderedModuleInstance, plan: SamplePlan) -> LawReport:
         if ring.le(r, s) and g.is_nonneg(a) and not g.leq(m.scale(r, a), m.scale(s, a)):
             return f"r={r}, s={s}, a={fmt(a)}"
 
-    results.append(_run_law("m2-prime", ordered_triples("m2-prime", 0), m2_prime))
+    results.append(_run_law("m2-prime", ordered_triples("m2-prime", Fraction(0)), m2_prime))
 
     return LawReport(subject=f"module laws on {m.name}", results=tuple(results))
 
@@ -562,6 +568,28 @@ def _draw_entry(rng: random.Random, rows: Sequence[Sequence]):
     while i >= n:
         i = getrandbits(k)
     return row[i]
+
+
+def _draw_entries(rng: random.Random, tables: Sequence) -> tuple:
+    """``tuple(_draw_entry(rng, rows) for rows in tables)`` in one frame: a
+    point, one ``_draw_entry`` per coordinate, with the same ``getrandbits``
+    calls in the same order."""
+    getrandbits = rng.getrandbits
+    out = []
+    for rows in tables:
+        n = len(rows)
+        k = n.bit_length()
+        i = getrandbits(k)
+        while i >= n:
+            i = getrandbits(k)
+        row = rows[i]
+        n = len(row)
+        k = n.bit_length()
+        i = getrandbits(k)
+        while i >= n:
+            i = getrandbits(k)
+        out.append(row[i])
+    return tuple(out)
 
 
 # every value a built-in sampler can return: row n + 48 holds n/1 .. n/8
@@ -710,13 +738,14 @@ def coord_cone_group(dim: int) -> OrderedGroupInstance:
         return isinstance(v, tuple) and len(v) == dim and all(isinstance(c, Fraction) for c in v)
 
     positions = range(dim)
+    tables, nonneg_tables = (_FRACTIONS,) * dim, (_NONNEG_FRACTIONS,) * dim
 
     def sampler(rng):
-        return tuple(_rand_fraction(rng) for _ in positions)
+        return _draw_entries(rng, tables)
 
     def positive_sampler(rng):
         # at least one strictly positive coordinate, none negative
-        vec = [_draw_entry(rng, _NONNEG_FRACTIONS) for _ in positions]
+        vec = list(_draw_entries(rng, nonneg_tables))
         at = _draw(rng, positions)
         vec[at] = _q_add(vec[at], _draw(rng, _UNIT_FRACTIONS))
         return tuple(vec)

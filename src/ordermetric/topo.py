@@ -43,7 +43,11 @@ from .order_core import (
     OrderedGroupInstance,
     OrderedModuleInstance,
     SamplePlan,
+    _POSITIVE_FRACTIONS,
+    _draw_entries,
     _law_rng,
+    _q,
+    _q_add,
     _rand_positive_fraction,
     _run_law,
     format_element,
@@ -144,11 +148,13 @@ def interior_cone_structure(module: OrderedModuleInstance) -> TopoStructure:
     g = module.group
     scalar = not isinstance(g.identity, tuple)
     witness = Fraction(1) if scalar else tuple(Fraction(1) for _ in g.identity)
+    if scalar:
+        interior_sampler = _rand_positive_fraction
+    else:
+        tables = (_POSITIVE_FRACTIONS,) * len(g.identity)
 
-    def interior_sampler(rng: random.Random) -> Element:
-        if scalar:
-            return _rand_positive_fraction(rng)
-        return tuple(_rand_positive_fraction(rng) for _ in g.identity)
+        def interior_sampler(rng: random.Random) -> Element:
+            return _draw_entries(rng, tables)
 
     return TopoStructure(
         name=f"interior-cone({g.name})",
@@ -177,11 +183,12 @@ class SeqAtom:
         if self.kind == "constant":
             return self.coefficient
         if self.kind == "harmonic":
-            return module.scale(Fraction(1, n), self.coefficient)
+            return module.scale(_q(1, n), self.coefficient)
         if self.kind == "inverse-square":
-            return module.scale(Fraction(1, n * n), self.coefficient)
-        if self.kind == "geometric":
-            return module.scale(self.ratio ** n, self.coefficient)
+            return module.scale(_q(1, n * n), self.coefficient)
+        if self.kind == "geometric":  # p^n/q^n is in lowest terms as p/q is
+            r = self.ratio
+            return module.scale(_q(r._numerator ** n, r._denominator ** n), self.coefficient)
         raise ValueError(f"unknown atom kind {self.kind!r}")
 
 
@@ -779,11 +786,12 @@ def check_topo_laws(t: TopoStructure, plan: SamplePlan) -> LawReport:
 
     ring = t.module.ring
     rng6 = _law_rng(plan, "t6")
+    quarter = Fraction(1, 4)
     t6_stream = []
     for _ in range(plan.count):
         a = g.sampler(rng6)
         b = g.add(a, interior(rng6))
-        r = abs(ring.sampler(rng6)) + Fraction(1, 4)
+        r = _q_add(abs(ring.sampler(rng6)), quarter)
         t6_stream.append((a, b, r))
 
     def t6(a, b, r):

@@ -179,6 +179,9 @@ def test_approx_sequence_constant_endpoint(rstruct, rmod):
     bounds = constant(rmod, 0)
     rep = approximate_endpoint_sequence(T, seq, bounds, [Fraction(1, 10)], 20)
     assert rep == LawResult("approx-endpoint-sequence", True, 20)
+    # with no tolerance the bound sequence is not certified, so nothing passes
+    assert approximate_endpoint_sequence(T, seq, bounds, [], 20) == LawResult(
+        "approx-endpoint-sequence", False, 0, "bound sequence failed to certify toward the identity")
 
 
 def test_approx_sequence_too_tight_bound_fails(real_line_space, rmod):

@@ -340,6 +340,10 @@ def test_rows_over_the_tolerances_skip_without_any():
               "seq/limit-uniqueness", "seq/sum", "seq/sandwich", "seq/regularity",
               "seq/two-sided", "seq/weak-vs-strong", "seq/norm-to-order")
     assert skipped == {(c, i) for c in checks for i in instances}
+    # the endpoint census needs no tolerance, but the constant witness does
+    row = report.row("endpoint/approx-equivalence", "three-point")
+    assert (row.outcome, row.witness) == (
+        "pass", "inf-sup is zero; constant witness not checked: bundle has no tolerance family")
     assert report.ok
 
 

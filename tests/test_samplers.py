@@ -2,7 +2,9 @@
 calls of their plain definitions, so every seeded sample, and so every
 report row, stays what it was."""
 
+import hashlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -153,10 +155,26 @@ def test_draw_entry_is_a_row_then_an_entry_at_randrange(seed, widths, draws):
     assert new.getstate() == old.getstate()
 
 
+@given(seed=st.integers(0, 2**64), axes=st.lists(_rows, min_size=1, max_size=4),
+       draws=st.integers(1, 20))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_draw_entries_is_a_draw_entry_per_axis(seed, axes, draws):
+    # every entry names its axis, so two axes drawn out of order show
+    tables = [[tuple((a, i, j) for j in range(w)) for i, w in enumerate(widths)]
+              for a, widths in enumerate(axes)]
+    new, old = random.Random(seed), random.Random(seed)
+    for _ in range(draws):
+        got = order_core._draw_entries(new, tables)
+        assert got == tuple(order_core._draw_entry(old, rows) for rows in tables)
+        assert new.getstate() == old.getstate()
+
+
 # -- the work the law rows do ------------------------------------------------
 
 LAW_CHECKS = tuple(c for c in ALL_CHECKS
                    if c.split("/")[0] in ("group", "module", "topo", "metric"))
+LAW_SPEC = SuiteSpec(instances=("real-line", "cone-2"), checks=LAW_CHECKS,
+                     budgets=Budgets(samples=150, n_max=120))
 # counted with the samplers that built a fresh Fraction per draw and with the
 # Cauchy check that computed each distance once per tolerance; a construction
 # is a call of Fraction.__new__ or of order_core._q
@@ -164,19 +182,32 @@ LAW_FRACTIONS_BEFORE_TABLES = 84_240
 # the getrandbits calls of that spec, counted while each draw still went
 # through Random._randbelow: inlining the draw must consume the same randomness
 LAW_GETRANDBITS = 65_804
+# the calls of the draw kernel (_draw, _draw_entry, _draw_entries) and of the
+# public Fraction.__new__ in that spec, once a sampled point is drawn in one
+# frame and the law streams build their values on the exact kernel (20,199
+# and 5,353 before)
+LAW_DRAW_CALLS = 14_826
+LAW_PUBLIC_FRACTIONS = 2_822
+# sha256 of the reprs of every item the law runner received in that spec, one
+# a line, in order, as the samplers drew them before a point was one frame
+LAW_INPUTS_SHA256 = "9570f51be3d9f4d31f27075c16eea096eeeeb6443c0437ac62704c743851e39c"
+
+
+def _package_modules():
+    return [m for name, m in sys.modules.items()
+            if name == "ordermetric" or name.startswith("ordermetric.")]
 
 
 def test_law_rows_draw_the_same_and_construct_fewer_fractions(monkeypatch):
-    spec = SuiteSpec(instances=("real-line", "cone-2"), checks=LAW_CHECKS,
-                     budgets=Budgets(samples=150, n_max=120))
     bundles = builtin_bundles()
-    fractions, draws = [0], [0]
+    fractions, public, draws, kernel = [0], [0], [0], [0]
     raw_new = Fraction.__dict__["__new__"].__func__
     raw_q = order_core._q
     raw_bits = random.Random.getrandbits
 
     def counting_new(cls, *args, **kwargs):
         fractions[0] += 1
+        public[0] += 1
         return raw_new(cls, *args, **kwargs)
 
     def counting_q(n, d):
@@ -188,10 +219,44 @@ def test_law_rows_draw_the_same_and_construct_fewer_fractions(monkeypatch):
         return raw_bits(self, k)
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
-    monkeypatch.setattr(order_core, "_q", counting_q)
+    for mod in _package_modules():
+        if getattr(mod, "_q", None) is raw_q:
+            monkeypatch.setattr(mod, "_q", counting_q)
     monkeypatch.setattr(random.Random, "getrandbits", counting_bits)
-    report = run_suite(spec, bundles)
+    for name in ("_draw", "_draw_entry", "_draw_entries"):
+        raw = getattr(order_core, name)
+
+        def counting_draw(*args, _raw=raw):
+            kernel[0] += 1
+            return _raw(*args)
+
+        for mod in _package_modules():
+            if getattr(mod, name, None) is raw:
+                monkeypatch.setattr(mod, name, counting_draw)
+    report = run_suite(LAW_SPEC, bundles)
     monkeypatch.undo()
     assert report.ok
     assert draws[0] == LAW_GETRANDBITS
+    assert kernel[0] == LAW_DRAW_CALLS
+    assert public[0] <= LAW_PUBLIC_FRACTIONS, public[0]
     assert fractions[0] <= 0.8 * LAW_FRACTIONS_BEFORE_TABLES, fractions[0]
+
+
+def test_law_rows_receive_the_same_inputs(monkeypatch):
+    # the rows barely depend on the seed, so they would not show a draw
+    # reordered inside a law stream; the items the laws receive do
+    digest, runner = hashlib.sha256(), order_core._run_laws
+
+    def recorded(stream):
+        for item in stream:
+            digest.update(repr(item).encode() + b"\n")
+            yield item
+
+    def recording(stream, laws):
+        return runner(recorded(stream), laws)
+
+    for mod in _package_modules():
+        if getattr(mod, "_run_laws", None) is runner:
+            monkeypatch.setattr(mod, "_run_laws", recording)
+    assert run_suite(LAW_SPEC, builtin_bundles()).ok
+    assert digest.hexdigest() == LAW_INPUTS_SHA256
