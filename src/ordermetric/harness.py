@@ -5,6 +5,10 @@ Checks are identified by stable descriptive ids ("group/g1", "seq/sum",
 "solver/oracle-agreement", ...). A run is deterministic in its seed: the
 serialized report (which omits wall-clock timings) is byte-identical
 across runs. Skips are first-class outcomes and always carry a reason.
+What a row needs of its bundle (a tolerance family, a finite space, a map
+and a witness, ...) is named at its entry in ``CHECKS`` from one table of
+(predicate, reason) pairs, and the row skips with the reason of the first
+need its bundle lacks. Any other skip reason is the check's own finding.
 
 The suite's instances come from the layer below: ``builtin_bundles`` and
 ``DEFAULT_INSTANCES`` live in ``instance_files`` with the instance texts
@@ -213,36 +217,15 @@ def _theta_sums(b: InstanceBundle, ctx: _Ctx) -> tuple:
     return ctx.memo(("theta-sums", b.name), build)
 
 
-def _over_tolerances(check):
-    """The row of ``check``, which certifies over the bundle's tolerance
-    family; it skips where the family is empty, as it would certify nothing."""
-    def run(b: InstanceBundle, ctx: _Ctx):
-        if not b.eps_family:
-            return "skip", "bundle has no tolerance family"
-        return check(b, ctx)
-    return run
-
-
 def _failure_text(outcome) -> str:
     """A failed convergence outcome in the CLI's syntax: reason, tolerance, indices."""
     return (f"{outcome.reason} at {format_element(outcome.epsilon)}, "
             f"n = {outcome.first_violation}..{outcome.last_violation}")
 
 
-def _over_theta_sums(check):
-    """The row of ``check(b, ctx, sums)``; it skips where the bundle has no
-    closed form tending to the identity, since it would check nothing."""
-    def run(b: InstanceBundle, ctx: _Ctx):
-        sums = _theta_sums(b, ctx)
-        if not sums:
-            return "skip", "no closed-form sequence tends to the identity"
-        return check(b, ctx, sums)
-    return run
-
-
-def _check_limit_uniqueness(b: InstanceBundle, ctx: _Ctx, sums):
+def _check_limit_uniqueness(b: InstanceBundle, ctx: _Ctx):
     g, t = b.module.group, b.structure
-    n_max = ctx.budgets.n_max
+    n_max, sums = ctx.budgets.n_max, _theta_sums(b, ctx)
     fake = t.shrink(t.positivity_witness)
     unresolved = None
     for s, _, _ in sums:
@@ -261,8 +244,8 @@ def _check_limit_uniqueness(b: InstanceBundle, ctx: _Ctx, sums):
     return "pass", f"{len(sums)} sequences, fake limit refuted each time"
 
 
-def _check_sum(b: InstanceBundle, ctx: _Ctx, sums):
-    t = b.structure
+def _check_sum(b: InstanceBundle, ctx: _Ctx):
+    t, sums = b.structure, _theta_sums(b, ctx)
     for s1, s2, _ in sums:
         outs = sum_convergence(t, s1, s2, b.eps_family, ctx.budgets.n_max)
         bad = [o for o in outs if not is_certificate(o)]
@@ -271,8 +254,8 @@ def _check_sum(b: InstanceBundle, ctx: _Ctx, sums):
     return "pass", f"{len(sums)} sums certified by tolerance splitting"
 
 
-def _check_sandwich(b: InstanceBundle, ctx: _Ctx, sums):
-    g, t = b.module.group, b.structure
+def _check_sandwich(b: InstanceBundle, ctx: _Ctx):
+    g, t, sums = b.module.group, b.structure, _theta_sums(b, ctx)
     for lower, _, upper in sums:
         outs = sandwich_convergence(t, lower, upper, g.identity,
                                     b.eps_family, ctx.budgets.n_max)
@@ -294,9 +277,9 @@ def _check_regularity(b: InstanceBundle, ctx: _Ctx):
     return "fail", f"{bad.sequence}: {bad.status}"
 
 
-def _check_two_sided(b: InstanceBundle, ctx: _Ctx, sums):
+def _check_two_sided(b: InstanceBundle, ctx: _Ctx):
     g, t = b.module.group, b.structure
-    for s, _, _ in sums:
+    for s, _, _ in _theta_sums(b, ctx):
         one = verify_convergence(t, s, g.identity, b.eps_family, ctx.budgets.n_max)
         two = verify_convergence_twosided(t, s, g.identity, b.eps_family, ctx.budgets.n_max)
         for a, c in zip(one, two):
@@ -308,13 +291,13 @@ def _check_two_sided(b: InstanceBundle, ctx: _Ctx, sums):
     return "pass", "both phrasings agree on every threshold"
 
 
-def _check_weak_vs_strong(b: InstanceBundle, ctx: _Ctx, sums):
+def _check_weak_vs_strong(b: InstanceBundle, ctx: _Ctx):
     g = b.module.group
-    if not isinstance(g.identity, tuple) or len(g.identity) < 2:
+    if len(g.coords(g.identity)) < 2:
         return "skip", "no strict-order twin registered (relations coincide)"
     t_main, t_strict = b.structure, b.strict_twin
     etas = [t_main.shrink(g.coerce(eps)) for eps in b.eps_family]
-    for s, _, _ in sums:
+    for s, _, _ in _theta_sums(b, ctx):
         strict_outs = verify_convergence(t_strict, s, g.identity, etas, ctx.budgets.n_max)
         main_outs = verify_convergence(t_main, s, g.identity, b.eps_family, ctx.budgets.n_max)
         for strict_out, main_out in zip(strict_outs, main_outs):
@@ -334,12 +317,10 @@ def _check_norm_to_order(b: InstanceBundle, ctx: _Ctx):
     for s, _, _ in _theta_sums(b, ctx):
         for eps in b.eps_family:
             eps = g.coerce(eps)
-            eps_coords = eps if isinstance(eps, tuple) else (eps,)
-            floor = min(eps_coords)
+            floor = min(g.coords(eps))
 
             def below_floor(n):
-                v = s.term(n)
-                return (max(v) if isinstance(v, tuple) else v) < floor
+                return max(g.coords(s.term(n))) < floor
 
             norm = _windowed(below_floor, eps, None, n_max)
             if not is_certificate(norm):
@@ -466,8 +447,6 @@ def _geometric_approach(b: InstanceBundle):
 
 
 def _check_point_convergence(b: InstanceBundle, ctx: _Ctx):
-    if b.space.finite:
-        return "skip", "continuum row; finite spaces are covered by eventual constancy"
     s, corner = _geometric_approach(b)
     outs = point_convergence(b.space, s, corner, b.eps_family, 64)
     if all(is_certificate(o) for o in outs):
@@ -477,8 +456,6 @@ def _check_point_convergence(b: InstanceBundle, ctx: _Ctx):
 
 
 def _check_point_cauchy(b: InstanceBundle, ctx: _Ctx):
-    if b.space.finite:
-        return "skip", "continuum row; finite spaces are covered by eventual constancy"
     module = b.module
     s, corner = _geometric_approach(b)
     profile = (module.scale(Fraction(1, 2), corner), Fraction(1, 2))
@@ -491,8 +468,6 @@ def _check_point_cauchy(b: InstanceBundle, ctx: _Ctx):
 
 
 def _check_finite_completeness(b: InstanceBundle, ctx: _Ctx):
-    if not b.space.finite:
-        return "skip", "eventual constancy applies to finite spaces"
     space, g = b.space, b.space.group
     try:
         minpos = walk_tolerance(space, min_positive_distance(space))
@@ -537,16 +512,14 @@ def _witness_result(b: InstanceBundle, ctx: _Ctx):
 
 def _map_row(result, row):
     """Row of a map check from ``result(b, ctx)``, the memoized ``LawResult``
-    of a pair scan: a skip without a map and witness, or when the scan
+    of a pair scan: it needs a map and a witness, and skips when the scan
     passed without a pair of distinct points to check; else ``row``'s."""
     def run(b: InstanceBundle, ctx: _Ctx):
-        if b.map_ is None or b.witness is None:
-            return "skip", "bundle has no map/witness"
         r = result(b, ctx)
         if r.passed and r.checked == 0:
             return "skip", "no pair of distinct points to check"
         return row(b, ctx, r)
-    return run
+    return _needs(_MAP_WITNESS)(run)
 
 
 def _check_witness_validity(b: InstanceBundle, ctx: _Ctx, r):
@@ -569,8 +542,6 @@ def _check_global_implies_weak(b: InstanceBundle, ctx: _Ctx, glob):
 
 
 def _check_c_status(b: InstanceBundle, ctx: _Ctx):
-    if b.witness is None:
-        return "skip", "bundle has no witness"
     status = c_condition_status(b.witness)
     if status.status is CStatus.HOLDS_BY_THEOREM:
         return "pass", f"{status.status.value}: {status.justification}"
@@ -581,10 +552,6 @@ def _check_c_status(b: InstanceBundle, ctx: _Ctx):
 
 
 def _check_at_most_one(b: InstanceBundle, ctx: _Ctx):
-    if b.map_ is None or not b.space.finite:
-        return "skip", "needs a finite mapped space"
-    if b.witness is None:
-        return "skip", "bundle has no witness"
     if not _weak_report(b, ctx).passed:
         return "skip", "one-sided bound fails; uniqueness not implied"
     ends = endpoints_bruteforce(b.map_)
@@ -594,8 +561,6 @@ def _check_at_most_one(b: InstanceBundle, ctx: _Ctx):
 
 
 def _check_approx_equivalence(b: InstanceBundle, ctx: _Ctx):
-    if b.map_ is None or not b.space.finite:
-        return "skip", "needs a finite mapped space"
     census = endpoint_census(b.map_)
     if census.status == "skipped":
         return "skip", census.reason
@@ -617,8 +582,6 @@ def _check_approx_equivalence(b: InstanceBundle, ctx: _Ctx):
 
 
 def _check_iff(b: InstanceBundle, ctx: _Ctx):
-    if b.map_ is None or b.witness is None:
-        return "skip", "bundle has no map/witness"
     rep = endpoint_iff_report(b.map_, b.witness, ctx.plan, weak=_weak_report(b, ctx))
     if rep.status == "skipped":
         return "skip", rep.reason
@@ -633,12 +596,6 @@ def _solver_cfg(b: InstanceBundle) -> SolverConfig:
 
 
 def _check_oracle_agreement(b: InstanceBundle, ctx: _Ctx):
-    if b.map_ is None or not b.space.finite:
-        return "skip", "needs a finite mapped space"
-    if b.witness is None:
-        return "skip", "bundle has no witness"
-    if not _global_report(b, ctx).passed:
-        return "skip", "all-pairs bound fails; walk not governed"
     ends = endpoints_bruteforce(b.map_)
     if len(ends) != 1:
         return "fail", f"expected a unique endpoint, found {len(ends)}"
@@ -659,10 +616,6 @@ def _check_oracle_agreement(b: InstanceBundle, ctx: _Ctx):
 
 
 def _check_trace_monotone(b: InstanceBundle, ctx: _Ctx):
-    if b.map_ is None or b.witness is None:
-        return "skip", "bundle has no map/witness"
-    if not _global_report(b, ctx).passed:
-        return "skip", "all-pairs bound fails; walk not governed"
     g = b.space.group
     rep = iterate_endpoint(b.map_, b.witness, _solver_cfg(b), ctx.plan)
     if rep.outcome is SolverOutcome.HYPOTHESIS_VIOLATION:
@@ -681,8 +634,6 @@ def _check_trace_monotone(b: InstanceBundle, ctx: _Ctx):
 
 
 def _check_banach_rate(b: InstanceBundle, ctx: _Ctx):
-    if b.banach_map is None:
-        return "skip", "bundle has no single-valued contraction"
     if b.banach_alpha >= 1:
         return "skip", (f"the single-valued map scales by ratio {b.banach_alpha}, "
                         f"which must lie in [0, 1)")
@@ -698,21 +649,53 @@ def _check_banach_rate(b: InstanceBundle, ctx: _Ctx):
     return "pass", f"{rep.outcome.value} in {rep.iterations} steps, a-priori bound dominates"
 
 
+# ---------------------------------------------------------------------------
+# row needs: what a row requires of the bundle, as (predicate, skip reason)
+
+_TOLERANCES = (lambda b, ctx: b.eps_family, "bundle has no tolerance family")
+_THETA_SUMS = (_theta_sums, "no closed-form sequence tends to the identity")
+_CONTINUUM = (lambda b, ctx: not b.space.finite,
+              "continuum row; finite spaces are covered by eventual constancy")
+_FINITE = (lambda b, ctx: b.space.finite, "eventual constancy applies to finite spaces")
+_MAP_WITNESS = (lambda b, ctx: b.map_ is not None and b.witness is not None,
+                "bundle has no map/witness")
+_FINITE_MAP = (lambda b, ctx: b.map_ is not None and b.space.finite, "needs a finite mapped space")
+_WITNESS = (lambda b, ctx: b.witness is not None, "bundle has no witness")
+_GOVERNED = (lambda b, ctx: _global_report(b, ctx).passed,
+             "all-pairs bound fails; walk not governed")
+_SINGLE_VALUED = (lambda b, ctx: b.banach_map is not None,
+                  "bundle has no single-valued contraction")
+
+
+def _needs(*needs):
+    """Wrap a row ``check(b, ctx)`` so that it first tests its needs in
+    order and skips with the reason of the first one the bundle lacks."""
+    def wrap(check):
+        def run(b: InstanceBundle, ctx: _Ctx):
+            for holds, reason in needs:
+                if not holds(b, ctx):
+                    return "skip", reason
+            return check(b, ctx)
+        return run
+    return wrap
+
+
 CHECKS: dict[str, Callable[[InstanceBundle, _Ctx], tuple[str, str]]] = {
     f"{family}/{law}": _check_law(family, law)
     for family, (laws, _) in _LAW_FAMILIES.items() for law in laws
 }
+
 CHECKS.update({
-    "metric/point-convergence": _over_tolerances(_check_point_convergence),
-    "metric/cauchy": _over_tolerances(_check_point_cauchy),
-    "metric/finite-completeness": _over_tolerances(_check_finite_completeness),
-    "seq/limit-uniqueness": _over_tolerances(_over_theta_sums(_check_limit_uniqueness)),
-    "seq/sum": _over_tolerances(_over_theta_sums(_check_sum)),
-    "seq/sandwich": _over_tolerances(_over_theta_sums(_check_sandwich)),
-    "seq/regularity": _over_tolerances(_check_regularity),
-    "seq/two-sided": _over_tolerances(_over_theta_sums(_check_two_sided)),
-    "seq/weak-vs-strong": _over_tolerances(_over_theta_sums(_check_weak_vs_strong)),
-    "seq/norm-to-order": _over_tolerances(_check_norm_to_order),
+    "metric/point-convergence": _needs(_TOLERANCES, _CONTINUUM)(_check_point_convergence),
+    "metric/cauchy": _needs(_TOLERANCES, _CONTINUUM)(_check_point_cauchy),
+    "metric/finite-completeness": _needs(_TOLERANCES, _FINITE)(_check_finite_completeness),
+    "seq/limit-uniqueness": _needs(_TOLERANCES, _THETA_SUMS)(_check_limit_uniqueness),
+    "seq/sum": _needs(_TOLERANCES, _THETA_SUMS)(_check_sum),
+    "seq/sandwich": _needs(_TOLERANCES, _THETA_SUMS)(_check_sandwich),
+    "seq/regularity": _needs(_TOLERANCES)(_check_regularity),
+    "seq/two-sided": _needs(_TOLERANCES, _THETA_SUMS)(_check_two_sided),
+    "seq/weak-vs-strong": _needs(_TOLERANCES, _THETA_SUMS)(_check_weak_vs_strong),
+    "seq/norm-to-order": _needs(_TOLERANCES)(_check_norm_to_order),
     "hausdorff/identity": _check_hausdorff_identity,
     "hausdorff/symmetry": _check_hausdorff_symmetry,
     "hausdorff/singleton": _check_hausdorff_singleton,
@@ -721,13 +704,13 @@ CHECKS.update({
     "map/weak-contraction": _map_row(_weak_report, _check_contraction),
     "map/global-contraction": _map_row(_global_report, _check_contraction),
     "map/global-implies-weak": _map_row(_global_report, _check_global_implies_weak),
-    "map/c-status": _check_c_status,
-    "endpoint/at-most-one": _check_at_most_one,
-    "endpoint/approx-equivalence": _check_approx_equivalence,
-    "endpoint/iff-zero-gap": _check_iff,
-    "solver/oracle-agreement": _check_oracle_agreement,
-    "solver/trace-monotone": _check_trace_monotone,
-    "solver/banach-rate": _check_banach_rate,
+    "map/c-status": _needs(_WITNESS)(_check_c_status),
+    "endpoint/at-most-one": _needs(_FINITE_MAP, _WITNESS)(_check_at_most_one),
+    "endpoint/approx-equivalence": _needs(_FINITE_MAP)(_check_approx_equivalence),
+    "endpoint/iff-zero-gap": _needs(_MAP_WITNESS)(_check_iff),
+    "solver/oracle-agreement": _needs(_FINITE_MAP, _WITNESS, _GOVERNED)(_check_oracle_agreement),
+    "solver/trace-monotone": _needs(_MAP_WITNESS, _GOVERNED)(_check_trace_monotone),
+    "solver/banach-rate": _needs(_SINGLE_VALUED)(_check_banach_rate),
 })
 
 ALL_CHECKS = tuple(CHECKS)
@@ -818,10 +801,7 @@ def _break_t3(bundle: InstanceBundle) -> InstanceBundle:
 def _break_d2(bundle: InstanceBundle) -> InstanceBundle:
     space = bundle.space
     g = space.group
-    if isinstance(g.identity, tuple):
-        bump = tuple(Fraction(1, 3) for _ in g.identity)
-    else:
-        bump = Fraction(1, 3)
+    bump = g.fill(Fraction(1, 3))
     orig = space.metric
 
     def metric(x, y):

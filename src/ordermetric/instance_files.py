@@ -566,20 +566,16 @@ def _scale_by(x, f):
     return _q_mul(x, f)
 
 
-def _distance_magnitude(d) -> Fraction:
-    return max(d) if isinstance(d, tuple) else d
-
-
 def _make_witness(desc: InstanceDescription, space: ConeMetricSpace) -> ContractionWitness | None:
     if desc.witness_class is None:
         return None
     if desc.witness_class == "alpha-const":
         return ContractionWitness(WitnessClass.ALPHA_CONSTANT, alpha_const=desc.alpha)
     if desc.witness_class == "alpha-fn":
-        bound = desc.alpha_bound
+        bound, coords = desc.alpha_bound, space.group.coords
 
         def alpha(x, y):
-            s = _distance_magnitude(space.distance(x, y))
+            s = max(coords(space.distance(x, y)))
             return bound * s / (1 + s)
 
         return ContractionWitness(WitnessClass.ALPHA_FUNCTION, alpha_fn=alpha,
@@ -672,11 +668,9 @@ def build_bundle(desc: InstanceDescription) -> InstanceBundle:
     witness = _make_witness(desc, space)
 
     sequences = default_sequences(module)
-    def unit(q):  # q in every coordinate
-        return q if dim == 1 else tuple(q for _ in range(dim))
-
-    eps_family = tuple(unit(Fraction(1, k)) for k in ((2, 10, 100) if dim == 1 else (2, 10)))
-    solver_eps = unit(Fraction(1, 1024))
+    fill = module.group.fill
+    eps_family = tuple(fill(Fraction(1, k)) for k in ((2, 10, 100) if dim == 1 else (2, 10)))
+    solver_eps = fill(Fraction(1, 1024))
     if desc.sequences is not None:
         built = []
         for atoms in desc.sequences:
@@ -800,7 +794,7 @@ def builtin_bundles() -> dict[str, InstanceBundle]:
         skew = tuple(Fraction(1, 10) if i == 0 else Fraction(1, 2) for i in range(dim))
         bundles.append(cone.replace(
             eps_family=cone.eps_family + (skew,),
-            solver_eps=tuple(Fraction(1, 100) for _ in range(dim)),
+            solver_eps=cone.module.group.fill(Fraction(1, 100)),
             banach_map=partial(_scale_by, f=factors)))
     return {b.name: b for b in bundles}
 

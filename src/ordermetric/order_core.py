@@ -4,7 +4,10 @@ Everything here is exact: elements are `fractions.Fraction` scalars or
 fixed-width tuples of them, comparisons are four-way (equal, strictly-less,
 strictly-greater, incomparable), and law checks quantify over deterministic
 seeded samples plus designated edge elements, so a failing law always comes
-back with a concrete witness instead of a silent boolean.
+back with a concrete witness instead of a silent boolean. The group owns
+its elements' shape: ``fill(q)`` puts q in every coordinate and
+``coords(a)`` lists the coordinates of a; on a scalar group they are q and
+``(a,)``.
 
 The four-way comparison is deliberate: with a genuinely partial order,
 returning plain ``False`` for "not below" would conflate incomparability
@@ -30,8 +33,9 @@ the same order and with the same random state after them, as
 
 The built-in instances add, negate, scale and measure |a - b| through a
 small exact kernel (``_q_add``, ``_q_neg``, ``_q_mul``, ``_q_dist``), per
-coordinate on the cones; the law streams build their shifted scalars
-(|r| + 1/3, r + |s| + gap) and the sequence terms (1/n, r^n) on it too.
+coordinate on the cones; the law streams build their scalars (|r| with
+``_q_abs``, |r| + 1/3, r + |s| + gap) and the sequence terms (1/n, r^n) on
+it too.
 Its contract: the operands are ``Fraction``s (an int has no
 ``_numerator`` slot), and every result is the normalized
 ``Fraction`` the matching operator gives, in lowest terms with a positive
@@ -212,6 +216,14 @@ class OrderedGroupInstance:
 
     def is_positive(self, a: Element) -> bool:
         return self.cmp(a, self.identity) is _GREATER
+
+    def fill(self, q) -> Element:
+        """q in every coordinate; q itself on a scalar group."""
+        return tuple(q for _ in self.identity) if isinstance(self.identity, tuple) else q
+
+    def coords(self, a: Element) -> tuple:
+        """The coordinates of a; ``(a,)`` on a scalar group."""
+        return a if isinstance(self.identity, tuple) else (a,)
 
     def coerce(self, value) -> Element:
         """Canonicalize ints/lists into the exact carrier representation."""
@@ -500,15 +512,15 @@ def check_module_laws(m: OrderedModuleInstance, plan: SamplePlan) -> LawReport:
             return f"a={fmt(a)}, b={fmt(b)}, r={r}"
 
     pairs = strict_pairs(g, plan, "m1")
-    rs = scalars("m1-scalars", len(pairs))
+    abs_rs = [_q_abs(r) for r in scalars("m1-scalars", len(pairs))]
     third = Fraction(1, 3)
-    results.append(_run_law("m1", [(a, b, _q_add(abs(r), third)) for (a, b), r in zip(pairs, rs)], m1))
+    results.append(_run_law("m1", [(a, b, _q_add(r, third)) for (a, b), r in zip(pairs, abs_rs)], m1))
 
     def m1_prime(a, b, r):
         if g.leq(a, b) and ring.le(ring.zero, r) and not g.leq(m.scale(r, a), m.scale(r, b)):
             return f"a={fmt(a)}, b={fmt(b)}, r={r}"
 
-    results.append(_run_law("m1-prime", [(a, b, abs(r)) for (a, b), r in zip(pairs, rs)], m1_prime))
+    results.append(_run_law("m1-prime", [(a, b, r) for (a, b), r in zip(pairs, abs_rs)], m1_prime))
 
     def ordered_triples(label: str, gap) -> list:
         """(r, s, a) with s = r + |draw| + gap and a positive, drawn in that order."""
@@ -516,7 +528,7 @@ def check_module_laws(m: OrderedModuleInstance, plan: SamplePlan) -> LawReport:
         out = []
         while len(out) < plan.count:
             r = ring.sampler(rng)
-            out.append((r, _q_add(_q_add(r, abs(ring.sampler(rng))), gap), g.positive_sampler(rng)))
+            out.append((r, _q_add(_q_add(r, _q_abs(ring.sampler(rng))), gap), g.positive_sampler(rng)))
         return out
 
     def m2(r, s, a):
@@ -645,6 +657,11 @@ def _q_add(a: Fraction, b: Fraction) -> Fraction:
 
 def _q_neg(a: Fraction) -> Fraction:
     return _q(-a._numerator, a._denominator)
+
+
+def _q_abs(a: Fraction) -> Fraction:
+    """|a|: a itself unless it is negative."""
+    return a if a._numerator >= 0 else _q(-a._numerator, a._denominator)
 
 
 def _q_mul(a: Fraction, b: Fraction) -> Fraction:

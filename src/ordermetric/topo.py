@@ -1,13 +1,14 @@
 """Strict-dominance structures and exact convergence certificates.
 
-A structure pairs an ordered group with an auxiliary relation "strictly
+A structure pairs a module's group with an auxiliary relation "strictly
 below" that refines the strict order (think: difference lies in the
-interior of the cone). Convergence of positive sequences is made finitely
-checkable: a certificate fixes a tolerance, a threshold N (every index past
-it passes), and the window over which the test was actually evaluated. For
-registered closed-form sequences (c/n, c/n^2, geometric, constants and
-finite sums of these) the threshold is computed analytically with rational
-arithmetic and is valid for every index, not just the checked window.
+interior of the cone); its positivity witness and its shrink come from the
+module. Convergence of positive sequences is made finitely checkable: a
+certificate fixes a tolerance, a threshold N (every index past it passes),
+and the window over which the test was actually evaluated. For registered
+closed-form sequences (c/n, c/n^2, geometric, constants and finite sums of
+these) the threshold is computed analytically with rational arithmetic and
+is valid for every index, not just the checked window.
 
 Each sequence object does its exact work once: it memoizes its closed-form
 terms by index and its convergence outcomes by (phrasing, structure, limit,
@@ -47,6 +48,7 @@ from .order_core import (
     _draw_entries,
     _law_rng,
     _q,
+    _q_abs,
     _q_add,
     _rand_positive_fraction,
     _run_law,
@@ -68,22 +70,30 @@ class PreconditionViolation(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class TopoStructure:
-    """An ordered group with a strict-dominance relation and its witnesses.
+    """A module's group with a strict-dominance relation.
 
-    ``shrink`` must produce, for any element strictly dominating the
-    identity, a smaller one that still does; ``positivity_witness`` is a
-    designated such element used as the anchor of shrinking families.
-    ``module`` is the scalar action over ``group``, always present: law t6,
-    ratio witnesses, distance profiles and Banach steps all scale by it.
+    A structure chooses its relation and a sampler of elements strictly
+    dominating the identity; the rest is its module's: ``group`` is
+    ``module.group``, ``positivity_witness`` (the anchor of shrinking
+    families) is 1 in every coordinate, and ``shrink`` halves by the
+    module's scalar action, which law t6 and the Banach steps use too.
     """
 
     name: str
-    group: OrderedGroupInstance
-    strictly_below: Callable[[Element, Element], bool]
-    positivity_witness: Element
-    shrink: Callable[[Element], Element]
-    interior_sampler: Callable[[random.Random], Element]
     module: OrderedModuleInstance
+    strictly_below: Callable[[Element, Element], bool]
+    interior_sampler: Callable[[random.Random], Element]
+
+    @property
+    def group(self) -> OrderedGroupInstance:
+        return self.module.group
+
+    @property
+    def positivity_witness(self) -> Element:
+        return self.module.group.fill(Fraction(1))
+
+    def shrink(self, e: Element) -> Element:
+        return self.module.scale(Fraction(1, 2), e)
 
     def ll(self, a: Element, b: Element) -> bool:
         return self.strictly_below(a, b)
@@ -126,17 +136,8 @@ def _interior_below(a: Element, b: Element) -> bool:
 def strict_order_structure(module: OrderedModuleInstance) -> TopoStructure:
     """Use the strict order itself as the dominance relation."""
     g = module.group
-    witness = g.coerce(1) if not isinstance(g.identity, tuple) else tuple(
-        Fraction(1) for _ in g.identity)
-    return TopoStructure(
-        name=f"strict-order({g.name})",
-        group=g,
-        strictly_below=g.lt,
-        positivity_witness=witness,
-        shrink=lambda e: module.scale(Fraction(1, 2), e),
-        interior_sampler=g.positive_sampler,
-        module=module,
-    )
+    return TopoStructure(name=f"strict-order({g.name})", module=module,
+                         strictly_below=g.lt, interior_sampler=g.positive_sampler)
 
 
 def interior_cone_structure(module: OrderedModuleInstance) -> TopoStructure:
@@ -146,9 +147,7 @@ def interior_cone_structure(module: OrderedModuleInstance) -> TopoStructure:
     positive. In one dimension this coincides with the strict order.
     """
     g = module.group
-    scalar = not isinstance(g.identity, tuple)
-    witness = Fraction(1) if scalar else tuple(Fraction(1) for _ in g.identity)
-    if scalar:
+    if not isinstance(g.identity, tuple):
         interior_sampler = _rand_positive_fraction
     else:
         tables = (_POSITIVE_FRACTIONS,) * len(g.identity)
@@ -156,15 +155,8 @@ def interior_cone_structure(module: OrderedModuleInstance) -> TopoStructure:
         def interior_sampler(rng: random.Random) -> Element:
             return _draw_entries(rng, tables)
 
-    return TopoStructure(
-        name=f"interior-cone({g.name})",
-        group=g,
-        strictly_below=_interior_below,
-        positivity_witness=witness,
-        shrink=lambda e: module.scale(Fraction(1, 2), e),
-        interior_sampler=interior_sampler,
-        module=module,
-    )
+    return TopoStructure(name=f"interior-cone({g.name})", module=module,
+                         strictly_below=_interior_below, interior_sampler=interior_sampler)
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +310,10 @@ def from_function(module, fn: Callable[[int], Element], n_max: int,
 def default_sequences(module: OrderedModuleInstance) -> tuple:
     """The closed forms an instance checks unless it lists its own, all
     tending to the identity, with coefficients sized by the group."""
-    identity = module.group.identity
-    if isinstance(identity, tuple):
-        one = tuple(Fraction(1) for _ in identity)
-        ramp = tuple(Fraction(i + 1) for i in range(len(identity)))
-        square_c, geometric_c = ramp, ramp
-    else:
-        one, square_c, geometric_c = Fraction(1), Fraction(1), Fraction(2)
+    g = module.group
+    one = g.fill(Fraction(1))
+    ramp = tuple(Fraction(i + 1) for i in range(len(g.coords(g.identity))))
+    square_c, geometric_c = (ramp, ramp) if isinstance(g.identity, tuple) else (one, Fraction(2))
     return (
         harmonic(module, one),
         inverse_square(module, square_c),
@@ -791,7 +780,7 @@ def check_topo_laws(t: TopoStructure, plan: SamplePlan) -> LawReport:
     for _ in range(plan.count):
         a = g.sampler(rng6)
         b = g.add(a, interior(rng6))
-        r = _q_add(abs(ring.sampler(rng6)), quarter)
+        r = _q_add(_q_abs(ring.sampler(rng6)), quarter)
         t6_stream.append((a, b, r))
 
     def t6(a, b, r):
@@ -816,11 +805,10 @@ def _strictness_gap_result(t: TopoStructure) -> LawResult | None:
     as its own structure), since then there is nothing to demonstrate.
     """
     g = t.group
-    if not isinstance(g.identity, tuple) or len(g.identity) < 2:
+    zeros = g.coords(g.identity)
+    if len(zeros) < 2:
         return None
-    dim = len(g.identity)
-    a = tuple(Fraction(0) if i < dim - 1 else Fraction(1) for i in range(dim))
-    b = tuple(Fraction(0) if i < dim - 1 else Fraction(2) for i in range(dim))
+    a, b = zeros[:-1] + (Fraction(1),), zeros[:-1] + (Fraction(2),)
     if not g.lt(a, b):
         # the witness pair lost its strict order
         return LawResult("strictness-gap", False, 1,

@@ -121,6 +121,34 @@ def test_every_fault_flips_its_target():
         assert r.flipped
 
 
+# the faults that need a finite mapped space, and the text they refuse others with
+_FINITE_ONLY_FAULTS = {
+    "break-phi-bound": "break-phi-bound needs a finite mapped space with a witness",
+    "add-second-endpoint": "add-second-endpoint needs a finite mapped space",
+}
+
+
+def test_every_fault_flips_its_target_on_every_bundle_that_takes_it():
+    bundles = builtin_bundles()
+    flipped, refused = [], []
+    for mutation, target in FAULT_TARGETS.items():
+        for name, bundle in bundles.items():
+            if mutation in _FINITE_ONLY_FAULTS and not bundle.space.finite:
+                with pytest.raises(ValueError) as exc:
+                    fault_inject(bundle, mutation)
+                assert str(exc.value) == _FINITE_ONLY_FAULTS[mutation]
+                refused.append((mutation, name))
+                continue
+            spec = SuiteSpec(instances=(name,), checks=(target,), budgets=FAST)
+            before = run_suite(spec, bundles).row(target, name)
+            after = run_suite(spec, {name: fault_inject(bundle, mutation)}).row(target, name)
+            assert (before.outcome, after.outcome) == ("pass", "fail"), (mutation, name)
+            flipped.append((mutation, name))
+    assert len(flipped) == 14
+    assert refused == [(m, n) for m in _FINITE_ONLY_FAULTS
+                       for n in ("real-line", "cone-2", "cone-3")]
+
+
 def test_fault_rows_carry_witnesses():
     bundles = builtin_bundles()
     mutated = fault_inject(bundles["three-point"], "break-d2")
@@ -345,6 +373,40 @@ def test_rows_over_the_tolerances_skip_without_any():
     assert (row.outcome, row.witness) == (
         "pass", "inf-sup is zero; constant witness not checked: bundle has no tolerance family")
     assert report.ok
+
+
+_NO_MAP_WITNESS = ("skip", "bundle has no map/witness")
+_NO_WITNESS = ("skip", "bundle has no witness")
+_NOT_FINITE_MAPPED = ("skip", "needs a finite mapped space")
+_MAP_ROWS_SKIPPED = [_NO_MAP_WITNESS] * 4 + [_NO_WITNESS]  # the five map/ rows
+
+
+# the map/, endpoint/ and solver/ rows of real-line and three-point, in check
+# order, once stripped of a map, witness and single-valued map and once of
+# the witness alone: each row tests its needs in a fixed order and skips with
+# the first one its bundle lacks
+@pytest.mark.parametrize("strip, rows", [
+    pytest.param(dict(map_=None, witness=None, banach_map=None), {
+        name: _MAP_ROWS_SKIPPED + [
+            _NOT_FINITE_MAPPED, _NOT_FINITE_MAPPED, _NO_MAP_WITNESS, _NOT_FINITE_MAPPED,
+            _NO_MAP_WITNESS, ("skip", "bundle has no single-valued contraction")]
+        for name in ("real-line", "three-point")}, id="no-map"),
+    pytest.param(dict(witness=None), {
+        "real-line": _MAP_ROWS_SKIPPED + [
+            _NOT_FINITE_MAPPED, _NOT_FINITE_MAPPED, _NO_MAP_WITNESS, _NOT_FINITE_MAPPED,
+            _NO_MAP_WITNESS,
+            ("pass", "approximate-endpoint-sequence in 8 steps, a-priori bound dominates")],
+        "three-point": _MAP_ROWS_SKIPPED + [
+            _NO_WITNESS, ("pass", "inf-sup is zero and the constant witness validates"),
+            _NO_MAP_WITNESS, _NO_WITNESS, _NO_MAP_WITNESS,
+            ("pass", "endpoint-found in 3 steps, a-priori bound dominates")]}, id="no-witness"),
+])
+def test_rows_without_a_map_or_witness_skip_with_their_reasons(strip, rows):
+    bundles = {name: builtin_bundles()[name].replace(**strip) for name in rows}
+    checks = tuple(c for c in ALL_CHECKS if c.split("/")[0] in ("map", "endpoint", "solver"))
+    report = run_suite(SuiteSpec(tuple(rows), checks, budgets=FAST), bundles)
+    assert {name: [(r.outcome, r.witness) for r in report.rows if r.instance == name]
+            for name in rows} == rows
 
 
 def test_passing_laws_format_no_witness(monkeypatch):

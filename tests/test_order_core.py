@@ -25,7 +25,7 @@ from ordermetric import (
     real_group,
     real_module,
 )
-from ordermetric.order_core import _q_add, _q_dist, _q_mul, _q_neg, _run_law, _run_laws
+from ordermetric.order_core import _q_abs, _q_add, _q_dist, _q_mul, _q_neg, _run_law, _run_laws
 
 fractions_st = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
@@ -111,6 +111,21 @@ def test_inverted_ring_order_fails_r1():
     report = check_module_laws(dataclasses.replace(m, ring=flipped),
                                SamplePlan(seed=0, count=50))
     assert not report.result("r1").passed
+
+
+def test_the_group_fixes_the_shape_of_its_elements():
+    F = Fraction
+    half, third = F(1, 2), F(1, 3)
+    real, cone2, cone3 = real_group(), coord_cone_group(2), coord_cone_group(3)
+    assert real.fill(half) is half
+    assert cone2.fill(half) == (half, half)
+    assert cone3.fill(third) == (third, third, third)
+    assert real.coords(F(7, 3)) == (F(7, 3),)
+    assert real.coords(F(0)) == (F(0),)
+    assert cone2.coords((F(1), F(-1))) == (F(1), F(-1))
+    assert cone3.coords((F(0), half, F(2))) == (F(0), half, F(2))
+    assert [cone2.coords(cone2.fill(q)) for q in (F(0), half)] == [(F(0), F(0)), (half, half)]
+    assert real.coords(real.fill(half)) == (half,)
 
 
 @given(a=fractions_st, b=fractions_st)
@@ -312,6 +327,7 @@ def test_kernel_agrees_exactly_with_the_fraction_operators(pair):
     a, b = pair
     assert _exactly(_q_add(a, b)) == _exactly(a + b)
     assert _exactly(_q_neg(a)) == _exactly(-a)
+    assert _exactly(_q_abs(a)) == _exactly(abs(a))
     assert _exactly(_q_mul(a, b)) == _exactly(a * b)
     assert _exactly(_q_dist(a, b)) == _exactly(abs(a - b))
     assert _exactly(_q_dist(b, a)) == _exactly(abs(a - b))

@@ -35,9 +35,11 @@ from ordermetric import (
     verify_convergence_twosided,
 )
 from ordermetric import harness, order_core, topo
+from ordermetric.instance_files import parse_element, parse_element_list
 from ordermetric.topo import (
     PreconditionViolation,
     SeqAtom,
+    TopoStructure,
     _interior_below,
     _split_tolerance,
     _validate_eps,
@@ -54,6 +56,30 @@ def brute_threshold(t, seq, limit, eps, horizon=4000):
         if not (g.is_nonneg(diff) and t.ll(diff, eps)):
             last = n
     return last
+
+
+@pytest.mark.parametrize("name, witness, halved_edges", [
+    ("real-line", "1", "0; 1/2; -1/2; 1/4; -1/4; 7/6"),
+    ("three-point", "1", "0; 1/2; -1/2; 1/4; -1/4; 7/6"),
+    ("cone-2", "(1, 1)",
+     "(0, 0); (1/2, 1/2); (-1/2, -1/2); (1/2, 0); (0, 1/2); (1/2, -1/2); (1/4, 1/4)"),
+    ("cone-3", "(1, 1, 1)",
+     "(0, 0, 0); (1/2, 1/2, 1/2); (-1/2, -1/2, -1/2); (1/2, 0, 0); (0, 1/2, 0); "
+     "(0, 0, 1/2); (1/2, -1/2, -1/2); (1/4, 1/4, 1/4)"),
+])
+def test_a_structure_takes_its_group_witness_and_shrink_from_its_module(
+        name, witness, halved_edges):
+    assert [f.name for f in dataclasses.fields(TopoStructure)] == [
+        "name", "module", "strictly_below", "interior_sampler"]
+    bundle = builtin_bundles()[name]
+    for t in (bundle.structure, bundle.strict_twin):
+        g = t.group
+        assert g is t.module.group is bundle.module.group
+        halved = [t.shrink(e) for e in g.edge_elements]
+        assert t.positivity_witness == parse_element(witness)
+        assert halved == list(parse_element_list(halved_edges))
+        assert all(type(c) is Fraction
+                   for e in [t.positivity_witness, *halved] for c in g.coords(e))
 
 
 def test_topo_laws_pass(rstruct, cstruct2, cstruct3, plan):
