@@ -13,6 +13,17 @@ solver certifies; 1 check failures or exhausted budgets; 2 violated
 hypotheses or order errors; 3 parse errors, usage errors and bad argument
 values (a budget below 1, a tolerance that does not strictly dominate the
 identity).
+
+The CLI builds an instance once per process. Each command reads its
+instance text anew, then asks a single-slot memo keyed by ``(text, name)``
+for the bundle, so repeated calls on unchanged text, as in a driver that
+calls ``main`` many times, share one bundle: its distance table, its map's
+image positions and its walk verdict. An edited file, another file stem
+(the name seeds the ``hausdorff/*`` samples) or another built-in each build
+anew, and a parse or build error is never kept, so every call on a bad
+file reads it again and exits with its code. Bundles are frozen and cache
+only what their text determines, so the output does not depend on the
+memo. A one-shot call from a shell gains nothing.
 """
 
 from __future__ import annotations
@@ -26,12 +37,15 @@ from .cone_metric import hausdorff
 from .contraction import check_hypotheses
 from .harness import ALL_CHECKS, Budgets, SuiteSpec, run_suite
 from .instance_files import (
+    InstanceBundle,
     InstanceFileError,
     build_bundle,
     export_instance_text,
     load_instance,
     parse_element,
     parse_element_list,
+    parse_instance_text,
+    read_instance,
 )
 from .solver import (
     SelectionRule,
@@ -105,6 +119,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _built(text: str, name: str) -> InstanceBundle:
+    """The bundle of the last instance text and name built; a raise is not kept."""
+    return build_bundle(parse_instance_text(text, name=name))
+
+
+def _bundle(path_or_name: str) -> InstanceBundle:
+    """The instance, read on every call and built once per unchanged text and name."""
+    return _built(*read_instance(path_or_name))
+
+
 def _select_checks(spec_text: str) -> tuple[str, ...]:
     if not spec_text.strip():
         return ALL_CHECKS
@@ -119,7 +144,7 @@ def _select_checks(spec_text: str) -> tuple[str, ...]:
 
 
 def cmd_verify(args) -> int:
-    bundle = build_bundle(load_instance(args.instance))
+    bundle = _bundle(args.instance)
     spec = SuiteSpec(
         instances=(bundle.name,),
         checks=_select_checks(args.checks),
@@ -132,7 +157,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    bundle = build_bundle(load_instance(args.instance))
+    bundle = _bundle(args.instance)
     if bundle.map_ is None or bundle.witness is None:
         print("instance has no [map] / [witness] section to solve", file=sys.stderr)
         return EXIT_PARSE_ERROR
@@ -179,7 +204,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_hausdorff(args) -> int:
-    bundle = build_bundle(load_instance(args.instance))
+    bundle = _bundle(args.instance)
     set_a = parse_element_list(args.set_a)
     set_b = parse_element_list(args.set_b)
     value = hausdorff(bundle.space, set_a, set_b)

@@ -31,8 +31,8 @@ on the same runner.
 
 A map keeps what is derived from it: its image positions, a
 ``functools.cached_property`` like every unkeyed memo here, and its whole
-walk verdict, a ``Hypotheses`` kept for one witness object and plan
-(``check_hypotheses``).
+walk verdict, a ``Hypotheses`` kept for one witness object and, on a
+sampled space, plan (``check_hypotheses``).
 
 Convergence conditions that quantify over all sequences are not decidable
 from tables, so witnesses carry them as class-level certificates: the
@@ -96,9 +96,9 @@ class SetValuedMap:
     ``images_fn`` returns tuples without repeats: tables are normalized when
     built and rule images when computed. On a finite space the cached
     property ``_image_positions`` holds every image as positions; the slot
-    ``_verdict`` holds the walk ``Hypotheses`` for one witness object and
-    plan (see ``check_hypotheses``). ``dataclasses.replace`` starts without
-    either.
+    ``_verdict`` holds the walk ``Hypotheses`` for one witness object and,
+    on a sampled space, plan (see ``check_hypotheses``).
+    ``dataclasses.replace`` starts without either.
     """
 
     space: ConeMetricSpace
@@ -537,12 +537,14 @@ def check_hypotheses(T: SetValuedMap, w: ContractionWitness,
                      plan: SamplePlan | None = None) -> Hypotheses:
     """The global bound check and the witness obligations on ``plan`` (None
     is ``SamplePlan()``), and the class-level convergence-condition verdict.
-    The map keeps them for its last witness object and plan; map, space,
-    witness and plan are frozen, so they are what a new check would give."""
+    The map keeps them for its last witness object and, on a sampled space,
+    plan: a finite space's pair list ignores the plan. Map, space, witness
+    and plan are frozen, so they are what a new check would give."""
     plan = plan or SamplePlan()
-    if T._verdict[0] is not w or T._verdict[1] != plan:
+    key = None if T.space.finite else plan
+    if T._verdict[0] is not w or T._verdict[1] != key:
         verdict = Hypotheses(*_hypothesis_pass(T, w, plan), c_condition_status(w))
-        object.__setattr__(T, "_verdict", (w, plan, verdict))
+        object.__setattr__(T, "_verdict", (w, key, verdict))
     return T._verdict[2]
 
 

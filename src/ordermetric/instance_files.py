@@ -802,8 +802,9 @@ def builtin_bundles() -> dict[str, InstanceBundle]:
 DEFAULT_INSTANCES = ("real-line", "three-point", "cone-2", "cone-3")
 
 
-def load_instance(path_or_name: str) -> InstanceDescription:
-    """Parse a file path, or fall back to a built-in instance name."""
+def read_instance(path_or_name) -> tuple[str, str]:
+    """``(text, name)`` of a file path, named by its stem, or else of a
+    built-in instance name."""
     import os
 
     if os.path.exists(path_or_name):
@@ -813,11 +814,15 @@ def load_instance(path_or_name: str) -> InstanceDescription:
         except (OSError, UnicodeDecodeError) as exc:
             reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
             raise InstanceFileError(f"cannot read {path_or_name!r}: {reason}") from None
-        stem = os.path.splitext(os.path.basename(path_or_name))[0]
-        return parse_instance_text(text, name=stem)
+        return text, os.path.splitext(os.path.basename(path_or_name))[0]
     if path_or_name in BUILTIN_INSTANCE_TEXTS:
-        return parse_instance_text(BUILTIN_INSTANCE_TEXTS[path_or_name],
-                                   name=path_or_name)
+        return BUILTIN_INSTANCE_TEXTS[path_or_name], path_or_name
     raise InstanceFileError(
         f"no such file or built-in instance: {path_or_name!r} "
         f"(built-ins: {', '.join(sorted(BUILTIN_INSTANCE_TEXTS))})")
+
+
+def load_instance(path_or_name) -> InstanceDescription:
+    """Parse a file path, or fall back to a built-in instance name."""
+    text, name = read_instance(path_or_name)
+    return parse_instance_text(text, name=name)

@@ -226,9 +226,11 @@ class OrderedGroupInstance:
         return a if isinstance(self.identity, tuple) else (a,)
 
     def coerce(self, value) -> Element:
-        """Canonicalize ints/lists into the exact carrier representation."""
+        """Canonicalize ints/lists into the exact carrier representation; a
+        tuple of ``Fraction``s already is one and is returned as it is."""
         if isinstance(value, (list, tuple)):
-            value = tuple(Fraction(v) for v in value)
+            if isinstance(value, list) or not all(isinstance(v, Fraction) for v in value):
+                value = tuple(Fraction(v) for v in value)
         elif not isinstance(value, Fraction):
             value = Fraction(value)
         if not self.contains(value):

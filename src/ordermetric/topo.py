@@ -58,6 +58,7 @@ from .order_core import (
 _SEARCH_CAP = 1 << 40
 _SHRINK_CAP = 160
 _SPOT_WINDOW = 32
+_HALF = Fraction(1, 2)  # the factor of ``TopoStructure.shrink``
 
 
 class PreconditionViolation(ValueError):
@@ -93,7 +94,7 @@ class TopoStructure:
         return self.module.group.fill(Fraction(1))
 
     def shrink(self, e: Element) -> Element:
-        return self.module.scale(Fraction(1, 2), e)
+        return self.module.scale(_HALF, e)
 
     def ll(self, a: Element, b: Element) -> bool:
         return self.strictly_below(a, b)

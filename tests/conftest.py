@@ -10,6 +10,13 @@ from ordermetric import (
     real_module,
     strict_order_structure,
 )
+from ordermetric import cli
+
+
+@pytest.fixture(autouse=True)
+def _fresh_cli_memo():
+    """Each test starts like a fresh process: the CLI keeps no bundle."""
+    cli._built.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -4,12 +4,14 @@ import io
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordermetric import SetDistanceUndefined, build_bundle, cli, cone_metric, hausdorff
+from ordermetric import (
+    SetDistanceUndefined, build_bundle, cli, cone_metric, contraction, hausdorff)
 from ordermetric.cli import main
 from ordermetric.instance_files import BUILTIN_INSTANCE_TEXTS, parse_instance_text
 
@@ -371,6 +373,83 @@ def test_the_parser_is_built_once_per_process(capsys):
     assert (info.misses, info.hits) == (1, 2)
     assert first.value.code == later.value.code == 3
     assert capsys.readouterr() == fresh
+
+
+DATA = Path(__file__).parent / "data"
+LADDER = DATA / "ladder-31.ini"
+LADDER_TEXT = LADDER.read_text(encoding="utf-8")
+LADDER_EPS = "1/576460752303423488"  # (1/4)^29 / 2, below the least distance
+LADDER_VERIFY = ["--checks", "map,endpoint,solver", "--format", "machine-rows"]
+
+
+def _ladder_solve(path, point, rule):
+    return ["solve", str(path), "--seed-point", point, "--eps", LADDER_EPS, "--rule", rule]
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Count the bundles the CLI builds and the hypothesis passes they run."""
+    counts = {"build_bundle": 0, "_hypothesis_pass": 0}
+    for mod, name in ((cli, "build_bundle"), (contraction, "_hypothesis_pass")):
+        def counted(*args, _name=name, _fn=getattr(mod, name)):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+def test_calls_on_unchanged_text_share_one_bundle_and_verdict(builds, capsys):
+    # verify's plan (seed 7, 1000 samples) is not solve's: a finite space's
+    # verdict ignores it
+    assert main(["verify", str(LADDER), *LADDER_VERIFY, "--seed", "7"]) == 0
+    golden = (DATA / "verify-ladder-31-seed0.rows").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+    for point, tag, rule in (("1", "1", "min-dist"), ("1/1024", "1_1024", "lex")):
+        assert main(_ladder_solve(LADDER, point, rule)) == 0
+        golden = (DATA / f"solve-ladder-31-{tag}-{rule}.out").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == golden
+    assert builds == {"build_bundle": 1, "_hypothesis_pass": 1}
+
+
+def test_an_edited_file_builds_again(tmp_path, builds, capsys):
+    path = tmp_path / "ladder-31.ini"
+    path.write_text(LADDER_TEXT, encoding="utf-8")
+    assert main(_ladder_solve(path, "1", "lex")) == 0
+    first = capsys.readouterr()
+    path.write_text(LADDER_TEXT.replace("alpha = 1/2", "alpha = 3/4"), encoding="utf-8")
+    assert main(_ladder_solve(path, "1", "lex")) == 0
+    edited = capsys.readouterr()
+    assert builds["build_bundle"] == 2
+    assert "bound=45/64" in edited.out and edited != first
+    cli._built.cache_clear()
+    assert main(_ladder_solve(path, "1", "lex")) == 0
+    assert capsys.readouterr() == edited
+
+
+def test_a_bad_file_is_read_again_on_every_call(tmp_path, builds, capsys):
+    path = tmp_path / "ladder-31.ini"
+    path.write_text(LADDER_TEXT.replace("alpha = 1/2", "alpha = 1/0"), encoding="utf-8")
+    for _ in range(2):
+        assert main(_ladder_solve(path, "1", "lex")) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("parse error: line ")
+    assert builds["build_bundle"] == 0  # the parse fails first
+    path.write_text(LADDER_TEXT, encoding="utf-8")
+    assert main(_ladder_solve(path, "1", "lex")) == 0
+    golden = (DATA / "solve-ladder-31-1-lex.out").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+    assert builds["build_bundle"] == 1
+
+
+def test_the_same_text_under_two_stems_builds_two_bundles(tmp_path, builds, capsys):
+    golden = (DATA / "verify-ladder-31-seed0.rows").read_text(encoding="utf-8")
+    for stem in ("a", "b"):
+        path = tmp_path / f"{stem}.ini"
+        path.write_text(LADDER_TEXT, encoding="utf-8")
+        assert main(["verify", str(path), *LADDER_VERIFY]) == 0
+        assert capsys.readouterr().out == golden.replace("\tladder-31\t", f"\t{stem}\t")
+    assert builds == {"build_bundle": 2, "_hypothesis_pass": 2}
 
 
 def test_help_exits_zero(capsys):

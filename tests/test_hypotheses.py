@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from ordermetric import (
+    Budgets,
     ConeMetricSpace,
     ContractionWitness,
     DomainError,
@@ -18,13 +19,17 @@ from ordermetric import (
     SelectionRule,
     SetValuedMap,
     SolverConfig,
+    SuiteSpec,
     WitnessClass,
     banach_iterate,
+    build_bundle,
     check_hypotheses,
     endpoint_iff_report,
     is_global_weak_contraction,
     is_weak_contraction,
     iterate_endpoint,
+    load_instance,
+    run_suite,
     validate_witness,
     weak_contraction_corpus,
 )
@@ -68,6 +73,18 @@ def test_solve_validates_the_witness_once(calls, capsys):
     rc = main(["solve", "three-point", "--seed-point", "1", "--eps", "1/16"])
     assert rc == 0
     assert "endpoint: 0" in capsys.readouterr().out
+    assert calls == ONE_PASS
+
+
+def test_verify_then_solve_on_one_bundle_make_one_pass(calls):
+    # the verify's plan (seed 7) is not the walk's default plan, and a finite
+    # space's verdict ignores the plan
+    bundle = build_bundle(load_instance("three-point"))
+    spec = SuiteSpec(instances=(bundle.name,), checks=("map/global-contraction",),
+                     sample_seed=7, budgets=Budgets(samples=50, n_max=50))
+    assert run_suite(spec, {bundle.name: bundle}).ok
+    cfg = SolverConfig(eps=Fraction(1, 16), seed_point=Fraction(1), max_iter=50)
+    assert iterate_endpoint(bundle.map_, bundle.witness, cfg).endpoint == 0
     assert calls == ONE_PASS
 
 
@@ -178,7 +195,7 @@ def test_walks_of_one_map_scan_its_pairs_once(pair_lists):
     assert pair_lists[0] == 1 + len(walks)
 
 
-def test_a_new_witness_plan_or_map_copy_scans_again(dilation, pair_lists):
+def test_a_new_witness_plan_or_map_copy_scans_again(dilation, real_line_space, pair_lists):
     _, T = dilation
     check_hypotheses(T, HALF)
     check_hypotheses(T, HALF, SamplePlan())  # None stands for SamplePlan()
@@ -186,14 +203,22 @@ def test_a_new_witness_plan_or_map_copy_scans_again(dilation, pair_lists):
     twin = ContractionWitness(WitnessClass.ALPHA_CONSTANT, alpha_const=Fraction(1, 2))
     check_hypotheses(T, twin)
     assert pair_lists[0] == 2
-    check_hypotheses(T, twin, SamplePlan(seed=1))
-    assert pair_lists[0] == 3
+    # a finite space's pair list ignores the plan, and so does its verdict
+    assert check_hypotheses(T, twin, SamplePlan(seed=1, count=5)) is check_hypotheses(T, twin)
+    assert pair_lists[0] == 2
     copy = dataclasses.replace(T)
     check_hypotheses(copy, twin, SamplePlan(seed=1))
-    assert pair_lists[0] == 4
+    assert pair_lists[0] == 3
     assert check_hypotheses(copy, twin, SamplePlan(seed=1)) \
         == check_hypotheses(T, twin, SamplePlan(seed=1))
+    assert pair_lists[0] == 3
+    # a sampled space draws its pairs from the plan: one verdict per plan
+    S = SetValuedMap.from_rule(real_line_space, lambda x: (x / 2,))
+    check_hypotheses(S, HALF, SamplePlan(seed=1, count=20))
+    check_hypotheses(S, HALF, SamplePlan(seed=1, count=20))
     assert pair_lists[0] == 4
+    check_hypotheses(S, HALF, SamplePlan(seed=2, count=20))
+    assert pair_lists[0] == 5
 
 
 @pytest.mark.parametrize("witness_kind", ["alpha-const", "phi-table"])

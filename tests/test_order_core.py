@@ -128,6 +128,22 @@ def test_the_group_fixes_the_shape_of_its_elements():
     assert real.coords(real.fill(half)) == (half,)
 
 
+def test_coerce_keeps_a_canonical_tuple_and_canonicalizes_the_rest():
+    F = Fraction
+    cone2, real = coord_cone_group(2), real_group()
+    canonical = (F(1, 2), F(-3))
+    assert cone2.coerce(canonical) is canonical
+    for loose in ([F(1, 2), -3], (F(1, 2), -3), [1, 2]):
+        out = cone2.coerce(loose)
+        assert type(out) is tuple and all(type(c) is Fraction for c in out)
+        assert out == tuple(F(c) for c in loose)
+    assert type(real.coerce(2)) is Fraction and real.coerce(2) == 2
+    for outside, group in (((F(1), F(2), F(3)), cone2), ((F(1),), cone2),
+                           ((F(1), F(2)), real), ([1, 2, 3], cone2)):
+        with pytest.raises(DomainError, match="is not in the carrier"):
+            group.coerce(outside)
+
+
 @given(a=fractions_st, b=fractions_st)
 @settings(max_examples=100)
 def test_exact_addition_roundtrip_scalar(a, b):

@@ -185,9 +185,11 @@ LAW_GETRANDBITS = 65_804
 # the calls of the draw kernel (_draw, _draw_entry, _draw_entries) and of the
 # public Fraction.__new__ in that spec, once a sampled point is drawn in one
 # frame and the law streams build their values, |r| included, on the exact
-# kernel (20,199 and 5,353 before; 2,822 public while |r| was Fraction.__abs__)
+# kernel, the halving factor is one constant and coerce keeps a tuple of
+# Fractions (20,199 and 5,353 before; 2,822 public while |r| was
+# Fraction.__abs__, 1,322 while shrink and coerce built their Fractions)
 LAW_DRAW_CALLS = 14_826
-LAW_PUBLIC_FRACTIONS = 1_322
+LAW_PUBLIC_FRACTIONS = 538
 # sha256 of the reprs of every item the law runner received in that spec, one
 # a line, in order, as the samplers drew them before a point was one frame
 LAW_INPUTS_SHA256 = "9570f51be3d9f4d31f27075c16eea096eeeeb6443c0437ac62704c743851e39c"
