@@ -1,15 +1,13 @@
 """Metric spaces whose distances land in an ordered group.
 
 Point sets are either finite enumerations or sampled rational boxes; the
-distance map is exact. A finite space keeps three derived facts for its
+distance map is exact. A finite space keeps two derived facts for its
 lifetime, each a ``functools.cached_property`` computed on first use: the
 index from each point to its first position, which membership reads and
-which tells positions of equal points apart; the N x N distance table:
+which tells positions of equal points apart; and the N x N distance table:
 the exhaustive pair scans of ``contraction`` visit that many pairs anyway,
 and read each distance from the table by position instead of recomputing
-it; and whether that table is symmetric, N(N-1)/2 ``cmp`` calls, which
-lets those scans decide a mirror pair once. The table compares and hashes
-nothing. Sampled spaces keep none of them.
+it. The table compares and hashes nothing. Sampled spaces keep neither.
 
 Point convergence and the Cauchy check return ``topo``'s outcomes, both
 decided on its one window path.
@@ -29,7 +27,6 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from .order_core import (
-    _EQUAL,
     DomainError,
     Element,
     IncomparableError,
@@ -65,10 +62,10 @@ class ConeMetricSpace:
     tuples of them, so their natural order is the canonical enumeration
     order that solvers use as a deterministic tie-break.
 
-    A finite space keeps its point index (``_index``), its distance table
-    (``_distances``) and the table's symmetry (``_symmetric``) as cached
-    properties, computed whole on first use (an error leaves them unset);
-    ``dataclasses.replace`` starts without them.
+    A finite space keeps its point index (``_index``) and its distance
+    table (``_distances``) as cached properties, computed whole on first
+    use (an error leaves them unset); ``dataclasses.replace`` starts
+    without them.
     """
 
     name: str
@@ -117,19 +114,6 @@ class ConeMetricSpace:
         for i, x in enumerate(pts):
             table[i * n:i * n + n] = [distance(x, y) for y in pts]
         return table
-
-    @cached_property
-    def _symmetric(self) -> bool:
-        """Whether every cell of the distance table equals its mirror, each
-        unordered pair of positions compared once through ``group.cmp``. A
-        table whose cells the order cannot compare is not known to be
-        symmetric, so it reads False and its scans visit every pair."""
-        table, n, cmp = self._distances, len(self.points), self.group.cmp
-        try:
-            return all(cmp(table[i * n + j], table[j * n + i]) is _EQUAL
-                       for i in range(n) for j in range(i + 1, n))
-        except Exception:  # noqa: BLE001 - an uncomparable cell proves nothing
-            return False
 
     def _position_pairs(self) -> list[tuple]:
         """Every ordered pair of positions holding distinct points, row by

@@ -22,12 +22,10 @@ obligations and the Banach pre-check speak of the same pairs. Each check
 runs its pair laws on the one law runner in one pass over that list,
 reading each visited pair's distance and bound once, and returns the
 runner's ``LawResult`` or ``LawReport``; the walk hypotheses share one
-pass. On a symmetric finite table, mirror-invariant laws under a bound of
-the distance alone take each mirror pair as an implied item (``_scan``).
-Every step that can raise runs inside the stream or in the first call of
-its law, so the runner holds each error for the laws it reached. The
-approximate-endpoint sequence runs its per-index image bound as one law
-on the same runner.
+pass, and every item a law counts is a pair it evaluated. Every step that
+can raise runs inside the stream or in the first call of its law, so the
+runner holds each error for the laws it reached. The approximate-endpoint
+sequence runs its per-index image bound as one law on the same runner.
 
 A map keeps what is derived from it: its image positions, a
 ``functools.cached_property`` like every unkeyed memo here, and its whole
@@ -344,43 +342,18 @@ def _pair_reader(space: ConeMetricSpace) -> tuple:
                                   else space.distance)
 
 
-# the laws whose outcome at (b, a) is their outcome at (a, b) when the table
-# is symmetric and the bound depends on the distance alone: the global law
-# compares the same image distances, phi-strictly-below the same distance,
-# and alpha-range a constant ratio (a ratio function's bound is per pair)
-_MIRROR_INVARIANT = frozenset({"global", "phi-strictly-below", "alpha-range"})
-
-
 def _scan(T: SetValuedMap, w: ContractionWitness, plan: SamplePlan | None, laws: list) -> list:
     """Each law's outcome over the pairs of ``_distinct_pairs(space, plan)``.
     A law takes ``(a, b, d, bound)``: entries, distance and witness bound,
-    each read once a pair for all laws.
-
-    On a finite space with a symmetric table, a bound of the distance alone
-    (``alpha-const``, ``psi``) and only mirror-invariant laws, the mirror
-    (b, a) of a pair with a < b is an implied item (``None``): the row-major
-    stream reaches it after (a, b), where every law still running passed on
-    the same values against the same bound, so each ``LawResult`` is the one
-    a visit would give. Every other pair is visited and evaluates its bound
-    there: under the one-sided (``weak``) law, whose roles of x and y differ,
-    any law not in ``_MIRROR_INVARIANT``, ``phi-table`` and ``alpha-fn``
-    witnesses, whose bound may differ at the mirror, asymmetric tables and
-    sampled spaces, whose pairs have no mirror in the list.
-
-    Drawing the pairs, filling the table and deciding its symmetry run
-    inside the stream, so the runner holds their errors for every law."""
+    each read once a pair for all laws; every pair is visited and evaluates
+    its bound there. Drawing the pairs and filling the table run inside the
+    stream, so the runner holds their errors for every law."""
     space, phi = T.space, w.phi
 
     def stream():
         pairs = _distinct_pairs(space, plan or SamplePlan())
         point, dist = _pair_reader(space)
-        implied = (space.finite
-                   and w.klass in (WitnessClass.ALPHA_CONSTANT, WitnessClass.PSI_ON_DISTANCE)
-                   and all(law in _MIRROR_INVARIANT for law, _ in laws) and space._symmetric)
         for a, b in pairs:
-            if implied and b < a:
-                yield None
-                continue
             d = dist(a, b)
             yield a, b, d, phi(space, point(a), point(b), d)
 

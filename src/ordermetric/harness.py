@@ -33,6 +33,7 @@ from .order_core import (
     Order,
     SamplePlan,
     _law_rng,
+    _q,
     check_group_laws,
     check_module_laws,
     format_element,
@@ -441,7 +442,8 @@ def _geometric_approach(b: InstanceBundle):
     corner = b.solver_seed
 
     def rule(n):
-        return module.scale(1 - Fraction(1, 2 ** n), corner)
+        # 1 - 1/2^n, in lowest terms because 2^n - 1 is odd
+        return module.scale(_q(2 ** n - 1, 2 ** n), corner)
 
     return point_seq(b.space, rule=rule, name="geometric approach"), corner
 

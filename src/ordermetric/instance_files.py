@@ -436,7 +436,7 @@ def _parse_witness(entries, points, dim) -> dict:
         if points is None:
             raise InstanceFileError("phi tables need a finite carrier", ln)
         rows = [(l, k[len("phi"):].strip(), v) for l, k, v in entries if k.startswith("phi")]
-        if not rows:
+        if not rows and len(points) > 1:  # one point has no pair to bound
             raise InstanceFileError("phi-table witness needs phi entries", ln)
         table = {}
         declared = set(points)

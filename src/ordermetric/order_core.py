@@ -374,16 +374,12 @@ def _run_laws(stream: Iterable, laws: Sequence[tuple]) -> list:
     pass over the stream serves every law. A predicate returns None where
     its law holds and its witness text where it fails. Each law's entry is
     its ``LawResult`` or a held error: the one its predicate raised, or one
-    the stream raised while the law was still running. A ``None`` item is
-    an implied one: the stream vouches that every running law holds there,
-    so it counts as checked and calls no predicate."""
+    the stream raised while the law was still running."""
     done: dict = {}
     live, checked = list(laws), 0
     try:
         for args in stream:
             checked += 1
-            if args is None:
-                continue
             for law, predicate in live:
                 try:
                     witness = predicate(*args)

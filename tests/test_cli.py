@@ -126,19 +126,27 @@ def _scale_map_file(space: str, map_: str) -> str:
 ONE_POINT_FILE = _scale_map_file("points = 0", "image 0 = 0")
 ONE_POINT_INTERVAL_FILE = _scale_map_file("interval = 1 .. 1", "rule = scale\nfactors = 1")
 FLIP_FILE = _scale_map_file("interval = -1 .. 1", "rule = scale\nfactors = -1")
+# one point has no pair to bound, so its empty phi table is complete
+ONE_POINT_PHI_FILE = ONE_POINT_FILE.replace("class = alpha-const\nalpha = 1/2\n",
+                                            "class = phi-table\n")
 
 _NO_PAIRS = "skip\tno pair of distinct points to check"
 _C_STATUS = ("pass\tholds-by-theorem: uniform ratio 1/2 < 1: the gap dominates "
              "(1 - 1/2) * d, and that factor is invertible and positive")
 _UNIT_RATIO = "skip\tthe single-valued map scales by ratio 1, which must lie in [0, 1)"
+_ONE_POINT_ORACLE = "walk tolerance undefined: space has fewer than two distinct points"
+_NOT_SINGLE_VALUED = "skip\tbundle has no single-valued contraction"
 
 
-@pytest.mark.parametrize("text, oracle, banach", [
-    (ONE_POINT_FILE, "walk tolerance undefined: space has fewer than two distinct points",
-     "skip\tbundle has no single-valued contraction"),
-    (ONE_POINT_INTERVAL_FILE, "needs a finite mapped space", _UNIT_RATIO),
-], ids=["one-point", "one-point-interval"])
-def test_map_and_solver_rows_without_a_pair_skip(tmp_path, capsys, text, oracle, banach):
+@pytest.mark.parametrize("text, c_status, oracle, banach", [
+    (ONE_POINT_FILE, _C_STATUS, _ONE_POINT_ORACLE, _NOT_SINGLE_VALUED),
+    (ONE_POINT_INTERVAL_FILE, _C_STATUS, "needs a finite mapped space", _UNIT_RATIO),
+    (ONE_POINT_PHI_FILE,
+     "skip\tunknown: no registered criterion applies to this witness class",
+     _ONE_POINT_ORACLE, _NOT_SINGLE_VALUED),
+], ids=["one-point", "one-point-interval", "one-point-phi-table"])
+def test_map_and_solver_rows_without_a_pair_skip(tmp_path, capsys, text, c_status, oracle,
+                                                  banach):
     # no row passes after checking nothing: no pair of distinct points, and
     # a walk trace too short to compare a step with the one before it
     path = tmp_path / "one.ini"
@@ -149,7 +157,7 @@ def test_map_and_solver_rows_without_a_pair_skip(tmp_path, capsys, text, oracle,
         ("map/weak-contraction", _NO_PAIRS),
         ("map/global-contraction", _NO_PAIRS),
         ("map/global-implies-weak", _NO_PAIRS),
-        ("map/c-status", _C_STATUS),
+        ("map/c-status", c_status),
         ("solver/oracle-agreement", f"skip\t{oracle}"),
         ("solver/trace-monotone", "skip\tendpoint-found with a trace of 0 steps: "
                                   "fewer than two steps compare nothing"),

@@ -1,11 +1,12 @@
 """Finite spaces tabulate their distances once, rationals compare by one
 cross-multiplication and the walk hypotheses take one pass over the pairs,
-deciding each unordered pair once: equivalence with the point-by-point
-scans, the exact comparison kernels, the one-pass least and greatest
-elements, the one-pass hypotheses against the two scans and every scan
-against an every-pair reference (and their errors), work counters on a
-31-point ladder and the finite corpus, and the ladder's verify and solve
-outputs against committed goldens."""
+visiting every ordered pair: equivalence with the point-by-point scans,
+the exact comparison kernels, the one-pass least and greatest elements,
+the one-pass hypotheses against the two scans and every scan against an
+every-pair reference (and their errors), every law's count against its
+predicate calls, work counters on a 31-point ladder and the finite
+corpus, and the ladder's verify and solve outputs against committed
+goldens."""
 
 import dataclasses
 import random
@@ -59,7 +60,7 @@ F = Fraction
 
 # ---------------------------------------------------------------------------
 # the point-by-point scans the tabulated ones replace: every ordered pair of
-# distinct points, no table, no positions and no mirror rule
+# distinct points, no table and no positions
 
 
 def _ref_pairs(space):
@@ -69,8 +70,8 @@ def _ref_pairs(space):
 def _every_pair(T, w, laws):
     """Each named law's outcome over every ordered pair of distinct points,
     on the one law runner, point by point: each distance from the metric,
-    each bound from ``phi`` at its own pair, and no table, position or
-    mirror rule; the reference the tabulated scans must equal."""
+    each bound from ``phi`` at its own pair, and no table or position;
+    the reference the tabulated scans must equal."""
     space, g = T.space, T.space.group
 
     def stream():
@@ -354,8 +355,8 @@ def test_table_equals_the_point_by_point_distances(space):
 
 def _scan_recording_bounds(T, w, laws, plan=None):
     """The items of one scan of ``T`` under ``w`` with ``laws`` as the
-    runner receives them (``None`` for an implied item), running no law,
-    and the ``(x, y)`` pairs at which the scan evaluated the bound."""
+    runner receives them, running no law, and the ``(x, y)`` pairs at
+    which the scan evaluated the bound."""
     calls, items, phi = [], [], w.phi
 
     def counted(space, x, y, d):
@@ -371,7 +372,7 @@ def _scan_recording_bounds(T, w, laws, plan=None):
 
 @settings(max_examples=120, deadline=None)
 @given(_finite_spaces(), st.booleans(), st.sampled_from(["hypotheses", "weak"]))
-def test_a_scan_takes_one_bound_per_unordered_pair(space, psi, kind):
+def test_a_scan_visits_every_ordered_pair_and_evaluates_its_bound_there(space, psi, kind):
     pts, n = space.points, len(space.points)
     scalar = not isinstance(pts[0], tuple)
     w = (ContractionWitness(WitnessClass.PSI_ON_DISTANCE, psi=lambda d: d / (1 + d))
@@ -382,19 +383,9 @@ def test_a_scan_takes_one_bound_per_unordered_pair(space, psi, kind):
             if kind == "hypotheses" else [contraction._image_law(T, "weak")])
     items, calls = _scan_recording_bounds(T, w, laws)
     pairs = [(a, b) for a in range(n) for b in range(n) if pts[a] != pts[b]]
-    symmetric = all(space.distance(x, y) == space.distance(y, x) for x in pts for y in pts)
-    assert space._symmetric is symmetric
-    if kind == "hypotheses" and symmetric:
-        # the global bound and the witness obligations read (b, a) as they
-        # read (a, b), which came first: the mirror is implied
-        assert [item and item[:2] for item in items] == [(a, b) if a < b else None
-                                                         for a, b in pairs]
-        assert calls == [(pts[a], pts[b]) for a, b in pairs if a < b]
-    else:
-        # every pair is visited and evaluates its bound there
-        assert [item[:2] for item in items] == pairs
-        assert calls == [(pts[a], pts[b]) for a, b in pairs]
-    for a, b, d, bound in filter(None, items):  # the class's phi, past the counting one
+    assert [item[:2] for item in items] == pairs
+    assert calls == [(pts[a], pts[b]) for a, b in pairs]
+    for a, b, d, bound in items:  # the class's phi, past the counting one
         x, y = pts[a], pts[b]
         assert d == space.distance(x, y)
         assert bound == ContractionWitness.phi(w, space, x, y, d)
@@ -422,7 +413,7 @@ def test_a_metric_error_is_held_for_both_walk_hypotheses():
     global_outcome, witness_outcome = contraction._hypothesis_pass(T, HALF, SamplePlan())
     assert global_outcome is witness_outcome
     assert (type(global_outcome), str(global_outcome)) == (ValueError, "metric failed once")
-    assert "_distances" not in vars(space) and "_symmetric" not in vars(space)
+    assert "_distances" not in vars(space)
 
 
 @pytest.mark.parametrize("fail_at", [1, 2, 4, 5, 9, 16])
@@ -778,8 +769,8 @@ def _raised(get):
 @given(_finite_spaces(), st.data())
 def test_every_scan_equals_the_every_pair_reference(space, data):
     # repeated points, asymmetric and cone tables, multi-valued maps, every
-    # witness class, and psi bounds that raise at one distance: the mirror
-    # rule and the bound reuse change no outcome, count, text or held error
+    # witness class, and psi bounds that raise at one distance: the table
+    # and the bound reuse change no outcome, count, text or held error
     T, w = data.draw(_maps_and_witnesses(space))
     pairs = _ref_pairs(space)
     if w.klass is WitnessClass.PSI_ON_DISTANCE and pairs and data.draw(st.booleans()):
@@ -800,17 +791,61 @@ def test_every_scan_equals_the_every_pair_reference(space, data):
         _outcome(_every_pair(T, w, ["weak"])[0])
 
 
+def _counting_laws(calls):
+    """A law runner that runs ``order_core._run_laws`` with each predicate
+    counting its calls into ``calls`` under its law's name."""
+
+    def counted(law, predicate):
+        def counting(*args):
+            calls[law] += 1
+            return predicate(*args)
+
+        return counting
+
+    def run_laws(stream, laws):
+        for law, _ in laws:
+            calls[law] = 0
+        return order_core._run_laws(stream, [(law, counted(law, p)) for law, p in laws])
+
+    return run_laws
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_finite_spaces(), st.data())
+def test_every_law_evaluates_each_item_it_counts_as_checked(space, data):
+    # symmetric, asymmetric and cone tables, repeated points and every
+    # witness class: a law's count is the number of its predicate calls
+    T, w = data.draw(_maps_and_witnesses(space))
+    checks = {
+        "weak": lambda: [contraction.is_weak_contraction(T, w)],
+        "global": lambda: [contraction.is_global_weak_contraction(T, w)],
+        "witness": lambda: list(contraction.validate_witness(T, w).results),
+        "pass": lambda: [r for out in contraction._hypothesis_pass(T, w, SamplePlan())
+                         for r in getattr(out, "results", (out,))],
+    }
+    for check, run in checks.items():
+        calls = {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(contraction, "_run_laws", _counting_laws(calls))
+            try:
+                results = run()
+            except Exception:  # noqa: BLE001 - a held error carries no count
+                continue
+        for r in results:
+            if isinstance(r, LawResult):
+                assert calls[r.law] == r.checked, (check, r)
+
+
 def test_an_asymmetric_table_checks_both_orders_of_a_pair():
     # d(0, 1) = 2 and d(1, 0) = 1/2, and T swaps the points: (0, 1) meets
     # its bound 1 at image distance d(1, 0), while (1, 0) has bound 1/4 and
-    # image distance d(0, 1) = 2; a mirror taken as implied would pass
+    # image distance d(0, 1) = 2; a scan that read (1, 0) off (0, 1) would pass
     space = ConeMetricSpace("quasi", strict_order_structure(real_module()), _quasi,
                             points=(F(0), F(1)))
     T = SetValuedMap.from_table(space, {F(0): (F(1),), F(1): (F(0),)}, name="swap")
     expected = LawResult("global", False, 2, "x=1, y=0, x'=0, y'=1: d=2 exceeds 1/4")
     assert is_global_weak_contraction(T, HALF) == expected
     assert check_hypotheses(T, HALF).global_report == expected
-    assert space._symmetric is False
 
 
 def _verdict(get):
@@ -979,10 +1014,10 @@ def test_ladder_pairs_compare_positions_not_points(monkeypatch):
 
 
 # rational comparisons, Fraction constructions (Fraction.__new__ or
-# order_core._q) and Fraction equality tests in one ladder solve; the pair
-# scan that compared points made 1,818 equality tests, and the hypotheses
-# visiting all 930 ordered pairs 5,370 comparisons and 827 equality tests
-LADDER_SOLVE_BUDGET = {"cmp": 3164, "new": 2588, "eq": 362}
+# order_core._q) and Fraction equality tests in one ladder solve, the
+# hypotheses visiting all 930 ordered pairs; the pair scan that compared
+# points made 1,818 equality tests
+LADDER_SOLVE_BUDGET = {"cmp": 5370, "new": 2588, "eq": 362}
 
 
 def test_ladder_solve_stays_within_its_work_budget(monkeypatch, capsys):
@@ -1066,8 +1101,8 @@ def test_ladder_min_positive_distance_takes_one_pass(monkeypatch):
 
 def test_ladder_solve_checks_its_hypotheses_in_one_pass(monkeypatch, capsys):
     # the two separate scans listed the 930 pairs twice and evaluated phi
-    # 1,860 times; one pass lists them once and evaluates the constant-ratio
-    # bound once per distinct distance
+    # 1,860 times; one pass lists them once and evaluates the bound once a
+    # pair for both hypotheses
     listed, phi_calls, in_check = [], [0], {}
     pairs, phi, check = (contraction._distinct_pairs, ContractionWitness.phi,
                          cli.check_hypotheses)
@@ -1094,12 +1129,12 @@ def test_ladder_solve_checks_its_hypotheses_in_one_pass(monkeypatch, capsys):
     assert rc == 0
     assert "endpoint: 0" in capsys.readouterr().out
     assert listed == [930]
-    assert in_check["phi"] == 465 <= 930
+    assert in_check["phi"] == 930
 
 
 @pytest.mark.parametrize("rule, steps", [("min-dist", 30), ("lex", 15)])
-def test_ladder_solve_evaluates_one_bound_per_unordered_pair(monkeypatch, capsys, rule, steps):
-    # the hypotheses take one bound per unordered pair, the walk one a step
+def test_ladder_solve_evaluates_one_bound_per_ordered_pair(monkeypatch, capsys, rule, steps):
+    # the hypotheses take one bound per ordered pair, the walk one a step
     calls, phi = [0], ContractionWitness.phi
 
     def counted_phi(self, *args):
@@ -1111,12 +1146,11 @@ def test_ladder_solve_evaluates_one_bound_per_unordered_pair(monkeypatch, capsys
     out = capsys.readouterr().out
     assert rc == 0
     assert sum(line.startswith("  n=") for line in out.splitlines()) == steps
-    assert calls[0] == 465 + steps
+    assert calls[0] == 930 + steps
 
 
-def test_ladder_walk_hypotheses_evaluate_each_unordered_pair_once(monkeypatch, capsys):
-    # the global law runs on 465 of the 930 ordered pairs (the mirrors are
-    # implied); the one-sided law, whose roles of x and y differ, on all
+def test_ladder_walk_hypotheses_evaluate_each_ordered_pair_once(monkeypatch, capsys):
+    # the global law and the one-sided law each run on all 930 ordered pairs
     calls = {"global": 0, "weak": 0}
     image_law = contraction._image_law
 
@@ -1131,10 +1165,10 @@ def test_ladder_walk_hypotheses_evaluate_each_unordered_pair_once(monkeypatch, c
 
     monkeypatch.setattr(contraction, "_image_law", counted)
     assert main(["solve", str(LADDER), "--seed-point", "1", "--eps", LADDER_EPS]) == 0
-    assert calls == {"global": 465, "weak": 0}
+    assert calls == {"global": 930, "weak": 0}
     assert main(["verify", str(LADDER), "--checks", "map/weak-contraction",
                  "--format", "machine-rows"]) == 0
-    assert calls == {"global": 465, "weak": 930}
+    assert calls == {"global": 930, "weak": 930}
     capsys.readouterr()
 
 

@@ -100,6 +100,17 @@ def test_missing_instance_reported_per_row():
     assert "load" in report.rows[0].witness
 
 
+def test_unknown_check_id_fails_its_row_and_the_rest_still_run():
+    spec = SuiteSpec(instances=("real-line",), checks=("group/assoc", "no/such", "group/comm"),
+                     budgets=FAST)
+    report = run_suite(spec)
+    assert [(r.check, r.outcome) for r in report.rows] == [
+        ("group/assoc", "pass"), ("no/such", "fail"), ("group/comm", "pass")]
+    assert report.row("no/such", "real-line").witness == "unknown check id"
+    with pytest.raises(KeyError):
+        report.row("group/assoc", "cone-2")
+
+
 def test_unknown_mutation_rejected():
     with pytest.raises(ValueError):
         fault_inject(builtin_bundles()["three-point"], "no-such-mutation")

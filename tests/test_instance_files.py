@@ -125,9 +125,7 @@ def _descriptions(draw, carrier):
         fields["map_kind"] = "rule"
         factor = st.one_of(_Q, element) if dim > 1 else _Q
         fields["map_factors"] = tuple(draw(st.lists(factor, min_size=1, max_size=3)))
-    classes = ["none", "alpha-const", "alpha-fn"]
-    # a file writes a phi table as its entries, so it needs a pair of points
-    classes += (["phi-table"] if points and len(points) > 1 else [])
+    classes = ["none", "alpha-const", "alpha-fn"] + (["phi-table"] if points else [])
     classes += ["psi"] if dim == 1 else []
     klass = draw(st.sampled_from(classes))
     if klass != "none":
@@ -264,13 +262,13 @@ def test_bundle_interval_sampler_stays_inside(rstruct):
 
 
 def test_psi_witness_file():
-    text = PHI_FILE.replace(
-        "class = phi-table\nphi 0 | 1 = 1/4\nphi 1 | 0 = 1/4",
-        "class = psi\npsi = damped")
-    desc = parse_instance_text(text)
-    bundle = build_bundle(desc)
-    d = bundle.space.distance(Fraction(0), Fraction(1))
-    assert bundle.witness.phi(bundle.space, Fraction(0), Fraction(1), d) == d / (1 + d)
+    for name, psi in [("half", lambda d: d / 2), ("damped", lambda d: d / (1 + d))]:
+        text = PHI_FILE.replace(
+            "class = phi-table\nphi 0 | 1 = 1/4\nphi 1 | 0 = 1/4",
+            f"class = psi\npsi = {name}")
+        bundle = build_bundle(parse_instance_text(text))
+        d = bundle.space.distance(Fraction(0), Fraction(1))
+        assert bundle.witness.phi(bundle.space, Fraction(0), Fraction(1), d) == psi(d)
 
 
 def test_alpha_fn_witness_file():

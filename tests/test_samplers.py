@@ -185,11 +185,19 @@ LAW_GETRANDBITS = 65_804
 # the calls of the draw kernel (_draw, _draw_entry, _draw_entries) and of the
 # public Fraction.__new__ in that spec, once a sampled point is drawn in one
 # frame and the law streams build their values, |r| included, on the exact
-# kernel, the halving factor is one constant and coerce keeps a tuple of
-# Fractions (20,199 and 5,353 before; 2,822 public while |r| was
-# Fraction.__abs__, 1,322 while shrink and coerce built their Fractions)
+# kernel, the halving factor is one constant, coerce keeps a tuple of
+# Fractions and the geometric approach builds its terms on the kernel
+# (20,199 and 5,353 before; 2,822 public while |r| was Fraction.__abs__,
+# 1,322 while shrink and coerce built their Fractions, 538 while the
+# geometric approach went through the public operators)
 LAW_DRAW_CALLS = 14_826
-LAW_PUBLIC_FRACTIONS = 538
+LAW_PUBLIC_FRACTIONS = 26
+# the public Fraction.__new__ calls of the point-convergence and Cauchy rows
+# on the continua, once the geometric approach builds 1 - 1/2^n as one
+# kernel Fraction (789 while it went through the public operators)
+GEOMETRIC_SPEC = SuiteSpec(instances=("real-line", "cone-2", "cone-3"),
+                           checks=("metric/point-convergence", "metric/cauchy"))
+GEOMETRIC_PUBLIC_FRACTIONS = 21
 # sha256 of the reprs of every item the law runner received in that spec, one
 # a line, in order, as the samplers drew them before a point was one frame
 LAW_INPUTS_SHA256 = "9570f51be3d9f4d31f27075c16eea096eeeeb6443c0437ac62704c743851e39c"
@@ -242,6 +250,21 @@ def test_law_rows_draw_the_same_and_construct_fewer_fractions(monkeypatch):
     assert kernel[0] == LAW_DRAW_CALLS
     assert public[0] <= LAW_PUBLIC_FRACTIONS, public[0]
     assert fractions[0] <= 0.8 * LAW_FRACTIONS_BEFORE_TABLES, fractions[0]
+
+
+def test_the_geometric_approach_builds_its_terms_on_the_kernel(monkeypatch):
+    bundles = builtin_bundles()
+    public, raw_new = [0], Fraction.__dict__["__new__"].__func__
+
+    def counting_new(cls, *args, **kwargs):
+        public[0] += 1
+        return raw_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    report = run_suite(GEOMETRIC_SPEC, bundles)
+    monkeypatch.undo()
+    assert report.ok and len(report.rows) == 6
+    assert public[0] <= GEOMETRIC_PUBLIC_FRACTIONS, public[0]
 
 
 def test_law_rows_receive_the_same_inputs(monkeypatch):
