@@ -101,6 +101,15 @@ class ConeMetricSpace:
             raise DomainError(f"point {format_element(p)} is not in space {self.name!r}")
         return p
 
+    def _position(self, p) -> int:
+        """The first position of ``p`` in a finite space, from one lookup
+        that is also its membership test; ``require_member`` raises for a
+        point outside."""
+        at = self._index.get(p)
+        if at is None:
+            self.require_member(p)
+        return at
+
     def distance(self, x, y) -> Element:
         return self.metric(x, y)
 
@@ -147,9 +156,9 @@ def min_positive_distance(m: ConeMetricSpace) -> Element:
     vals = [table[i * n + j] for i, j in m._position_pairs()]
     if not vals:
         raise ValueError("space has fewer than two distinct points")
-    # each value once: a symmetric table lists it twice, and the quadratic
-    # pair scan runs when there is no least one
-    return order_min(m.group, list(dict.fromkeys(vals)), "minimum positive distance")
+    # repeated values hash nothing: the one pass takes the first least value
+    # and the fallback names the first incomparable pair, as on distinct values
+    return order_min(m.group, vals, "minimum positive distance")
 
 
 def check_metric_laws(m: ConeMetricSpace, plan: SamplePlan) -> LawReport:

@@ -28,9 +28,14 @@ runner holds each error for the laws it reached. The approximate-endpoint
 sequence runs its per-index image bound as one law on the same runner.
 
 A map keeps what is derived from it: its image positions, a
-``functools.cached_property`` like every unkeyed memo here, and its whole
+``functools.cached_property`` like every unkeyed memo here, its whole
 walk verdict, a ``Hypotheses`` kept for one witness object and, on a
-sampled space, plan (``check_hypotheses``).
+sampled space, plan (``check_hypotheses``), and on a finite space the walk
+steps the solver decided for one witness object (``solver``).
+
+A constant ratio is the same at every pair, so the witness obligations
+decide its range as one item outside the pair stream, at the first pair
+drawn; its count is that one evaluation.
 
 Convergence conditions that quantify over all sequences are not decidable
 from tables, so witnesses carry them as class-level certificates: the
@@ -95,14 +100,17 @@ class SetValuedMap:
     built and rule images when computed. On a finite space the cached
     property ``_image_positions`` holds every image as positions; the slot
     ``_verdict`` holds the walk ``Hypotheses`` for one witness object and,
-    on a sampled space, plan (see ``check_hypotheses``).
-    ``dataclasses.replace`` starts without either.
+    on a sampled space, plan (see ``check_hypotheses``), and on a finite
+    space the slot ``_steps`` holds the walk steps decided for one witness
+    object, by selection rule (see ``solver``).
+    ``dataclasses.replace`` starts without any of them.
     """
 
     space: ConeMetricSpace
     images_fn: Callable[[Point], tuple]
     name: str = "T"
     _verdict: tuple = field(default=(None, None, None), init=False, repr=False)
+    _steps: tuple = field(default=(None,), init=False, repr=False)
 
     def images(self, x: Point) -> tuple:
         out = self.images_fn(x)
@@ -342,16 +350,20 @@ def _pair_reader(space: ConeMetricSpace) -> tuple:
                                   else space.distance)
 
 
-def _scan(T: SetValuedMap, w: ContractionWitness, plan: SamplePlan | None, laws: list) -> list:
+def _scan(T: SetValuedMap, w: ContractionWitness, plan: SamplePlan | None, laws: list,
+          first: list | None = None) -> list:
     """Each law's outcome over the pairs of ``_distinct_pairs(space, plan)``.
     A law takes ``(a, b, d, bound)``: entries, distance and witness bound,
     each read once a pair for all laws; every pair is visited and evaluates
     its bound there. Drawing the pairs and filling the table run inside the
-    stream, so the runner holds their errors for every law."""
+    stream, so the runner holds their errors for every law. ``first``, if
+    given, receives the first pair drawn, if any."""
     space, phi = T.space, w.phi
 
     def stream():
         pairs = _distinct_pairs(space, plan or SamplePlan())
+        if first is not None:
+            first.extend(pairs[:1])
         point, dist = _pair_reader(space)
         for a, b in pairs:
             d = dist(a, b)
@@ -422,6 +434,9 @@ def is_global_weak_contraction(T: SetValuedMap, w: ContractionWitness,
 
 
 def _witness_laws(T: SetValuedMap, w: ContractionWitness) -> list:
+    """The witness obligations as laws on a pair's entries: the bound
+    strictly below a positive distance and, for a ratio witness, the ratio
+    in [0, 1) and, for a ratio function, within its declared bound."""
     g, point = T.space.group, _point_reader(T.space)
     cmp, zero = g.cmp, g.identity
 
@@ -433,30 +448,34 @@ def _witness_laws(T: SetValuedMap, w: ContractionWitness) -> list:
     laws = [("phi-strictly-below", phi_strictly_below)]
     if w.klass in (WitnessClass.ALPHA_CONSTANT, WitnessClass.ALPHA_FUNCTION):
         const = w.klass is WitnessClass.ALPHA_CONSTANT
-        in_range = False  # a constant ratio is the same at every pair: checked at the first
 
-        def alpha_range(a, b, d, bound):
-            nonlocal in_range
-            if in_range:
-                return None
+        def alpha_range(a, b, *_):
             x, y = point(a), point(b)
             r = w.alpha(x, y)
             if not (0 <= r < 1):
                 return f"ratio {r} at ({format_element(x)}, {format_element(y)})"
             if not const and r > w.alpha_bound:
                 return f"ratio {r} exceeds declared bound {w.alpha_bound}"
-            in_range = const
 
         laws.append(("alpha-range", alpha_range))
     return laws
 
 
-def _witness_report(T: SetValuedMap, w: ContractionWitness,
-                    results: list) -> LawReport | Exception:
-    """The witness report, or the first error its laws held."""
-    held = [r for r in results if isinstance(r, Exception)]
-    return held[0] if held else LawReport(subject=f"witness {w.describe()} against {T.name}",
-                                          results=tuple(results))
+def _witness_pass(T: SetValuedMap, w: ContractionWitness, plan: SamplePlan | None,
+                  laws: list) -> tuple:
+    """``laws``' outcomes and the witness report (or the first error its laws
+    held), from one scan of the pair list. A constant ratio is the same at
+    every pair, so its range is one item outside the stream: the first pair
+    drawn, which its failure names, or none without a pair."""
+    witness = _witness_laws(T, w)
+    once = [witness.pop()] if w.klass is WitnessClass.ALPHA_CONSTANT else []
+    first: list = []
+    results = _scan(T, w, plan, laws + witness, first)
+    results += _run_laws(first, once)
+    held = [r for r in results[len(laws):] if isinstance(r, Exception)]
+    report = held[0] if held else LawReport(subject=f"witness {w.describe()} against {T.name}",
+                                            results=tuple(results[len(laws):]))
+    return results[:len(laws)], report
 
 
 def validate_witness(T: SetValuedMap, w: ContractionWitness,
@@ -464,7 +483,7 @@ def validate_witness(T: SetValuedMap, w: ContractionWitness,
     """Check the witness obligations: the bound sits strictly below the
     distance wherever the distance is positive, and ratio payloads stay in
     [0, 1). Only distinct pairs are ever consulted."""
-    return _raise_held(_witness_report(T, w, _scan(T, w, plan, _witness_laws(T, w))))
+    return _raise_held(_witness_pass(T, w, plan, [])[1])
 
 
 @dataclass(frozen=True)
@@ -513,18 +532,17 @@ def check_hypotheses(T: SetValuedMap, w: ContractionWitness,
     The map keeps them for its last witness object and, on a sampled space,
     plan: a finite space's pair list ignores the plan. Map, space, witness
     and plan are frozen, so they are what a new check would give."""
-    plan = plan or SamplePlan()
-    key = None if T.space.finite else plan
+    key = None if T.space.finite else plan or SamplePlan()
     if T._verdict[0] is not w or T._verdict[1] != key:
         verdict = Hypotheses(*_hypothesis_pass(T, w, plan), c_condition_status(w))
         object.__setattr__(T, "_verdict", (w, key, verdict))
     return T._verdict[2]
 
 
-def _hypothesis_pass(T: SetValuedMap, w: ContractionWitness, plan: SamplePlan) -> tuple:
+def _hypothesis_pass(T: SetValuedMap, w: ContractionWitness, plan: SamplePlan | None) -> tuple:
     """The global law and the witness laws in one scan of the pair list."""
-    results = _scan(T, w, plan, [_image_law(T, "global")] + _witness_laws(T, w))
-    return results[0], _witness_report(T, w, results[1:])
+    (global_outcome,), witness_outcome = _witness_pass(T, w, plan, [_image_law(T, "global")])
+    return global_outcome, witness_outcome
 
 
 # ---------------------------------------------------------------------------

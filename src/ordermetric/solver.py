@@ -11,7 +11,17 @@ Hypotheses gate the language of the report: when the global bound check or
 the convergence-condition certificate fails, the solver still runs, but in
 best-effort mode, and never claims uniqueness. The walk reads the map's
 ``Hypotheses`` (``contraction.check_hypotheses``), which the map keeps for
-the witness object and the plan, notes included, so no memo lives here.
+the witness object and the plan, notes included.
+
+On a finite space the walk runs on positions and walks each step once: the
+map keeps, for one witness object and by selection rule, each position's
+step (successor and step distance), its bound, and each predecessor
+position's governed check, as the walks decide them (``_KeptSteps``). For a
+fixed rule the step from a point depends on the point alone and the check
+on two consecutive steps, and the mode is fixed by the kept verdict, so a
+kept decision is what a new one would give; only the tolerance stop depends
+on the tolerance, and it is decided at every step. Sampled spaces walk on
+points and keep nothing. One walk loop serves both, through a step reader.
 ``endpoint_census`` alone decides the endpoint equivalence on a finite
 space ("has an endpoint": at least one); ``endpoint_iff_report`` gates it
 on the theorem's hypotheses.
@@ -128,20 +138,22 @@ class SolverReport:
         return "\n".join(lines)
 
 
-def _select_next(m: ConeMetricSpace, candidates: Sequence, current: Point,
-                 rule: SelectionRule) -> Point:
-    """Deterministic choice of the next walk point among the image.
+def _select_next(candidates: Sequence, current, rule: SelectionRule, point: Callable,
+                 dist: Callable, g) -> object:
+    """Deterministic choice of the next walk entry among the image's.
 
-    Min-distance picks the candidate closest to the current point when the
-    candidate distances have a least one, with the points' natural order as
-    tie-break; without a least distance it falls back to that order.
+    Candidates are entries standing for points (``point``), and ``dist``
+    is their distance. Min-distance picks the candidate closest to the
+    current point when the candidate distances have a least one, with the
+    points' natural order as tie-break; without a least distance it falls
+    back to that order.
     """
-    ordered = sorted(candidates)
+    ordered = sorted(candidates, key=point)
     if rule is SelectionRule.LEX_FIRST:
         return ordered[0]
-    dists = [m.distance(current, p) for p in ordered]
+    dists = [dist(current, p) for p in ordered]
     try:  # order_min returns the first occurrence of the least value
-        return ordered[dists.index(order_min(m.group, dists, "selection"))]
+        return ordered[dists.index(order_min(g, dists, "selection"))]
     except IncomparableError:
         return ordered[0]
 
@@ -150,6 +162,126 @@ def walk_tolerance(m: ConeMetricSpace, eps) -> Element:
     """The tolerance as a group element; raises ValueError unless it
     strictly dominates the identity."""
     return _validate_eps(m.structure, [eps])[0]
+
+
+class _PointSteps:
+    """The walk's step reader on points, deciding every step anew: a
+    sampled space's. A walk entry stands for a point (``point``); ``seed``
+    validates the seed point and gives its entry, and ``readers(T)`` gives
+    the image of an entry as entries and the point of an entry, read after
+    the verdict. ``within`` is the tolerance stop at an entry, ``step`` the
+    successor ``_select_next`` picks in the image and the step distance,
+    ``breaks`` the governed check of a step against the one before it, and
+    ``bound`` the witness bound the next step consumes."""
+
+    __slots__ = ("space", "w", "rule")
+
+    def __init__(self, space: ConeMetricSpace, w: ContractionWitness, rule: SelectionRule):
+        self.space, self.w, self.rule = space, w, rule
+
+    def seed(self, p):
+        return self.space.require_member(p)
+
+    def readers(self, T: SetValuedMap) -> tuple:
+        return T.images, self.point
+
+    def point(self, a) -> Point:
+        return a
+
+    def dist(self, a, b) -> Element:
+        return self.space.distance(a, b)
+
+    def within(self, a, images, ll: Callable, eps: Element) -> bool:
+        return all(ll(self.dist(a, b), eps) for b in images)
+
+    def step(self, a, images) -> tuple:
+        b = _select_next([c for c in images if c != a], a, self.rule, self.point, self.dist,
+                         self.space.group)
+        return b, self.dist(a, b)
+
+    def breaks(self, prev, step: Element, prev_step: Element, prev_bound: Element | None,
+               verified: bool) -> bool:
+        """Whether ``step``, taken after the step from ``prev``, breaks the
+        walk: in verified mode by exceeding the bound consumed from ``prev``,
+        else by growing past the step from ``prev``."""
+        g = self.space.group
+        if verified:
+            return prev_bound is not None and not g.leq(step, prev_bound)
+        return g.cmp(step, prev_step) is Order.GREATER
+
+    def bound(self, a, b, d: Element) -> Element:
+        return self.w.phi(self.space, self.point(a), self.point(b), d)
+
+
+class _KeptSteps(_PointSteps):
+    """A finite map's step reader for one witness object and rule, on
+    positions: an entry is a point's first position, images are the map's
+    ``_image_positions`` and distances are read from the table. Each
+    position's step and bound, and each predecessor position's check, are
+    decided on first use and kept, as successor, distance, bound and check
+    at ``4 * position`` of one list: for one rule the step from a point
+    depends on the point alone, the check after ``prev`` on the steps from
+    ``prev`` and from its successor, and the walk mode on the map's kept
+    ``Hypotheses`` for the witness object. A decision that raises keeps
+    nothing."""
+
+    __slots__ = ("_n", "_kept")
+
+    def __init__(self, space: ConeMetricSpace, w: ContractionWitness, rule: SelectionRule):
+        super().__init__(space, w, rule)
+        self._n = len(space.points)
+        self._kept = [None] * (4 * self._n)
+
+    def seed(self, p) -> int:
+        return self.space._position(p)
+
+    def readers(self, T: SetValuedMap) -> tuple:
+        return T._image_positions.__getitem__, self.space.points.__getitem__
+
+    def point(self, a: int) -> Point:
+        return self.space.points[a]
+
+    def dist(self, a: int, b: int) -> Element:
+        return self.space._distances[a * self._n + b]
+
+    def within(self, a: int, images, ll: Callable, eps: Element) -> bool:
+        table, row = self.space._distances, a * self._n
+        return all(ll(table[row + b], eps) for b in images)
+
+    def step(self, a: int, images) -> tuple:
+        kept, at = self._kept, 4 * a
+        if kept[at] is None:
+            kept[at], kept[at + 1] = _PointSteps.step(self, a, images)
+        return kept[at], kept[at + 1]
+
+    def bound(self, a: int, b: int, d: Element) -> Element:
+        kept, at = self._kept, 4 * a + 2
+        if kept[at] is None:
+            kept[at] = _PointSteps.bound(self, a, b, d)
+        return kept[at]
+
+    def breaks(self, prev: int, step, prev_step, prev_bound, verified) -> bool:
+        kept, at = self._kept, 4 * prev + 3
+        if kept[at] is None:
+            kept[at] = _PointSteps.breaks(self, prev, step, prev_step, prev_bound, verified)
+        return kept[at]
+
+
+def _step_reader(T: SetValuedMap, w: ContractionWitness, rule: SelectionRule) -> _PointSteps:
+    """On a finite space the reader the map keeps for ``w`` and ``rule`` in
+    its ``_steps`` slot, which holds the witness object and its readers and
+    starts empty for another; else a new reader on points. Making one reads
+    nothing that can raise."""
+    kept = T._steps
+    if kept[0] is w:
+        for steps in kept[1:]:
+            if steps.rule is rule:
+                return steps
+    if not T.space.finite:
+        return _PointSteps(T.space, w, rule)
+    steps = _KeptSteps(T.space, w, rule)
+    object.__setattr__(T, "_steps", (*kept, steps) if kept[0] is w else (w, steps))
+    return steps
 
 
 def iterate_endpoint(T: SetValuedMap, w: ContractionWitness, cfg: SolverConfig,
@@ -161,56 +293,56 @@ def iterate_endpoint(T: SetValuedMap, w: ContractionWitness, cfg: SolverConfig,
     witness class; each consumed bound is then enforced against the next
     step and any breach aborts as a hypothesis violation. In best-effort
     mode only gross monotonicity breaches (a strictly growing step) abort.
+    A bound is evaluated only after its step passed that check.
 
     The verdict, ``check_hypotheses(T, w, plan)``, is read after the
     tolerance and the seed point are validated, from the map after its
-    first walk with this witness object and plan.
+    first walk with this witness object and plan. On a finite space the
+    walk runs on positions, and the map keeps each step, bound and check
+    it decides for this witness object and rule (``_KeptSteps``), so
+    later walks read them; only the tolerance stop is decided at every step.
     """
-    plan = plan or SamplePlan()
-    m, g, t = T.space, T.space.group, T.space.structure
+    m, t = T.space, T.space.structure
     eps = walk_tolerance(m, cfg.eps)
-    y = m.require_member(cfg.seed_point)
+    steps = _step_reader(T, w, cfg.selection_rule)
+    at = steps.seed(cfg.seed_point)
 
     notes = check_hypotheses(T, w, plan).notes
     verified = not notes
+    images_of, point = steps.readers(T)
 
     trace: list[TraceStep] = []
-    prev_bound: Element | None = None
-    prev_step: Element | None = None
+    prev = prev_bound = prev_step = None
     for n in range(cfg.max_iter + 1):
-        images = T.images(y)
-        if images == (y,):
-            return SolverReport(SolverOutcome.ENDPOINT_FOUND, tuple(trace), endpoint=y,
+        images = images_of(at)
+        if images == (at,):
+            return SolverReport(SolverOutcome.ENDPOINT_FOUND, tuple(trace), endpoint=point(at),
                                 best_effort=not verified, notes=notes,
                                 message=f"image collapsed at iteration {n}")
-        if all(t.ll(m.distance(y, xp), eps) for xp in images):
+        if steps.within(at, images, t.ll, eps):
             points = tuple(s.chosen for s in trace)
             bounds = tuple(s.bound for s in trace)
             return SolverReport(SolverOutcome.APPROX_ENDPOINT_SEQUENCE, tuple(trace),
                                 witness_points=points, witness_bounds=bounds,
                                 best_effort=not verified, notes=notes,
                                 message=(f"image spread strictly within tolerance at "
-                                         f"{format_element(y)} after {n} steps"))
+                                         f"{format_element(point(at))} after {n} steps"))
         if n == cfg.max_iter:
             break
-        candidates = [p for p in images if p != y]
-        chosen = _select_next(m, candidates, y, cfg.selection_rule)
-        step = m.distance(y, chosen)
-        if prev_bound is not None and verified and not g.leq(step, prev_bound):
-            return SolverReport(SolverOutcome.HYPOTHESIS_VIOLATION, tuple(trace),
-                                best_effort=False, notes=notes,
-                                message=(f"step {n}: d={format_element(step)} exceeds the "
-                                         f"consumed bound {format_element(prev_bound)}"))
-        if prev_step is not None and not verified \
-                and g.cmp(step, prev_step) is Order.GREATER:
+        nxt, step = steps.step(at, images)
+        if n and steps.breaks(prev, step, prev_step, prev_bound, verified):
+            if verified:
+                return SolverReport(SolverOutcome.HYPOTHESIS_VIOLATION, tuple(trace),
+                                    best_effort=False, notes=notes,
+                                    message=(f"step {n}: d={format_element(step)} exceeds the "
+                                             f"consumed bound {format_element(prev_bound)}"))
             return SolverReport(SolverOutcome.HYPOTHESIS_VIOLATION, tuple(trace),
                                 best_effort=True, notes=notes,
                                 message=(f"step {n}: distance grew from "
                                          f"{format_element(prev_step)} to {format_element(step)}"))
-        bound = w.phi(m, y, chosen, step)
-        trace.append(TraceStep(n, y, chosen, step, bound))
-        prev_bound, prev_step = bound, step
-        y = chosen
+        bound = steps.bound(at, nxt, step)
+        trace.append(TraceStep(n, point(at), point(nxt), step, bound))
+        prev, prev_step, prev_bound, at = at, step, bound, nxt
     return SolverReport(SolverOutcome.BUDGET_EXHAUSTED, tuple(trace),
                         best_effort=not verified, notes=notes,
                         message=f"no certificate within {cfg.max_iter} iterations")

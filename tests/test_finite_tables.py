@@ -46,7 +46,7 @@ from ordermetric import (
     validate_witness,
     weak_contraction_corpus,
 )
-from ordermetric import cli, cone_metric, contraction, harness, order_core
+from ordermetric import cli, cone_metric, contraction, harness, order_core, solver
 from ordermetric.cli import main
 from ordermetric.instance_files import BUILTIN_INSTANCE_TEXTS, build_bundle, load_instance
 from ordermetric.order_core import LawReport, _cone_cmp, _raise_held, _scalar_cmp, format_element
@@ -112,11 +112,23 @@ def _every_pair(T, w, laws):
     return order_core._run_laws(stream(), [(law, named[law]) for law in laws])
 
 
+def _first_pair_ratio(T, w):
+    """A constant ratio's range as one item: the first pair, or none."""
+    def alpha_range(x, y):
+        r = w.alpha(x, y)
+        if not (0 <= r < 1):
+            return f"ratio {r} at ({format_element(x)}, {format_element(y)})"
+
+    return order_core._run_laws(_ref_pairs(T.space)[:1], [("alpha-range", alpha_range)])
+
+
 def _every_pair_witness(T, w):
     laws = ["phi-strictly-below"]
-    if w.klass in (WitnessClass.ALPHA_CONSTANT, WitnessClass.ALPHA_FUNCTION):
+    if w.klass is WitnessClass.ALPHA_FUNCTION:
         laws.append("alpha-range")
     results = _every_pair(T, w, laws)
+    if w.klass is WitnessClass.ALPHA_CONSTANT:
+        results += _first_pair_ratio(T, w)
     held = [r for r in results if isinstance(r, Exception)]
     return held[0] if held else LawReport(f"witness {w.describe()} against {T.name}",
                                           tuple(results))
@@ -814,8 +826,23 @@ def _counting_laws(calls):
 @given(_finite_spaces(), st.data())
 def test_every_law_evaluates_each_item_it_counts_as_checked(space, data):
     # symmetric, asymmetric and cone tables, repeated points and every
-    # witness class: a law's count is the number of its predicate calls
+    # witness class: a law's count is the number of its predicate calls,
+    # and alpha-range's the number of ratios it evaluated (outside phi)
     T, w = data.draw(_maps_and_witnesses(space))
+    ratios, in_phi = [0], [0]
+    raw_alpha, raw_phi = ContractionWitness.alpha, ContractionWitness.phi
+
+    def counted_alpha(self, x, y):
+        ratios[0] += not in_phi[0]
+        return raw_alpha(self, x, y)
+
+    def counted_phi(self, *args):
+        in_phi[0] += 1
+        try:
+            return raw_phi(self, *args)
+        finally:
+            in_phi[0] -= 1
+
     checks = {
         "weak": lambda: [contraction.is_weak_contraction(T, w)],
         "global": lambda: [contraction.is_global_weak_contraction(T, w)],
@@ -825,8 +852,11 @@ def test_every_law_evaluates_each_item_it_counts_as_checked(space, data):
     }
     for check, run in checks.items():
         calls = {}
+        ratios[0] = 0
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(contraction, "_run_laws", _counting_laws(calls))
+            mp.setattr(ContractionWitness, "alpha", counted_alpha)
+            mp.setattr(ContractionWitness, "phi", counted_phi)
             try:
                 results = run()
             except Exception:  # noqa: BLE001 - a held error carries no count
@@ -834,6 +864,8 @@ def test_every_law_evaluates_each_item_it_counts_as_checked(space, data):
         for r in results:
             if isinstance(r, LawResult):
                 assert calls[r.law] == r.checked, (check, r)
+                if r.law == "alpha-range":
+                    assert ratios[0] == r.checked, (check, r)
 
 
 def test_an_asymmetric_table_checks_both_orders_of_a_pair():
@@ -890,7 +922,7 @@ def test_constant_ratio_range_is_checked_once_per_report(real_line_space, alpha)
     result = validate_witness(T, w, plan).result("alpha-range")
     assert _CountedRatio.compared == 2  # 0 <= alpha < 1, once for all 50 pairs
     if alpha < 1:
-        assert result == LawResult("alpha-range", True, 50)
+        assert result == LawResult("alpha-range", True, 1)  # one item: the ratio
     else:
         x, y = contraction._distinct_pairs(real_line_space, plan)[0]
         assert result == LawResult("alpha-range", False, 1,
@@ -1016,8 +1048,9 @@ def test_ladder_pairs_compare_positions_not_points(monkeypatch):
 # rational comparisons, Fraction constructions (Fraction.__new__ or
 # order_core._q) and Fraction equality tests in one ladder solve, the
 # hypotheses visiting all 930 ordered pairs; the pair scan that compared
-# points made 1,818 equality tests
-LADDER_SOLVE_BUDGET = {"cmp": 5370, "new": 2588, "eq": 362}
+# points made 1,818 equality tests, and the walk on points 2,069
+# constructions and 362 equality tests
+LADDER_SOLVE_BUDGET = {"cmp": 5370, "new": 2047, "eq": 340}
 
 
 def test_ladder_solve_stays_within_its_work_budget(monkeypatch, capsys):
@@ -1054,6 +1087,41 @@ def test_ladder_solve_stays_within_its_work_budget(monkeypatch, capsys):
     assert all(counts[k] <= LADDER_SOLVE_BUDGET[k] for k in counts), counts
 
 
+# _select_next calls, Fraction equality tests and Fraction hashes of the
+# ladder's oracle row, 2 x 31 walks: each rule decides the step from each of
+# the 30 points that are not the endpoint once; the walks on points decided
+# every step anew, 705 selections, 3,950 equality tests and 2,003 hashes
+ORACLE_ROW_BUDGET = {"select": 60, "eq": 242, "hash": 306}
+
+
+def test_ladder_oracle_row_decides_each_step_once(monkeypatch):
+    bundle = build_bundle(load_instance(LADDER))
+    counts = dict.fromkeys(ORACLE_ROW_BUDGET, 0)
+    raw_select, raw_eq, raw_hash = solver._select_next, Fraction.__eq__, Fraction.__hash__
+
+    def counted_select(*args):
+        counts["select"] += 1
+        return raw_select(*args)
+
+    def counted_eq(self, other):
+        counts["eq"] += 1
+        return raw_eq(self, other)
+
+    def counted_hash(self):
+        counts["hash"] += 1
+        return raw_hash(self)
+
+    monkeypatch.setattr(solver, "_select_next", counted_select)
+    monkeypatch.setattr(Fraction, "__eq__", counted_eq)
+    monkeypatch.setattr(Fraction, "__hash__", counted_hash)
+    report = harness.run_suite(harness.SuiteSpec((bundle.name,), ("solver/oracle-agreement",)),
+                               {bundle.name: bundle})
+    monkeypatch.undo()
+    assert report.row("solver/oracle-agreement", bundle.name).witness == \
+        "every seed and rule reaches 0"
+    assert all(counts[k] <= ORACLE_ROW_BUDGET[k] for k in counts), counts
+
+
 # Fraction.__hash__ calls of weak_contraction_corpus(0, 3000) alone, and
 # with the one-sided check, the endpoint scan and the inf-sup value of every
 # instance; scoring every pair of every attempt and rebuilding each kept
@@ -1082,21 +1150,29 @@ def test_corpus_stays_within_its_hash_budget(monkeypatch):
 
 
 def test_ladder_min_positive_distance_takes_one_pass(monkeypatch):
-    # one comparison per distinct distance after the first: the all-pairs
-    # chain check made 108,344 on its 465 values, the chain sort about 3,800
-    calls = [0]
-    orig = order_core._scalar_cmp
+    # one comparison per ordered pair after the first, and no hash: the
+    # all-pairs chain check made 108,344 comparisons on its 465 values, the
+    # chain sort about 3,800, and deduplicating the 930 values first took
+    # 930 hashes and 464 comparisons
+    calls = {"cmp": 0, "hash": 0}
+    orig, raw_hash = order_core._scalar_cmp, Fraction.__hash__
 
     def counted(a, b):
-        calls[0] += 1
+        calls["cmp"] += 1
         return orig(a, b)
+
+    def counted_hash(self):
+        calls["hash"] += 1
+        return raw_hash(self)
 
     monkeypatch.setattr(order_core, "_scalar_cmp", counted)
     space = build_bundle(load_instance(LADDER)).space
     space._distance_by_position()
-    calls[0] = 0  # building the space compares too
+    monkeypatch.setattr(Fraction, "__hash__", counted_hash)
+    calls.update(cmp=0, hash=0)  # building the space compares and hashes too
     assert min_positive_distance(space) == Fraction(1, 4) ** 29
-    assert calls[0] == 464
+    # the pair list looks up the first position of each of the 31 points
+    assert calls == {"cmp": 929, "hash": 31}
 
 
 def test_ladder_solve_checks_its_hypotheses_in_one_pass(monkeypatch, capsys):

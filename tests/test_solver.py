@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -5,32 +6,45 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordermetric import cli
 from ordermetric import (
     ConeMetricSpace,
     ContractionWitness,
     IffReport,
+    IncomparableError,
+    Order,
     PsiProperties,
     SelectionRule,
     SetValuedMap,
     SolverConfig,
     SolverOutcome,
+    SolverReport,
     SuiteSpec,
     WitnessClass,
     banach_iterate,
     build_bundle,
     builtin_bundles,
+    check_hypotheses,
+    coord_cone_module,
     endpoint_census,
     endpoint_iff_report,
     endpoints_bruteforce,
+    format_element,
     global_alpha_corpus,
+    interior_cone_structure,
     is_weak_contraction,
     iterate_endpoint,
     min_positive_distance,
+    order_min,
     parse_instance_text,
+    real_module,
     run_suite,
+    strict_order_structure,
 )
+from ordermetric.solver import TraceStep, walk_tolerance
 
 HALF = ContractionWitness(WitnessClass.ALPHA_CONSTANT, alpha_const=Fraction(1, 2))
 
@@ -182,6 +196,157 @@ def test_min_dist_falls_back_to_point_order_on_incomparable_distances(cstruct2):
     assert [(s.point, s.chosen, s.step_distance) for s in rep.trace] \
         == [(p11, p01, (Fraction(1), Fraction(0)))]
     assert rep.outcome is SolverOutcome.ENDPOINT_FOUND and rep.endpoint == p01
+
+
+def test_a_violating_step_evaluates_no_bound(rstruct, monkeypatch):
+    """From 1/8 the walk doubles to 1/4 and then to 1/2, a step that grows:
+    the bound of that step is never evaluated, not by the walk that stops
+    there and not by a later one that reads its kept steps, while a walk
+    seeded at 1/4 takes that step unchecked and evaluates its bound."""
+    pts = tuple(Fraction(k, 8) for k in range(9))
+    space = ConeMetricSpace("grid8", rstruct, lambda x, y: abs(x - y), points=pts)
+    T = SetValuedMap.from_rule(
+        space, lambda x: (min(2 * x, Fraction(1)),) if x != 0 else (Fraction(1, 8),))
+    check_hypotheses(T, HALF)
+    bounded, phi = [], ContractionWitness.phi
+
+    def recorded(self, m, x, y, d):
+        bounded.append((x, y))
+        return phi(self, m, x, y, d)
+
+    monkeypatch.setattr(ContractionWitness, "phi", recorded)
+    eighth, quarter, half = Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)
+    for seed, calls in [(eighth, [(eighth, quarter)]), (eighth, []),
+                        (quarter, [(quarter, half)])]:
+        bounded.clear()
+        cfg = SolverConfig(eps=Fraction(1, 64), seed_point=seed, max_iter=30)
+        rep = iterate_endpoint(T, HALF, cfg)
+        assert (rep.outcome, bounded) == (SolverOutcome.HYPOTHESIS_VIOLATION, calls)
+    assert rep.message == "step 1: distance grew from 1/4 to 1/2"
+
+
+# -- kept steps against the point loop -----------------------------------------
+
+
+def _point_walk(T, w, cfg):
+    """The walk on points, every step decided anew, with the selection rule
+    written out: the reference the walk on kept steps must equal."""
+    m, g, t = T.space, T.space.group, T.space.structure
+    eps = walk_tolerance(m, cfg.eps)
+    y = m.require_member(cfg.seed_point)
+    notes = check_hypotheses(T, w).notes
+    verified = not notes
+    trace, prev_bound, prev_step = [], None, None
+    for n in range(cfg.max_iter + 1):
+        images = T.images(y)
+        if images == (y,):
+            return SolverReport(SolverOutcome.ENDPOINT_FOUND, tuple(trace), endpoint=y,
+                                best_effort=not verified, notes=notes,
+                                message=f"image collapsed at iteration {n}")
+        if all(t.ll(m.distance(y, xp), eps) for xp in images):
+            return SolverReport(SolverOutcome.APPROX_ENDPOINT_SEQUENCE, tuple(trace),
+                                witness_points=tuple(s.chosen for s in trace),
+                                witness_bounds=tuple(s.bound for s in trace),
+                                best_effort=not verified, notes=notes,
+                                message=(f"image spread strictly within tolerance at "
+                                         f"{format_element(y)} after {n} steps"))
+        if n == cfg.max_iter:
+            break
+        ordered = sorted(p for p in images if p != y)
+        chosen = ordered[0]
+        if cfg.selection_rule is SelectionRule.MIN_DISTANCE:
+            dists = [m.distance(y, p) for p in ordered]
+            try:
+                chosen = ordered[dists.index(order_min(g, dists))]
+            except IncomparableError:
+                pass
+        step = m.distance(y, chosen)
+        if prev_bound is not None and verified and not g.leq(step, prev_bound):
+            return SolverReport(SolverOutcome.HYPOTHESIS_VIOLATION, tuple(trace),
+                                best_effort=False, notes=notes,
+                                message=(f"step {n}: d={format_element(step)} exceeds the "
+                                         f"consumed bound {format_element(prev_bound)}"))
+        if prev_step is not None and not verified and g.cmp(step, prev_step) is Order.GREATER:
+            return SolverReport(SolverOutcome.HYPOTHESIS_VIOLATION, tuple(trace),
+                                best_effort=True, notes=notes,
+                                message=(f"step {n}: distance grew from "
+                                         f"{format_element(prev_step)} to {format_element(step)}"))
+        bound = w.phi(m, y, chosen, step)
+        trace.append(TraceStep(n, y, chosen, step, bound))
+        prev_bound, prev_step, y = bound, step, chosen
+    return SolverReport(SolverOutcome.BUDGET_EXHAUSTED, tuple(trace),
+                        best_effort=not verified, notes=notes,
+                        message=f"no certificate within {cfg.max_iter} iterations")
+
+
+_LINE = strict_order_structure(real_module())
+_CONE = interior_cone_structure(coord_cone_module(2))
+
+
+@st.composite
+def _walk_cases(draw):
+    """A finite map, a witness and a tolerance. The map is a ladder
+    1/4^j -> {1/4^(j+1), 1/4^(j+2)} down to 0, on which the ratio 1/2
+    verifies, or a random table on the line or the cone-2 grid, with points
+    that may repeat, which often breaks the bound and often cycles; the
+    witness a constant ratio or a bound table, which leaves the walk
+    best-effort."""
+    kind = draw(st.sampled_from(["ladder", "line", "cone"]))
+    if kind == "ladder":
+        rungs = [Fraction(1, 4) ** j for j in range(draw(st.integers(1, 6)))] + [Fraction(0)]
+        pts = tuple(draw(st.permutations(rungs)))
+        table = {p: (rungs[min(j + 1, len(rungs) - 1)], rungs[min(j + 2, len(rungs) - 1)])
+                 for j, p in enumerate(rungs)}
+    else:
+        if kind == "line":
+            pool = [Fraction(k, 4) for k in range(9)]
+        else:
+            pool = [(Fraction(a), Fraction(b)) for a in range(3) for b in range(3)]
+        pts = tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6)))
+        table = {p: draw(st.lists(st.sampled_from(pts), min_size=1, max_size=3)) for p in pts}
+    structure = _CONE if kind == "cone" else _LINE
+    metric = (lambda x, y: tuple(abs(a - b) for a, b in zip(x, y))) if kind == "cone" \
+        else (lambda x, y: abs(x - y))
+    space = ConeMetricSpace(kind, structure, metric, points=pts)
+    T = SetValuedMap.from_table(space, table, name=kind)
+    ratios = st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
+
+    def witness():
+        if draw(st.booleans()):
+            return ContractionWitness(WitnessClass.ALPHA_CONSTANT, alpha_const=draw(ratios))
+        return ContractionWitness(WitnessClass.PHI_TABLE, phi_table={
+            (x, y): structure.module.scale(draw(ratios) * 2, space.distance(x, y))
+            for x in pts for y in pts if x != y})
+
+    e = draw(st.sampled_from([Fraction(1, 64), Fraction(1, 8), Fraction(1, 2), Fraction(2)]))
+    return T, witness(), witness(), (e, e) if kind == "cone" else e
+
+
+def _walked(walk, *args):
+    """A walk's report, or its error as its type and text."""
+    try:
+        return walk(*args)
+    except Exception as exc:  # noqa: BLE001 - compared with the reference's error
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_walk_cases(), st.data())
+def test_kept_steps_walk_as_the_point_loop(case, data):
+    # every seed under both rules in a drawn order, with a budget that a
+    # walk may exhaust, on the map, on a replaced copy of it (no kept steps),
+    # then with another witness and the first one again (their steps start
+    # anew): every report equals the point loop's, field by field, messages
+    # included
+    T, w, other, eps = case
+    max_iter = data.draw(st.integers(1, 6))
+    walks = data.draw(st.permutations([(seed, rule) for seed in T.space.points
+                                       for rule in SelectionRule]))
+    for T_, w_ in [(T, w), (dataclasses.replace(T), w), (T, other), (T, w)]:
+        for seed, rule in walks:
+            cfg = SolverConfig(eps=eps, seed_point=seed, max_iter=max_iter,
+                               selection_rule=rule)
+            assert _walked(iterate_endpoint, T_, w_, cfg) == _walked(_point_walk, T_, w_, cfg)
 
 
 # -- ratio iteration ---------------------------------------------------------
