@@ -1,13 +1,16 @@
 """Metric spaces whose distances land in an ordered group.
 
 Point sets are either finite enumerations or sampled rational boxes; the
-distance map is exact. A finite space keeps two derived facts for its
-lifetime, each a ``functools.cached_property`` computed on first use: the
-index from each point to its first position, which membership reads and
-which tells positions of equal points apart; and the N x N distance table:
-the exhaustive pair scans of ``contraction`` visit that many pairs anyway,
-and read each distance from the table by position instead of recomputing
-it. The table compares and hashes nothing. Sampled spaces keep neither.
+distance map is exact. The space owns the entry format of pair scans and
+walks: an entry is a point's first position on a finite space and the
+point itself on a sampled one; ``_entry`` gives a point's entry, ``_point``
+an entry's point and ``_dist`` the distance of two entries. A finite space
+keeps two derived facts for its lifetime, each a
+``functools.cached_property`` computed on first use: the index from each
+point to its first position, which membership and ``_entry`` read; and the
+N x N distance table that ``_dist`` reads, since the exhaustive pair scans
+visit that many pairs anyway. The table compares and hashes nothing.
+Sampled spaces keep neither.
 
 Point convergence and the Cauchy check return ``topo``'s outcomes, both
 decided on its one window path.
@@ -101,14 +104,25 @@ class ConeMetricSpace:
             raise DomainError(f"point {format_element(p)} is not in space {self.name!r}")
         return p
 
-    def _position(self, p) -> int:
-        """The first position of ``p`` in a finite space, from one lookup
-        that is also its membership test; ``require_member`` raises for a
-        point outside."""
+    def draw_point(self, rng: random.Random) -> Point:
+        """One seeded point: a choice of a finite space's points, else a ``sampler`` draw."""
+        return self.sampler(rng) if self.points is None else rng.choice(self.points)
+
+    def _entry(self, p):
+        """The entry of ``p``: its first position on a finite space, from one
+        lookup that is also its membership test, else ``p`` itself;
+        ``require_member`` raises for a point outside."""
+        if self.points is None:
+            return self.require_member(p)
         at = self._index.get(p)
         if at is None:
             self.require_member(p)
         return at
+
+    @property
+    def _point(self) -> Callable:
+        """``point(a)``: the point that the entry ``a`` stands for."""
+        return _itself if self.points is None else self.points.__getitem__
 
     def distance(self, x, y) -> Element:
         return self.metric(x, y)
@@ -131,20 +145,25 @@ class ConeMetricSpace:
         first = [self._index[p] for p in self.points]
         return [(i, j) for i, fi in enumerate(first) for j, fj in enumerate(first) if fi != fj]
 
-    def _distance_by_position(self) -> Callable[[int, int], Element]:
-        """``dist(i, j)`` = d(points[i], points[j]) on a finite space, read
-        from the table."""
+    @property
+    def _dist(self) -> Callable[[object, object], Element]:
+        """``dist(a, b)``: the distance of two entries' points, from the table
+        on a finite space, which this fills, else the metric; the space keeps no reader."""
+        if self.points is None:
+            return self.distance
         table, n = self._distances, len(self.points)
         return lambda i, j: table[i * n + j]
 
     def sample_points(self, plan: SamplePlan, label: str) -> list:
         rng = _law_rng(plan, label)
-        if self.points is not None:
-            pts = list(self.points)
-            while len(pts) < plan.count:
-                pts.append(rng.choice(self.points))
-            return pts
-        return [self.sampler(rng) for _ in range(plan.count)]
+        pts = [] if self.points is None else list(self.points)
+        while len(pts) < plan.count:
+            pts.append(self.draw_point(rng))
+        return pts
+
+
+def _itself(p):
+    return p
 
 
 def min_positive_distance(m: ConeMetricSpace) -> Element:

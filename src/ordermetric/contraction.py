@@ -7,14 +7,14 @@ second within the bound; the global variant bounds every image pair.
 Both are decided exhaustively on finite spaces and on seeded samples
 otherwise, always with a concrete counterexample on failure.
 
-On a finite space the scans work on positions: the pair stream yields
-position pairs, telling equal points apart by their first positions
-instead of comparing points, a map records its images as positions once,
-and every distance is read from the space's flat table by position (see
-``cone_metric``). The hot laws compare through the group's ``cmp`` and
+The scans work on the space's entries (``cone_metric``): positions on a
+finite space, where the pair stream tells equal points apart by their
+first positions instead of comparing points, and points on a sampled one.
+The space reads an entry's point and distance, and the map its image as
+entries (``_entry_images``), on a finite space from the positions it
+records once. The hot laws compare through the group's ``cmp`` and
 test its outcome against the ``Order`` singletons by identity.
 An image point outside a finite space is a ``DomainError`` naming it.
-Sampled spaces keep working on points.
 
 A space and a plan have one pair list (``_distinct_pairs``) that every
 pair check reads, so the one-sided bound, the global bound, the witness
@@ -28,10 +28,10 @@ runner holds each error for the laws it reached. The approximate-endpoint
 sequence runs its per-index image bound as one law on the same runner.
 
 A map keeps what is derived from it: its image positions, a
-``functools.cached_property`` like every unkeyed memo here, its whole
-walk verdict, a ``Hypotheses`` kept for one witness object and, on a
-sampled space, plan (``check_hypotheses``), and on a finite space the walk
-steps the solver decided for one witness object (``solver``).
+``functools.cached_property`` like every unkeyed memo here, and its walk
+verdict, a ``Hypotheses`` kept for one witness object and, on a sampled
+space, plan (``check_hypotheses``), which on a finite space also keeps
+the walk steps decided under it (``solver``).
 
 A constant ratio is the same at every pair, so the witness obligations
 decide its range as one item outside the pair stream, at the first pair
@@ -98,19 +98,17 @@ class SetValuedMap:
 
     ``images_fn`` returns tuples without repeats: tables are normalized when
     built and rule images when computed. On a finite space the cached
-    property ``_image_positions`` holds every image as positions; the slot
-    ``_verdict`` holds the walk ``Hypotheses`` for one witness object and,
-    on a sampled space, plan (see ``check_hypotheses``), and on a finite
-    space the slot ``_steps`` holds the walk steps decided for one witness
-    object, by selection rule (see ``solver``).
-    ``dataclasses.replace`` starts without any of them.
+    property ``_image_positions`` holds every image as positions, which
+    ``_entry_images`` reads; the one slot ``_verdict`` holds the walk
+    ``Hypotheses`` for one witness object and, on a sampled space, plan,
+    with the walk steps kept under it (see ``check_hypotheses``).
+    ``dataclasses.replace`` starts without either.
     """
 
     space: ConeMetricSpace
     images_fn: Callable[[Point], tuple]
     name: str = "T"
     _verdict: tuple = field(default=(None, None, None), init=False, repr=False)
-    _steps: tuple = field(default=(None,), init=False, repr=False)
 
     def images(self, x: Point) -> tuple:
         out = self.images_fn(x)
@@ -120,6 +118,12 @@ class SetValuedMap:
 
     def is_endpoint(self, x: Point) -> bool:
         return self.images(x) == (x,)
+
+    @property
+    def _entry_images(self) -> Callable:
+        """``images(a)``: the image of the entry ``a`` as entries: positions
+        on a finite space, which this computes, else ``images``."""
+        return self._image_positions.__getitem__ if self.space.finite else self.images
 
     @cached_property
     def _image_positions(self) -> list:
@@ -318,8 +322,8 @@ def _distinct_pairs(space: ConeMetricSpace, plan: SamplePlan) -> list[tuple]:
     """Every ordered pair of distinct points of a finite space, as positions
     in ``space.points``, or ``plan.count`` seeded distinct pairs of points
     drawn from the plan's one pair stream. Every pair check of a space and
-    plan reads this list, so their reports speak of the same pairs.
-    ``_pair_reader`` reads either kind."""
+    plan reads this list, so their reports speak of the same pairs; the
+    space's ``_point`` and ``_dist`` read either kind of entry."""
     if space.finite:
         return space._position_pairs()
     rng = _law_rng(plan, "global")  # the stream the all-pairs bound always drew
@@ -331,23 +335,6 @@ def _distinct_pairs(space: ConeMetricSpace, plan: SamplePlan) -> list[tuple]:
         if x != y:
             out.append((x, y))
     return out
-
-
-def _itself(p):
-    return p
-
-
-def _point_reader(space: ConeMetricSpace):
-    """The point an entry of ``_distinct_pairs(space, ...)`` stands for."""
-    return space.points.__getitem__ if space.finite else _itself
-
-
-def _pair_reader(space: ConeMetricSpace) -> tuple:
-    """``(point, dist)`` for the entries of ``_distinct_pairs(space, ...)``:
-    the point an entry stands for, and the distance between two entries,
-    read from the table on a finite space, which is filled here."""
-    return _point_reader(space), (space._distance_by_position() if space.finite
-                                  else space.distance)
 
 
 def _scan(T: SetValuedMap, w: ContractionWitness, plan: SamplePlan | None, laws: list,
@@ -364,7 +351,7 @@ def _scan(T: SetValuedMap, w: ContractionWitness, plan: SamplePlan | None, laws:
         pairs = _distinct_pairs(space, plan or SamplePlan())
         if first is not None:
             first.extend(pairs[:1])
-        point, dist = _pair_reader(space)
+        point, dist = space._point, space._dist
         for a, b in pairs:
             d = dist(a, b)
             yield a, b, d, phi(space, point(a), point(b), d)
@@ -377,28 +364,20 @@ def _image_law(T: SetValuedMap, kind: str) -> tuple:
     some, or every, image point of y within the bound of each one of x; a
     failure names the first such x' and, for ``global``, its first y' beyond
     the bound. Its first call reads the images, so the runner holds their
-    errors for this law alone. On a finite space each distance is read from
-    the table by position."""
+    errors for this law alone. Images and distances are read through the
+    entry readers of the map and the space."""
     space, cmp, weak = T.space, T.space.group.cmp, kind == "weak"
-    distance, finite = space.distance, space.finite
-    point = images = table = None
-    n = 0
+    point = images = dist = None
 
     def law(a, b, d, bound):
-        nonlocal point, images, table, n
+        nonlocal point, images, dist
         if images is None:
-            point = _point_reader(space)
-            if finite:
-                table, n = space._distances, len(space.points)
-                images = T._image_positions.__getitem__
-            else:
-                images = T.images
+            point, images, dist = space._point, T._entry_images, space._dist
         ty = images(b)
         for xp in images(a):
-            at = xp * n if finite else None
             if weak:
                 for yp in ty:
-                    rel = cmp(table[at + yp] if finite else distance(xp, yp), bound)
+                    rel = cmp(dist(xp, yp), bound)
                     if rel is _LESS or rel is _EQUAL:
                         break
                 else:
@@ -406,7 +385,7 @@ def _image_law(T: SetValuedMap, kind: str) -> tuple:
                             f"{format_element(bound)}")
             else:
                 for yp in ty:
-                    dxy = table[at + yp] if finite else distance(xp, yp)
+                    dxy = dist(xp, yp)
                     rel = cmp(dxy, bound)
                     if rel is not _LESS and rel is not _EQUAL:
                         return (f"{_pair_text(point, a, b, xp)}, y'={format_element(point(yp))}: "
@@ -437,7 +416,7 @@ def _witness_laws(T: SetValuedMap, w: ContractionWitness) -> list:
     """The witness obligations as laws on a pair's entries: the bound
     strictly below a positive distance and, for a ratio witness, the ratio
     in [0, 1) and, for a ratio function, within its declared bound."""
-    g, point = T.space.group, _point_reader(T.space)
+    g, point = T.space.group, T.space._point
     cmp, zero = g.cmp, g.identity
 
     def phi_strictly_below(a, b, d, bound):
@@ -492,11 +471,14 @@ class Hypotheses:
     result and the witness report, each an outcome the law runner gave (a
     report, or the error it held, raised when read), and the class-level
     convergence-condition verdict. The map keeps one for a witness object
-    and a plan (``check_hypotheses``); ``notes`` is a cached property."""
+    and, on a sampled space, a plan (``check_hypotheses``); ``notes`` is a
+    cached property. On a finite space ``_steps_by_rule`` holds the walk
+    steps decided under this verdict (``solver``): they rest on its mode."""
 
     global_outcome: LawResult | Exception
     witness_outcome: LawReport | Exception
     c_status: CConditionStatus
+    _steps_by_rule: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def global_report(self) -> LawResult:
@@ -570,8 +552,7 @@ def approximate_endpoint_property_finite(T: SetValuedMap) -> ApproxEndpointValue
     """
     if not T.space.finite:
         raise ValueError("the inf-sup computation needs a finite space")
-    g, pts = T.space.group, T.space.points
-    dist = T.space._distance_by_position()
+    g, pts, dist = T.space.group, T.space.points, T.space._dist
     sups = [order_max(g, [dist(i, j) for j in img], f"image spread at {format_element(x)}")
             for i, (x, img) in enumerate(zip(pts, T._image_positions))]
     value = order_min(g, sups, "inf over points")

@@ -344,10 +344,7 @@ def _sample_subsets(b: InstanceBundle, ctx: _Ctx, pairs: int = 30):
     space = b.space
     out = []
     for _ in range(pairs):
-        if space.finite:
-            pool = list(space.points)
-        else:
-            pool = [space.sampler(rng) for _ in range(6)]
+        pool = list(space.points) if space.finite else [space.draw_point(rng) for _ in range(6)]
         k1 = rng.randint(1, min(4, len(pool)))
         k2 = rng.randint(1, min(4, len(pool)))
         out.append((tuple(rng.sample(pool, k1)), tuple(rng.sample(pool, k2))))
@@ -397,10 +394,7 @@ def _check_hausdorff_singleton(b: InstanceBundle, ctx: _Ctx):
     g = b.space.group
     rng = _law_rng(ctx.plan, f"hausdorff-singleton:{b.name}")
     for _ in range(40):
-        if b.space.finite:
-            x, y = rng.choice(b.space.points), rng.choice(b.space.points)
-        else:
-            x, y = b.space.sampler(rng), b.space.sampler(rng)
+        x, y = b.space.draw_point(rng), b.space.draw_point(rng)
         if not g.eq(hausdorff(b.space, [x], [y]), b.space.distance(x, y)):
             return "fail", f"H({{x}}, {{y}}) != d(x, y) at x={format_element(x)}, y={format_element(y)}"
     return "pass", "singleton sets reduce to the point distance"

@@ -13,15 +13,16 @@ best-effort mode, and never claims uniqueness. The walk reads the map's
 ``Hypotheses`` (``contraction.check_hypotheses``), which the map keeps for
 the witness object and the plan, notes included.
 
-On a finite space the walk runs on positions and walks each step once: the
-map keeps, for one witness object and by selection rule, each position's
-step (successor and step distance), its bound, and each predecessor
-position's governed check, as the walks decide them (``_KeptSteps``). For a
-fixed rule the step from a point depends on the point alone and the check
-on two consecutive steps, and the mode is fixed by the kept verdict, so a
-kept decision is what a new one would give; only the tolerance stop depends
-on the tolerance, and it is decided at every step. Sampled spaces walk on
-points and keep nothing. One walk loop serves both, through a step reader.
+The walk runs on the space's entries (``cone_metric``), positions on a
+finite space, where it walks each step once: the map's kept verdict keeps,
+by selection rule, each position's step (successor and step distance), its
+bound, and each predecessor position's governed check, as the walks decide
+them (``_KeptSteps``). For a fixed rule the step from a point depends on
+the point alone and the check on two consecutive steps, and the mode is
+fixed by that verdict, so a kept decision is what a new one would give;
+only the tolerance stop depends on the tolerance, and it is decided at
+every step. Sampled spaces keep nothing. One walk loop serves both,
+through a step reader.
 ``endpoint_census`` alone decides the endpoint equivalence on a finite
 space ("has an endpoint": at least one); ``endpoint_iff_report`` gates it
 on the theorem's hypotheses.
@@ -50,9 +51,9 @@ from .cone_metric import ConeMetricSpace
 from .contraction import (
     CStatus,
     ContractionWitness,
+    Hypotheses,
     SetValuedMap,
     _distinct_pairs,
-    _pair_reader,
     approximate_endpoint_property_finite,
     c_condition_status,
     check_hypotheses,
@@ -166,38 +167,22 @@ def walk_tolerance(m: ConeMetricSpace, eps) -> Element:
 
 class _PointSteps:
     """The walk's step reader on points, deciding every step anew: a
-    sampled space's. A walk entry stands for a point (``point``); ``seed``
-    validates the seed point and gives its entry, and ``readers(T)`` gives
-    the image of an entry as entries and the point of an entry, read after
-    the verdict. ``within`` is the tolerance stop at an entry, ``step`` the
-    successor ``_select_next`` picks in the image and the step distance,
-    ``breaks`` the governed check of a step against the one before it, and
-    ``bound`` the witness bound the next step consumes."""
+    sampled space's. Entries are read through the space's ``_point`` and
+    ``_dist``. ``step`` is the successor ``_select_next`` picks in the image
+    and the step distance, ``breaks`` the governed check of a step against
+    the one before it, and ``bound`` the witness bound the next step
+    consumes."""
 
     __slots__ = ("space", "w", "rule")
 
     def __init__(self, space: ConeMetricSpace, w: ContractionWitness, rule: SelectionRule):
         self.space, self.w, self.rule = space, w, rule
 
-    def seed(self, p):
-        return self.space.require_member(p)
-
-    def readers(self, T: SetValuedMap) -> tuple:
-        return T.images, self.point
-
-    def point(self, a) -> Point:
-        return a
-
-    def dist(self, a, b) -> Element:
-        return self.space.distance(a, b)
-
-    def within(self, a, images, ll: Callable, eps: Element) -> bool:
-        return all(ll(self.dist(a, b), eps) for b in images)
-
     def step(self, a, images) -> tuple:
-        b = _select_next([c for c in images if c != a], a, self.rule, self.point, self.dist,
-                         self.space.group)
-        return b, self.dist(a, b)
+        space, dist = self.space, self.space._dist
+        b = _select_next([c for c in images if c != a], a, self.rule, space._point, dist,
+                         space.group)
+        return b, dist(a, b)
 
     def breaks(self, prev, step: Element, prev_step: Element, prev_bound: Element | None,
                verified: bool) -> bool:
@@ -210,43 +195,24 @@ class _PointSteps:
         return g.cmp(step, prev_step) is Order.GREATER
 
     def bound(self, a, b, d: Element) -> Element:
-        return self.w.phi(self.space, self.point(a), self.point(b), d)
+        point = self.space._point
+        return self.w.phi(self.space, point(a), point(b), d)
 
 
 class _KeptSteps(_PointSteps):
-    """A finite map's step reader for one witness object and rule, on
-    positions: an entry is a point's first position, images are the map's
-    ``_image_positions`` and distances are read from the table. Each
-    position's step and bound, and each predecessor position's check, are
-    decided on first use and kept, as successor, distance, bound and check
-    at ``4 * position`` of one list: for one rule the step from a point
-    depends on the point alone, the check after ``prev`` on the steps from
-    ``prev`` and from its successor, and the walk mode on the map's kept
-    ``Hypotheses`` for the witness object. A decision that raises keeps
-    nothing."""
+    """A finite map's step reader for one verdict and rule, on positions.
+    Each position's step and bound, and each predecessor position's check,
+    are decided on first use and kept, as successor, distance, bound and
+    check at ``4 * position`` of one list: for one rule the step from a
+    point depends on the point alone, the check after ``prev`` on the steps
+    from ``prev`` and from its successor, and the walk mode on the verdict
+    that keeps this reader. A decision that raises keeps nothing."""
 
-    __slots__ = ("_n", "_kept")
+    __slots__ = ("_kept",)
 
     def __init__(self, space: ConeMetricSpace, w: ContractionWitness, rule: SelectionRule):
         super().__init__(space, w, rule)
-        self._n = len(space.points)
-        self._kept = [None] * (4 * self._n)
-
-    def seed(self, p) -> int:
-        return self.space._position(p)
-
-    def readers(self, T: SetValuedMap) -> tuple:
-        return T._image_positions.__getitem__, self.space.points.__getitem__
-
-    def point(self, a: int) -> Point:
-        return self.space.points[a]
-
-    def dist(self, a: int, b: int) -> Element:
-        return self.space._distances[a * self._n + b]
-
-    def within(self, a: int, images, ll: Callable, eps: Element) -> bool:
-        table, row = self.space._distances, a * self._n
-        return all(ll(table[row + b], eps) for b in images)
+        self._kept = [None] * (4 * len(space.points))
 
     def step(self, a: int, images) -> tuple:
         kept, at = self._kept, 4 * a
@@ -267,21 +233,16 @@ class _KeptSteps(_PointSteps):
         return kept[at]
 
 
-def _step_reader(T: SetValuedMap, w: ContractionWitness, rule: SelectionRule) -> _PointSteps:
-    """On a finite space the reader the map keeps for ``w`` and ``rule`` in
-    its ``_steps`` slot, which holds the witness object and its readers and
-    starts empty for another; else a new reader on points. Making one reads
-    nothing that can raise."""
-    kept = T._steps
-    if kept[0] is w:
-        for steps in kept[1:]:
-            if steps.rule is rule:
-                return steps
+def _step_reader(T: SetValuedMap, verdict: Hypotheses, w: ContractionWitness,
+                 rule: SelectionRule) -> _PointSteps:
+    """On a finite space the reader that ``verdict``, the map's kept
+    ``check_hypotheses(T, w, ...)``, keeps for ``rule``; else a new one."""
     if not T.space.finite:
         return _PointSteps(T.space, w, rule)
-    steps = _KeptSteps(T.space, w, rule)
-    object.__setattr__(T, "_steps", (*kept, steps) if kept[0] is w else (w, steps))
-    return steps
+    kept = verdict._steps_by_rule
+    if rule not in kept:
+        kept[rule] = _KeptSteps(T.space, w, rule)
+    return kept[rule]
 
 
 def iterate_endpoint(T: SetValuedMap, w: ContractionWitness, cfg: SolverConfig,
@@ -297,19 +258,21 @@ def iterate_endpoint(T: SetValuedMap, w: ContractionWitness, cfg: SolverConfig,
 
     The verdict, ``check_hypotheses(T, w, plan)``, is read after the
     tolerance and the seed point are validated, from the map after its
-    first walk with this witness object and plan. On a finite space the
-    walk runs on positions, and the map keeps each step, bound and check
-    it decides for this witness object and rule (``_KeptSteps``), so
+    first walk with this witness object and plan; the entry readers of
+    the map and the space are read after it. The walk runs on the space's
+    entries, positions on a finite space, where the verdict keeps each
+    step, bound and check decided under it for a rule (``_KeptSteps``), so
     later walks read them; only the tolerance stop is decided at every step.
     """
-    m, t = T.space, T.space.structure
+    m, ll = T.space, T.space.structure.ll
     eps = walk_tolerance(m, cfg.eps)
-    steps = _step_reader(T, w, cfg.selection_rule)
-    at = steps.seed(cfg.seed_point)
+    at = m._entry(cfg.seed_point)
 
-    notes = check_hypotheses(T, w, plan).notes
+    verdict = check_hypotheses(T, w, plan)
+    notes = verdict.notes
     verified = not notes
-    images_of, point = steps.readers(T)
+    steps = _step_reader(T, verdict, w, cfg.selection_rule)
+    images_of, point, dist = T._entry_images, m._point, m._dist
 
     trace: list[TraceStep] = []
     prev = prev_bound = prev_step = None
@@ -319,7 +282,7 @@ def iterate_endpoint(T: SetValuedMap, w: ContractionWitness, cfg: SolverConfig,
             return SolverReport(SolverOutcome.ENDPOINT_FOUND, tuple(trace), endpoint=point(at),
                                 best_effort=not verified, notes=notes,
                                 message=f"image collapsed at iteration {n}")
-        if steps.within(at, images, t.ll, eps):
+        if all(ll(dist(at, b), eps) for b in images):
             points = tuple(s.chosen for s in trace)
             bounds = tuple(s.bound for s in trace)
             return SolverReport(SolverOutcome.APPROX_ENDPOINT_SEQUENCE, tuple(trace),
@@ -416,7 +379,7 @@ def banach_iterate(m: ConeMetricSpace, f: Callable[[Point], Point], alpha,
     eps = walk_tolerance(m, cfg.eps)
     x = m.require_member(cfg.seed_point)
 
-    point, dist = _pair_reader(m)
+    point, dist = m._point, m._dist
 
     def ratio_bound(a, b):
         x_a, x_b = point(a), point(b)

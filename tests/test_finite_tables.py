@@ -48,7 +48,12 @@ from ordermetric import (
 )
 from ordermetric import cli, cone_metric, contraction, harness, order_core, solver
 from ordermetric.cli import main
-from ordermetric.instance_files import BUILTIN_INSTANCE_TEXTS, build_bundle, load_instance
+from ordermetric.instance_files import (
+    BUILTIN_INSTANCE_TEXTS,
+    _interval_carrier,
+    build_bundle,
+    load_instance,
+)
 from ordermetric.order_core import LawReport, _cone_cmp, _raise_held, _scalar_cmp, format_element
 
 DATA = Path(__file__).parent / "data"
@@ -311,7 +316,7 @@ def test_replaced_space_starts_with_an_empty_table():
     assert "_distances" not in vars(corrupt)
     pts = corrupt.points
     expected = [corrupt.metric(x, y) for x in pts for y in pts]
-    corrupt._distance_by_position()
+    corrupt._dist
     assert vars(corrupt)["_distances"] == expected
     assert vars(b.space)["_distances"] != expected
 
@@ -363,6 +368,43 @@ def _finite_spaces(draw):
 def test_table_equals_the_point_by_point_distances(space):
     pts = space.points
     assert space._distances == [space.distance(x, y) for x in pts for y in pts]
+
+
+def _entry_reader_case(kind):
+    """A space, a map on it, its points and a point outside it: four points
+    with 0 listed twice, or the sampled box 0 .. 1 in two coordinates."""
+    if kind == "finite":
+        space = ConeMetricSpace("repeated", strict_order_structure(real_module()),
+                                lambda x, y: abs(x - y), points=(F(0), F(1, 2), F(0), F(1)))
+        T = SetValuedMap.from_table(space, {F(0): [F(0)], F(1, 2): [F(0)], F(1): [F(1, 2), F(0)]})
+        return space, T, space.points, F(2)
+    space = ConeMetricSpace("box", interior_cone_structure(coord_cone_module(2)),
+                            lambda x, y: tuple(abs(a - b) for a, b in zip(x, y)), None,
+                            *_interval_carrier((F(0), F(0)), (F(1), F(1))))
+    T = SetValuedMap.from_rule(space, lambda x: [(x[0] / 2, x[1]), (F(0), F(0))])
+    rng = random.Random(11)
+    return space, T, [space.draw_point(rng) for _ in range(6)], (F(2), F(0))
+
+
+@pytest.mark.parametrize("kind", ["finite", "sampled"])
+def test_entry_readers_stand_for_their_points(kind):
+    # an entry is a point's first position on a finite space and the point
+    # itself on a sampled one; the space and the map read either kind
+    space, T, pts, outside = _entry_reader_case(kind)
+    point, dist = space._point, space._dist
+    for x in pts:
+        a = space._entry(x)
+        assert point(a) == x
+        assert tuple(point(b) for b in T._entry_images(a)) == T.images(x)
+        for y in pts:
+            assert dist(a, space._entry(y)) == space.distance(x, y)
+    if kind == "finite":
+        assert [space._entry(p) for p in pts] == [0, 1, 0, 3]
+    with pytest.raises(DomainError) as member:
+        space.require_member(outside)
+    with pytest.raises(DomainError, match="is not in space") as entry:
+        space._entry(outside)
+    assert str(entry.value) == str(member.value)
 
 
 def _scan_recording_bounds(T, w, laws, plan=None):
@@ -1167,7 +1209,7 @@ def test_ladder_min_positive_distance_takes_one_pass(monkeypatch):
 
     monkeypatch.setattr(order_core, "_scalar_cmp", counted)
     space = build_bundle(load_instance(LADDER)).space
-    space._distance_by_position()
+    space._dist
     monkeypatch.setattr(Fraction, "__hash__", counted_hash)
     calls.update(cmp=0, hash=0)  # building the space compares and hashes too
     assert min_positive_distance(space) == Fraction(1, 4) ** 29

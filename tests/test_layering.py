@@ -88,3 +88,18 @@ def test_one_module_builds_the_convergence_outcomes():
                 if called in ("ConvergenceCertificate", "ConvergenceFailure"):
                     builders.add(name)
     assert builders == {"topo"}
+
+
+@pytest.mark.parametrize("attr, owner", [("_distances", "cone_metric"),
+                                         ("_image_positions", "contraction")])
+def test_one_module_reads_each_entry_table(attr, owner):
+    """The space alone reads its distance table and the map alone its image
+    positions; the scans and the walk read entries through their readers."""
+    sources = {m: PACKAGE / f"{m}.py" for m in STACK}
+    sources.update((p.name, p) for p in (PACKAGE.parent.parent / "scripts").glob("*.py"))
+    readers = set()
+    for name, path in sources.items():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == attr:
+                readers.add(name)
+    assert readers == {owner}

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -44,6 +45,7 @@ from ordermetric import (
     run_suite,
     strict_order_structure,
 )
+from ordermetric.instance_files import _interval_carrier
 from ordermetric.solver import TraceStep, walk_tolerance
 
 HALF = ContractionWitness(WitnessClass.ALPHA_CONSTANT, alpha_const=Fraction(1, 2))
@@ -281,17 +283,37 @@ def _point_walk(T, w, cfg):
 
 _LINE = strict_order_structure(real_module())
 _CONE = interior_cone_structure(coord_cone_module(2))
+_INTERVAL = ConeMetricSpace("interval", _LINE, lambda x, y: abs(x - y), None,
+                            *_interval_carrier(Fraction(0), Fraction(1)))
 
 
 @st.composite
 def _walk_cases(draw):
-    """A finite map, a witness and a tolerance. The map is a ladder
-    1/4^j -> {1/4^(j+1), 1/4^(j+2)} down to 0, on which the ratio 1/2
-    verifies, or a random table on the line or the cone-2 grid, with points
-    that may repeat, which often breaks the bound and often cycles; the
-    witness a constant ratio or a bound table, which leaves the walk
-    best-effort."""
-    kind = draw(st.sampled_from(["ladder", "line", "cone"]))
+    """A map, two witnesses, a tolerance and the walk's seed points. The map
+    is a ladder 1/4^j -> {1/4^(j+1), 1/4^(j+2)} down to 0, on which the
+    ratio 1/2 verifies, or a random table on the line or the cone-2 grid,
+    with points that may repeat, which often breaks the bound and often
+    cycles, each seeded at every point; or a scale rule x -> {f x} with one
+    to three factors on the sampled interval 0 .. 1, seeded at points its
+    sampler draws. A witness is a constant ratio or, leaving the walk
+    best-effort, a bound table on a finite space and a scalar function
+    without declared properties on the interval."""
+    kind = draw(st.sampled_from(["ladder", "line", "cone", "interval"]))
+    ratios = st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
+    if kind == "interval":
+        factors = draw(st.lists(st.sampled_from([Fraction(k, 4) for k in range(5)]),
+                                min_size=1, max_size=3))
+        T = SetValuedMap.from_rule(_INTERVAL, lambda x: [f * x for f in factors], name=kind)
+        rng = random.Random(draw(st.integers(0, 2 ** 16)))
+
+        def witness():
+            r = draw(ratios)
+            if draw(st.booleans()):
+                return ContractionWitness(WitnessClass.ALPHA_CONSTANT, alpha_const=r)
+            return ContractionWitness(WitnessClass.PSI_ON_DISTANCE, psi=lambda d: 2 * r * d)
+
+        e = draw(st.sampled_from([Fraction(1, 64), Fraction(1, 8), Fraction(1, 2), Fraction(2)]))
+        return T, witness(), witness(), e, [_INTERVAL.sampler(rng) for _ in range(4)]
     if kind == "ladder":
         rungs = [Fraction(1, 4) ** j for j in range(draw(st.integers(1, 6)))] + [Fraction(0)]
         pts = tuple(draw(st.permutations(rungs)))
@@ -309,7 +331,6 @@ def _walk_cases(draw):
         else (lambda x, y: abs(x - y))
     space = ConeMetricSpace(kind, structure, metric, points=pts)
     T = SetValuedMap.from_table(space, table, name=kind)
-    ratios = st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
 
     def witness():
         if draw(st.booleans()):
@@ -319,7 +340,7 @@ def _walk_cases(draw):
             for x in pts for y in pts if x != y})
 
     e = draw(st.sampled_from([Fraction(1, 64), Fraction(1, 8), Fraction(1, 2), Fraction(2)]))
-    return T, witness(), witness(), (e, e) if kind == "cone" else e
+    return T, witness(), witness(), (e, e) if kind == "cone" else e, pts
 
 
 def _walked(walk, *args):
@@ -337,10 +358,10 @@ def test_kept_steps_walk_as_the_point_loop(case, data):
     # walk may exhaust, on the map, on a replaced copy of it (no kept steps),
     # then with another witness and the first one again (their steps start
     # anew): every report equals the point loop's, field by field, messages
-    # included
-    T, w, other, eps = case
+    # included, on a finite space and on the sampled interval alike
+    T, w, other, eps, seeds = case
     max_iter = data.draw(st.integers(1, 6))
-    walks = data.draw(st.permutations([(seed, rule) for seed in T.space.points
+    walks = data.draw(st.permutations([(seed, rule) for seed in seeds
                                        for rule in SelectionRule]))
     for T_, w_ in [(T, w), (dataclasses.replace(T), w), (T, other), (T, w)]:
         for seed, rule in walks:
