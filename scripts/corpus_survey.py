@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Survey the generated finite-instance corpus.
 
+Reports how many of the random instances are distinct: the generator
+keeps whatever passes, so it can draw the same points and images again.
 Runs the one-sided check with each instance's bound table and the walk
 hypotheses (the all-pairs check among them) with its constant-ratio
 witness, and reports how many pass; reports, for each witness, on how
@@ -46,6 +48,9 @@ def main():
                 for i in insts if i.global_contraction}
 
     print(f"instances: {len(insts)}  (sizes {dict(sorted(sizes.items()))})")
+    drawn = [i for i in insts if i.name.startswith("random/")]
+    distinct = {(i.space.points, tuple(map(i.map_.images_fn, i.space.points))) for i in drawn}
+    print(f"distinct random instances: {len(distinct)} of {len(drawn)}")
     print(f"pass one-sided check with the bound table: "
           f"{sum(r.passed for r in weak.values())}")
     print(f"pass all-pairs check with a constant ratio: {sum(verified.values())}  "

@@ -78,6 +78,7 @@ from .contraction import (
     WitnessClass,
     approximate_endpoint_property_finite,
     approximate_endpoint_sequence,
+    bound_table,
     c_condition_status,
     check_hypotheses,
     endpoints_bruteforce,

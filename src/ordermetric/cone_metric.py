@@ -141,7 +141,12 @@ class ConeMetricSpace:
     def _position_pairs(self) -> list[tuple]:
         """Every ordered pair of positions holding distinct points, row by
         row: two positions hold equal points exactly when they share a first
-        position, so no point is compared."""
+        position, so no point is compared, and when the index has a position
+        for each point, every pair of distinct positions qualifies and no
+        point is hashed either."""
+        n = len(self.points)
+        if len(self._index) == n:
+            return [(i, j) for i in range(n) for j in range(n) if i != j]
         first = [self._index[p] for p in self.points]
         return [(i, j) for i, fi in enumerate(first) for j, fj in enumerate(first) if fi != fj]
 

@@ -10,10 +10,12 @@ otherwise, always with a concrete counterexample on failure.
 The scans work on the space's entries (``cone_metric``): positions on a
 finite space, where the pair stream tells equal points apart by their
 first positions instead of comparing points, and points on a sampled one.
-The space reads an entry's point and distance, and the map its image as
+The space reads an entry's point and distance, the map its image as
 entries (``_entry_images``), on a finite space from the positions it
-records once. The hot laws compare through the group's ``cmp`` and
-test its outcome against the ``Order`` singletons by identity.
+records once, and the witness its bound (``_entry_bound``): a bound table
+is one list over positions, read at two positions with nothing hashed.
+The hot laws compare through the group's ``cmp`` and test its outcome
+against the ``Order`` singletons by identity.
 An image point outside a finite space is a ``DomainError`` naming it.
 
 A space and a plan have one pair list (``_distinct_pairs``) that every
@@ -92,6 +94,15 @@ def _recorded(table: dict, x: Point) -> tuple:
         raise DomainError(f"no image recorded for {format_element(x)}") from None
 
 
+def _recorded_at(index: dict, images: list, x: Point) -> tuple:
+    """The image of ``x`` at its first position: ``images_fn`` is
+    ``partial(_recorded_at, space._index, images)``."""
+    at = index.get(x)
+    if at is None:
+        raise DomainError(f"no image recorded for {format_element(x)}")
+    return images[at]
+
+
 @dataclass(frozen=True, eq=False)
 class SetValuedMap:
     """x -> finite nonempty subset of the space, table- or rule-backed.
@@ -159,10 +170,12 @@ class SetValuedMap:
     def _from_positions(space: ConeMetricSpace, positions: list, name: str = "T") -> "SetValuedMap":
         """``from_table`` unchecked, from ``positions[i]``, the image of
         ``space.points[i]`` as first positions without repeats; it becomes
-        ``_image_positions``."""
+        ``_image_positions``, and a point's image is read at its first
+        position through the space's index, so no second dict of points
+        is built."""
         pts = space.points
         T = SetValuedMap(space, partial(
-            _recorded, {x: tuple(pts[k] for k in row) for x, row in zip(pts, positions)}), name)
+            _recorded_at, space._index, [tuple([pts[k] for k in row]) for row in positions]), name)
         T.__dict__["_image_positions"] = positions
         return T
 
@@ -213,10 +226,20 @@ class PsiProperties:
 @dataclass(frozen=True, eq=False)
 class ContractionWitness:
     """The bound paired with a map: a table, a ratio, a ratio function with
-    a declared sup bound, or a scalar function composed with the distance."""
+    a declared sup bound, or a scalar function composed with the distance.
+
+    A table lives on a finite space: one list over its positions, row by
+    row like the space's distance table, ``phi_table[i * n + j]`` the bound
+    at the points of positions i and j, None on equal points and where the
+    table has no entry (``bound_table`` builds one from point pairs).
+    ``phi`` reads a bound at two points and ``_entry_bound`` at two entries.
+    Reading a missing entry raises DomainError naming the two points, and a
+    table that is not a list of n * n entries, a point-keyed dict say, has
+    none; a table on a sampled space raises DomainError.
+    """
 
     klass: WitnessClass
-    phi_table: Mapping | None = None
+    phi_table: list | None = None
     alpha_const: Fraction | None = None
     alpha_fn: Callable[[Point, Point], Fraction] | None = None
     alpha_bound: Fraction | None = None
@@ -246,17 +269,37 @@ class ContractionWitness:
 
     def phi(self, space: ConeMetricSpace, x: Point, y: Point, d: Element) -> Element:
         """Evaluate the bound at an ordered pair of distinct points whose
-        distance ``d`` the caller already holds."""
+        distance ``d`` the caller already holds; a table reads the first
+        positions of the two points."""
         if self.klass is WitnessClass.PHI_TABLE:
-            try:
-                return self.phi_table[(x, y)]
-            except KeyError:
-                raise DomainError(
-                    f"bound table has no entry for ({format_element(x)}, {format_element(y)})"
-                ) from None
+            bound, where = self._entry_bound(space), space._index
+            if x not in where or y not in where:
+                raise _no_entry(x, y)
+            return bound(where[x], where[y], d)
         if self.klass in (WitnessClass.ALPHA_CONSTANT, WitnessClass.ALPHA_FUNCTION):
             return space.structure.module.scale(self.alpha(x, y), d)
         return self.psi(d)
+
+    def _entry_bound(self, space: ConeMetricSpace) -> Callable:
+        """``bound(a, b, d)``: the bound at two entries of ``space`` whose
+        distance is ``d``, as ``space._dist`` reads a distance. A table reads
+        its list at two positions and hashes nothing; any other witness
+        evaluates ``phi`` at the entries' points."""
+        if self.klass is not WitnessClass.PHI_TABLE:
+            point = space._point
+            return lambda a, b, d: self.phi(space, point(a), point(b), d)
+        table, pts = self.phi_table, _table_points(space)
+        n = len(pts)
+        if not isinstance(table, list) or len(table) != n * n:
+            table = [None] * (n * n)  # a point-keyed dict, say: it has no entry to read
+
+        def bound(i, j, d):
+            out = table[i * n + j]
+            if out is None:
+                raise _no_entry(pts[i], pts[j])
+            return out
+
+        return bound
 
     def describe(self) -> str:
         if self.label:
@@ -266,6 +309,26 @@ class ContractionWitness:
         if self.klass is WitnessClass.ALPHA_FUNCTION:
             return f"alpha-fn (bound {self.alpha_bound})"
         return self.klass.value
+
+
+def _table_points(space: ConeMetricSpace) -> tuple:
+    """The points a bound table is laid out over; a sampled space raises."""
+    if not space.finite:
+        raise DomainError(f"a bound table needs a finite space; {space.name!r} is sampled")
+    return space.points
+
+
+def _no_entry(x: Point, y: Point) -> DomainError:
+    return DomainError(f"bound table has no entry for ({format_element(x)}, {format_element(y)})")
+
+
+def bound_table(space: ConeMetricSpace, bounds: Mapping) -> list:
+    """The bound table of a finite space from a point-keyed mapping
+    ``{(x, y): bound}``: ``table[i * n + j]`` is the bound at the points
+    of positions i and j, so every position of a repeated point reads its
+    point's bound; None on equal points and at pairs the mapping lacks."""
+    pts = _table_points(space)
+    return [None if x == y else bounds.get((x, y)) for x in pts for y in pts]
 
 
 @dataclass(frozen=True)
@@ -345,16 +408,16 @@ def _scan(T: SetValuedMap, w: ContractionWitness, plan: SamplePlan | None, laws:
     its bound there. Drawing the pairs and filling the table run inside the
     stream, so the runner holds their errors for every law. ``first``, if
     given, receives the first pair drawn, if any."""
-    space, phi = T.space, w.phi
+    space = T.space
 
     def stream():
         pairs = _distinct_pairs(space, plan or SamplePlan())
         if first is not None:
             first.extend(pairs[:1])
-        point, dist = space._point, space._dist
+        dist, bound = space._dist, w._entry_bound(space)
         for a, b in pairs:
             d = dist(a, b)
-            yield a, b, d, phi(space, point(a), point(b), d)
+            yield a, b, d, bound(a, b, d)
 
     return _run_laws(stream(), laws)
 

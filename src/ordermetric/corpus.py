@@ -15,13 +15,16 @@ below the distance additionally carry a constant-ratio witness (the exact
 worst ratio), which is what the solver agreement corpus filters on.
 
 Both bounds are decided in integers: the points are numerators over one
-common denominator and each image is a tuple of positions among them. A
-rejected attempt computes nothing past its first failing pair; only a kept
-one gets its needs and spans and is built into Fractions, a space, a map
-(from the positions) and its witnesses. The generator draws numerators
-from the pool directly, on ``getrandbits`` as ``random.Random`` draws
-them; ``build_instance`` brings its rationals to their least common
-denominator first, so both take the same path.
+common denominator and each image is a tuple of positions among them. One
+integer pass computes each pair's need and rejects the attempt at the
+first pair whose need reaches its distance; only a kept one gets its spans
+and is built into a space, a map (from the positions) and its witnesses,
+the bound table one dense list over positions like the space's distance
+table. Its points and bounds are read from one list of values, built once,
+so building it hashes nothing but the map's point index. The generator
+draws numerators from the pool directly, on ``getrandbits`` as
+``random.Random`` draws them; ``build_instance`` brings its rationals to
+their least common denominator first, so both take the same path.
 """
 
 from __future__ import annotations
@@ -31,12 +34,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .order_core import _draw, _q_dist, real_module
+from .order_core import _q_dist, real_module
 from .topo import strict_order_structure
 from .cone_metric import ConeMetricSpace
 from .contraction import ContractionWitness, SetValuedMap, WitnessClass
 
 _POOL_DEN, _POOL_SIZE = 4, 17  # the points 0, 1/4, ..., 4, as numerators over 4
+# k / 4 for every numerator of the pool, which also covers every distance
+# between two of them: the points and bounds of every generated instance
+_POOL = [Fraction(k, _POOL_DEN) for k in range(_POOL_SIZE)]
 _MAX_ATTEMPTS = 200000
 
 
@@ -54,49 +60,65 @@ class CorpusInstance:
         return self.alpha_witness is not None
 
 
-def _admit(structure, den: int, nums, images, name: str) -> CorpusInstance | None:
-    """The instance on the points ``nums[i] / den``, ascending, where point
-    i maps to the positions ``images[i]`` (first positions, no repeats), if
-    the map admits a valid bound; None otherwise.
+def _admit(structure, over, nums, images, name: str) -> CorpusInstance | None:
+    """The instance on the points ``over[k]`` for k in ``nums``, ascending,
+    where point i maps to the positions ``images[i]`` (first positions, no
+    repeats), if the map admits a valid bound; None otherwise. ``over[k]``
+    is the Fraction ``k / den`` of one common denominator, for every
+    numerator in ``nums`` and every distance between two of them.
 
-    A pair fails when some x' in T(x) is at least d(x, y) from every y' in
-    T(y). A kept attempt's need at a pair is the max over x' of the min over
-    y' of |x' - y'|, its span the greatest distance between the two images'
-    extremes, and its worst ratio is found by cross-multiplication before
-    one Fraction is built per point, per distinct need and for that ratio.
+    One integer pass decides the attempt: a pair's need is the max over x'
+    in T(x) of the min over y' in T(y) of |x' - y'|, and the attempt fails
+    at the first pair of distinct points whose need is at least their
+    distance, at the first x' that far from every y'. A kept attempt's
+    needs become its bound table, position by position; its span at a pair
+    is the greatest distance between the two images' extremes, and its
+    worst ratio is found by cross-multiplication before one Fraction is
+    built for it.
     """
     imgs = [[nums[k] for k in img] for img in images]
+    # per ordered pair of positions, row by row, None on equal points; sized
+    # exactly, as a kept instance's bound table keeps it
+    needs = [None] * (len(nums) * len(nums))
+    at = -1
     for a, img_a in zip(nums, imgs):
         for b, img_b in zip(nums, imgs):
-            d = abs(a - b)
-            if d == 0:
+            at += 1
+            d = a - b if a > b else b - a
+            if not d:
                 continue
+            need = 0
             for p in img_a:
+                near = d  # min(d, |p - q| over q), d when no q is nearer than d
                 for q in img_b:
-                    if -d < p - q < d:
-                        break
-                else:
+                    e = p - q if p > q else q - p
+                    if e < near:
+                        near = e
+                if near == d:
                     return None
+                if near > need:
+                    need = near
+            needs[at] = need
     lo, hi = [min(img) for img in imgs], [max(img) for img in imgs]
-    scored, span, over = [], 0, 1  # the worst ratio is span / over, 0 without pairs
-    for i, (a, img_a) in enumerate(zip(nums, imgs)):
-        for j, (b, img_b) in enumerate(zip(nums, imgs)):
+    span, per = 0, 1  # the worst ratio is span / per, 0 without pairs
+    for i, a in enumerate(nums):
+        for j, b in enumerate(nums):
             d = abs(a - b)
-            if d == 0:
-                continue
-            scored.append((i, j, max(min(abs(p - q) for q in img_b) for p in img_a)))
-            s = max(hi[i] - lo[j], hi[j] - lo[i])
-            if s * over > span * d:
-                span, over = s, d
-    points = tuple(Fraction(k, den) for k in nums)
+            if d:
+                s = max(hi[i] - lo[j], hi[j] - lo[i])
+                if s * per > span * d:
+                    span, per = s, d
+    for at, need in enumerate(needs):
+        if need is not None:
+            needs[at] = over[need]
+    points = tuple([over[k] for k in nums])
     space = ConeMetricSpace(name, structure, _q_dist, points=points)
     T = SetValuedMap._from_positions(space, images, name=f"T[{name}]")
-    bound = {need: Fraction(need, den) for need in {need for *_, need in scored}}
     phi_w = ContractionWitness(WitnessClass.PHI_TABLE, label=f"minimal bound table for {name}",
-                               phi_table={(points[i], points[j]): bound[n] for i, j, n in scored})
-    if span >= over:
+                               phi_table=needs)
+    if span >= per:
         return CorpusInstance(name, space, T, phi_w, None, None)
-    worst = Fraction(span, over)
+    worst = Fraction(span, per)
     alpha_w = ContractionWitness(WitnessClass.ALPHA_CONSTANT, alpha_const=worst,
                                  label=f"worst ratio {worst} for {name}")
     return CorpusInstance(name, space, T, phi_w, alpha_w, worst)
@@ -113,7 +135,10 @@ def build_instance(structure, points, table: dict, name: str) -> CorpusInstance 
     space = ConeMetricSpace(name, structure, _q_dist, points=values)
     SetValuedMap.from_table(space, table)  # raises on a malformed table, naming the point
     den = math.lcm(*(p.denominator for p in values))
-    return _admit(structure, den, [p.numerator * (den // p.denominator) for p in values],
+    nums = [p.numerator * (den // p.denominator) for p in values]
+    # the values of the numerators and of their distances: the points and bounds
+    over = {k: Fraction(k, den) for k in {*nums, *(abs(a - b) for a in nums for b in nums)}}
+    return _admit(structure, over, nums,
                   [tuple(dict.fromkeys(space._index[v] for v in table[p])) for p in values], name)
 
 
@@ -158,24 +183,45 @@ def _sample(getrandbits, population, k: int) -> list:
             j = getrandbits(w)
         out.append(pool[j])
         pool[j] = pool[m - 1]
-    return sorted(out)
+    out.sort()
+    return out
 
 
 def _random_attempt(rng: random.Random) -> tuple[list, list]:
     """One attempt's numerators, ``sorted(rng.sample(range(_POOL_SIZE), rng.randint(2, 5)))``,
     and per point a sorted ``rng.sample(near, rng.randint(1, min(3, len(near))))`` of
-    positions, each drawn on ``getrandbits`` as ``random.Random`` draws it."""
+    positions, each drawn on ``getrandbits`` as ``random.Random`` draws it: an
+    index below n is ``getrandbits(n.bit_length())`` until it is below n."""
     getrandbits = rng.getrandbits
-    nums = _sample(getrandbits, range(_POOL_SIZE), _draw(rng, range(2, 6)))
-    near = range(len(nums))
+    size = getrandbits(3)  # randint(2, 5) is 2 + an index below 4
+    while size >= 4:
+        size = getrandbits(3)
+    nums = _sample(getrandbits, range(_POOL_SIZE), size + 2)
+    n = len(nums)
+    near = range(n)
     # half the attempts cluster images near a hub point, which is what a
     # contraction looks like; the rest are fully random so the filter is
     # also exercised against unlikely passes
     if rng.random() < 0.5:
-        hub = nums[_draw(rng, near)]
-        near = sorted(near, key=lambda k: (abs(nums[k] - hub), k))[:2]
-    counts = range(1, min(3, len(near)) + 1)
-    return nums, [tuple(_sample(getrandbits, near, _draw(rng, counts))) for _ in nums]
+        w = n.bit_length()
+        h = getrandbits(w)
+        while h >= n:
+            h = getrandbits(w)
+        # the two positions nearest the hub, ties to the lower: the hub, then
+        # the closer of its neighbours (the numerators ascend)
+        if h == 0 or h < n - 1 and nums[h + 1] - nums[h] < nums[h] - nums[h - 1]:
+            near = [h, h + 1]
+        else:
+            near = [h, h - 1]
+    m = min(3, len(near))
+    w = m.bit_length()
+    images = []
+    for _ in range(n):
+        k = getrandbits(w)
+        while k >= m:
+            k = getrandbits(w)
+        images.append(tuple(_sample(getrandbits, near, k + 1)))
+    return nums, images
 
 
 def weak_contraction_corpus(seed: int = 20260809, count: int = 120) -> list[CorpusInstance]:
@@ -194,7 +240,7 @@ def weak_contraction_corpus(seed: int = 20260809, count: int = 120) -> list[Corp
         attempts += 1
         if attempts > _MAX_ATTEMPTS:
             raise RuntimeError("corpus generation budget exhausted")
-        inst = _admit(structure, _POOL_DEN, *_random_attempt(rng), f"random/{attempts}")
+        inst = _admit(structure, _POOL, *_random_attempt(rng), f"random/{attempts}")
         if inst is not None:
             out.append(inst)
     return out

@@ -68,6 +68,7 @@ from .contraction import (
     SetValuedMap,
     WitnessClass,
     approximate_endpoint_sequence,
+    bound_table,
     c_condition_status,
     check_hypotheses,
     endpoints_bruteforce,
@@ -823,7 +824,7 @@ def _break_phi_bound(bundle: InstanceBundle) -> InstanceBundle:
                 continue
             table[(x, y)] = w.phi(space, x, y, space.distance(x, y))
     table[(x0, y0)] = space.distance(x0, y0)  # no longer strictly below
-    corrupt = ContractionWitness(WitnessClass.PHI_TABLE, phi_table=table,
+    corrupt = ContractionWitness(WitnessClass.PHI_TABLE, phi_table=bound_table(space, table),
                                  label=(w.describe() + " with one saturated entry"))
     return bundle.replace(witness=corrupt)
 

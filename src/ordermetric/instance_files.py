@@ -80,7 +80,13 @@ from .topo import (
     strict_order_structure,
 )
 from .cone_metric import ConeMetricSpace
-from .contraction import ContractionWitness, PsiProperties, SetValuedMap, WitnessClass
+from .contraction import (
+    ContractionWitness,
+    PsiProperties,
+    SetValuedMap,
+    WitnessClass,
+    bound_table,
+)
 
 
 class InstanceFileError(ValueError):
@@ -583,7 +589,7 @@ def _make_witness(desc: InstanceDescription, space: ConeMetricSpace) -> Contract
                                   label=f"capped-ratio (bound {bound})")
     if desc.witness_class == "phi-table":
         return ContractionWitness(WitnessClass.PHI_TABLE,
-                                  phi_table=dict(desc.phi_entries))
+                                  phi_table=bound_table(space, dict(desc.phi_entries)))
     if desc.witness_class == "psi":
         if desc.psi_name == "half":
             psi = lambda t: t / 2  # noqa: E731

@@ -168,15 +168,15 @@ def walk_tolerance(m: ConeMetricSpace, eps) -> Element:
 class _PointSteps:
     """The walk's step reader on points, deciding every step anew: a
     sampled space's. Entries are read through the space's ``_point`` and
-    ``_dist``. ``step`` is the successor ``_select_next`` picks in the image
-    and the step distance, ``breaks`` the governed check of a step against
-    the one before it, and ``bound`` the witness bound the next step
-    consumes."""
+    ``_dist`` and the witness's ``_entry_bound``. ``step`` is the successor
+    ``_select_next`` picks in the image and the step distance, ``breaks``
+    the governed check of a step against the one before it, and ``bound``
+    the witness bound the next step consumes."""
 
-    __slots__ = ("space", "w", "rule")
+    __slots__ = ("space", "rule", "_bound")
 
     def __init__(self, space: ConeMetricSpace, w: ContractionWitness, rule: SelectionRule):
-        self.space, self.w, self.rule = space, w, rule
+        self.space, self.rule, self._bound = space, rule, w._entry_bound(space)
 
     def step(self, a, images) -> tuple:
         space, dist = self.space, self.space._dist
@@ -195,8 +195,7 @@ class _PointSteps:
         return g.cmp(step, prev_step) is Order.GREATER
 
     def bound(self, a, b, d: Element) -> Element:
-        point = self.space._point
-        return self.w.phi(self.space, point(a), point(b), d)
+        return self._bound(a, b, d)
 
 
 class _KeptSteps(_PointSteps):

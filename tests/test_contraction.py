@@ -1,8 +1,10 @@
+import re
 from fractions import Fraction
 
 import pytest
 
 from ordermetric import (
+    ConeMetricSpace,
     ContractionWitness,
     CStatus,
     DomainError,
@@ -13,6 +15,7 @@ from ordermetric import (
     WitnessClass,
     approximate_endpoint_property_finite,
     approximate_endpoint_sequence,
+    bound_table,
     c_condition_status,
     constant,
     endpoints_bruteforce,
@@ -93,9 +96,38 @@ def test_witness_saturated_bound_fails(rstruct):
                                         Fraction(1): (Fraction(0),)})
     table = {(Fraction(0), Fraction(1)): Fraction(1),
              (Fraction(1), Fraction(0)): Fraction(1, 2)}
-    w = ContractionWitness(WitnessClass.PHI_TABLE, phi_table=table)
+    w = ContractionWitness(WitnessClass.PHI_TABLE, phi_table=bound_table(space, table))
+    assert w.phi_table == [None, Fraction(1), Fraction(1, 2), None]
     report = validate_witness(T, w)
     assert not report.result("phi-strictly-below").passed
+
+
+@pytest.mark.parametrize("points", [[0, 1], [1, 0, 2], [Fraction(1, 2), 0, 2]])
+def test_a_point_keyed_table_has_no_entry_at_the_first_pair(rstruct, points):
+    # on an integer carrier a point pair is also a pair of small integers,
+    # yet a table is read by one flat position, never by a pair
+    space = ConeMetricSpace("ints", rstruct, lambda x, y: abs(x - y), points=tuple(points))
+    T = SetValuedMap.from_table(space, {p: (points[1],) for p in points})
+    w = ContractionWitness(WitnessClass.PHI_TABLE, phi_table={
+        (x, y): abs(x - y) / 2 for x in points for y in points if x != y})
+    first = f"bound table has no entry for ({points[0]}, {points[1]})"
+    for check in (is_weak_contraction, is_global_weak_contraction, validate_witness):
+        with pytest.raises(DomainError, match=re.escape(first)):
+            check(T, w)
+    with pytest.raises(DomainError, match=re.escape(first)):
+        w.phi(space, points[0], points[1], abs(points[0] - points[1]))
+
+
+def test_a_bound_table_needs_a_finite_space(real_line_space):
+    T = SetValuedMap.from_rule(real_line_space, lambda x: (x / 2,))
+    w = ContractionWitness(WitnessClass.PHI_TABLE, phi_table=[])
+    needs = "a bound table needs a finite space; 'unit-interval' is sampled"
+    with pytest.raises(DomainError, match=needs):
+        validate_witness(T, w, SamplePlan(seed=1, count=5))
+    with pytest.raises(DomainError, match=needs):
+        w.phi(real_line_space, Fraction(0), Fraction(1), Fraction(1))
+    with pytest.raises(DomainError, match=needs):
+        bound_table(real_line_space, {})
 
 
 def _line_map(rstruct, table):
@@ -229,7 +261,7 @@ def test_c_status_bounded_ratio_function():
 
 def test_c_status_bare_table_unknown():
     w = ContractionWitness(WitnessClass.PHI_TABLE,
-                           phi_table={(Fraction(0), Fraction(1)): Fraction(0)})
+                           phi_table=[None, Fraction(0), Fraction(0), None])
     assert c_condition_status(w).status is CStatus.UNKNOWN
 
 

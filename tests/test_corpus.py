@@ -22,7 +22,9 @@ from ordermetric import (
     DomainError,
     SetValuedMap,
     WitnessClass,
+    bound_table,
     build_instance,
+    is_weak_contraction,
     real_module,
     strict_order_structure,
     weak_contraction_corpus,
@@ -77,7 +79,7 @@ def test_build_instance_matches_the_fraction_definitions(case):
         return
     phi, worst = expected
     assert inst.space.points == tuple(sorted(points))
-    assert inst.phi_witness.phi_table == phi
+    assert inst.phi_witness.phi_table == bound_table(inst.space, phi)
     assert all(inst.map_.images_fn(p) == tuple(dict.fromkeys(table[p])) for p in points)
     if worst < 1:
         assert inst.worst_ratio == worst
@@ -154,7 +156,7 @@ def test_generated_maps_equal_their_table_builds():
     rng, kept = random.Random(2027), 0
     while kept < 200:
         nums, images = corpus._random_attempt(rng)
-        inst = corpus._admit(STRUCTURE, 4, nums, images, "x")
+        inst = corpus._admit(STRUCTURE, corpus._POOL, nums, images, "x")
         if inst is not None:
             kept += 1
             q = [Fraction(k, 4) for k in nums]
@@ -179,22 +181,47 @@ def test_a_point_listed_twice_maps_to_its_first_position():
     assert inst.map_._image_positions == [(0, 1), (1, 0), (1, 0)]
 
 
+def test_every_position_of_a_point_listed_twice_reads_its_bound():
+    inst = build_instance(STRUCTURE, [3, 0, 1, 3], {0: [0], 1: [0], 3: [1]}, "twice")
+    w, space = inst.phi_witness, inst.space
+    assert w.phi_table == [None, 0, 1, 1,
+                           0, None, 1, 1,
+                           1, 1, None, None,
+                           1, 1, None, None]
+    assert w.phi(space, Fraction(0), Fraction(3), Fraction(3)) == 1
+    assert w.phi(space, Fraction(1), Fraction(0), Fraction(1)) == 0
+    # both positions of 3 against 0 and 1, both ways, and 0 against 1
+    assert is_weak_contraction(inst.map_, w).checked == 10
+
+
 # ---------------------------------------------------------------------------
 # generated corpora
 
 
-def _digest(insts) -> str:
-    """Every instance's names, points, images, witnesses and worst ratio."""
+def _digest(insts, table=lambda space, table: tuple(table)) -> str:
+    """Every instance's names, points, images, witnesses and worst ratio;
+    ``table(space, phi_table)`` is what a bound table contributes."""
     h = hashlib.sha256()
     for inst in insts:
         T, phi, alpha = inst.map_, inst.phi_witness, inst.alpha_witness
         row = (inst.name, inst.space.name, inst.space.points, T.name,
                tuple((x, T.images_fn(x)) for x in inst.space.points),
-               phi.klass.value, tuple(phi.phi_table.items()), phi.label,
+               phi.klass.value, table(inst.space, phi.phi_table), phi.label,
                inst.worst_ratio,
                None if alpha is None else (alpha.klass.value, alpha.alpha_const, alpha.label))
         h.update(repr(row).encode())
     return h.hexdigest()
+
+
+def _point_pair_items(space, table) -> tuple:
+    """A bound table as the items of the point-keyed dict that held it
+    before tables were laid out by position: ``((x, y), bound)`` for the
+    pairs of distinct points, row by row."""
+    pts, n = space.points, len(space.points)
+    assert len(set(pts)) == n  # a generated instance lists each point once
+    assert all((table[i * n + j] is None) == (i == j) for i in range(n) for j in range(n))
+    return tuple(((x, y), table[i * n + j]) for i, x in enumerate(pts)
+                 for j, y in enumerate(pts) if i != j)
 
 
 @pytest.fixture(scope="module")
@@ -214,9 +241,15 @@ def test_corpus_pins(seed, count, last, n_global, corpus_0_3000):
     assert sum(i.global_contraction for i in insts) == n_global
 
 
+def test_corpus_tables_hold_the_point_keyed_bounds(corpus_0_3000):
+    # the digest pinned while the tables were keyed by point pairs
+    assert _digest(corpus_0_3000, _point_pair_items) == \
+        "2c3cc4fabf0b5ad4cb6f964a23d5206bf911bbb2ec5151c6be7dc4c5fd1b8473"
+
+
 def test_corpus_digest(corpus_0_3000):
     assert _digest(corpus_0_3000) == \
-        "2c3cc4fabf0b5ad4cb6f964a23d5206bf911bbb2ec5151c6be7dc4c5fd1b8473"
+        "7118f4166ab3568263eea326816f3d21d842e5c9f55674a5c2773bc5d39478df"
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +267,8 @@ def test_corpus_survey_script_runs_clean():
     proc = _survey("--count", "200")
     assert proc.returncode == 0, proc.stderr
     assert "instances: 200" in proc.stdout
+    # the generator keeps a map it drew before as a new instance
+    assert "\ndistinct random instances: 184 of 196\n" in proc.stdout
     assert "pass one-sided check with the bound table: 200" in proc.stdout
     verified, built = map(int, re.search(
         r"pass all-pairs check with a constant ratio: (\d+)  \(built with one: (\d+)\)",

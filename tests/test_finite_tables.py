@@ -29,6 +29,7 @@ from ordermetric import (
     SolverConfig,
     WitnessClass,
     approximate_endpoint_property_finite,
+    bound_table,
     check_hypotheses,
     coord_cone_group,
     coord_cone_module,
@@ -191,7 +192,8 @@ def _fixtures():
     pts = space.points
     phi = ContractionWitness(
         WitnessClass.PHI_TABLE,
-        phi_table={(x, y): space.distance(x, y) / 2 for x in pts for y in pts if x != y})
+        phi_table=bound_table(space, {(x, y): space.distance(x, y) / 2
+                                      for x in pts for y in pts if x != y}))
     not_weak = SetValuedMap.from_table(space, {F(0): (F(0),), F(1, 4): (F(1),),
                                                F(1): (F(0),)}, name="swap")
     ladder = build_bundle(load_instance(LADDER))
@@ -758,7 +760,7 @@ def _maps_and_witnesses(draw, space):
                 else space.structure.module.scale(draw(_ratios), d)
         for key in draw(st.lists(st.sampled_from(pairs), max_size=2)) if pairs else ():
             table.pop(key, None)
-        return T, ContractionWitness(klass, phi_table=table)
+        return T, ContractionWitness(klass, phi_table=bound_table(space, table))
     if klass is WitnessClass.ALPHA_CONSTANT:
         w = ContractionWitness(klass, alpha_const=draw(st.sampled_from(
             [F(0), F(1, 4), F(1, 2), F(3, 4)])))
@@ -992,7 +994,7 @@ def _gappy_phi(space, overrides):
     table = {(x, y): space.distance(x, y) / 2 for x, y in _ref_pairs(space)}
     table.update(overrides)
     del table[(F(1), F(1, 4))]
-    return ContractionWitness(WitnessClass.PHI_TABLE, phi_table=table)
+    return ContractionWitness(WitnessClass.PHI_TABLE, phi_table=bound_table(space, table))
 
 
 def _map_rows(bundle):
@@ -1166,9 +1168,11 @@ def test_ladder_oracle_row_decides_each_step_once(monkeypatch):
 
 # Fraction.__hash__ calls of weak_contraction_corpus(0, 3000) alone, and
 # with the one-sided check, the endpoint scan and the inf-sup value of every
-# instance; scoring every pair of every attempt and rebuilding each kept
-# one through a point-keyed table took 111,297 and 205,217
-CORPUS_HASH_BUDGET = {"generate": 47538, "total": 112222}
+# instance: each instance's point index, built with its map, and the endpoint
+# scan's image lookups. Scoring every pair of every attempt and rebuilding
+# each kept one through a point-keyed table took 111,297 and 205,217, and
+# point-keyed bound tables and image dicts 47,530 and 112,214
+CORPUS_HASH_BUDGET = {"generate": 8730, "total": 17358}
 
 
 def test_corpus_stays_within_its_hash_budget(monkeypatch):
@@ -1195,7 +1199,9 @@ def test_ladder_min_positive_distance_takes_one_pass(monkeypatch):
     # one comparison per ordered pair after the first, and no hash: the
     # all-pairs chain check made 108,344 comparisons on its 465 values, the
     # chain sort about 3,800, and deduplicating the 930 values first took
-    # 930 hashes and 464 comparisons
+    # 930 hashes and 464 comparisons; the pair list looked up the first
+    # position of each of the 31 points, and now reads that each point is
+    # listed once from the size of the index
     calls = {"cmp": 0, "hash": 0}
     orig, raw_hash = order_core._scalar_cmp, Fraction.__hash__
 
@@ -1213,8 +1219,7 @@ def test_ladder_min_positive_distance_takes_one_pass(monkeypatch):
     monkeypatch.setattr(Fraction, "__hash__", counted_hash)
     calls.update(cmp=0, hash=0)  # building the space compares and hashes too
     assert min_positive_distance(space) == Fraction(1, 4) ** 29
-    # the pair list looks up the first position of each of the 31 points
-    assert calls == {"cmp": 929, "hash": 31}
+    assert calls == {"cmp": 929, "hash": 0}
 
 
 def test_ladder_solve_checks_its_hypotheses_in_one_pass(monkeypatch, capsys):

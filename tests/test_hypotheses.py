@@ -22,6 +22,7 @@ from ordermetric import (
     SuiteSpec,
     WitnessClass,
     banach_iterate,
+    bound_table,
     build_bundle,
     check_hypotheses,
     endpoint_iff_report,
@@ -137,8 +138,8 @@ def dilation(rstruct):
 def _phi_table(space):
     return ContractionWitness(
         WitnessClass.PHI_TABLE,
-        phi_table={(x, y): space.distance(x, y) / 2
-                   for x in space.points for y in space.points if x != y})
+        phi_table=bound_table(space, {(x, y): space.distance(x, y) / 2
+                                      for x in space.points for y in space.points if x != y}))
 
 
 @pytest.mark.parametrize("witness_kind", ["alpha-const", "phi-table"])

@@ -26,6 +26,7 @@ from ordermetric import (
     SuiteSpec,
     WitnessClass,
     banach_iterate,
+    bound_table,
     build_bundle,
     builtin_bundles,
     check_hypotheses,
@@ -335,9 +336,9 @@ def _walk_cases(draw):
     def witness():
         if draw(st.booleans()):
             return ContractionWitness(WitnessClass.ALPHA_CONSTANT, alpha_const=draw(ratios))
-        return ContractionWitness(WitnessClass.PHI_TABLE, phi_table={
+        return ContractionWitness(WitnessClass.PHI_TABLE, phi_table=bound_table(space, {
             (x, y): structure.module.scale(draw(ratios) * 2, space.distance(x, y))
-            for x in pts for y in pts if x != y})
+            for x in pts for y in pts if x != y}))
 
     e = draw(st.sampled_from([Fraction(1, 64), Fraction(1, 8), Fraction(1, 2), Fraction(2)]))
     return T, witness(), witness(), (e, e) if kind == "cone" else e, pts
@@ -493,7 +494,7 @@ def test_iff_report_skips_unknown_convergence_class(dilation):
         for y in T.space.points:
             if x != y:
                 table[(x, y)] = HALF.phi(T.space, x, y, T.space.distance(x, y))
-    w = ContractionWitness(WitnessClass.PHI_TABLE, phi_table=table)
+    w = ContractionWitness(WitnessClass.PHI_TABLE, phi_table=bound_table(T.space, table))
     rep = endpoint_iff_report(T, w)
     assert rep.status == "skipped"
     assert "convergence condition" in rep.reason
