@@ -9,7 +9,8 @@
    yet still lands on the endpoint 0 in seven steps.
 3. Exact halving on the rational unit interval: no exact endpoint is ever
    hit, so the run ends with an approximate-endpoint certificate, and the
-   companion ratio iteration prints its a-priori error bounds.
+   ratio iteration of the same single-valued map prints its a-priori error
+   bounds.
 """
 
 from fractions import Fraction
@@ -20,9 +21,9 @@ from ordermetric import (
     SetValuedMap,
     SolverConfig,
     WitnessClass,
-    banach_iterate,
     endpoints_bruteforce,
     iterate_endpoint,
+    iterate_fixed_point,
     real_module,
     strict_order_structure,
 )
@@ -73,7 +74,7 @@ def continuum_demo():
     print(report.render())
     print()
     banner("ratio iteration with a-priori bounds")
-    report = banach_iterate(bundle.space, lambda x: x / 2, Fraction(1, 2), cfg)
+    report = iterate_fixed_point(bundle.map_, bundle.witness, cfg)
     print(report.render())
 
 

@@ -97,6 +97,7 @@ from .solver import (
     endpoint_census,
     endpoint_iff_report,
     iterate_endpoint,
+    iterate_fixed_point,
 )
 from .harness import (
     ALL_CHECKS,

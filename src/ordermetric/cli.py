@@ -51,8 +51,8 @@ from .solver import (
     SelectionRule,
     SolverConfig,
     SolverOutcome,
-    banach_iterate,
     iterate_endpoint,
+    iterate_fixed_point,
     walk_tolerance,
 )
 
@@ -177,23 +177,17 @@ def cmd_solve(args) -> int:
     cfg = SolverConfig(eps=eps, seed_point=seed_point, max_iter=args.max_iter,
                        selection_rule=rule)
 
-    banach = bundle.banach_map is not None and bundle.banach_alpha is not None
-    wit_report = check_hypotheses(bundle.map_, bundle.witness).witness_report
+    T, w = bundle.map_, bundle.witness
+    wit_report = check_hypotheses(T, w).witness_report
     if not wit_report.passed:
         bad = wit_report.failures()[0]
         print("hypothesis violated: the bound must sit strictly below the distance "
               "at every pair of distinct points", file=sys.stderr)
         print(f"witness: {bad.witness}", file=sys.stderr)
         return EXIT_HYPOTHESIS_VIOLATION
-    if banach and bundle.banach_alpha >= 1:
-        print(f"hypothesis violated: the single-valued map scales by ratio "
-              f"{bundle.banach_alpha}, which must lie in [0, 1)", file=sys.stderr)
-        return EXIT_HYPOTHESIS_VIOLATION
 
-    if banach:
-        report = banach_iterate(bundle.space, bundle.banach_map, bundle.banach_alpha, cfg)
-    else:
-        report = iterate_endpoint(bundle.map_, bundle.witness, cfg)
+    single = T.function is not None and w.ratio is not None
+    report = (iterate_fixed_point if single else iterate_endpoint)(T, w, cfg)
     sys.stdout.write(report.render() + "\n")
     if report.outcome in (SolverOutcome.ENDPOINT_FOUND,
                           SolverOutcome.APPROX_ENDPOINT_SEQUENCE):

@@ -19,15 +19,15 @@ against the ``Order`` singletons by identity.
 An image point outside a finite space is a ``DomainError`` naming it.
 
 A space and a plan have one pair list (``_distinct_pairs``) that every
-pair check reads, so the one-sided bound, the global bound, the witness
-obligations and the Banach pre-check speak of the same pairs. Each check
-runs its pair laws on the one law runner in one pass over that list,
-reading each visited pair's distance and bound once, and returns the
-runner's ``LawResult`` or ``LawReport``; the walk hypotheses share one
-pass, and every item a law counts is a pair it evaluated. Every step that
-can raise runs inside the stream or in the first call of its law, so the
-runner holds each error for the laws it reached. The approximate-endpoint
-sequence runs its per-index image bound as one law on the same runner.
+pair check reads, so the one-sided bound, the global bound and the witness
+obligations speak of the same pairs. Each check runs its pair laws on the
+one law runner in one pass over that list, reading each visited pair's
+distance and bound once, and returns the runner's ``LawResult`` or
+``LawReport``; the walk hypotheses share one pass, and every item a law
+counts is a pair it evaluated. Every step that can raise runs inside the
+stream or in the first call of its law, so the runner holds each error for
+the laws it reached. The approximate-endpoint sequence runs its per-index
+image bound as one law on the same runner.
 
 A map keeps what is derived from it: its image positions, a
 ``functools.cached_property`` like every unkeyed memo here, and its walk
@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import Callable, Mapping, Sequence
+from typing import Callable, ClassVar, Mapping, Sequence
 
 from .order_core import (
     _EQUAL,
@@ -120,15 +120,13 @@ class SetValuedMap:
     images_fn: Callable[[Point], tuple]
     name: str = "T"
     _verdict: tuple = field(default=(None, None, None), init=False, repr=False)
+    function: ClassVar[Callable[[Point], Point] | None] = None  # set on single-valued maps
 
     def images(self, x: Point) -> tuple:
         out = self.images_fn(x)
         if not out:
             raise DomainError(f"map {self.name!r} has an empty image at {format_element(x)}")
         return out
-
-    def is_endpoint(self, x: Point) -> bool:
-        return self.images(x) == (x,)
 
     @property
     def _entry_images(self) -> Callable:
@@ -184,6 +182,17 @@ class SetValuedMap:
                   name: str = "T") -> "SetValuedMap":
         return SetValuedMap(space, lambda x: _distinct(rule(x)), name)
 
+    @staticmethod
+    def from_function(space: ConeMetricSpace, f: Callable[[Point], Point],
+                      name: str = "T") -> "SetValuedMap":
+        """The single-valued map x -> {f(x)}, which keeps ``f``."""
+        return _SingleValuedMap(space, lambda x: (f(x),), name, function=f)
+
+
+@dataclass(frozen=True, eq=False)
+class _SingleValuedMap(SetValuedMap):
+    function: Callable[[Point], Point] = None  # every image is (function(x),)
+
 
 @dataclass(frozen=True)
 class EndpointSet:
@@ -211,12 +220,13 @@ class PsiProperties:
 
     All three are needed for the convergence condition: upper
     semicontinuity, sitting strictly below the identity on positives, and
-    a positive gap liminf at infinity.
+    a positive gap liminf at infinity. Each is False until declared, so
+    nothing is certified by default.
     """
 
-    upper_semicontinuous: bool = True
-    below_identity: bool = True
-    positive_tail_gap: bool = True
+    upper_semicontinuous: bool = False
+    below_identity: bool = False
+    positive_tail_gap: bool = False
 
     @property
     def all_hold(self) -> bool:
@@ -267,6 +277,13 @@ class ContractionWitness:
             return self.alpha_fn(x, y)
         raise ValueError("witness has no ratio payload")
 
+    @property
+    def ratio(self) -> Fraction | None:
+        """The constant, or the declared cap of a ratio function, else None."""
+        if self.klass is WitnessClass.ALPHA_CONSTANT:
+            return self.alpha_const
+        return self.alpha_bound if self.klass is WitnessClass.ALPHA_FUNCTION else None
+
     def phi(self, space: ConeMetricSpace, x: Point, y: Point, d: Element) -> Element:
         """Evaluate the bound at an ordered pair of distinct points whose
         distance ``d`` the caller already holds; a table reads the first
@@ -276,7 +293,7 @@ class ContractionWitness:
             if x not in where or y not in where:
                 raise _no_entry(x, y)
             return bound(where[x], where[y], d)
-        if self.klass in (WitnessClass.ALPHA_CONSTANT, WitnessClass.ALPHA_FUNCTION):
+        if self.ratio is not None:
             return space.structure.module.scale(self.alpha(x, y), d)
         return self.psi(d)
 
@@ -488,7 +505,7 @@ def _witness_laws(T: SetValuedMap, w: ContractionWitness) -> list:
                     f"{format_element(bound)} not strictly below {format_element(d)}")
 
     laws = [("phi-strictly-below", phi_strictly_below)]
-    if w.klass in (WitnessClass.ALPHA_CONSTANT, WitnessClass.ALPHA_FUNCTION):
+    if w.ratio is not None:
         const = w.klass is WitnessClass.ALPHA_CONSTANT
 
         def alpha_range(a, b, *_):
@@ -595,10 +612,12 @@ def _hypothesis_pass(T: SetValuedMap, w: ContractionWitness, plan: SamplePlan | 
 
 
 def endpoints_bruteforce(T: SetValuedMap) -> EndpointSet:
-    """Exhaustive scan of a finite space for the distinct points with image exactly {x}."""
+    """The distinct points of a finite space with image exactly {x}: the
+    positions i whose image positions are ``(i,)``, so no point is hashed."""
     if not T.space.finite:
         raise ValueError("brute-force endpoint scan needs a finite space")
-    return EndpointSet(tuple(x for x in T.space._index if T.is_endpoint(x)))
+    pts = T.space.points
+    return EndpointSet(tuple(pts[i] for i, img in enumerate(T._image_positions) if img == (i,)))
 
 
 @dataclass(frozen=True)

@@ -75,14 +75,13 @@ from .contraction import (
     is_weak_contraction,
 )
 from .solver import (
-    BanachReport,
     SelectionRule,
     SolverConfig,
     SolverOutcome,
-    banach_iterate,
     endpoint_census,
     endpoint_iff_report,
     iterate_endpoint,
+    iterate_fixed_point,
     walk_tolerance,
 )
 from .instance_files import (
@@ -542,8 +541,7 @@ def _check_c_status(b: InstanceBundle, ctx: _Ctx):
     status = c_condition_status(b.witness)
     if status.status is CStatus.HOLDS_BY_THEOREM:
         return "pass", f"{status.status.value}: {status.justification}"
-    # the theorem covers both ratio classes, so only another class may be undecided
-    if b.witness.klass not in (WitnessClass.ALPHA_CONSTANT, WitnessClass.ALPHA_FUNCTION):
+    if b.witness.ratio is None:  # the theorem covers every ratio witness
         return "skip", f"{status.status.value}: {status.justification}"
     return "fail", f"unexpected verdict {status.status.value}"
 
@@ -630,13 +628,9 @@ def _check_trace_monotone(b: InstanceBundle, ctx: _Ctx):
     return "pass", f"{rep.outcome.value} with governed trace of {len(steps)} steps"
 
 
-def _check_banach_rate(b: InstanceBundle, ctx: _Ctx):
-    if b.banach_alpha >= 1:
-        return "skip", (f"the single-valued map scales by ratio {b.banach_alpha}, "
-                        f"which must lie in [0, 1)")
+def _check_banach_rate(b: InstanceBundle, ctx: _Ctx, _):
     g = b.space.group
-    rep: BanachReport = banach_iterate(b.space, b.banach_map, b.banach_alpha,
-                                       _solver_cfg(b), ctx.plan)
+    rep = iterate_fixed_point(b.map_, b.witness, _solver_cfg(b), ctx.plan)
     if rep.outcome not in (SolverOutcome.ENDPOINT_FOUND, SolverOutcome.APPROX_ENDPOINT_SEQUENCE):
         return "fail", rep.message
     for step in rep.trace:
@@ -660,8 +654,10 @@ _FINITE_MAP = (lambda b, ctx: b.map_ is not None and b.space.finite, "needs a fi
 _WITNESS = (lambda b, ctx: b.witness is not None, "bundle has no witness")
 _GOVERNED = (lambda b, ctx: _global_report(b, ctx).passed,
              "all-pairs bound fails; walk not governed")
-_SINGLE_VALUED = (lambda b, ctx: b.banach_map is not None,
+_SINGLE_VALUED = (lambda b, ctx: b.map_ is not None and b.map_.function is not None,
                   "bundle has no single-valued contraction")
+_RATIO = (lambda b, ctx: b.witness is not None and b.witness.ratio is not None,
+          "witness gives no ratio")
 
 
 def _needs(*needs):
@@ -707,7 +703,8 @@ CHECKS.update({
     "endpoint/iff-zero-gap": _needs(_MAP_WITNESS)(_check_iff),
     "solver/oracle-agreement": _needs(_FINITE_MAP, _WITNESS, _GOVERNED)(_check_oracle_agreement),
     "solver/trace-monotone": _needs(_MAP_WITNESS, _GOVERNED)(_check_trace_monotone),
-    "solver/banach-rate": _needs(_SINGLE_VALUED)(_check_banach_rate),
+    "solver/banach-rate": _needs(_SINGLE_VALUED, _RATIO, _GOVERNED)(
+        _map_row(_global_report, _check_banach_rate)),
 })
 
 ALL_CHECKS = tuple(CHECKS)

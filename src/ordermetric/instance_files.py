@@ -27,7 +27,8 @@ continuum boxes use ``interval = lo .. hi``. Table metrics add one
 ``row = ...`` per point, in point order; the matrix must be symmetric with
 a zero diagonal and every violation is reported with its cell and line.
 Rule maps use ``rule = scale`` with ``factors = f1; f2; ...`` where each
-factor (a scalar or a per-coordinate tuple) contributes one image point;
+factor (a scalar or a per-coordinate tuple) contributes one image point,
+so one factor makes a single-valued map (``SetValuedMap.from_function``);
 every image must lie in the carrier (on an interval, the corners' images).
 
 Parsing produces an InstanceDescription, a plain value that each section
@@ -58,7 +59,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import Callable
 
 from .order_core import (
     OrderedModuleInstance,
@@ -548,8 +548,6 @@ class InstanceBundle:
     eps_family: tuple = ()
     solver_seed: object = None
     solver_eps: object = None
-    banach_map: Callable | None = None
-    banach_alpha: Fraction | None = None
 
     def replace(self, **kw) -> "InstanceBundle":
         return dataclasses.replace(self, **kw)
@@ -591,12 +589,17 @@ def _make_witness(desc: InstanceDescription, space: ConeMetricSpace) -> Contract
         return ContractionWitness(WitnessClass.PHI_TABLE,
                                   phi_table=bound_table(space, dict(desc.phi_entries)))
     if desc.witness_class == "psi":
+        # upper semicontinuous: both are continuous
+        # below the identity: t/2 < t and t/(1 + t) < t for every t > 0
+        # positive tail gap: the gaps t/2 and t^2/(1 + t) grow without bound
         if desc.psi_name == "half":
             psi = lambda t: t / 2  # noqa: E731
         else:  # damped
             psi = lambda t: t / (1 + t)  # noqa: E731
         return ContractionWitness(WitnessClass.PSI_ON_DISTANCE, psi=psi,
-                                  psi_properties=PsiProperties(),
+                                  psi_properties=PsiProperties(
+                                      upper_semicontinuous=True, below_identity=True,
+                                      positive_tail_gap=True),
                                   label=f"psi {desc.psi_name}")
     raise InstanceFileError(f"unknown witness class {desc.witness_class!r}")
 
@@ -648,13 +651,17 @@ def build_bundle(desc: InstanceDescription) -> InstanceBundle:
         space = ConeMetricSpace(desc.name, structure, metric, points=desc.points)
         default_seed = desc.points[-1]
 
-    map_ = banach_map = banach_alpha = None
+    map_ = None
     if desc.map_kind == "table":
         map_ = SetValuedMap.from_table(space, dict(desc.map_table))
     elif desc.map_kind == "rule":
         factors = desc.map_factors
-        map_ = SetValuedMap.from_rule(
-            space, lambda x: tuple(_scale_by(x, f) for f in factors), name="scale")
+        if len(factors) == 1:
+            map_ = SetValuedMap.from_function(space, partial(_scale_by, f=factors[0]),
+                                              name="scale")
+        else:
+            map_ = SetValuedMap.from_rule(
+                space, lambda x: tuple(_scale_by(x, f) for f in factors), name="scale")
         # rule images must stay inside the carrier; a scale map is monotone
         # in each coordinate, so on an interval the two corners decide it
         probes = space.points if space.finite else desc.interval
@@ -665,11 +672,6 @@ def build_bundle(desc: InstanceDescription) -> InstanceBundle:
                     raise InstanceFileError(
                         f"rule image {format_element(q)} of point "
                         f"{format_element(p)} is not {where}")
-        if len(factors) == 1:  # also a single-valued map with this ratio
-            f = factors[0]
-            banach_map = partial(_scale_by, f=f)
-            mags = f if isinstance(f, tuple) else (f,)
-            banach_alpha = max(abs(v) for v in mags)
 
     witness = _make_witness(desc, space)
 
@@ -700,8 +702,6 @@ def build_bundle(desc: InstanceDescription) -> InstanceBundle:
         eps_family=eps_family,
         solver_seed=default_seed,
         solver_eps=solver_eps,
-        banach_map=banach_map,
-        banach_alpha=banach_alpha,
     )
 
 
@@ -781,27 +781,22 @@ alpha = 1/2
 
 def builtin_bundles() -> dict[str, InstanceBundle]:
     """The suite's instances, each built from an instance text plus what no
-    instance file carries: its solver scales, the single-valued maps of
-    three-point and cone-n, and a skewed tolerance on cone-n."""
+    instance file carries: its solver scales and a skewed tolerance on
+    cone-n. Each has the one map of its text: real-line and cone-n halve,
+    a single-valued map, and three-point's table is set-valued."""
     def build(text, name):
         return build_bundle(parse_instance_text(text, name=name))
 
-    step = {Fraction(0): Fraction(0), Fraction(1, 4): Fraction(0), Fraction(1): Fraction(1, 4)}
     bundles = [
         build(BUILTIN_INSTANCE_TEXTS["r1-banach"], "real-line").replace(solver_eps=Fraction(1, 100)),
-        # banach_alpha stays 1/2, not the ratio 1/3 of this map: it sets the
-        # stop scale of the single-valued walk
-        build(BUILTIN_INSTANCE_TEXTS["three-point"], "three-point").replace(
-            solver_eps=Fraction(1, 8), banach_map=step.__getitem__, banach_alpha=Fraction(1, 2)),
+        build(BUILTIN_INSTANCE_TEXTS["three-point"], "three-point").replace(solver_eps=Fraction(1, 8)),
     ]
     for dim in (2, 3):
         cone = build(_coord_cone_text(dim, "1/2"), f"cone-{dim}")
-        factors = tuple(Fraction(1, k + 2) for k in range(dim))  # 1/2, 1/3, ...
         skew = tuple(Fraction(1, 10) if i == 0 else Fraction(1, 2) for i in range(dim))
         bundles.append(cone.replace(
             eps_family=cone.eps_family + (skew,),
-            solver_eps=cone.module.group.fill(Fraction(1, 100)),
-            banach_map=partial(_scale_by, f=factors)))
+            solver_eps=cone.module.group.fill(Fraction(1, 100))))
     return {b.name: b for b in bundles}
 
 

@@ -22,7 +22,8 @@ the point alone and the check on two consecutive steps, and the mode is
 fixed by that verdict, so a kept decision is what a new one would give;
 only the tolerance stop depends on the tolerance, and it is decided at
 every step. Sampled spaces keep nothing. One walk loop serves both,
-through a step reader.
+through a step reader. A single-valued map under a ratio witness also
+has the ratio iteration (``iterate_fixed_point``) on the same verdict.
 ``endpoint_census`` alone decides the endpoint equivalence on a finite
 space ("has an endpoint": at least one); ``endpoint_iff_report`` gates it
 on the theorem's hypotheses.
@@ -42,7 +43,6 @@ from .order_core import (
     LawResult,
     Order,
     SamplePlan,
-    _run_law,
     format_element,
     order_min,
 )
@@ -53,7 +53,7 @@ from .contraction import (
     ContractionWitness,
     Hypotheses,
     SetValuedMap,
-    _distinct_pairs,
+    WitnessClass,
     approximate_endpoint_property_finite,
     c_condition_status,
     check_hypotheses,
@@ -355,57 +355,40 @@ class BanachReport:
         return "\n".join(lines)
 
 
-def banach_iterate(m: ConeMetricSpace, f: Callable[[Point], Point], alpha,
-                   cfg: SolverConfig, plan: SamplePlan | None = None) -> BanachReport:
-    """Successive application of a ratio contraction with exact bounds.
+def iterate_fixed_point(T: SetValuedMap, w: ContractionWitness, cfg: SolverConfig,
+                        plan: SamplePlan | None = None) -> BanachReport:
+    """Successive application of a single-valued map's ``T.function`` at its
+    witness's ``w.ratio`` alpha, with exact bounds.
 
-    First the ratio bound d(fx, fy) <= alpha * d(x, y) runs as one law on
-    the law runner, over the one pair list of ``m`` and ``plan`` that
-    every pair check reads; its first failing pair ends the call as a
-    hypothesis violation. Then the iteration stops at an exact fixed
-    point, or as soon as the step distance is strictly dominated by
-    (1 - alpha) * eps: the geometric tail then guarantees the distance to
-    the fixed point is strictly within eps.
-    Every trace row also carries the a-priori bound
-    alpha^n * (1 - alpha)^{-1} * d(x0, x1).
+    The map's kept ``check_hypotheses(T, w, plan)`` decides the ratio
+    bound d(fx, fy) <= alpha * d(x, y): on one-point images it is the
+    global bound. A failing hypothesis ends the call as a violation naming
+    it. Then the iteration stops at an exact fixed point, or as soon as the
+    step is strictly dominated by (1 - alpha) * eps: the geometric tail
+    keeps the fixed point strictly within eps. Every trace row also carries
+    the a-priori bound alpha^n * (1 - alpha)^{-1} * d(x0, x1).
     """
-    plan = plan or SamplePlan()
-    g, t = m.group, m.structure
-    module = t.module
-    alpha = Fraction(alpha)
-    if not (0 <= alpha < 1):
-        raise ValueError("ratio must lie in [0, 1)")
+    m, f, alpha = T.space, T.function, w.ratio
+    if f is None or alpha is None:
+        raise ValueError("ratio iteration needs a single-valued map and a ratio witness")
+    g, t, module = m.group, m.structure, m.structure.module
     eps = walk_tolerance(m, cfg.eps)
     x = m.require_member(cfg.seed_point)
 
-    point, dist = m._point, m._dist
-
-    def ratio_bound(a, b):
-        x_a, x_b = point(a), point(b)
-        lhs = m.distance(f(x_a), f(x_b))
-        rhs = module.scale(alpha, dist(a, b))
-        if not g.leq(lhs, rhs):
-            return (f"contraction bound fails at x={format_element(x_a)}, "
-                    f"y={format_element(x_b)}: d(fx, fy)={format_element(lhs)} exceeds "
-                    f"{format_element(rhs)}")
-
-    precheck = _run_law("banach-precheck", _distinct_pairs(m, plan), ratio_bound)
-    if not precheck.passed:
+    notes = check_hypotheses(T, w, plan).notes
+    if notes:
         return BanachReport(SolverOutcome.HYPOTHESIS_VIOLATION, (), alpha,
-                            message=precheck.witness)
+                            message="; ".join(notes))
 
     stop_scale = module.scale(1 - alpha, eps)
     inv_gap = 1 / (1 - alpha)
     trace: list[BanachStep] = []
-    first_step: Element | None = None
     for n in range(cfg.max_iter + 1):
         x_next = f(x)
         if not m.member(x_next):
             raise DomainError(f"iterate {format_element(x_next)} left the space")
         step = m.distance(x, x_next)
-        if first_step is None:
-            first_step = step
-        apriori = module.scale(alpha ** n * inv_gap, first_step)
+        apriori = module.scale(alpha ** n * inv_gap, trace[0].step_distance if trace else step)
         trace.append(BanachStep(n, x, x_next, step, apriori))
         if g.eq(step, g.identity):
             return BanachReport(SolverOutcome.ENDPOINT_FOUND, tuple(trace), alpha,
@@ -420,6 +403,13 @@ def banach_iterate(m: ConeMetricSpace, f: Callable[[Point], Point], alpha,
         x = x_next
     return BanachReport(SolverOutcome.BUDGET_EXHAUSTED, tuple(trace), alpha,
                         message=f"no certificate within {cfg.max_iter} iterations")
+
+
+def banach_iterate(m: ConeMetricSpace, f: Callable[[Point], Point], alpha,
+                   cfg: SolverConfig, plan: SamplePlan | None = None) -> BanachReport:
+    """``iterate_fixed_point`` on x -> {f(x)} under the constant ratio ``alpha``."""
+    w = ContractionWitness(WitnessClass.ALPHA_CONSTANT, alpha_const=Fraction(alpha))
+    return iterate_fixed_point(SetValuedMap.from_function(m, f), w, cfg, plan)
 
 
 # ---------------------------------------------------------------------------

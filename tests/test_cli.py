@@ -133,14 +133,13 @@ ONE_POINT_PHI_FILE = ONE_POINT_FILE.replace("class = alpha-const\nalpha = 1/2\n"
 _NO_PAIRS = "skip\tno pair of distinct points to check"
 _C_STATUS = ("pass\tholds-by-theorem: uniform ratio 1/2 < 1: the gap dominates "
              "(1 - 1/2) * d, and that factor is invertible and positive")
-_UNIT_RATIO = "skip\tthe single-valued map scales by ratio 1, which must lie in [0, 1)"
 _ONE_POINT_ORACLE = "walk tolerance undefined: space has fewer than two distinct points"
 _NOT_SINGLE_VALUED = "skip\tbundle has no single-valued contraction"
 
 
 @pytest.mark.parametrize("text, c_status, oracle, banach", [
     (ONE_POINT_FILE, _C_STATUS, _ONE_POINT_ORACLE, _NOT_SINGLE_VALUED),
-    (ONE_POINT_INTERVAL_FILE, _C_STATUS, "needs a finite mapped space", _UNIT_RATIO),
+    (ONE_POINT_INTERVAL_FILE, _C_STATUS, "needs a finite mapped space", _NO_PAIRS),
     (ONE_POINT_PHI_FILE,
      "skip\tunknown: no registered criterion applies to this witness class",
      _ONE_POINT_ORACLE, _NOT_SINGLE_VALUED),
@@ -168,15 +167,19 @@ def test_map_and_solver_rows_without_a_pair_skip(tmp_path, capsys, text, c_statu
 
 
 def test_banach_rate_skips_a_scale_map_of_magnitude_one(tmp_path, capsys):
+    # T(x) = -x breaks the ratio 1/2 of its witness: the row skips as the
+    # walk rows do, and solve's ratio iteration names the failing pair
     path = tmp_path / "flip.ini"
     path.write_text(FLIP_FILE)
     rc = main(["verify", str(path), "--checks", "solver/banach-rate",
                "--format", "machine-rows"])
-    assert capsys.readouterr().out == f"solver/banach-rate\t{path.stem}\t{_UNIT_RATIO}\n"
+    assert capsys.readouterr().out == (f"solver/banach-rate\t{path.stem}\tskip\t"
+                                       "all-pairs bound fails; walk not governed\n")
     assert rc == 0
     assert main(["solve", str(path)]) == 2
-    assert capsys.readouterr().err == ("hypothesis violated: the single-valued map scales "
-                                       "by ratio 1, which must lie in [0, 1)\n")
+    assert capsys.readouterr() == (
+        "outcome: hypothesis-violation (ratio 1/2)\nglobal bound check failed: "
+        "x=-1/5, y=1, x'=1/5, y'=-1: d=6/5 exceeds 3/5\ntrace:\n", "")
 
 
 def test_trace_monotone_skips_a_walk_no_bound_governs(tmp_path, capsys):
@@ -470,12 +473,12 @@ def test_help_exits_zero(capsys):
 # ---------------------------------------------------------------------------
 # exit 2: violated hypotheses, order errors and domain errors, one row per
 # case: an argv, the instance text that "{path}" in it names (or None), and
-# the exact stderr
+# the exact stderr, or the exact (stdout, stderr) where a solver report says it
 
 
 def _scaling(factor, interval):
     """r1-banach with another scale factor, on a carrier that factor maps
-    into itself, so the ratio is what stops solve."""
+    into itself, under the witness ratio 1/2."""
     return BUILTIN_INSTANCE_TEXTS["r1-banach"].replace(
         "factors = 1/2", f"factors = {factor}").replace(
         "interval = 0 .. 1", f"interval = {interval}")
@@ -502,24 +505,36 @@ EXIT_TWO = [
      "domain error: (1, 1) is not in the carrier of 'real'\n"),
     ("tolerance-of-the-wrong-dimension", ["solve", "cone2-shrink", "--eps", "(1/8, 1/8, 1/8)"],
      None, "domain error: (1/8, 1/8, 1/8) is not in the carrier of 'cone-2'\n"),
-    ("scale-ratio-2", ["solve", "{path}"], _scaling("2", "0 .. 0"),
-     "hypothesis violated: the single-valued map scales by ratio 2, which must lie in [0, 1)\n"),
+    # the ratio iteration names the first pair where the global bound fails
     ("scale-ratio-1", ["solve", "{path}"], _scaling("1", "0 .. 1"),
-     "hypothesis violated: the single-valued map scales by ratio 1, which must lie in [0, 1)\n"),
+     ("outcome: hypothesis-violation (ratio 1/2)\nglobal bound check failed: "
+      "x=2/5, y=1, x'=2/5, y'=1: d=3/5 exceeds 3/10\ntrace:\n", "")),
     ("scale-ratio-minus-1", ["solve", "{path}"], _scaling("-1", "-1 .. 1"),
-     "hypothesis violated: the single-valued map scales by ratio 1, which must lie in [0, 1)\n"),
+     ("outcome: hypothesis-violation (ratio 1/2)\nglobal bound check failed: "
+      "x=-1/5, y=1, x'=1/5, y'=-1: d=6/5 exceeds 3/5\ntrace:\n", "")),
 ]
 
 
-@pytest.mark.parametrize("argv, text, stderr", [row[1:] for row in EXIT_TWO],
+@pytest.mark.parametrize("argv, text, expected", [row[1:] for row in EXIT_TWO],
                          ids=[row[0] for row in EXIT_TWO])
-def test_cli_error_exits_two(tmp_path, capsys, argv, text, stderr):
+def test_cli_error_exits_two(tmp_path, capsys, argv, text, expected):
     if text is not None:
         path = tmp_path / "instance.ini"
         path.write_text(text)
         argv = [str(path) if arg == "{path}" else arg for arg in argv]
     assert main(argv) == 2
-    assert capsys.readouterr() == ("", stderr)
+    assert capsys.readouterr() == (expected if isinstance(expected, tuple) else ("", expected))
+
+
+def test_solve_the_identity_on_one_point_is_an_exact_fixed_point(tmp_path, capsys):
+    # scale by 2 maps the carrier 0 .. 0 onto itself: the identity on {0},
+    # whose global bound holds on no pair, so the iteration stops at once
+    path = tmp_path / "instance.ini"
+    path.write_text(_scaling("2", "0 .. 0"))
+    assert main(["solve", str(path)]) == 0
+    assert capsys.readouterr() == (
+        "outcome: endpoint-found (ratio 1/2)\nexact fixed point after 0 steps\n"
+        "fixed point: 0\ntrace:\n  n=0  x=0  ->  0  d=0  apriori=0\n", "")
 
 
 @pytest.mark.parametrize("group, grid, metric", [
@@ -632,7 +647,9 @@ def test_value_mutants_reach_every_exit_code(fuzz_path):
     seen = collections.Counter()
     for text in _value_mutants(0, 300):
         seen.update(_run_mutant(fuzz_path, text))
-    # verify reports a broken hypothesis as a failed row (1), solve as 2
+    # verify reports a broken hypothesis as a failed row (1), solve as 2; a
+    # scale map iterates under its witness's ratio, so a halving map declared
+    # with ratio 0, or a 3/4 map with ratio 1/2, exits 2
     assert dict(seen) == {("verify", 0): 8, ("verify", 1): 24, ("verify", 3): 268,
-                          ("solve", 0): 19, ("solve", 1): 2, ("solve", 2): 11,
+                          ("solve", 0): 15, ("solve", 1): 2, ("solve", 2): 15,
                           ("solve", 3): 268}

@@ -268,12 +268,22 @@ def test_c_status_bare_table_unknown():
 def test_c_status_scalar_function():
     w = ContractionWitness(WitnessClass.PSI_ON_DISTANCE,
                            psi=lambda t: t / (1 + t),
-                           psi_properties=PsiProperties())
+                           psi_properties=PsiProperties(upper_semicontinuous=True,
+                                                        below_identity=True,
+                                                        positive_tail_gap=True))
     assert c_condition_status(w).status is CStatus.HOLDS_BY_THEOREM
     partial = ContractionWitness(WitnessClass.PSI_ON_DISTANCE,
                                  psi=lambda t: t / 2,
-                                 psi_properties=PsiProperties(positive_tail_gap=False))
+                                 psi_properties=PsiProperties(upper_semicontinuous=True,
+                                                              below_identity=True))
     assert c_condition_status(partial).status is CStatus.UNKNOWN
+
+
+def test_c_status_scalar_function_certifies_nothing_undeclared():
+    # a scalar witness earns the certificate only by declaring all three facts
+    w = ContractionWitness(WitnessClass.PSI_ON_DISTANCE, psi=lambda t: t / 2,
+                           psi_properties=PsiProperties())
+    assert c_condition_status(w).status is CStatus.UNKNOWN
 
 
 # -- structural facts over the corpus ---------------------------------------
@@ -316,7 +326,6 @@ def test_duplicate_image_entries_collapse(rstruct):
     T = SetValuedMap.from_table(space, {Fraction(0): (Fraction(0), Fraction(0)),
                                         Fraction(1): (Fraction(0),)})
     assert T.images(Fraction(0)) == (Fraction(0),)
-    assert T.is_endpoint(Fraction(0))
     assert endpoints_bruteforce(T).members == (Fraction(0),)
     T = SetValuedMap.from_table(space, {Fraction(0): (Fraction(1), Fraction(0), Fraction(1)),
                                         Fraction(1): (Fraction(0),)})

@@ -551,8 +551,7 @@ def test_image_outside_the_carrier_exits_two_from_solve(monkeypatch, capsys):
     def escaping_bundle(desc):
         bundle = build_bundle(desc)
         return bundle.replace(map_=SetValuedMap.from_rule(bundle.space, lambda x: (x * 2,),
-                                                          name="double"),
-                              banach_map=None)
+                                                          name="double"))
 
     monkeypatch.setattr(cli, "build_bundle", escaping_bundle)
     rc = main(["solve", "three-point", "--seed-point", "1", "--eps", "1/16"])
@@ -1011,7 +1010,7 @@ def test_missing_phi_entry_keeps_each_report_and_solve_error(case, monkeypatch, 
     w = _gappy_phi(b.space, overrides)
     assert _map_rows(b.replace(witness=w)) == [witness_row, _MISSING, global_row]
     monkeypatch.setattr(cli, "build_bundle",
-                        lambda desc: build_bundle(desc).replace(witness=w, banach_map=None))
+                        lambda desc: build_bundle(desc).replace(witness=w))
     rc = main(["solve", "three-point", "--seed-point", "1", "--eps", "1/16"])
     captured = capsys.readouterr()
     assert (rc, captured.out, captured.err) == (2, "", stderr)
@@ -1168,11 +1167,12 @@ def test_ladder_oracle_row_decides_each_step_once(monkeypatch):
 
 # Fraction.__hash__ calls of weak_contraction_corpus(0, 3000) alone, and
 # with the one-sided check, the endpoint scan and the inf-sup value of every
-# instance: each instance's point index, built with its map, and the endpoint
-# scan's image lookups. Scoring every pair of every attempt and rebuilding
-# each kept one through a point-keyed table took 111,297 and 205,217, and
-# point-keyed bound tables and image dicts 47,530 and 112,214
-CORPUS_HASH_BUDGET = {"generate": 8730, "total": 17358}
+# instance: each instance's point index, built with its map; the checks read
+# positions and hash nothing. Scoring every pair of every attempt and
+# rebuilding each kept one through a point-keyed table took 111,297 and
+# 205,217, point-keyed bound tables and image dicts 47,530 and 112,214, and
+# an endpoint scan that looked each point's image up by point 8,730 and 17,358
+CORPUS_HASH_BUDGET = {"generate": 8730, "total": 8730}
 
 
 def test_corpus_stays_within_its_hash_budget(monkeypatch):

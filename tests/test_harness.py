@@ -393,11 +393,11 @@ _MAP_ROWS_SKIPPED = [_NO_MAP_WITNESS] * 4 + [_NO_WITNESS]  # the five map/ rows
 
 
 # the map/, endpoint/ and solver/ rows of real-line and three-point, in check
-# order, once stripped of a map, witness and single-valued map and once of
-# the witness alone: each row tests its needs in a fixed order and skips with
-# the first one its bundle lacks
+# order, once stripped of a map and witness and once of the witness alone:
+# each row tests its needs in a fixed order and skips with the first one its
+# bundle lacks
 @pytest.mark.parametrize("strip, rows", [
-    pytest.param(dict(map_=None, witness=None, banach_map=None), {
+    pytest.param(dict(map_=None, witness=None), {
         name: _MAP_ROWS_SKIPPED + [
             _NOT_FINITE_MAPPED, _NOT_FINITE_MAPPED, _NO_MAP_WITNESS, _NOT_FINITE_MAPPED,
             _NO_MAP_WITNESS, ("skip", "bundle has no single-valued contraction")]
@@ -405,12 +405,11 @@ _MAP_ROWS_SKIPPED = [_NO_MAP_WITNESS] * 4 + [_NO_WITNESS]  # the five map/ rows
     pytest.param(dict(witness=None), {
         "real-line": _MAP_ROWS_SKIPPED + [
             _NOT_FINITE_MAPPED, _NOT_FINITE_MAPPED, _NO_MAP_WITNESS, _NOT_FINITE_MAPPED,
-            _NO_MAP_WITNESS,
-            ("pass", "approximate-endpoint-sequence in 8 steps, a-priori bound dominates")],
+            _NO_MAP_WITNESS, ("skip", "witness gives no ratio")],
         "three-point": _MAP_ROWS_SKIPPED + [
             _NO_WITNESS, ("pass", "inf-sup is zero and the constant witness validates"),
             _NO_MAP_WITNESS, _NO_WITNESS, _NO_MAP_WITNESS,
-            ("pass", "endpoint-found in 3 steps, a-priori bound dominates")]}, id="no-witness"),
+            ("skip", "bundle has no single-valued contraction")]}, id="no-witness"),
 ])
 def test_rows_without_a_map_or_witness_skip_with_their_reasons(strip, rows):
     bundles = {name: builtin_bundles()[name].replace(**strip) for name in rows}

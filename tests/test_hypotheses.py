@@ -21,7 +21,6 @@ from ordermetric import (
     SolverConfig,
     SuiteSpec,
     WitnessClass,
-    banach_iterate,
     bound_table,
     build_bundle,
     check_hypotheses,
@@ -29,6 +28,7 @@ from ordermetric import (
     is_global_weak_contraction,
     is_weak_contraction,
     iterate_endpoint,
+    iterate_fixed_point,
     load_instance,
     run_suite,
     validate_witness,
@@ -96,12 +96,29 @@ def test_a_ratio_iteration_solve_validates_the_witness_in_the_same_pass(calls, c
     assert calls == ONE_PASS
 
 
+@pytest.mark.parametrize("builtin", ["r1-banach", "cone2-shrink"])
+def test_a_ratio_iteration_solve_draws_one_pair_list(monkeypatch, calls, capsys, builtin):
+    # the iteration reads the verdict the witness check kept: no pre-check
+    # of its own scans the pairs again
+    drawn, original = [], contraction._distinct_pairs
+
+    def counted(*args):
+        drawn.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(contraction, "_distinct_pairs", counted)
+    assert main(["solve", builtin]) == 0
+    assert capsys.readouterr().out.startswith("outcome: approximate-endpoint-sequence (ratio 1/2)")
+    assert len(drawn) == 1
+    assert calls == ONE_PASS
+
+
 @pytest.mark.parametrize("name", ["real-line", "cone-2"])
 def test_a_sampled_space_has_one_pair_list_for_every_pair_check(monkeypatch, name):
-    """The walk hypotheses, the one-sided bound and the Banach pre-check of
-    a sampled space read the same drawn pairs, and the hypotheses draw them
-    once, so the global bound and the one-sided bound speak of the same
-    samples."""
+    """The walk hypotheses and the one-sided bound of a sampled space read
+    the same drawn pairs, and the hypotheses draw them once, so the global
+    bound and the one-sided bound speak of the same samples; the ratio
+    iteration reads the hypotheses' verdict and draws no list of its own."""
     b = harness.builtin_bundles()[name]
     T, w, plan = b.map_, b.witness, SamplePlan(seed=3, count=50)
     lists, original = [], contraction._distinct_pairs
@@ -110,15 +127,14 @@ def test_a_sampled_space_has_one_pair_list_for_every_pair_check(monkeypatch, nam
         lists.append(original(*args))
         return lists[-1]
 
-    for mod in (contraction, solver):
-        monkeypatch.setattr(mod, "_distinct_pairs", recorded)
+    monkeypatch.setattr(contraction, "_distinct_pairs", recorded)
     hyps = check_hypotheses(T, w, plan)
     assert len(lists) == 1
     is_weak_contraction(T, w, plan)
     cfg = SolverConfig(eps=b.solver_eps, seed_point=b.solver_seed, max_iter=1)
-    banach_iterate(b.space, b.banach_map, b.banach_alpha, cfg, plan)
-    assert len(lists) == 3 and len(lists[0]) == 50
-    assert lists[1] == lists[0] and lists[2] == lists[0]
+    iterate_fixed_point(T, w, cfg, plan)
+    assert len(lists) == 2 and len(lists[0]) == 50
+    assert lists[1] == lists[0]
     assert hyps.global_report == is_global_weak_contraction(T, w, plan)
     assert hyps.witness_report == validate_witness(T, w, plan)
 

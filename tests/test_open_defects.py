@@ -8,19 +8,31 @@ the same way.
 """
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from ordermetric import (
+    ALL_CHECKS,
+    Budgets,
     PositiveSequence,
+    SuiteSpec,
+    build_bundle,
+    builtin_bundles,
     coord_cone_module,
     endpoint_iff_report,
+    fault_inject,
     geometric,
     harmonic,
+    load_instance,
+    run_suite,
     strict_order_structure,
     verify_convergence,
     weak_contraction_corpus,
 )
+from ordermetric.harness import FAULT_TARGETS
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -59,3 +71,44 @@ def test_a_geometric_sandwich_that_never_holds_ends_like_the_harmonic_one(monkey
     monkeypatch.setattr(PositiveSequence, "term", capped)
     probe = verify_convergence(t, geometric(mod, (1, 1), Fraction(1, 2)), zero, eps, 200)[0]
     assert probe.reason == expected.reason
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 5: a cone under the strict order gets the diagonal "
+                          "tolerance family, which misses the tolerance (1, 0) at which "
+                          "(1/n, 1/n) does not converge, so its convergence rows pass")
+def test_no_convergence_row_passes_on_the_strict_order_cone():
+    bundle = build_bundle(load_instance(str(DATA / "strict-cone2-probe.ini")))
+    checks = tuple(c for c in ALL_CHECKS if c.startswith("seq/")) + (
+        "metric/point-convergence", "metric/cauchy")
+    report = run_suite(SuiteSpec((bundle.name,), checks), {bundle.name: bundle})
+    assert len(report.rows) == 9
+    passed = [r.check for r in report.rows if r.outcome == "pass"]
+    assert not passed, passed
+
+
+# checks that no registered fault can flip because they follow from other
+# rows, each with its written argument; none is decided yet
+THEOREM_ROWS: tuple = ()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 4: most checks have no registered fault that "
+                          "flips them from pass to fail on any built-in")
+def test_every_check_flips_under_some_registered_fault():
+    budgets = Budgets(samples=300, n_max=100)
+    bundles = builtin_bundles()
+    spec = SuiteSpec(tuple(bundles), ALL_CHECKS, budgets=budgets)
+    before = {(r.check, r.instance): r.outcome for r in run_suite(spec, bundles).rows}
+    flipped = set()
+    for fault in ("identity", *FAULT_TARGETS):
+        for name, bundle in bundles.items():
+            try:
+                mutated = fault_inject(bundle, fault)
+            except ValueError:  # the fault does not apply to this bundle
+                continue
+            one = SuiteSpec((name,), ALL_CHECKS, budgets=budgets)
+            flipped.update(r.check for r in run_suite(one, {name: mutated}).rows
+                           if before[r.check, name] == "pass" and r.outcome == "fail")
+    never = [c for c in ALL_CHECKS if c not in flipped and c not in THEOREM_ROWS]
+    assert not never, never

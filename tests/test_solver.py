@@ -432,20 +432,21 @@ def test_banach_vector_componentwise_rates(box2_space):
 
 
 def test_banach_rejects_non_contraction(real_line_space, box2_space, dilation):
-    """The pre-check names the first pair of the space's one pair list (the
+    """The hypotheses name the first pair of the space's one pair list (the
     sampled pairs every pair check reads, or on a finite space the pairs of
-    positions) whose images break the ratio bound."""
+    positions) whose images break the global bound, which on singleton
+    images is the ratio bound."""
     q = Fraction
     three, _ = dilation
     cases = [
         (real_line_space, lambda x: 1 - x, q(1, 2),
-         "contraction bound fails at x=2/5, y=1: d(fx, fy)=3/5 exceeds 3/10"),
+         "global bound check failed: x=2/5, y=1, x'=3/5, y'=0: d=3/5 exceeds 3/10"),
         (box2_space, lambda x: (x[0] / 2, 1 - x[1]), (q(1, 2), q(1, 2)),
-         "contraction bound fails at x=(2/5, 1), y=(2/9, 1/3): d(fx, fy)=(4/45, 2/3) "
-         "exceeds (4/45, 1/3)"),
+         "global bound check failed: x=(2/5, 1), y=(2/9, 1/3), x'=(1/5, 0), "
+         "y'=(1/9, 2/3): d=(4/45, 2/3) exceeds (4/45, 1/3)"),
         # fixes 0 and 1: the first pair in position order, (0, 1/4), holds
         (three, {q(0): q(0), q(1, 4): q(0), q(1): q(1)}.__getitem__, q(1),
-         "contraction bound fails at x=0, y=1: d(fx, fy)=1 exceeds 1/2"),
+         "global bound check failed: x=0, y=1, x'=0, y'=1: d=1 exceeds 1/2"),
     ]
     for space, f, seed, message in cases:
         eps = tuple(q(1, 64) for _ in seed) if isinstance(seed, tuple) else q(1, 64)
@@ -511,8 +512,11 @@ def test_iff_report_counts_several_endpoints():
     its inf-sup value is zero, and only uniqueness fails."""
     three = builtin_bundles()["three-point"]
     identity = SetValuedMap.from_table(three.space, {x: (x,) for x in three.space.points})
+    # the identity is not below itself: declared here only to reach the census
     psi = ContractionWitness(WitnessClass.PSI_ON_DISTANCE, psi=lambda t: t,
-                             psi_properties=PsiProperties())
+                             psi_properties=PsiProperties(
+                                 upper_semicontinuous=True, below_identity=True,
+                                 positive_tail_gap=True))
     rep = endpoint_iff_report(identity, psi)
     assert (rep.status, rep.equivalent) == ("checked", True)
     assert rep.endpoint_exists is True and rep.infsup_is_zero is True
@@ -722,7 +726,9 @@ def test_scalar_function_route(dilation):
 
     w = ContractionWitness(WitnessClass.PSI_ON_DISTANCE,
                            psi=lambda t: t / 2,
-                           psi_properties=PsiProperties())
+                           psi_properties=PsiProperties(upper_semicontinuous=True,
+                                                        below_identity=True,
+                                                        positive_tail_gap=True))
     assert c_condition_status(w).status is CStatus.HOLDS_BY_THEOREM
     iff = endpoint_iff_report(T, w)
     assert iff.status == "checked" and iff.equivalent
