@@ -35,7 +35,7 @@ from .order_core import (
     IncomparableError,
     LawReport,
     SamplePlan,
-    _law_rng,
+    _law_stream,
     _run_law,
     format_element,
     order_max,
@@ -160,11 +160,7 @@ class ConeMetricSpace:
         return lambda i, j: table[i * n + j]
 
     def sample_points(self, plan: SamplePlan, label: str) -> list:
-        rng = _law_rng(plan, label)
-        pts = [] if self.points is None else list(self.points)
-        while len(pts) < plan.count:
-            pts.append(self.draw_point(rng))
-        return pts
+        return _law_stream(plan, label, self.draw_point, self.points or ())
 
 
 def _itself(p):

@@ -345,6 +345,12 @@ def _parse_metric_rows(entries, points, dim) -> dict:
                 raise InstanceFileError(
                     f"table asymmetric at cell ({i}, {j}): {format_element(row_i[j])} "
                     f"vs {format_element(row_j[i])}", ln_j)
+            # d1: distinct points sit at a distance above zero, in the cone's order
+            cell = row_i[j] if dim > 1 else (row_i[j],)
+            if i != j and (min(cell) < 0 or not any(cell)):
+                raise InstanceFileError(
+                    f"table cell ({i}, {j}) must be above {format_element(zero)}, "
+                    f"got {format_element(row_i[j])}", ln_i)
     return {"metric_rows": tuple(row for _, row in matrix)}
 
 

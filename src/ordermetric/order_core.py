@@ -31,6 +31,11 @@ the same order and with the same random state after them, as
 ``Fraction(rng.randint(...), rng.randint(...))``, with the same
 ``getrandbits`` calls.
 
+A law stream, its designated items and then one draw per item up to the
+count, is built by ``_law_stream`` on one generator seeded from the plan and
+the law's label. g1 draws its shifts and order-transitive its steps that way
+too, so no law seeds a generator per item: a group report on cone-2 seeds 11.
+
 The built-in instances add, negate, scale and measure |a - b| through a
 small exact kernel (``_q_add``, ``_q_neg``, ``_q_mul``, ``_q_dist``), per
 coordinate on the cones; the law streams build their scalars (|r| with
@@ -274,12 +279,18 @@ def _law_rng(plan: SamplePlan, label: str) -> random.Random:
     return random.Random(plan.seed ^ zlib.crc32(label.encode()))
 
 
-def sample_elements(g: OrderedGroupInstance, plan: SamplePlan, label: str) -> list[Element]:
+def _law_stream(plan: SamplePlan, label: str, draw: Callable[[random.Random], object],
+                lead: Iterable = (), count: int | None = None) -> list:
+    """``lead``, then one ``draw(rng)`` per item from the law's generator until
+    ``count`` items (``plan.count`` unless given); a longer lead is kept whole."""
     rng = _law_rng(plan, label)
-    out = list(g.edge_elements)
-    while len(out) < plan.count:
-        out.append(g.sampler(rng))
+    out = list(lead)
+    out += [draw(rng) for _ in range((plan.count if count is None else count) - len(out))]
     return out
+
+
+def sample_elements(g: OrderedGroupInstance, plan: SamplePlan, label: str) -> list[Element]:
+    return _law_stream(plan, label, g.sampler, g.edge_elements)
 
 
 def _edge_pairs(g: OrderedGroupInstance) -> list[tuple]:
@@ -287,21 +298,17 @@ def _edge_pairs(g: OrderedGroupInstance) -> list[tuple]:
 
 
 def sample_pairs(g, plan: SamplePlan, label: str) -> list[tuple]:
-    rng = _law_rng(plan, label)
-    out = _edge_pairs(g)
-    while len(out) < plan.count:
-        out.append((g.sampler(rng), g.sampler(rng)))
-    return out
+    return _law_stream(plan, label, lambda rng: (g.sampler(rng), g.sampler(rng)), _edge_pairs(g))
+
+
+def _triples(g) -> Callable[[random.Random], tuple]:
+    return lambda rng: (g.sampler(rng), g.sampler(rng), g.sampler(rng))
 
 
 def sample_triples(g, plan: SamplePlan, label: str) -> list[tuple]:
-    rng = _law_rng(plan, label)
-    edges = list(g.edge_elements)
-    out = [(a, b, c) for a in edges for b in edges for c in edges]
-    out = out[: plan.count // 2]
-    while len(out) < plan.count:
-        out.append((g.sampler(rng), g.sampler(rng), g.sampler(rng)))
-    return out
+    edges = g.edge_elements
+    lead = [(a, b, c) for a in edges for b in edges for c in edges]
+    return _law_stream(plan, label, _triples(g), lead[: plan.count // 2])
 
 
 def strict_pairs(g, plan: SamplePlan, label: str) -> list[tuple]:
@@ -460,29 +467,25 @@ def check_group_laws(g: OrderedGroupInstance, plan: SamplePlan) -> LawReport:
         if g.leq(a, b) and g.leq(b, c) and not g.leq(a, c):
             return w(a, b, c)
 
-    trans_stream = [(a, p, q) for (a, _, _), (p, q) in zip(
-        sample_triples(g, plan, "order-transitive"),
-        [(g.positive_sampler(_law_rng(plan, f"trans+{i}")), g.positive_sampler(_law_rng(plan, f"trans-{i}")))
-         for i in range(plan.count)],
-    )]
-    results.append(_run_law("order-transitive", trans_stream, transitive))
+    steps = _law_stream(plan, "order-transitive-steps",
+                        lambda rng: (g.positive_sampler(rng), g.positive_sampler(rng)))
+    results.append(_run_law("order-transitive", [(a, p, q) for a, (p, q) in zip(
+        sample_elements(g, plan, "order-transitive"), steps)], transitive))
 
-    def g1(a, b):
-        rng = _law_rng(plan, f"g1c:{fmt(a)}:{fmt(b)}")
-        c = g.sampler(rng)
+    def g1(a, b, c):
         if g.lt(a, b) and not g.lt(g.add(a, c), g.add(b, c)):
             return w(a, b, c)
 
-    results.append(_run_law("g1", strict_pairs(g, plan, "g1"), g1))
+    pairs = strict_pairs(g, plan, "g1")
+    shifts = _law_stream(plan, "g1-shifts", g.sampler, count=len(pairs))
+    results.append(_run_law("g1", [(a, b, c) for (a, b), c in zip(pairs, shifts)], g1))
 
     def g1_prime(a, b, c):
         return None if g.cmp(g.add(a, c), g.add(b, c)) is g.cmp(a, b) else w(a, b, c)
 
-    g1p_stream = [(a, b, c) for (a, b) in _edge_pairs(g) for c in g.edge_elements]
-    rng = _law_rng(plan, "g1-prime")
-    while len(g1p_stream) < plan.count:
-        g1p_stream.append((g.sampler(rng), g.sampler(rng), g.sampler(rng)))
-    results.append(_run_law("g1-prime", g1p_stream, g1_prime))
+    g1p_lead = [(a, b, c) for (a, b) in _edge_pairs(g) for c in g.edge_elements]
+    results.append(_run_law("g1-prime", _law_stream(plan, "g1-prime", _triples(g), g1p_lead),
+                            g1_prime))
 
     return LawReport(subject=f"group laws on {g.name}", results=tuple(results))
 
@@ -498,19 +501,13 @@ def check_module_laws(m: OrderedModuleInstance, plan: SamplePlan) -> LawReport:
     results = [_run_law("r1", [(ring.zero, ring.one)],
                         lambda zero, one: None if ring.lt(zero, one) else f"1 = {one}, 0 = {zero}")]
 
-    def scalars(label: str, n: int) -> list[Scalar]:
-        rng = _law_rng(plan, label)
-        out = list(ring.edge_scalars)
-        while len(out) < n:
-            out.append(ring.sampler(rng))
-        return out
-
     def m1(a, b, r):
         if g.lt(a, b) and ring.lt(ring.zero, r) and not g.lt(m.scale(r, a), m.scale(r, b)):
             return f"a={fmt(a)}, b={fmt(b)}, r={r}"
 
     pairs = strict_pairs(g, plan, "m1")
-    abs_rs = [_q_abs(r) for r in scalars("m1-scalars", len(pairs))]
+    abs_rs = [_q_abs(r) for r in _law_stream(plan, "m1-scalars", ring.sampler, ring.edge_scalars,
+                                             len(pairs))]
     third = Fraction(1, 3)
     results.append(_run_law("m1", [(a, b, _q_add(r, third)) for (a, b), r in zip(pairs, abs_rs)], m1))
 
@@ -522,12 +519,10 @@ def check_module_laws(m: OrderedModuleInstance, plan: SamplePlan) -> LawReport:
 
     def ordered_triples(label: str, gap) -> list:
         """(r, s, a) with s = r + |draw| + gap and a positive, drawn in that order."""
-        rng = _law_rng(plan, label)
-        out = []
-        while len(out) < plan.count:
+        def draw(rng):
             r = ring.sampler(rng)
-            out.append((r, _q_add(_q_add(r, _q_abs(ring.sampler(rng))), gap), g.positive_sampler(rng)))
-        return out
+            return r, _q_add(_q_add(r, _q_abs(ring.sampler(rng))), gap), g.positive_sampler(rng)
+        return _law_stream(plan, label, draw)
 
     def m2(r, s, a):
         if ring.lt(r, s) and g.is_positive(a) and not g.lt(m.scale(r, a), m.scale(s, a)):

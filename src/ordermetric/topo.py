@@ -47,6 +47,7 @@ from .order_core import (
     _POSITIVE_FRACTIONS,
     _draw_entries,
     _law_rng,
+    _law_stream,
     _q,
     _q_abs,
     _q_add,
@@ -723,19 +724,16 @@ def check_topo_laws(t: TopoStructure, plan: SamplePlan) -> LawReport:
 
     results.append(_run_law("t1", t1_stream, t1))
 
-    rng2 = _law_rng(plan, "t2")
-    t2_stream = []
-    for _ in range(plan.count):
-        a = g.sampler(rng2)
-        b = g.add(a, g.positive_sampler(rng2)) if rng2.random() < 0.7 else a
-        c = g.add(b, interior(rng2))
-        t2_stream.append((a, b, c))
+    def t2_item(rng):
+        a = g.sampler(rng)
+        b = g.add(a, g.positive_sampler(rng)) if rng.random() < 0.7 else a
+        return a, b, g.add(b, interior(rng))
 
     def t2(a, b, c):
         if g.leq(a, b) and t.ll(b, c) and not t.ll(a, c):
             return f"a={fmt(a)}, b={fmt(b)}, c={fmt(c)}"
 
-    results.append(_run_law("t2", t2_stream, t2))
+    results.append(_run_law("t2", _law_stream(plan, "t2", t2_item), t2))
 
     rng3 = _law_rng(plan, "t3")
     t3_stream = [(a, g.add(a, interior(rng3)), g.sampler(rng3))
@@ -749,8 +747,7 @@ def check_topo_laws(t: TopoStructure, plan: SamplePlan) -> LawReport:
 
     results.append(_run_law("t3", t3_stream, t3))
 
-    rng4 = _law_rng(plan, "t4")
-    t4_samples = [g.identity] + [g.positive_sampler(rng4) for _ in range(plan.count)]
+    t4_stream = [(g.identity,)] + _law_stream(plan, "t4", lambda rng: (g.positive_sampler(rng),))
     family = t.shrinking_family(_SHRINK_CAP)
 
     def t4(a):
@@ -760,11 +757,9 @@ def check_topo_laws(t: TopoStructure, plan: SamplePlan) -> LawReport:
         elif g.is_nonneg(a) and all(t.ll(a, e) for e in family):
             return f"a={fmt(a)} survived the whole shrinking family"
 
-    results.append(_run_law("t4-shrinking", [(a,) for a in t4_samples], t4))
+    results.append(_run_law("t4-shrinking", t4_stream, t4))
 
-    rng5 = _law_rng(plan, "t5")
-    t5_stream = [(interior(rng5),) for _ in range(plan.count)] + \
-        [(e,) for e in family[:8]]
+    t5_stream = _law_stream(plan, "t5", lambda rng: (interior(rng),)) + [(e,) for e in family[:8]]
 
     def t5(eps):
         if t.gg_zero(eps):
@@ -775,21 +770,18 @@ def check_topo_laws(t: TopoStructure, plan: SamplePlan) -> LawReport:
     results.append(_run_law("t5", t5_stream, t5))
 
     ring = t.module.ring
-    rng6 = _law_rng(plan, "t6")
     quarter = Fraction(1, 4)
-    t6_stream = []
-    for _ in range(plan.count):
-        a = g.sampler(rng6)
-        b = g.add(a, interior(rng6))
-        r = _q_add(_q_abs(ring.sampler(rng6)), quarter)
-        t6_stream.append((a, b, r))
+
+    def t6_item(rng):
+        a = g.sampler(rng)
+        return a, g.add(a, interior(rng)), _q_add(_q_abs(ring.sampler(rng)), quarter)
 
     def t6(a, b, r):
         if t.ll(a, b) and ring.lt(ring.zero, r) \
                 and not t.ll(t.module.scale(r, a), t.module.scale(r, b)):
             return f"a={fmt(a)}, b={fmt(b)}, r={r}"
 
-    results.append(_run_law("t6", t6_stream, t6))
+    results.append(_run_law("t6", _law_stream(plan, "t6", t6_item), t6))
 
     gap = _strictness_gap_result(t)
     if gap is not None:

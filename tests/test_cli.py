@@ -31,6 +31,30 @@ row = (1, 2); (0, 0); (2, 2)
 row = (2, 1); (2, 2); (0, 0)
 """
 
+# a swap of two points at distance -1: before parsing refused the negative
+# cell, solve exited 0 with an approximate endpoint "within tolerance at 1"
+NEGATIVE_TABLE_FILE = """\
+[group]
+family = real
+
+[structure]
+kind = strict-order
+
+[space]
+points = 0; 1
+metric = table
+row = 0; -1
+row = -1; 0
+
+[map]
+image 0 = 1
+image 1 = 0
+
+[witness]
+class = alpha-const
+alpha = 1/2
+"""
+
 BROKEN_PHI_FILE = """\
 [group]
 family = real
@@ -315,7 +339,9 @@ def test_solve_bad_tolerance_exits_three(capsys):
      "parse error: no checks match 'nosuch'\n"),
     (["solve", "{path}"], POINTS_FILE,
      "instance has no [map] / [witness] section to solve\n"),
-], ids=["verify-no-checks-match", "solve-without-map"])
+    (["solve", "{path}"], NEGATIVE_TABLE_FILE,
+     "parse error: line 10: table cell (0, 1) must be above 0, got -1\n"),
+], ids=["verify-no-checks-match", "solve-without-map", "solve-negative-table-cell"])
 def test_cli_error_exits_three(tmp_path, capsys, argv, text, stderr):
     if text is not None:
         path = tmp_path / "instance.ini"

@@ -14,6 +14,7 @@ from ordermetric import (
     SamplePlan,
     SuiteSpec,
     builtin_bundles,
+    check_group_laws,
     check_metric_laws,
     check_module_laws,
     check_topo_laws,
@@ -420,8 +421,7 @@ def test_rows_without_a_map_or_witness_skip_with_their_reasons(strip, rows):
 
 
 def test_passing_laws_format_no_witness(monkeypatch):
-    # witnesses are formatted only where a law fails; the group laws are left
-    # out because g1 seeds each of its samples from the text of its pair
+    # witnesses are formatted only where a law fails
     bundles = builtin_bundles()
     bundles["ladder-31"] = build_bundle(load_instance(ROOT / "tests" / "data" / "ladder-31.ini"))
     calls = []
@@ -434,8 +434,8 @@ def test_passing_laws_format_no_witness(monkeypatch):
         monkeypatch.setattr(mod, "format_element", counted)
     plan = SamplePlan()
     for name, b in bundles.items():
-        reports = [check_module_laws(b.module, plan), check_topo_laws(b.structure, plan),
-                   check_metric_laws(b.space, plan)]
+        reports = [check_group_laws(b.module.group, plan), check_module_laws(b.module, plan),
+                   check_topo_laws(b.structure, plan), check_metric_laws(b.space, plan)]
         if b.map_ is not None and b.witness is not None:
             hyps = check_hypotheses(b.map_, b.witness, plan)
             reports += [hyps.global_report, hyps.witness_report]

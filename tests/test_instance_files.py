@@ -78,6 +78,7 @@ def test_round_trip_table_and_phi():
 # kinds, every witness class and [sequences]
 _Q = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 _UNIT = st.builds(lambda n, d: Fraction(n, d + n), st.integers(0, 5), st.integers(1, 4))
+_NONNEG_Q = st.builds(Fraction, st.integers(0, 6), st.integers(1, 4))
 
 
 @st.composite
@@ -109,7 +110,10 @@ def _descriptions(draw, carrier):
     if carrier == "table":
         fields["metric"] = "table"
         n = len(points)
-        cells = {(i, j): draw(element) for i in range(n) for j in range(i + 1, n)}
+        # distinct points sit at a distance above zero: a scalar above 0, a
+        # vector with no negative coordinate and not every coordinate 0
+        distance = _NONNEG_Q.filter(bool) if dim == 1 else st.tuples(*[_NONNEG_Q] * dim).filter(any)
+        cells = {(i, j): draw(distance) for i in range(n) for j in range(i + 1, n)}
         zero = Fraction(0) if dim == 1 else (Fraction(0),) * dim
         fields["metric_rows"] = tuple(
             tuple(zero if i == j else cells[min(i, j), max(i, j)] for j in range(n))
@@ -488,6 +492,19 @@ BAD_FILES = [
     ("vector-asymmetric-far-cell", _CONE + "points = (0, 0); (1, 0); (0, 1)\nmetric = table\n"
      "row = (0, 0); (1, 2); (2, 1)\nrow = (1, 2); (0, 0); (2, 2)\nrow = (9, 9); (2, 2); (0, 0)\n",
      "line 13: table asymmetric at cell (0, 2): (2, 1) vs (9, 9)"),
+    ("negative-cell", _REAL + "points = 0; 1\nmetric = table\nrow = 0; -1\nrow = -1; 0\n",
+     "line 10: table cell (0, 1) must be above 0, got -1"),
+    ("zero-cell", _REAL + "points = 0; 1\nmetric = table\nrow = 0; 0\nrow = 0; 0\n",
+     "line 10: table cell (0, 1) must be above 0, got 0"),
+    ("zero-cell-far", _REAL + "points = 0; 1; 2\nmetric = table\n"
+     "row = 0; 1; 2\nrow = 1; 0; 0\nrow = 2; 0; 0\n",
+     "line 11: table cell (1, 2) must be above 0, got 0"),
+    ("vector-negative-coordinate", _CONE + "points = (0, 0); (1, 0)\nmetric = table\n"
+     "row = (0, 0); (1, -1)\nrow = (1, -1); (0, 0)\n",
+     "line 11: table cell (0, 1) must be above (0, 0), got (1, -1)"),
+    ("vector-zero-cell", _CONE + "points = (0, 0); (1, 0)\nmetric = table\n"
+     "row = (0, 0); (0, 0)\nrow = (0, 0); (0, 0)\n",
+     "line 11: table cell (0, 1) must be above (0, 0), got (0, 0)"),
     # maps
     ("table-and-rule", _MAP + "image 0 = 0\nrule = scale\n",
      "line 13: map cannot mix an image table with a rule"),

@@ -14,8 +14,13 @@ from hypothesis import strategies as st
 from ordermetric import (
     ALL_CHECKS,
     Budgets,
+    SamplePlan,
     SuiteSpec,
     builtin_bundles,
+    check_group_laws,
+    check_metric_laws,
+    check_module_laws,
+    check_topo_laws,
     coord_cone_group,
     coord_cone_module,
     interior_cone_structure,
@@ -181,7 +186,9 @@ LAW_SPEC = SuiteSpec(instances=("real-line", "cone-2"), checks=LAW_CHECKS,
 LAW_FRACTIONS_BEFORE_TABLES = 84_240
 # the getrandbits calls of that spec, counted while each draw still went
 # through Random._randbelow: inlining the draw must consume the same randomness
-LAW_GETRANDBITS = 65_804
+# (65,804 while g1 and order-transitive seeded a generator per item and the
+# transitive law drew three elements per item and kept the first)
+LAW_GETRANDBITS = 65_027
 # the calls of the draw kernel (_draw, _draw_entry, _draw_entries) and of the
 # public Fraction.__new__ in that spec, once a sampled point is drawn in one
 # frame and the law streams build their values, |r| included, on the exact
@@ -189,8 +196,9 @@ LAW_GETRANDBITS = 65_804
 # Fractions and the geometric approach builds its terms on the kernel
 # (20,199 and 5,353 before; 2,822 public while |r| was Fraction.__abs__,
 # 1,322 while shrink and coerce built their Fractions, 538 while the
-# geometric approach went through the public operators)
-LAW_DRAW_CALLS = 14_826
+# geometric approach went through the public operators; 14,826 while the
+# transitive law drew three elements per item and kept the first)
+LAW_DRAW_CALLS = 14_663
 LAW_PUBLIC_FRACTIONS = 26
 # the public Fraction.__new__ calls of the point-convergence and Cauchy rows
 # on the continua, once the geometric approach builds 1 - 1/2^n as one
@@ -198,9 +206,19 @@ LAW_PUBLIC_FRACTIONS = 26
 GEOMETRIC_SPEC = SuiteSpec(instances=("real-line", "cone-2", "cone-3"),
                            checks=("metric/point-convergence", "metric/cauchy"))
 GEOMETRIC_PUBLIC_FRACTIONS = 21
+# the two laws whose streams moved onto one generator per law: g1 drew each
+# shift c from a generator seeded from its pair's text, order-transitive its
+# p and q from two generators per item, and each took its first elements
+# from a differently shaped stream
+MOVED_LAWS = ("g1", "order-transitive")
 # sha256 of the reprs of every item the law runner received in that spec, one
-# a line, in order, as the samplers drew them before a point was one frame
-LAW_INPUTS_SHA256 = "9570f51be3d9f4d31f27075c16eea096eeeeb6443c0437ac62704c743851e39c"
+# a line, in order, for every law but the moved two, computed before they
+# moved, so every other law receives what it did (the digest over every law,
+# as the samplers drew them before a point was one frame, was
+# 9570f51be3d9f4d31f27075c16eea096eeeeb6443c0437ac62704c743851e39c)
+LAW_INPUTS_SHA256 = "3718b3a8d8f0a965b91eadda08b37985a46a264ba871af06c173ee18065ba868"
+# the same for the items of the moved two, once each draws from one generator
+MOVED_LAW_INPUTS_SHA256 = "df02686cc25e529f692c2307bad3448ffaa1bb07fd5eeef82bbdf5c016d0df74"
 
 
 def _package_modules():
@@ -270,18 +288,49 @@ def test_the_geometric_approach_builds_its_terms_on_the_kernel(monkeypatch):
 def test_law_rows_receive_the_same_inputs(monkeypatch):
     # the rows barely depend on the seed, so they would not show a draw
     # reordered inside a law stream; the items the laws receive do
-    digest, runner = hashlib.sha256(), order_core._run_laws
-
-    def recorded(stream):
-        for item in stream:
-            digest.update(repr(item).encode() + b"\n")
-            yield item
+    digests, runner = {True: hashlib.sha256(), False: hashlib.sha256()}, order_core._run_laws
 
     def recording(stream, laws):
-        return runner(recorded(stream), laws)
+        digest = digests[any(law in MOVED_LAWS for law, _ in laws)]
+
+        def recorded():
+            for item in stream:
+                digest.update(repr(item).encode() + b"\n")
+                yield item
+        return runner(recorded(), laws)
 
     for mod in _package_modules():
         if getattr(mod, "_run_laws", None) is runner:
             monkeypatch.setattr(mod, "_run_laws", recording)
     assert run_suite(LAW_SPEC, builtin_bundles()).ok
-    assert digest.hexdigest() == LAW_INPUTS_SHA256
+    assert digests[False].hexdigest() == LAW_INPUTS_SHA256
+    assert digests[True].hexdigest() == MOVED_LAW_INPUTS_SHA256
+
+
+# the generators one law report seeds on cone-2 at SamplePlan(): one per
+# stream (strict_pairs and the shifts they are zipped with, g1-prime, the
+# metric's three point streams for d3, ...), none per item; the group
+# report seeded 609 while g1 and order-transitive seeded one per item
+REPORT_GENERATORS = {"group": 11, "module": 4, "topo": 6, "metric": 7}
+
+
+def test_each_law_stream_seeds_one_generator(monkeypatch):
+    b, plan = builtin_bundles()["cone-2"], SamplePlan()
+    reports = {"group": lambda: check_group_laws(b.module.group, plan),
+               "module": lambda: check_module_laws(b.module, plan),
+               "topo": lambda: check_topo_laws(b.structure, plan),
+               "metric": lambda: check_metric_laws(b.space, plan)}
+    created, raw_init = [0], random.Random.__init__
+
+    def counting_init(self, *args, **kwargs):
+        created[0] += 1
+        raw_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(random.Random, "__init__", counting_init)
+    seeded = {}
+    for name, report in reports.items():
+        created[0] = 0
+        assert report().passed, name
+        seeded[name] = created[0]
+    monkeypatch.undo()
+    assert seeded == REPORT_GENERATORS
