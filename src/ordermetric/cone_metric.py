@@ -173,7 +173,10 @@ def min_positive_distance(m: ConeMetricSpace) -> Element:
     if not m.finite:
         raise ValueError("minimum positive distance needs a finite space")
     table, n = m._distances, len(m.points)
-    vals = [table[i * n + j] for i, j in m._position_pairs()]
+    if len(m._index) == n:  # every point listed once: every off-diagonal entry, row by row
+        vals = [d for k, d in enumerate(table) if k % (n + 1)]
+    else:
+        vals = [table[i * n + j] for i, j in m._position_pairs()]
     if not vals:
         raise ValueError("space has fewer than two distinct points")
     # repeated values hash nothing: the one pass takes the first least value

@@ -13,7 +13,8 @@ first positions instead of comparing points, and points on a sampled one.
 The space reads an entry's point and distance, the map its image as
 entries (``_entry_images``), on a finite space from the positions it
 records once, and the witness its bound (``_entry_bound``): a bound table
-is one list over positions, read at two positions with nothing hashed.
+is one list over positions, read at two positions with nothing hashed,
+and a constant ratio scales the distance without reading a point.
 The hot laws compare through the group's ``cmp`` and test its outcome
 against the ``Order`` singletons by identity.
 An image point outside a finite space is a ``DomainError`` naming it.
@@ -23,8 +24,9 @@ pair check reads, so the one-sided bound, the global bound and the witness
 obligations speak of the same pairs. Each check runs its pair laws on the
 one law runner in one pass over that list, reading each visited pair's
 distance and bound once, and returns the runner's ``LawResult`` or
-``LawReport``; the walk hypotheses share one pass, and every item a law
-counts is a pair it evaluated. Every step that can raise runs inside the
+``LawReport``; the walk hypotheses share one pass, which the one-sided
+bound joins when a caller asks for it, and every item a law counts is a
+pair it evaluated. Every step that can raise runs inside the
 stream or in the first call of its law, so the runner holds each error for
 the laws it reached. The approximate-endpoint sequence runs its per-index
 image bound as one law on the same runner.
@@ -32,8 +34,9 @@ image bound as one law on the same runner.
 A map keeps what is derived from it: its image positions, a
 ``functools.cached_property`` like every unkeyed memo here, and its walk
 verdict, a ``Hypotheses`` kept for one witness object and, on a sampled
-space, plan (``check_hypotheses``), which on a finite space also keeps
-the walk steps decided under it (``solver``).
+space, plan (``check_hypotheses``), with the one-sided bound once asked
+for, which on a finite space also keeps the walk steps decided under it
+(``solver``). No pair law runs twice on one map and witness.
 
 A constant ratio is the same at every pair, so the witness obligations
 decide its range as one item outside the pair stream, at the first pair
@@ -300,8 +303,12 @@ class ContractionWitness:
     def _entry_bound(self, space: ConeMetricSpace) -> Callable:
         """``bound(a, b, d)``: the bound at two entries of ``space`` whose
         distance is ``d``, as ``space._dist`` reads a distance. A table reads
-        its list at two positions and hashes nothing; any other witness
+        its list at two positions and hashes nothing, a constant ratio
+        scales the distance and reads no point, and any other witness
         evaluates ``phi`` at the entries' points."""
+        if self.klass is WitnessClass.ALPHA_CONSTANT:
+            scale, alpha = space.structure.module.scale, self.alpha_const
+            return lambda a, b, d: scale(alpha, d)
         if self.klass is not WitnessClass.PHI_TABLE:
             point = space._point
             return lambda a, b, d: self.phi(space, point(a), point(b), d)
@@ -552,12 +559,16 @@ class Hypotheses:
     report, or the error it held, raised when read), and the class-level
     convergence-condition verdict. The map keeps one for a witness object
     and, on a sampled space, a plan (``check_hypotheses``); ``notes`` is a
-    cached property. On a finite space ``_steps_by_rule`` holds the walk
-    steps decided under this verdict (``solver``): they rest on its mode."""
+    cached property. ``one_sided_outcome`` is the one-sided bound's result
+    on the same pairs, None until a caller asks for it: it is decided once
+    and filled in then, and no comparison reads it, as no walk rests on it.
+    On a finite space ``_steps_by_rule`` holds the walk steps decided under
+    this verdict (``solver``): they rest on its mode."""
 
     global_outcome: LawResult | Exception
     witness_outcome: LawReport | Exception
     c_status: CConditionStatus
+    one_sided_outcome: LawResult | Exception | None = field(default=None, compare=False)
     _steps_by_rule: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
@@ -567,6 +578,10 @@ class Hypotheses:
     @property
     def witness_report(self) -> LawReport:
         return _raise_held(self.witness_outcome)
+
+    @property
+    def one_sided_report(self) -> LawResult | None:
+        return _raise_held(self.one_sided_outcome)
 
     @cached_property
     def notes(self) -> tuple[str, ...]:
@@ -588,23 +603,36 @@ class Hypotheses:
 
 
 def check_hypotheses(T: SetValuedMap, w: ContractionWitness,
-                     plan: SamplePlan | None = None) -> Hypotheses:
+                     plan: SamplePlan | None = None, *, one_sided: bool = False) -> Hypotheses:
     """The global bound check and the witness obligations on ``plan`` (None
-    is ``SamplePlan()``), and the class-level convergence-condition verdict.
-    The map keeps them for its last witness object and, on a sampled space,
-    plan: a finite space's pair list ignores the plan. Map, space, witness
-    and plan are frozen, so they are what a new check would give."""
+    is ``SamplePlan()``), and the class-level convergence-condition verdict;
+    with ``one_sided`` also the one-sided bound, in the same pass over the
+    pairs. The map keeps them for its last witness object and, on a sampled
+    space, plan: a finite space's pair list ignores the plan. A kept verdict
+    that lacks a requested one-sided outcome gets it from a scan of the
+    same pair list for that law alone, keeping its other outcomes and its
+    walk steps, so no law runs twice on one map. Map, space, witness and
+    plan are frozen, so they are what a new check would give."""
     key = None if T.space.finite else plan or SamplePlan()
     if T._verdict[0] is not w or T._verdict[1] != key:
-        verdict = Hypotheses(*_hypothesis_pass(T, w, plan), c_condition_status(w))
+        global_outcome, witness_outcome, weak = _hypothesis_pass(T, w, plan, one_sided)
+        verdict = Hypotheses(global_outcome, witness_outcome, c_condition_status(w), weak)
         object.__setattr__(T, "_verdict", (w, key, verdict))
-    return T._verdict[2]
+    verdict = T._verdict[2]
+    if one_sided and verdict.one_sided_outcome is None:
+        weak = _scan(T, w, plan, [_image_law(T, "weak")])[0]
+        object.__setattr__(verdict, "one_sided_outcome", weak)
+    return verdict
 
 
-def _hypothesis_pass(T: SetValuedMap, w: ContractionWitness, plan: SamplePlan | None) -> tuple:
-    """The global law and the witness laws in one scan of the pair list."""
-    (global_outcome,), witness_outcome = _witness_pass(T, w, plan, [_image_law(T, "global")])
-    return global_outcome, witness_outcome
+def _hypothesis_pass(T: SetValuedMap, w: ContractionWitness, plan: SamplePlan | None,
+                     one_sided: bool = False) -> tuple:
+    """The global, witness and one-sided outcomes from one scan of the pair
+    list: the global law, the witness laws and, with ``one_sided``, the
+    one-sided law; the one-sided outcome is None without it."""
+    laws = [_image_law(T, "global")] + ([_image_law(T, "weak")] if one_sided else [])
+    outcomes, witness_outcome = _witness_pass(T, w, plan, laws)
+    return outcomes[0], witness_outcome, outcomes[1] if one_sided else None
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,6 @@ from .contraction import (
     c_condition_status,
     check_hypotheses,
     endpoints_bruteforce,
-    is_weak_contraction,
 )
 from .solver import (
     SelectionRule,
@@ -492,18 +491,22 @@ def _check_finite_completeness(b: InstanceBundle, ctx: _Ctx):
     return "pass", "certified-at-scale sequences are eventually constant, hence convergent"
 
 
+def _hypotheses(b: InstanceBundle, ctx: _Ctx):
+    """The map's kept verdict with its one-sided outcome, from one pass over
+    the pairs: every map row and every row that needs a pair law reads it."""
+    return check_hypotheses(b.map_, b.witness, ctx.plan, one_sided=True)
+
+
 def _global_report(b: InstanceBundle, ctx: _Ctx):
-    return check_hypotheses(b.map_, b.witness, ctx.plan).global_report
+    return _hypotheses(b, ctx).global_report
 
 
 def _weak_report(b: InstanceBundle, ctx: _Ctx):
-    return ctx.memo(("weak", b.name),
-                    lambda: is_weak_contraction(b.map_, b.witness, ctx.plan))
+    return _hypotheses(b, ctx).one_sided_report
 
 
 def _witness_result(b: InstanceBundle, ctx: _Ctx):
-    return check_hypotheses(b.map_, b.witness, ctx.plan).witness_report.result(
-        "phi-strictly-below")
+    return _hypotheses(b, ctx).witness_report.result("phi-strictly-below")
 
 
 def _map_row(result, row):

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .order_core import (
     DomainError,
@@ -88,8 +88,7 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     n: int
     point: Point
     chosen: Point

@@ -412,14 +412,19 @@ def test_entry_readers_stand_for_their_points(kind):
 def _scan_recording_bounds(T, w, laws, plan=None):
     """The items of one scan of ``T`` under ``w`` with ``laws`` as the
     runner receives them, running no law, and the ``(x, y)`` pairs at
-    which the scan evaluated the bound."""
-    calls, items, phi = [], [], w.phi
+    which the scan evaluated the bound through the witness's bound reader."""
+    calls, items, entry_bound = [], [], w._entry_bound
 
-    def counted(space, x, y, d):
-        calls.append((x, y))
-        return phi(space, x, y, d)
+    def recorded(space):
+        bound, point = entry_bound(space), space._point
 
-    object.__setattr__(w, "phi", counted)
+        def counted(a, b, d):
+            calls.append((point(a), point(b)))
+            return bound(a, b, d)
+
+        return counted
+
+    object.__setattr__(w, "_entry_bound", recorded)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(contraction, "_run_laws", lambda stream, laws: items.extend(stream))
         contraction._scan(T, w, plan, laws)
@@ -466,9 +471,9 @@ def test_a_metric_error_is_held_for_both_walk_hypotheses():
     space = ConeMetricSpace("flaky", strict_order_structure(real_module()), metric,
                             points=(F(0), F(1), F(3)))
     T = SetValuedMap.from_table(space, {p: (F(0),) for p in space.points})
-    global_outcome, witness_outcome = contraction._hypothesis_pass(T, HALF, SamplePlan())
-    assert global_outcome is witness_outcome
-    assert (type(global_outcome), str(global_outcome)) == (ValueError, "metric failed once")
+    outcomes = contraction._hypothesis_pass(T, HALF, SamplePlan(), True)
+    assert all(out is outcomes[0] for out in outcomes)
+    assert (type(outcomes[0]), str(outcomes[0])) == (ValueError, "metric failed once")
     assert "_distances" not in vars(space)
 
 
@@ -837,13 +842,22 @@ def test_every_scan_equals_the_every_pair_reference(space, data):
             return inner(d)
 
         w = ContractionWitness(WitnessClass.PSI_ON_DISTANCE, psi=psi)
-    global_outcome, witness_outcome = contraction._hypothesis_pass(T, w, SamplePlan())
+    global_outcome, witness_outcome, weak_outcome = \
+        contraction._hypothesis_pass(T, w, SamplePlan(), True)
+    assert contraction._hypothesis_pass(T, w, SamplePlan())[2] is None
     assert _outcome(global_outcome) == _outcome(_every_pair(T, w, ["global"])[0])
     assert _outcome(witness_outcome) == _outcome(_every_pair_witness(T, w))
+    assert _outcome(weak_outcome) == _outcome(_every_pair(T, w, ["weak"])[0])
     assert _raised(lambda: is_global_weak_contraction(T, w)) == _outcome(global_outcome)
     assert _raised(lambda: validate_witness(T, w)) == _outcome(witness_outcome)
-    assert _raised(lambda: is_weak_contraction(T, w)) == \
-        _outcome(_every_pair(T, w, ["weak"])[0])
+    assert _raised(lambda: is_weak_contraction(T, w)) == _outcome(weak_outcome)
+    # the kept one-sided outcome, decided in the verdict's own pass or in a
+    # scan added to a verdict kept without it, is the standalone check's
+    together, added = dataclasses.replace(T), dataclasses.replace(T)
+    check_hypotheses(added, w)
+    for U in (together, added):
+        assert _raised(lambda: check_hypotheses(U, w, one_sided=True).one_sided_report) \
+            == _outcome(weak_outcome)
 
 
 def _counting_laws(calls):
@@ -890,7 +904,7 @@ def test_every_law_evaluates_each_item_it_counts_as_checked(space, data):
         "weak": lambda: [contraction.is_weak_contraction(T, w)],
         "global": lambda: [contraction.is_global_weak_contraction(T, w)],
         "witness": lambda: list(contraction.validate_witness(T, w).results),
-        "pass": lambda: [r for out in contraction._hypothesis_pass(T, w, SamplePlan())
+        "pass": lambda: [r for out in contraction._hypothesis_pass(T, w, SamplePlan(), True)
                          for r in getattr(out, "results", (out,))],
     }
     for check, run in checks.items():
@@ -1130,6 +1144,40 @@ def test_ladder_solve_stays_within_its_work_budget(monkeypatch, capsys):
     assert all(counts[k] <= LADDER_SOLVE_BUDGET[k] for k in counts), counts
 
 
+# pair lists, bound evaluations and rational comparisons of one ladder
+# verify of its map, endpoint and solver rows: one pass lists the 930 pairs
+# and evaluates their bounds for the three pair laws, and the oracle row's
+# walks evaluate one bound a step, 60 in all; the separate one-sided scan
+# listed the pairs twice and called phi 1,920 times (930 + 930 + 60)
+LADDER_VERIFY_BUDGET = {"pairs": 1, "bounds": 990, "cmp": 9226}
+
+
+def test_ladder_verify_stays_within_its_work_budget(monkeypatch, capsys, bounds_read):
+    counts = dict.fromkeys(LADDER_VERIFY_BUDGET, 0)
+    raw_pairs, raw_cmp = contraction._distinct_pairs, order_core._scalar_cmp
+
+    def counted_pairs(*args):
+        counts["pairs"] += 1
+        return raw_pairs(*args)
+
+    def counted_cmp(a, b):
+        counts["cmp"] += 1
+        return raw_cmp(a, b)
+
+    monkeypatch.setattr(contraction, "_distinct_pairs", counted_pairs)
+    monkeypatch.setattr(order_core, "_scalar_cmp", counted_cmp)
+    rc = main(["verify", str(LADDER), "--checks", "map,endpoint,solver",
+               "--format", "machine-rows"])
+    monkeypatch.undo()
+    counts["bounds"] = bounds_read[0]
+    assert rc == 0
+    assert capsys.readouterr().out == \
+        (DATA / "verify-ladder-31-seed0.rows").read_text(encoding="utf-8")
+    assert (counts["pairs"], counts["bounds"]) == \
+        (LADDER_VERIFY_BUDGET["pairs"], LADDER_VERIFY_BUDGET["bounds"]), counts
+    assert counts["cmp"] <= LADDER_VERIFY_BUDGET["cmp"], counts
+
+
 # _select_next calls, Fraction equality tests and Fraction hashes of the
 # ladder's oracle row, 2 x 31 walks: each rule decides the step from each of
 # the 30 points that are not the endpoint once; the walks on points decided
@@ -1222,54 +1270,61 @@ def test_ladder_min_positive_distance_takes_one_pass(monkeypatch):
     assert calls == {"cmp": 929, "hash": 0}
 
 
-def test_ladder_solve_checks_its_hypotheses_in_one_pass(monkeypatch, capsys):
+@pytest.fixture
+def bounds_read(monkeypatch):
+    """Count the bounds read through every witness's bound reader, the one
+    way a scan or a walk evaluates a bound (the ladder's constant ratio
+    scales the distance there, without calling ``phi``)."""
+    calls, entry_bound = [0], ContractionWitness._entry_bound
+
+    def counted_reader(self, space):
+        bound = entry_bound(self, space)
+
+        def counted(*args):
+            calls[0] += 1
+            return bound(*args)
+
+        return counted
+
+    monkeypatch.setattr(ContractionWitness, "_entry_bound", counted_reader)
+    return calls
+
+
+def test_ladder_solve_checks_its_hypotheses_in_one_pass(monkeypatch, capsys, bounds_read):
     # the two separate scans listed the 930 pairs twice and evaluated phi
     # 1,860 times; one pass lists them once and evaluates the bound once a
     # pair for both hypotheses
-    listed, phi_calls, in_check = [], [0], {}
-    pairs, phi, check = (contraction._distinct_pairs, ContractionWitness.phi,
-                         cli.check_hypotheses)
+    listed, in_check = [], {}
+    pairs, check = contraction._distinct_pairs, cli.check_hypotheses
 
     def counted_pairs(*args):
         out = pairs(*args)
         listed.append(len(out))
         return out
 
-    def counted_phi(self, *args):
-        phi_calls[0] += 1
-        return phi(self, *args)
-
     def counted_check(*args):
-        before = phi_calls[0]
+        before = bounds_read[0]
         out = check(*args)
-        in_check["phi"] = phi_calls[0] - before
+        in_check["bounds"] = bounds_read[0] - before
         return out
 
     monkeypatch.setattr(contraction, "_distinct_pairs", counted_pairs)
-    monkeypatch.setattr(ContractionWitness, "phi", counted_phi)
     monkeypatch.setattr(cli, "check_hypotheses", counted_check)
     rc = main(["solve", str(LADDER), "--seed-point", "1", "--eps", LADDER_EPS])
     assert rc == 0
     assert "endpoint: 0" in capsys.readouterr().out
     assert listed == [930]
-    assert in_check["phi"] == 930
+    assert in_check["bounds"] == 930
 
 
 @pytest.mark.parametrize("rule, steps", [("min-dist", 30), ("lex", 15)])
-def test_ladder_solve_evaluates_one_bound_per_ordered_pair(monkeypatch, capsys, rule, steps):
+def test_ladder_solve_evaluates_one_bound_per_ordered_pair(capsys, bounds_read, rule, steps):
     # the hypotheses take one bound per ordered pair, the walk one a step
-    calls, phi = [0], ContractionWitness.phi
-
-    def counted_phi(self, *args):
-        calls[0] += 1
-        return phi(self, *args)
-
-    monkeypatch.setattr(ContractionWitness, "phi", counted_phi)
     rc = main(["solve", str(LADDER), "--seed-point", "1", "--eps", LADDER_EPS, "--rule", rule])
     out = capsys.readouterr().out
     assert rc == 0
     assert sum(line.startswith("  n=") for line in out.splitlines()) == steps
-    assert calls[0] == 930 + steps
+    assert bounds_read[0] == 930 + steps
 
 
 def test_ladder_walk_hypotheses_evaluate_each_ordered_pair_once(monkeypatch, capsys):

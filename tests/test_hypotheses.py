@@ -139,6 +139,108 @@ def test_a_sampled_space_has_one_pair_list_for_every_pair_check(monkeypatch, nam
     assert hyps.witness_report == validate_witness(T, w, plan)
 
 
+def _outcome(get):
+    """What ``get()`` gives, or the error it raises as its type and text."""
+    try:
+        return get()
+    except Exception as exc:  # noqa: BLE001 - compared by type and text
+        return type(exc), str(exc)
+
+
+def _every_class(space):
+    """A witness of each class on ``space``; a bound table on a sampled
+    space raises when read, which every pair law holds."""
+    half, module = Fraction(1, 2), space.structure.module
+    return [
+        HALF,
+        ContractionWitness(WitnessClass.ALPHA_FUNCTION, alpha_fn=lambda x, y: half,
+                           alpha_bound=Fraction(3, 4)),
+        ContractionWitness(WitnessClass.PSI_ON_DISTANCE, psi=lambda d: module.scale(half, d)),
+        ContractionWitness(WitnessClass.PHI_TABLE, phi_table=[]),
+    ]
+
+
+@pytest.mark.parametrize("name", ["real-line", "cone-2"])
+def test_the_kept_one_sided_outcome_is_the_standalone_check_on_a_sampled_space(name):
+    b = harness.builtin_bundles()[name]
+    plan = SamplePlan(seed=3, count=50)
+    for w in [b.witness] + _every_class(b.space):
+        expected = _outcome(lambda: is_weak_contraction(b.map_, w, plan))
+        # decided in the verdict's own pass, or added to a verdict kept without it
+        together, added = dataclasses.replace(b.map_), dataclasses.replace(b.map_)
+        check_hypotheses(added, w, plan)
+        for T in (together, added):
+            hyps = check_hypotheses(T, w, plan, one_sided=True)
+            assert _outcome(lambda: hyps.one_sided_report) == expected
+            assert _outcome(lambda: hyps.global_report) == \
+                _outcome(lambda: is_global_weak_contraction(b.map_, w, plan))
+            assert _outcome(lambda: hyps.witness_report) == \
+                _outcome(lambda: validate_witness(b.map_, w, plan))
+
+
+def test_a_kept_verdict_adds_the_one_sided_outcome_from_one_scan(dilation, monkeypatch):
+    # the walk's pass decided the global law and the witness; asking for the
+    # one-sided bound scans the pair list again for that law alone, and the
+    # verdict keeps its outcomes, its walk steps and its identity
+    _, T = dilation
+    cfg = SolverConfig(eps=Fraction(1, 16), seed_point=Fraction(1), max_iter=50)
+    walk = iterate_endpoint(T, HALF, cfg)
+    hyps = check_hypotheses(T, HALF)
+    kept = (hyps.global_outcome, hyps.witness_outcome, dict(hyps._steps_by_rule))
+    assert hyps.one_sided_outcome is None and kept[2]
+    laws, scan = [], contraction._scan
+
+    def recorded(T, w, plan, scan_laws, *args):
+        laws.append([law for law, _ in scan_laws])
+        return scan(T, w, plan, scan_laws, *args)
+
+    monkeypatch.setattr(contraction, "_scan", recorded)
+    assert check_hypotheses(T, HALF, one_sided=True) is hyps
+    assert hyps.one_sided_report == is_weak_contraction(T, HALF)
+    assert laws[0] == ["weak"]
+    assert (hyps.global_outcome, hyps.witness_outcome, hyps._steps_by_rule) == kept
+    check_hypotheses(T, HALF, one_sided=True)
+    check_hypotheses(T, HALF)
+    assert len(laws) == 2  # the one-sided scan, then is_weak_contraction above
+    assert iterate_endpoint(T, HALF, cfg) == walk
+
+
+@pytest.mark.parametrize("fault", ["metric", "image"])
+def test_a_held_error_is_held_for_each_pair_law(rstruct, fault):
+    # the metric raises at one pair while the table fills, inside the pair
+    # stream, so every law holds that error; an image outside the space is
+    # read in each image law's first call, so each of the two holds its own,
+    # and the witness laws, which read no image, decide their report
+    pts = (Fraction(0), Fraction(1), Fraction(3))
+
+    def metric(x, y):
+        if fault == "metric" and (x, y) == (Fraction(1), Fraction(3)):
+            raise ValueError("metric undefined at (1, 3)")
+        return abs(x - y)
+
+    space = ConeMetricSpace("flaky", rstruct, metric, points=pts)
+    image = {Fraction(0): (Fraction(0),), Fraction(1): (Fraction(1, 2),),
+             Fraction(3): (Fraction(0),)}
+    T = (SetValuedMap.from_table(space, {p: (Fraction(0),) for p in pts}) if fault == "metric"
+         else SetValuedMap.from_rule(space, image.__getitem__))
+    hyps = check_hypotheses(T, HALF, one_sided=True)
+    got = [_outcome(lambda: hyps.global_report), _outcome(lambda: hyps.one_sided_report),
+           _outcome(lambda: hyps.witness_report)]
+    fresh = dataclasses.replace(T)
+    alone = [_outcome(lambda: is_global_weak_contraction(fresh, HALF)),
+             _outcome(lambda: is_weak_contraction(fresh, HALF)),
+             _outcome(lambda: validate_witness(fresh, HALF))]
+    assert got == alone
+    if fault == "metric":
+        assert got == [(ValueError, "metric undefined at (1, 3)")] * 3
+        assert hyps.global_outcome is hyps.one_sided_outcome is hyps.witness_outcome
+    else:
+        assert got[0] == got[1] == (DomainError, "map 'T' sends 1 to 1/2, which is not in "
+                                                  "space 'flaky'")
+        assert hyps.global_outcome is not hyps.one_sided_outcome
+        assert hyps.witness_report.passed
+
+
 @pytest.fixture
 def dilation(rstruct):
     pts = (Fraction(0), Fraction(1, 4), Fraction(1))

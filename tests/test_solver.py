@@ -211,13 +211,18 @@ def test_a_violating_step_evaluates_no_bound(rstruct, monkeypatch):
     T = SetValuedMap.from_rule(
         space, lambda x: (min(2 * x, Fraction(1)),) if x != 0 else (Fraction(1, 8),))
     check_hypotheses(T, HALF)
-    bounded, phi = [], ContractionWitness.phi
+    bounded, entry_bound = [], ContractionWitness._entry_bound
 
-    def recorded(self, m, x, y, d):
-        bounded.append((x, y))
-        return phi(self, m, x, y, d)
+    def recorded_reader(self, m):
+        bound, point = entry_bound(self, m), m._point
 
-    monkeypatch.setattr(ContractionWitness, "phi", recorded)
+        def recorded(a, b, d):
+            bounded.append((point(a), point(b)))
+            return bound(a, b, d)
+
+        return recorded
+
+    monkeypatch.setattr(ContractionWitness, "_entry_bound", recorded_reader)
     eighth, quarter, half = Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)
     for seed, calls in [(eighth, [(eighth, quarter)]), (eighth, []),
                         (quarter, [(quarter, half)])]:
